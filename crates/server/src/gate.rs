@@ -63,15 +63,21 @@ pub trait FrameSink: Send + Sync + 'static {
     /// boundary (with nothing from that chunk charged).
     fn try_reserve_rows(&self, n: usize) -> bool;
 
-    /// Queue a batch of row frames whose deadlines landed on the same
-    /// scheduler tick, in order, into slots previously reserved with
-    /// [`FrameSink::try_reserve_rows`]. Must never block, like
-    /// [`FrameSink::push_row`]. The default forwards one frame at a
-    /// time; transports with a locked per-connection queue override it
-    /// to take the lock (and wake the writer) once per batch.
-    fn push_rows(&self, frames: &mut Vec<Frame>) {
+    /// Queue everything one wheel job releases, in order: row frames
+    /// whose deadlines landed on the same scheduler tick (into slots
+    /// previously reserved with [`FrameSink::try_reserve_rows`]) and,
+    /// when the result ends on that tick, the control frames that close
+    /// it. Must never block, like [`FrameSink::push_row`]. The default
+    /// forwards one frame at a time; transports with a locked
+    /// per-connection queue override it to take the lock (and wake the
+    /// writer) once per batch.
+    fn push_batch(&self, frames: &mut Vec<Frame>) {
         for frame in frames.drain(..) {
-            self.push_row(frame);
+            if holds_row_slot(&frame) {
+                self.push_row(frame);
+            } else {
+                self.push_control(frame);
+            }
         }
     }
 
@@ -81,6 +87,14 @@ pub trait FrameSink: Send + Sync + 'static {
     /// account reservations must override this or the slots leak for the
     /// connection's lifetime.
     fn release_rows(&self, _n: usize) {}
+}
+
+/// Whether `frame` occupies a send-queue slot reserved with
+/// [`FrameSink::try_reserve_rows`]: result rows, and the `MUTATED`
+/// confirmation a write reserves before it applies. Every other frame
+/// bypasses the row budget.
+pub(crate) fn holds_row_slot(frame: &Frame) -> bool {
+    matches!(frame, Frame::Row { .. } | Frame::Mutated { .. })
 }
 
 /// Which write verb a mutation frame carried. The opcode is the
@@ -778,64 +792,16 @@ impl FrontDoor {
         }
     }
 
-    /// Schedule one chunk's rows on the wheel: consecutive rows whose
-    /// deadlines land on the same scheduler tick are coalesced into a
-    /// single job that hands the sink the whole batch at once
-    /// ([`FrameSink::push_rows`] — one queue lock and one writer wakeup
-    /// per tick per connection instead of one per row), and the chunk's
-    /// jobs are filed under one wheel-lock acquisition
-    /// ([`DelayScheduler::schedule_batch`]). Release times and frame
-    /// order are exactly those of row-at-a-time scheduling: a batch
-    /// fires at the shared tick, and the wheel's same-tick insertion
-    /// order is preserved. Returns the next row sequence number.
-    fn schedule_rows<S: FrameSink>(
-        &self,
-        query_id: u32,
-        mut seq: u32,
-        issued_at_nanos: u64,
-        rows: &[(RowId, Row)],
-        offsets: &[f64],
-        sink: &Arc<S>,
-    ) -> u32 {
-        let tick_nanos = self.scheduler.tick_nanos();
-        let mut jobs: Vec<(u64, Job)> = Vec::new();
-        let mut batch: Vec<Frame> = Vec::new();
-        let mut batch_deadline = 0u64;
-        let flush = |batch: &mut Vec<Frame>, batch_deadline: u64, jobs: &mut Vec<(u64, Job)>| {
-            if batch.is_empty() {
-                return;
-            }
-            let job_sink = Arc::clone(sink);
-            let mut frames = std::mem::take(batch);
-            jobs.push((
-                batch_deadline,
-                Box::new(move || job_sink.push_rows(&mut frames)),
-            ));
-        };
-        for ((_rid, row), &offset) in rows.iter().zip(offsets) {
-            let deadline = issued_at_nanos.saturating_add(secs_to_nanos(offset));
-            if !batch.is_empty()
-                && deadline.div_ceil(tick_nanos) != batch_deadline.div_ceil(tick_nanos)
-            {
-                flush(&mut batch, batch_deadline, &mut jobs);
-            }
-            if batch.is_empty() {
-                batch_deadline = deadline;
-            }
-            batch.push(Frame::Row {
-                query_id,
-                seq,
-                row: row.clone(),
-            });
-            seq += 1;
-        }
-        flush(&mut batch, batch_deadline, &mut jobs);
-        self.scheduler.schedule_batch(jobs);
-        seq
-    }
-
     /// Version-≥2 `SELECT` delivery: pull → reserve → charge → schedule,
     /// one bounded chunk at a time, with trailer framing.
+    ///
+    /// A chunk the executor could not fill is the last one, so its jobs
+    /// are filed together with the trailer (`ROWS_END`, `DONE`) at the
+    /// final deadline; the trailer joins the last row batch when they
+    /// share a tick, which makes a point query one wheel job, one sink
+    /// push and one socket write. A result that ends exactly on a chunk
+    /// boundary learns so only from the next, empty pull, and its
+    /// trailer is then one job of its own.
     fn stream_select<S: FrameSink>(
         &self,
         query_id: u32,
@@ -853,7 +819,6 @@ impl FrontDoor {
         let mut charged = ChargedChunk::default();
         loop {
             let n = match stream.next_chunk_into(chunk_rows, &mut buf) {
-                Ok(0) => break,
                 Ok(n) => n,
                 Err(e) => {
                     // Mid-stream executor failure: already-scheduled rows
@@ -867,35 +832,38 @@ impl FrontDoor {
                     return;
                 }
             };
-            if !sink.try_reserve_rows(n) {
-                // Refuse BEFORE charging: the tuples of this chunk are
-                // neither delayed-priced nor recorded in the popularity
-                // ledger, so a shed query costs the requester nothing.
-                self.metrics.refused_backpressure.inc();
-                let refused = Frame::Refused {
-                    query_id,
-                    reason: RefuseReason::Overloaded,
-                    retry_after_secs: retry,
-                };
-                if !began {
-                    sink.push_control(refused);
-                } else {
-                    // Earlier chunks were charged and are on the wheel;
-                    // the drain invariant ("every charged tuple is
-                    // delivered") means the refusal must trail them.
-                    let refuse_sink = Arc::clone(sink);
-                    self.scheduler.schedule(
-                        stream.deadline_nanos(),
-                        Box::new(move || refuse_sink.push_control(refused)),
-                    );
+            if n > 0 {
+                if !sink.try_reserve_rows(n) {
+                    // Refuse BEFORE charging: the tuples of this chunk are
+                    // neither delayed-priced nor recorded in the popularity
+                    // ledger, so a shed query costs the requester nothing.
+                    self.metrics.refused_backpressure.inc();
+                    let refused = Frame::Refused {
+                        query_id,
+                        reason: RefuseReason::Overloaded,
+                        retry_after_secs: retry,
+                    };
+                    if !began {
+                        sink.push_control(refused);
+                    } else {
+                        // Earlier chunks were charged and are on the wheel;
+                        // the drain invariant ("every charged tuple is
+                        // delivered") means the refusal must trail them.
+                        let refuse_sink = Arc::clone(sink);
+                        self.scheduler.schedule(
+                            stream.deadline_nanos(),
+                            Box::new(move || refuse_sink.push_control(refused)),
+                        );
+                    }
+                    return;
                 }
-                return;
+                let before_secs = stream.delay_secs();
+                stream.charge_into(buf.rows(), &mut charged);
+                self.metrics
+                    .delay_micros_charged
+                    .add_secs(stream.delay_secs() - before_secs);
+                self.metrics.rows_streamed.add(n as u64);
             }
-            let before_secs = stream.delay_secs();
-            stream.charge_into(buf.rows(), &mut charged);
-            self.metrics
-                .delay_micros_charged
-                .add_secs(stream.delay_secs() - before_secs);
             if !began {
                 began = true;
                 sink.push_control(Frame::RowsBegin {
@@ -904,45 +872,41 @@ impl FrontDoor {
                     rows: ROWS_UNKNOWN,
                 });
             }
-            self.metrics.rows_streamed.add(n as u64);
-            seq = self.schedule_rows(
+            let mut releases = Releases::new(sink, self.scheduler.tick_nanos());
+            seq = releases.rows(
                 query_id,
                 seq,
                 stream.issued_at_nanos(),
                 buf.rows(),
                 &charged.offsets,
-                sink,
             );
+            // The executor ran dry inside this pull: the result ends here.
+            let last = n < chunk_rows;
+            if last {
+                // Pushed after every row, so ROWS_END follows the last row
+                // and DONE comes last of all, same tick or not.
+                let done_at = stream.deadline_nanos();
+                releases.push(
+                    done_at,
+                    Frame::RowsEnd {
+                        query_id,
+                        rows: seq,
+                    },
+                );
+                releases.push(
+                    done_at,
+                    Frame::Done {
+                        query_id,
+                        delay_secs: stream.delay_secs(),
+                        tuples: seq,
+                    },
+                );
+            }
+            self.scheduler.schedule_batch(releases.finish());
+            if last {
+                return;
+            }
         }
-        if !began {
-            sink.push_control(Frame::RowsBegin {
-                query_id,
-                columns: stream.columns().to_vec(),
-                rows: ROWS_UNKNOWN,
-            });
-        }
-        // Trailer and DONE ride the wheel at the final deadline; they are
-        // inserted after every row, so stable same-tick ordering emits
-        // ROWS_END after the last row and DONE last of all.
-        let rows = seq;
-        let delay_secs = stream.delay_secs();
-        let done_at = stream.deadline_nanos();
-        let end_sink = Arc::clone(sink);
-        self.scheduler.schedule(
-            done_at,
-            Box::new(move || end_sink.push_control(Frame::RowsEnd { query_id, rows })),
-        );
-        let done_sink = Arc::clone(sink);
-        self.scheduler.schedule(
-            done_at,
-            Box::new(move || {
-                done_sink.push_control(Frame::Done {
-                    query_id,
-                    delay_secs,
-                    tuples: rows,
-                })
-            }),
-        );
     }
 
     /// Legacy (version-1) `SELECT` delivery: the client expects the exact
@@ -993,26 +957,100 @@ impl FrontDoor {
             rows: n as u32,
         });
         self.metrics.rows_streamed.add(n as u64);
-        self.schedule_rows(
+        let mut releases = Releases::new(sink, self.scheduler.tick_nanos());
+        releases.rows(
             query_id,
             0,
             stream.issued_at_nanos(),
             &rows,
             &charged.offsets,
-            sink,
         );
-        let delay_secs = stream.delay_secs();
-        let done_sink = Arc::clone(sink);
-        self.scheduler.schedule(
+        releases.push(
             stream.deadline_nanos(),
-            Box::new(move || {
-                done_sink.push_control(Frame::Done {
-                    query_id,
-                    delay_secs,
-                    tuples: n as u32,
-                })
-            }),
+            Frame::Done {
+                query_id,
+                delay_secs: stream.delay_secs(),
+                tuples: n as u32,
+            },
         );
+        self.scheduler.schedule_batch(releases.finish());
+    }
+}
+
+/// One chunk's wheel jobs under construction. Consecutive frames whose
+/// deadlines land on the same scheduler tick are coalesced into a single
+/// job that hands the sink the whole batch at once
+/// ([`FrameSink::push_batch`] — one queue lock and one writer wakeup per
+/// tick per connection instead of one per frame), and the caller files
+/// the finished list under one wheel-lock acquisition
+/// ([`DelayScheduler::schedule_batch`]). Release times and frame order
+/// are exactly those of frame-at-a-time scheduling: a batch fires at the
+/// shared tick, and the wheel's same-tick insertion order is preserved.
+struct Releases<'a, S: FrameSink> {
+    sink: &'a Arc<S>,
+    tick_nanos: u64,
+    jobs: Vec<(u64, Job)>,
+    batch: Vec<Frame>,
+    batch_deadline: u64,
+}
+
+impl<'a, S: FrameSink> Releases<'a, S> {
+    fn new(sink: &'a Arc<S>, tick_nanos: u64) -> Self {
+        Releases {
+            sink,
+            tick_nanos,
+            jobs: Vec::new(),
+            batch: Vec::new(),
+            batch_deadline: 0,
+        }
+    }
+
+    /// Release `frame` at `deadline`, after everything pushed before it.
+    fn push(&mut self, deadline: u64, frame: Frame) {
+        let tick = |nanos: u64| nanos.div_ceil(self.tick_nanos);
+        if !self.batch.is_empty() && tick(deadline) != tick(self.batch_deadline) {
+            self.flush();
+        }
+        if self.batch.is_empty() {
+            self.batch_deadline = deadline;
+        }
+        self.batch.push(frame);
+    }
+
+    /// Release each row at its charged offset from `issued_at_nanos`,
+    /// numbering them from `seq`. Returns the next sequence number.
+    fn rows(
+        &mut self,
+        query_id: u32,
+        mut seq: u32,
+        issued_at_nanos: u64,
+        rows: &[(RowId, Row)],
+        offsets: &[f64],
+    ) -> u32 {
+        for ((_rid, row), &offset) in rows.iter().zip(offsets) {
+            let deadline = issued_at_nanos.saturating_add(secs_to_nanos(offset));
+            let row = row.clone();
+            self.push(deadline, Frame::Row { query_id, seq, row });
+            seq += 1;
+        }
+        seq
+    }
+
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let job_sink = Arc::clone(self.sink);
+        let mut frames = std::mem::take(&mut self.batch);
+        self.jobs.push((
+            self.batch_deadline,
+            Box::new(move || job_sink.push_batch(&mut frames)),
+        ));
+    }
+
+    fn finish(mut self) -> Vec<(u64, Job)> {
+        self.flush();
+        self.jobs
     }
 }
 

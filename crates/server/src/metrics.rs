@@ -48,6 +48,14 @@ pub struct ServerMetrics {
     pub scheduler_scheduled: Counter,
     /// Delays fired off the wheel.
     pub scheduler_fired: Counter,
+    /// Times the scheduler thread came back from a sleep (timeout or
+    /// notify). Scales with distinct deadlines, not elapsed ticks or
+    /// `schedule` calls.
+    pub scheduler_wakeups: Counter,
+    /// Microseconds between a fired batch's earliest deadline tick and
+    /// the clock read that released it (high-water = worst release
+    /// lateness the scheduler thread has caused or inherited).
+    pub scheduler_fire_lateness_micros: Gauge,
     /// Replication deltas folded from peers (cluster only).
     pub deltas_applied: Counter,
     /// Replication deltas discarded as stale/duplicate (cluster only).
@@ -78,6 +86,8 @@ impl ServerMetrics {
             scheduler_pending: registry.gauge("scheduler_pending"),
             scheduler_scheduled: registry.counter("scheduler_scheduled_total"),
             scheduler_fired: registry.counter("scheduler_fired_total"),
+            scheduler_wakeups: registry.counter("scheduler_wakeups"),
+            scheduler_fire_lateness_micros: registry.gauge("scheduler_fire_lateness_micros"),
             deltas_applied: registry.counter("cluster_deltas_applied"),
             deltas_stale: registry.counter("cluster_deltas_stale"),
             deltas_exported: registry.counter("cluster_deltas_exported"),

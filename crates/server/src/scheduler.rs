@@ -11,12 +11,29 @@
 //! a simulated clock itself and calls [`DelayScheduler::poll`], making
 //! every firing a pure function of (schedule calls, clock advances).
 //!
-//! Jobs (closures that push a `ROW`/`DONE` frame into a connection's
+//! Jobs (closures that push a batch of frames into a connection's
 //! bounded send queue) must be quick and non-blocking: they run on the
 //! scheduler thread (or the polling thread, in manual mode).
 //!
 //! Firing is never early: a deadline maps to the tick *ceiling*, and the
 //! wheel releases a tick only once clock time has passed it.
+//!
+//! The thread is **deadline-driven**, not tick-polled. After firing what
+//! is due it asks the wheel for the next tick that has work
+//! ([`TimerWheel::next_wake`](crate::wheel::TimerWheel::next_wake), an
+//! O(levels) bitmap probe) and sleeps until exactly that tick's clock
+//! time — indefinitely when the wheel is empty. [`DelayScheduler::schedule`]
+//! wakes it only when the new tick is earlier than the one it is sleeping
+//! toward; a later one will be found when it next looks. Wake-ups
+//! therefore scale with distinct deadlines, not with elapsed ticks or
+//! with `schedule` calls, which is what makes a fine tick affordable:
+//! the server's default is 50 µs, the kernel's default timer slack —
+//! a sleep is not more precise than that, so a finer tick would buy
+//! nothing. What remains between a deadline and its frames reaching the
+//! send queue is the tick rounding (≤ one tick) plus one timed-sleep
+//! wake-up (`scheduler_fire_lateness_micros` records the worst seen).
+//! The threaded mode needs a clock that runs at wall rate, since it
+//! sleeps on a condition variable for the clock-time difference.
 
 use crate::metrics::ServerMetrics;
 use crate::wheel::TimerWheel;
@@ -31,6 +48,11 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 struct State {
     wheel: TimerWheel<Job>,
     running: bool,
+    /// The tick the scheduler thread is sleeping toward: `u64::MAX` while
+    /// it is parked on an empty wheel, 0 while it is awake (it will look
+    /// at the wheel again before it sleeps) and in manual mode (nobody to
+    /// wake). `schedule` notifies only for a tick below this.
+    sleeping_toward: u64,
 }
 
 struct Shared {
@@ -40,7 +62,6 @@ struct Shared {
     /// Wakes drainers when the wheel runs dry.
     idle_cv: Condvar,
     clock: Arc<dyn Clock>,
-    tick: Duration,
     tick_nanos: u64,
     metrics: ServerMetrics,
 }
@@ -117,11 +138,11 @@ impl DelayScheduler {
             state: Mutex::new(State {
                 wheel: TimerWheel::new(),
                 running: true,
+                sleeping_toward: 0,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             clock,
-            tick,
             tick_nanos: tick.as_nanos() as u64,
             metrics,
         })
@@ -130,29 +151,22 @@ impl DelayScheduler {
     /// Schedule `job` to run once clock time reaches `deadline_nanos`
     /// (nanoseconds on the scheduler's clock).
     pub fn schedule(&self, deadline_nanos: u64, job: Job) {
-        let tick = self.shared.deadline_tick(deadline_nanos);
-        let mut st = self.shared.state.lock().unwrap();
-        st.wheel.insert(tick, job);
-        self.shared.metrics.scheduler_scheduled.inc();
-        self.shared
-            .metrics
-            .scheduler_pending
-            .set(st.wheel.pending() as i64);
-        drop(st);
-        self.shared.work_cv.notify_one();
+        self.schedule_batch([(deadline_nanos, job)]);
     }
 
     /// Schedule a batch of `(deadline_nanos, job)` pairs under **one**
-    /// lock acquisition and one scheduler wakeup, preserving the batch's
-    /// order among equal deadlines. The streaming gate files a whole
-    /// chunk's releases this way instead of taking the wheel lock per
-    /// row.
+    /// lock acquisition and at most one scheduler wakeup, preserving the
+    /// batch's order among equal deadlines. The streaming gate files a
+    /// whole chunk's releases this way instead of taking the wheel lock
+    /// per row.
     pub fn schedule_batch(&self, jobs: impl IntoIterator<Item = (u64, Job)>) {
         let mut st = self.shared.state.lock().unwrap();
         let mut n = 0u64;
+        let mut earliest = u64::MAX;
         for (deadline_nanos, job) in jobs {
             let tick = self.shared.deadline_tick(deadline_nanos);
             st.wheel.insert(tick, job);
+            earliest = earliest.min(tick);
             n += 1;
         }
         if n == 0 {
@@ -163,8 +177,17 @@ impl DelayScheduler {
             .metrics
             .scheduler_pending
             .set(st.wheel.pending() as i64);
+        // Wake the thread only if it would otherwise sleep past this
+        // batch; lowering the mark spares the next caller a redundant
+        // notify while the thread is still on its way up.
+        let wake = earliest < st.sleeping_toward;
+        if wake {
+            st.sleeping_toward = earliest;
+        }
         drop(st);
-        self.shared.work_cv.notify_one();
+        if wake {
+            self.shared.work_cv.notify_one();
+        }
     }
 
     /// Nanoseconds per wheel tick. Deadlines within the same tick fire in
@@ -261,20 +284,24 @@ impl DelayScheduler {
 
 fn run(shared: Arc<Shared>) {
     let mut st = shared.state.lock().unwrap();
-    loop {
-        if !st.running {
-            break;
-        }
-        let now = shared.now_tick();
-        let fired = st.wheel.advance(now);
+    while st.running {
+        // One clock read per pass: it releases what is due, dates the
+        // lateness of that release, and sizes the sleep if nothing is.
+        let now = shared.clock.now_nanos();
+        let fired = st.wheel.advance(now / shared.tick_nanos);
         shared
             .metrics
             .scheduler_pending
             .set(st.wheel.pending() as i64);
-        if !fired.is_empty() {
-            shared.metrics.scheduler_fired.add(fired.len() as u64);
+        if let Some(&(tick, _)) = fired.first() {
             let wheel_dry = st.wheel.pending() == 0;
             drop(st);
+            shared.metrics.scheduler_fired.add(fired.len() as u64);
+            let due_nanos = tick.saturating_mul(shared.tick_nanos);
+            shared
+                .metrics
+                .scheduler_fire_lateness_micros
+                .set((now.saturating_sub(due_nanos) / 1_000) as i64);
             // Run jobs off-lock: they push into per-connection queues.
             for (_, job) in fired {
                 job();
@@ -285,15 +312,24 @@ fn run(shared: Arc<Shared>) {
             st = shared.state.lock().unwrap();
             continue;
         }
-        if st.wheel.pending() == 0 {
-            shared.idle_cv.notify_all();
-            st = shared.work_cv.wait(st).unwrap();
-        } else {
-            // Sleep one tick; precision is bounded by the tick, and
-            // deadlines round up, so firing is never early.
-            let (guard, _) = shared.work_cv.wait_timeout(st, shared.tick).unwrap();
-            st = guard;
+        match st.wheel.next_wake() {
+            None => {
+                st.sleeping_toward = u64::MAX;
+                shared.idle_cv.notify_all();
+                st = shared.work_cv.wait(st).unwrap();
+            }
+            Some(tick) => {
+                // Sleep until the tick's clock time, not for a period:
+                // the tick is the ceiling of its deadlines and fires only
+                // once the clock has passed it, so this is never early.
+                st.sleeping_toward = tick;
+                let wake_nanos = tick.saturating_mul(shared.tick_nanos);
+                let sleep = Duration::from_nanos(wake_nanos.saturating_sub(now));
+                st = shared.work_cv.wait_timeout(st, sleep).unwrap().0;
+            }
         }
+        st.sleeping_toward = 0;
+        shared.metrics.scheduler_wakeups.inc();
     }
     shared.metrics.scheduler_threads.set(0);
     shared.idle_cv.notify_all();
@@ -391,6 +427,84 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(threads_high, 1, "one scheduler thread, not one per delay");
+    }
+
+    /// Block until the scheduler thread is parked: it has looked at the
+    /// wheel and is sleeping toward a tick (or indefinitely).
+    fn wait_until_parked(sched: &DelayScheduler) {
+        while sched.shared.state.lock().unwrap().sleeping_toward == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn wakeups_scale_with_deadlines_not_ticks_or_schedule_calls() {
+        let (_r, m) = metrics();
+        let clock = RealClock::shared();
+        let sched = DelayScheduler::start_with_clock(
+            Duration::from_millis(1),
+            m.clone(),
+            Arc::clone(&clock),
+        );
+        wait_until_parked(&sched);
+        let before = m.scheduler_wakeups.get();
+        let deadline = clock.now_nanos() + 200_000_000;
+        for _ in 0..1_000 {
+            sched.schedule(deadline, Box::new(|| {}));
+        }
+        sched.drain();
+        assert_eq!(m.scheduler_fired.get(), 1_000);
+        // One notify for the first insert (the thread was parked on an
+        // empty wheel), one timed wake per cascade boundary on the way
+        // (at most one per wheel level), one at the deadline tick, one
+        // for shutdown — not 200 ticks' worth, not 1 000 notifies.
+        let wakeups = m.scheduler_wakeups.get() - before;
+        assert!(wakeups <= 8, "{wakeups} wake-ups for one deadline");
+        assert!(clock.now_nanos() >= deadline, "drain returned early");
+    }
+
+    #[test]
+    fn earlier_deadline_filed_mid_sleep_fires_on_time() {
+        let (_r, m) = metrics();
+        let clock = RealClock::shared();
+        let sched =
+            DelayScheduler::start_with_clock(Duration::from_millis(1), m, Arc::clone(&clock));
+        let (tx, rx) = mpsc::channel();
+        let start = clock.now_nanos();
+        let file = |name: &'static str, deadline: u64| {
+            let (tx, clock) = (tx.clone(), Arc::clone(&clock));
+            sched.schedule(
+                deadline,
+                Box::new(move || tx.send((name, clock.now_nanos())).unwrap()),
+            );
+        };
+        let late = start + 2_000_000_000;
+        file("late", late);
+        wait_until_parked(&sched);
+        // The thread now sleeps toward `late`; an earlier deadline must
+        // cut that sleep short rather than wait for it.
+        let early = clock.now_nanos() + 20_000_000;
+        file("early", early);
+        let (name, at) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(name, "early");
+        assert!(at >= early, "fired early");
+        sched.stop_now();
+    }
+
+    #[test]
+    fn drain_and_stop_return_from_an_indefinite_park() {
+        for stop in [DelayScheduler::drain, DelayScheduler::stop_now] {
+            let (_r, m) = metrics();
+            let sched = DelayScheduler::start(Duration::from_millis(1), m.clone());
+            wait_until_parked(&sched);
+            assert_eq!(
+                sched.shared.state.lock().unwrap().sleeping_toward,
+                u64::MAX,
+                "an empty wheel parks without a timeout"
+            );
+            stop(&sched);
+            assert_eq!(m.scheduler_threads.get(), 0);
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! gatekeeper timestamps, guard deadlines, and wheel ticks share one
 //! epoch. Socket-flush timeouts read the same clock.
 
-use crate::gate::{FrameSink, FrontDoor, GateConfig, SessionControl, SessionState};
+use crate::gate::{holds_row_slot, FrameSink, FrontDoor, GateConfig, SessionControl, SessionState};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     encode_frame_into, read_frame_buffered, write_frame, Frame, ProtocolError, RefuseReason,
@@ -45,7 +45,7 @@ use delayguard_sim::{GuardStatsPublisher, Registry};
 use parking_lot::Mutex as PMutex;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -61,7 +61,11 @@ pub struct ServerConfig {
     /// Per-connection cap on rows admitted but not yet written. A query
     /// whose result set does not fit the remaining budget is refused.
     pub send_queue_rows: usize,
-    /// Timer-wheel granularity. Delays round up to the next tick.
+    /// Timer-wheel granularity. Delays round up to the next tick; the
+    /// scheduler thread sleeps from one occupied tick to the next, so a
+    /// fine tick costs wake-ups per distinct deadline, not per tick. The
+    /// default is the kernel's default timer slack (50 µs): a timed sleep
+    /// is no more precise than that, so a finer tick would buy nothing.
     pub tick: Duration,
     /// Honor the `claimed_ip` field of `REGISTER` frames. Off by default
     /// (the peer address is authoritative); enable behind a trusted
@@ -93,7 +97,7 @@ impl Default for ServerConfig {
             gatekeeper: GatekeeperConfig::default(),
             max_sessions: 64,
             send_queue_rows: 4096,
-            tick: Duration::from_millis(1),
+            tick: Duration::from_micros(50),
             trust_client_ip: false,
             retry_after_secs: 1.0,
             stream_chunk_rows: 256,
@@ -160,28 +164,20 @@ impl SendQueue {
         true
     }
 
-    /// Queue a previously reserved row frame. Never blocks.
-    fn push_row(&self, frame: Frame) {
+    /// Queue frames in order under one lock acquisition and one writer
+    /// wakeup. Never blocks: `ROW` and `MUTATED` frames land in slots
+    /// reserved earlier, everything else is a control frame, which
+    /// bypasses the row cap (small, and bounded by the client's own
+    /// request rate). On a closed queue the frames are dropped and only
+    /// the slot-holding ones give their reservations back.
+    fn push(&self, frames: impl Iterator<Item = Frame>) {
         let mut q = self.inner.lock().unwrap();
         if q.closed {
-            q.outstanding_rows = q.outstanding_rows.saturating_sub(1);
+            let slots = frames.filter(holds_row_slot).count();
+            q.outstanding_rows = q.outstanding_rows.saturating_sub(slots);
             return;
         }
-        q.frames.push_back(frame);
-        drop(q);
-        self.ready.notify_one();
-    }
-
-    /// Queue a batch of previously reserved row frames under one lock
-    /// acquisition and one writer wakeup. Never blocks.
-    fn push_rows(&self, frames: &mut Vec<Frame>) {
-        let mut q = self.inner.lock().unwrap();
-        if q.closed {
-            q.outstanding_rows = q.outstanding_rows.saturating_sub(frames.len());
-            frames.clear();
-            return;
-        }
-        q.frames.extend(frames.drain(..));
+        q.frames.extend(frames);
         drop(q);
         self.ready.notify_one();
     }
@@ -193,19 +189,6 @@ impl SendQueue {
         q.outstanding_rows = q.outstanding_rows.saturating_sub(n);
     }
 
-    /// Queue a control frame (registration, refusal, begin/done, stats).
-    /// Control frames bypass the row cap; they are small and bounded by
-    /// the client's own request rate.
-    fn push_control(&self, frame: Frame) {
-        let mut q = self.inner.lock().unwrap();
-        if q.closed {
-            return;
-        }
-        q.frames.push_back(frame);
-        drop(q);
-        self.ready.notify_one();
-    }
-
     /// Writer side: wait for the next frame; `None` once closed and empty.
     fn pop_blocking(&self) -> Option<(Frame, bool)> {
         let mut q = self.inner.lock().unwrap();
@@ -213,7 +196,7 @@ impl SendQueue {
             if let Some(frame) = q.frames.pop_front() {
                 // MUTATED replies consume a reserved slot like rows do:
                 // a write reserves its confirmation before applying.
-                if matches!(frame, Frame::Row { .. } | Frame::Mutated { .. }) {
+                if holds_row_slot(&frame) {
                     q.outstanding_rows = q.outstanding_rows.saturating_sub(1);
                 }
                 let more = !q.frames.is_empty();
@@ -272,15 +255,15 @@ struct Conn {
 
 impl FrameSink for Conn {
     fn push_control(&self, frame: Frame) {
-        self.queue.push_control(frame);
+        self.queue.push(std::iter::once(frame));
     }
 
     fn push_row(&self, frame: Frame) {
-        self.queue.push_row(frame);
+        self.queue.push(std::iter::once(frame));
     }
 
-    fn push_rows(&self, frames: &mut Vec<Frame>) {
-        self.queue.push_rows(frames);
+    fn push_batch(&self, frames: &mut Vec<Frame>) {
+        self.queue.push(frames.drain(..));
     }
 
     fn try_reserve_rows(&self, n: usize) -> bool {
@@ -333,7 +316,6 @@ impl Server {
         registry: Registry,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let metrics = ServerMetrics::new(&registry);
         let clock = db.clock();
@@ -444,8 +426,20 @@ impl ServerHandle {
             }
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        // 5. Stop accepting and join everything.
+        // 5. Stop accepting and join everything. The accept thread is
+        //    blocked in `accept`; a connection to ourselves gives it the
+        //    turn on which it sees the flag. (If the connect fails the
+        //    listener is out of backlog or descriptors, and then `accept`
+        //    is returning on its own.)
         shared.stop_accept.store(true, Ordering::SeqCst);
+        let mut wake_addr = self.addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect(wake_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -461,15 +455,22 @@ fn accept_loop(
     shared: Arc<Shared>,
     session_threads: Arc<PMutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shared.stop_accept.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                handle_accept(stream, peer, &shared, &session_threads);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+    // Blocking accept: a connection is picked up the moment it arrives.
+    // Shutdown sets `stop_accept` and then connects to the listener
+    // itself, so the loop always gets one more turn to see the flag; by
+    // then the front door is draining and whatever was accepted on that
+    // turn is refused `ShuttingDown`.
+    loop {
+        let accepted = listener.accept();
+        let stopping = shared.stop_accept.load(Ordering::SeqCst);
+        match accepted {
+            Ok((stream, peer)) => handle_accept(stream, peer, &shared, &session_threads),
+            // Out of descriptors or the like: do not spin on the error.
+            Err(_) if !stopping => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => {}
+        }
+        if stopping {
+            return;
         }
     }
 }
@@ -510,7 +511,6 @@ fn handle_accept(
     shared.metrics.connections_accepted.inc();
     shared.metrics.sessions.add(1);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
 
     let conn = Arc::new(Conn {
         queue: SendQueue::new(),
@@ -621,7 +621,7 @@ fn session_loop(stream: TcpStream, peer: SocketAddr, shared: &Arc<Shared>, conn:
             Ok(None) => return, // clean EOF
             Err(ProtocolError::Io(_)) => return,
             Err(e) => {
-                conn.queue.push_control(Frame::Error {
+                conn.push_control(Frame::Error {
                     query_id: 0,
                     message: format!("protocol error: {e}"),
                 });

@@ -5,8 +5,18 @@
 //! the caller decides what a tick means in wall-clock terms (the
 //! [`scheduler`](crate::scheduler) drives one wheel from a single thread).
 //! Four levels of 64 slots cover a horizon of `64^4` ≈ 16.7 M ticks
-//! (≈ 4.6 hours at a 1 ms tick); rarer, farther deadlines sit in an
-//! overflow list that is reconsidered when the top level turns over.
+//! (≈ 14 minutes at the server's default 50 µs tick, ≈ 4.6 hours at the
+//! 1 ms tick the simulations use); rarer, farther deadlines sit in an
+//! overflow list that is reconsidered when the top level turns over —
+//! correct at any distance, just not O(1).
+//!
+//! One occupancy bitmap per level (bit `s` set ⇔ slot `s` is non-empty)
+//! lets [`TimerWheel::next_wake`] name the next tick at which `advance`
+//! has anything to do — a level-0 slot to fire or a coarser slot to
+//! cascade — in O(levels) bit operations. `advance` jumps from one such
+//! tick to the next, so its cost follows the number of occupied slots it
+//! crosses, not the number of ticks, and the scheduler thread sleeps
+//! until exactly that tick instead of polling every one.
 //!
 //! Guarantees, relied on by the delivery path and checked by the property
 //! test in `tests/wheel_prop.rs`:
@@ -48,8 +58,9 @@ pub struct TimerWheel<T> {
     /// Entries whose deadline had already passed at insertion; they fire
     /// on the next `advance`.
     due: Vec<Entry<T>>,
-    /// Live entry count per level, for fast-forwarding over empty spans.
-    level_counts: [usize; LEVELS],
+    /// Per-level slot occupancy: bit `s` of `occupied[k]` is set exactly
+    /// when `levels[k][s]` is non-empty.
+    occupied: [u64; LEVELS],
     now: u64,
     next_seq: u64,
     pending: usize,
@@ -70,7 +81,7 @@ impl<T> TimerWheel<T> {
                 .collect(),
             overflow: Vec::new(),
             due: Vec::new(),
-            level_counts: [0; LEVELS],
+            occupied: [0; LEVELS],
             now: 0,
             next_seq: 0,
             pending: 0,
@@ -134,35 +145,51 @@ impl<T> TimerWheel<T> {
             if delta < level_span(level + 1) {
                 let slot = (entry.deadline / level_span(level)) as usize % SLOTS;
                 self.levels[level][slot].push(entry);
-                self.level_counts[level] += 1;
+                self.occupied[level] |= 1 << slot;
                 return;
             }
         }
         unreachable!("delta {delta} below horizon must fit a level");
     }
 
-    /// The tick `advance` may jump to without missing a fire or cascade:
-    /// with the finest `k` levels empty, nothing happens until the next
-    /// slot boundary of the coarsest span that still has entries.
-    fn fast_forward_target(&self, to: u64) -> u64 {
-        let mut level = 0;
-        while level < LEVELS && self.level_counts[level] == 0 {
-            level += 1;
+    /// The next tick at which [`TimerWheel::advance`] has anything to
+    /// do, or `None` if the wheel is empty: the current tick if entries
+    /// are already due, else the earliest of the first occupied level-0
+    /// slot (that slot's entries fire there), the slot boundary of the
+    /// first occupied slot of each coarser level (its entries cascade
+    /// there), and the next top-level turnover if `overflow` holds
+    /// anything. Never later than the earliest pending deadline — a slot
+    /// only holds deadlines at or after its boundary — so a driver that
+    /// sleeps until this tick, advances, and asks again fires every entry
+    /// at exactly its deadline tick. O(levels), unlike the O(pending)
+    /// [`TimerWheel::next_deadline`].
+    pub fn next_wake(&self) -> Option<u64> {
+        if self.pending == 0 {
+            return None;
         }
-        if level == 0 {
-            return self.now; // level 0 occupied: tick one at a time
+        if !self.due.is_empty() {
+            return Some(self.now);
         }
-        if level == LEVELS && self.overflow.is_empty() {
-            return to; // completely empty
-        }
-        let span = if level == LEVELS {
-            HORIZON
+        let mut wake = if self.overflow.is_empty() {
+            u64::MAX
         } else {
-            level_span(level)
+            (self.now / HORIZON + 1) * HORIZON
         };
-        let next_boundary = (self.now / span + 1) * span;
-        // Stop one tick short so the boundary tick runs its cascade.
-        to.min(next_boundary.saturating_sub(1))
+        for (level, &occupied) in self.occupied.iter().enumerate() {
+            if occupied == 0 {
+                continue;
+            }
+            // A level-k entry sits 1..=64 slot boundaries ahead of the
+            // cursor, so the circular scan from the slot after the
+            // cursor's finds the next boundary that has work.
+            let span = level_span(level);
+            let next_slot = self.now / span + 1;
+            let ahead = occupied
+                .rotate_right((next_slot % SLOTS as u64) as u32)
+                .trailing_zeros() as u64;
+            wake = wake.min((next_slot + ahead) * span);
+        }
+        Some(wake)
     }
 
     /// Advance the wheel to tick `to`, returning every entry whose
@@ -171,40 +198,33 @@ impl<T> TimerWheel<T> {
     pub fn advance(&mut self, to: u64) -> Vec<(u64, T)> {
         let mut fired: Vec<Entry<T>> = std::mem::take(&mut self.due);
 
-        while self.now < to {
-            let skip_to = self.fast_forward_target(to);
-            if skip_to > self.now {
-                self.now = skip_to;
-                if self.now >= to {
-                    break;
-                }
-            }
-            self.now += 1;
-            // Cascade each level whose slot boundary we just crossed:
+        // `due` is empty from here on (cascades fire what is due instead
+        // of re-filing it), so `next_wake` names the next slot with work;
+        // every tick before it touches only empty slots.
+        while let Some(wake) = self.next_wake().filter(|&wake| wake <= to) {
+            self.now = wake;
+            // Cascade each level whose slot boundary we just reached:
             // entries move down to finer-grained levels (or fire).
             for level in 1..LEVELS {
-                if self.now.is_multiple_of(level_span(level)) {
-                    let slot = (self.now / level_span(level)) as usize % SLOTS;
-                    let entries = std::mem::take(&mut self.levels[level][slot]);
-                    self.level_counts[level] -= entries.len();
-                    for e in entries {
-                        if e.deadline <= self.now {
-                            fired.push(e);
-                        } else {
-                            self.place(e);
-                        }
-                    }
-                } else {
+                if !self.now.is_multiple_of(level_span(level)) {
                     break;
+                }
+                let slot = (self.now / level_span(level)) as usize % SLOTS;
+                self.occupied[level] &= !(1 << slot);
+                for e in std::mem::take(&mut self.levels[level][slot]) {
+                    if e.deadline <= self.now {
+                        fired.push(e);
+                    } else {
+                        self.place(e);
+                    }
                 }
             }
             // Top level turned over: overflow entries may now fit. An
             // entry due exactly at the turnover tick must fire in this
             // batch — `place` would park it in `due` for the *next*
             // advance, one tick late.
-            if self.now.is_multiple_of(HORIZON) && !self.overflow.is_empty() {
-                let entries = std::mem::take(&mut self.overflow);
-                for e in entries {
+            if self.now.is_multiple_of(HORIZON) {
+                for e in std::mem::take(&mut self.overflow) {
                     if e.deadline <= self.now {
                         fired.push(e);
                     } else {
@@ -214,9 +234,10 @@ impl<T> TimerWheel<T> {
             }
             // Fire this tick's level-0 slot.
             let slot = self.now as usize % SLOTS;
-            self.level_counts[0] -= self.levels[0][slot].len();
+            self.occupied[0] &= !(1 << slot);
             fired.append(&mut self.levels[0][slot]);
         }
+        self.now = self.now.max(to);
 
         self.pending -= fired.len();
         // Per-tick batches are already time-ordered; a stable sort fixes
@@ -313,6 +334,66 @@ mod tests {
     }
 
     #[test]
+    fn next_wake_names_the_next_slot_with_work() {
+        let mut w = TimerWheel::new();
+        assert_eq!(w.next_wake(), None);
+        // Overflow only: nothing to do until the top level turns over.
+        w.insert(HORIZON + 17, "overflow");
+        assert_eq!(w.next_wake(), Some(HORIZON));
+        // A level-2 entry cascades at its slot boundary, not its deadline.
+        w.insert(level_span(2) + 5, "far");
+        assert_eq!(w.next_wake(), Some(level_span(2)));
+        // A level-0 entry fires at its own tick.
+        w.insert(9, "near");
+        assert_eq!(w.next_wake(), Some(9));
+        assert_eq!(w.advance(9), vec![(9, "near")]);
+        assert_eq!(w.next_wake(), Some(level_span(2)));
+        // An already-passed deadline is work for right now.
+        w.insert(3, "late");
+        assert_eq!(w.next_wake(), Some(9));
+        assert_eq!(w.advance(9), vec![(3, "late")]);
+        // After the cascade the entry sits in level 0, five ticks out.
+        assert!(w.advance(level_span(2)).is_empty());
+        assert_eq!(w.next_wake(), Some(level_span(2) + 5));
+    }
+
+    #[test]
+    fn next_wake_sees_a_coarse_entry_due_before_a_fine_one() {
+        // Filed 70 ticks out, the first entry lives in level 1; by tick
+        // 60 it is only 10 ticks away but has not cascaded yet, while a
+        // fresh 40-tick delay goes straight to level 0. The wake must be
+        // the level-1 boundary (64), not the level-0 slot (100).
+        let mut w = TimerWheel::new();
+        w.insert(70, "coarse");
+        assert!(w.advance(60).is_empty());
+        w.insert(100, "fine");
+        assert_eq!(w.next_wake(), Some(64));
+        assert!(w.advance(64).is_empty());
+        assert_eq!(w.next_wake(), Some(70));
+        assert_eq!(w.advance(70), vec![(70, "coarse")]);
+        assert_eq!(w.next_wake(), Some(100));
+    }
+
+    #[test]
+    fn next_wake_wraps_around_the_slot_ring() {
+        // Cursor deep in the ring, entry in a lower-numbered slot of the
+        // next lap — and one exactly 64 slots ahead, which shares the
+        // cursor's own slot index.
+        let mut w = TimerWheel::new();
+        w.advance(60);
+        w.insert(60 + 10, "wrapped"); // level 0, slot 6
+        assert_eq!(w.next_wake(), Some(70));
+        assert_eq!(w.advance(70), vec![(70, "wrapped")]);
+        let base = 5 * level_span(1) + 63; // cursor in level-1 slot 5
+        w.advance(base);
+        let d = base + 64 * level_span(1) - 1; // level-1 slot 5 again, one lap on
+        w.insert(d, "lap");
+        assert_eq!(w.next_wake(), Some(d / level_span(1) * level_span(1)));
+        assert!(w.advance(d - 1).is_empty());
+        assert_eq!(w.advance(d), vec![(d, "lap")]);
+    }
+
+    #[test]
     fn level_boundary_deadline_fires_once_and_on_time() {
         // Regression: a deadline landing exactly on a level-boundary tick
         // (a multiple of 64, 64^2, 64^3, or the horizon) is cascaded and
@@ -379,9 +460,10 @@ mod tests {
     /// Pins the `pending == 0` fast path: an emptied wheel answers
     /// `next_deadline` without scanning its slots, no matter how deep the
     /// cursor sits or how scattered the previous entries were. The
-    /// scheduler leans on this — an idle server calls `next_deadline`
-    /// every tick, and a sparse wheel (entries spread across all four
-    /// levels, then drained) must not degrade that to a 4×64-slot walk.
+    /// simulation drivers lean on this — the testkit world and the
+    /// cluster router ask every node for its `next_deadline` on every
+    /// event-loop step, and most wheels are empty most of the time. (The
+    /// scheduler thread never calls it: it sleeps toward `next_wake`.)
     #[test]
     fn next_deadline_is_cheap_on_drained_sparse_wheel() {
         let mut w = TimerWheel::new();

@@ -367,6 +367,8 @@ fn stats_verb_reports_counters() {
         "server_queries_admitted",
         "server_rows_streamed",
         "scheduler_threads",
+        "scheduler_wakeups",
+        "scheduler_fire_lateness_micros",
     ] {
         assert!(stats.contains(metric), "missing {metric} in:\n{stats}");
     }

@@ -121,3 +121,88 @@ fn equal_deadline_batches_preserve_insertion_order() {
         assert_eq!(items, (0..n).collect::<Vec<u64>>());
     });
 }
+
+/// One random round for the `next_wake` properties: deadlines to insert
+/// at every distance from `now` (including past and beyond the horizon),
+/// and the tick to advance to afterwards.
+fn random_round(rng: &mut Rng, now: u64) -> (Vec<u64>, u64) {
+    let horizon = [64u64, 4_096, 262_144, 20_000_000][rng.below(4) as usize];
+    let deadlines = (0..rng.below(12))
+        .map(|_| {
+            if rng.below(8) == 0 && now > 0 {
+                rng.below(now)
+            } else {
+                now + rng.below(horizon)
+            }
+        })
+        .collect();
+    (deadlines, now + rng.below(horizon / 4 + 2))
+}
+
+#[test]
+fn next_wake_is_never_later_than_the_earliest_deadline() {
+    cases(0x3A4E, |rng| {
+        let mut wheel = TimerWheel::new();
+        for _ in 0..40 {
+            let (deadlines, to) = random_round(rng, wheel.now());
+            for deadline in deadlines {
+                wheel.insert(deadline, ());
+            }
+            match (wheel.next_wake(), wheel.next_deadline()) {
+                (None, None) => {}
+                (Some(wake), Some(min)) => {
+                    assert!(
+                        wake <= min.max(wheel.now()),
+                        "wake {wake} after earliest deadline {min} (now {})",
+                        wheel.now()
+                    );
+                    assert!(wake >= wheel.now(), "wake {wake} in the past");
+                }
+                other => panic!("next_wake and next_deadline disagree on emptiness: {other:?}"),
+            }
+            wheel.advance(to);
+        }
+    });
+}
+
+#[test]
+fn advancing_wake_to_wake_fires_what_tick_by_tick_fires() {
+    cases(0x51EE9, |rng| {
+        // Two wheels fed identically: one visits every tick, the other
+        // only the ticks `next_wake` names (capped at the round's end,
+        // the way the scheduler thread caps its sleep at the clock).
+        let mut by_tick = TimerWheel::new();
+        let mut by_wake = TimerWheel::new();
+        let mut seq = 0u64;
+        for _ in 0..12 {
+            let start = by_tick.now();
+            let (deadlines, to) = random_round(rng, start);
+            for deadline in deadlines {
+                by_tick.insert(deadline, seq);
+                by_wake.insert(deadline, seq);
+                seq += 1;
+            }
+            // Keep the tick-by-tick walk affordable.
+            let to = to.min(start + 20_000);
+
+            let mut fired_by_tick = Vec::new();
+            for tick in start..=to {
+                for (deadline, item) in by_tick.advance(tick) {
+                    // The reference itself is on time: only an entry
+                    // filed already late fires after its deadline tick.
+                    assert!(deadline == tick || (tick == start && deadline < start));
+                    fired_by_tick.push((tick, deadline, item));
+                }
+            }
+            let mut fired_by_wake = Vec::new();
+            while let Some(wake) = by_wake.next_wake().filter(|&wake| wake <= to) {
+                for (deadline, item) in by_wake.advance(wake) {
+                    fired_by_wake.push((wake, deadline, item));
+                }
+            }
+            by_wake.advance(to);
+            assert_eq!(fired_by_wake, fired_by_tick);
+            assert_eq!(by_wake.pending(), by_tick.pending());
+        }
+    });
+}
