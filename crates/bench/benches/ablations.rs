@@ -2,14 +2,11 @@
 //!
 //! 1. rank maintenance: log-bucketed Fenwick vs exact linear scan;
 //! 2. decay: inflated-increment vs naive per-access discounting;
-//! 3. count storage: direct map vs write-behind cache vs count–min sketch;
-//! 4. delay charging: per-tuple sum vs per-query max.
+//! 3. delay charging: per-tuple sum vs per-query max.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use delayguard_core::{AccessDelayPolicy, ChargingModel};
-use delayguard_popularity::{
-    CountMinSketch, CountStore, DecaySchedule, FrequencyTracker, MemoryStore, WriteBehindCache,
-};
+use delayguard_popularity::{DecaySchedule, FrequencyTracker};
 use delayguard_workload::{Rng, Zipf};
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -78,43 +75,6 @@ fn ablation_decay(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_count_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_count_store");
-    let keys = zipf_keys(100_000, 100_000, 17);
-
-    group.bench_function("direct_hashmap", |b| {
-        b.iter(|| {
-            let mut counts: HashMap<u64, f64> = HashMap::new();
-            for &k in &keys {
-                *counts.entry(k).or_insert(0.0) += 1.0;
-            }
-            black_box(counts.len())
-        })
-    });
-
-    group.bench_function("write_behind_cache", |b| {
-        b.iter(|| {
-            let mut cache = WriteBehindCache::new(MemoryStore::new(), 1024);
-            for &k in &keys {
-                cache.increment(k, 1.0);
-            }
-            let store = cache.into_store();
-            black_box(store.len())
-        })
-    });
-
-    group.bench_function("count_min_sketch", |b| {
-        b.iter(|| {
-            let mut sketch = CountMinSketch::new(4096, 4);
-            for &k in &keys {
-                sketch.add(k, 1.0);
-            }
-            black_box(sketch.total())
-        })
-    });
-    group.finish();
-}
-
 fn ablation_charging(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_charging");
     let mut tracker = FrequencyTracker::no_decay();
@@ -139,11 +99,5 @@ fn ablation_charging(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_rank,
-    ablation_decay,
-    ablation_count_store,
-    ablation_charging
-);
+criterion_group!(benches, ablation_rank, ablation_decay, ablation_charging);
 criterion_main!(benches);

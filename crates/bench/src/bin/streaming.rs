@@ -1,6 +1,6 @@
 //! Streaming-pipeline bench: first-row latency and peak buffered rows,
 //! materialized (`execute_with_deadline`) vs streaming
-//! (`execute_streaming` pulled in 256-row chunks), at 1k / 100k / 1M-row
+//! (`execute_stmt_streaming` pulled in 256-row chunks), at 1k / 100k / 1M-row
 //! scans. Writes `BENCH_streaming.json` at the repo root.
 //!
 //! ```text
@@ -16,7 +16,8 @@
 //! one-row query) is enforced only on the full run.
 
 use delayguard_bench::throughput::{measure_hot_path, HotPathMeters, ThroughputConfig};
-use delayguard_core::{GuardConfig, GuardedDatabase, StreamedQuery};
+use delayguard_core::{ChargedChunk, GuardConfig, GuardedDatabase, StreamedQuery};
+use delayguard_query::{parse, RowBuf};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -212,8 +213,10 @@ fn run_streaming(
     first_row_only: bool,
 ) -> Sample {
     let started = Instant::now();
-    db.execute_streaming(sql, |query| match query {
+    let stmt = parse(sql).unwrap();
+    db.execute_stmt_streaming(&stmt, |query| match query {
         StreamedQuery::Rows(mut stream) => {
+            let (mut buf, mut charged) = (RowBuf::new(), ChargedChunk::default());
             let mut first_row_secs = 0.0;
             let mut rows = 0u64;
             let mut peak = 0u64;
@@ -221,16 +224,20 @@ fn run_streaming(
             // first pull asks for a single row; the drain then continues
             // in server-sized chunks.
             let mut next = 1;
-            while let Some(chunk) = stream.next_chunk(next).unwrap() {
+            loop {
+                let n = stream.next_chunk_into(next, &mut buf).unwrap() as u64;
+                if n == 0 {
+                    break;
+                }
                 next = chunk_rows;
-                let _charged = stream.charge(&chunk);
+                stream.charge_into(buf.rows(), &mut charged);
                 if rows == 0 {
                     first_row_secs = started.elapsed().as_secs_f64();
                 }
-                rows += chunk.len() as u64;
-                peak = peak.max(chunk.len() as u64);
-                // The chunk drops here, as it would after handing its
-                // deadlines to the scheduler.
+                rows += n;
+                peak = peak.max(n);
+                // The buffer is recycled by the next pull, as it is after
+                // a chunk's deadlines are handed to the scheduler.
                 if first_row_only {
                     break;
                 }

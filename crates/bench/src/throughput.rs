@@ -1,24 +1,19 @@
-//! Multithreaded guarded-query throughput: the experiment behind
-//! `benches/concurrent_throughput.rs` and the `throughput` binary.
+//! Multithreaded guarded-query throughput: the experiment behind the
+//! `throughput` binary.
 //!
 //! Measures end-to-end guarded `SELECT` throughput (execute + price +
-//! record, via `execute_stmt_with_deadline`) at increasing thread counts
-//! under the two read paths:
+//! record) at increasing thread counts through the two clock-driven
+//! forms of the one execution core:
 //!
-//! * **`locked_single_mutex`** — [`ReadPath::Locked`] with `shards = 1`:
-//!   an honest reproduction of the pre-snapshot design, where every
-//!   query serialized on one global guard mutex.
-//! * **`snapshot_sharded`** — [`ReadPath::Snapshot`] (the default):
-//!   pricing from the immutable snapshot, recording through the
-//!   lock-free queue.
+//! * **`snapshot_sharded`** — ad-hoc statements drained by
+//!   `execute_stmt_with_deadline`.
+//! * **`prepared_zero_copy`** — prepared statements streamed through
+//!   recycled buffers by `execute_prepared_streaming`.
 //!
-//! Queries are multi-row range scans so per-tuple charging (the work the
-//! old design did under the lock) dominates, exactly the contention the
-//! snapshot path removes.
+//! Queries are multi-row range scans so per-tuple charging dominates.
 
 use delayguard_core::{
     AccessDelayPolicy, ChargedChunk, GuardConfig, GuardPolicy, GuardedDatabase, PreparedQuery,
-    ReadPath,
 };
 use delayguard_query::ast::Statement;
 use delayguard_query::{parse, ExecScratch, RowBuf};
@@ -82,23 +77,10 @@ pub struct ThroughputSample {
     pub tuples_per_sec: f64,
 }
 
-/// The guard configuration for the pre-snapshot baseline: one global
-/// mutex, exact pricing.
-pub fn locked_single_mutex_config() -> GuardConfig {
-    bench_policy()
-        .with_read_path(ReadPath::Locked)
-        .with_shards(1)
-}
-
-/// The guard configuration under test: the default lock-free snapshot
-/// path.
+/// The guard configuration under test: the paper's canonical policy
+/// with a finite cap; no decay so the warm-up's learned distribution is
+/// stable across the run.
 pub fn snapshot_sharded_config() -> GuardConfig {
-    bench_policy().with_read_path(ReadPath::Snapshot)
-}
-
-fn bench_policy() -> GuardConfig {
-    // The paper's canonical policy with a finite cap; no decay so the
-    // warm-up's learned distribution is stable across the run.
     GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
         AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0),
     ))
@@ -403,68 +385,22 @@ pub fn sweep_prepared(
         .collect()
 }
 
-/// The satellite experiment behind "STATS traffic can't stall queries":
-/// measure worker qps while one storm thread continuously inspects
-/// per-tuple delays. With `exact_stats` the storm uses
-/// `GuardedDatabase::tuple_delay`, which (like the pre-snapshot
-/// `popularity_rank`) takes the same exclusive lock as query writers;
-/// otherwise it uses the lock-free `snapshot_tuple_delay` read.
-pub fn run_with_stats_storm(
-    db: &Arc<GuardedDatabase>,
-    threads: usize,
-    shape: &ThroughputConfig,
-    exact_stats: bool,
-) -> ThroughputSample {
-    let rids: Vec<_> = {
-        let stmt = parse("SELECT * FROM t WHERE id >= 0").unwrap();
-        match db.engine().execute_stmt(&stmt).unwrap() {
-            delayguard_query::StatementOutput::Rows(rows) => rows.row_ids().collect(),
-            other => panic!("unexpected output {other:?}"),
-        }
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let storm = {
-        let db = Arc::clone(db);
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                for &rid in &rids {
-                    if exact_stats {
-                        db.tuple_delay("t", rid, db.now_secs()).unwrap();
-                    } else {
-                        db.snapshot_tuple_delay("t", rid, db.now_secs()).unwrap();
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-            }
-        })
-    };
-    let sample = run(db, threads, shape);
-    stop.store(true, Ordering::Relaxed);
-    storm.join().unwrap();
-    sample
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn smoke_runs_both_paths() {
+    fn smoke_runs_the_sweep_shape() {
         let shape = ThroughputConfig {
             rows: 256,
             rows_per_query: 8,
             queries_per_thread: 50,
             warmup_queries: 50,
         };
-        for config in [locked_single_mutex_config(), snapshot_sharded_config()] {
-            let db = seeded_db(config, &shape);
-            let sample = run(&db, 2, &shape);
-            assert_eq!(sample.queries, 100);
-            assert!(sample.qps > 0.0);
-        }
+        let db = seeded_db(snapshot_sharded_config(), &shape);
+        let sample = run(&db, 2, &shape);
+        assert_eq!(sample.queries, 100);
+        assert!(sample.qps > 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::access::AccessDelayPolicy;
 use crate::error::{GuardError, Result};
 use crate::policy::{ChargingModel, GuardPolicy};
 use crate::shaping::DelayShaping;
-use crate::snapshot::{ReadPath, SnapshotPolicy};
+use crate::snapshot::SnapshotPolicy;
 
 /// Configuration of a [`crate::GuardedDatabase`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,15 +18,11 @@ pub struct GuardConfig {
     pub access_decay_rate: f64,
     /// Decay rate for update counts.
     pub update_decay_rate: f64,
-    /// How the wall-clock (`execute_with_deadline`) path prices and
-    /// records accesses. The virtual-time simulation path (`execute_at`)
-    /// always uses the exact locked path.
-    pub read_path: ReadPath,
-    /// Bounded-staleness knobs for the snapshot read path.
+    /// Bounded-staleness knobs for the snapshot pricer (every
+    /// clock-driven entry point; `execute_at` is always exact).
     pub snapshot: SnapshotPolicy,
     /// Number of shards the per-table guard state (and the record queue)
-    /// is split across. Rounded up to a power of two; `1` reproduces the
-    /// original global-mutex guard.
+    /// is split across. Rounded up to a power of two.
     pub shards: usize,
     /// Timing-side-channel defense: quantize delays into geometric
     /// buckets and add seeded per-(query, tuple) jitter so response
@@ -39,14 +35,13 @@ pub struct GuardConfig {
 impl GuardConfig {
     /// The paper's canonical configuration: access-rate delays with
     /// `α = 1.5`, `β = 1.0`, a 10-second cap, per-tuple-sum charging and
-    /// no decay; snapshot read path with default staleness bounds.
+    /// no decay; default snapshot staleness bounds.
     pub fn paper_default() -> GuardConfig {
         GuardConfig {
             policy: GuardPolicy::AccessRate(AccessDelayPolicy::new(1.5, 1.0)),
             charging: ChargingModel::PerTupleSum,
             access_decay_rate: 1.0,
             update_decay_rate: 1.0,
-            read_path: ReadPath::Snapshot,
             snapshot: SnapshotPolicy::default(),
             shards: 16,
             shaping: DelayShaping::off(),
@@ -68,12 +63,6 @@ impl GuardConfig {
     /// Replace the charging model.
     pub fn with_charging(mut self, charging: ChargingModel) -> GuardConfig {
         self.charging = charging;
-        self
-    }
-
-    /// Replace the wall-clock read path.
-    pub fn with_read_path(mut self, read_path: ReadPath) -> GuardConfig {
-        self.read_path = read_path;
         self
     }
 
@@ -190,11 +179,9 @@ mod tests {
         c.snapshot.max_age_secs = 0.0;
         assert!(c.validate().is_err());
         let c = GuardConfig::paper_default()
-            .with_read_path(ReadPath::Locked)
             .with_shards(1)
             .with_snapshot_policy(SnapshotPolicy::new(64, 0.01));
         assert!(c.validate().is_ok());
-        assert_eq!(c.read_path, ReadPath::Locked);
         assert_eq!(c.snapshot.max_pending_events, 64);
     }
 

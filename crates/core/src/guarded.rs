@@ -11,9 +11,20 @@
 //! [`GuardedDatabase::execute_with_deadline`], which converts the policy's
 //! per-tuple delays into [`Clock`]-relative nanosecond deadlines the
 //! caller (a server event loop, a timer wheel, ...) schedules however it
-//! likes;
-//! [`GuardedDatabase::execute_blocking`] is the trivial enforcement —
-//! sleep until the query deadline — kept for library callers.
+//! likes; a library caller simply sleeps until
+//! [`DeadlineResponse::deadline_nanos`].
+//!
+//! # One execution core
+//!
+//! Every entry point is a thin adapter over one private core
+//! (`GuardedDatabase::run`): open the engine cursor, pin the table
+//! cardinality, pricing state and shaping nonce, build the one
+//! [`DeadlineStream`], note writes, trip the staleness check. The *entry
+//! point* picks the pricer, not configuration: a virtual timestamp
+//! ([`GuardedDatabase::execute_at`]) means exact price-and-record under
+//! the table's shard lock; the guard clock (`execute_with_deadline`, the
+//! `*_streaming` family) means snapshot pricing. Tuples are priced in
+//! exactly one place, [`DeadlineStream::charge_into`].
 //!
 //! # Concurrency model
 //!
@@ -24,13 +35,13 @@
 //! * The authoritative per-table [`TableGuard`]s live in hash-sharded
 //!   mutexes ([`GuardConfig::shards`]); only the refresher and the exact
 //!   virtual-time path touch them.
-//! * The wall-clock path ([`ReadPath::Snapshot`], the default for
-//!   `execute_with_deadline`) prices every tuple from an immutable
+//! * The clock-driven path (`execute_with_deadline` and the streaming
+//!   entry points) prices every tuple from an immutable
 //!   [`PolicySnapshot`] behind an atomic-swap cell and records accesses
 //!   into a lock-free [`ShardedEventQueue`] — zero locked work beyond the
 //!   snapshot load.
 //! * A refresher — the server's background thread, or any query thread
-//!   that trips the [`SnapshotPolicy`] staleness bounds (then via a
+//!   that trips the [`crate::SnapshotPolicy`] staleness bounds (then via a
 //!   non-blocking `try_lock`, so queries never wait) — drains the queue
 //!   into the trackers *in global sequence order* (preserving the decay
 //!   inflated-increment arithmetic exactly) and publishes a new snapshot.
@@ -49,9 +60,7 @@ use crate::config::GuardConfig;
 use crate::error::Result;
 use crate::policy::{ChargingModel, GuardPolicy};
 use crate::replica::{tag_remote_key, ReplicaDelta, TableDelta};
-use crate::snapshot::{
-    empty_table_snapshot, PolicySnapshot, ReadPath, SnapshotStats, TableSnapshot,
-};
+use crate::snapshot::{empty_table_snapshot, PolicySnapshot, SnapshotStats, TableSnapshot};
 use arc_swap::ArcSwap;
 use delayguard_popularity::{DecaySchedule, FrequencyTracker, ShardedEventQueue};
 use delayguard_query::ast::Statement;
@@ -246,7 +255,7 @@ impl DeadlineResponse {
 
 /// A guarded statement being executed in streaming mode.
 ///
-/// Handed to the closure of [`GuardedDatabase::execute_streaming`]:
+/// Handed to the closure of [`GuardedDatabase::execute_stmt_streaming`]:
 /// SELECTs arrive as an open [`DeadlineStream`] to pull and price in
 /// chunks; everything else has already run and carries its finished
 /// [`DeadlineResponse`] (non-SELECT statements are never delayed, so
@@ -274,7 +283,8 @@ impl PreparedQuery {
     }
 }
 
-/// One chunk's worth of pricing, returned by [`DeadlineStream::charge`].
+/// One chunk's worth of pricing, filled by
+/// [`DeadlineStream::charge_into`].
 #[derive(Debug, Clone, Default)]
 pub struct ChargedChunk {
     /// Raw per-tuple policy delays for the chunk, in row order (seconds).
@@ -286,14 +296,25 @@ pub struct ChargedChunk {
     pub offsets: Vec<f64>,
 }
 
+/// What the core executes: an ad-hoc statement, or a prepared SELECT
+/// with the caller's recycled executor scratch.
+enum Source<'a> {
+    Stmt(&'a Statement),
+    Prepared(&'a mut PreparedQuery, &'a mut ExecScratch),
+}
+
 /// Pricing state pinned when a [`DeadlineStream`] opens.
 ///
-/// The snapshot path pins the `Arc<TableSnapshot>` (and its window) once
-/// so a concurrent refresh cannot reprice a query mid-stream; the locked
-/// path re-enters the shard lock per chunk, which is exact because the
-/// epoch and `now` are fixed for the whole statement.
+/// The snapshot pricer pins the `Arc<TableSnapshot>` (and its window)
+/// once so a concurrent refresh cannot reprice a query mid-stream; the
+/// exact pricer re-enters the shard lock per chunk, which is exact
+/// because the epoch and `now` are fixed for the whole statement.
 enum StreamPricing {
-    Locked,
+    /// Price and record each tuple against the live trackers under the
+    /// table's shard lock (virtual-time statements).
+    Exact,
+    /// Price from the frozen snapshot, record via the event queue
+    /// (clock-driven statements).
     Snapshot {
         stats: Arc<TableSnapshot>,
         window: f64,
@@ -307,11 +328,11 @@ enum StreamPricing {
 
 /// An open SELECT whose tuples are priced as they are pulled.
 ///
-/// Pull uncharged rows with [`DeadlineStream::next_chunk`], then price
-/// and record them with [`DeadlineStream::charge`] — in that order, so a
-/// caller that must shed load (a full send queue, say) can refuse the
-/// chunk *before* the requester's popularity ledger is charged for it.
-/// The charging model folds online: after any prefix of chunks,
+/// Pull uncharged rows with [`DeadlineStream::next_chunk_into`], then
+/// price and record them with [`DeadlineStream::charge_into`] — in that
+/// order, so a caller that must shed load (a full send queue, say) can
+/// refuse the chunk *before* the requester's popularity ledger is charged
+/// for it. The charging model folds online: after any prefix of chunks,
 /// [`DeadlineStream::delay_secs`] equals exactly what
 /// [`DeadlineResponse::delay_secs`] would be for that prefix.
 pub struct DeadlineStream<'s, 'c> {
@@ -345,39 +366,18 @@ impl DeadlineStream<'_, '_> {
         self.issued_at_nanos
     }
 
-    /// Pull up to `max_rows` projected rows from the executor without
-    /// charging them. Returns `None` once the pipeline is exhausted.
-    pub fn next_chunk(&mut self, max_rows: usize) -> Result<Option<Vec<(RowId, Row)>>> {
-        let mut buf = RowBuf::new();
-        if self.next_chunk_into(max_rows, &mut buf)? == 0 {
-            Ok(None)
-        } else {
-            Ok(Some(buf.rows().to_vec()))
-        }
-    }
-
     /// Pull up to `max_rows` projected rows into a caller-owned buffer,
     /// reusing its row allocations; returns how many were filled (0 once
-    /// the pipeline is exhausted). The steady-state form of
-    /// [`DeadlineStream::next_chunk`]: a connection that recycles its
+    /// the pipeline is exhausted). A connection that recycles its
     /// [`RowBuf`] decodes every tuple into storage it already owns.
     pub fn next_chunk_into(&mut self, max_rows: usize, buf: &mut RowBuf) -> Result<usize> {
         Ok(self.cursor.fill_chunk(max_rows.max(1), buf)?)
     }
 
-    /// Price a pulled chunk and record its accesses in the popularity
-    /// ledger, folding the delays into the running charging model.
-    pub fn charge(&mut self, rows: &[(RowId, Row)]) -> ChargedChunk {
-        let mut out = ChargedChunk {
-            delays: Vec::new(),
-            offsets: Vec::new(),
-        };
-        self.charge_into(rows, &mut out);
-        out
-    }
-
-    /// [`DeadlineStream::charge`] into a caller-owned chunk, reusing its
-    /// vectors. On the snapshot read path the only allocation left is
+    /// Price a pulled chunk into a caller-owned [`ChargedChunk`] and
+    /// record its accesses in the popularity ledger, folding the delays
+    /// into the running charging model. This is the only place a query's
+    /// tuples are priced. On the snapshot pricer the only allocation is
     /// the access event itself (one queue node and one key vector per
     /// chunk — the record the refresher folds into the trackers).
     pub fn charge_into(&mut self, rows: &[(RowId, Row)], out: &mut ChargedChunk) {
@@ -387,8 +387,8 @@ impl DeadlineStream<'_, '_> {
         // fold below, so deadlines, DONE trailers, the server wheel and
         // the cluster all speak the shaped schedule. With shaping off,
         // `shape` is the bit-exact identity.
-        let shaping = self.db.config.shaping;
-        let nonce = self.nonce;
+        let config = &self.db.config;
+        let (shaping, nonce) = (config.shaping, self.nonce);
         match &self.pricing {
             StreamPricing::Snapshot {
                 stats,
@@ -411,7 +411,7 @@ impl DeadlineStream<'_, '_> {
                     _ => {
                         for (rid, _) in rows {
                             let key = rid.raw();
-                            let raw = self.db.config.policy.tuple_delay(
+                            let raw = config.policy.tuple_delay(
                                 &stats.access,
                                 &stats.updates,
                                 self.n,
@@ -431,17 +431,37 @@ impl DeadlineStream<'_, '_> {
                     });
                 }
             }
-            StreamPricing::Locked => out.delays.extend(self.db.charge_chunk_locked(
-                &self.table,
-                rows.iter().map(|(rid, _)| *rid),
-                self.now_secs,
-                self.n,
-                nonce,
-            )),
+            StreamPricing::Exact => {
+                // Events queued by clock-driven traffic precede this
+                // statement; fold them in first so the trackers are exact.
+                self.db.apply_pending();
+                self.db.with_guard(&self.table, self.now_secs, |guard| {
+                    let window = guard.window(self.now_secs);
+                    for (rid, _) in rows {
+                        let key = rid.raw();
+                        // Delay reflects popularity *before* this access.
+                        let raw = config.policy.tuple_delay(
+                            &guard.access,
+                            &guard.updates,
+                            self.n,
+                            key,
+                            window,
+                        );
+                        out.delays.push(shaping.shape(raw, nonce, key));
+                        guard.access.record(key);
+                    }
+                    if !rows.is_empty() {
+                        guard.dirty = true;
+                        self.db
+                            .mutations
+                            .fetch_add(rows.len() as u64, Ordering::Release);
+                    }
+                });
+            }
         }
         out.offsets.reserve(out.delays.len());
         for &d in &out.delays {
-            match self.db.config.charging {
+            match config.charging {
                 ChargingModel::PerTupleSum => {
                     self.total_delay_secs += d;
                     out.offsets.push(self.total_delay_secs);
@@ -471,6 +491,28 @@ impl DeadlineStream<'_, '_> {
     pub fn deadline_nanos(&self) -> u64 {
         self.issued_at_nanos
             .saturating_add(secs_to_nanos(self.total_delay_secs))
+    }
+
+    /// Pull every remaining row as owned values and charge them as one
+    /// chunk: the materialized form the non-streaming entry points
+    /// return. Owned pulls skip the clone a [`RowBuf`] drain would need.
+    fn drain(mut self) -> Result<DeadlineResponse> {
+        let mut rows = Vec::new();
+        while let Some(row) = self.cursor.next_row()? {
+            rows.push(row);
+        }
+        let mut charged = ChargedChunk::default();
+        self.charge_into(&rows, &mut charged);
+        Ok(DeadlineResponse {
+            output: StatementOutput::Rows(SelectOutput {
+                columns: self.columns().to_vec(),
+                rows,
+            }),
+            tuple_delays: charged.delays,
+            tuple_offsets: charged.offsets,
+            delay_secs: self.total_delay_secs,
+            issued_at_nanos: self.issued_at_nanos,
+        })
     }
 }
 
@@ -612,143 +654,33 @@ impl GuardedDatabase {
     }
 
     // ---- execution entry points -----------------------------------------
+    //
+    // Each is an adapter over `run`. A virtual timestamp selects the exact
+    // pricer; reading the guard clock selects the snapshot pricer.
 
-    /// Execute at an explicit virtual time (simulation entry point).
-    /// Always uses the exact locked path, so simulations are sequential
-    /// and deterministic regardless of [`GuardConfig::read_path`].
+    /// Execute at an explicit virtual time (simulation entry point):
+    /// exact sequential semantics — every tuple is priced and recorded
+    /// against the live trackers under the table's shard lock — so
+    /// simulations are deterministic whatever the snapshot bounds are.
     pub fn execute_at(&self, sql: &str, now_secs: f64) -> Result<GuardedResponse> {
         let stmt = parse(sql)?;
-        self.execute_stmt_at(&stmt, now_secs)
+        self.run(Source::Stmt(&stmt), Some(now_secs), Self::materialize)?
+            .map(DeadlineResponse::into_response)
     }
 
-    /// Execute a pre-parsed statement at a virtual time (exact path).
-    pub fn execute_stmt_at(&self, stmt: &Statement, now_secs: f64) -> Result<GuardedResponse> {
-        let (output, tuple_delays) =
-            self.execute_stmt_detailed(stmt, now_secs, ReadPath::Locked)?;
-        let delay_secs = self.config.charging.combine(tuple_delays.iter().copied());
-        Ok(GuardedResponse {
-            output,
-            delay_secs,
-            tuples_charged: tuple_delays.len(),
-        })
-    }
-
-    /// Execute at an explicit virtual time over the snapshot read path
-    /// (benches and staleness tests; servers use
-    /// [`Self::execute_with_deadline`]).
-    pub fn execute_snapshot_at(&self, sql: &str, now_secs: f64) -> Result<GuardedResponse> {
-        let stmt = parse(sql)?;
-        let (output, tuple_delays) =
-            self.execute_stmt_detailed(&stmt, now_secs, ReadPath::Snapshot)?;
-        self.maybe_refresh();
-        let delay_secs = self.config.charging.combine(tuple_delays.iter().copied());
-        Ok(GuardedResponse {
-            output,
-            delay_secs,
-            tuples_charged: tuple_delays.len(),
-        })
-    }
-
-    /// Execute, recording accesses and computing the per-tuple delays the
-    /// policy charges, without sleeping or combining.
-    fn execute_stmt_detailed(
-        &self,
-        stmt: &Statement,
-        now_secs: f64,
-        path: ReadPath,
-    ) -> Result<(StatementOutput, Vec<f64>)> {
-        let output = self.engine.execute_stmt(stmt)?;
-        let table = statement_table(stmt);
-        let nonce = self.next_shaping_nonce();
-        let tuple_delays = match (&output, table) {
-            (StatementOutput::Rows(rows), Some(table)) => match path {
-                ReadPath::Locked => {
-                    self.charge_select_locked(table, rows.row_ids(), now_secs, nonce)?
-                }
-                ReadPath::Snapshot => {
-                    self.charge_select_snapshot(table, rows.row_ids(), now_secs, nonce)?
-                }
-            },
-            (StatementOutput::Updated { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Update);
-                Vec::new()
-            }
-            (StatementOutput::Inserted { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Insert);
-                Vec::new()
-            }
-            // A delete changes the tuple's value (to "gone") — for the §3
-            // staleness guarantee it is an update event like any other.
-            (StatementOutput::Deleted { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Update);
-                Vec::new()
-            }
-            _ => Vec::new(),
-        };
-        Ok((output, tuple_delays))
-    }
-
-    /// Execute using wall-clock time since the guard was created (exact
-    /// locked path, like every virtual-time entry point).
-    pub fn execute(&self, sql: &str) -> Result<GuardedResponse> {
-        self.execute_at(sql, self.now_secs())
-    }
-
-    /// Execute at wall-clock time and return enforcement deadlines instead
-    /// of sleeping: the single shared path for servers (which schedule the
-    /// deadlines on a timer wheel) and for [`Self::execute_blocking`].
-    /// Routed through [`GuardConfig::read_path`] — by default the
-    /// lock-free snapshot path.
+    /// Execute at guard-clock time and return enforcement deadlines
+    /// instead of sleeping: servers schedule them on a timer wheel, a
+    /// library caller sleeps until [`DeadlineResponse::deadline_nanos`].
     pub fn execute_with_deadline(&self, sql: &str) -> Result<DeadlineResponse> {
         let stmt = parse(sql)?;
         self.execute_stmt_with_deadline(&stmt)
     }
 
-    /// [`Self::execute_with_deadline`] over a pre-parsed statement.
-    ///
-    /// Implemented as a single-chunk drain of the streaming pipeline, so
-    /// the materialized and streaming paths cannot diverge: identical
-    /// rows, identical delays, identical offsets, one access event.
+    /// [`Self::execute_with_deadline`] over a pre-parsed statement: a
+    /// single-chunk drain of the streaming pipeline, so the materialized
+    /// and streaming forms cannot diverge.
     pub fn execute_stmt_with_deadline(&self, stmt: &Statement) -> Result<DeadlineResponse> {
-        self.execute_stmt_streaming(stmt, |query| match query {
-            StreamedQuery::Rows(mut stream) => {
-                let columns = stream.columns().to_vec();
-                let mut rows = Vec::new();
-                let mut tuple_delays = Vec::new();
-                let mut tuple_offsets = Vec::new();
-                loop {
-                    match stream.next_chunk(usize::MAX) {
-                        Ok(Some(chunk)) => {
-                            let charged = stream.charge(&chunk);
-                            tuple_delays.extend(charged.delays);
-                            tuple_offsets.extend(charged.offsets);
-                            rows.extend(chunk);
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(DeadlineResponse {
-                    output: StatementOutput::Rows(SelectOutput { columns, rows }),
-                    tuple_delays,
-                    tuple_offsets,
-                    delay_secs: stream.delay_secs(),
-                    issued_at_nanos: stream.issued_at_nanos(),
-                })
-            }
-            StreamedQuery::Finished(resp) => Ok(resp),
-        })?
-    }
-
-    /// Parse and execute one statement in streaming mode. See
-    /// [`Self::execute_stmt_streaming`].
-    pub fn execute_streaming<R>(
-        &self,
-        sql: &str,
-        f: impl FnOnce(StreamedQuery<'_, '_>) -> R,
-    ) -> Result<R> {
-        let stmt = parse(sql)?;
-        self.execute_stmt_streaming(&stmt, f)
+        self.run(Source::Stmt(stmt), None, Self::materialize)?
     }
 
     /// Execute a statement in streaming mode: a SELECT is handed to `f`
@@ -757,117 +689,19 @@ impl GuardedDatabase {
     /// pricing the whole result up front.
     ///
     /// Pricing state (table cardinality, the policy snapshot and its
-    /// window on the default read path) is pinned when the stream opens,
-    /// so a query's delays are independent of how it is chunked; a stream
-    /// dropped mid-result charges — and records in the popularity
-    /// trackers — exactly the tuples that were passed to
-    /// [`DeadlineStream::charge`], nothing more. The underlying table
-    /// lock is held for the duration of `f`, as it is for a materialized
-    /// execution, so `f` must not call back into this database.
+    /// window) is pinned when the stream opens, so a query's delays are
+    /// independent of how it is chunked; a stream dropped mid-result
+    /// charges — and records in the popularity trackers — exactly the
+    /// tuples that were passed to [`DeadlineStream::charge_into`],
+    /// nothing more. The underlying table lock is held for the duration
+    /// of `f`, as it is for a materialized execution, so `f` must not
+    /// call back into this database.
     pub fn execute_stmt_streaming<R>(
         &self,
         stmt: &Statement,
         f: impl FnOnce(StreamedQuery<'_, '_>) -> R,
     ) -> Result<R> {
-        // One clock read: `issued_at_nanos` (deadline base) and `now_secs`
-        // (popularity timestamp) must agree or simulated replays drift.
-        let issued_at_nanos = self.clock.now_nanos();
-        let now_secs = nanos_to_secs(issued_at_nanos);
-        let path = self.config.read_path;
-        let nonce = self.next_shaping_nonce();
-        let table = statement_table(stmt).map(str::to_owned);
-        let result = self
-            .engine
-            .execute_stmt_streaming(stmt, |streamed| match streamed {
-                StreamedStatement::Rows(cursor) => {
-                    let table: Arc<str> = Arc::from(table.clone().unwrap_or_default());
-                    // The policy's `n` comes from the cursor, not
-                    // `Self::table_len`: the engine already holds the table's
-                    // write lock, so re-reading the catalog here would
-                    // self-deadlock. A SELECT never changes cardinality, so
-                    // the open-time capture equals the materialized value.
-                    // On the snapshot path, peers' replicated row counts
-                    // are added so `n` is the global table size.
-                    let mut n = cursor.table_rows();
-                    let pricing = self.open_pricing(path, &table, now_secs, &mut n);
-                    f(StreamedQuery::Rows(DeadlineStream {
-                        db: self,
-                        cursor,
-                        table,
-                        n,
-                        now_secs,
-                        issued_at_nanos,
-                        pricing,
-                        nonce,
-                        total_delay_secs: 0.0,
-                        tuples_charged: 0,
-                    }))
-                }
-                StreamedStatement::Finished(out) => {
-                    let output = std::mem::replace(out, StatementOutput::TableCreated);
-                    match (&output, table.as_deref()) {
-                        (StatementOutput::Updated { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Update)
-                        }
-                        (StatementOutput::Inserted { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Insert)
-                        }
-                        // Deletes are update events for §3 staleness.
-                        (StatementOutput::Deleted { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Update)
-                        }
-                        _ => {}
-                    }
-                    f(StreamedQuery::Finished(DeadlineResponse {
-                        output,
-                        tuple_delays: Vec::new(),
-                        tuple_offsets: Vec::new(),
-                        delay_secs: 0.0,
-                        issued_at_nanos,
-                    }))
-                }
-            })?;
-        if path == ReadPath::Snapshot {
-            self.maybe_refresh();
-        }
-        Ok(result)
-    }
-
-    /// Pin a stream's pricing state at open: on the snapshot path, the
-    /// table's frozen statistics plus — when the snapshot carries a
-    /// packed access table built for the active policy — the relation
-    /// scalars of the allocation-free fast path. Grows `n` by peers'
-    /// replicated rows so Eq. 1 sees the global table size.
-    fn open_pricing(
-        &self,
-        path: ReadPath,
-        table: &str,
-        now_secs: f64,
-        n: &mut u64,
-    ) -> StreamPricing {
-        match path {
-            ReadPath::Locked => StreamPricing::Locked,
-            ReadPath::Snapshot => {
-                let snap = self.snapshot.load_full();
-                let stats = match snap.table(table) {
-                    Some(t) => Arc::clone(t),
-                    None => empty_table_snapshot(),
-                };
-                let window = stats.window(now_secs);
-                *n += stats.extra_rows;
-                let fast = match (&self.config.policy, &stats.packed_access) {
-                    (GuardPolicy::AccessRate(p), Some(packed)) if packed.matches(p) => {
-                        Some(packed.scalars(*n))
-                    }
-                    _ => None,
-                };
-                StreamPricing::Snapshot {
-                    stats,
-                    window,
-                    fast,
-                }
-            }
-        }
+        self.run(Source::Stmt(stmt), None, f)
     }
 
     /// Prepare a SELECT for repeated guarded execution: parsed, planned,
@@ -893,117 +727,165 @@ impl GuardedDatabase {
         scratch: &mut ExecScratch,
         f: impl FnOnce(DeadlineStream<'_, '_>) -> R,
     ) -> Result<R> {
-        // One clock read, exactly like the ad-hoc path.
-        let issued_at_nanos = self.clock.now_nanos();
-        let now_secs = nanos_to_secs(issued_at_nanos);
-        let path = self.config.read_path;
+        self.run(Source::Prepared(prep, scratch), None, |query| match query {
+            StreamedQuery::Rows(stream) => f(stream),
+            StreamedQuery::Finished(_) => unreachable!("prepared statements are always SELECTs"),
+        })
+    }
+
+    /// The materialized form of a guarded statement: drain an open
+    /// stream as one chunk, pass a finished statement through.
+    fn materialize(query: StreamedQuery<'_, '_>) -> Result<DeadlineResponse> {
+        match query {
+            StreamedQuery::Rows(stream) => stream.drain(),
+            StreamedQuery::Finished(resp) => Ok(resp),
+        }
+    }
+
+    // ---- the one execution core -------------------------------------------
+
+    /// Execute `source` and hand the guarded result to `f`.
+    ///
+    /// `at` is the statement's virtual timestamp: `Some` selects the
+    /// exact pricer at that time, `None` reads the guard clock and
+    /// selects the snapshot pricer. Everything a statement needs —
+    /// issue time, shaping nonce, table cardinality, pinned pricing
+    /// state, write notes, the staleness check — is established here and
+    /// nowhere else.
+    fn run<R>(
+        &self,
+        source: Source<'_>,
+        at: Option<f64>,
+        f: impl FnOnce(StreamedQuery<'_, '_>) -> R,
+    ) -> Result<R> {
+        // One clock read: `issued_at_nanos` (deadline base) and `now_secs`
+        // (popularity timestamp) must agree or simulated replays drift.
+        let (now_secs, issued_at_nanos) = match at {
+            Some(now) => (now, secs_to_nanos(now)),
+            None => {
+                let nanos = self.clock.now_nanos();
+                (nanos_to_secs(nanos), nanos)
+            }
+        };
+        let exact = at.is_some();
         let nonce = self.next_shaping_nonce();
-        let table = Arc::clone(&prep.table);
-        let result =
-            self.engine
-                .execute_prepared_streaming(&mut prep.inner, scratch, |streamed| {
-                    let StreamedStatement::Rows(cursor) = streamed else {
-                        unreachable!("prepared statements are always SELECTs");
-                    };
-                    let mut n = cursor.table_rows();
-                    let pricing = self.open_pricing(path, &table, now_secs, &mut n);
-                    f(DeadlineStream {
-                        db: self,
-                        cursor,
-                        table,
-                        n,
-                        now_secs,
-                        issued_at_nanos,
-                        pricing,
-                        nonce,
-                        total_delay_secs: 0.0,
-                        tuples_charged: 0,
-                    })
-                })?;
-        if path == ReadPath::Snapshot {
+        let guarded = |table: Arc<str>, streamed: &mut StreamedStatement<'_>| match streamed {
+            StreamedStatement::Rows(cursor) => {
+                // The policy's `n` comes from the cursor, not
+                // `Self::table_len`: the engine already holds the table's
+                // write lock, so re-reading the catalog here would
+                // self-deadlock. A SELECT never changes cardinality, so
+                // the open-time capture equals the materialized value.
+                let mut n = cursor.table_rows();
+                let pricing = if exact {
+                    StreamPricing::Exact
+                } else {
+                    self.pin_snapshot(&table, now_secs, &mut n)
+                };
+                f(StreamedQuery::Rows(DeadlineStream {
+                    db: self,
+                    cursor,
+                    table,
+                    n,
+                    now_secs,
+                    issued_at_nanos,
+                    pricing,
+                    nonce,
+                    total_delay_secs: 0.0,
+                    tuples_charged: 0,
+                }))
+            }
+            StreamedStatement::Finished(out) => {
+                let output = std::mem::replace(out, StatementOutput::TableCreated);
+                match &output {
+                    StatementOutput::Inserted { rids } => {
+                        self.note_rows(&table, rids, now_secs, exact, RowNote::Insert)
+                    }
+                    // A delete changes the tuple's value (to "gone") — for
+                    // the §3 staleness guarantee it is an update event
+                    // like any other.
+                    StatementOutput::Updated { rids } | StatementOutput::Deleted { rids } => {
+                        self.note_rows(&table, rids, now_secs, exact, RowNote::Update)
+                    }
+                    _ => {}
+                }
+                f(StreamedQuery::Finished(DeadlineResponse {
+                    output,
+                    tuple_delays: Vec::new(),
+                    tuple_offsets: Vec::new(),
+                    delay_secs: 0.0,
+                    issued_at_nanos,
+                }))
+            }
+        };
+        let result = match source {
+            Source::Stmt(stmt) => {
+                let table = Arc::from(statement_table(stmt));
+                self.engine
+                    .execute_stmt_streaming(stmt, |streamed| guarded(table, streamed))?
+            }
+            Source::Prepared(prep, scratch) => {
+                let table = Arc::clone(&prep.table);
+                self.engine
+                    .execute_prepared_streaming(&mut prep.inner, scratch, |streamed| {
+                        guarded(table, streamed)
+                    })?
+            }
+        };
+        if !exact {
             self.maybe_refresh();
         }
         Ok(result)
     }
 
-    /// Execute and actually sleep until the deadline (library deployment
-    /// mode): a thin wrapper over [`Self::execute_with_deadline`].
-    pub fn execute_blocking(&self, sql: &str) -> Result<GuardedResponse> {
-        let resp = self.execute_with_deadline(sql)?;
-        self.clock.sleep_until_nanos(resp.deadline_nanos());
-        Ok(resp.into_response())
+    /// Pin the snapshot pricer's state at open: the table's frozen
+    /// statistics plus — when the snapshot carries a packed access table
+    /// built for the active policy — the relation scalars of the
+    /// allocation-free fast path. Grows `n` by peers' replicated rows so
+    /// Eq. 1 sees the global table size.
+    fn pin_snapshot(&self, table: &str, now_secs: f64, n: &mut u64) -> StreamPricing {
+        let snap = self.snapshot.load_full();
+        let stats = match snap.table(table) {
+            Some(t) => Arc::clone(t),
+            None => empty_table_snapshot(),
+        };
+        let window = stats.window(now_secs);
+        *n += stats.extra_rows;
+        let fast = match (&self.config.policy, &stats.packed_access) {
+            (GuardPolicy::AccessRate(p), Some(packed)) if packed.matches(p) => {
+                Some(packed.scalars(*n))
+            }
+            _ => None,
+        };
+        StreamPricing::Snapshot {
+            stats,
+            window,
+            fast,
+        }
     }
 
-    // ---- exact (locked) path --------------------------------------------
-
-    /// Compute the per-tuple delays for a set of returned tuples, then
-    /// record their accesses — exact sequential semantics under the
-    /// table's shard lock.
-    fn charge_select_locked(
-        &self,
-        table: &str,
-        rids: impl Iterator<Item = RowId>,
-        now: f64,
-        nonce: u64,
-    ) -> Result<Vec<f64>> {
-        let n = self.table_len(table)?;
-        Ok(self.charge_chunk_locked(table, rids, now, n, nonce))
-    }
-
-    /// Exact-path pricing for one chunk of returned tuples, with the
-    /// table cardinality supplied by the caller (the streaming path reads
-    /// it off the open cursor because the engine still holds the table
-    /// lock). `now` and the guard epoch are fixed per statement, so
-    /// chunked calls are bit-identical to one whole-result call.
-    fn charge_chunk_locked(
-        &self,
-        table: &str,
-        rids: impl Iterator<Item = RowId>,
-        now: f64,
-        n: u64,
-        nonce: u64,
-    ) -> Vec<f64> {
-        // Events queued by snapshot-path traffic precede this statement;
-        // fold them in first so the trackers are exact.
-        self.apply_pending();
+    /// Run `f` on `table`'s live guard under its shard lock, creating the
+    /// guard (and opening its observation window at `now`) on first
+    /// touch.
+    fn with_guard<R>(&self, table: &str, now: f64, f: impl FnOnce(&mut TableGuard) -> R) -> R {
         let mut guards = self.shard(table).lock();
-        let guard = guards
-            .entry(table.to_owned())
-            .or_insert_with(|| TableGuard::new(&self.config));
+        if !guards.contains_key(table) {
+            guards.insert(table.to_owned(), TableGuard::new(&self.config));
+        }
+        let guard = guards.get_mut(table).expect("guard inserted above");
         guard.epoch.get_or_insert(now);
-        let window = guard.window(now);
-        let mut delays = Vec::new();
-        for rid in rids {
-            let key = rid.raw();
-            // Delay reflects popularity *before* this access.
-            let d = self
-                .config
-                .policy
-                .tuple_delay(&guard.access, &guard.updates, n, key, window);
-            delays.push(self.config.shaping.shape(d, nonce, key));
-            guard.access.record(key);
-        }
-        if !delays.is_empty() {
-            guard.dirty = true;
-            self.mutations
-                .fetch_add(delays.len() as u64, Ordering::Release);
-        }
-        delays
+        f(guard)
     }
 
-    /// Record updates/inserts on either path.
-    fn note_rows(&self, table: &str, rids: &[RowId], now: f64, path: ReadPath, note: RowNote) {
+    /// Record updates/inserts: directly into the live trackers for an
+    /// exact (virtual-time) statement, via the event queue otherwise.
+    fn note_rows(&self, table: &Arc<str>, rids: &[RowId], now: f64, exact: bool, note: RowNote) {
         if rids.is_empty() {
             return;
         }
-        match path {
-            ReadPath::Locked => {
-                self.apply_pending();
-                let mut guards = self.shard(table).lock();
-                let guard = guards
-                    .entry(table.to_owned())
-                    .or_insert_with(|| TableGuard::new(&self.config));
-                guard.epoch.get_or_insert(now);
+        if exact {
+            self.apply_pending();
+            self.with_guard(table, now, |guard| {
                 for rid in rids {
                     match note {
                         RowNote::Update => guard.updates.record(rid.raw()),
@@ -1013,58 +895,18 @@ impl GuardedDatabase {
                 guard.dirty = true;
                 self.mutations
                     .fetch_add(rids.len() as u64, Ordering::Release);
-            }
-            ReadPath::Snapshot => {
-                let keys: Vec<u64> = rids.iter().map(|r| r.raw()).collect();
-                self.queue.push(AccessEvent {
-                    table: Arc::from(table),
-                    now_secs: now,
-                    kind: match note {
-                        RowNote::Update => EventKind::Update(keys),
-                        RowNote::Insert => EventKind::Insert(keys),
-                    },
-                });
-            }
-        }
-    }
-
-    // ---- snapshot (lock-free) path --------------------------------------
-
-    /// Price a result set from the immutable snapshot and queue the
-    /// access record — no locks taken.
-    fn charge_select_snapshot(
-        &self,
-        table: &str,
-        rids: impl Iterator<Item = RowId>,
-        now: f64,
-        nonce: u64,
-    ) -> Result<Vec<f64>> {
-        let snap = self.snapshot.load_full();
-        let stats: Arc<TableSnapshot> = match snap.table(table) {
-            Some(t) => Arc::clone(t),
-            None => empty_table_snapshot(),
-        };
-        let n = self.table_len(table)? + stats.extra_rows;
-        let window = stats.window(now);
-        let mut delays = Vec::new();
-        let mut keys = Vec::new();
-        for rid in rids {
-            let key = rid.raw();
-            let d = self
-                .config
-                .policy
-                .tuple_delay(&stats.access, &stats.updates, n, key, window);
-            delays.push(self.config.shaping.shape(d, nonce, key));
-            keys.push(key);
-        }
-        if !keys.is_empty() {
+            });
+        } else {
+            let keys: Vec<u64> = rids.iter().map(|r| r.raw()).collect();
             self.queue.push(AccessEvent {
-                table: Arc::from(table),
+                table: Arc::clone(table),
                 now_secs: now,
-                kind: EventKind::Select(keys),
+                kind: match note {
+                    RowNote::Update => EventKind::Update(keys),
+                    RowNote::Insert => EventKind::Insert(keys),
+                },
             });
         }
-        Ok(delays)
     }
 
     // ---- refresh machinery ----------------------------------------------
@@ -1117,29 +959,26 @@ impl GuardedDatabase {
         let mut applied = 0u64;
         for (_seq, ev) in batch {
             applied += ev.kind.len() as u64;
-            let mut guards = self.shard(&ev.table).lock();
-            let guard = guards
-                .entry(ev.table.as_ref().to_owned())
-                .or_insert_with(|| TableGuard::new(&self.config));
-            guard.epoch.get_or_insert(ev.now_secs);
-            match &ev.kind {
-                EventKind::Select(keys) => {
-                    for &k in keys {
-                        guard.access.record(k);
+            self.with_guard(&ev.table, ev.now_secs, |guard| {
+                match &ev.kind {
+                    EventKind::Select(keys) => {
+                        for &k in keys {
+                            guard.access.record(k);
+                        }
+                    }
+                    EventKind::Update(keys) => {
+                        for &k in keys {
+                            guard.updates.record(k);
+                        }
+                    }
+                    EventKind::Insert(keys) => {
+                        for &k in keys {
+                            guard.access.ensure_tracked(k);
+                        }
                     }
                 }
-                EventKind::Update(keys) => {
-                    for &k in keys {
-                        guard.updates.record(k);
-                    }
-                }
-                EventKind::Insert(keys) => {
-                    for &k in keys {
-                        guard.access.ensure_tracked(k);
-                    }
-                }
-            }
-            guard.dirty = true;
+                guard.dirty = true;
+            });
         }
         if applied > 0 {
             self.events_applied.fetch_add(applied, Ordering::Relaxed);
@@ -1307,17 +1146,12 @@ impl GuardedDatabase {
         let _refresh = self.refresh_lock.lock();
         // Events already queued precede the warm-start batch.
         self.apply_batch(self.queue.drain());
-        {
-            let mut guards = self.shard(table).lock();
-            let guard = guards
-                .entry(table.to_owned())
-                .or_insert_with(|| TableGuard::new(&self.config));
-            guard.epoch.get_or_insert(now_secs);
+        self.with_guard(table, now_secs, |guard| {
             for &(rid, units) in counts {
                 guard.access.record_static_weighted(rid.raw(), units);
             }
             guard.dirty = true;
-        }
+        });
         self.mutations
             .fetch_add(counts.len() as u64, Ordering::Release);
         self.refresh_inner();
@@ -1335,17 +1169,12 @@ impl GuardedDatabase {
         }
         let _refresh = self.refresh_lock.lock();
         self.apply_batch(self.queue.drain());
-        {
-            let mut guards = self.shard(table).lock();
-            let guard = guards
-                .entry(table.to_owned())
-                .or_insert_with(|| TableGuard::new(&self.config));
-            guard.epoch.get_or_insert(now_secs);
+        self.with_guard(table, now_secs, |guard| {
             for &(rid, units) in counts {
                 guard.updates.record_static_weighted(rid.raw(), units);
             }
             guard.dirty = true;
-        }
+        });
         self.mutations
             .fetch_add(counts.len() as u64, Ordering::Release);
         self.refresh_inner();
@@ -1482,15 +1311,15 @@ enum RowNote {
     Insert,
 }
 
-/// The table a statement touches, if any.
-fn statement_table(stmt: &Statement) -> Option<&str> {
+/// The table a statement touches.
+fn statement_table(stmt: &Statement) -> &str {
     match stmt {
         Statement::Select { table, .. }
         | Statement::Insert { table, .. }
         | Statement::Update { table, .. }
         | Statement::Delete { table, .. }
-        | Statement::CreateIndex { table, .. } => Some(table),
-        Statement::CreateTable { name, .. } | Statement::DropTable { name } => Some(name),
+        | Statement::CreateIndex { table, .. } => table,
+        Statement::CreateTable { name, .. } | Statement::DropTable { name } => name,
     }
 }
 
@@ -1688,20 +1517,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_wrapper_matches_deadline_path() {
-        // Zero-delay policy: the wrapper must not sleep and must agree
-        // with the non-blocking result shape.
-        let db = setup(GuardPolicy::None);
-        let start = db.now_secs();
-        let r = db
-            .execute_blocking("SELECT * FROM items WHERE id = 1")
-            .unwrap();
-        assert!(db.now_secs() - start < 1.0);
-        assert_eq!(r.delay_secs, 0.0);
-        assert_eq!(r.tuples_charged, 1);
-    }
-
-    #[test]
     fn deadline_path_reads_injected_clock() {
         use crate::clock::ManualClock;
         use delayguard_query::Engine;
@@ -1725,10 +1540,6 @@ mod tests {
         assert_eq!(r.issued_at_nanos, secs_to_nanos(42.0));
         assert_eq!(r.delay_secs, 10.0, "cold tuple pays the cap");
         assert_eq!(r.deadline_nanos(), secs_to_nanos(52.0));
-        // The blocking wrapper "sleeps" by jumping the manual clock.
-        let r2 = db.execute_blocking("SELECT * FROM t").unwrap();
-        assert!(db.now_secs() >= 42.0 + r2.delay_secs);
-        assert!(r2.delay_secs > 0.0);
     }
 
     #[test]
@@ -1850,7 +1661,7 @@ mod tests {
         // Snapshot path: priced from the (empty) boot snapshot, recorded
         // into the queue.
         let r = db
-            .execute_snapshot_at("SELECT * FROM items WHERE id = 5", 1.0)
+            .execute_with_deadline("SELECT * FROM items WHERE id = 5")
             .unwrap();
         assert_eq!(r.delay_secs, 10.0, "cold snapshot prices at the cap");
         let before = db.snapshot_stats();
@@ -1880,19 +1691,19 @@ mod tests {
                 .unwrap();
         }
         // Learn popularity for tuple 1 through the snapshot path.
-        for t in 0..100 {
-            db.execute_snapshot_at("SELECT * FROM t WHERE id = 1", 1.0 + t as f64)
+        for _ in 0..100 {
+            db.execute_with_deadline("SELECT * FROM t WHERE id = 1")
                 .unwrap();
         }
         // Still priced at the cap: the snapshot has not been rebuilt.
         let stale = db
-            .execute_snapshot_at("SELECT * FROM t WHERE id = 1", 200.0)
+            .execute_with_deadline("SELECT * FROM t WHERE id = 1")
             .unwrap();
         assert_eq!(stale.delay_secs, 10.0);
         db.refresh();
         // One refresh epoch later the learned popularity is visible.
         let fresh = db
-            .execute_snapshot_at("SELECT * FROM t WHERE id = 1", 201.0)
+            .execute_with_deadline("SELECT * FROM t WHERE id = 1")
             .unwrap();
         assert!(fresh.delay_secs < 0.1, "got {}", fresh.delay_secs);
     }
@@ -1913,8 +1724,8 @@ mod tests {
             db.execute_at(&format!("INSERT INTO t VALUES ({i})"), 0.0)
                 .unwrap();
         }
-        for t in 0..50 {
-            db.execute_snapshot_at("SELECT * FROM t WHERE id = 1", 1.0 + t as f64)
+        for _ in 0..50 {
+            db.execute_with_deadline("SELECT * FROM t WHERE id = 1")
                 .unwrap();
         }
         let stats = db.snapshot_stats();
@@ -1928,8 +1739,8 @@ mod tests {
 
     #[test]
     fn mixed_paths_stay_consistent() {
-        // Sequential traffic, then snapshot traffic, then a sequential
-        // query again: the locked path must fold queued events in before
+        // Exact traffic, then snapshot-priced traffic, then an exact
+        // query again: the exact pricer must fold queued events in before
         // computing, so totals line up.
         let db = setup(access_policy());
         for _ in 0..5 {
@@ -1937,65 +1748,122 @@ mod tests {
                 .unwrap();
         }
         for _ in 0..5 {
-            db.execute_snapshot_at("SELECT * FROM items WHERE id = 2", 2.0)
+            db.execute_with_deadline("SELECT * FROM items WHERE id = 2")
                 .unwrap();
         }
-        // The locked path applies the 5 queued events before recording
+        // The exact pricer applies the 5 queued events before recording
         // its own, so the master tracker now holds 11.
         db.execute_at("SELECT * FROM items WHERE id = 2", 3.0)
             .unwrap();
         assert_eq!(db.access_events("items"), 11);
     }
 
+    /// Drain `sql` through the core in `chunk`-row pulls under the pricer
+    /// `at` selects; returns per-tuple delays, offsets and the total.
+    fn drain_chunked(
+        db: &GuardedDatabase,
+        sql: &str,
+        at: Option<f64>,
+        chunk: usize,
+    ) -> (Vec<f64>, Vec<f64>, f64) {
+        let stmt = parse(sql).unwrap();
+        db.run(Source::Stmt(&stmt), at, |query| {
+            let StreamedQuery::Rows(mut stream) = query else {
+                panic!("expected rows");
+            };
+            let (mut buf, mut charged) = (RowBuf::new(), ChargedChunk::default());
+            let (mut delays, mut offsets) = (Vec::new(), Vec::new());
+            while stream.next_chunk_into(chunk, &mut buf).unwrap() > 0 {
+                stream.charge_into(buf.rows(), &mut charged);
+                delays.extend_from_slice(&charged.delays);
+                offsets.extend_from_slice(&charged.offsets);
+            }
+            (delays, offsets, stream.delay_secs())
+        })
+        .unwrap()
+    }
+
     #[test]
     fn online_offset_fold_matches_release_offsets() {
-        // The streaming path folds release offsets online as chunks are
-        // charged; the batch reference computes them from the full delay
-        // vector. One tuple per chunk is the adversarial chunking — the
-        // fold state crosses every chunk boundary — and the results must
-        // still be bit-identical under both charging models.
+        // The stream folds release offsets online as chunks are charged;
+        // the batch reference computes them from the full delay vector.
+        // One tuple per chunk is the adversarial chunking — the fold
+        // state crosses every chunk boundary — and the results must still
+        // be bit-identical under both charging models and both pricers.
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         for charging in [ChargingModel::PerTupleSum, ChargingModel::PerQueryMax] {
             let config = GuardConfig {
                 policy: access_policy(),
                 charging,
                 ..GuardConfig::paper_default()
             };
-            let db = GuardedDatabase::new(config);
-            db.execute_at("CREATE TABLE items (id INT NOT NULL, body TEXT)", 0.0)
-                .unwrap();
-            for i in 0..8 {
-                db.execute_at(&format!("INSERT INTO items VALUES ({i}, 'row-{i}')"), 0.0)
+            let build = || {
+                let db = GuardedDatabase::new(config);
+                db.execute_at("CREATE TABLE items (id INT NOT NULL, body TEXT)", 0.0)
                     .unwrap();
+                for i in 0..8 {
+                    db.execute_at(&format!("INSERT INTO items VALUES ({i}, 'row-{i}')"), 0.0)
+                        .unwrap();
+                }
+                // Skew the popularity so delays are not all equal.
+                for _ in 0..50 {
+                    db.execute_at("SELECT * FROM items WHERE id = 3", 1.0)
+                        .unwrap();
+                }
+                db
+            };
+            for at in [None, Some(2.0)] {
+                let (delays, offsets, total) =
+                    drain_chunked(&build(), "SELECT * FROM items", at, 1);
+                assert_eq!(delays.len(), 8);
+                assert_eq!(
+                    bits(&offsets),
+                    bits(&release_offsets(charging, &delays)),
+                    "{charging:?} at {at:?}"
+                );
+                assert_eq!(
+                    total.to_bits(),
+                    config.charging.combine(delays.iter().copied()).to_bits(),
+                    "{charging:?} at {at:?}: combined total"
+                );
             }
-            // Skew the popularity so delays are not all equal.
-            for _ in 0..50 {
-                db.execute_at("SELECT * FROM items WHERE id = 3", 1.0)
-                    .unwrap();
-            }
-            let (delays, offsets, total) = db
-                .execute_streaming("SELECT * FROM items", |query| match query {
-                    StreamedQuery::Rows(mut stream) => {
-                        let mut delays = Vec::new();
-                        let mut offsets = Vec::new();
-                        while let Some(chunk) = stream.next_chunk(1).unwrap() {
-                            let charged = stream.charge(&chunk);
-                            delays.extend(charged.delays);
-                            offsets.extend(charged.offsets);
-                        }
-                        (delays, offsets, stream.delay_secs())
-                    }
-                    StreamedQuery::Finished(_) => panic!("expected rows"),
-                })
-                .unwrap();
-            let reference = release_offsets(charging, &delays);
-            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&offsets), bits(&reference), "{charging:?}");
-            assert_eq!(
-                total.to_bits(),
-                config.charging.combine(delays.iter().copied()).to_bits(),
-                "{charging:?}: combined total"
-            );
         }
+    }
+
+    #[test]
+    fn exact_pricer_is_chunking_invariant() {
+        // `execute_at` is a one-chunk drain of the exact pricer. Draining
+        // the same statements at the same virtual times in 1- and 3-row
+        // chunks must charge bit-identical totals and leave bit-identical
+        // trackers: exact pricing re-enters the shard lock per chunk, and
+        // that must not be observable.
+        let sqls = [
+            "SELECT * FROM items WHERE id < 7",
+            "SELECT * FROM items WHERE id = 3",
+            "SELECT * FROM items",
+            "SELECT * FROM items WHERE id > 90",
+        ];
+        let (whole, ones, threes) = (
+            setup(access_policy()),
+            setup(access_policy()),
+            setup(access_policy()),
+        );
+        for (q, sql) in sqls.iter().cycle().take(12).enumerate() {
+            let now = 1.0 + q as f64;
+            let want = whole.execute_at(sql, now).unwrap();
+            for (db, chunk) in [(&ones, 1), (&threes, 3)] {
+                let (delays, _, total) = drain_chunked(db, sql, Some(now), chunk);
+                assert_eq!(delays.len(), want.tuples_charged, "{sql} in {chunk}s");
+                assert_eq!(
+                    total.to_bits(),
+                    want.delay_secs.to_bits(),
+                    "{sql} in {chunk}s"
+                );
+            }
+        }
+        let table = whole.popularity_table("items");
+        assert_eq!(ones.popularity_table("items"), table);
+        assert_eq!(threes.popularity_table("items"), table);
     }
 
     #[test]
@@ -2009,7 +1877,6 @@ mod tests {
             charging: ChargingModel::PerTupleSum,
             access_decay_rate: 1.0,
             update_decay_rate: 1.0,
-            read_path: ReadPath::Snapshot,
             // The test drives every rebuild itself so both executions are
             // guaranteed to price from the same snapshot generation.
             snapshot: SnapshotPolicy::new(usize::MAX, 1e9),

@@ -63,23 +63,6 @@ impl Default for SnapshotPolicy {
     }
 }
 
-/// Which implementation `execute_with_deadline` (the server hot path)
-/// uses to price and record accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Price from the immutable snapshot, record via the lock-free queue:
-    /// concurrent queries share no locks. Popularity is stale by at most
-    /// one refresh epoch ([`SnapshotPolicy`]).
-    #[default]
-    Snapshot,
-    /// Price and record against the live trackers under the table's shard
-    /// lock: exact sequential semantics, queries on the same shard
-    /// serialize. With `shards = 1` this reproduces the original global
-    /// single-mutex guard — kept as the honest baseline for the
-    /// `concurrent_throughput` bench.
-    Locked,
-}
-
 /// One table's frozen guard statistics.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
@@ -238,6 +221,5 @@ mod tests {
         let p = SnapshotPolicy::default();
         assert!(p.max_pending_events >= 1);
         assert!(p.max_age_secs > 0.0);
-        assert_eq!(ReadPath::default(), ReadPath::Snapshot);
     }
 }

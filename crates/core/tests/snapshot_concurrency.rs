@@ -78,9 +78,9 @@ fn concurrent_snapshot_traffic_loses_no_events() {
                 // Each thread hammers its own tuple: per-key counts are
                 // then exact regardless of interleaving.
                 let sql = format!("SELECT * FROM t WHERE id = {tid}");
-                for q in 0..PER_THREAD {
-                    let r = db.execute_snapshot_at(&sql, 1.0 + q as f64).unwrap();
-                    assert_eq!(r.tuples_charged, 1);
+                for _ in 0..PER_THREAD {
+                    let r = db.execute_with_deadline(&sql).unwrap();
+                    assert_eq!(r.tuple_delays.len(), 1);
                 }
             })
         })
@@ -127,8 +127,8 @@ fn concurrent_decayed_mass_matches_sequential_tracker() {
             let db = Arc::clone(&db);
             thread::spawn(move || {
                 let sql = format!("SELECT * FROM t WHERE id = {tid}");
-                for q in 0..PER_THREAD {
-                    db.execute_snapshot_at(&sql, 1.0 + q as f64).unwrap();
+                for _ in 0..PER_THREAD {
+                    db.execute_with_deadline(&sql).unwrap();
                 }
             })
         })
@@ -167,7 +167,9 @@ fn concurrent_decayed_mass_matches_sequential_tracker() {
 fn snapshot_delay_converges_within_one_refresh_epoch() {
     // The acceptance criterion: run an identical single-threaded query
     // sequence through (a) the exact virtual-time path and (b) the
-    // snapshot path with refreshes disabled, then perform ONE refresh.
+    // clock-driven snapshot path with refreshes disabled (the access-rate
+    // price does not depend on the timestamps, so the real clock will
+    // do), then perform ONE refresh.
     // Every tuple's snapshot-priced delay must equal the sequential
     // value exactly — the master record sequences are identical, so the
     // floats are bit-identical, not merely close.
@@ -182,7 +184,7 @@ fn snapshot_delay_converges_within_one_refresh_epoch() {
         let now = 1.0 + q as f64;
         let sql = format!("SELECT * FROM t WHERE id = {id}");
         db_exact.execute_at(&sql, now).unwrap();
-        db_snap.execute_snapshot_at(&sql, now).unwrap();
+        db_snap.execute_with_deadline(&sql).unwrap();
     }
 
     // Before the refresh the snapshot path still prices from the boot

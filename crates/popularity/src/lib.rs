@@ -3,17 +3,15 @@
 //! Frequency statistics for the delay defense (paper §2.3 and §4.4):
 //!
 //! * [`decay`] — exponential decay by inflated increments, with periodic
-//!   rescaling; multi-rate tracking for non-stationary workloads.
+//!   rescaling.
 //! * [`tracker`] — per-key decayed counts, normalized frequencies, `f_max`,
 //!   and popularity ranks.
 //! * [`rank`] — log-bucketed order statistics over a Fenwick tree
 //!   ([`fenwick`]) giving `O(log B)` approximate ranks.
 //! * [`topk`] — top-k extraction for the paper's distribution figures.
-//! * [`sketch`] — a count–min sketch as a memory-bounded count synopsis.
-//! * [`writebehind`] — the write-behind count cache of §4.4 that keeps
-//!   read queries from becoming read-modify-write storms.
-//! * [`shardqueue`] — the concurrent front end of the write-behind idea:
-//!   a lock-free sharded event queue that query threads push into and a
+//! * [`shardqueue`] — the concurrent form of §4.4's write-behind idea
+//!   (keep read queries from becoming read-modify-write storms): a
+//!   lock-free sharded event queue that query threads push into and a
 //!   background refresher drains, in global sequence order, into the
 //!   authoritative trackers.
 //!
@@ -39,24 +37,18 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod decay;
 pub mod fenwick;
 pub mod rank;
 #[allow(unsafe_code)]
 pub mod shardqueue;
-pub mod sketch;
 pub mod sync;
 pub mod topk;
 pub mod tracker;
-pub mod writebehind;
 
-pub use adaptive::AdaptiveTracker;
-pub use decay::{DecaySchedule, MultiDecay};
+pub use decay::DecaySchedule;
 pub use fenwick::Fenwick;
 pub use rank::RankIndex;
 pub use shardqueue::ShardedEventQueue;
-pub use sketch::CountMinSketch;
 pub use topk::top_k;
 pub use tracker::FrequencyTracker;
-pub use writebehind::{CountStore, MemoryStore, WriteBehindCache};

@@ -1,8 +1,7 @@
 //! Lock-free sharded event queue for write-behind access recording.
 //!
-//! The paper's §4.4 write-behind cache ([`crate::writebehind`]) keeps read
-//! queries from becoming read-modify-write storms on a *single-threaded*
-//! server. Under concurrency the same idea needs a concurrent front end:
+//! The paper's §4.4 write-behind cache keeps read queries from becoming
+//! read-modify-write storms on a *single-threaded* server. Under concurrency the same idea needs a concurrent front end:
 //! every query thread must be able to record "tuple `k` was accessed" with
 //! no locks on the hot path, while a single background drainer folds those
 //! events into the authoritative [`crate::FrequencyTracker`]s.

@@ -72,8 +72,8 @@ impl FrequencyTracker {
 
     /// Record `units` worth of events *without* advancing decay time: the
     /// weighted form of [`FrequencyTracker::record_static`]. This is the
-    /// natural sink for write-behind deltas ([`crate::writebehind`]):
-    /// a flushed batch of coalesced counts lands at the current weight,
+    /// natural sink for coalesced counts (a warm start, a peer's
+    /// replicated delta): the whole batch lands at the current weight,
     /// and decay advances only through explicit boundaries or live
     /// `record` calls.
     pub fn record_static_weighted(&mut self, key: u64, units: f64) {

@@ -34,7 +34,7 @@ use delayguard_core::gatekeeper::{
     Admission, Gatekeeper, GatekeeperConfig, Ipv4, RefusalReason, RegistrationOutcome, UserId,
 };
 use delayguard_core::replica::ReplicaDelta;
-use delayguard_core::{ChargedChunk, DeadlineStream, GuardedDatabase, StreamedQuery};
+use delayguard_core::{ChargedChunk, DeadlineStream, GuardError, GuardedDatabase, StreamedQuery};
 use delayguard_query::ast::Statement;
 use delayguard_query::engine::StatementOutput;
 use delayguard_query::{parse, RowBuf};
@@ -515,17 +515,88 @@ impl FrontDoor {
         }
     }
 
+    /// Enter the in-flight count, then refuse if the door is draining.
+    ///
+    /// The count is entered *before* the draining check; shutdown waits
+    /// for it to reach zero before draining the wheel, so every delay
+    /// scheduled while the returned guard lives is delivered.
+    fn begin_statement<S: FrameSink>(
+        &self,
+        query_id: u32,
+        sink: &Arc<S>,
+    ) -> Option<InflightGuard<'_>> {
+        self.inflight_queries.fetch_add(1, Ordering::SeqCst);
+        let guard = InflightGuard(self);
+        if self.draining() {
+            self.metrics.refused_shutdown.inc();
+            sink.push_control(Frame::Refused {
+                query_id,
+                reason: RefuseReason::ShuttingDown,
+                retry_after_secs: self.config.retry_after_secs,
+            });
+            return None;
+        }
+        Some(guard)
+    }
+
+    /// Charge gatekeeper admission for one statement. On refusal, counts
+    /// it, sends the `Refused` frame and returns `false`.
+    fn admitted<S: FrameSink>(&self, query_id: u32, user: u64, sink: &Arc<S>) -> bool {
+        let retry = self.config.retry_after_secs;
+        let now = self.now_secs();
+        let (reason, hint) = {
+            let mut gk = self.gatekeeper.lock();
+            let Admission::Refused(reason) = gk.admit(UserId(user), now) else {
+                return true;
+            };
+            // Rate refusals carry the gatekeeper's exact refill time; a
+            // client that waits precisely this long is admitted, one that
+            // retries earlier is refused again.
+            let hint = match reason {
+                RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
+                    .retry_at(UserId(user), now)
+                    .map(|at| (at - now).max(0.0))
+                    .unwrap_or(retry),
+                RefusalReason::Unregistered => retry,
+            };
+            (reason, hint)
+        };
+        let counter = match reason {
+            RefusalReason::Unregistered => &self.metrics.refused_unregistered,
+            RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
+            RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
+        };
+        counter.inc();
+        sink.push_control(Frame::Refused {
+            query_id,
+            reason: wire_reason(reason),
+            retry_after_secs: hint,
+        });
+        false
+    }
+
+    /// Count a statement-level failure and tell the client.
+    fn query_error<S: FrameSink>(&self, query_id: u32, message: String, sink: &Arc<S>) {
+        self.metrics.query_errors.inc();
+        sink.push_control(Frame::Error { query_id, message });
+    }
+
     /// Handle a `QUERY` frame: admission, delay pricing, and scheduling
     /// every row (and the final `DONE`) on the wheel.
     ///
-    /// `SELECT` results are executed through the streaming pipeline: rows
-    /// are pulled in [`GateConfig::stream_chunk_rows`]-sized chunks, each
-    /// chunk reserves its send-queue slots *before* its tuples are
+    /// A `QUERY` frame carries a `SELECT` and nothing else: writes have
+    /// their own frames (whose handler enforces the session version, the
+    /// verb and reserve-before-apply) and DDL has no wire surface, so any
+    /// other statement is answered with an `Error` before it executes.
+    ///
+    /// Results run through the streaming pipeline (`stream_select`):
+    /// rows are pulled in [`GateConfig::stream_chunk_rows`]-sized chunks,
+    /// each chunk reserves its send-queue slots *before* its tuples are
     /// charged, and charged chunks land on the wheel while the executor
-    /// is still producing the next one. Version-≥2 sessions get
-    /// trailer framing (`ROWS_BEGIN` with [`ROWS_UNKNOWN`], then a
-    /// `ROWS_END` count); legacy sessions still see the exact count in
-    /// `ROWS_BEGIN`, which requires draining the executor first.
+    /// is still producing the next one. Version-≥2 sessions get trailer
+    /// framing (`ROWS_BEGIN` with [`ROWS_UNKNOWN`], then a `ROWS_END`
+    /// count); a legacy session is the same pipeline with one unbounded
+    /// chunk, so `ROWS_BEGIN` can carry the exact count.
     pub fn handle_query<S: FrameSink>(
         &self,
         query_id: u32,
@@ -534,94 +605,31 @@ impl FrontDoor {
         session: &SessionState,
         sink: &Arc<S>,
     ) {
-        let retry = self.config.retry_after_secs;
-        // Entered before the draining check; shutdown waits for this count
-        // to reach zero before draining the wheel, so every delay we
-        // schedule below is delivered.
-        self.inflight_queries.fetch_add(1, Ordering::SeqCst);
-        let _guard = InflightGuard(self);
-        if self.draining() {
-            self.metrics.refused_shutdown.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::ShuttingDown,
-                retry_after_secs: retry,
-            });
+        let Some(_inflight) = self.begin_statement(query_id, sink) else {
             return;
-        }
-        let now = self.now_secs();
-        let admission = {
-            let mut gk = self.gatekeeper.lock();
-            match gk.admit(UserId(user), now) {
-                Admission::Granted => None,
-                Admission::Refused(reason) => {
-                    // Rate refusals carry the gatekeeper's exact refill
-                    // time; a client that waits precisely this long is
-                    // admitted, one that retries earlier is refused again.
-                    let hint = match reason {
-                        RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
-                            .retry_at(UserId(user), now)
-                            .map(|at| (at - now).max(0.0))
-                            .unwrap_or(retry),
-                        RefusalReason::Unregistered => retry,
-                    };
-                    Some((reason, hint))
-                }
-            }
         };
-        if let Some((reason, hint)) = admission {
-            let counter = match reason {
-                RefusalReason::Unregistered => &self.metrics.refused_unregistered,
-                RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
-                RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
-            };
-            counter.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: wire_reason(reason),
-                retry_after_secs: hint,
-            });
+        if !self.admitted(query_id, user, sink) {
             return;
         }
-        let trailer_framing = session.streaming();
-        let result = self.db.execute_streaming(sql, |query| match query {
-            StreamedQuery::Rows(mut stream) => {
-                self.metrics.queries_admitted.inc();
-                if trailer_framing {
-                    self.stream_select(query_id, &mut stream, sink);
-                } else {
-                    self.materialize_select(query_id, &mut stream, sink);
-                }
+        let stmt = match parse(sql) {
+            Ok(stmt @ Statement::Select { .. }) => stmt,
+            Ok(_) => {
+                let message = "QUERY frames carry SELECT statements only".to_owned();
+                return self.query_error(query_id, message, sink);
             }
-            StreamedQuery::Finished(resp) => {
+            Err(e) => return self.query_error(query_id, GuardError::from(e).to_string(), sink),
+        };
+        let trailer_framing = session.streaming();
+        let result = self.db.execute_stmt_streaming(&stmt, |query| {
+            // Only SELECTs reach the guard from here, and they always
+            // open a row stream.
+            if let StreamedQuery::Rows(mut stream) = query {
                 self.metrics.queries_admitted.inc();
-                self.metrics.delay_micros_charged.add_secs(resp.delay_secs);
-                let tuples = match &resp.output {
-                    StatementOutput::Inserted { rids } => rids.len() as u32,
-                    StatementOutput::Updated { rids } => rids.len() as u32,
-                    StatementOutput::Deleted { rids } => rids.len() as u32,
-                    _ => 0,
-                };
-                let delay_secs = resp.delay_secs;
-                let done_sink = Arc::clone(sink);
-                self.scheduler.schedule(
-                    resp.deadline_nanos(),
-                    Box::new(move || {
-                        done_sink.push_control(Frame::Done {
-                            query_id,
-                            delay_secs,
-                            tuples,
-                        })
-                    }),
-                );
+                self.stream_select(query_id, &mut stream, trailer_framing, sink);
             }
         });
         if let Err(e) = result {
-            self.metrics.query_errors.inc();
-            sink.push_control(Frame::Error {
-                query_id,
-                message: e.to_string(),
-            });
+            self.query_error(query_id, e.to_string(), sink);
         }
     }
 
@@ -654,18 +662,9 @@ impl FrontDoor {
         session: &SessionState,
         sink: &Arc<S>,
     ) {
-        let retry = self.config.retry_after_secs;
-        self.inflight_queries.fetch_add(1, Ordering::SeqCst);
-        let _guard = InflightGuard(self);
-        if self.draining() {
-            self.metrics.refused_shutdown.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::ShuttingDown,
-                retry_after_secs: retry,
-            });
+        let Some(_inflight) = self.begin_statement(query_id, sink) else {
             return;
-        }
+        };
         if session.version() < 2 {
             sink.push_control(Frame::Refused {
                 query_id,
@@ -674,59 +673,20 @@ impl FrontDoor {
             });
             return;
         }
-        let now = self.now_secs();
-        let admission = {
-            let mut gk = self.gatekeeper.lock();
-            match gk.admit(UserId(user), now) {
-                Admission::Granted => None,
-                Admission::Refused(reason) => {
-                    let hint = match reason {
-                        RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
-                            .retry_at(UserId(user), now)
-                            .map(|at| (at - now).max(0.0))
-                            .unwrap_or(retry),
-                        RefusalReason::Unregistered => retry,
-                    };
-                    Some((reason, hint))
-                }
-            }
-        };
-        if let Some((reason, hint)) = admission {
-            let counter = match reason {
-                RefusalReason::Unregistered => &self.metrics.refused_unregistered,
-                RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
-                RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
-            };
-            counter.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: wire_reason(reason),
-                retry_after_secs: hint,
-            });
+        if !self.admitted(query_id, user, sink) {
             return;
         }
         let stmt = match parse(sql) {
             Ok(stmt) => stmt,
-            Err(e) => {
-                self.metrics.query_errors.inc();
-                sink.push_control(Frame::Error {
-                    query_id,
-                    message: e.to_string(),
-                });
-                return;
-            }
+            Err(e) => return self.query_error(query_id, e.to_string(), sink),
         };
         let table = match (&stmt, verb) {
             (Statement::Insert { table, .. }, MutationVerb::Insert)
             | (Statement::Update { table, .. }, MutationVerb::Update)
             | (Statement::Delete { table, .. }, MutationVerb::Delete) => table.clone(),
             _ => {
-                self.metrics.query_errors.inc();
-                sink.push_control(Frame::Error {
-                    query_id,
-                    message: format!("statement does not match {} frame", verb.name()),
-                });
-                return;
+                let message = format!("statement does not match {} frame", verb.name());
+                return self.query_error(query_id, message, sink);
             }
         };
         if !sink.try_reserve_rows(1) {
@@ -736,7 +696,7 @@ impl FrontDoor {
             sink.push_control(Frame::Refused {
                 query_id,
                 reason: RefuseReason::Overloaded,
-                retry_after_secs: retry,
+                retry_after_secs: self.config.retry_after_secs,
             });
             return;
         }
@@ -775,25 +735,18 @@ impl FrontDoor {
             }
             Ok(None) => {
                 sink.release_rows(1);
-                self.metrics.query_errors.inc();
-                sink.push_control(Frame::Error {
-                    query_id,
-                    message: format!("{} frame produced a row stream", verb.name()),
-                });
+                let message = format!("{} frame produced a row stream", verb.name());
+                self.query_error(query_id, message, sink);
             }
             Err(e) => {
                 sink.release_rows(1);
-                self.metrics.query_errors.inc();
-                sink.push_control(Frame::Error {
-                    query_id,
-                    message: e.to_string(),
-                });
+                self.query_error(query_id, e.to_string(), sink);
             }
         }
     }
 
-    /// Version-≥2 `SELECT` delivery: pull → reserve → charge → schedule,
-    /// one bounded chunk at a time, with trailer framing.
+    /// `SELECT` delivery: pull → reserve → charge → schedule, one bounded
+    /// chunk at a time.
     ///
     /// A chunk the executor could not fill is the last one, so its jobs
     /// are filed together with the trailer (`ROWS_END`, `DONE`) at the
@@ -802,14 +755,24 @@ impl FrontDoor {
     /// push and one socket write. A result that ends exactly on a chunk
     /// boundary learns so only from the next, empty pull, and its
     /// trailer is then one job of its own.
+    ///
+    /// Without `trailer_framing` (a version-1 session) the client expects
+    /// the exact row count in `ROWS_BEGIN` and no `ROWS_END`, so the whole
+    /// result is the one, unbounded chunk: it reserves all-or-nothing and
+    /// is only charged if it fits.
     fn stream_select<S: FrameSink>(
         &self,
         query_id: u32,
         stream: &mut DeadlineStream<'_, '_>,
+        trailer_framing: bool,
         sink: &Arc<S>,
     ) {
         let retry = self.config.retry_after_secs;
-        let chunk_rows = self.config.stream_chunk_rows.max(1);
+        let chunk_rows = if trailer_framing {
+            self.config.stream_chunk_rows.max(1)
+        } else {
+            usize::MAX
+        };
         let mut seq: u32 = 0;
         let mut began = false;
         // Chunk-sized scratch recycled across the whole stream: the
@@ -820,17 +783,10 @@ impl FrontDoor {
         loop {
             let n = match stream.next_chunk_into(chunk_rows, &mut buf) {
                 Ok(n) => n,
-                Err(e) => {
-                    // Mid-stream executor failure: already-scheduled rows
-                    // still deliver at their deadlines; the error frame
-                    // tells the client the stream is truncated.
-                    self.metrics.query_errors.inc();
-                    sink.push_control(Frame::Error {
-                        query_id,
-                        message: e.to_string(),
-                    });
-                    return;
-                }
+                // Mid-stream executor failure: already-scheduled rows
+                // still deliver at their deadlines; the error frame
+                // tells the client the stream is truncated.
+                Err(e) => return self.query_error(query_id, e.to_string(), sink),
             };
             if n > 0 {
                 if !sink.try_reserve_rows(n) {
@@ -869,7 +825,11 @@ impl FrontDoor {
                 sink.push_control(Frame::RowsBegin {
                     query_id,
                     columns: stream.columns().to_vec(),
-                    rows: ROWS_UNKNOWN,
+                    rows: if trailer_framing {
+                        ROWS_UNKNOWN
+                    } else {
+                        n as u32
+                    },
                 });
             }
             let mut releases = Releases::new(sink, self.scheduler.tick_nanos());
@@ -886,13 +846,15 @@ impl FrontDoor {
                 // Pushed after every row, so ROWS_END follows the last row
                 // and DONE comes last of all, same tick or not.
                 let done_at = stream.deadline_nanos();
-                releases.push(
-                    done_at,
-                    Frame::RowsEnd {
-                        query_id,
-                        rows: seq,
-                    },
-                );
+                if trailer_framing {
+                    releases.push(
+                        done_at,
+                        Frame::RowsEnd {
+                            query_id,
+                            rows: seq,
+                        },
+                    );
+                }
                 releases.push(
                     done_at,
                     Frame::Done {
@@ -907,73 +869,6 @@ impl FrontDoor {
                 return;
             }
         }
-    }
-
-    /// Legacy (version-1) `SELECT` delivery: the client expects the exact
-    /// row count in `ROWS_BEGIN`, so the executor is drained first; the
-    /// whole result then reserves all-or-nothing and is only charged if
-    /// it fits.
-    fn materialize_select<S: FrameSink>(
-        &self,
-        query_id: u32,
-        stream: &mut DeadlineStream<'_, '_>,
-        sink: &Arc<S>,
-    ) {
-        let retry = self.config.retry_after_secs;
-        let mut rows = Vec::new();
-        loop {
-            match stream.next_chunk(usize::MAX) {
-                Ok(Some(mut chunk)) => rows.append(&mut chunk),
-                Ok(None) => break,
-                Err(e) => {
-                    self.metrics.query_errors.inc();
-                    sink.push_control(Frame::Error {
-                        query_id,
-                        message: e.to_string(),
-                    });
-                    return;
-                }
-            }
-        }
-        let n = rows.len();
-        if !sink.try_reserve_rows(n) {
-            // Nothing has been charged yet: pull happened, pricing did
-            // not, so the refused query leaves no trace in the ledger.
-            self.metrics.refused_backpressure.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::Overloaded,
-                retry_after_secs: retry,
-            });
-            return;
-        }
-        let charged = stream.charge(&rows);
-        self.metrics
-            .delay_micros_charged
-            .add_secs(stream.delay_secs());
-        sink.push_control(Frame::RowsBegin {
-            query_id,
-            columns: stream.columns().to_vec(),
-            rows: n as u32,
-        });
-        self.metrics.rows_streamed.add(n as u64);
-        let mut releases = Releases::new(sink, self.scheduler.tick_nanos());
-        releases.rows(
-            query_id,
-            0,
-            stream.issued_at_nanos(),
-            &rows,
-            &charged.offsets,
-        );
-        releases.push(
-            stream.deadline_nanos(),
-            Frame::Done {
-                query_id,
-                delay_secs: stream.delay_secs(),
-                tuples: n as u32,
-            },
-        );
-        self.scheduler.schedule_batch(releases.finish());
     }
 }
 
@@ -1063,7 +958,8 @@ pub fn wire_reason(reason: RefusalReason) -> RefuseReason {
     }
 }
 
-/// Decrements `inflight_queries` on every exit path of `handle_query`.
+/// Decrements `inflight_queries` on every exit path of a statement
+/// handler (see [`FrontDoor::begin_statement`]).
 struct InflightGuard<'a>(&'a FrontDoor);
 
 impl Drop for InflightGuard<'_> {

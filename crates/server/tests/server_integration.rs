@@ -486,6 +486,62 @@ fn writes_flow_through_the_front_door_end_to_end() {
 /// any of it — an adversary who could read ranks off the stats surface
 /// would not need the timing side channel at all. The rank detail only
 /// appears behind the explicit opt-in knob (an operator-facing surface).
+/// A `QUERY` frame is the read surface: a write or DDL statement riding
+/// in on one must be answered with an `Error` before anything executes —
+/// otherwise it bypasses the v1 `WritesUnsupported` refusal, the verb
+/// check and reserve-before-apply that the mutation frames enforce.
+#[test]
+fn query_frames_refuse_writes_and_ddl() {
+    let db = seeded_db(10, 0.0, ChargingModel::PerQueryMax);
+    let registry = Registry::new();
+    let handle = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            gatekeeper: open_gatekeeper(),
+            ..ServerConfig::default()
+        },
+        Arc::clone(&db),
+        registry.clone(),
+    )
+    .expect("server starts");
+    let version = db.table_data_version("directory").unwrap();
+    for legacy in [true, false] {
+        let mut c = Client::connect(handle.addr()).unwrap();
+        let registered = if legacy {
+            c.register_v1()
+        } else {
+            c.register()
+        };
+        let user = match registered.expect("register exchange") {
+            RegisterOutcome::Registered { user, .. } => user,
+            other => panic!("registration refused: {other:?}"),
+        };
+        for sql in ["DELETE FROM directory WHERE id = 1", "DROP TABLE directory"] {
+            match c.query(user, sql).unwrap() {
+                QueryOutcome::Failed { message } => {
+                    assert!(message.contains("SELECT"), "{sql}: {message}")
+                }
+                other => panic!("legacy={legacy}: {sql} was not refused: {other:?}"),
+            }
+        }
+        // The row and the table survive, untouched, and the connection
+        // is still good for reads.
+        match c
+            .query(user, "SELECT entry FROM directory WHERE id = 1")
+            .unwrap()
+        {
+            QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+            other => panic!("legacy={legacy}: select after refusals: {other:?}"),
+        }
+        assert_eq!(db.table_data_version("directory").unwrap(), version);
+    }
+    assert!(matches!(
+        registry.value("server_query_errors"),
+        Some(MetricValue::Counter(4))
+    ));
+    handle.shutdown();
+}
+
 #[test]
 fn stats_reply_hides_rank_order_unless_opted_in() {
     for expose in [false, true] {

@@ -77,7 +77,7 @@ mod tests {
         db.execute_at("CREATE TABLE t (id INT NOT NULL)", 0.0)
             .unwrap();
         db.execute_at("INSERT INTO t VALUES (1), (2)", 0.0).unwrap();
-        db.execute_snapshot_at("SELECT * FROM t WHERE id = 1", 1.0)
+        db.execute_with_deadline("SELECT * FROM t WHERE id = 1")
             .unwrap();
         db.refresh();
 
@@ -107,7 +107,7 @@ mod tests {
         let registry = Registry::new();
         let publisher = GuardStatsPublisher::new(&registry);
         publisher.publish(&db);
-        db.execute_snapshot_at("SELECT * FROM t WHERE id = 1", 1.0)
+        db.execute_with_deadline("SELECT * FROM t WHERE id = 1")
             .unwrap();
         db.refresh();
         let first = publisher.publish(&db).rebuilds;

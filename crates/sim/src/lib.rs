@@ -2,7 +2,7 @@
 //!
 //! Virtual-clock simulation of the paper's evaluation (§4):
 //!
-//! * [`clock`] / [`events`] — virtual time and a discrete-event queue.
+//! * [`events`] — a discrete-event queue over virtual time.
 //! * [`metrics`] — online mean/stdev (Welford) and exact quantiles; the
 //!   paper reports *medians* for users and totals for adversaries.
 //! * [`replay`] — replay a workload trace through the learn→rank→delay
@@ -20,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod clock;
 pub mod events;
 pub mod extraction;
 pub mod guardstats;
@@ -32,7 +31,6 @@ pub mod replay;
 pub mod report;
 pub mod staleness;
 
-pub use clock::{units, VirtualClock};
 pub use events::EventQueue;
 pub use extraction::{
     extract_access_based, extract_update_based, uniform_user_median_delay, ExtractionReport,

@@ -25,6 +25,8 @@
 //!   crawlers, Sybil swarms racing the registration interval, subnet
 //!   swarms, popularity-aware crawlers — with closed-form expectations
 //!   from [`delayguard_core::analysis`] (Eq. 4) to assert against.
+//! * [`oracle`] — a ~100-line naive reference pricer (Eq. 1 / Eq. 9
+//!   over plain hash maps) the full guard stack is checked against.
 //! * [`seed`] — the replay harness: every failing test prints its seed
 //!   and a `TESTKIT_REPLAY=<seed>` command that reruns the exact
 //!   execution; [`world::SimWorld::digest`] folds every delivered frame
@@ -43,6 +45,7 @@
 
 pub mod campaign;
 pub mod net;
+pub mod oracle;
 pub mod seed;
 pub mod staleness;
 pub mod world;
@@ -54,6 +57,7 @@ pub use campaign::{
 pub use net::{
     Arrival, FaultPlan, LinkError, MutationOutcome, NetLink, QueryOutcome, SimNet, TcpNet,
 };
+pub use oracle::NaivePricer;
 pub use seed::{check, check_in, check_seeds, check_seeds_in, replay_seed};
 pub use staleness::{StalenessCampaign, StalenessParams, StalenessReport};
 pub use world::{ConnId, SimConfig, SimWorld};

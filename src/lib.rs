@@ -13,7 +13,7 @@
 //!   indexes, snapshots).
 //! * [`query`] — SQL-subset parser, planner, and executor.
 //! * [`popularity`] — decayed frequency statistics, order statistics,
-//!   sketches, write-behind count caches (§2.3, §4.4).
+//!   and the lock-free access-event queue (§2.3, §4.4).
 //! * [`core`] — the paper's contribution: delay policies (§2.1–2.2, §3.1),
 //!   closed-form analysis (Eq. 2–7, 11–12), the gatekeeper (§2.4), and the
 //!   [`core::GuardedDatabase`] facade.

@@ -290,24 +290,37 @@ fn delay_never_exceeds_cap_nor_negative() {
 
 // ---- streaming execution pipeline ---------------------------------------
 
-/// The materialized deadline path is a drain of the streaming pipeline;
-/// this cross-checks the two end to end on random Zipf workloads: every
-/// query on database A runs through `execute_with_deadline`, the same
-/// query on identically-seeded database B through `execute_streaming`
-/// drained in random-sized chunks. Rows, per-tuple delays, release
-/// offsets, and the combined delay must be bit-identical — and stay
-/// identical across queries, which proves the chunked path records the
-/// same popularity mutations as the one-shot path. Occasionally a query
-/// is dropped mid-stream on both sides (a client hanging up after k
-/// chunks); the charged prefix must match and later queries still agree.
+/// The materialized entry points are drains of the streaming pipeline;
+/// this cross-checks them end to end on random Zipf workloads over a
+/// pair of identically-seeded databases, in one of two arms per case:
+///
+/// * **clock/snapshot pair** — every query on database A runs through
+///   `execute_with_deadline`, the same query on B through
+///   `execute_stmt_streaming` drained in random-sized chunks. Rows,
+///   per-tuple delays, release offsets, and the combined delay must be
+///   bit-identical — and stay identical across queries, which proves the
+///   chunked path records the same popularity mutations as the one-shot
+///   path. Occasionally a query is dropped mid-stream on both sides (a
+///   client hanging up after k chunks); the charged prefix must match
+///   and later queries still agree.
+/// * **exact vs streamed** — A runs every statement through
+///   `execute_at` (the exact pricer) at the virtual time B's manual
+///   clock shows while B drains it in chunks (the snapshot pricer,
+///   refreshed after every statement). Rows and tuple counts always
+///   agree, and the popularity ledgers stay identical. The charged delay
+///   is bit-identical wherever the two pricers are defined to agree:
+///   under the update-rate policy always, under the access-rate policy
+///   for results of at most one row (the exact pricer records each tuple
+///   before pricing the next one of the same statement; the snapshot
+///   pricer prices the whole statement from one frozen view).
 #[test]
 fn streaming_execution_matches_materialized() {
     use delayguard::core::clock::ManualClock;
     use delayguard::core::{
-        ChargingModel, DeadlineResponse, GuardConfig, GuardedDatabase, ReadPath, SnapshotPolicy,
-        StreamedQuery,
+        ChargedChunk, ChargingModel, Clock, DeadlineResponse, GuardConfig, GuardPolicy,
+        GuardedDatabase, SnapshotPolicy, StreamedQuery, UpdateDelayPolicy,
     };
-    use delayguard::query::StatementOutput;
+    use delayguard::query::{parse, RowBuf, SelectOutput, StatementOutput};
     use std::sync::Arc;
 
     /// Drain a streaming query in chunks of `chunk_rows`, stopping after
@@ -319,25 +332,27 @@ fn streaming_execution_matches_materialized() {
         chunk_rows: usize,
         drop_after: Option<usize>,
     ) -> DeadlineResponse {
-        db.execute_streaming(sql, |query| match query {
+        let stmt = parse(sql).unwrap();
+        db.execute_stmt_streaming(&stmt, |query| match query {
             StreamedQuery::Rows(mut stream) => {
+                let (mut buf, mut charged) = (RowBuf::new(), ChargedChunk::default());
                 let mut rows = Vec::new();
                 let mut delays = Vec::new();
                 let mut offsets = Vec::new();
                 let mut chunks = 0;
-                while let Some(chunk) = stream.next_chunk(chunk_rows).unwrap() {
+                while stream.next_chunk_into(chunk_rows, &mut buf).unwrap() > 0 {
                     if drop_after == Some(chunks) {
                         break;
                     }
-                    let charged = stream.charge(&chunk);
-                    delays.extend(charged.delays);
-                    offsets.extend(charged.offsets);
-                    rows.extend(chunk);
+                    stream.charge_into(buf.rows(), &mut charged);
+                    delays.extend_from_slice(&charged.delays);
+                    offsets.extend_from_slice(&charged.offsets);
+                    rows.extend_from_slice(buf.rows());
                     chunks += 1;
                 }
                 assert_eq!(stream.tuples_charged() as usize, delays.len());
                 DeadlineResponse {
-                    output: StatementOutput::Rows(delayguard::query::SelectOutput {
+                    output: StatementOutput::Rows(SelectOutput {
                         columns: stream.columns().to_vec(),
                         rows,
                     }),
@@ -352,8 +367,8 @@ fn streaming_execution_matches_materialized() {
         .unwrap()
     }
 
-    fn assert_bit_equal(a: &DeadlineResponse, b: &DeadlineResponse, ctx: &str) {
-        match (&a.output, &b.output) {
+    fn assert_rows_equal(a: &StatementOutput, b: &StatementOutput, ctx: &str) {
+        match (a, b) {
             (StatementOutput::Rows(ra), StatementOutput::Rows(rb)) => {
                 assert_eq!(ra.columns, rb.columns, "{ctx}: columns");
                 assert_eq!(ra.rows.len(), rb.rows.len(), "{ctx}: row count");
@@ -362,8 +377,12 @@ fn streaming_execution_matches_materialized() {
                     assert_eq!(rowa.values(), rowb.values(), "{ctx}: row payload");
                 }
             }
-            (oa, ob) => panic!("{ctx}: non-row outputs {oa:?} vs {ob:?}"),
+            (oa, ob) => assert_eq!(oa, ob, "{ctx}: non-row outputs"),
         }
+    }
+
+    fn assert_bit_equal(a: &DeadlineResponse, b: &DeadlineResponse, ctx: &str) {
+        assert_rows_equal(&a.output, &b.output, ctx);
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(&a.tuple_delays),
@@ -391,33 +410,47 @@ fn streaming_execution_matches_materialized() {
         } else {
             ChargingModel::PerQueryMax
         };
-        let read_path = if rng.chance(0.5) {
-            ReadPath::Snapshot
-        } else {
-            ReadPath::Locked
-        };
-        let config = GuardConfig::paper_default()
+        let exact_arm = !rng.chance(0.5);
+        let update_rate = exact_arm && rng.chance(0.5);
+        let mut config = GuardConfig::paper_default()
             .with_charging(charging)
-            .with_read_path(read_path)
             // Refresh after every statement so the chunked path (one
             // recorded event per chunk) and the one-shot path (one event
-            // per statement) apply their mutations at the same points.
+            // per statement) apply their mutations at the same points —
+            // and, in the exact arm, so the snapshot pricer sees exactly
+            // the state the exact pricer does.
             .with_snapshot_policy(SnapshotPolicy {
                 max_pending_events: 1,
                 ..SnapshotPolicy::default()
             });
+        if update_rate {
+            config = config.with_policy(GuardPolicy::UpdateRate(
+                UpdateDelayPolicy::new(1.0).with_cap(10.0),
+            ));
+        }
         let clock_a = Arc::new(ManualClock::new());
         let clock_b = Arc::new(ManualClock::new());
         let db_a = GuardedDatabase::with_engine_and_clock(
             delayguard::query::Engine::new(),
             config,
-            Arc::clone(&clock_a) as Arc<dyn delayguard::core::Clock>,
+            Arc::clone(&clock_a) as Arc<dyn Clock>,
         );
         let db_b = GuardedDatabase::with_engine_and_clock(
             delayguard::query::Engine::new(),
             config,
-            Arc::clone(&clock_b) as Arc<dyn delayguard::core::Clock>,
+            Arc::clone(&clock_b) as Arc<dyn Clock>,
         );
+        // Database A's one-shot form of a statement: the clock-driven
+        // drain, or the exact pricer at the time both clocks show.
+        let one_shot = |sql: &str| {
+            if exact_arm {
+                let r = db_a.execute_at(sql, clock_b.now_secs()).unwrap();
+                (r.output, r.delay_secs, r.tuples_charged)
+            } else {
+                let r = db_a.execute_with_deadline(sql).unwrap();
+                (r.output, r.delay_secs, r.tuple_delays.len())
+            }
+        };
 
         // Identical schema and contents on both sides.
         let n_rows = rng.range(1, 40);
@@ -425,12 +458,12 @@ fn streaming_execution_matches_materialized() {
             "CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, note TEXT NOT NULL)",
             "CREATE UNIQUE INDEX t_pk ON t (id)",
         ] {
-            db_a.execute_with_deadline(sql).unwrap();
+            one_shot(sql);
             db_b.execute_with_deadline(sql).unwrap();
         }
         for id in 0..n_rows {
             let sql = format!("INSERT INTO t VALUES ({id}, {}, 'n-{id}')", id % 5);
-            db_a.execute_with_deadline(&sql).unwrap();
+            one_shot(&sql);
             db_b.execute_with_deadline(&sql).unwrap();
         }
 
@@ -441,7 +474,7 @@ fn streaming_execution_matches_materialized() {
             let dt = rng.below(2_000_000_000);
             clock_a.advance_nanos(dt);
             clock_b.advance_nanos(dt);
-            let sql = match rng.below(5) {
+            let sql = match rng.below(if exact_arm { 6 } else { 5 }) {
                 0 => "SELECT * FROM t".to_string(),
                 1 => format!("SELECT id, note FROM t WHERE id = {}", zipf.sample(rng) - 1),
                 2 => format!("SELECT * FROM t WHERE grp = {}", rng.below(5)),
@@ -449,10 +482,30 @@ fn streaming_execution_matches_materialized() {
                     "SELECT * FROM t ORDER BY id DESC LIMIT {}",
                     rng.range(1, 10)
                 ),
-                _ => format!("SELECT note FROM t WHERE id < {}", zipf.sample(rng)),
+                4 => format!("SELECT note FROM t WHERE id < {}", zipf.sample(rng)),
+                // Writes move the update-rate prices (exact arm only: the
+                // clock pair has compared SELECTs since it was written).
+                _ => format!(
+                    "UPDATE t SET note = 'w-{q}' WHERE id = {}",
+                    zipf.sample(rng) - 1
+                ),
             };
             let chunk_rows = rng.range(1, 8) as usize;
-            if rng.chance(0.15) {
+            if exact_arm {
+                let (out_a, delay_a, tuples_a) = one_shot(&sql);
+                let b = drain_streaming(&db_b, &sql, chunk_rows, None);
+                let ctx = format!("exact arm, query {q} ({sql})");
+                assert_rows_equal(&out_a, &b.output, &ctx);
+                assert_eq!(tuples_a, b.tuple_delays.len(), "{ctx}: tuples charged");
+                if update_rate || tuples_a <= 1 {
+                    assert_eq!(delay_a.to_bits(), b.delay_secs.to_bits(), "{ctx}: delay");
+                }
+                assert_eq!(
+                    db_a.popularity_table("t"),
+                    db_b.popularity_table("t"),
+                    "{ctx}: popularity ledger"
+                );
+            } else if rng.chance(0.15) {
                 // Mid-stream drop, mirrored on both sides: only the
                 // charged prefix may have been recorded.
                 let k = rng.below(4) as usize;
