@@ -9,17 +9,19 @@
 //! Two questions about the sharded front door:
 //!
 //! * **What does the router hop cost?** The same warmed point query is
-//!   crawled through a 4-node [`ClusterCampaign`] twice: through the
+//!   crawled through a 4-node [`Campaign`] twice: through the
 //!   router (client → router → owning shard) and over a connection
 //!   pinned straight to the owning node (client → node). Same world,
 //!   same pricing stack, same codec on every hop — the ratio isolates
 //!   exactly the routing layer: registration broadcast, per-query SQL
 //!   routing, per-node sink fan-out. Gate: the routed point query stays
-//!   within 2x of the direct one (enforced on the full run). The
-//!   single-node testkit world is also measured, as context: that gap
-//!   is the *replication tax* (merged-snapshot rebuilds over all N
-//!   shards' aggregates), paid by every node of a replicated cluster
-//!   whether or not a router is in front.
+//!   within 2x of the direct one (enforced on the full run). The same
+//!   world at `nodes: 1` is also measured, as context, and every row
+//!   carries the serving node's snapshot-rebuild count over the timed
+//!   crawl: a direct-node figure above the single-node one with more
+//!   rebuilds beside it is the *replication tax* (merged-snapshot
+//!   rebuilds over all N shards' aggregates); with equal rebuild counts
+//!   there is no such tax to report.
 //! * **How fast does a traffic shift propagate?** After the cluster
 //!   converges on the Zipf warm state, one tuple's owner absorbs a
 //!   burst that doubles `fmax`. Every other node keeps charging the
@@ -29,9 +31,8 @@
 //!   took to converge — which must stay within one sync interval plus
 //!   the probing granularity.
 
-use delayguard_cluster::{ClusterCampaign, ClusterCampaignParams};
 use delayguard_core::analysis;
-use delayguard_testkit::campaign::Campaign;
+use delayguard_testkit::campaign::{Campaign, CampaignParams, CrawlReport};
 use delayguard_workload::generalized_harmonic;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -54,6 +55,8 @@ struct Timing {
     queries: u64,
     /// Wall-clock seconds for the whole crawl (best of [`REPS`]).
     wall_secs: f64,
+    /// Snapshot rebuilds on the serving node during that crawl.
+    rebuilds: u64,
 }
 
 impl Timing {
@@ -83,7 +86,7 @@ fn main() {
     // measured (replication cost is the second metric's job).
     let ranks = vec![1u64; queries as usize];
 
-    let mut cluster = ClusterCampaign::new(1, params(n));
+    let mut cluster = Campaign::new(1, params(n, NODES));
     cluster.world().set_sync_enabled(false);
     // Interleave the reps: every crawl leaves its connection open (as a
     // real client might), so alternating keeps the per-step sink-scan
@@ -91,59 +94,49 @@ fn main() {
     let mut routed = None;
     let mut direct = None;
     for rep in 1..=REPS as u8 {
-        let started = Instant::now();
-        let report = cluster.sequential_crawl([10, 0, 0, rep], &ranks);
-        let t = Timing {
-            queries,
-            wall_secs: started.elapsed().as_secs_f64(),
-        };
-        assert_eq!(report.queries, queries);
-        assert_eq!(report.refused, 0, "gatekeeper is wide open");
+        let t = timed_crawl(&mut cluster, queries, |c| {
+            c.sequential_crawl([10, 0, 0, rep], &ranks)
+        });
         routed = Some(min_timing(routed, t));
-
-        let started = Instant::now();
-        let report = cluster.direct_crawl(0, [10, 1, 0, rep], &ranks);
-        let t = Timing {
-            queries,
-            wall_secs: started.elapsed().as_secs_f64(),
-        };
-        assert_eq!(report.queries, queries);
-        assert_eq!(report.refused, 0);
+        let t = timed_crawl(&mut cluster, queries, |c| {
+            c.direct_crawl(0, [10, 1, 0, rep], &ranks)
+        });
         direct = Some(min_timing(direct, t));
     }
     let (routed, direct) = (routed.unwrap(), direct.unwrap());
 
-    // Context: the same crawl against a single node owning the whole
-    // relation (no router, no replicas). The direct-node gap above this
-    // is the replication tax, not the router's.
-    let mut single = Campaign::new(1, params(n).base);
-    let single_node = best_of(REPS, |rep| {
-        let started = Instant::now();
-        let report = single.sequential_crawl([10, 2, 0, rep], &ranks);
-        assert_eq!(report.queries, queries);
-        assert_eq!(report.refused, 0);
-        Timing {
-            queries,
-            wall_secs: started.elapsed().as_secs_f64(),
-        }
-    });
+    // Context: the same crawl against the same world with one node
+    // owning the whole relation (no router, no replicas).
+    let mut single = Campaign::new(1, params(n, 1));
+    let mut single_node = None;
+    for rep in 1..=REPS as u8 {
+        let t = timed_crawl(&mut single, queries, |c| {
+            c.sequential_crawl([10, 2, 0, rep], &ranks)
+        });
+        single_node = Some(min_timing(single_node, t));
+    }
+    let single_node = single_node.unwrap();
 
     let ratio = routed.per_query_secs() / direct.per_query_secs().max(1e-12);
     eprintln!(
         "  point query: {:.1}us routed / {:.1}us direct node = {ratio:.2}x \
-         (gate: <= 2x{}); {:.1}us single-node world",
+         (gate: <= 2x{}); {:.1}us single-node world; snapshot rebuilds \
+         {} routed / {} direct / {} single",
         routed.per_query_secs() * 1e6,
         direct.per_query_secs() * 1e6,
         if smoke { ", not enforced in smoke" } else { "" },
         single_node.per_query_secs() * 1e6,
+        routed.rebuilds,
+        direct.rebuilds,
+        single_node.rebuilds,
     );
 
     // ---- delta-sync convergence after a traffic shift -----------------
     // Rank 1 lives on node 0; rank 2 lives on node 1. Burst rank 1,
     // then probe rank 2 (priced by node 1) until node 1's charged delay
     // reflects the doubled fmax it can only have learned via gossip.
-    let mut campaign = ClusterCampaign::new(2, params(n));
-    let base = &campaign.params().base;
+    let mut campaign = Campaign::new(2, params(n, NODES));
+    let base = campaign.params().clone();
     let harmonic = generalized_harmonic(base.n, base.alpha);
     let fmax_post = (1.0 + BOOST_SCALE) / (harmonic + BOOST_SCALE);
     let expected_pre = campaign.analytic_delay_at_rank(2);
@@ -210,27 +203,38 @@ fn main() {
     }
 }
 
-fn params(n: u64) -> ClusterCampaignParams {
-    let mut p = ClusterCampaignParams::default();
-    p.base.n = n;
-    p.nodes = NODES;
-    p.sync_interval_secs = SYNC_INTERVAL_SECS;
-    p
+fn params(n: u64, nodes: usize) -> CampaignParams {
+    CampaignParams {
+        n,
+        nodes,
+        sync_interval_secs: SYNC_INTERVAL_SECS,
+        ..CampaignParams::default()
+    }
+}
+
+/// Time one crawl of `queries` point queries for rank 1 — served by
+/// node 0 in every world — and count that node's snapshot rebuilds.
+fn timed_crawl(
+    campaign: &mut Campaign,
+    queries: u64,
+    crawl: impl FnOnce(&mut Campaign) -> CrawlReport,
+) -> Timing {
+    let rebuilds = |c: &Campaign| c.world().db().snapshot_stats().rebuilds;
+    let before = rebuilds(campaign);
+    let started = Instant::now();
+    let report = crawl(campaign);
+    let wall_secs = started.elapsed().as_secs_f64();
+    assert_eq!(report.queries, queries);
+    assert_eq!(report.refused, 0, "gatekeeper is wide open");
+    Timing {
+        queries,
+        wall_secs,
+        rebuilds: rebuilds(campaign) - before,
+    }
 }
 
 fn rel_err(measured: f64, expected: f64) -> f64 {
     (measured - expected).abs() / expected
-}
-
-fn best_of(reps: usize, mut run: impl FnMut(u8) -> Timing) -> Timing {
-    let mut best = run(1);
-    for rep in 2..=reps as u8 {
-        let t = run(rep);
-        if t.wall_secs < best.wall_secs {
-            best = t;
-        }
-    }
-    best
 }
 
 fn min_timing(best: Option<Timing>, t: Timing) -> Timing {
@@ -262,6 +266,10 @@ fn render_json(
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"cluster\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
+    out.push_str(&format!(
+        "  \"hardware_threads\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
     out.push_str(&format!("  \"nodes\": {NODES},\n"));
     out.push_str(&format!("  \"rows\": {n},\n"));
     out.push_str(&format!("  \"point_queries\": {queries},\n"));
@@ -278,6 +286,18 @@ fn render_json(
         single_node.per_query_secs()
     ));
     out.push_str(&format!("  \"routed_over_direct_node\": {ratio:.4},\n"));
+    out.push_str(&format!(
+        "  \"routed_snapshot_rebuilds\": {},\n",
+        routed.rebuilds
+    ));
+    out.push_str(&format!(
+        "  \"direct_node_snapshot_rebuilds\": {},\n",
+        direct.rebuilds
+    ));
+    out.push_str(&format!(
+        "  \"single_node_world_snapshot_rebuilds\": {},\n",
+        single_node.rebuilds
+    ));
     out.push_str(&format!(
         "  \"sync_interval_secs\": {SYNC_INTERVAL_SECS:.1},\n"
     ));

@@ -31,12 +31,11 @@ use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::GuardPolicy;
 use delayguard_core::update::UpdateDelayPolicy;
 use delayguard_core::GuardConfig;
-use delayguard_query::StatementOutput;
 use delayguard_server::gate::{GateConfig, MutationVerb};
 use delayguard_storage::RowId;
 use delayguard_testkit::net::{self, MutationOutcome, QueryOutcome};
 use delayguard_testkit::world::{MeshLink, SimConfig, SimWorld};
-use delayguard_testkit::{FaultPlan, StalenessCampaign, StalenessParams, StalenessReport};
+use delayguard_testkit::{seed_directory, StalenessCampaign, StalenessParams, StalenessReport};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -82,32 +81,11 @@ impl Bench {
                 },
                 tick: Duration::from_millis(1),
                 send_queue_rows: 4096,
-                faults: FaultPlan::ideal(),
+                ..SimConfig::default()
             },
         );
         let db = world.db();
-        db.execute_at(
-            "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-            0.0,
-        )
-        .expect("create table");
-        db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-            .expect("create index");
-        let mut rids: Vec<RowId> = Vec::with_capacity(rows as usize);
-        for id in 0..rows {
-            let resp = db
-                .execute_at(
-                    &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-                    0.0,
-                )
-                .expect("insert row");
-            match resp.output {
-                StatementOutput::Inserted { rids: mut r } => {
-                    rids.push(r.pop().expect("one rid per insert"))
-                }
-                other => panic!("unexpected insert output: {other:?}"),
-            }
-        }
+        let rids = seed_directory(&world, rows);
         if warm_secs > 0.0 && !rids.is_empty() {
             // Zipf(1) update history: both worlds get identical warm
             // counts so the only difference is the pricing policy.

@@ -6,6 +6,27 @@
 //! (so `fmax` and the rank order are known in closed form), guarded by
 //! the access-rate delay policy `d(i) = i^(α+β) / (n·fmax)`.
 //!
+//! With [`CampaignParams::nodes`] `> 1` the same directory is sharded
+//! round-robin by key over that many nodes behind a router, each shard
+//! warmed with its slice of the Zipf counts, and — when replication is
+//! on — one gossip round converges every node to the global distribution
+//! before any client connects:
+//!
+//! * **Replicated** (`sync_interval_secs > 0`): every node prices from
+//!   the merged global aggregates, so every crawl pays the single-node
+//!   Eq. 3 total and the median user sees the single-node Eq. 1 delay —
+//!   up to the replication-lag slack ([`Campaign::tolerance`]).
+//! * **Un-replicated** (`sync_interval_secs == 0`): each node prices
+//!   from its local shard only, and the adversary total collapses to
+//!   [`Campaign::analytic_unreplicated_total`] ≈ 1/N of the closed form
+//!   — the negative control that motivates the delta-sync protocol.
+//!
+//! Charged totals are a function of the warmed popularity state (the
+//! crawl's own accesses are a `1/seed_scale` perturbation), so they are
+//! invariant to crawl order; the drivers still offer both the paper's
+//! sequential order and the shard-grouped order a partition-aware
+//! adversary would use.
+//!
 //! The drivers replay the paper's attacks end to end over the wire —
 //! registration, refusal hints, per-tuple delay enforcement — and return
 //! reports whose numbers can be asserted against
@@ -38,7 +59,7 @@ use delayguard_core::analysis;
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::GuardPolicy;
 use delayguard_core::shaping::DelayShaping;
-use delayguard_core::GuardConfig;
+use delayguard_core::{GuardConfig, GuardedDatabase};
 use delayguard_query::StatementOutput;
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::Frame;
@@ -81,6 +102,11 @@ pub struct CampaignParams {
     /// seed into the jitter seed when enabled, so `TESTKIT_REPLAY`
     /// replays the exact shaped schedule too.
     pub shaping: DelayShaping,
+    /// Nodes the directory is sharded over (1 = a single server).
+    pub nodes: usize,
+    /// Gossip cadence between nodes in virtual seconds; `0.0` disables
+    /// replication (the negative control). Unused with one node.
+    pub sync_interval_secs: f64,
 }
 
 impl CampaignParams {
@@ -135,6 +161,11 @@ impl Default for CampaignParams {
             tick: Duration::from_secs(1),
             send_queue_rows: 4096,
             shaping: DelayShaping::off(),
+            nodes: 1,
+            // One virtual hour: sparse enough that a 35-day campaign
+            // costs hundreds of gossip rounds, tight enough that the
+            // lag slack is far below the closed-form tolerance.
+            sync_interval_secs: 3600.0,
         }
     }
 }
@@ -335,27 +366,78 @@ pub fn theil_sen_slope(pts: &[(f64, f64)]) -> f64 {
     slopes[slopes.len() / 2]
 }
 
+/// Create `directory (id INT, entry TEXT)` with its unique key index on
+/// `db` and insert `(id, 'entry-<id>')` for each of `ids`, at time zero —
+/// the relation every campaign, bench and wire test runs against.
+/// Returns the inserted rows' ids, in `ids` order.
+pub fn seed_directory_shard(db: &GuardedDatabase, ids: &[u64]) -> Vec<RowId> {
+    db.execute_at(
+        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
+        0.0,
+    )
+    .expect("create table");
+    db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
+        .expect("create index");
+    ids.iter()
+        .map(|id| {
+            let resp = db
+                .execute_at(
+                    &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
+                    0.0,
+                )
+                .expect("insert row");
+            match resp.output {
+                StatementOutput::Inserted { mut rids } => rids.pop().expect("one rid per insert"),
+                other => panic!("unexpected insert output: {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Seed the paper's `directory` relation with rows `0..n` across
+/// `world`, each node its shard ([`seed_directory_shard`]) — all at
+/// virtual time zero. Returns each row's id on its owner, indexed by
+/// `id`.
+pub fn seed_directory(world: &SimWorld, n: u64) -> Vec<RowId> {
+    let map = world.partition_map();
+    let mut rids = vec![None; n as usize];
+    for j in 0..map.nodes() {
+        let ids = map.ids_of(j, n);
+        let shard = seed_directory_shard(&world.node_db(j), &ids);
+        for (id, rid) in ids.into_iter().zip(shard) {
+            rids[id as usize] = Some(rid);
+        }
+    }
+    rids.into_iter()
+        .map(|rid| rid.expect("every id has an owner"))
+        .collect()
+}
+
 /// A simulated deployment seeded as the paper's running example.
 pub struct Campaign {
     world: SimWorld,
     params: CampaignParams,
+    /// Row id of the rank-`i` tuple (index `i − 1`), on its owning node.
     rids: Vec<RowId>,
     rng: Rng,
     next_query_id: u32,
 }
 
 impl Campaign {
-    /// Build the world, create and populate the directory table, and
-    /// warm the popularity tracker with `c_i = seed_scale · i^(−α)`
-    /// accesses per rank — all at virtual time zero, before any client
-    /// connects. Rank `i` is the row with `id = i − 1`.
+    /// Build the world, create and populate the directory table (each
+    /// node its shard), and warm the popularity trackers with
+    /// `c_i = seed_scale · i^(−α)` accesses per rank — all at virtual
+    /// time zero — then, when replication is on, run one gossip round so
+    /// the warm state converges before any client connects. Rank `i` is
+    /// the row with `id = i − 1`.
     pub fn new(seed: u64, params: CampaignParams) -> Campaign {
         let policy = AccessDelayPolicy::new(params.alpha, params.beta)
             .with_cap(params.cap_secs)
             .with_fmax_mode(FmaxMode::DecayedTotal);
         // Fold the world seed into the jitter seed so different campaign
         // seeds exercise different jitter draws while one seed replays
-        // bit-identically.
+        // bit-identically. Every node shares the folded seed — a query
+        // must price identically wherever its shard lives.
         let mut shaping = params.shaping;
         if shaping.enabled {
             shaping.seed ^= seed;
@@ -370,46 +452,34 @@ impl Campaign {
         let world = SimWorld::new(
             seed,
             SimConfig {
+                nodes: params.nodes,
                 guard,
                 gate,
                 tick: params.tick,
                 send_queue_rows: params.send_queue_rows,
-                faults: crate::net::FaultPlan::ideal(),
+                sync_interval_secs: params.sync_interval_secs,
+                ..SimConfig::default()
             },
         );
-        let db = world.db();
-        db.execute_at(
-            "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-            0.0,
-        )
-        .expect("create table");
-        db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-            .expect("create index");
-        let mut rids = Vec::with_capacity(params.n as usize);
-        for rank in 1..=params.n {
-            let id = rank - 1;
-            let resp = db
-                .execute_at(
-                    &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-                    0.0,
-                )
-                .expect("insert row");
-            match resp.output {
-                StatementOutput::Inserted { rids: mut r } => {
-                    rids.push(r.pop().expect("one rid per insert"))
-                }
-                other => panic!("unexpected insert output: {other:?}"),
-            }
+        let rids = seed_directory(&world, params.n);
+        let map = world.partition_map();
+        for j in 0..params.nodes {
+            let counts: Vec<(RowId, f64)> = map
+                .ids_of(j, params.n)
+                .into_iter()
+                .map(|id| {
+                    let rank = (id + 1) as f64;
+                    (
+                        rids[id as usize],
+                        params.seed_scale * rank.powf(-params.alpha),
+                    )
+                })
+                .collect();
+            world.node_db(j).warm_accesses("directory", &counts, 0.0);
         }
-        let counts: Vec<(RowId, f64)> = rids
-            .iter()
-            .enumerate()
-            .map(|(i, &rid)| {
-                let rank = (i + 1) as f64;
-                (rid, params.seed_scale * rank.powf(-params.alpha))
-            })
-            .collect();
-        db.warm_accesses("directory", &counts, 0.0);
+        if params.nodes > 1 && params.sync_interval_secs > 0.0 {
+            world.sync_now();
+        }
         Campaign {
             world,
             // Independent stream from the world's fault RNG.
@@ -420,7 +490,8 @@ impl Campaign {
         }
     }
 
-    /// The underlying world (digest, metrics, fault control).
+    /// The underlying world (digest, metrics, fault and partition
+    /// control).
     pub fn world(&self) -> &SimWorld {
         &self.world
     }
@@ -455,7 +526,9 @@ impl Campaign {
         .min(self.params.cap_secs)
     }
 
-    /// Total delay a full-crawl adversary pays (Eq. 3 / capped variant).
+    /// Total delay a full-crawl adversary pays (Eq. 3 / capped variant)
+    /// against a single server — and against a *replicated* cluster,
+    /// which prices from the same global aggregates.
     pub fn analytic_total(&self) -> f64 {
         let p = &self.params;
         if p.cap_secs.is_finite() {
@@ -463,6 +536,28 @@ impl Campaign {
         } else {
             analysis::adversary_total(p.n, p.alpha, p.beta, self.fmax())
         }
+    }
+
+    /// The total the same crawl pays against the *un-replicated*
+    /// cluster: each shard prices from its local slice only.
+    pub fn analytic_unreplicated_total(&self) -> f64 {
+        let p = &self.params;
+        analysis::sharded_unreplicated_total(p.n, p.nodes as u64, p.alpha, p.beta)
+    }
+
+    /// Relative tolerance for closed-form assertions: the paper's 10%
+    /// plus, on a replicated cluster, the replication-lag slack — between
+    /// gossip rounds, up to `rate · sync_interval` crawl accesses are
+    /// priced before they replicate, a perturbation relative to the
+    /// weakest warm count.
+    pub fn tolerance(&self) -> f64 {
+        let p = &self.params;
+        if p.nodes == 1 || p.sync_interval_secs <= 0.0 {
+            return 0.10;
+        }
+        let weakest_warm = p.seed_scale * (p.n as f64).powf(-p.alpha);
+        let crawl_rate = p.n as f64 / self.analytic_total();
+        0.10 + analysis::replication_lag_slack(weakest_warm, crawl_rate, p.sync_interval_secs)
     }
 
     /// Eq. 4: adversary total over the median user's delay.
@@ -546,9 +641,22 @@ impl Campaign {
         format!("SELECT * FROM directory WHERE id = {}", rank - 1)
     }
 
-    /// Every rank, in crawl order `1..=n`.
+    /// Every rank, in the paper's sequential crawl order `1..=n` — which
+    /// already round-robins across shards (rank `i` lives on node
+    /// `(i−1) mod N`).
     pub fn all_ranks(&self) -> Vec<u64> {
         (1..=self.params.n).collect()
+    }
+
+    /// Every rank grouped by owning shard (node 0's ranks ascending,
+    /// then node 1's, ...): the order a partition-aware adversary uses
+    /// to drain one shard at a time.
+    pub fn shard_grouped_ranks(&self) -> Vec<u64> {
+        let map = self.world.partition_map();
+        (0..map.nodes())
+            .flat_map(|j| map.ids_of(j, self.params.n))
+            .map(|id| id + 1)
+            .collect()
     }
 
     /// `count` ranks sampled from the user's Zipf(α) popularity
@@ -571,25 +679,82 @@ impl Campaign {
 
     // ---- drivers ----------------------------------------------------------
 
-    fn register_link(&mut self, ip: [u8; 4]) -> (MeshLink, u64, u64) {
-        let mut link = self.world.connect_link(ip);
+    /// Register over `link`, honoring registration-interval hints.
+    /// Returns the link, the identity, and the refusals absorbed.
+    fn register(&mut self, mut link: MeshLink) -> (MeshLink, u64, u64) {
         let (user, refusals) =
             net::register_until_admitted(&mut self.world, &mut link, [0; 4], REGISTER_TIMEOUT_SECS)
                 .expect("registration");
         (link, user, refusals)
     }
 
-    fn fresh_query_id(&mut self) -> u32 {
-        let id = self.next_query_id;
-        self.next_query_id += 1;
-        id
+    fn register_link(&mut self, ip: [u8; 4]) -> (MeshLink, u64, u64) {
+        let link = self.world.connect_link(ip);
+        self.register(link)
     }
 
-    /// One identity from `ip` crawls `ranks` in order, honoring refusal
-    /// hints, accumulating the server's own delay accounting.
+    /// One point query for `rank`, retried through refusals (honoring
+    /// each retry hint, counting it in `refused`) until it is answered.
+    fn query_rank(
+        &mut self,
+        link: &mut MeshLink,
+        user: u64,
+        rank: u64,
+        refused: &mut u64,
+    ) -> Answer {
+        let sql = self.sql_for_rank(rank);
+        loop {
+            let qid = self.next_query_id;
+            self.next_query_id += 1;
+            match net::run_query(link, qid, user, &sql, QUERY_TIMEOUT_SECS).expect("link alive") {
+                QueryOutcome::Rows {
+                    rows,
+                    delay_secs,
+                    tuples,
+                    sent_at_secs,
+                    done_at_secs,
+                    ..
+                } => {
+                    assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
+                    return Answer {
+                        tuples: tuples as u64,
+                        delay_secs,
+                        observed_secs: done_at_secs - sent_at_secs,
+                    };
+                }
+                QueryOutcome::Refused {
+                    retry_after_secs, ..
+                } => {
+                    *refused += 1;
+                    self.world.run_for(retry_after_secs + 1e-6);
+                }
+                QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
+                QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
+            }
+        }
+    }
+
+    /// One identity from `ip` crawls `ranks` in order (through the
+    /// router, if there is one), honoring refusal hints, accumulating
+    /// the serving node's own delay accounting.
     pub fn sequential_crawl(&mut self, ip: [u8; 4], ranks: &[u64]) -> CrawlReport {
+        let link = self.world.connect_link(ip);
+        self.crawl(link, ranks)
+    }
+
+    /// [`Campaign::sequential_crawl`] over a connection pinned straight
+    /// to `node`, bypassing the router — the direct-node baseline the
+    /// router hop is benchmarked against. Every rank in `ranks` must be
+    /// owned by `node` (the pinned node refuses nothing, but only its
+    /// own shard's rows exist there).
+    pub fn direct_crawl(&mut self, node: usize, ip: [u8; 4], ranks: &[u64]) -> CrawlReport {
+        let link = self.world.connect_node_link(node, ip);
+        self.crawl(link, ranks)
+    }
+
+    fn crawl(&mut self, link: MeshLink, ranks: &[u64]) -> CrawlReport {
         let started_secs = self.world.now_secs();
-        let (mut link, user, _) = self.register_link(ip);
+        let (mut link, user, _) = self.register(link);
         let mut report = CrawlReport {
             queries: 0,
             refused: 0,
@@ -600,41 +765,39 @@ impl Campaign {
             min_margin_secs: f64::INFINITY,
         };
         for &rank in ranks {
-            let sql = self.sql_for_rank(rank);
-            loop {
-                let qid = self.fresh_query_id();
-                match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS)
-                    .expect("link alive")
-                {
-                    QueryOutcome::Rows {
-                        rows,
-                        delay_secs,
-                        tuples,
-                        sent_at_secs,
-                        done_at_secs,
-                        ..
-                    } => {
-                        assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
-                        report.queries += 1;
-                        report.tuples += tuples as u64;
-                        report.total_delay_secs += delay_secs;
-                        let margin = (done_at_secs - sent_at_secs) - delay_secs;
-                        report.min_margin_secs = report.min_margin_secs.min(margin);
-                        break;
-                    }
-                    QueryOutcome::Refused {
-                        retry_after_secs, ..
-                    } => {
-                        report.refused += 1;
-                        self.world.run_for(retry_after_secs + 1e-6);
-                    }
-                    QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
-                    QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
-                }
-            }
+            let a = self.query_rank(&mut link, user, rank, &mut report.refused);
+            report.queries += 1;
+            report.tuples += a.tuples;
+            report.total_delay_secs += a.delay_secs;
+            report.min_margin_secs = report.min_margin_secs.min(a.observed_secs - a.delay_secs);
         }
         report.finished_secs = self.world.now_secs();
         report
+    }
+
+    /// One fresh identity queries the median rank once and returns the
+    /// charged delay (the median legitimate user's experience).
+    pub fn median_user_delay(&mut self, ip: [u8; 4]) -> f64 {
+        self.probe_delay(ip, self.median_rank())
+    }
+
+    /// One fresh identity queries `rank` once and returns the charged
+    /// delay — the pricing currently in force on the owning node.
+    pub fn probe_delay(&mut self, ip: [u8; 4], rank: u64) -> f64 {
+        let (mut link, user, _) = self.register_link(ip);
+        self.query_rank(&mut link, user, rank, &mut 0).delay_secs
+    }
+
+    /// Add `extra` decayed accesses to the rank-`rank` tuple on its
+    /// owning node at the current virtual time — a traffic shift whose
+    /// effect reaches every other node only through delta-sync.
+    pub fn shift_traffic(&self, rank: u64, extra: f64) {
+        let node = self.world.partition_map().node_for_rank(rank);
+        self.world.node_db(node).warm_accesses(
+            "directory",
+            &[(self.rid_of_rank(rank), extra)],
+            self.world.now_secs(),
+        );
     }
 
     /// One identity from `ip` queries `ranks` in the given order, keeping
@@ -650,40 +813,14 @@ impl Campaign {
             min_margin_secs: f64::INFINITY,
         };
         for &rank in ranks {
-            let sql = self.sql_for_rank(rank);
-            loop {
-                let qid = self.fresh_query_id();
-                match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS)
-                    .expect("link alive")
-                {
-                    QueryOutcome::Rows {
-                        rows,
-                        delay_secs,
-                        sent_at_secs,
-                        done_at_secs,
-                        ..
-                    } => {
-                        assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
-                        let observed = done_at_secs - sent_at_secs;
-                        report.observations.push(Observation {
-                            rank,
-                            charged_secs: delay_secs,
-                            observed_secs: observed,
-                        });
-                        report.total_charged_secs += delay_secs;
-                        report.min_margin_secs = report.min_margin_secs.min(observed - delay_secs);
-                        break;
-                    }
-                    QueryOutcome::Refused {
-                        retry_after_secs, ..
-                    } => {
-                        report.refused += 1;
-                        self.world.run_for(retry_after_secs + 1e-6);
-                    }
-                    QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
-                    QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
-                }
-            }
+            let a = self.query_rank(&mut link, user, rank, &mut report.refused);
+            report.observations.push(Observation {
+                rank,
+                charged_secs: a.delay_secs,
+                observed_secs: a.observed_secs,
+            });
+            report.total_charged_secs += a.delay_secs;
+            report.min_margin_secs = report.min_margin_secs.min(a.observed_secs - a.delay_secs);
         }
         report
     }
@@ -917,6 +1054,15 @@ impl Campaign {
         report.finished_secs = self.world.now_secs();
         report
     }
+}
+
+/// What one answered point query cost.
+struct Answer {
+    tuples: u64,
+    /// Server-accounted delay (the `DONE` frame's figure).
+    delay_secs: f64,
+    /// `DONE` arrival minus send.
+    observed_secs: f64,
 }
 
 struct Pending {

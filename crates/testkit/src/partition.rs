@@ -15,6 +15,10 @@
 //! else is broadcast-free and lands on node 0 (the cluster serves the
 //! paper's point-lookup workload; scatter-gather is out of scope).
 
+use delayguard_query::ast::{BinOp, Expr, Statement};
+use delayguard_query::parse;
+use delayguard_storage::Value;
+
 /// The cluster's partition map: `nodes` shards, round-robin by key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionMap {
@@ -64,57 +68,54 @@ impl PartitionMap {
         (n - node).div_ceil(nodes)
     }
 
-    /// Extract the routing key from a point query, if the statement is
-    /// one. Recognizes the single-predicate form the campaigns and the
-    /// paper's workload use: `... WHERE id = <k>` (case-insensitive
-    /// keyword, optional whitespace). Returns `None` for anything else.
+    /// The routing key of a point statement: the `k` of a
+    /// `SELECT`/`UPDATE`/`DELETE` whose whole predicate is `id = <k>`
+    /// (column name case-insensitive). `None` for anything else — a
+    /// compound or non-`id` predicate, a negative key, unparsable SQL.
     pub fn point_query_id(sql: &str) -> Option<u64> {
-        let lower = sql.to_ascii_lowercase();
-        let pos = lower.find(" where ")?;
-        let pred = sql[pos + " where ".len()..].trim();
-        let pred_lower = pred.to_ascii_lowercase();
-        let rest = pred_lower.strip_prefix("id")?.trim_start();
-        let rest = rest.strip_prefix('=')?.trim_start();
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            return None;
-        }
-        let tail = rest[digits.len()..].trim();
-        if !tail.is_empty() {
-            return None; // compound predicate: not a point query on id
-        }
-        digits.parse().ok()
-    }
-
-    /// Route a statement: the owner of its point key, node 0 otherwise.
-    pub fn route(&self, sql: &str) -> usize {
-        match Self::point_query_id(sql) {
-            Some(id) => self.node_for_id(id),
-            None => 0,
+        let filter = match parse(sql).ok()? {
+            Statement::Select { filter, .. }
+            | Statement::Update { filter, .. }
+            | Statement::Delete { filter, .. } => filter?,
+            _ => return None,
+        };
+        match filter {
+            Expr::Binary {
+                op: BinOp::Eq,
+                left,
+                right,
+            } => match (*left, *right) {
+                (Expr::Column(c), Expr::Literal(Value::Int(k))) if c.eq_ignore_ascii_case("id") => {
+                    u64::try_from(k).ok()
+                }
+                _ => None,
+            },
+            _ => None,
         }
     }
 
-    /// Extract the partition key of an `INSERT ... VALUES (<k>, ...)`
-    /// statement: the first literal of the first row, which is the `id`
-    /// column under the cluster's schema convention. `None` for
-    /// non-numeric first values or anything that isn't a `VALUES` insert.
+    /// The partition key of an `INSERT ... VALUES (<k>, ...)`: the first
+    /// literal of the first row, which is the `id` column under the
+    /// cluster's schema convention. `None` for a non-integer first value
+    /// or any other statement.
     pub fn insert_id(sql: &str) -> Option<u64> {
-        let lower = sql.to_ascii_lowercase();
-        let pos = lower.find(" values")?;
-        let rest = sql[pos + " values".len()..].trim_start();
-        let rest = rest.strip_prefix('(')?.trim_start();
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            return None;
+        match parse(sql).ok()? {
+            Statement::Insert { rows, .. } => match rows.first()?.first()? {
+                Expr::Literal(Value::Int(k)) => u64::try_from(*k).ok(),
+                _ => None,
+            },
+            _ => None,
         }
-        digits.parse().ok()
     }
 
-    /// Route a write statement by its partition key: `UPDATE`/`DELETE`
-    /// pin to their point predicate's owner, `INSERT` to the owner of
-    /// its first value (the new row's id). Writes without a recognizable
-    /// key land on node 0, like un-routable reads.
-    pub fn route_write(&self, sql: &str) -> usize {
+    /// Route a statement by its partition key: reads, `UPDATE`s and
+    /// `DELETE`s pin to their point predicate's owner, `INSERT`s to the
+    /// owner of the new row's id; anything without a recognizable key
+    /// lands on node 0.
+    pub fn route(&self, sql: &str) -> usize {
+        if self.nodes == 1 {
+            return 0; // one owner: nothing to parse for
+        }
         match Self::point_query_id(sql).or_else(|| Self::insert_id(sql)) {
             Some(id) => self.node_for_id(id),
             None => 0,
@@ -190,6 +191,40 @@ mod tests {
         assert_eq!(p.route("CREATE TABLE t (x INT)"), 0);
     }
 
+    /// Regression: the router used to find the predicate by substring
+    /// (`" where "`, `" values"`), so any other whitespace, or a trailing
+    /// semicolon, sent the statement to node 0 — which does not own the
+    /// row and answers with an empty result priced at zero.
+    #[test]
+    fn routing_follows_the_parsed_statement_not_its_spelling() {
+        let p = PartitionMap::new(4);
+        for sql in [
+            "SELECT * FROM directory\nWHERE id = 5",
+            "SELECT * FROM directory\tWHERE\tid\t=\t5",
+            "select * from directory where id = 5",
+            "SELECT * FROM directory WHERE id = 5;",
+            "SELECT * FROM directory WHERE ID=5 ;",
+            "UPDATE directory SET entry = 'x'\nWHERE id = 5",
+            "DELETE FROM directory\nWHERE id = 5;",
+            "INSERT INTO directory\nVALUES\n(5, 'x')",
+            "INSERT INTO directory VALUES(5, 'x');",
+        ] {
+            assert_eq!(p.route(sql), 1, "{sql:?} must reach the owner of id 5");
+        }
+        // Not a point statement on `id`: node 0, as before.
+        for sql in [
+            "SELECT * FROM directory WHERE id = 5 AND entry = 'x'",
+            "SELECT * FROM directory WHERE id = 5 OR id = 6",
+            "SELECT * FROM directory WHERE entry = 'entry-5'",
+            "SELECT * FROM directory WHERE id > 5",
+            "SELECT * FROM directory WHERE id = -5",
+            "SELECT * FROM directory",
+            "not sql at all where id = 5",
+        ] {
+            assert_eq!(p.route(sql), 0, "{sql:?} is not a point statement");
+        }
+    }
+
     #[test]
     fn insert_keys_parse() {
         assert_eq!(
@@ -210,13 +245,10 @@ mod tests {
     #[test]
     fn writes_route_by_partition_key() {
         let p = PartitionMap::new(4);
-        assert_eq!(p.route_write("INSERT INTO directory VALUES (6, 'x')"), 2);
-        assert_eq!(
-            p.route_write("UPDATE directory SET entry = 'y' WHERE id = 7"),
-            3
-        );
-        assert_eq!(p.route_write("DELETE FROM directory WHERE id = 5"), 1);
+        assert_eq!(p.route("INSERT INTO directory VALUES (6, 'x')"), 2);
+        assert_eq!(p.route("UPDATE directory SET entry = 'y' WHERE id = 7"), 3);
+        assert_eq!(p.route("DELETE FROM directory WHERE id = 5"), 1);
         // No recognizable key: lands on node 0 like un-routable reads.
-        assert_eq!(p.route_write("DELETE FROM directory"), 0);
+        assert_eq!(p.route("DELETE FROM directory"), 0);
     }
 }

@@ -27,50 +27,29 @@ pub fn replay_seed(default_seed: u64) -> u64 {
 /// Run `body` with the (possibly replay-overridden) seed; on panic,
 /// print the replay command before failing.
 pub fn check<F: FnOnce(u64)>(name: &str, default_seed: u64, body: F) {
-    check_in("delayguard-testkit", name, default_seed, body);
-}
-
-/// [`check`] for a seeded test living in another package: the replay
-/// command names `package` so the printed rerun actually hits the test.
-pub fn check_in<F: FnOnce(u64)>(package: &str, name: &str, default_seed: u64, body: F) {
-    let seed = replay_seed(default_seed);
-    run_with_seed(package, name, seed, body);
+    run_with_seed(name, replay_seed(default_seed), body);
 }
 
 /// Run `body` once per seed. With `TESTKIT_REPLAY` set, runs only that
 /// seed — the failing execution, nothing else.
-pub fn check_seeds<F: FnMut(u64)>(name: &str, default_seeds: &[u64], body: F) {
-    check_seeds_in("delayguard-testkit", name, default_seeds, body);
-}
-
-/// [`check_seeds`] for a seeded test living in another package.
-pub fn check_seeds_in<F: FnMut(u64)>(
-    package: &str,
-    name: &str,
-    default_seeds: &[u64],
-    mut body: F,
-) {
-    if let Ok(v) = std::env::var(REPLAY_ENV) {
-        let seed = v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{REPLAY_ENV}={v:?} is not a u64 seed"));
-        run_with_seed(package, name, seed, &mut body);
+pub fn check_seeds<F: FnMut(u64)>(name: &str, default_seeds: &[u64], mut body: F) {
+    if std::env::var_os(REPLAY_ENV).is_some() {
+        run_with_seed(name, replay_seed(0), &mut body);
         return;
     }
     for &seed in default_seeds {
-        run_with_seed(package, name, seed, &mut body);
+        run_with_seed(name, seed, &mut body);
     }
 }
 
-fn run_with_seed<F: FnOnce(u64)>(package: &str, name: &str, seed: u64, body: F) {
+fn run_with_seed<F: FnOnce(u64)>(name: &str, seed: u64, body: F) {
     // The body only sees the seed by value, so unwind safety is trivially
     // fine: nothing shared survives the panic.
     let result = catch_unwind(AssertUnwindSafe(|| body(seed)));
     if let Err(panic) = result {
         eprintln!("\n=== testkit failure in `{name}` (seed {seed}) ===");
         eprintln!("replay the exact execution with:");
-        eprintln!("    {REPLAY_ENV}={seed} cargo test -p {package} {name}\n");
+        eprintln!("    {REPLAY_ENV}={seed} cargo test -p delayguard-testkit {name}\n");
         resume_unwind(panic);
     }
 }

@@ -29,6 +29,7 @@
 //! stale value was captured), so tests can assert both the fraction and
 //! the freshness profile against [`delayguard_core::analysis`].
 
+use crate::campaign::seed_directory;
 use crate::net::{self, MutationOutcome, NetLink};
 use crate::world::{MeshLink, SimConfig, SimWorld};
 use delayguard_core::access::AccessDelayPolicy;
@@ -37,7 +38,6 @@ use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::GuardPolicy;
 use delayguard_core::update::UpdateDelayPolicy;
 use delayguard_core::GuardConfig;
-use delayguard_query::StatementOutput;
 use delayguard_server::gate::MutationVerb;
 use delayguard_server::protocol::Frame;
 use delayguard_storage::{RowId, Value};
@@ -168,33 +168,10 @@ impl StalenessCampaign {
                 gate,
                 tick: params.tick,
                 send_queue_rows: params.send_queue_rows,
-                faults: crate::net::FaultPlan::ideal(),
+                ..SimConfig::default()
             },
         );
-        let db = world.db();
-        db.execute_at(
-            "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-            0.0,
-        )
-        .expect("create table");
-        db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-            .expect("create index");
-        let mut rids = Vec::with_capacity(params.n as usize);
-        for rank in 1..=params.n {
-            let id = rank - 1;
-            let resp = db
-                .execute_at(
-                    &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-                    0.0,
-                )
-                .expect("insert row");
-            match resp.output {
-                StatementOutput::Inserted { rids: mut r } => {
-                    rids.push(r.pop().expect("one rid per insert"))
-                }
-                other => panic!("unexpected insert output: {other:?}"),
-            }
-        }
+        let rids = seed_directory(&world, params.n);
         let counts: Vec<(RowId, f64)> = rids
             .iter()
             .enumerate()
@@ -204,7 +181,7 @@ impl StalenessCampaign {
                 (rid, rate * params.warm_secs)
             })
             .collect();
-        db.warm_updates("directory", &counts, 0.0);
+        world.db().warm_updates("directory", &counts, 0.0);
         StalenessCampaign {
             world,
             params,

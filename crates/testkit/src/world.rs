@@ -1,11 +1,32 @@
 //! The simulated deployment: the real server stack on a virtual clock.
 //!
-//! A [`SimWorld`] owns exactly the objects the TCP server owns — a
-//! [`GuardedDatabase`] (snapshot read path and all), a manual-mode
-//! [`DelayScheduler`] with the real timer wheel, and the
+//! A [`SimWorld`] owns `N` complete nodes, each exactly the objects the
+//! TCP server owns — a [`GuardedDatabase`] (snapshot read path and all),
+//! a manual-mode [`DelayScheduler`] with the real timer wheel, and the
 //! [`FrontDoor`] — all sharing one [`ManualClock`]. Clients connect over
 //! an in-memory mesh; every frame crosses the real wire codec in both
 //! directions, so what travels is bytes, not objects.
+//!
+//! With one node (the default) the mesh is a client's connection to a
+//! single server. With more, clients connect to a *router* that speaks
+//! the unchanged client protocol:
+//!
+//! * `REGISTER` is broadcast to every node in node order. Registrars
+//!   assign identities deterministically, so all nodes hand out the
+//!   same user id; the router forwards node 0's verdict only.
+//! * Reads and writes are routed by the [`PartitionMap`]: a statement
+//!   keyed by `id = k` goes to the owner node `k mod N`; anything else
+//!   lands on node 0.
+//!
+//! Nodes gossip their popularity and gatekeeper aggregates on a sync
+//! cadence: every `sync_interval_secs` each node exports a cumulative
+//! [`Frame::Delta`] and sends it to every peer over the real wire codec.
+//! Receivers fold it through [`FrontDoor::apply_delta`], answer with
+//! `DELTA_ACK`, and republish their policy snapshots — so `d(i)`
+//! converges to the global closed form on every node. An unchanged delta
+//! (quiet node) is not re-sent. [`SimWorld::cut_node`] /
+//! [`SimWorld::heal_node`] partition a node away from gossip (held
+//! frames flood through on heal), leaving client routing intact.
 //!
 //! Time is event-driven: the world advances the clock straight to the
 //! next scheduled thing (a wheel deadline or a frame arrival) and
@@ -18,10 +39,13 @@
 //! sampling draws from one seeded RNG. Two worlds built from the same
 //! seed and driven by the same calls produce bit-identical executions —
 //! checkable via [`SimWorld::digest`], which folds every delivered
-//! frame's bytes and delivery time into an order-sensitive hash.
+//! frame's bytes and delivery time — client- and peer-side — into an
+//! order-sensitive hash.
 
 use crate::net::{Arrival, FaultPlan, LinkError, NetLink, SimNet};
+use crate::partition::PartitionMap;
 use delayguard_core::clock::{nanos_to_secs, secs_to_nanos, Clock, ManualClock};
+use delayguard_core::replica::ReplicaDelta;
 use delayguard_core::{GuardConfig, GuardedDatabase};
 use delayguard_query::Engine;
 use delayguard_server::gate::{FrameSink, FrontDoor, GateConfig, SessionControl, SessionState};
@@ -46,9 +70,13 @@ pub struct ConnId(pub u64);
 /// server's knobs that exist without sockets).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Guard (delay policy) configuration.
+    /// Number of nodes (shards). One is a single server; more put a
+    /// router in front of a hash-partitioned, gossiping cluster.
+    pub nodes: usize,
+    /// Guard (delay policy) configuration, applied to every node.
     pub guard: GuardConfig,
-    /// Front-door (gatekeeper, refusal hints) configuration.
+    /// Front-door (gatekeeper, refusal hints) configuration, applied to
+    /// every node.
     pub gate: GateConfig,
     /// Timer-wheel granularity; delays round up to the next tick.
     pub tick: Duration,
@@ -56,24 +84,32 @@ pub struct SimConfig {
     /// mesh — mirrors the TCP server's bounded send queue, so the
     /// `Overloaded` backpressure path is reachable in simulation.
     pub send_queue_rows: usize,
-    /// Fault plan applied to newly created links (override per link with
-    /// [`SimWorld::set_faults`]).
+    /// Fault plan applied to newly created client links (override per
+    /// link with [`SimWorld::set_faults`]).
     pub faults: FaultPlan,
+    /// Gossip cadence in virtual seconds; `0.0` disables replication
+    /// (the un-replicated negative control). Unused with one node.
+    pub sync_interval_secs: f64,
+    /// One-way node-to-node latency for delta frames.
+    pub peer_latency_secs: f64,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
+            nodes: 1,
             guard: GuardConfig::paper_default(),
             gate: GateConfig::default(),
             tick: Duration::from_millis(1),
             send_queue_rows: 4096,
             faults: FaultPlan::ideal(),
+            sync_interval_secs: 60.0,
+            peer_latency_secs: 0.0,
         }
     }
 }
 
-// ---- the per-connection frame sink --------------------------------------
+// ---- the per-link frame sink ----------------------------------------------
 
 /// The mesh's [`FrameSink`]: the front door pushes response frames here
 /// (scheduler jobs included); the world drains them onto the simulated
@@ -152,8 +188,23 @@ struct Ev {
 }
 
 enum EvKind {
-    Deliver { conn: u64, dir: Dir, bytes: Vec<u8> },
-    Reset { conn: u64 },
+    /// A frame on a client link.
+    Deliver {
+        conn: u64,
+        dir: Dir,
+        bytes: Vec<u8>,
+    },
+    Reset {
+        conn: u64,
+    },
+    /// A frame on a node↔node peer link.
+    PeerDeliver {
+        from: usize,
+        to: usize,
+        bytes: Vec<u8>,
+    },
+    /// The gossip cadence fired.
+    SyncTick,
 }
 
 impl PartialEq for Ev {
@@ -173,6 +224,31 @@ impl Ord for Ev {
     }
 }
 
+struct Node {
+    gate: Arc<FrontDoor>,
+    scheduler: Arc<DelayScheduler>,
+    registry: Registry,
+    /// Inbound peer-link sink: `DELTA_ACK`s accumulate here.
+    peer_sink: Arc<SimSink>,
+    /// Last exported delta (tables + gate, seq ignored): an unchanged
+    /// state is not re-gossiped.
+    last_export: Option<ReplicaDelta>,
+    /// Cut off from gossip (client routing still works).
+    cut: bool,
+}
+
+impl Node {
+    /// Whether this node holds popularity or gatekeeper state its peers
+    /// have not been sent.
+    fn has_unexported_change(&self) -> bool {
+        let Some(last) = &self.last_export else {
+            return true;
+        };
+        last.tables != self.gate.db().export_table_deltas()
+            || last.gate != self.gate.gatekeeper().lock().export_gate_delta()
+    }
+}
+
 struct Conn {
     peer_ip: [u8; 4],
     open: bool,
@@ -180,7 +256,15 @@ struct Conn {
     /// A reset is in flight: new sends are discarded.
     pending_reset: bool,
     faults: FaultPlan,
-    sink: Arc<SimSink>,
+    /// `Some(j)`: a direct connection to node `j` that bypasses the
+    /// router (registration is not broadcast, statements are not
+    /// routed). The baseline a routed query's overhead is measured
+    /// against.
+    pinned: Option<usize>,
+    /// One sink per node: the router fans a client out to whichever
+    /// nodes its frames land on, and each node's scheduler pushes
+    /// delayed rows into its own sink.
+    sinks: Vec<Arc<SimSink>>,
     /// Protocol version negotiated at `REGISTER` (same state the TCP
     /// server keeps per connection).
     session: Arc<SessionState>,
@@ -199,15 +283,23 @@ struct Core {
     seed: u64,
     clock: Arc<ManualClock>,
     rng: Rng,
-    gate: Arc<FrontDoor>,
-    scheduler: Arc<DelayScheduler>,
-    registry: Registry,
+    partition: PartitionMap,
+    nodes: Vec<Node>,
     heap: BinaryHeap<Reverse<Ev>>,
     next_seq: u64,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     default_faults: FaultPlan,
     send_queue_rows: usize,
+    sync_interval_nanos: u64,
+    sync_enabled: bool,
+    /// A `SyncTick` is sitting in the heap.
+    sync_armed: bool,
+    peer_latency_nanos: u64,
+    /// Peer frames held by a partition: `(from, to, would-be arrival)`.
+    held_peer: Vec<(usize, usize, u64, Vec<u8>)>,
+    peer_frames_held: u64,
+    peer_frames_delivered: u64,
     frames_dropped: u64,
     frames_delivered: u64,
     digest: u64,
@@ -224,51 +316,99 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+fn encode(frame: &Frame) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, frame).expect("frame encodes");
+    bytes
+}
+
+fn decode(mut bytes: &[u8]) -> Frame {
+    read_frame(&mut bytes)
+        .expect("frame decodes")
+        .expect("non-empty frame")
+}
+
 impl Core {
     fn new(seed: u64, config: SimConfig) -> Core {
         let clock = ManualClock::shared();
-        let dyn_clock: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
-        let db = Arc::new(GuardedDatabase::with_engine_and_clock(
-            Engine::new(),
-            config.guard,
-            Arc::clone(&dyn_clock),
-        ));
-        let registry = Registry::new();
-        let metrics = ServerMetrics::new(&registry);
-        let scheduler =
-            DelayScheduler::manual(config.tick, metrics.clone(), Arc::clone(&dyn_clock));
-        let gate = Arc::new(FrontDoor::new(
-            config.gate,
-            db,
-            Arc::clone(&scheduler),
-            dyn_clock,
-            metrics,
-            registry.clone(),
-        ));
-        Core {
+        let nodes: Vec<Node> = (0..config.nodes)
+            .map(|j| {
+                let dyn_clock: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
+                let db = Arc::new(GuardedDatabase::with_engine_and_clock(
+                    Engine::new(),
+                    config.guard,
+                    Arc::clone(&dyn_clock),
+                ));
+                let registry = Registry::new();
+                let metrics = ServerMetrics::new(&registry);
+                let scheduler =
+                    DelayScheduler::manual(config.tick, metrics.clone(), Arc::clone(&dyn_clock));
+                let gate = Arc::new(FrontDoor::new(
+                    config.gate.clone(),
+                    db,
+                    Arc::clone(&scheduler),
+                    dyn_clock,
+                    metrics,
+                    registry.clone(),
+                ));
+                // Cluster origins are 1-based: 0 is the single-server
+                // default and must not collide with a real peer in the
+                // CRDT logs.
+                if config.nodes > 1 {
+                    gate.set_node_origin(j as u16 + 1);
+                }
+                Node {
+                    gate,
+                    scheduler,
+                    registry,
+                    peer_sink: Arc::new(SimSink::new(usize::MAX)),
+                    last_export: None,
+                    cut: false,
+                }
+            })
+            .collect();
+        let mut core = Core {
             seed,
             clock,
             rng: Rng::new(seed),
-            gate,
-            scheduler,
-            registry,
+            partition: PartitionMap::new(config.nodes),
+            nodes,
             heap: BinaryHeap::new(),
             next_seq: 0,
             conns: BTreeMap::new(),
             next_conn: 1,
             default_faults: config.faults,
             send_queue_rows: config.send_queue_rows,
+            sync_interval_nanos: secs_to_nanos(config.sync_interval_secs),
+            // A lone server has no peer to gossip with.
+            sync_enabled: config.nodes > 1 && config.sync_interval_secs > 0.0,
+            sync_armed: false,
+            peer_latency_nanos: secs_to_nanos(config.peer_latency_secs),
+            held_peer: Vec::new(),
+            peer_frames_held: 0,
+            peer_frames_delivered: 0,
             frames_dropped: 0,
             frames_delivered: 0,
             digest: FNV_OFFSET,
-        }
+        };
+        core.arm_sync();
+        core
     }
 
     fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
     }
 
-    fn connect(&mut self, peer_ip: [u8; 4]) -> u64 {
+    fn arm_sync(&mut self) {
+        if !self.sync_enabled || self.sync_armed || self.sync_interval_nanos == 0 {
+            return;
+        }
+        let at = self.now_nanos().saturating_add(self.sync_interval_nanos);
+        self.push_ev(at, EvKind::SyncTick);
+        self.sync_armed = true;
+    }
+
+    fn connect(&mut self, peer_ip: [u8; 4], pinned: Option<usize>) -> u64 {
         let id = self.next_conn;
         self.next_conn += 1;
         self.conns.insert(
@@ -279,7 +419,10 @@ impl Core {
                 partitioned: false,
                 pending_reset: false,
                 faults: self.default_faults,
-                sink: Arc::new(SimSink::new(self.send_queue_rows)),
+                pinned,
+                sinks: (0..self.nodes.len())
+                    .map(|_| Arc::new(SimSink::new(self.send_queue_rows)))
+                    .collect(),
                 session: Arc::new(SessionState::new()),
                 inbox: VecDeque::new(),
                 fifo_to_server: 0,
@@ -296,8 +439,8 @@ impl Core {
         self.heap.push(Reverse(Ev { at, seq, kind }));
     }
 
-    /// Put one frame on the wire in direction `dir`, applying the link's
-    /// fault plan. Returns `Err` only for client sends on a dead link.
+    /// Put one frame on a client link in direction `dir`, applying the
+    /// link's fault plan. Returns `Err` only for client sends on a dead link.
     fn transmit(&mut self, conn_id: u64, dir: Dir, frame: &Frame) -> Result<(), LinkError> {
         let now = self.now_nanos();
         let Some(conn) = self.conns.get_mut(&conn_id) else {
@@ -310,8 +453,7 @@ impl Core {
                 Dir::ToClient => Ok(()),
             };
         }
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, frame).expect("frame encodes");
+        let bytes = encode(frame);
         let f = conn.faults;
         if f.reset_prob > 0.0 && self.rng.chance(f.reset_prob) {
             conn.pending_reset = true;
@@ -332,7 +474,6 @@ impl Core {
             latency += f.reorder_extra_secs;
         }
         let mut at = now.saturating_add(secs_to_nanos(latency));
-        let conn = self.conns.get_mut(&conn_id).expect("conn exists");
         if !overtakable {
             let fifo = match dir {
                 Dir::ToServer => &mut conn.fifo_to_server,
@@ -356,19 +497,106 @@ impl Core {
         Ok(())
     }
 
-    /// Drain every connection's sink onto the wire, in connection-id
-    /// order (deterministic).
+    /// Send one peer frame `from → to`, holding it if either end is cut.
+    fn peer_send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
+        let at = self.now_nanos().saturating_add(self.peer_latency_nanos);
+        if self.nodes[from].cut || self.nodes[to].cut {
+            self.held_peer.push((from, to, at, bytes));
+            self.peer_frames_held += 1;
+        } else {
+            self.push_ev(at, EvKind::PeerDeliver { from, to, bytes });
+        }
+    }
+
+    /// One gossip round: every node exports its cumulative delta and
+    /// sends it to every peer, skipping states unchanged since the last
+    /// export (the `DELTA_ACK`-driven quiescence of the real wire,
+    /// collapsed to its observable effect).
+    fn gossip_round(&mut self) {
+        for j in 0..self.nodes.len() {
+            let delta = self.nodes[j].gate.export_delta();
+            if let Some(last) = &self.nodes[j].last_export {
+                if last.tables == delta.tables && last.gate == delta.gate {
+                    continue;
+                }
+            }
+            let bytes = encode(&Frame::Delta {
+                delta: delta.clone(),
+            });
+            self.nodes[j].last_export = Some(delta);
+            for k in 0..self.nodes.len() {
+                if k != j {
+                    self.peer_send(j, k, bytes.clone());
+                }
+            }
+        }
+    }
+
+    /// Drain every sink onto the wire (deterministic): per-connection
+    /// node sinks in `(conn, node)` order, then node peer sinks in node
+    /// order.
     fn route_outboxes(&mut self) {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
-            let frames = {
-                let Some(conn) = self.conns.get(&id) else {
-                    continue;
+            for node in 0..self.nodes.len() {
+                let frames = match self.conns.get(&id) {
+                    Some(conn) => conn.sinks[node].drain(),
+                    None => continue,
                 };
-                conn.sink.drain()
-            };
-            for frame in frames {
-                let _ = self.transmit(id, Dir::ToClient, &frame);
+                for frame in frames {
+                    let _ = self.transmit(id, Dir::ToClient, &frame);
+                }
+            }
+        }
+        for j in 0..self.nodes.len() {
+            for frame in self.nodes[j].peer_sink.drain() {
+                // Replies on a peer link go back to the delta's origin.
+                if let Frame::DeltaAck { origin, .. } = frame {
+                    let to = (origin as usize).wrapping_sub(1);
+                    if to < self.nodes.len() && to != j {
+                        self.peer_send(j, to, encode(&frame));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hand one client frame to the node(s) it targets: a pinned link's
+    /// node, every node for a routed `REGISTER`, otherwise the partition
+    /// owner of the statement's key (node 0 when it has none).
+    fn deliver_to_nodes(&mut self, conn_id: u64, frame: Frame) {
+        let Some(c) = self.conns.get(&conn_id) else {
+            return;
+        };
+        let (ip, pinned, session) = (c.peer_ip, c.pinned, Arc::clone(&c.session));
+        let target = pinned.unwrap_or_else(|| match &frame {
+            Frame::Query { sql, .. }
+            | Frame::Insert { sql, .. }
+            | Frame::Update { sql, .. }
+            | Frame::Delete { sql, .. } => self.partition.route(sql),
+            _ => 0,
+        });
+        let sink = Arc::clone(&c.sinks[target]);
+        if pinned.is_none() && self.nodes.len() > 1 && matches!(frame, Frame::Register { .. }) {
+            // The router treats REGISTER as a barrier: everything the
+            // nodes queued before it reaches the wire before the
+            // broadcast does.
+            self.route_outboxes();
+            // Registrars are deterministic: every node hands out the
+            // same id, so the client hears node 0's verdict (below) and
+            // the other nodes' copies go nowhere.
+            let unheard = Arc::new(SimSink::new(0));
+            for node in &self.nodes[1..] {
+                node.gate
+                    .handle_frame(frame.clone(), ip, &session, &unheard);
+            }
+        }
+        let control = self.nodes[target]
+            .gate
+            .handle_frame(frame, ip, &session, &sink);
+        if control == SessionControl::Terminate {
+            if let Some(c) = self.conns.get_mut(&conn_id) {
+                c.open = false;
             }
         }
     }
@@ -376,36 +604,17 @@ impl Core {
     fn dispatch(&mut self, ev: Ev) {
         match ev.kind {
             EvKind::Deliver { conn, dir, bytes } => {
-                let (open, ip, sink, session) = match self.conns.get(&conn) {
-                    Some(c) => (
-                        c.open,
-                        c.peer_ip,
-                        Arc::clone(&c.sink),
-                        Arc::clone(&c.session),
-                    ),
-                    None => return,
-                };
-                if !open {
+                if !self.conns.get(&conn).is_some_and(|c| c.open) {
                     return;
                 }
-                let frame = read_frame(&mut bytes.as_slice())
-                    .expect("frame decodes")
-                    .expect("non-empty frame");
+                let frame = decode(&bytes);
                 self.digest = fnv(self.digest, &ev.at.to_le_bytes());
                 self.digest = fnv(self.digest, &[dir as u8]);
                 self.digest = fnv(self.digest, &conn.to_le_bytes());
                 self.digest = fnv(self.digest, &bytes);
                 self.frames_delivered += 1;
                 match dir {
-                    Dir::ToServer => {
-                        if self.gate.handle_frame(frame, ip, &session, &sink)
-                            == SessionControl::Terminate
-                        {
-                            if let Some(c) = self.conns.get_mut(&conn) {
-                                c.open = false;
-                            }
-                        }
-                    }
+                    Dir::ToServer => self.deliver_to_nodes(conn, frame),
                     Dir::ToClient => {
                         if let Some(c) = self.conns.get_mut(&conn) {
                             c.inbox.push_back(Arrival {
@@ -424,12 +633,45 @@ impl Core {
                     c.open = false;
                 }
             }
+            EvKind::PeerDeliver { from, to, bytes } => {
+                let frame = decode(&bytes);
+                self.digest = fnv(self.digest, &ev.at.to_le_bytes());
+                self.digest = fnv(self.digest, b"peer");
+                self.digest = fnv(self.digest, &(from as u64).to_le_bytes());
+                self.digest = fnv(self.digest, &(to as u64).to_le_bytes());
+                self.digest = fnv(self.digest, &bytes);
+                self.frames_delivered += 1;
+                self.peer_frames_delivered += 1;
+                let sink = Arc::clone(&self.nodes[to].peer_sink);
+                let _ = self.nodes[to].gate.handle_peer_frame(frame, &sink);
+            }
+            EvKind::SyncTick => {
+                self.sync_armed = false;
+                if self.sync_enabled {
+                    self.gossip_round();
+                    self.arm_sync();
+                }
+            }
+        }
+    }
+
+    /// The earliest deadline on any node's wheel.
+    fn next_deadline(&self) -> Option<u64> {
+        self.nodes
+            .iter()
+            .filter_map(|n| n.scheduler.next_deadline_nanos())
+            .min()
+    }
+
+    fn poll_schedulers(&self) {
+        for node in &self.nodes {
+            node.scheduler.poll();
         }
     }
 
     fn next_wake(&self) -> Option<u64> {
         let ev = self.heap.peek().map(|Reverse(e)| e.at);
-        let dl = self.scheduler.next_deadline_nanos();
+        let dl = self.next_deadline();
         match (ev, dl) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -457,7 +699,7 @@ impl Core {
         self.clock.advance_to_nanos(next);
         // Wheel first: jobs fired now produce frames that enter the wire
         // at this instant.
-        self.scheduler.poll();
+        self.poll_schedulers();
         self.route_outboxes();
         self.deliver_due();
         self.route_outboxes();
@@ -473,12 +715,21 @@ impl Core {
             0 if secs > 0.0 => 1,
             n => n,
         };
-        let deadline = self.now_nanos().saturating_add(nanos);
+        self.run_until(self.now_nanos().saturating_add(nanos));
+    }
+
+    fn run_until(&mut self, deadline: u64) {
         while matches!(self.next_wake(), Some(at) if at <= deadline) {
             self.step();
         }
+        self.settle_at(deadline);
+    }
+
+    /// Move the clock to `deadline` (nothing is scheduled before it) and
+    /// process everything due there.
+    fn settle_at(&mut self, deadline: u64) {
         self.clock.advance_to_nanos(deadline);
-        self.scheduler.poll();
+        self.poll_schedulers();
         self.route_outboxes();
         self.deliver_due();
         // Handlers invoked just now may have queued zero-latency replies
@@ -488,19 +739,24 @@ impl Core {
         self.deliver_due();
     }
 
+    /// Nothing left to do: no client or peer frame in flight, every
+    /// wheel empty, and no node holding a change the running gossip
+    /// cadence has yet to export. The cadence's own pending tick is not
+    /// work — it re-arms forever.
+    fn quiescent(&self) -> bool {
+        let in_flight = self.heap.len() - usize::from(self.sync_armed);
+        in_flight == 0
+            && self.next_deadline().is_none()
+            && !(self.sync_enabled && self.nodes.iter().any(Node::has_unexported_change))
+    }
+
     fn run_until_idle(&mut self) {
-        while self.step() {}
+        while !self.quiescent() {
+            self.step();
+        }
     }
 
     // ---- link operations -------------------------------------------------
-
-    fn client_send(&mut self, conn: u64, frame: &Frame) -> Result<(), LinkError> {
-        match self.conns.get(&conn) {
-            Some(c) if c.open && !c.pending_reset => {}
-            _ => return Err(LinkError::Closed),
-        }
-        self.transmit(conn, Dir::ToServer, frame)
-    }
 
     fn link_recv(&mut self, conn: u64, max_wait_secs: f64) -> Result<Option<Arrival>, LinkError> {
         let deadline = self
@@ -522,18 +778,9 @@ impl Core {
                     self.step();
                 }
                 _ => {
-                    self.clock.advance_to_nanos(deadline);
-                    self.scheduler.poll();
-                    self.route_outboxes();
-                    self.deliver_due();
-                    self.route_outboxes();
-                    self.deliver_due();
-                    let empty = self
-                        .conns
-                        .get_mut(&conn)
-                        .map(|c| c.inbox.pop_front())
-                        .unwrap_or(None);
-                    return Ok(empty);
+                    self.settle_at(deadline);
+                    let late = self.conns.get_mut(&conn).and_then(|c| c.inbox.pop_front());
+                    return Ok(late);
                 }
             }
         }
@@ -546,8 +793,9 @@ pub struct SimWorld {
 }
 
 impl SimWorld {
-    /// A fresh world from a seed: its own database, scheduler, front
-    /// door, clock (at zero) and RNG.
+    /// A fresh world from a seed: `config.nodes` complete server stacks
+    /// (database, scheduler, front door) on one clock (at zero) and one
+    /// RNG, gossip armed if there are peers and `sync_interval_secs > 0`.
     pub fn new(seed: u64, config: SimConfig) -> SimWorld {
         SimWorld {
             core: Rc::new(RefCell::new(Core::new(seed, config))),
@@ -564,28 +812,116 @@ impl SimWorld {
         self.core.borrow().clock.now_secs()
     }
 
-    /// The guarded database (for DDL/seeding around the wire protocol).
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.core.borrow().nodes.len()
+    }
+
+    /// The partition map (shared with the router).
+    pub fn partition_map(&self) -> PartitionMap {
+        self.core.borrow().partition
+    }
+
+    /// Node 0's guarded database — *the* database of a single-node world
+    /// (for DDL/seeding around the wire protocol).
     pub fn db(&self) -> Arc<GuardedDatabase> {
-        Arc::clone(self.core.borrow().gate.db())
+        self.node_db(0)
     }
 
-    /// The front door (drain control, gatekeeper inspection).
+    /// Node 0's front door (drain control, gatekeeper inspection).
     pub fn gate(&self) -> Arc<FrontDoor> {
-        Arc::clone(&self.core.borrow().gate)
+        self.node_gate(0)
     }
 
-    /// The metrics registry the front door publishes into.
+    /// The metrics registry node 0's front door publishes into.
     pub fn registry(&self) -> Registry {
-        self.core.borrow().registry.clone()
+        self.node_registry(0)
     }
 
-    /// Open a mesh connection whose peer address (as the server sees it)
-    /// is `peer_ip` — any subnet, no spoofing configuration needed.
+    /// Node `j`'s guarded database (for DDL/seeding its shard).
+    pub fn node_db(&self, j: usize) -> Arc<GuardedDatabase> {
+        Arc::clone(self.core.borrow().nodes[j].gate.db())
+    }
+
+    /// Node `j`'s front door.
+    pub fn node_gate(&self, j: usize) -> Arc<FrontDoor> {
+        Arc::clone(&self.core.borrow().nodes[j].gate)
+    }
+
+    /// Node `j`'s metrics registry.
+    pub fn node_registry(&self, j: usize) -> Registry {
+        self.core.borrow().nodes[j].registry.clone()
+    }
+
+    /// Rows reserved on node `j`'s sink for `conn` and not yet handed to
+    /// the wire or released — zero once everything admitted was either
+    /// delivered or refused.
+    pub fn rows_reserved(&self, conn: ConnId, j: usize) -> usize {
+        let core = self.core.borrow();
+        let reserved = core.conns[&conn.0].sinks[j].inner.lock().rows_outstanding;
+        reserved
+    }
+
+    /// Open a mesh connection whose peer address (as every node sees it)
+    /// is `peer_ip` — any subnet, no spoofing configuration needed. In a
+    /// multi-node world this is a connection to the router.
     pub fn connect_link(&self, peer_ip: [u8; 4]) -> MeshLink {
-        let conn = self.core.borrow_mut().connect(peer_ip);
+        self.link(peer_ip, None)
+    }
+
+    /// Open a connection wired straight to node `node`, bypassing the
+    /// router entirely: registration is not broadcast and statements are
+    /// not routed. The baseline the router hop is benchmarked against
+    /// (identities registered this way exist only on `node`).
+    pub fn connect_node_link(&self, node: usize, peer_ip: [u8; 4]) -> MeshLink {
+        assert!(node < self.nodes(), "node {node} out of range");
+        self.link(peer_ip, Some(node))
+    }
+
+    fn link(&self, peer_ip: [u8; 4], pinned: Option<usize>) -> MeshLink {
+        let conn = self.core.borrow_mut().connect(peer_ip, pinned);
         MeshLink {
             core: Rc::clone(&self.core),
             conn,
+        }
+    }
+
+    /// Enable or disable the gossip cadence. Enabling arms the next
+    /// tick one interval from now.
+    pub fn set_sync_enabled(&self, enabled: bool) {
+        let mut core = self.core.borrow_mut();
+        core.sync_enabled = enabled;
+        core.arm_sync();
+    }
+
+    /// Run one gossip round right now and deliver it (one round fully
+    /// converges the cluster: deltas are cumulative).
+    pub fn sync_now(&self) {
+        let mut core = self.core.borrow_mut();
+        core.gossip_round();
+        let arrived = core.now_nanos().saturating_add(core.peer_latency_nanos);
+        core.run_until(arrived);
+    }
+
+    /// Cut node `j` off from gossip: peer frames to and from it are
+    /// held. Client routing is unaffected.
+    pub fn cut_node(&self, j: usize) {
+        self.core.borrow_mut().nodes[j].cut = true;
+    }
+
+    /// Heal node `j`: held peer frames whose both endpoints are now
+    /// reachable flood through, in order, no earlier than now.
+    pub fn heal_node(&self, j: usize) {
+        let mut core = self.core.borrow_mut();
+        core.nodes[j].cut = false;
+        let now = core.now_nanos();
+        let held = std::mem::take(&mut core.held_peer);
+        for (from, to, at, bytes) in held {
+            if core.nodes[from].cut || core.nodes[to].cut {
+                core.held_peer.push((from, to, at, bytes));
+            } else {
+                core.push_ev(at.max(now), EvKind::PeerDeliver { from, to, bytes });
+            }
         }
     }
 
@@ -596,7 +932,7 @@ impl SimWorld {
         }
     }
 
-    /// Partition a link: frames sent in either direction are held.
+    /// Partition a client link: frames sent in either direction are held.
     pub fn partition(&self, conn: ConnId) {
         if let Some(c) = self.core.borrow_mut().conns.get_mut(&conn.0) {
             c.partitioned = true;
@@ -633,7 +969,10 @@ impl SimWorld {
         self.core.borrow_mut().run_for(secs);
     }
 
-    /// Run until nothing is scheduled anywhere (wheel empty, wire quiet).
+    /// Run until the world is quiescent: no client or peer frame in
+    /// flight, every wheel empty, and no node holding a change it has
+    /// not gossiped. A live gossip cadence by itself does not keep the
+    /// world busy.
     pub fn run_until_idle(&self) {
         self.core.borrow_mut().run_until_idle();
     }
@@ -645,16 +984,19 @@ impl SimWorld {
         self.core.borrow_mut().step()
     }
 
-    /// Graceful shutdown, like the TCP server's: refuse new work, then
-    /// deliver every in-flight delayed tuple at its deadline.
+    /// Graceful shutdown, like the TCP server's: every node refuses new
+    /// work, then every in-flight delayed tuple is delivered at its
+    /// deadline.
     pub fn shutdown(&self) {
-        self.gate().begin_drain();
+        for j in 0..self.nodes() {
+            self.node_gate(j).begin_drain();
+        }
         self.run_until_idle();
     }
 
-    /// Order-sensitive FNV-1a hash of every event processed so far
-    /// (delivery time, direction, connection, frame bytes): equal digests
-    /// mean bit-identical executions.
+    /// Order-sensitive FNV-1a hash of every event processed so far —
+    /// client and peer frames (delivery time, direction, endpoints, frame
+    /// bytes) and resets: equal digests mean bit-identical executions.
     pub fn digest(&self) -> u64 {
         self.core.borrow().digest
     }
@@ -674,15 +1016,34 @@ impl SimWorld {
             core.clock.now_nanos(),
             core.heap.len(),
             core.heap.peek().map(|std::cmp::Reverse(e)| e.at),
-            core.scheduler.pending(),
-            core.scheduler.next_deadline_nanos(),
+            core.nodes
+                .iter()
+                .map(|n| n.scheduler.pending())
+                .sum::<usize>(),
+            core.next_deadline(),
             inboxes
         )
     }
 
-    /// Frames delivered (in either direction) so far.
+    /// Frames delivered so far, in either direction, client- and
+    /// peer-side.
     pub fn frames_delivered(&self) -> u64 {
         self.core.borrow().frames_delivered
+    }
+
+    /// Peer frames delivered so far.
+    pub fn peer_frames_delivered(&self) -> u64 {
+        self.core.borrow().peer_frames_delivered
+    }
+
+    /// Peer frames ever held by a partition.
+    pub fn peer_frames_held(&self) -> u64 {
+        self.core.borrow().peer_frames_held
+    }
+
+    /// Peer frames currently held (0 when fully healed and drained).
+    pub fn peer_frames_pending(&self) -> usize {
+        self.core.borrow().held_peer.len()
     }
 }
 
@@ -716,7 +1077,9 @@ impl MeshLink {
 
 impl NetLink for MeshLink {
     fn send(&mut self, frame: &Frame) -> Result<(), LinkError> {
-        self.core.borrow_mut().client_send(self.conn, frame)
+        self.core
+            .borrow_mut()
+            .transmit(self.conn, Dir::ToServer, frame)
     }
 
     fn recv(&mut self, max_wait_secs: f64) -> Result<Option<Arrival>, LinkError> {

@@ -50,6 +50,7 @@ fn thirty_day_sequential_campaign_matches_eq4() {
 
         // Reproducibility: the two runs are bit-identical.
         assert_eq!(digest, digest2, "same seed must give identical executions");
+        println!("DIGEST thirty_day_sequential_campaign {seed} {digest:016x}");
         assert_eq!(user_delay.to_bits(), user_delay2.to_bits());
         assert_eq!(
             crawl.total_delay_secs.to_bits(),

@@ -124,6 +124,10 @@ fn shaping_collapses_rank_inference() {
             campaign2.world().digest(),
             "same seed must give identical shaped executions"
         );
+        println!(
+            "DIGEST shaped_rank_inference {seed} {:016x}",
+            campaign.world().digest()
+        );
         assert_eq!(median_charge.to_bits(), median_charge2.to_bits());
         assert_eq!(
             report.sweep.total_charged_secs.to_bits(),
@@ -266,6 +270,8 @@ fn disabled_shaping_is_inert_end_to_end() {
         // And the enabled defense actually changes the wire trace.
         let (shaped_digest, shaped_total) = short_crawl(CampaignParams::sidechannel(true));
         assert_ne!(plain_digest, shaped_digest);
+        println!("DIGEST sidechannel_plain_short_crawl {seed} {plain_digest:016x}");
+        println!("DIGEST sidechannel_shaped_short_crawl {seed} {shaped_digest:016x}");
         assert!(shaped_total > plain_total);
     });
 }
@@ -281,6 +287,10 @@ fn shaped_campaigns_replay_across_seeds() {
             let (campaign, median_charge, report) = rank_inference_campaign(seed, true);
             let (campaign2, median_charge2, report2) = rank_inference_campaign(seed, true);
             assert_eq!(campaign.world().digest(), campaign2.world().digest());
+            println!(
+                "DIGEST shaped_campaign_across_seeds {seed} {:016x}",
+                campaign.world().digest()
+            );
             assert_eq!(median_charge.to_bits(), median_charge2.to_bits());
             assert_eq!(report.tau.to_bits(), report2.tau.to_bits());
             assert!(report.tau.abs() <= 0.15, "τ = {}", report.tau);

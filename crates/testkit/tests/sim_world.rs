@@ -13,7 +13,8 @@ use delayguard_server::server::{Server, ServerConfig};
 use delayguard_sim::Registry;
 use delayguard_testkit::net::{register_once, run_query};
 use delayguard_testkit::{
-    check, FaultPlan, NetLink, QueryOutcome, SimConfig, SimNet, SimWorld, TcpNet,
+    check, seed_directory, seed_directory_shard, FaultPlan, NetLink, QueryOutcome, SimConfig,
+    SimNet, SimWorld, TcpNet,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,23 +38,6 @@ fn guard_config(cap_secs: f64) -> GuardConfig {
         .with_charging(ChargingModel::PerQueryMax)
 }
 
-fn seed_directory(db: &GuardedDatabase, rows: usize) {
-    db.execute_at(
-        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-        0.0,
-    )
-    .unwrap();
-    db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-        .unwrap();
-    for id in 0..rows {
-        db.execute_at(
-            &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-            0.0,
-        )
-        .unwrap();
-    }
-}
-
 fn sim_world(seed: u64, rows: usize, cap_secs: f64, faults: FaultPlan) -> SimWorld {
     let world = SimWorld::new(
         seed,
@@ -66,9 +50,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, faults: FaultPlan) -> SimWor
             tick: Duration::from_millis(1),
             send_queue_rows: 4096,
             faults,
+            ..SimConfig::default()
         },
     );
-    seed_directory(&world.db(), rows);
+    seed_directory(&world, rows as u64);
     world
 }
 
@@ -143,6 +128,7 @@ fn same_seed_runs_are_bit_identical() {
         let a = run(seed);
         let b = run(seed);
         assert_eq!(a.0, b.0, "same seed must produce identical digests");
+        println!("DIGEST sim_world_wan_drops_reorder {seed} {:016x}", a.0);
         assert_eq!(a, b, "same seed must reproduce the whole execution");
         // A different seed shifts the fault sampling and therefore the
         // execution; the digest sees it.
@@ -205,7 +191,7 @@ fn transport_parity_mesh_vs_tcp() {
     let mesh_out = scenario(&mut mesh);
 
     let db = Arc::new(GuardedDatabase::new(guard_config(cap)));
-    seed_directory(&db, rows);
+    seed_directory_shard(&db, &(0..rows as u64).collect::<Vec<_>>());
     let handle = Server::start(
         "127.0.0.1:0",
         ServerConfig {

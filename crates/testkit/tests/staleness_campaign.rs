@@ -13,7 +13,7 @@ use delayguard_core::GuardConfig;
 use delayguard_server::gate::GateConfig;
 use delayguard_testkit::net::{self, QueryOutcome};
 use delayguard_testkit::world::{SimConfig, SimWorld};
-use delayguard_testkit::{check, check_seeds, FaultPlan, StalenessCampaign, StalenessParams};
+use delayguard_testkit::{check, check_seeds, StalenessCampaign, StalenessParams};
 use std::time::Duration;
 
 fn assert_close(actual: f64, expected: f64, tol: f64, what: &str) {
@@ -103,6 +103,7 @@ fn staleness_race_replays_bit_identically() {
         let (d1, stale1, total1) = run(seed);
         let (d2, stale2, total2) = run(seed);
         assert_eq!(d1, d2, "staleness race diverged for seed {seed}");
+        println!("DIGEST staleness_race {seed} {d1:016x}");
         assert_eq!(stale1, stale2);
         assert_eq!(total1.to_bits(), total2.to_bits());
     });
@@ -134,7 +135,7 @@ fn update_term_off_is_bit_identical_for_reads() {
                     },
                     tick: Duration::from_millis(1),
                     send_queue_rows: 4096,
-                    faults: FaultPlan::ideal(),
+                    ..SimConfig::default()
                 },
             );
             let db = world.db();
@@ -189,6 +190,8 @@ fn update_term_off_is_bit_identical_for_reads() {
             UpdateDelayPolicy::new(0.3).with_cap(30.0),
         ));
         assert_ne!(d_plain, d_on, "a live update term must change the trace");
+        println!("DIGEST hybrid_reads_update_term_off {seed} {d_plain:016x}");
+        println!("DIGEST hybrid_reads_update_term_on {seed} {d_on:016x}");
         assert!(t_on > t_plain, "max-combine only raises prices");
     });
 }

@@ -10,11 +10,10 @@ use delayguard_core::config::GuardConfig;
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::{ChargingModel, GuardPolicy};
 use delayguard_core::snapshot::SnapshotPolicy;
-use delayguard_core::GuardedDatabase;
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::{Frame, ROWS_UNKNOWN};
 use delayguard_testkit::net::{register_once_with_version, run_query, Arrival, LinkError, NetLink};
-use delayguard_testkit::{check, FaultPlan, QueryOutcome, SimConfig, SimWorld};
+use delayguard_testkit::{check, seed_directory, QueryOutcome, SimConfig, SimWorld};
 use std::time::Duration;
 
 fn open_gatekeeper() -> GatekeeperConfig {
@@ -44,23 +43,6 @@ fn guard_config(cap_secs: f64) -> GuardConfig {
         })
 }
 
-fn seed_directory(db: &GuardedDatabase, rows: usize) {
-    db.execute_at(
-        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-        0.0,
-    )
-    .unwrap();
-    db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-        .unwrap();
-    for id in 0..rows {
-        db.execute_at(
-            &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-            0.0,
-        )
-        .unwrap();
-    }
-}
-
 fn sim_world(seed: u64, rows: usize, cap_secs: f64, send_queue_rows: usize) -> SimWorld {
     let world = SimWorld::new(
         seed,
@@ -74,10 +56,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, send_queue_rows: usize) -> S
             },
             tick: Duration::from_millis(1),
             send_queue_rows,
-            faults: FaultPlan::ideal(),
+            ..SimConfig::default()
         },
     );
-    seed_directory(&world.db(), rows);
+    seed_directory(&world, rows as u64);
     world
 }
 

@@ -11,7 +11,7 @@ use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::{Frame, RefuseReason};
 use delayguard_sim::MetricValue;
 use delayguard_testkit::net::{register_once, run_query};
-use delayguard_testkit::{check, FaultPlan, NetLink, QueryOutcome, SimConfig, SimWorld};
+use delayguard_testkit::{check, seed_directory, NetLink, QueryOutcome, SimConfig, SimWorld};
 use std::time::{Duration, Instant};
 
 fn open_gatekeeper() -> GatekeeperConfig {
@@ -41,24 +41,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, send_queue_rows: usize) -> S
             },
             tick: Duration::from_millis(1),
             send_queue_rows,
-            faults: FaultPlan::ideal(),
+            ..SimConfig::default()
         },
     );
-    let db = world.db();
-    db.execute_at(
-        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-        0.0,
-    )
-    .unwrap();
-    db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-        .unwrap();
-    for id in 0..rows {
-        db.execute_at(
-            &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-            0.0,
-        )
-        .unwrap();
-    }
+    seed_directory(&world, rows as u64);
     world
 }
 

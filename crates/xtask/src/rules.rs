@@ -10,9 +10,11 @@
 //!   layers (`crates/core/src/policy.rs`, `crates/core/src/snapshot.rs`,
 //!   all of `crates/popularity`) and on the whole deterministic serving
 //!   path (`crates/server/src`, `crates/core/src/guarded.rs`,
-//!   `crates/core/src/clock.rs`, all of `crates/cluster/src` — the
-//!   cluster world runs entirely under the shared `ManualClock`, and a
-//!   single wall read would make its event loop unreplayable): those
+//!   `crates/core/src/clock.rs`, and the simulated world with its
+//!   drivers, `crates/testkit/src/{world,partition,campaign,staleness}.rs`
+//!   — the world runs entirely under the shared `ManualClock`, and a
+//!   single wall read would make its event loop unreplayable; not
+//!   `net.rs`, whose `TcpNet` reads the wall on purpose): those
 //!   layers take time as a parameter or read it through the `Clock`
 //!   facade, so the same code runs under the simulated clock and stays
 //!   deterministic and model-checkable. The only vetted exceptions (in
@@ -21,7 +23,7 @@
 //! * **R3 no `unwrap`/`expect` on server paths** — the long-running
 //!   server loops (`server.rs`, `scheduler.rs`, `wheel.rs`) and the
 //!   cluster front door's router/delta-sync path
-//!   (`crates/cluster/src/sim.rs`, `crates/cluster/src/partition.rs`)
+//!   (`crates/testkit/src/world.rs`, `crates/testkit/src/partition.rs`)
 //!   must not panic on recoverable conditions; vetted exceptions live in
 //!   `crates/xtask/lint-allow.txt`. Unit-test modules are exempt.
 //! * **R4 no `Relaxed` pointer publishes** — a store/swap (or the
@@ -181,7 +183,13 @@ fn wall_clock_banned(rel: &str) -> bool {
         || rel == "crates/core/src/clock.rs"
         || rel.starts_with("crates/popularity/")
         || rel.starts_with("crates/server/src/")
-        || rel.starts_with("crates/cluster/src/")
+        || matches!(
+            rel,
+            "crates/testkit/src/world.rs"
+                | "crates/testkit/src/partition.rs"
+                | "crates/testkit/src/campaign.rs"
+                | "crates/testkit/src/staleness.rs"
+        )
 }
 
 fn rule_no_wall_clock(
@@ -231,8 +239,8 @@ fn panic_free_path(rel: &str) -> bool {
             | "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/wheel.rs"
-            | "crates/cluster/src/sim.rs"
-            | "crates/cluster/src/partition.rs"
+            | "crates/testkit/src/world.rs"
+            | "crates/testkit/src/partition.rs"
     )
 }
 
@@ -323,7 +331,7 @@ fn row_loop_alloc_path(rel: &str) -> bool {
         "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/protocol.rs"
-            | "crates/cluster/src/sim.rs"
+            | "crates/testkit/src/world.rs"
     )
 }
 
@@ -613,31 +621,33 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_banned_across_the_cluster_crate() {
+    fn wall_clock_banned_across_the_simulated_world() {
         let src = "fn f() { let t = Instant::now(); }\n";
         for rel in [
-            "crates/cluster/src/sim.rs",
-            "crates/cluster/src/partition.rs",
-            "crates/cluster/src/campaign.rs",
-            "crates/cluster/src/lib.rs",
+            "crates/testkit/src/world.rs",
+            "crates/testkit/src/partition.rs",
+            "crates/testkit/src/campaign.rs",
+            "crates/testkit/src/staleness.rs",
         ] {
             assert_eq!(lint(rel, src).len(), 1, "{rel} must be in R2 scope");
         }
-        // Cluster integration tests may time things for real.
-        assert!(lint("crates/cluster/tests/cluster_campaigns.rs", src).is_empty());
+        // `TcpNet` is the real-socket transport: it reads the wall on
+        // purpose. Integration tests may time things for real.
+        assert!(lint("crates/testkit/src/net.rs", src).is_empty());
+        assert!(lint("crates/testkit/tests/cluster_campaigns.rs", src).is_empty());
     }
 
     #[test]
     fn unwrap_on_cluster_router_path_fires() {
         let src = "fn f() { x.lock().unwrap(); }\n";
         for rel in [
-            "crates/cluster/src/sim.rs",
-            "crates/cluster/src/partition.rs",
+            "crates/testkit/src/world.rs",
+            "crates/testkit/src/partition.rs",
         ] {
             assert_eq!(lint(rel, src).len(), 1, "{rel} must be in R3 scope");
         }
         // The campaign driver is a test harness, not the router loop.
-        assert!(lint("crates/cluster/src/campaign.rs", src).is_empty());
+        assert!(lint("crates/testkit/src/campaign.rs", src).is_empty());
     }
 
     #[test]
@@ -788,7 +798,7 @@ mod tests {
                 "crates/server/src/gate.rs",
                 "crates/server/src/scheduler.rs",
                 "crates/server/src/protocol.rs",
-                "crates/cluster/src/sim.rs",
+                "crates/testkit/src/world.rs",
             ] {
                 let f = lint(rel, bad);
                 assert_eq!(f.len(), 1, "{rel} must flag {bad:?}");
