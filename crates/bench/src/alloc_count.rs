@@ -71,14 +71,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Heap allocations performed by this thread since it started (or since
-/// the last [`take`]).
+/// Heap allocations performed by this thread since it started.
 pub fn count() -> u64 {
     ALLOCS.with(|c| c.get())
-}
-
-/// Reset this thread's counter, returning the previous total.
-#[allow(dead_code)]
-pub fn take() -> u64 {
-    ALLOCS.with(|c| c.replace(0))
 }

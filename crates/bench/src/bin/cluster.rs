@@ -1,5 +1,6 @@
 //! Cluster bench: router hop overhead and delta-sync convergence.
-//! Writes `BENCH_cluster.json` at the repo root.
+//! A full run writes `BENCH_cluster.json` at the repo root (schema:
+//! [`delayguard_bench::report`]).
 //!
 //! ```text
 //! cargo run -p delayguard-bench --release --bin cluster
@@ -31,10 +32,11 @@
 //!   took to converge — which must stay within one sync interval plus
 //!   the probing granularity.
 
+use delayguard_bench::report::{Op::*, Report, Scope::*};
 use delayguard_core::analysis;
 use delayguard_testkit::campaign::{Campaign, CampaignParams, CrawlReport};
 use delayguard_workload::generalized_harmonic;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Timing repetitions; the minimum per-query time is reported.
@@ -65,17 +67,14 @@ impl Timing {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (n, queries) = if smoke {
+fn main() -> ExitCode {
+    let mut report = Report::new("cluster");
+    let (n, queries) = if report.smoke() {
         (300, 150u64)
     } else {
         (1100, 1500u64)
     };
-    eprintln!(
-        "cluster bench: n={n}, {NODES} nodes, {queries} point queries{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    eprintln!("cluster bench: n={n}, {NODES} nodes, {queries} point queries");
 
     // ---- router hop overhead ------------------------------------------
     // The same rank-1 point query, repeated, against the same warmed
@@ -119,12 +118,11 @@ fn main() {
 
     let ratio = routed.per_query_secs() / direct.per_query_secs().max(1e-12);
     eprintln!(
-        "  point query: {:.1}us routed / {:.1}us direct node = {ratio:.2}x \
-         (gate: <= 2x{}); {:.1}us single-node world; snapshot rebuilds \
+        "  point query: {:.1}us routed / {:.1}us direct node = {ratio:.2}x; \
+         {:.1}us single-node world; snapshot rebuilds \
          {} routed / {} direct / {} single",
         routed.per_query_secs() * 1e6,
         direct.per_query_secs() * 1e6,
-        if smoke { ", not enforced in smoke" } else { "" },
         single_node.per_query_secs() * 1e6,
         routed.rebuilds,
         direct.rebuilds,
@@ -154,53 +152,66 @@ fn main() {
     let probe_step = SYNC_INTERVAL_SECS / 8.0;
     let deadline = shifted_at + 4.0 * SYNC_INTERVAL_SECS;
     let mut probes = 0u64;
+    // A shift that never converges runs into the deadline and fails
+    // the gate below with the time it was given.
     let converged_secs = loop {
         campaign.world().run_for(probe_step);
         probes += 1;
         let d = campaign.probe_delay([10, 3, (probes >> 8) as u8, probes as u8], 2);
-        if rel_err(d, expected_post) <= CONVERGED_REL_ERR {
-            break campaign.world().now_secs() - shifted_at;
+        let now = campaign.world().now_secs();
+        if rel_err(d, expected_post) <= CONVERGED_REL_ERR || now >= deadline {
+            break now - shifted_at;
         }
-        assert!(
-            campaign.world().now_secs() < deadline,
-            "traffic shift failed to converge: probe {d} vs post-shift closed form \
-             {expected_post} after {:.0} virtual secs",
-            campaign.world().now_secs() - shifted_at,
-        );
     };
     eprintln!(
         "  traffic shift converged in {converged_secs:.1} virtual secs \
          ({probes} probes, sync interval {SYNC_INTERVAL_SECS:.0}s)"
     );
+
+    report
+        .param("nodes", NODES as f64)
+        .param("rows", n as f64)
+        .param("point_queries", queries as f64)
+        .param("sync_interval_secs", SYNC_INTERVAL_SECS);
+    let rebuilds = |t: Timing| t.rebuilds as f64;
+    for (name, value, unit) in [
+        ("routed_per_query_secs", routed.per_query_secs(), "s"),
+        ("direct_node_per_query_secs", direct.per_query_secs(), "s"),
+        (
+            "single_node_world_per_query_secs",
+            single_node.per_query_secs(),
+            "s",
+        ),
+        ("routed_over_direct_node", ratio, "x"),
+        ("routed_snapshot_rebuilds", rebuilds(routed), "count"),
+        ("direct_node_snapshot_rebuilds", rebuilds(direct), "count"),
+        (
+            "single_node_world_snapshot_rebuilds",
+            rebuilds(single_node),
+            "count",
+        ),
+        (
+            "shift_convergence_virtual_secs",
+            converged_secs,
+            "virtual s",
+        ),
+        ("shift_convergence_probes", probes as f64, "count"),
+    ] {
+        report.sample(name, value, unit);
+    }
     // Convergence is bounded by the next gossip tick plus the probing
     // granularity — structural, so always enforced.
-    assert!(
-        converged_secs <= SYNC_INTERVAL_SECS + 2.0 * probe_step,
-        "convergence took {converged_secs}s, sync interval is {SYNC_INTERVAL_SECS}s"
-    );
-
-    let path = output_path();
-    std::fs::write(
-        &path,
-        render_json(
-            smoke,
-            n,
-            queries,
-            routed,
-            direct,
-            single_node,
-            ratio,
+    let converge_max = SYNC_INTERVAL_SECS + 2.0 * probe_step;
+    report
+        .gate(
+            "shift_convergence_virtual_secs",
             converged_secs,
-            probes,
-        ),
-    )
-    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-
-    if !smoke && ratio > 2.0 {
-        eprintln!("FAIL: routed point query took {ratio:.2}x the direct-node one");
-        std::process::exit(1);
-    }
+            Le,
+            converge_max,
+            Always,
+        )
+        .gate("routed_over_direct_node", ratio, Le, 2.0, FullRun)
+        .finish()
 }
 
 fn params(n: u64, nodes: usize) -> CampaignParams {
@@ -242,75 +253,4 @@ fn min_timing(best: Option<Timing>, t: Timing) -> Timing {
         Some(b) if b.wall_secs <= t.wall_secs => b,
         _ => t,
     }
-}
-
-/// `BENCH_cluster.json` at the repository root.
-fn output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_cluster.json")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    smoke: bool,
-    n: u64,
-    queries: u64,
-    routed: Timing,
-    direct: Timing,
-    single_node: Timing,
-    ratio: f64,
-    converged_secs: f64,
-    probes: u64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"cluster\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!(
-        "  \"hardware_threads\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"nodes\": {NODES},\n"));
-    out.push_str(&format!("  \"rows\": {n},\n"));
-    out.push_str(&format!("  \"point_queries\": {queries},\n"));
-    out.push_str(&format!(
-        "  \"routed_per_query_secs\": {:.9},\n",
-        routed.per_query_secs()
-    ));
-    out.push_str(&format!(
-        "  \"direct_node_per_query_secs\": {:.9},\n",
-        direct.per_query_secs()
-    ));
-    out.push_str(&format!(
-        "  \"single_node_world_per_query_secs\": {:.9},\n",
-        single_node.per_query_secs()
-    ));
-    out.push_str(&format!("  \"routed_over_direct_node\": {ratio:.4},\n"));
-    out.push_str(&format!(
-        "  \"routed_snapshot_rebuilds\": {},\n",
-        routed.rebuilds
-    ));
-    out.push_str(&format!(
-        "  \"direct_node_snapshot_rebuilds\": {},\n",
-        direct.rebuilds
-    ));
-    out.push_str(&format!(
-        "  \"single_node_world_snapshot_rebuilds\": {},\n",
-        single_node.rebuilds
-    ));
-    out.push_str(&format!(
-        "  \"sync_interval_secs\": {SYNC_INTERVAL_SECS:.1},\n"
-    ));
-    out.push_str(&format!(
-        "  \"shift_convergence_virtual_secs\": {converged_secs:.3},\n"
-    ));
-    out.push_str(&format!("  \"shift_convergence_probes\": {probes},\n"));
-    out.push_str(
-        "  \"acceptance\": \"traffic shift converges within one sync interval plus probing \
-         granularity (always enforced); routed point query within 2x of the same query pinned \
-         straight to the owning node (enforced on the full run)\"\n",
-    );
-    out.push('}');
-    out.push('\n');
-    out
 }

@@ -1,6 +1,7 @@
 //! Timing side-channel bench: rank-inference accuracy, shaped vs
-//! control, and the honest-user price of delay shaping. Writes
-//! `BENCH_sidechannel.json` at the repo root.
+//! control, and the honest-user price of delay shaping. A full run
+//! writes `BENCH_sidechannel.json` at the repo root (schema:
+//! [`delayguard_bench::report`]).
 //!
 //! ```text
 //! cargo run -p delayguard-bench --release --bin sidechannel
@@ -22,10 +23,11 @@
 //!   the reported inflation factor is that ratio, measured on the wire.
 //!
 //! `--smoke` runs the same shape (the campaign is virtual-clock fast)
-//! but skips the accuracy gates; the JSON is written either way.
+//! and records the accuracy gates without enforcing them.
 
+use delayguard_bench::report::{Op::*, Report, Scope::*};
 use delayguard_testkit::campaign::{Campaign, CampaignParams, RankInferenceReport};
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Pinned seed: the bench is a measurement, not a property sweep; the
@@ -63,8 +65,8 @@ fn run_world(shaped: bool) -> WorldRun {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> ExitCode {
+    let mut report = Report::new("sidechannel");
     let wall = Instant::now();
     let n = CampaignParams::sidechannel(false).n;
 
@@ -100,8 +102,9 @@ fn main() {
     );
 
     let inflation = shaped.median_user_secs / control.median_user_secs;
-    let attack_ratio =
-        shaped.report.sweep.total_charged_secs / control.report.sweep.total_charged_secs;
+    let control_total = control.report.sweep.total_charged_secs;
+    let shaped_total = shaped.report.sweep.total_charged_secs;
+    let attack_ratio = shaped_total / control_total;
     let elapsed = wall.elapsed().as_secs_f64();
     eprintln!(
         "median user pays {:.3}s shaped vs {:.3}s raw ({inflation:.2}x); \
@@ -109,131 +112,71 @@ fn main() {
         shaped.median_user_secs, control.median_user_secs
     );
 
-    let path = output_path();
-    std::fs::write(
-        &path,
-        render_json(
-            smoke,
-            n,
-            tail_k,
-            &control,
-            &shaped,
-            &adaptive_control,
-            &adaptive_shaped,
-            inflation,
-            attack_ratio,
-            elapsed,
+    let (tau, shaped_tau) = (control.report.tau, shaped.report.tau);
+    report
+        .param("seed", SEED as f64)
+        .param("rows", n as f64)
+        .param("tail_k", tail_k as f64);
+    for (name, value, unit) in [
+        ("control_tau", tau, "tau"),
+        ("shaped_tau", shaped_tau, "tau"),
+        (
+            "analytic_shaped_tau_ceiling",
+            shaped.analytic_ceiling,
+            "tau",
         ),
-    )
-    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-
-    if !smoke {
-        let fail = |cond: bool, msg: &str| {
-            if cond {
-                eprintln!("FAIL: {msg}");
-                std::process::exit(1);
-            }
-        };
-        fail(
-            control.report.tau < 0.9,
-            &format!("control tau {:.4} < 0.9", control.report.tau),
-        );
-        fail(
-            shaped.report.tau.abs() > 0.15,
-            &format!("shaped |tau| {:.4} > 0.15", shaped.report.tau.abs()),
-        );
-        fail(
-            inflation > 10.0,
-            &format!("median-user inflation {inflation:.2}x > 10x"),
-        );
+        (
+            "control_tail_recall",
+            control.report.tail_recall,
+            "fraction",
+        ),
+        ("shaped_tail_recall", shaped.report.tail_recall, "fraction"),
+        (
+            "adaptive_control_fitted_exponent",
+            adaptive_control.fitted_exponent,
+            "exponent",
+        ),
+        (
+            "adaptive_control_tail_capture",
+            adaptive_control.tail_capture,
+            "fraction",
+        ),
+        (
+            "adaptive_shaped_tail_capture",
+            adaptive_shaped.tail_capture,
+            "fraction",
+        ),
+        (
+            "control_median_user_secs",
+            control.median_user_secs,
+            "virtual s",
+        ),
+        (
+            "shaped_median_user_secs",
+            shaped.median_user_secs,
+            "virtual s",
+        ),
+        ("honest_median_inflation", inflation, "x"),
+        ("control_adversary_total_secs", control_total, "virtual s"),
+        ("shaped_adversary_total_secs", shaped_total, "virtual s"),
+        (
+            "analytic_control_total_secs",
+            control.analytic_total,
+            "virtual s",
+        ),
+        (
+            "analytic_shaped_total_secs",
+            shaped.analytic_total,
+            "virtual s",
+        ),
+        ("attack_cost_ratio", attack_ratio, "x"),
+        ("wall_secs", elapsed, "s"),
+    ] {
+        report.sample(name, value, unit);
     }
-}
-
-/// `BENCH_sidechannel.json` at the repository root.
-fn output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_sidechannel.json")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    smoke: bool,
-    n: u64,
-    tail_k: usize,
-    control: &WorldRun,
-    shaped: &WorldRun,
-    adaptive_control: &delayguard_testkit::AdaptiveReport,
-    adaptive_shaped: &delayguard_testkit::AdaptiveReport,
-    inflation: f64,
-    attack_ratio: f64,
-    wall_secs: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"sidechannel\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"rows\": {n},\n"));
-    out.push_str(&format!("  \"tail_k\": {tail_k},\n"));
-    out.push_str(&format!("  \"control_tau\": {:.6},\n", control.report.tau));
-    out.push_str(&format!("  \"shaped_tau\": {:.6},\n", shaped.report.tau));
-    out.push_str(&format!(
-        "  \"analytic_shaped_tau_ceiling\": {:.6},\n",
-        shaped.analytic_ceiling
-    ));
-    out.push_str(&format!(
-        "  \"control_tail_recall\": {:.6},\n",
-        control.report.tail_recall
-    ));
-    out.push_str(&format!(
-        "  \"shaped_tail_recall\": {:.6},\n",
-        shaped.report.tail_recall
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_control_fitted_exponent\": {:.6},\n",
-        adaptive_control.fitted_exponent
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_control_tail_capture\": {:.6},\n",
-        adaptive_control.tail_capture
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_shaped_tail_capture\": {:.6},\n",
-        adaptive_shaped.tail_capture
-    ));
-    out.push_str(&format!(
-        "  \"control_median_user_secs\": {:.6},\n",
-        control.median_user_secs
-    ));
-    out.push_str(&format!(
-        "  \"shaped_median_user_secs\": {:.6},\n",
-        shaped.median_user_secs
-    ));
-    out.push_str(&format!("  \"honest_median_inflation\": {inflation:.4},\n"));
-    out.push_str(&format!(
-        "  \"control_adversary_total_secs\": {:.3},\n",
-        control.report.sweep.total_charged_secs
-    ));
-    out.push_str(&format!(
-        "  \"shaped_adversary_total_secs\": {:.3},\n",
-        shaped.report.sweep.total_charged_secs
-    ));
-    out.push_str(&format!(
-        "  \"analytic_control_total_secs\": {:.3},\n",
-        control.analytic_total
-    ));
-    out.push_str(&format!(
-        "  \"analytic_shaped_total_secs\": {:.3},\n",
-        shaped.analytic_total
-    ));
-    out.push_str(&format!("  \"attack_cost_ratio\": {attack_ratio:.4},\n"));
-    out.push_str(&format!("  \"wall_secs\": {wall_secs:.3},\n"));
-    out.push_str(
-        "  \"acceptance\": \"control tau >= 0.9 and shaped |tau| <= 0.15 (gated on full runs): \
-         shaping collapses rank inference to the cross-bucket ceiling while the median user's \
-         delay inflates by a bounded quantization factor\"\n",
-    );
-    out.push_str("}\n");
-    out
+    report
+        .gate("control_tau", tau, Ge, 0.9, FullRun)
+        .gate("shaped_tau_abs", shaped_tau.abs(), Le, 0.15, FullRun)
+        .gate("honest_median_inflation", inflation, Le, 10.0, FullRun)
+        .finish()
 }

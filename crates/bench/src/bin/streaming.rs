@@ -1,7 +1,8 @@
 //! Streaming-pipeline bench: first-row latency and peak buffered rows,
 //! materialized (`execute_with_deadline`) vs streaming
 //! (`execute_stmt_streaming` pulled in 256-row chunks), at 1k / 100k / 1M-row
-//! scans. Writes `BENCH_streaming.json` at the repo root.
+//! scans. A full run writes `BENCH_streaming.json` at the repo root
+//! (schema: [`delayguard_bench::report`]).
 //!
 //! ```text
 //! cargo run -p delayguard-bench --release --bin streaming
@@ -11,27 +12,23 @@
 //! The point of the streaming executor is that result-set memory and
 //! time-to-first-tuple stop scaling with the scan: the materialized path
 //! buffers all `n` rows before the first can be priced, the streaming
-//! path never holds more than one chunk. `--smoke` runs small shapes for
-//! CI; the latency gate (first row of the largest scan within 2x of a
-//! one-row query) is enforced only on the full run.
+//! path never holds more than one chunk (gated on every run). `--smoke`
+//! runs small shapes for CI; the latency gate (first row of the largest
+//! scan within 2x of a one-row query) is enforced only on the full run.
+//! The prepared drain loop's allocation budget is measured and gated
+//! once, by the `throughput` bin.
 
-use delayguard_bench::throughput::{measure_hot_path, HotPathMeters, ThroughputConfig};
+use delayguard_bench::report::{Op::*, Report, Scope::*};
+use delayguard_bench::throughput::{seeded_db, ThroughputConfig};
 use delayguard_core::{ChargedChunk, GuardConfig, GuardedDatabase, StreamedQuery};
 use delayguard_query::{parse, RowBuf};
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::process::ExitCode;
 use std::time::Instant;
-
-#[path = "../alloc_count.rs"]
-mod alloc_count;
 
 /// Matches `ServerConfig::stream_chunk_rows`'s default.
 const CHUNK_ROWS: usize = 256;
 /// Timing repetitions; the minimum is reported.
 const REPS: usize = 5;
-/// Steady-state allocation budget for one prepared query on the zero-copy
-/// path (one access-event queue node plus its key vector per chunk).
-const ALLOCS_PER_QUERY_MAX: f64 = 2.0;
 
 #[derive(Debug, Clone, Copy)]
 struct Sample {
@@ -44,19 +41,17 @@ struct Sample {
     peak_buffered_rows: u64,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scans: &[u64] = if smoke {
+fn main() -> ExitCode {
+    let mut report = Report::new("streaming");
+    let scans: &[u64] = if report.smoke() {
         &[1_000, 10_000]
     } else {
         &[1_000, 100_000, 1_000_000]
     };
     let largest = *scans.last().unwrap();
+    report.param("chunk_rows", CHUNK_ROWS as f64);
 
-    eprintln!(
-        "streaming pipeline bench: scans {scans:?}, chunk {CHUNK_ROWS} rows{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    eprintln!("streaming pipeline bench: scans {scans:?}, chunk {CHUNK_ROWS} rows");
 
     // One database per scan size, fully scanned: first-row latency must
     // not scale with the table. The point-query baseline runs against the
@@ -66,7 +61,14 @@ fn main() {
     let mut materialized = Vec::new();
     let mut streaming = Vec::new();
     for &rows in scans {
-        let db = seeded_db(rows);
+        // No warm-up traffic: every tuple prices at the start-up cap,
+        // which costs the pipeline the same work as a learned price.
+        let shape = ThroughputConfig {
+            rows,
+            warmup_queries: 0,
+            ..ThroughputConfig::default()
+        };
+        let db = seeded_db(GuardConfig::paper_default(), &shape);
         let m = best_of(REPS, || run_materialized(&db, "SELECT * FROM t"));
         // One full drain validates the count and the chunk-bounded peak
         // buffer; the first-row metric then comes from reps that drop the
@@ -97,86 +99,39 @@ fn main() {
         }
     }
     let point = point.unwrap();
-    eprintln!(
-        "  point query ({largest}-row table): first row {:.1}us",
-        point.first_row_secs * 1e6
-    );
+    let ratio = streaming.last().unwrap().first_row_secs / point.first_row_secs.max(1e-12);
+    let peak = streaming
+        .iter()
+        .map(|s| s.peak_buffered_rows)
+        .max()
+        .unwrap();
 
-    // The memory bound is structural, not statistical: enforce it always.
-    for s in &streaming {
-        assert!(
-            s.peak_buffered_rows <= CHUNK_ROWS as u64,
-            "streaming buffered {} rows, chunk is {CHUNK_ROWS}",
-            s.peak_buffered_rows
-        );
-    }
-
-    let largest_first_row = streaming.last().unwrap().first_row_secs;
-    let ratio = largest_first_row / point.first_row_secs.max(1e-12);
-    eprintln!(
-        "  first-row latency, {largest}-row scan vs point query: {ratio:.2}x (gate: <= 2x{})",
-        if smoke { ", not enforced in smoke" } else { "" }
-    );
-
-    // Memory discipline on the streaming hot path: the same prepared
-    // drain loop the server runs, metered by the counting allocator and
-    // the codec copymeter.
-    let hot_shape = ThroughputConfig {
-        rows: 8192,
-        rows_per_query: 32,
-        queries_per_thread: 0,
-        warmup_queries: 0,
+    let columns = ["rows", "first_row_secs", "total_secs", "peak_buffered_rows"];
+    let row = |s: &Sample| {
+        let (rows, peak) = (s.rows as f64, s.peak_buffered_rows as f64);
+        [rows, s.first_row_secs, s.total_secs, peak]
     };
-    let hot_db = Arc::new(seeded_db(hot_shape.rows));
-    let meters = measure_hot_path(&hot_db, &hot_shape, &alloc_count::count);
-    eprintln!(
-        "  hot path: {:.3} allocs/query (budget {ALLOCS_PER_QUERY_MAX}), \
-         {:.1} bytes copied/row",
-        meters.allocs_per_query, meters.bytes_copied_per_row
-    );
-
-    let path = output_path();
-    std::fs::write(
-        &path,
-        render_json(smoke, &point, &materialized, &streaming, ratio, &meters),
-    )
-    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-
-    // The allocation budget is structural too: enforced even in smoke.
-    if meters.allocs_per_query > ALLOCS_PER_QUERY_MAX {
-        eprintln!(
-            "FAIL: {:.3} allocs/query on the streaming hot path, budget is \
-             {ALLOCS_PER_QUERY_MAX}",
-            meters.allocs_per_query
-        );
-        std::process::exit(1);
-    }
-
-    if !smoke && ratio > 2.0 {
-        eprintln!(
-            "FAIL: first row of the {largest}-row streaming scan took {ratio:.2}x a point query"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn seeded_db(rows: u64) -> GuardedDatabase {
-    let db = GuardedDatabase::new(GuardConfig::paper_default());
-    db.execute_at("CREATE TABLE t (id INT NOT NULL, body TEXT)", 0.0)
-        .unwrap();
-    db.execute_at("CREATE UNIQUE INDEX t_pk ON t (id)", 0.0)
-        .unwrap();
-    let mut i = 0;
-    while i < rows {
-        let end = (i + 256).min(rows);
-        let values: Vec<String> = (i..end).map(|k| format!("({k}, 'row-{k}')")).collect();
-        db.execute_at(&format!("INSERT INTO t VALUES {}", values.join(", ")), 0.0)
-            .unwrap();
-        i = end;
-    }
-    db.refresh();
-    db
+    report
+        .sample("point_query_first_row_secs", point.first_row_secs, "s")
+        .rows("materialized", columns, materialized.iter().map(row))
+        .rows("streaming", columns, streaming.iter().map(row))
+        .sample("largest_scan_first_row_over_point_query", ratio, "x")
+        // The memory bound is structural, not statistical: always enforced.
+        .gate(
+            "peak_buffered_rows",
+            peak as f64,
+            Le,
+            CHUNK_ROWS as f64,
+            Always,
+        )
+        .gate(
+            "largest_scan_first_row_over_point_query",
+            ratio,
+            Le,
+            2.0,
+            FullRun,
+        )
+        .finish()
 }
 
 fn best_of(reps: usize, mut run: impl FnMut() -> Sample) -> Sample {
@@ -252,67 +207,4 @@ fn run_streaming(
         StreamedQuery::Finished(_) => panic!("expected a SELECT"),
     })
     .unwrap()
-}
-
-/// `BENCH_streaming.json` at the repository root.
-fn output_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_streaming.json")
-}
-
-fn render_json(
-    smoke: bool,
-    point: &Sample,
-    materialized: &[Sample],
-    streaming: &[Sample],
-    ratio: f64,
-    meters: &HotPathMeters,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"streaming_pipeline\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"chunk_rows\": {CHUNK_ROWS},\n"));
-    out.push_str(&format!(
-        "  \"point_query_first_row_secs\": {:.9},\n",
-        point.first_row_secs
-    ));
-    out.push_str(&format!(
-        "  \"materialized\": {},\n",
-        samples_json(materialized)
-    ));
-    out.push_str(&format!("  \"streaming\": {},\n", samples_json(streaming)));
-    out.push_str(&format!(
-        "  \"largest_scan_first_row_over_point_query\": {ratio:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"hot_path\": {{\"allocs_per_query\": {:.3}, \"bytes_copied_per_row\": {:.3}}},\n",
-        meters.allocs_per_query, meters.bytes_copied_per_row
-    ));
-    out.push_str(&format!(
-        "  \"budget\": {{\"allocs_per_query_max\": {ALLOCS_PER_QUERY_MAX:.1}}},\n"
-    ));
-    out.push_str(
-        "  \"acceptance\": \"streaming peak_buffered_rows <= chunk_rows at every scan size \
-         (always enforced); allocs_per_query <= budget on the prepared drain loop (always \
-         enforced); first row of the largest scan within 2x of a one-row query (enforced on \
-         the full run)\"\n",
-    );
-    out.push('}');
-    out.push('\n');
-    out
-}
-
-fn samples_json(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"rows\": {}, \"first_row_secs\": {:.9}, \"total_secs\": {:.9}, \
-                 \"peak_buffered_rows\": {}}}",
-                s.rows, s.first_row_secs, s.total_secs, s.peak_buffered_rows
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", entries.join(",\n"))
 }

@@ -2,7 +2,11 @@
 //!
 //! Experiment implementations ([`experiments`]) shared by the
 //! `experiments` harness binary (regenerates every table and figure of the
-//! paper) and the Criterion benches under `benches/`.
+//! paper) and the Criterion benches under `benches/`, plus the five gated
+//! bench bins (`throughput`, `streaming`, `cluster`, `sidechannel`,
+//! `writes`) that back the committed `BENCH_<name>.json` files — all five
+//! written by [`report::Report`] in the one schema its module docs
+//! describe.
 //!
 //! Run the full harness with:
 //!
@@ -15,4 +19,5 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod report;
 pub mod throughput;

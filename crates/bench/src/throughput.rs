@@ -19,8 +19,7 @@ use delayguard_query::ast::Statement;
 use delayguard_query::{parse, ExecScratch, RowBuf};
 use delayguard_storage::copymeter;
 use delayguard_workload::Rng;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::thread;
 use std::time::Instant;
 
@@ -87,9 +86,10 @@ pub fn snapshot_sharded_config() -> GuardConfig {
 }
 
 /// Build and seed a guarded database for the workload: `rows` tuples,
-/// indexed id column, plus sequential warm-up traffic (through the exact
-/// virtual-time path) and an initial snapshot refresh.
-pub fn seeded_db(config: GuardConfig, shape: &ThroughputConfig) -> Arc<GuardedDatabase> {
+/// indexed id column, plus `warmup_queries` of sequential warm-up traffic
+/// (through the exact virtual-time path; none leaves every tuple at the
+/// start-up cap) and an initial snapshot refresh.
+pub fn seeded_db(config: GuardConfig, shape: &ThroughputConfig) -> GuardedDatabase {
     let db = GuardedDatabase::new(config);
     db.execute_at("CREATE TABLE t (id INT NOT NULL, body TEXT)", 0.0)
         .unwrap();
@@ -119,7 +119,7 @@ pub fn seeded_db(config: GuardConfig, shape: &ThroughputConfig) -> Arc<GuardedDa
         .unwrap();
     }
     db.refresh();
-    Arc::new(db)
+    db
 }
 
 /// Each worker's query mix: 64 distinct range scans, cycled.
@@ -136,156 +136,117 @@ fn worker_sql(tid: u64, shape: &ThroughputConfig) -> Vec<String> {
         .collect()
 }
 
-/// Pre-parse each worker's query mix, so the measured phase is execute +
-/// price + record, not SQL parsing.
-fn worker_statements(tid: u64, shape: &ThroughputConfig) -> Vec<Statement> {
-    worker_sql(tid, shape)
-        .iter()
-        .map(|sql| parse(sql).unwrap())
-        .collect()
-}
-
-/// Prepare each worker's query mix for the zero-copy hot path.
-fn worker_prepared(db: &GuardedDatabase, tid: u64, shape: &ThroughputConfig) -> Vec<PreparedQuery> {
-    worker_sql(tid, shape)
+/// One worker's query closure for the allocation-free pipeline: its own
+/// prepared query mix and recycled scratch/row/pricing buffers, each
+/// call draining query `q` of the mix through
+/// `execute_prepared_streaming` in `chunk_rows`-sized pulls — the exact
+/// shape of the server gate's per-connection loop. Returns the rows seen.
+fn prepared_worker<'a>(
+    db: &'a GuardedDatabase,
+    tid: u64,
+    shape: &ThroughputConfig,
+) -> impl FnMut(u64) -> u64 + 'a {
+    let mut preps: Vec<PreparedQuery> = worker_sql(tid, shape)
         .iter()
         .map(|sql| db.prepare(sql).unwrap())
-        .collect()
+        .collect();
+    let mut scratch = ExecScratch::new();
+    let mut buf = RowBuf::new();
+    let mut charged = ChargedChunk::default();
+    // One row more than a full result, so the last (only) chunk comes
+    // back short and the drain ends without an empty probe.
+    let chunk_rows = shape.rows_per_query as usize + 1;
+    move |q| {
+        let i = (q % preps.len() as u64) as usize;
+        db.execute_prepared_streaming(&mut preps[i], &mut scratch, |mut stream| {
+            let mut rows = 0u64;
+            loop {
+                let n = stream.next_chunk_into(chunk_rows, &mut buf).unwrap();
+                if n == 0 {
+                    break;
+                }
+                stream.charge_into(buf.rows(), &mut charged);
+                rows += n as u64;
+                // A short chunk means the cursor is exhausted; skip the
+                // empty re-probe the trailing `Ok(0)` round would cost.
+                if n < chunk_rows {
+                    break;
+                }
+            }
+            rows
+        })
+        .unwrap()
+    }
 }
 
-/// Run one prepared query through the streaming hot path, draining it in
-/// `chunk_rows`-sized pulls through recycled buffers — the exact shape of
-/// the server gate's per-connection loop. Returns the rows seen.
-#[inline]
-fn drain_prepared(
-    db: &GuardedDatabase,
-    prep: &mut PreparedQuery,
-    scratch: &mut ExecScratch,
-    buf: &mut RowBuf,
-    charged: &mut ChargedChunk,
-    chunk_rows: usize,
-) -> u64 {
-    db.execute_prepared_streaming(prep, scratch, |mut stream| {
-        let mut rows = 0u64;
-        loop {
-            let n = stream.next_chunk_into(chunk_rows, buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            stream.charge_into(buf.rows(), charged);
-            rows += n as u64;
-            // A short chunk means the cursor is exhausted; skip the
-            // empty re-probe the trailing `Ok(0)` round would cost.
-            if n < chunk_rows {
-                break;
-            }
+/// The one measured phase: `threads` workers start together on a
+/// barrier and each issues `queries_per_thread` queries. `worker(tid)`
+/// runs on the worker's own thread and returns its query closure — so
+/// whatever it prepares (statements, recycled buffers) is built before
+/// the clock starts and never crosses threads — which is handed the
+/// query's sequence number and returns the rows it saw.
+fn run<Q: FnMut(u64) -> u64>(
+    threads: usize,
+    shape: &ThroughputConfig,
+    worker: impl Fn(u64) -> Q + Sync,
+) -> ThroughputSample {
+    let barrier = Barrier::new(threads + 1);
+    let started = thread::scope(|s| {
+        for tid in 0..threads as u64 {
+            let (barrier, worker) = (&barrier, &worker);
+            s.spawn(move || {
+                let mut query = worker(tid);
+                barrier.wait();
+                let rows: u64 = (0..shape.queries_per_thread).map(&mut query).sum();
+                assert_eq!(
+                    rows,
+                    shape.queries_per_thread * shape.rows_per_query,
+                    "short result set"
+                );
+            });
         }
-        rows
+        barrier.wait();
+        Instant::now()
+    });
+    let elapsed_secs = started.elapsed().as_secs_f64().max(1e-9);
+    let queries = threads as u64 * shape.queries_per_thread;
+    ThroughputSample {
+        threads,
+        queries,
+        elapsed_secs,
+        qps: queries as f64 / elapsed_secs,
+        tuples_per_sec: (queries * shape.rows_per_query) as f64 / elapsed_secs,
+    }
+}
+
+/// The `snapshot_sharded` series: range scans parsed up front (so what
+/// is measured is execute + price + record, not SQL parsing) and drained
+/// by `execute_stmt_with_deadline`.
+pub fn run_adhoc(
+    db: &GuardedDatabase,
+    threads: usize,
+    shape: &ThroughputConfig,
+) -> ThroughputSample {
+    run(threads, shape, |tid| {
+        let stmts: Vec<Statement> = worker_sql(tid, shape)
+            .iter()
+            .map(|sql| parse(sql).unwrap())
+            .collect();
+        move |q| {
+            let stmt = &stmts[(q % stmts.len() as u64) as usize];
+            let resp = db.execute_stmt_with_deadline(stmt).expect("worker query");
+            resp.tuple_delays.len() as u64
+        }
     })
-    .unwrap()
 }
 
-/// Run the measured phase: `threads` workers each issuing
-/// `queries_per_thread` pre-parsed range scans through
-/// `execute_stmt_with_deadline`.
-pub fn run(
-    db: &Arc<GuardedDatabase>,
-    threads: usize,
-    shape: &ThroughputConfig,
-) -> ThroughputSample {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let failed = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..threads)
-        .map(|tid| {
-            let db = Arc::clone(db);
-            let barrier = Arc::clone(&barrier);
-            let failed = Arc::clone(&failed);
-            let stmts = worker_statements(tid as u64, shape);
-            let queries = shape.queries_per_thread;
-            thread::spawn(move || {
-                barrier.wait();
-                for q in 0..queries {
-                    let stmt = &stmts[(q % stmts.len() as u64) as usize];
-                    if db.execute_stmt_with_deadline(stmt).is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = Instant::now();
-    for w in workers {
-        w.join().unwrap();
-    }
-    let elapsed_secs = started.elapsed().as_secs_f64().max(1e-9);
-    assert!(!failed.load(Ordering::Relaxed), "worker query failed");
-    let queries = threads as u64 * shape.queries_per_thread;
-    ThroughputSample {
-        threads,
-        queries,
-        elapsed_secs,
-        qps: queries as f64 / elapsed_secs,
-        tuples_per_sec: (queries * shape.rows_per_query) as f64 / elapsed_secs,
-    }
-}
-
-/// Run the measured phase through the allocation-free pipeline:
-/// `threads` workers, each with its own prepared query mix and recycled
-/// scratch/row/pricing buffers, issuing `queries_per_thread` queries via
-/// `execute_prepared_streaming`.
+/// The `prepared_zero_copy` series: the allocation-free pipeline.
 pub fn run_prepared(
-    db: &Arc<GuardedDatabase>,
+    db: &GuardedDatabase,
     threads: usize,
     shape: &ThroughputConfig,
 ) -> ThroughputSample {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let workers: Vec<_> = (0..threads)
-        .map(|tid| {
-            let db = Arc::clone(db);
-            let barrier = Arc::clone(&barrier);
-            let mut preps = worker_prepared(&db, tid as u64, shape);
-            let queries = shape.queries_per_thread;
-            let rows_per_query = shape.rows_per_query;
-            // One row more than a full result, so the last (only) chunk
-            // comes back short and the drain ends without an empty probe.
-            let chunk_rows = rows_per_query as usize + 1;
-            thread::spawn(move || {
-                let mut scratch = ExecScratch::new();
-                let mut buf = RowBuf::new();
-                let mut charged = ChargedChunk::default();
-                barrier.wait();
-                let mut rows = 0u64;
-                for q in 0..queries {
-                    let i = (q % preps.len() as u64) as usize;
-                    rows += drain_prepared(
-                        &db,
-                        &mut preps[i],
-                        &mut scratch,
-                        &mut buf,
-                        &mut charged,
-                        chunk_rows,
-                    );
-                }
-                assert_eq!(rows, queries * rows_per_query, "short result set");
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = Instant::now();
-    for w in workers {
-        w.join().unwrap();
-    }
-    let elapsed_secs = started.elapsed().as_secs_f64().max(1e-9);
-    let queries = threads as u64 * shape.queries_per_thread;
-    ThroughputSample {
-        threads,
-        queries,
-        elapsed_secs,
-        qps: queries as f64 / elapsed_secs,
-        tuples_per_sec: (queries * shape.rows_per_query) as f64 / elapsed_secs,
-    }
+    run(threads, shape, |tid| prepared_worker(db, tid, shape))
 }
 
 /// Steady-state instrumentation of the prepared hot path.
@@ -309,42 +270,18 @@ pub struct HotPathMeters {
 /// mark, so the measured span sees only the allocations the pipeline
 /// makes *per query*, not one-time growth.
 pub fn measure_hot_path(
-    db: &Arc<GuardedDatabase>,
+    db: &GuardedDatabase,
     shape: &ThroughputConfig,
     alloc_probe: &dyn Fn() -> u64,
 ) -> HotPathMeters {
-    let mut preps = worker_prepared(db, 0, shape);
-    let mut scratch = ExecScratch::new();
-    let mut buf = RowBuf::new();
-    let mut charged = ChargedChunk::default();
-    let chunk_rows = shape.rows_per_query as usize + 1;
-    let warmup = 256u64;
-    let measured = 1024u64;
-    let mut rows = 0u64;
+    let mut query = prepared_worker(db, 0, shape);
+    let (warmup, measured) = (256u64, 1024u64);
     for q in 0..warmup {
-        let i = (q % preps.len() as u64) as usize;
-        drain_prepared(
-            db,
-            &mut preps[i],
-            &mut scratch,
-            &mut buf,
-            &mut charged,
-            chunk_rows,
-        );
+        query(q);
     }
     let allocs_before = alloc_probe();
     let copied_before = copymeter::read();
-    for q in 0..measured {
-        let i = (q % preps.len() as u64) as usize;
-        rows += drain_prepared(
-            db,
-            &mut preps[i],
-            &mut scratch,
-            &mut buf,
-            &mut charged,
-            chunk_rows,
-        );
-    }
+    let rows: u64 = (0..measured).map(&mut query).sum();
     let allocs = alloc_probe() - allocs_before;
     let copied = copymeter::read() - copied_before;
     HotPathMeters {
@@ -352,37 +289,6 @@ pub fn measure_hot_path(
         allocs_per_query: allocs as f64 / measured as f64,
         bytes_copied_per_row: copied as f64 / rows.max(1) as f64,
     }
-}
-
-/// Sweep thread counts for one configuration over a freshly seeded
-/// database per point (so no run inherits another's learned state).
-pub fn sweep(
-    config: GuardConfig,
-    shape: &ThroughputConfig,
-    thread_counts: &[usize],
-) -> Vec<ThroughputSample> {
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let db = seeded_db(config, shape);
-            run(&db, threads, shape)
-        })
-        .collect()
-}
-
-/// [`sweep`], but through the prepared zero-copy pipeline.
-pub fn sweep_prepared(
-    config: GuardConfig,
-    shape: &ThroughputConfig,
-    thread_counts: &[usize],
-) -> Vec<ThroughputSample> {
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let db = seeded_db(config, shape);
-            run_prepared(&db, threads, shape)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -398,7 +304,7 @@ mod tests {
             warmup_queries: 50,
         };
         let db = seeded_db(snapshot_sharded_config(), &shape);
-        let sample = run(&db, 2, &shape);
+        let sample = run_adhoc(&db, 2, &shape);
         assert_eq!(sample.queries, 100);
         assert!(sample.qps > 0.0);
     }
@@ -448,7 +354,7 @@ mod tests {
             warmup_queries: 10,
         };
         let db = seeded_db(snapshot_sharded_config(), &shape);
-        let sample = run(&db, 4, &shape);
+        let sample = run_adhoc(&db, 4, &shape);
         db.refresh();
         // warmup + measured tuples all recorded, none lost.
         let expected = (shape.warmup_queries + sample.queries) * shape.rows_per_query;

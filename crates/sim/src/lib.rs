@@ -2,7 +2,6 @@
 //!
 //! Virtual-clock simulation of the paper's evaluation (§4):
 //!
-//! * [`events`] — a discrete-event queue over virtual time.
 //! * [`metrics`] — online mean/stdev (Welford) and exact quantiles; the
 //!   paper reports *medians* for users and totals for adversaries.
 //! * [`replay`] — replay a workload trace through the learn→rank→delay
@@ -20,24 +19,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod events;
 pub mod extraction;
 pub mod guardstats;
 pub mod metrics;
-pub mod mixed;
 pub mod overhead;
 pub mod registry;
 pub mod replay;
 pub mod report;
 pub mod staleness;
 
-pub use events::EventQueue;
 pub use extraction::{
     extract_access_based, extract_update_based, uniform_user_median_delay, ExtractionReport,
 };
 pub use guardstats::GuardStatsPublisher;
 pub use metrics::{median_of, OnlineStats, Quantiles};
-pub use mixed::{run_mixed, MixedConfig, MixedReport};
 pub use overhead::{measure_overhead, OverheadConfig, OverheadReport};
 pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use replay::{replay, replay_keys, DecayMode, ReplayConfig, ReplayResult};

@@ -79,20 +79,6 @@ impl ReplayResult {
         s
     }
 
-    /// Publish headline numbers into a metrics [`Registry`](crate::Registry)
-    /// (the same registry type the server's `STATS` verb reports from).
-    pub fn record_to(&self, registry: &crate::Registry) {
-        registry
-            .counter("replay_requests")
-            .add(self.delays.len() as u64);
-        registry
-            .counter("replay_user_delay_micros")
-            .add_secs(self.delays.iter().sum::<f64>());
-        registry
-            .counter("replay_adversary_delay_micros")
-            .add_secs(self.adversary_total_secs);
-    }
-
     /// Adversary total as a fraction of the maximum possible
     /// (the paper reports "nearly 90% of the maximum possible delay" for
     /// Calgary and "100%" for the box-office data).

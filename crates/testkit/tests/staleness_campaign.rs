@@ -86,6 +86,41 @@ fn stale_fraction_tracks_the_closed_form() {
     });
 }
 
+/// The guarantee moves the way Eq. 12's `S_max = (c/(1+α))^(1/α)` says
+/// it does: doubling the delay scale `c` holds the crawler back twice as
+/// long, so (at α = 1) twice as much of its copy is stale; and below
+/// saturation (`c < 1+α`) a more skewed update distribution raises the
+/// stale share. Each point still lands on its own closed form.
+#[test]
+fn stale_fraction_moves_with_delay_scale_and_skew_as_eq12_says() {
+    check(
+        "stale_fraction_moves_with_delay_scale_and_skew_as_eq12_says",
+        29,
+        |seed| {
+            let run = |c: f64, alpha: f64| {
+                let params = StalenessParams {
+                    c,
+                    alpha,
+                    ..StalenessParams::default()
+                };
+                let report = StalenessCampaign::new(seed, params).run();
+                assert_close(
+                    report.stale_fraction,
+                    report.expected_fraction,
+                    0.10,
+                    &format!("stale fraction vs exact form at c = {c}, alpha = {alpha}"),
+                );
+                report.stale_fraction
+            };
+            let base = run(0.3, 1.0);
+            let slower = run(0.6, 1.0);
+            assert!(slower > 1.5 * base, "c 0.3 -> 0.6: {base} -> {slower}");
+            let skewed = run(0.3, 2.0);
+            assert!(skewed > base, "alpha 1 -> 2: {base} -> {skewed}");
+        },
+    );
+}
+
 /// Same seed, same race — bit-identical world digest and identical
 /// verdicts, mutations included (the replay harness must cover writes).
 #[test]
