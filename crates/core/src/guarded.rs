@@ -68,7 +68,7 @@ use delayguard_query::{
     parse, Engine, ExecScratch, PreparedSelect, RowBuf, SelectCursor, SelectOutput,
     StatementOutput, StreamedStatement,
 };
-use delayguard_storage::{Row, RowId};
+use delayguard_storage::{Row, RowId, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -280,6 +280,12 @@ impl PreparedQuery {
     /// The table this query reads.
     pub fn table(&self) -> &str {
         &self.table
+    }
+
+    /// Bind the values of the query's parameters for its next executions
+    /// (see [`PreparedSelect::bind`]).
+    pub fn bind(&mut self, values: &[Value]) -> Result<()> {
+        Ok(self.inner.bind(values)?)
     }
 }
 
@@ -693,9 +699,11 @@ impl GuardedDatabase {
     /// independent of how it is chunked; a stream dropped mid-result
     /// charges — and records in the popularity trackers — exactly the
     /// tuples that were passed to [`DeadlineStream::charge_into`],
-    /// nothing more. The underlying table lock is held for the duration
-    /// of `f`, as it is for a materialized execution, so `f` must not
-    /// call back into this database.
+    /// nothing more. A SELECT holds the table's read lock for the
+    /// duration of `f` (a write, its write lock), as it does for a
+    /// materialized execution, so `f` must not call back into this
+    /// database: even a nested read of the same table can deadlock,
+    /// queued behind a writer that waits for `f`'s lock.
     pub fn execute_stmt_streaming<R>(
         &self,
         stmt: &Statement,
@@ -710,7 +718,29 @@ impl GuardedDatabase {
     /// transparently replans) against the table's DDL version on every
     /// execution.
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery> {
-        let inner = self.engine.prepare_select(sql)?;
+        self.prepare_stmt(parse(sql)?)
+    }
+
+    /// Prepare the *shape* of a SELECT: parse `sql`, lift its number and
+    /// string literals into parameters ([`Statement::lift_literals`]),
+    /// appending their values to `literals` in source order, and plan it
+    /// once for every value. Bind values with [`PreparedQuery::bind`]
+    /// before executing. `Ok(None)` if `sql` is not a SELECT.
+    pub fn prepare_shape(
+        &self,
+        sql: &str,
+        literals: &mut Vec<Value>,
+    ) -> Result<Option<PreparedQuery>> {
+        let mut stmt = parse(sql)?;
+        if !matches!(stmt, Statement::Select { .. }) {
+            return Ok(None);
+        }
+        stmt.lift_literals(literals);
+        self.prepare_stmt(stmt).map(Some)
+    }
+
+    fn prepare_stmt(&self, stmt: Statement) -> Result<PreparedQuery> {
+        let inner = self.engine.prepare(stmt)?;
         let table: Arc<str> = Arc::from(inner.table());
         Ok(PreparedQuery { inner, table })
     }
@@ -752,6 +782,12 @@ impl GuardedDatabase {
     /// issue time, shaping nonce, table cardinality, pinned pricing
     /// state, write notes, the staleness check — is established here and
     /// nowhere else.
+    ///
+    /// `f` runs while the engine holds the table's lock: the read lock
+    /// for a SELECT, so concurrent readers of one table price in
+    /// parallel. It must not re-enter the catalog for that table — a
+    /// nested read can deadlock behind a queued writer. The staleness
+    /// check runs after the lock is released.
     fn run<R>(
         &self,
         source: Source<'_>,
@@ -773,9 +809,10 @@ impl GuardedDatabase {
             StreamedStatement::Rows(cursor) => {
                 // The policy's `n` comes from the cursor, not
                 // `Self::table_len`: the engine already holds the table's
-                // write lock, so re-reading the catalog here would
-                // self-deadlock. A SELECT never changes cardinality, so
-                // the open-time capture equals the materialized value.
+                // read lock, and a nested read can deadlock queued behind
+                // a writer waiting for that lock. A SELECT never changes
+                // cardinality, so the open-time capture equals the
+                // materialized value.
                 let mut n = cursor.table_rows();
                 let pricing = if exact {
                     StreamPricing::Exact

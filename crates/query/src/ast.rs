@@ -63,11 +63,32 @@ pub struct OrderBy {
     pub ascending: bool,
 }
 
+impl Statement {
+    /// Replace every number and string literal of a SELECT's WHERE
+    /// clause with [`Expr::Param`], appending the values to `out` in
+    /// source order, so one prepared plan serves every statement of the
+    /// same shape. `TRUE`/`FALSE`/`NULL` and the `LIMIT` count stay part
+    /// of the shape: the planner treats `NULL` specially, and a count is
+    /// not an expression. Other statements are left as they are.
+    pub fn lift_literals(&mut self, out: &mut Vec<Value>) {
+        if let Statement::Select {
+            filter: Some(filter),
+            ..
+        } = self
+        {
+            filter.lift_literals(out);
+        }
+    }
+}
+
 /// Scalar expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A literal value.
     Literal(Value),
+    /// Positional parameter `n`: a literal lifted out of the statement by
+    /// [`Statement::lift_literals`], bound before each execution.
+    Param(usize),
     /// A column reference.
     Column(String),
     /// Unary operator application.
@@ -97,6 +118,34 @@ impl Expr {
             Expr::Column(column.to_owned()),
             Expr::Literal(value.into()),
         )
+    }
+
+    /// See [`Statement::lift_literals`]. Operands are visited left to
+    /// right, which is the order their tokens appear in the source.
+    fn lift_literals(&mut self, out: &mut Vec<Value>) {
+        match self {
+            Expr::Literal(v @ (Value::Int(_) | Value::Float(_) | Value::Text(_))) => {
+                out.push(std::mem::replace(v, Value::Null));
+                *self = Expr::Param(out.len() - 1);
+            }
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
+            Expr::Unary { expr, .. } => expr.lift_literals(out),
+            Expr::Binary { left, right, .. } => {
+                left.lift_literals(out);
+                right.lift_literals(out);
+            }
+        }
+    }
+
+    /// One more than the highest parameter index in this expression (0
+    /// when it has none).
+    pub(crate) fn param_count(&self) -> usize {
+        match self {
+            Expr::Param(i) => i + 1,
+            Expr::Literal(_) | Expr::Column(_) => 0,
+            Expr::Unary { expr, .. } => expr.param_count(),
+            Expr::Binary { left, right, .. } => left.param_count().max(right.param_count()),
+        }
     }
 }
 
@@ -152,6 +201,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn lifting_replaces_number_and_string_literals_in_source_order() {
+        let mut stmt = crate::parse(
+            "SELECT a FROM t WHERE b = 'x' AND (c > -2.5 OR d = NULL) AND e != TRUE LIMIT 3",
+        )
+        .unwrap();
+        let mut values = Vec::new();
+        stmt.lift_literals(&mut values);
+        assert_eq!(
+            values,
+            vec![Value::Text("x".into()), Value::Float(2.5)],
+            "NULL, TRUE and the LIMIT count stay in the statement"
+        );
+        let Statement::Select { filter, limit, .. } = &stmt else {
+            panic!("still a SELECT");
+        };
+        assert_eq!(*limit, Some(3));
+        assert_eq!(filter.as_ref().unwrap().param_count(), 2);
+        let again = crate::parse(
+            "SELECT a FROM t WHERE b = 'y' AND (c > -7.0 OR d = NULL) AND e != TRUE LIMIT 3",
+        )
+        .map(|mut s| {
+            s.lift_literals(&mut Vec::new());
+            s
+        })
+        .unwrap();
+        assert_eq!(stmt, again, "same shape, same lifted statement");
     }
 
     #[test]

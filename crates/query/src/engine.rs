@@ -3,13 +3,12 @@
 use crate::ast::{Expr, OrderBy, Projection, Statement};
 use crate::error::{QueryError, Result};
 use crate::exec::{
-    const_eval, open_select, run_delete, run_select, run_update, ExecScratch, SelectCursor,
-    SelectOutput,
+    const_eval, open_select, run_delete, run_update, ExecScratch, SelectCursor, SelectOutput,
 };
 use crate::parser::parse;
 use crate::plan::SelectPlan;
 use crate::planner::{plan_locate, plan_select};
-use delayguard_storage::{Catalog, Column, Row, RowId, Schema};
+use delayguard_storage::{Catalog, Column, Row, RowId, Schema, Value};
 use std::sync::Arc;
 
 /// The outcome of executing one statement.
@@ -66,14 +65,18 @@ pub enum StreamedStatement<'a> {
 
 /// A SELECT parsed, bound, and planned once, for repeated execution.
 ///
-/// The cached plan is validated against the table's DDL *and* data
-/// versions on every execution: two u64 compares in the common case, a
-/// transparent replan when an index was created/dropped, the table was
-/// rebuilt, or any row was inserted/updated/deleted since planning (the
-/// planner's derived statistics and located row sets go stale with the
-/// data, not just the schema). Together with [`ExecScratch`], repeated
-/// execution of a prepared statement is allocation-free on index access
-/// paths.
+/// The cached plan is validated against the table's DDL version on every
+/// execution: one u64 compare in the common case, a transparent replan
+/// when an index was created or dropped or the table was rebuilt. Row
+/// writes never make it stale — a plan holds no row ids, and every
+/// execution probes its index afresh. Together with [`ExecScratch`],
+/// repeated execution of a prepared statement is allocation-free on
+/// index access paths.
+///
+/// A statement whose literals were lifted into parameters
+/// ([`Statement::lift_literals`]) is planned once for every value:
+/// [`PreparedSelect::bind`] writes each execution's values into the
+/// plan's probe key and residual filter.
 pub struct PreparedSelect {
     table: String,
     projection: Projection,
@@ -82,7 +85,11 @@ pub struct PreparedSelect {
     limit: Option<u64>,
     plan: SelectPlan,
     ddl_version: u64,
-    data_version: u64,
+    /// The values bound to the parameters, kept so a replanned statement
+    /// can be bound again. Empty for a statement without parameters.
+    params: Vec<Value>,
+    /// Whether `params` holds bound values (trivially so without any).
+    bound: bool,
 }
 
 impl PreparedSelect {
@@ -90,6 +97,41 @@ impl PreparedSelect {
     pub fn table(&self) -> &str {
         &self.table
     }
+
+    /// Bind `values` to the statement's parameters, in order, for every
+    /// execution until the next `bind`. A parameter stands where a
+    /// non-`NULL` literal stood, so `NULL` is refused.
+    pub fn bind(&mut self, values: &[Value]) -> Result<()> {
+        if values.len() != self.params.len() {
+            return Err(QueryError::Semantic(format!(
+                "statement takes {} parameter value(s), {} given",
+                self.params.len(),
+                values.len()
+            )));
+        }
+        if values.iter().any(Value::is_null) {
+            return Err(QueryError::Semantic(
+                "a parameter value cannot be NULL".into(),
+            ));
+        }
+        self.params.clone_from_slice(values);
+        self.plan.bind_params(&self.params);
+        self.bound = true;
+        Ok(())
+    }
+}
+
+/// What [`Engine::run_select`] executes.
+enum Select<'a> {
+    Prepared(&'a mut PreparedSelect),
+    /// A parsed SELECT, planned under the lock it runs under.
+    AdHoc {
+        table: &'a str,
+        projection: &'a Projection,
+        filter: Option<&'a Expr>,
+        order_by: Option<&'a OrderBy>,
+        limit: Option<u64>,
+    },
 }
 
 /// A SQL engine bound to a catalog.
@@ -169,19 +211,19 @@ impl Engine {
                 }
                 Ok(StatementOutput::Inserted { rids })
             }
-            Statement::Select {
-                table,
-                projection,
-                filter,
-                order_by,
-                limit,
-            } => {
-                let t = self.catalog.table(table)?;
-                let mut t = t.write();
-                let plan = plan_select(&t, projection, filter.as_ref(), order_by.as_ref(), *limit)?;
-                let out = run_select(&mut t, &plan)?;
-                Ok(StatementOutput::Rows(out))
-            }
+            Statement::Select { .. } => self.execute_stmt_streaming(stmt, |streamed| {
+                let StreamedStatement::Rows(cursor) = streamed else {
+                    unreachable!("a SELECT opens a row stream");
+                };
+                let mut rows = Vec::new();
+                while let Some(pair) = cursor.next_row()? {
+                    rows.push(pair);
+                }
+                Ok(StatementOutput::Rows(SelectOutput {
+                    columns: cursor.columns().to_vec(),
+                    rows,
+                }))
+            })?,
             Statement::Update {
                 table,
                 assignments,
@@ -224,12 +266,15 @@ impl Engine {
     /// Execute a statement in streaming mode: a SELECT is handed to `f`
     /// as an open [`SelectCursor`] instead of a materialized result set.
     ///
-    /// The table's write lock is held for the duration of `f`, exactly as
-    /// it is held across `run_select` on the materialized path — the
-    /// stream is a different shape for the same critical section, so `f`
-    /// must not call back into this engine for the same table. Rows read
-    /// are recorded when `f` returns; a partially-consumed cursor charges
-    /// only the rows it actually yielded.
+    /// A SELECT is planned and run where a prepared one runs
+    /// (`Engine::run_select`), so it holds the table's
+    /// *read* lock for the duration of `f`: readers of one table run in
+    /// parallel, and a writer waits only for the readers in flight. `f`
+    /// must not call back into this engine for the same table — even a
+    /// nested read can deadlock, because it queues behind a writer that
+    /// is itself waiting for `f`'s read lock. Rows read are recorded
+    /// when `f` returns; a partially-consumed cursor charges only the
+    /// rows it actually yielded.
     pub fn execute_stmt_streaming<R>(
         &self,
         stmt: &Statement,
@@ -243,22 +288,14 @@ impl Engine {
                 order_by,
                 limit,
             } => {
-                let t = self.catalog.table(table)?;
-                let mut t = t.write();
-                let plan = plan_select(&t, projection, filter.as_ref(), order_by.as_ref(), *limit)?;
-                let mut scratch = ExecScratch::new();
-                let (result, yielded) = {
-                    let cursor = open_select(&t, &plan, &mut scratch)?;
-                    let mut streamed = StreamedStatement::Rows(cursor);
-                    let result = f(&mut streamed);
-                    let yielded = match &streamed {
-                        StreamedStatement::Rows(c) => c.rows_yielded(),
-                        StreamedStatement::Finished(_) => 0,
-                    };
-                    (result, yielded)
+                let adhoc = Select::AdHoc {
+                    table,
+                    projection,
+                    filter: filter.as_ref(),
+                    order_by: order_by.as_ref(),
+                    limit: *limit,
                 };
-                t.record_reads(yielded);
-                Ok(result)
+                self.run_select(adhoc, &mut ExecScratch::new(), f)
             }
             other => {
                 let out = self.execute_stmt(other)?;
@@ -271,7 +308,13 @@ impl Engine {
     /// Prepare a SELECT for repeated execution: parse, bind, and plan now
     /// so [`Engine::execute_prepared_streaming`] does neither per query.
     pub fn prepare_select(&self, sql: &str) -> Result<PreparedSelect> {
-        let stmt = parse(sql)?;
+        self.prepare(parse(sql)?)
+    }
+
+    /// Prepare a parsed SELECT, which may carry parameters
+    /// ([`Statement::lift_literals`]); bind them with
+    /// [`PreparedSelect::bind`] before executing.
+    pub fn prepare(&self, stmt: Statement) -> Result<PreparedSelect> {
         let Statement::Select {
             table,
             projection,
@@ -284,11 +327,13 @@ impl Engine {
                 "only SELECT statements can be prepared".into(),
             ));
         };
-        let t = self.catalog.table(&table)?;
-        let t = t.read();
-        let plan = plan_select(&t, &projection, filter.as_ref(), order_by.as_ref(), limit)?;
-        let ddl_version = t.ddl_version();
-        let data_version = t.data_version();
+        let (plan, ddl_version) = {
+            let t = self.catalog.table(&table)?;
+            let t = t.read();
+            let plan = plan_select(&t, &projection, filter.as_ref(), order_by.as_ref(), limit)?;
+            (plan, t.ddl_version())
+        };
+        let params = filter.as_ref().map_or(0, Expr::param_count);
         Ok(PreparedSelect {
             table,
             projection,
@@ -297,14 +342,15 @@ impl Engine {
             limit,
             plan,
             ddl_version,
-            data_version,
+            params: vec![Value::Null; params],
+            bound: params == 0,
         })
     }
 
     /// Execute a prepared SELECT in streaming mode.
     ///
-    /// Identical locking and charging semantics to
-    /// [`Engine::execute_stmt_streaming`], but the plan is reused (after a
+    /// Locking and charging are as described on
+    /// [`Engine::execute_stmt_streaming`]; the plan is reused (after a
     /// DDL-version check) and every buffer comes from `scratch`, so the
     /// steady-state path performs no parsing, no planning, and no
     /// allocation on index access paths.
@@ -314,30 +360,61 @@ impl Engine {
         scratch: &mut ExecScratch,
         f: impl FnOnce(&mut StreamedStatement<'_>) -> R,
     ) -> Result<R> {
-        let t = self.catalog.table(&prep.table)?;
-        let mut t = t.write();
-        if t.ddl_version() != prep.ddl_version || t.data_version() != prep.data_version {
-            prep.plan = plan_select(
-                &t,
-                &prep.projection,
-                prep.filter.as_ref(),
-                prep.order_by.as_ref(),
-                prep.limit,
-            )?;
-            prep.ddl_version = t.ddl_version();
-            prep.data_version = t.data_version();
+        if !prep.bound {
+            return Err(QueryError::Semantic(
+                "statement parameters are not bound".into(),
+            ));
         }
-        let (result, yielded) = {
-            let cursor = open_select(&t, &prep.plan, scratch)?;
-            let mut streamed = StreamedStatement::Rows(cursor);
-            let result = f(&mut streamed);
-            let yielded = match &streamed {
-                StreamedStatement::Rows(c) => c.rows_yielded(),
-                StreamedStatement::Finished(_) => 0,
-            };
-            (result, yielded)
+        self.run_select(Select::Prepared(prep), scratch, f)
+    }
+
+    /// The one place a SELECT executes: take the table's read lock, plan
+    /// an ad-hoc statement (or re-plan a prepared one whose table's DDL
+    /// moved), open the cursor for `f`, and count the rows it pulled.
+    fn run_select<R>(
+        &self,
+        select: Select<'_>,
+        scratch: &mut ExecScratch,
+        f: impl FnOnce(&mut StreamedStatement<'_>) -> R,
+    ) -> Result<R> {
+        let table = match &select {
+            Select::Prepared(prep) => prep.table.as_str(),
+            Select::AdHoc { table, .. } => table,
         };
-        t.record_reads(yielded);
+        let t = self.catalog.table(table)?;
+        let t = t.read();
+        let adhoc;
+        let plan = match select {
+            Select::Prepared(prep) => {
+                if t.ddl_version() != prep.ddl_version {
+                    prep.plan = plan_select(
+                        &t,
+                        &prep.projection,
+                        prep.filter.as_ref(),
+                        prep.order_by.as_ref(),
+                        prep.limit,
+                    )?;
+                    prep.plan.bind_params(&prep.params);
+                    prep.ddl_version = t.ddl_version();
+                }
+                &prep.plan
+            }
+            Select::AdHoc {
+                projection,
+                filter,
+                order_by,
+                limit,
+                ..
+            } => {
+                adhoc = plan_select(&t, projection, filter, order_by, limit)?;
+                &adhoc
+            }
+        };
+        let mut streamed = StreamedStatement::Rows(open_select(&t, plan, scratch)?);
+        let result = f(&mut streamed);
+        if let StreamedStatement::Rows(cursor) = &streamed {
+            t.record_reads(cursor.rows_yielded());
+        }
         Ok(result)
     }
 
@@ -534,8 +611,8 @@ mod tests {
             .unwrap();
         assert!(before.is_empty());
         // A row inserted after preparation must be visible on the next
-        // execution: the data-version check forces a replan over the
-        // mutated index instead of reusing a stale located plan.
+        // execution without a replan: the plan holds no row ids, and
+        // every execution probes the index afresh.
         e.execute("INSERT INTO movies VALUES (9, 'Late Arrival', 2004.0)")
             .unwrap();
         let after = e
@@ -548,6 +625,149 @@ mod tests {
             .execute_prepared_streaming(&mut prep, &mut scratch, collect)
             .unwrap();
         assert!(gone.is_empty());
+    }
+
+    /// Pull every row of a streamed SELECT.
+    fn collect(s: &mut StreamedStatement<'_>) -> Vec<(RowId, Row)> {
+        let StreamedStatement::Rows(cursor) = s else {
+            panic!("expected rows");
+        };
+        let mut rows = Vec::new();
+        while let Some(pair) = cursor.next_row().unwrap() {
+            rows.push(pair);
+        }
+        rows
+    }
+
+    fn ids(rows: &[(RowId, Row)]) -> Vec<i64> {
+        rows.iter()
+            .map(|(_, r)| r.get(0).unwrap().as_int().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn prepared_range_sees_rows_written_inside_the_range_after_prepare() {
+        let e = engine_with_movies();
+        let mut prep = e
+            .prepare_select("SELECT id FROM movies WHERE id >= 10 AND id < 20")
+            .unwrap();
+        let plan = prep.plan.clone();
+        let mut scratch = ExecScratch::new();
+        let mut run = || {
+            ids(&e
+                .execute_prepared_streaming(&mut prep, &mut scratch, collect)
+                .unwrap())
+        };
+        assert!(run().is_empty());
+        for id in [12, 15, 19, 20, 9] {
+            e.execute(&format!("INSERT INTO movies VALUES ({id}, 'm{id}', 1.0)"))
+                .unwrap();
+        }
+        assert_eq!(run(), vec![12, 15, 19], "bounds hold: 20 and 9 stay out");
+        e.execute("DELETE FROM movies WHERE id = 15").unwrap();
+        e.execute("UPDATE movies SET id = 11 WHERE id = 19")
+            .unwrap();
+        assert_eq!(run(), vec![11, 12]);
+        assert_eq!(prep.plan, plan, "row writes never replan");
+    }
+
+    #[test]
+    fn lifted_parameters_bind_per_execution_and_survive_a_replan() {
+        let e = engine_with_movies();
+        let mut stmt = parse("SELECT id FROM movies WHERE title = 'Two Towers'").unwrap();
+        let mut values = Vec::new();
+        stmt.lift_literals(&mut values);
+        let mut prep = e.prepare(stmt).unwrap();
+        let mut scratch = ExecScratch::new();
+        assert!(
+            e.execute_prepared_streaming(&mut prep, &mut scratch, collect)
+                .is_err(),
+            "unbound parameters refuse to run"
+        );
+        prep.bind(&values).unwrap();
+        assert_eq!(
+            ids(&e
+                .execute_prepared_streaming(&mut prep, &mut scratch, collect)
+                .unwrap()),
+            vec![2]
+        );
+        prep.bind(&[Value::Text("Spider-Man".into())]).unwrap();
+        // The new index replans the statement; the bound value carries
+        // over into the new plan's probe key.
+        e.execute("CREATE INDEX movies_title ON movies (title)")
+            .unwrap();
+        assert_eq!(
+            ids(&e
+                .execute_prepared_streaming(&mut prep, &mut scratch, collect)
+                .unwrap()),
+            vec![1]
+        );
+        assert!(matches!(
+            prep.plan.access,
+            crate::plan::AccessPath::IndexEq { .. }
+        ));
+        assert!(prep.bind(&[]).is_err(), "wrong arity");
+        assert!(prep.bind(&[Value::Null]).is_err(), "NULL is not a literal");
+    }
+
+    const RENDEZVOUS: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn two_readers_stream_one_table_at_once() {
+        use std::sync::mpsc;
+        let e = engine_with_movies();
+        let (a_in, a_seen) = mpsc::channel();
+        let (b_in, b_seen) = mpsc::channel();
+        // Each reader announces it is inside its SELECT closure and waits
+        // there for the other. Under an exclusive lock the second could
+        // never enter, and the first gives up when its wait times out.
+        let reader = |announce: mpsc::Sender<()>, other: mpsc::Receiver<()>| {
+            let e = e.clone();
+            std::thread::spawn(move || {
+                e.execute_streaming("SELECT * FROM movies WHERE id >= 1", |_| {
+                    announce.send(()).unwrap();
+                    other.recv_timeout(RENDEZVOUS).is_ok()
+                })
+                .unwrap()
+            })
+        };
+        let a = reader(a_in, b_seen);
+        let b = reader(b_in, a_seen);
+        assert!(a.join().unwrap(), "reader A never saw B inside its SELECT");
+        assert!(b.join().unwrap(), "reader B never saw A inside its SELECT");
+    }
+
+    #[test]
+    fn a_writer_waits_for_the_reader_in_flight() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        let e = engine_with_movies();
+        let closed = Arc::new(AtomicBool::new(false));
+        let (started_tx, started) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
+        let writer = e
+            .execute_streaming("SELECT * FROM movies", |_| {
+                let (e, seen_closed) = (e.clone(), Arc::clone(&closed));
+                let writer = std::thread::spawn(move || {
+                    started_tx.send(()).unwrap();
+                    e.execute("UPDATE movies SET gross = 0.0 WHERE id = 1")
+                        .unwrap();
+                    // Whether the reader's closure had returned by the
+                    // time the UPDATE did.
+                    done_tx.send(seen_closed.load(Ordering::SeqCst)).unwrap();
+                });
+                started.recv_timeout(RENDEZVOUS).unwrap();
+                assert!(
+                    done.recv_timeout(std::time::Duration::from_millis(200))
+                        .is_err(),
+                    "the UPDATE finished while a SELECT held the table"
+                );
+                closed.store(true, Ordering::SeqCst);
+                writer
+            })
+            .unwrap();
+        assert!(done.recv_timeout(RENDEZVOUS).unwrap());
+        writer.join().unwrap();
     }
 
     #[test]

@@ -406,24 +406,6 @@ pub fn open_select<'a>(
     })
 }
 
-/// Execute a SELECT plan by draining the pull pipeline.
-pub fn run_select(table: &mut Table, plan: &SelectPlan) -> Result<SelectOutput> {
-    let mut rows = Vec::new();
-    let mut scratch = ExecScratch::new();
-    let yielded = {
-        let mut cursor = open_select(table, plan, &mut scratch)?;
-        while let Some(pair) = cursor.next_row()? {
-            rows.push(pair);
-        }
-        cursor.rows_yielded()
-    };
-    table.record_reads(yielded);
-    Ok(SelectOutput {
-        columns: plan.output_names.clone(),
-        rows,
-    })
-}
-
 /// Apply UPDATE assignments to located rows.
 ///
 /// Assignment expressions are evaluated against the *old* row (SQL
@@ -472,6 +454,11 @@ pub fn const_eval(expr: &Expr) -> Result<Value> {
 fn to_const_bound(expr: &Expr) -> Result<BoundExpr> {
     Ok(match expr {
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+        Expr::Param(i) => {
+            return Err(QueryError::Semantic(format!(
+                "parameter {i} not allowed in VALUES"
+            )))
+        }
         Expr::Column(name) => {
             return Err(QueryError::Semantic(format!(
                 "column reference `{name}` not allowed in VALUES"
@@ -495,8 +482,8 @@ fn to_const_bound(expr: &Expr) -> Result<BoundExpr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse, parse_expr};
-    use crate::planner::{plan_locate, plan_select};
+    use crate::parser::parse_expr;
+    use crate::planner::plan_locate;
     use delayguard_storage::{Column, DataType, Schema};
 
     fn movies() -> Table {
@@ -519,39 +506,24 @@ mod tests {
         t
     }
 
-    fn select(t: &mut Table, sql: &str) -> SelectOutput {
-        let stmt = parse(sql).unwrap();
-        match stmt {
-            crate::ast::Statement::Select {
-                projection,
-                filter,
-                order_by,
-                limit,
-                ..
-            } => {
-                let plan =
-                    plan_select(t, &projection, filter.as_ref(), order_by.as_ref(), limit).unwrap();
-                run_select(t, &plan).unwrap()
-            }
-            other => panic!("not a select: {other:?}"),
-        }
+    /// Run `sql` through an engine over `movies()`: the one SELECT
+    /// execution path.
+    fn select(sql: &str) -> SelectOutput {
+        let e = crate::Engine::new();
+        e.catalog().install_table(movies()).unwrap();
+        e.query(sql).unwrap()
     }
 
     #[test]
     fn point_lookup_via_index() {
-        let mut t = movies();
-        let out = select(&mut t, "SELECT title FROM movies WHERE id = 7");
+        let out = select("SELECT title FROM movies WHERE id = 7");
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows[0].1.get(0), Some(&Value::Text("movie-7".into())));
     }
 
     #[test]
     fn range_scan_with_residual_filter() {
-        let mut t = movies();
-        let out = select(
-            &mut t,
-            "SELECT id FROM movies WHERE id >= 5 AND id < 10 AND gross > 60.0",
-        );
+        let out = select("SELECT id FROM movies WHERE id >= 5 AND id < 10 AND gross > 60.0");
         let ids: Vec<i64> = out
             .rows
             .iter()
@@ -562,8 +534,7 @@ mod tests {
 
     #[test]
     fn order_by_and_limit() {
-        let mut t = movies();
-        let out = select(&mut t, "SELECT id FROM movies ORDER BY id DESC LIMIT 3");
+        let out = select("SELECT id FROM movies ORDER BY id DESC LIMIT 3");
         let ids: Vec<i64> = out
             .rows
             .iter()
@@ -574,18 +545,28 @@ mod tests {
 
     #[test]
     fn select_star_projects_all() {
-        let mut t = movies();
-        let out = select(&mut t, "SELECT * FROM movies WHERE id = 0");
+        let out = select("SELECT * FROM movies WHERE id = 0");
         assert_eq!(out.columns, vec!["id", "title", "gross"]);
         assert_eq!(out.rows[0].1.arity(), 3);
     }
 
     #[test]
     fn reads_recorded() {
-        let mut t = movies();
-        let before = t.stats().reads;
-        select(&mut t, "SELECT * FROM movies WHERE id < 5");
-        assert_eq!(t.stats().reads, before + 5);
+        let e = crate::Engine::new();
+        let t = e.catalog().install_table(movies()).unwrap();
+        let before = t.read().stats().reads;
+        e.query("SELECT * FROM movies WHERE id < 5").unwrap();
+        assert_eq!(t.read().stats().reads, before + 5);
+        // A partly drained stream counts only the rows it pulled.
+        e.execute_streaming("SELECT * FROM movies", |s| {
+            let crate::StreamedStatement::Rows(cursor) = s else {
+                panic!("expected rows");
+            };
+            cursor.next_row().unwrap();
+            cursor.next_row().unwrap();
+        })
+        .unwrap();
+        assert_eq!(t.read().stats().reads, before + 7);
     }
 
     #[test]

@@ -13,6 +13,9 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundExpr {
     Literal(Value),
+    /// Parameter `n` and the value currently bound to it
+    /// ([`BoundExpr::bind_params`] writes it; `NULL` until then).
+    Param(usize, Value),
     Column(usize),
     Unary {
         op: UnaryOp,
@@ -29,6 +32,7 @@ pub enum BoundExpr {
 pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     Ok(match expr {
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+        Expr::Param(i) => BoundExpr::Param(*i, Value::Null),
         Expr::Column(name) => BoundExpr::Column(schema.index_of(name)?),
         Expr::Unary { op, expr } => BoundExpr::Unary {
             op: *op,
@@ -42,13 +46,28 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     })
 }
 
+impl BoundExpr {
+    /// Write `params[n]` into every `Param(n, _)` slot of this tree.
+    pub fn bind_params(&mut self, params: &[Value]) {
+        match self {
+            BoundExpr::Param(i, v) => v.clone_from(&params[*i]),
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => {}
+            BoundExpr::Unary { expr, .. } => expr.bind_params(params),
+            BoundExpr::Binary { left, right, .. } => {
+                left.bind_params(params);
+                right.bind_params(params);
+            }
+        }
+    }
+}
+
 /// Evaluate a bound expression over a row.
 ///
 /// SQL semantics: any comparison or arithmetic with a NULL operand yields
 /// NULL; `AND`/`OR` use Kleene three-valued logic.
 pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
     match expr {
-        BoundExpr::Literal(v) => Ok(v.clone()),
+        BoundExpr::Literal(v) | BoundExpr::Param(_, v) => Ok(v.clone()),
         BoundExpr::Column(idx) => Ok(row.get(*idx).cloned().unwrap_or(Value::Null)),
         BoundExpr::Unary { op, expr } => {
             let v = eval(expr, row)?;

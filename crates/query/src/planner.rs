@@ -15,11 +15,18 @@
 //! interval over index keys admits precisely the rows the comparisons
 //! would. When coverage is exact the plan carries no filter at all, and
 //! the executor skips a per-row expression walk on the hot path.
+//!
+//! A parameter ([`Expr::Param`]) is sargable like a literal, and the plan
+//! records which probe-key part it supplies. The plan must then be right
+//! for every binding, so the one choice that compares two values — which
+//! of two bounds on one column is tighter — is not made when either is a
+//! parameter: the first bound stays in the probe and the filter is kept
+//! to apply the other.
 
 use crate::ast::{BinOp, Expr, OrderBy, Projection};
 use crate::error::{QueryError, Result};
 use crate::expr::{bind, BoundExpr};
-use crate::plan::{AccessPath, SelectPlan};
+use crate::plan::{AccessPath, KeySlot, SelectPlan};
 use delayguard_storage::{IndexDef, Schema, Table, Value};
 use std::ops::Bound;
 
@@ -34,17 +41,18 @@ pub fn plan_select(
     let schema = table.schema();
     let (projection_idx, output_names) = resolve_projection(schema, projection)?;
     let bound_filter = filter.map(|f| bind(f, schema)).transpose()?;
-    let (access, covered) = filter
-        .map(|f| choose_access(schema, &table.index_defs(), f))
-        .transpose()?
-        .flatten()
-        .unwrap_or((AccessPath::FullScan, false));
+    let Choice {
+        access,
+        exact,
+        key_params,
+    } = choose(schema, &table.index_defs(), filter);
     let order = order_by
         .map(|ob| Ok::<_, QueryError>((schema.index_of(&ob.column)?, ob.ascending)))
         .transpose()?;
     Ok(SelectPlan {
         access,
-        filter: if covered { None } else { bound_filter },
+        key_params,
+        filter: if exact { None } else { bound_filter },
         projection: projection_idx,
         output_names,
         order_by: order,
@@ -71,12 +79,50 @@ fn resolve_projection(
     }
 }
 
-/// A `col op literal` conjunct usable for index selection.
+/// What a sargable conjunct compares its column with.
+#[derive(Debug, Clone, Copy)]
+enum Operand<'a> {
+    Literal(&'a Value),
+    Param(usize),
+}
+
+impl<'a> Operand<'a> {
+    fn literal(self) -> Option<&'a Value> {
+        match self {
+            Operand::Literal(v) => Some(v),
+            Operand::Param(_) => None,
+        }
+    }
+
+    /// The probe-key value for this operand at `slot`: the literal, or a
+    /// placeholder the parameter's value is bound over (noted in
+    /// `key_params`).
+    fn key_part(self, slot: KeySlot, key_params: &mut Vec<(KeySlot, usize)>) -> Value {
+        match self {
+            Operand::Literal(v) => v.clone(),
+            Operand::Param(i) => {
+                key_params.push((slot, i));
+                Value::Null
+            }
+        }
+    }
+}
+
+/// A `col op operand` conjunct usable for index selection.
 #[derive(Debug)]
-struct Constraint {
+struct Constraint<'a> {
     column: usize,
     op: BinOp,
-    value: Value,
+    value: Operand<'a>,
+}
+
+/// The planner's decision: how rows are found, whether that finds
+/// exactly the rows the WHERE clause admits, and which probe-key parts
+/// parameters supply.
+struct Choice {
+    access: AccessPath,
+    exact: bool,
+    key_params: Vec<(KeySlot, usize)>,
 }
 
 /// Split `expr` into top-level AND conjuncts.
@@ -100,27 +146,33 @@ fn conjuncts(expr: &Expr) -> Vec<&Expr> {
 }
 
 /// Extract a sargable constraint from a conjunct, normalizing
-/// `literal op col` into `col op' literal`.
-fn constraint_of(schema: &Schema, e: &Expr) -> Option<Constraint> {
+/// `literal op col` into `col op' literal`. A parameter counts as a
+/// literal: the value bound to it is never `NULL`.
+fn constraint_of<'a>(schema: &Schema, e: &'a Expr) -> Option<Constraint<'a>> {
     let Expr::Binary { op, left, right } = e else {
         return None;
     };
     if !op.is_comparison() || *op == BinOp::NotEq {
         return None;
     }
+    let operand = |e: &'a Expr| match e {
+        Expr::Literal(v) => Some(Operand::Literal(v)),
+        Expr::Param(i) => Some(Operand::Param(*i)),
+        _ => None,
+    };
     let (column, value, op) = match (&**left, &**right) {
-        (Expr::Column(c), Expr::Literal(v)) => (c, v, *op),
-        (Expr::Literal(v), Expr::Column(c)) => (c, v, flip(*op)),
+        (Expr::Column(c), other) => (c, operand(other)?, *op),
+        (other, Expr::Column(c)) => (c, operand(other)?, flip(*op)),
         _ => return None,
     };
-    if value.is_null() {
+    if matches!(value, Operand::Literal(Value::Null)) {
         return None; // NULL comparisons never match; leave to the filter.
     }
     let idx = schema.index_of(column).ok()?;
     Some(Constraint {
         column: idx,
         op,
-        value: value.clone(),
+        value,
     })
 }
 
@@ -134,18 +186,26 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
+/// Choose the access path for `filter`: the best index probe, or a full
+/// scan when no index applies.
+fn choose(schema: &Schema, indexes: &[IndexDef], filter: Option<&Expr>) -> Choice {
+    filter
+        .and_then(|f| choose_access(schema, indexes, f))
+        .unwrap_or(Choice {
+            access: AccessPath::FullScan,
+            exact: false,
+            key_params: Vec::new(),
+        })
+}
+
 /// Choose the best access path for `filter`, if any index applies.
 ///
-/// The second element of the pair reports *exact coverage*: the access
-/// path returns precisely the rows satisfying the whole WHERE clause, so
-/// the caller may drop the residual filter. Coverage is exact only when
-/// every top-level conjunct became a [`Constraint`] (nothing else to
-/// check) and the chosen probe absorbed all of them.
-fn choose_access(
-    schema: &Schema,
-    indexes: &[IndexDef],
-    filter: &Expr,
-) -> Result<Option<(AccessPath, bool)>> {
+/// [`Choice::exact`] reports *exact coverage*: the access path returns
+/// precisely the rows satisfying the whole WHERE clause, so the caller
+/// may drop the residual filter. Coverage is exact only when every
+/// top-level conjunct became a [`Constraint`] (nothing else to check)
+/// and the chosen probe absorbed all of them.
+fn choose_access(schema: &Schema, indexes: &[IndexDef], filter: &Expr) -> Option<Choice> {
     let conj = conjuncts(filter);
     let cons: Vec<Constraint> = conj
         .iter()
@@ -155,14 +215,16 @@ fn choose_access(
     // column) means the filter must stay regardless of the path chosen.
     let all_sargable = cons.len() == conj.len();
     if cons.is_empty() {
-        return Ok(None);
+        return None;
     }
+    let mut key_params = Vec::new();
     // 1. Prefer full-equality composite or single-column index lookups.
     'index: for def in indexes {
+        key_params.clear();
         let mut key = Vec::with_capacity(def.columns.len());
-        for &col in &def.columns {
+        for (part, &col) in def.columns.iter().enumerate() {
             match cons.iter().find(|c| c.column == col && c.op == BinOp::Eq) {
-                Some(c) => key.push(c.value.clone()),
+                Some(c) => key.push(c.value.key_part(KeySlot::Eq(part), &mut key_params)),
                 None => continue 'index,
             }
         }
@@ -178,96 +240,123 @@ fn choose_access(
                 .columns
                 .iter()
                 .all(|col| cons.iter().filter(|c| c.column == *col).count() == 1);
-        return Ok(Some((
-            AccessPath::IndexEq {
+        return Some(Choice {
+            access: AccessPath::IndexEq {
                 columns: def.columns.clone(),
                 key,
             },
             exact,
-        )));
+            key_params,
+        });
     }
     // 2. Range scan on a single-column index.
     for def in indexes.iter().filter(|d| d.columns.len() == 1) {
         let col = def.columns[0];
-        let mut lo: Bound<Value> = Bound::Unbounded;
-        let mut hi: Bound<Value> = Bound::Unbounded;
+        let mut lo = Bound::Unbounded;
+        let mut hi = Bound::Unbounded;
         let mut any = false;
+        // Whether every endpoint choice was decided by known values; a
+        // choice between a parameter and another bound is not.
+        let mut decided = true;
         for c in cons.iter().filter(|c| c.column == col) {
             any = true;
-            match c.op {
-                BinOp::Gt => lo = tighter_lo(lo, Bound::Excluded(c.value.clone())),
-                BinOp::GtEq => lo = tighter_lo(lo, Bound::Included(c.value.clone())),
-                BinOp::Lt => hi = tighter_hi(hi, Bound::Excluded(c.value.clone())),
-                BinOp::LtEq => hi = tighter_hi(hi, Bound::Included(c.value.clone())),
+            decided &= match c.op {
+                BinOp::Gt => narrow(&mut lo, Bound::Excluded(c.value), tighter_lo),
+                BinOp::GtEq => narrow(&mut lo, Bound::Included(c.value), tighter_lo),
+                BinOp::Lt => narrow(&mut hi, Bound::Excluded(c.value), tighter_hi),
+                BinOp::LtEq => narrow(&mut hi, Bound::Included(c.value), tighter_hi),
                 BinOp::Eq => {
-                    lo = tighter_lo(lo, Bound::Included(c.value.clone()));
-                    hi = tighter_hi(hi, Bound::Included(c.value.clone()));
+                    narrow(&mut lo, Bound::Included(c.value), tighter_lo)
+                        & narrow(&mut hi, Bound::Included(c.value), tighter_hi)
                 }
-                _ => {}
-            }
+                _ => true,
+            };
         }
         if any && !(matches!(lo, Bound::Unbounded) && matches!(hi, Bound::Unbounded)) {
             // Conjoined intervals over one column intersect to exactly
             // `[lo, hi]` (tighter_* picks the narrower endpoint under the
             // same `Value` order the index sorts by), so coverage is
-            // exact whenever every conjunct constrained this column.
-            let exact = all_sargable && cons.iter().all(|c| c.column == col);
-            return Ok(Some((
-                AccessPath::IndexRange {
+            // exact whenever every conjunct constrained this column and
+            // no endpoint was left undecided.
+            let exact = all_sargable && decided && cons.iter().all(|c| c.column == col);
+            let mut key_params = Vec::new();
+            return Some(Choice {
+                access: AccessPath::IndexRange {
                     columns: def.columns.clone(),
-                    lo: map_bound(lo),
-                    hi: map_bound(hi),
+                    lo: key_bound(lo, KeySlot::Lo, &mut key_params),
+                    hi: key_bound(hi, KeySlot::Hi, &mut key_params),
                 },
                 exact,
-            )));
+                key_params,
+            });
         }
     }
-    Ok(None)
+    None
 }
 
-fn map_bound(b: Bound<Value>) -> Bound<Vec<Value>> {
+fn key_bound(
+    b: Bound<Operand<'_>>,
+    slot: KeySlot,
+    key_params: &mut Vec<(KeySlot, usize)>,
+) -> Bound<Vec<Value>> {
     match b {
-        Bound::Included(v) => Bound::Included(vec![v]),
-        Bound::Excluded(v) => Bound::Excluded(vec![v]),
+        Bound::Included(v) => Bound::Included(vec![v.key_part(slot, key_params)]),
+        Bound::Excluded(v) => Bound::Excluded(vec![v.key_part(slot, key_params)]),
         Bound::Unbounded => Bound::Unbounded,
     }
 }
 
-fn tighter_lo(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
-        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            if y > x {
-                b
-            } else if x > y {
-                a
-            } else {
-                // Equal endpoints: Excluded is tighter.
-                if matches!(a, Bound::Excluded(_)) {
-                    a
-                } else {
-                    b
-                }
-            }
+/// Picks the tighter of two bounds, or `None` when that depends on the
+/// value of a parameter.
+type Tighter = for<'a> fn(Bound<Operand<'a>>, Bound<Operand<'a>>) -> Option<Bound<Operand<'a>>>;
+
+/// Narrow `cur` to the tighter of it and `new`. Returns false, keeping
+/// `cur`, when the choice depends on a parameter's value.
+fn narrow<'a>(cur: &mut Bound<Operand<'a>>, new: Bound<Operand<'a>>, tighter: Tighter) -> bool {
+    match tighter(*cur, new) {
+        Some(b) => {
+            *cur = b;
+            true
         }
+        None => false,
     }
 }
 
-fn tighter_hi(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
+fn tighter_lo<'a>(a: Bound<Operand<'a>>, b: Bound<Operand<'a>>) -> Option<Bound<Operand<'a>>> {
+    let (x, y) = match (a, b) {
+        (Bound::Unbounded, _) => return Some(b),
+        (_, Bound::Unbounded) => return Some(a),
         (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            if y < x {
-                b
-            } else if x < y || matches!(a, Bound::Excluded(_)) {
-                a
-            } else {
-                b
-            }
+            (x.literal()?, y.literal()?)
         }
-    }
+    };
+    Some(if y > x {
+        b
+    } else if x > y {
+        a
+    } else if matches!(a, Bound::Excluded(_)) {
+        // Equal endpoints: Excluded is tighter.
+        a
+    } else {
+        b
+    })
+}
+
+fn tighter_hi<'a>(a: Bound<Operand<'a>>, b: Bound<Operand<'a>>) -> Option<Bound<Operand<'a>>> {
+    let (x, y) = match (a, b) {
+        (Bound::Unbounded, _) => return Some(b),
+        (_, Bound::Unbounded) => return Some(a),
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            (x.literal()?, y.literal()?)
+        }
+    };
+    Some(if y < x {
+        b
+    } else if x < y || matches!(a, Bound::Excluded(_)) {
+        a
+    } else {
+        b
+    })
 }
 
 /// Plan the row-location phase shared by UPDATE and DELETE.
@@ -277,12 +366,8 @@ pub fn plan_locate(
 ) -> Result<(AccessPath, Option<BoundExpr>)> {
     let schema = table.schema();
     let bound = filter.map(|f| bind(f, schema)).transpose()?;
-    let (access, covered) = filter
-        .map(|f| choose_access(schema, &table.index_defs(), f))
-        .transpose()?
-        .flatten()
-        .unwrap_or((AccessPath::FullScan, false));
-    Ok((access, if covered { None } else { bound }))
+    let Choice { access, exact, .. } = choose(schema, &table.index_defs(), filter);
+    Ok((access, if exact { None } else { bound }))
 }
 
 #[cfg(test)]
@@ -311,9 +396,70 @@ mod tests {
 
     fn access_and_coverage(t: &Table, filter: &str) -> (AccessPath, bool) {
         let f = parse_expr(filter).unwrap();
-        choose_access(t.schema(), &t.index_defs(), &f)
-            .unwrap()
-            .unwrap_or((AccessPath::FullScan, false))
+        let c = choose(t.schema(), &t.index_defs(), Some(&f));
+        (c.access, c.exact)
+    }
+
+    /// The plan of `filter` with its literals lifted into parameters.
+    fn lifted_plan(t: &Table, filter: &str) -> SelectPlan {
+        let mut stmt = crate::parse(&format!("SELECT * FROM movies WHERE {filter}")).unwrap();
+        stmt.lift_literals(&mut Vec::new());
+        let crate::ast::Statement::Select { filter, .. } = stmt else {
+            unreachable!("parsed a SELECT");
+        };
+        plan_select(t, &Projection::All, filter.as_ref(), None, None).unwrap()
+    }
+
+    #[test]
+    fn parameters_name_their_probe_key_parts() {
+        let t = table();
+        let point = lifted_plan(&t, "id = 5");
+        assert_eq!(point.key_params, vec![(KeySlot::Eq(0), 0)]);
+        assert!(point.filter.is_none(), "one equality on the key is exact");
+        let both = lifted_plan(&t, "gross = 1.0 AND title = 'x'");
+        assert_eq!(
+            both.key_params,
+            vec![(KeySlot::Eq(0), 1), (KeySlot::Eq(1), 0)],
+            "composite key parts in index order, parameters in source order"
+        );
+        let range = lifted_plan(&t, "id >= 3 AND id < 9");
+        assert_eq!(range.key_params, vec![(KeySlot::Lo, 0), (KeySlot::Hi, 1)]);
+        assert!(range.filter.is_none(), "one bound per side is exact");
+    }
+
+    #[test]
+    fn parameter_plans_keep_the_filter_when_bounds_compete() {
+        let t = table();
+        // Which lower bound is tighter depends on the values, so the
+        // probe takes one and the filter applies the other.
+        for filter in ["id > 3 AND id > 7", "id >= 3 AND id > 7 AND id < 9"] {
+            let plan = lifted_plan(&t, filter);
+            assert!(
+                matches!(plan.access, AccessPath::IndexRange { .. }),
+                "{filter}"
+            );
+            assert!(plan.filter.is_some(), "{filter}");
+        }
+        // The same shapes with literals still tighten and drop it.
+        assert!(access_and_coverage(&t, "id > 3 AND id > 7").1);
+    }
+
+    #[test]
+    fn bound_parameters_fill_the_probe_and_the_filter() {
+        let t = table();
+        let mut plan = lifted_plan(&t, "id > 3 AND id > 7");
+        plan.bind_params(&[Value::Int(3), Value::Int(7)]);
+        let AccessPath::IndexRange { lo, .. } = &plan.access else {
+            panic!("range plan");
+        };
+        assert!(matches!(lo, Bound::Excluded(k) if k[0] == Value::Int(3) || k[0] == Value::Int(7)));
+        let unbound = format!("{:?}", lifted_plan(&t, "id > 3 AND id > 7").filter);
+        assert!(unbound.contains("Null"));
+        let bound = format!("{:?}", plan.filter);
+        assert!(
+            bound.contains("Int(3)") && bound.contains("Int(7)"),
+            "{bound}"
+        );
     }
 
     #[test]

@@ -33,39 +33,45 @@ pub enum Keyword {
     Limit,
 }
 
+/// Every keyword with its spelling, for case-insensitive lookup.
+const KEYWORDS: [(&str, Keyword); 26] = [
+    ("SELECT", Keyword::Select),
+    ("FROM", Keyword::From),
+    ("WHERE", Keyword::Where),
+    ("INSERT", Keyword::Insert),
+    ("INTO", Keyword::Into),
+    ("VALUES", Keyword::Values),
+    ("UPDATE", Keyword::Update),
+    ("SET", Keyword::Set),
+    ("DELETE", Keyword::Delete),
+    ("CREATE", Keyword::Create),
+    ("DROP", Keyword::Drop),
+    ("TABLE", Keyword::Table),
+    ("INDEX", Keyword::Index),
+    ("UNIQUE", Keyword::Unique),
+    ("ON", Keyword::On),
+    ("NOT", Keyword::Not),
+    ("NULL", Keyword::Null),
+    ("AND", Keyword::And),
+    ("OR", Keyword::Or),
+    ("TRUE", Keyword::True),
+    ("FALSE", Keyword::False),
+    ("ORDER", Keyword::Order),
+    ("BY", Keyword::By),
+    ("ASC", Keyword::Asc),
+    ("DESC", Keyword::Desc),
+    ("LIMIT", Keyword::Limit),
+];
+
 impl Keyword {
-    /// Parse a keyword from an identifier-shaped word.
+    /// Parse a keyword from an identifier-shaped word. Compares in place
+    /// (`eq_ignore_ascii_case` checks the length first), so recognizing
+    /// a word allocates nothing.
     pub fn parse(word: &str) -> Option<Keyword> {
-        use Keyword::*;
-        Some(match word.to_ascii_uppercase().as_str() {
-            "SELECT" => Select,
-            "FROM" => From,
-            "WHERE" => Where,
-            "INSERT" => Insert,
-            "INTO" => Into,
-            "VALUES" => Values,
-            "UPDATE" => Update,
-            "SET" => Set,
-            "DELETE" => Delete,
-            "CREATE" => Create,
-            "DROP" => Drop,
-            "TABLE" => Table,
-            "INDEX" => Index,
-            "UNIQUE" => Unique,
-            "ON" => On,
-            "NOT" => Not,
-            "NULL" => Null,
-            "AND" => And,
-            "OR" => Or,
-            "TRUE" => True,
-            "FALSE" => False,
-            "ORDER" => Order,
-            "BY" => By,
-            "ASC" => Asc,
-            "DESC" => Desc,
-            "LIMIT" => Limit,
-            _ => return None,
-        })
+        KEYWORDS
+            .iter()
+            .find(|(spelling, _)| spelling.eq_ignore_ascii_case(word))
+            .map(|&(_, k)| k)
     }
 }
 
@@ -141,6 +147,36 @@ mod tests {
         assert_eq!(Keyword::parse("select"), Some(Keyword::Select));
         assert_eq!(Keyword::parse("SeLeCt"), Some(Keyword::Select));
         assert_eq!(Keyword::parse("selec"), None);
+    }
+
+    #[test]
+    fn keyword_case_table() {
+        let cases = [
+            ("select", Some(Keyword::Select)),
+            ("SELECT", Some(Keyword::Select)),
+            ("SeLeCt", Some(Keyword::Select)),
+            ("limit", Some(Keyword::Limit)),
+            ("Order", Some(Keyword::Order)),
+            ("by", Some(Keyword::By)),
+            ("NuLl", Some(Keyword::Null)),
+            ("on", Some(Keyword::On)),
+            // Identifiers that start (or end) with a keyword are not one.
+            ("selection", None),
+            ("order_id", None),
+            ("limits", None),
+            ("byte", None),
+            ("nullable", None),
+            ("o", None),
+            ("", None),
+        ];
+        for (word, want) in cases {
+            assert_eq!(Keyword::parse(word), want, "{word:?}");
+        }
+        // Every keyword round-trips through its own spelling.
+        for (spelling, k) in KEYWORDS {
+            assert_eq!(Keyword::parse(spelling), Some(k));
+            assert_eq!(Keyword::parse(&spelling.to_ascii_lowercase()), Some(k));
+        }
     }
 
     #[test]

@@ -29,12 +29,13 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{Frame, RefuseReason, PROTOCOL_VERSION, ROWS_UNKNOWN};
 use crate::scheduler::{DelayScheduler, Job};
+use crate::stmt_cache::{Ready, StatementCache};
 use delayguard_core::clock::{secs_to_nanos, Clock};
 use delayguard_core::gatekeeper::{
     Admission, Gatekeeper, GatekeeperConfig, Ipv4, RefusalReason, RegistrationOutcome, UserId,
 };
 use delayguard_core::replica::ReplicaDelta;
-use delayguard_core::{ChargedChunk, DeadlineStream, GuardError, GuardedDatabase, StreamedQuery};
+use delayguard_core::{ChargedChunk, DeadlineStream, GuardedDatabase, StreamedQuery};
 use delayguard_query::ast::Statement;
 use delayguard_query::engine::StatementOutput;
 use delayguard_query::{parse, RowBuf};
@@ -118,16 +119,19 @@ impl MutationVerb {
     }
 }
 
-/// Per-connection protocol state negotiated at `REGISTER`.
+/// Per-connection state: the protocol version negotiated at
+/// `REGISTER`, and the statement cache every `QUERY` runs through.
 ///
 /// A connection starts at version 1 (legacy count-up-front framing) and
 /// is upgraded when its `REGISTER` frame carries a version byte; the
 /// effective version is the minimum of the client's and
 /// [`PROTOCOL_VERSION`]. The transport owns one of these per connection
 /// and passes it to every [`FrontDoor::handle_frame`] call.
-#[derive(Debug)]
 pub struct SessionState {
     version: AtomicU8,
+    /// Prepared SELECT shapes plus the chunk buffers this session's
+    /// queries stream through ([`crate::stmt_cache`]).
+    statements: PMutex<StatementCache>,
 }
 
 impl SessionState {
@@ -135,7 +139,14 @@ impl SessionState {
     pub fn new() -> SessionState {
         SessionState {
             version: AtomicU8::new(1),
+            statements: PMutex::new(StatementCache::new()),
         }
+    }
+
+    /// SELECT shapes this session holds prepared (at most
+    /// [`crate::STATEMENT_CACHE_CAPACITY`]).
+    pub fn cached_statements(&self) -> usize {
+        self.statements.lock().len()
     }
 
     /// The negotiated protocol version.
@@ -157,6 +168,15 @@ impl SessionState {
 impl Default for SessionState {
     fn default() -> Self {
         SessionState::new()
+    }
+}
+
+impl std::fmt::Debug for SessionState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionState")
+            .field("version", &self.version())
+            .field("cached_statements", &self.cached_statements())
+            .finish()
     }
 }
 
@@ -494,8 +514,13 @@ impl FrontDoor {
         } else {
             peer_ip
         };
-        let now = self.now_secs();
-        let outcome = self.gatekeeper.lock().register(Ipv4(ip), now);
+        // Stamped under the lock, so registrations reach the gatekeeper
+        // in the order of their timestamps.
+        let (outcome, now) = {
+            let mut gk = self.gatekeeper.lock();
+            let now = self.now_secs();
+            (gk.register(Ipv4(ip), now), now)
+        };
         match outcome {
             RegistrationOutcome::Admitted { user, fee_charged } => {
                 self.metrics.users_registered.inc();
@@ -541,11 +566,15 @@ impl FrontDoor {
 
     /// Charge gatekeeper admission for one statement. On refusal, counts
     /// it, sends the `Refused` frame and returns `false`.
+    ///
+    /// The clock is read under the gatekeeper lock: charges then land in
+    /// every bucket's log in time order, even when sessions of one /24
+    /// race, and a bucket never has to replay its log from genesis.
     fn admitted<S: FrameSink>(&self, query_id: u32, user: u64, sink: &Arc<S>) -> bool {
         let retry = self.config.retry_after_secs;
-        let now = self.now_secs();
         let (reason, hint) = {
             let mut gk = self.gatekeeper.lock();
+            let now = self.now_secs();
             let Admission::Refused(reason) = gk.admit(UserId(user), now) else {
                 return true;
             };
@@ -589,6 +618,11 @@ impl FrontDoor {
     /// verb and reserve-before-apply) and DDL has no wire surface, so any
     /// other statement is answered with an `Error` before it executes.
     ///
+    /// The SELECT runs prepared, from the session's statement cache
+    /// ([`crate::stmt_cache`]): a shape the session has seen is only
+    /// bound to this frame's literals, a new one is parsed and planned
+    /// once. Admission is charged before the SQL is looked at.
+    ///
     /// Results run through the streaming pipeline (`stream_select`):
     /// rows are pulled in [`GateConfig::stream_chunk_rows`]-sized chunks,
     /// each chunk reserves its send-queue slots *before* its tuples are
@@ -611,23 +645,32 @@ impl FrontDoor {
         if !self.admitted(query_id, user, sink) {
             return;
         }
-        let stmt = match parse(sql) {
-            Ok(stmt @ Statement::Select { .. }) => stmt,
-            Ok(_) => {
-                let message = "QUERY frames carry SELECT statements only".to_owned();
-                return self.query_error(query_id, message, sink);
-            }
-            Err(e) => return self.query_error(query_id, GuardError::from(e).to_string(), sink),
-        };
         let trailer_framing = session.streaming();
-        let result = self.db.execute_stmt_streaming(&stmt, |query| {
-            // Only SELECTs reach the guard from here, and they always
-            // open a row stream.
-            if let StreamedQuery::Rows(mut stream) = query {
+        let mut statements = session.statements.lock();
+        let Ready {
+            query,
+            scratch,
+            rows,
+            charged,
+        } = match statements.prepare(&self.db, sql, &self.metrics) {
+            Ok(ready) => ready,
+            Err(message) => return self.query_error(query_id, message, sink),
+        };
+        // A legacy session takes its whole result as one chunk: give it
+        // buffers of its own, freed with the query, rather than grow the
+        // session's to the largest result it ever read.
+        let mut legacy = (RowBuf::new(), ChargedChunk::default());
+        let (rows, charged) = if trailer_framing {
+            (rows, charged)
+        } else {
+            (&mut legacy.0, &mut legacy.1)
+        };
+        let result = self
+            .db
+            .execute_prepared_streaming(query, scratch, |mut stream| {
                 self.metrics.queries_admitted.inc();
-                self.stream_select(query_id, &mut stream, trailer_framing, sink);
-            }
-        });
+                self.stream_select(query_id, &mut stream, trailer_framing, sink, rows, charged);
+            });
         if let Err(e) = result {
             self.query_error(query_id, e.to_string(), sink);
         }
@@ -760,12 +803,17 @@ impl FrontDoor {
     /// the exact row count in `ROWS_BEGIN` and no `ROWS_END`, so the whole
     /// result is the one, unbounded chunk: it reserves all-or-nothing and
     /// is only charged if it fits.
+    ///
+    /// The executor decodes into `buf` and pricing fills `charged`: the
+    /// session's buffers, recycled across chunks and queries.
     fn stream_select<S: FrameSink>(
         &self,
         query_id: u32,
         stream: &mut DeadlineStream<'_, '_>,
         trailer_framing: bool,
         sink: &Arc<S>,
+        buf: &mut RowBuf,
+        charged: &mut ChargedChunk,
     ) {
         let retry = self.config.retry_after_secs;
         let chunk_rows = if trailer_framing {
@@ -775,13 +823,8 @@ impl FrontDoor {
         };
         let mut seq: u32 = 0;
         let mut began = false;
-        // Chunk-sized scratch recycled across the whole stream: the
-        // executor decodes into `buf` and pricing fills `charged` with
-        // no per-chunk allocation.
-        let mut buf = RowBuf::new();
-        let mut charged = ChargedChunk::default();
         loop {
-            let n = match stream.next_chunk_into(chunk_rows, &mut buf) {
+            let n = match stream.next_chunk_into(chunk_rows, buf) {
                 Ok(n) => n,
                 // Mid-stream executor failure: already-scheduled rows
                 // still deliver at their deadlines; the error frame
@@ -814,7 +857,7 @@ impl FrontDoor {
                     return;
                 }
                 let before_secs = stream.delay_secs();
-                stream.charge_into(buf.rows(), &mut charged);
+                stream.charge_into(buf.rows(), charged);
                 self.metrics
                     .delay_micros_charged
                     .add_secs(stream.delay_secs() - before_secs);

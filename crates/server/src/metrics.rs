@@ -39,6 +39,12 @@ pub struct ServerMetrics {
     pub delay_micros_charged: Counter,
     /// Statements that failed in the engine.
     pub query_errors: Counter,
+    /// `QUERY` frames whose SELECT shape was already prepared on the
+    /// session (bound, not parsed or planned).
+    pub stmt_cache_hits: Counter,
+    /// `QUERY` frames parsed and planned afresh: a new shape, an evicted
+    /// one, or text that failed to parse.
+    pub stmt_cache_misses: Counter,
     /// Threads dedicated to delay scheduling (the acceptance criterion:
     /// stays at 1 no matter how many delays are pending).
     pub scheduler_threads: Gauge,
@@ -82,6 +88,8 @@ impl ServerMetrics {
             rows_streamed: registry.counter("server_rows_streamed"),
             delay_micros_charged: registry.counter("server_delay_micros_charged"),
             query_errors: registry.counter("server_query_errors"),
+            stmt_cache_hits: registry.counter("server_stmt_cache_hits"),
+            stmt_cache_misses: registry.counter("server_stmt_cache_misses"),
             scheduler_threads: registry.gauge("scheduler_threads"),
             scheduler_pending: registry.gauge("scheduler_pending"),
             scheduler_scheduled: registry.counter("scheduler_scheduled_total"),

@@ -111,14 +111,26 @@ impl Index {
         self.map.contains_key(key)
     }
 
-    /// RowIds whose keys fall within `(lo, hi)` bounds, in key order.
+    /// RowIds whose keys fall within `(lo, hi)` bounds, in key order. An
+    /// interval with its start above its end (`id >= 5 AND id < 3`)
+    /// holds no keys.
     pub fn range(
         &self,
         lo: Bound<&IndexKey>,
         hi: Bound<&IndexKey>,
     ) -> impl Iterator<Item = RowId> + '_ {
-        self.map
-            .range::<IndexKey, _>((lo, hi))
+        // `BTreeMap::range` panics on such an interval, and on one that
+        // excludes the same key at both ends.
+        let empty = match (lo, hi) {
+            (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+                a > b || (a == b && matches!((lo, hi), (Bound::Excluded(_), Bound::Excluded(_))))
+            }
+            _ => false,
+        };
+        (!empty)
+            .then(|| self.map.range::<IndexKey, _>((lo, hi)))
+            .into_iter()
+            .flatten()
             .flat_map(|(_, v)| v.iter().copied())
     }
 
@@ -204,6 +216,29 @@ mod tests {
             .map(|r| r.slot())
             .collect();
         assert_eq!(got, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn inverted_and_doubly_open_ranges_are_empty() {
+        let mut i = idx(false);
+        for v in 0..10i64 {
+            i.insert(k(v), RowId::new(0, v as u16)).unwrap();
+        }
+        let (five, three) = (k(5), k(3));
+        let empty = [
+            (Bound::Included(&five), Bound::Excluded(&three)),
+            (Bound::Excluded(&five), Bound::Included(&three)),
+            (Bound::Excluded(&five), Bound::Excluded(&five)),
+            (Bound::Included(&five), Bound::Excluded(&five)),
+        ];
+        for (lo, hi) in empty {
+            assert_eq!(i.range(lo, hi).count(), 0, "{lo:?}..{hi:?}");
+        }
+        assert_eq!(
+            i.range(Bound::Included(&five), Bound::Included(&five))
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -28,7 +28,11 @@ pub struct Table {
     schema: Schema,
     heap: HeapFile,
     indexes: Vec<Index>,
+    /// Write counters; `stats.reads` is unused here, reads live in `reads`.
     stats: TableStats,
+    /// Point reads served. Atomic so readers holding only the table's
+    /// read lock can count what they fetched.
+    reads: AtomicU64,
     ddl_version: u64,
     data_version: u64,
 }
@@ -42,6 +46,7 @@ impl Table {
             heap: HeapFile::new(),
             indexes: Vec::new(),
             stats: TableStats::default(),
+            reads: AtomicU64::new(0),
             ddl_version: fresh_ddl_version(),
             data_version: 0,
         }
@@ -69,13 +74,17 @@ impl Table {
 
     /// Operation counters.
     pub fn stats(&self) -> TableStats {
-        self.stats
+        TableStats {
+            reads: self.reads.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// Record `n` point reads served outside [`Table::get`] (e.g. by a
-    /// query executor that fetched rows via `peek`).
-    pub fn record_reads(&mut self, n: u64) {
-        self.stats.reads += n;
+    /// query executor that fetched rows via `peek`). Takes `&self`, so a
+    /// reader under the table's read lock can count its own rows.
+    pub fn record_reads(&self, n: u64) {
+        self.reads.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The underlying heap (for snapshotting).
@@ -91,9 +100,9 @@ impl Table {
     }
 
     /// A counter bumped by every committed row mutation (insert, update,
-    /// delete). Together with [`Table::ddl_version`] it lets a cached
-    /// plan detect that the *data* under it moved — derived statistics,
-    /// located row sets, and prepared scans all go stale the same way.
+    /// delete): the version a write acknowledgement reports. Cached plans
+    /// do not check it — a plan holds no row ids and probes its index on
+    /// every open, so only [`Table::ddl_version`] can make it stale.
     pub fn data_version(&self) -> u64 {
         self.data_version
     }
@@ -181,7 +190,7 @@ impl Table {
             .get(rid)
             .ok_or(StorageError::RowNotFound(rid.raw()))?;
         let row = decode_row(rec)?;
-        self.stats.reads += 1;
+        *self.reads.get_mut() += 1;
         Ok(row)
     }
 
@@ -322,6 +331,7 @@ impl Table {
             schema,
             heap,
             indexes: Vec::new(),
+            reads: AtomicU64::new(stats.reads),
             stats,
             ddl_version: fresh_ddl_version(),
             data_version: 0,

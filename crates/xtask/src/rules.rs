@@ -21,7 +21,9 @@
 //!   `crates/xtask/lint-allow.txt`) are inside the real-clock
 //!   implementation itself. Unit-test modules are exempt.
 //! * **R3 no `unwrap`/`expect` on server paths** — the long-running
-//!   server loops (`server.rs`, `scheduler.rs`, `wheel.rs`) and the
+//!   server loops (`server.rs`, `scheduler.rs`, `wheel.rs`), the
+//!   per-session statement cache every `QUERY` goes through
+//!   (`stmt_cache.rs`) and the
 //!   cluster front door's router/delta-sync path
 //!   (`crates/testkit/src/world.rs`, `crates/testkit/src/partition.rs`)
 //!   must not panic on recoverable conditions; vetted exceptions live in
@@ -44,7 +46,9 @@
 //! * **R6 no per-row allocation on the wire path** — `Vec::new`,
 //!   `format!` and `.to_vec()` are banned inside loop bodies in the
 //!   files that touch every released tuple (`crates/server/src/gate.rs`,
-//!   `crates/server/src/scheduler.rs`, `crates/server/src/protocol.rs`):
+//!   `crates/server/src/scheduler.rs`, `crates/server/src/protocol.rs`)
+//!   and in the statement cache's literal scanner, which walks every
+//!   byte of every query (`crates/server/src/stmt_cache.rs`):
 //!   the zero-copy pipeline's allocation budget (two allocations per
 //!   query, measured by the bench counting allocator) only holds if the
 //!   per-row loops reuse caller-owned buffers, and one `format!` in a
@@ -239,6 +243,7 @@ fn panic_free_path(rel: &str) -> bool {
             | "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/wheel.rs"
+            | "crates/server/src/stmt_cache.rs"
             | "crates/testkit/src/world.rs"
             | "crates/testkit/src/partition.rs"
     )
@@ -324,13 +329,15 @@ fn rule_no_collect_on_server_hot_path(
 /// two-allocations-per-query budget. `gate.rs` covers the mutation path
 /// too (`handle_mutation` and its reply scheduling); the cluster router
 /// is included because reads *and* writes now flow through its
-/// per-frame routing and sink-drain loops.
+/// per-frame routing and sink-drain loops; the statement cache because
+/// its scanner loops over every byte of every query on a cache hit.
 fn row_loop_alloc_path(rel: &str) -> bool {
     matches!(
         rel,
         "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/protocol.rs"
+            | "crates/server/src/stmt_cache.rs"
             | "crates/testkit/src/world.rs"
     )
 }
@@ -805,6 +812,17 @@ mod tests {
                 assert!(f[0].message.contains("once per row"));
             }
         }
+    }
+
+    #[test]
+    fn statement_cache_is_in_r3_and_r6_scope() {
+        let rel = "crates/server/src/stmt_cache.rs";
+        let unwrap = "fn f() { x.lock().unwrap(); }\n";
+        assert_eq!(lint(rel, unwrap).len(), 1, "{rel} must be in R3 scope");
+        let per_byte = "fn f(sql: &str) { for b in sql.bytes() { let v = Vec::new(); } }\n";
+        let f = lint(rel, per_byte);
+        assert_eq!(f.len(), 1, "{rel} must be in R6 scope");
+        assert!(f[0].message.contains("once per row"));
     }
 
     #[test]

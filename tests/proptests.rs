@@ -536,3 +536,245 @@ fn charging_models_bounded_by_each_other() {
         }
     });
 }
+
+// ---- the wire's statement cache -----------------------------------------
+
+/// A SELECT served from a session's statement cache answers exactly what
+/// the same text parsed and planned afresh answers. Two identical worlds
+/// on the virtual clock get the same generated SELECTs: world A through
+/// one session (its cache warms up, later queries only bind), world B
+/// through a fresh session per query (every query parsed and planned).
+/// Every frame — rows with their `seq`, `ROWS_END`, `DONE` with its
+/// delay — and the virtual time it was released at must be equal, and
+/// the rows must be the ones the engine returns for the literal text.
+#[test]
+fn cached_statements_answer_like_fresh_ones() {
+    use delayguard::core::gatekeeper::RegistrationPolicy;
+    use delayguard::core::{Clock, GatekeeperConfig, GuardConfig, GuardedDatabase, ManualClock};
+    use delayguard::query::Engine;
+    use delayguard::server::{
+        DelayScheduler, Frame, FrameSink, FrontDoor, GateConfig, ServerMetrics, SessionState,
+    };
+    use delayguard::sim::Registry;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    /// Every frame with the virtual time it was pushed at.
+    struct Sink {
+        clock: Arc<ManualClock>,
+        frames: Mutex<Vec<(u64, Frame)>>,
+    }
+
+    impl FrameSink for Sink {
+        fn push_control(&self, frame: Frame) {
+            let at = self.clock.now_nanos();
+            self.frames.lock().unwrap().push((at, frame));
+        }
+
+        fn push_row(&self, frame: Frame) {
+            self.push_control(frame);
+        }
+
+        fn try_reserve_rows(&self, _n: usize) -> bool {
+            true
+        }
+    }
+
+    struct World {
+        clock: Arc<ManualClock>,
+        scheduler: Arc<DelayScheduler>,
+        gate: FrontDoor,
+        sink: Arc<Sink>,
+        registry: Registry,
+        user: u64,
+    }
+
+    const PEER: [u8; 4] = [10, 1, 2, 3];
+
+    impl World {
+        fn new(setup: &[String]) -> World {
+            let clock = ManualClock::shared();
+            let dyn_clock: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
+            let db = Arc::new(GuardedDatabase::with_engine_and_clock(
+                Engine::new(),
+                GuardConfig::paper_default(),
+                Arc::clone(&dyn_clock),
+            ));
+            for sql in setup {
+                db.execute_at(sql, 0.0).unwrap();
+            }
+            let registry = Registry::new();
+            let metrics = ServerMetrics::new(&registry);
+            let tick = Duration::from_millis(1);
+            let scheduler = DelayScheduler::manual(tick, metrics.clone(), Arc::clone(&dyn_clock));
+            let open = GatekeeperConfig {
+                registration: RegistrationPolicy::interval(0.0),
+                per_user_rate: 1e9,
+                per_user_burst: 1e9,
+                per_subnet_rate: 1e9,
+                per_subnet_burst: 1e9,
+                ..GatekeeperConfig::default()
+            };
+            let gate = FrontDoor::new(
+                GateConfig {
+                    gatekeeper: open,
+                    stream_chunk_rows: 4,
+                    ..GateConfig::default()
+                },
+                db,
+                Arc::clone(&scheduler),
+                dyn_clock,
+                metrics,
+                registry.clone(),
+            );
+            let sink = Arc::new(Sink {
+                clock: Arc::clone(&clock),
+                frames: Mutex::new(Vec::new()),
+            });
+            let mut world = World {
+                clock,
+                scheduler,
+                gate,
+                sink,
+                registry,
+                user: 0,
+            };
+            world.user = world.register(&SessionState::new());
+            world
+        }
+
+        /// Negotiate v2 framing on `session`; returns the new identity.
+        fn register(&self, session: &SessionState) -> u64 {
+            let register = Frame::Register {
+                claimed_ip: [0; 4],
+                version: 2,
+            };
+            self.gate.handle_frame(register, PEER, session, &self.sink);
+            match self.sink.frames.lock().unwrap().pop() {
+                Some((_, Frame::Registered { user, .. })) => user,
+                other => panic!("expected Registered, got {other:?}"),
+            }
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            match self.registry.value(name) {
+                Some(delayguard::sim::MetricValue::Counter(n)) => n,
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+
+        /// Issue `sql` on `session` and release everything it scheduled.
+        fn query(&self, query_id: u32, sql: &str, session: &SessionState) -> Vec<(u64, Frame)> {
+            let frame = Frame::Query {
+                query_id,
+                user: self.user,
+                sql: sql.to_owned(),
+            };
+            self.gate.handle_frame(frame, PEER, session, &self.sink);
+            while let Some(at) = self.scheduler.next_deadline_nanos() {
+                self.clock.advance_to_nanos(at);
+                self.scheduler.poll();
+            }
+            std::mem::take(&mut *self.sink.frames.lock().unwrap())
+        }
+    }
+
+    let mut hits = 0;
+    cases(0x5E5510C, |rng| {
+        let n = rng.range(5, 40) as i64;
+        let mut setup = vec![
+            "CREATE TABLE t (id INT NOT NULL, grp INT, score FLOAT NOT NULL, note TEXT NOT NULL)"
+                .to_owned(),
+            "CREATE UNIQUE INDEX t_pk ON t (id)".to_owned(),
+            "CREATE INDEX t_note ON t (note)".to_owned(),
+        ];
+        for i in 0..n {
+            let grp = if i % 7 == 0 {
+                "NULL".to_owned()
+            } else {
+                (i % 4).to_string()
+            };
+            setup.push(format!(
+                "INSERT INTO t VALUES ({}, {grp}, {:.1}, 'it''s-{i}')",
+                i - n / 2,
+                i as f64 * 1.5 - 10.0
+            ));
+        }
+        let (cached, fresh) = (World::new(&setup), World::new(&setup));
+        let plain = Engine::new();
+        for sql in &setup {
+            plain.execute(sql).unwrap();
+        }
+        let session = SessionState::new();
+        cached.register(&session);
+        let id = |rng: &mut Rng| rng.range(0, n as u64 + 6) as i64 - n / 2 - 3;
+        let score = |rng: &mut Rng| format!("{:.2}", rng.f64_range(-15.0, 55.0));
+        for query_id in 1..=rng.range(8, 24) as u32 {
+            let sql = match rng.below(8) {
+                0 => format!("SELECT * FROM t WHERE id = {}", id(rng)),
+                1 => format!(
+                    "SELECT id, note FROM t WHERE score >= {} AND score < {}",
+                    score(rng),
+                    score(rng)
+                ),
+                2 => format!(
+                    "SELECT id FROM t WHERE note = 'it''s-{}'",
+                    rng.below(n as u64 + 2)
+                ),
+                3 => format!("SELECT id, grp FROM t WHERE grp = NULL OR id = {}", id(rng)),
+                4 => format!(
+                    "SELECT id FROM t WHERE grp >= {} ORDER BY score DESC LIMIT {}",
+                    rng.below(4),
+                    rng.range(1, 6)
+                ),
+                5 => format!(
+                    "SELECT * FROM t WHERE id > {} AND id > {} AND id <= {}",
+                    id(rng),
+                    id(rng),
+                    id(rng)
+                ),
+                6 => format!(
+                    "SELECT note FROM t WHERE id >= {} AND id < {}",
+                    id(rng),
+                    id(rng)
+                ),
+                _ => format!(
+                    "SELECT id FROM t WHERE id < {} AND {} < id ORDER BY id LIMIT {}",
+                    id(rng),
+                    id(rng),
+                    rng.range(1, 4)
+                ),
+            };
+            let dt = rng.below(2_000_000_000);
+            cached.clock.advance_nanos(dt);
+            fresh.clock.advance_nanos(dt);
+            let a = cached.query(query_id, &sql, &session);
+            let one_off = SessionState::new();
+            fresh.register(&one_off);
+            let b = fresh.query(query_id, &sql, &one_off);
+            assert_eq!(a, b, "query {query_id}: {sql}");
+            let rows: Vec<&Row> = a
+                .iter()
+                .filter_map(|(_, f)| match f {
+                    Frame::Row { row, .. } => Some(row),
+                    _ => None,
+                })
+                .collect();
+            let want = plain.query(&sql).unwrap();
+            assert_eq!(rows.len(), want.len(), "row count: {sql}");
+            for (got, (_, want)) in rows.iter().zip(&want.rows) {
+                assert_eq!(got.values(), want.values(), "{sql}");
+            }
+            assert!(
+                matches!(a.last(), Some((_, Frame::Done { .. }))),
+                "{sql}: {a:?}"
+            );
+        }
+        hits += cached.counter("server_stmt_cache_hits");
+        assert_eq!(fresh.counter("server_stmt_cache_hits"), 0);
+    });
+    assert!(
+        hits > CASES * 2,
+        "the cached world bound only {hits} statements"
+    );
+}
