@@ -1,25 +1,28 @@
 //! The experiment implementations behind every table and figure of the
-//! paper's §4, shared by the `experiments` binary and the Criterion
-//! benches. Each function returns both structured results (asserted in
-//! tests/benches) and a rendered table for the harness output.
+//! paper's §4: each returns structured rows (gated by the `experiments`
+//! binary) and a rendered table. Tables 1–3 and Figures 4–6 are priced
+//! by the shipped guard through [`delayguard_sim::replay`]; Table 4 is
+//! the one exception (see [`table4`]).
 
 use delayguard_core::analysis;
-use delayguard_core::{AccessDelayPolicy, UpdateDelayPolicy};
-use delayguard_popularity::{top_k, FrequencyTracker};
+use delayguard_core::{AccessDelayPolicy, GuardConfig, GuardPolicy, UpdateDelayPolicy};
+use delayguard_popularity::{top_k, DecaySchedule, FrequencyTracker};
 use delayguard_sim::{
-    extract_update_based, fmt_dollars, fmt_pct, fmt_secs, measure_overhead, replay, replay_keys,
-    uniform_user_median_delay, DecayMode, OverheadConfig, ReplayConfig, TableBuilder,
+    fmt_dollars, fmt_pct, fmt_secs, measure_overhead, median_of, replay, update_skew_delays,
+    OverheadConfig, TableBuilder,
 };
-use delayguard_workload::{
-    BoxOfficeConfig, CalgaryConfig, ExtractionOrder, Trace, UpdateRates, WEEK_SECS,
-};
+use delayguard_workload::{BoxOfficeConfig, CalgaryConfig, UpdateRates, WEEK_SECS};
 
 /// The paper's 10-second default cap.
 pub const DEFAULT_CAP_SECS: f64 = 10.0;
 
-fn calgary_policy() -> AccessDelayPolicy {
-    // α matches the trace's observed skew (≈1.5); β=1.0 is the tuning knob.
-    AccessDelayPolicy::new(1.5, 1.0).with_cap(DEFAULT_CAP_SECS)
+/// The Calgary guard: access-rate delays with α matching the trace's
+/// observed skew (≈1.5) and β = 1.0 (the tuning knob).
+fn calgary_guard(cap_secs: f64, decay_rate: f64) -> GuardConfig {
+    let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(cap_secs);
+    GuardConfig::paper_default()
+        .with_policy(GuardPolicy::AccessRate(policy))
+        .with_access_decay(decay_rate)
 }
 
 // ---------------------------------------------------------------- Fig. 1
@@ -73,14 +76,10 @@ pub fn table1(sizes: &[u64]) -> (Vec<Table1Row>, String) {
     );
     for &n in sizes {
         let cfg = CalgaryConfig::scaled_to(n);
-        let replay_cfg = ReplayConfig {
-            policy: calgary_policy(),
-            decay: DecayMode::PerRequest(1.0),
-            pretrack_all: true,
-        };
         // Stride keeps the delay sample bounded for the 60M-request run.
         let stride = (cfg.requests / 1_000_000).max(1) as usize;
-        let result = replay_keys(cfg.key_stream(), n, &replay_cfg, stride);
+        let guard = calgary_guard(DEFAULT_CAP_SECS, 1.0);
+        let result = replay(cfg.key_stream(), n, guard, stride);
         let row = Table1Row {
             objects: n,
             median_user_delay_secs: result.median_user_delay_secs(),
@@ -108,23 +107,20 @@ pub struct Table2Row {
     pub median_user_delay_secs: f64,
 }
 
-/// Table 2: scaling the maximum delay cap on the Calgary-sized database
-/// (0.1 / 1 / 10 / 100 s).
-pub fn table2() -> (Vec<Table2Row>, String) {
-    let cfg = CalgaryConfig::paper();
+/// Table 2: scaling the maximum delay cap (0.1 / 1 / 10 / 100 s) on a
+/// Calgary trace (the paper's is [`CalgaryConfig::paper`]).
+pub fn table2(cfg: &CalgaryConfig) -> (Vec<Table2Row>, String) {
     let caps = [0.1, 1.0, 10.0, 100.0];
     let mut rows = Vec::new();
     let mut table = TableBuilder::new(
-        "Table 2. Scaling Maximum Delay Costs (synthetic Calgary, 12,179 objects)",
+        format!(
+            "Table 2. Scaling Maximum Delay Costs (synthetic Calgary, {} objects)",
+            cfg.objects
+        ),
         &["Cap (sec)", "Adversary Delay", "Median User Delay"],
     );
     for cap in caps {
-        let replay_cfg = ReplayConfig {
-            policy: calgary_policy().with_cap(cap),
-            decay: DecayMode::PerRequest(1.0),
-            pretrack_all: true,
-        };
-        let result = replay_keys(cfg.key_stream(), cfg.objects, &replay_cfg, 1);
+        let result = replay(cfg.key_stream(), cfg.objects, calgary_guard(cap, 1.0), 1);
         let row = Table2Row {
             cap_secs: cap,
             adversary_delay_secs: result.adversary_total_secs,
@@ -150,10 +146,8 @@ pub struct DecayRow {
     pub adversary_delay_secs: f64,
 }
 
-/// Table 3: per-request decay-rate sweep on the Calgary trace.
-pub fn table3() -> (Vec<DecayRow>, String) {
-    let trace_keys: Vec<u64> = CalgaryConfig::paper().key_stream().collect();
-    let objects = CalgaryConfig::paper().objects;
+/// Table 3: per-request decay-rate sweep on a Calgary trace.
+pub fn table3(cfg: &CalgaryConfig) -> (Vec<DecayRow>, String) {
     let rates = [1.0, 1.000001, 1.000002, 1.000005, 1.00001, 1.00002];
     let mut rows = Vec::new();
     let mut table = TableBuilder::new(
@@ -161,12 +155,8 @@ pub fn table3() -> (Vec<DecayRow>, String) {
         &["Decay Rate", "Median User Delay", "Adversary Delay"],
     );
     for rate in rates {
-        let replay_cfg = ReplayConfig {
-            policy: calgary_policy(),
-            decay: DecayMode::PerRequest(rate),
-            pretrack_all: true,
-        };
-        let result = replay_keys(trace_keys.iter().copied(), objects, &replay_cfg, 1);
+        let guard = calgary_guard(DEFAULT_CAP_SECS, rate);
+        let result = replay(cfg.key_stream(), cfg.objects, guard, 1);
         let row = DecayRow {
             decay_rate: rate,
             median_user_delay_secs: result.median_user_delay_secs(),
@@ -221,9 +211,14 @@ pub fn fig2_fig3() -> (SalesRanking, SalesRanking, String) {
 // ---------------------------------------------------------------- Table 4
 
 /// Table 4: weekly decay-rate sweep on the box-office trace.
+///
+/// The one artifact *not* priced by the guard. The paper decays counts
+/// "at weekly boundaries", while `GuardConfig` decays per record, and a
+/// boundary tick would be a product knob only this table needs. So the
+/// trace runs through a local loop over the product's own tracker and
+/// policy: `tick_boundary` at each week, `record_static` per request.
 pub fn table4() -> (Vec<DecayRow>, String) {
-    let season = BoxOfficeConfig::default().generate();
-    let trace: Trace = season.trace();
+    let trace = BoxOfficeConfig::default().generate().trace();
     let rates = [1.0, 1.01, 1.02, 1.05, 1.10, 1.20, 1.50, 2.0, 5.0];
     // The paper's Table 4 medians (tens of microseconds on a 634-row
     // table) are only consistent with Eq. 1's f_max read as the *absolute*
@@ -237,19 +232,24 @@ pub fn table4() -> (Vec<DecayRow>, String) {
         &["Decay Rate", "Median User Delay", "Adversary Delay"],
     );
     for rate in rates {
-        let replay_cfg = ReplayConfig {
-            policy,
-            decay: DecayMode::PerBoundary {
-                rate,
-                period_secs: WEEK_SECS,
-            },
-            pretrack_all: true,
-        };
-        let result = replay(&trace, &replay_cfg);
+        let mut tracker = FrequencyTracker::new(DecaySchedule::new(rate));
+        for key in 0..trace.objects {
+            tracker.ensure_tracked(key);
+        }
+        let mut next_week = WEEK_SECS;
+        let mut delays = Vec::with_capacity(trace.len());
+        for req in &trace.requests {
+            while req.time >= next_week {
+                tracker.tick_boundary();
+                next_week += WEEK_SECS;
+            }
+            delays.push(policy.delay(&tracker, trace.objects, req.key));
+            tracker.record_static(req.key);
+        }
         let row = DecayRow {
             decay_rate: rate,
-            median_user_delay_secs: result.median_user_delay_secs(),
-            adversary_delay_secs: result.adversary_total_secs,
+            median_user_delay_secs: median_of(delays),
+            adversary_delay_secs: policy.adversary_total(&tracker, trace.objects),
         };
         table.row(&[
             format!("{rate:.2}"),
@@ -271,10 +271,8 @@ pub struct UpdateSkewRow {
     pub median_user_delay_secs: f64,
     /// Fig. 5: total adversary delay, seconds.
     pub adversary_delay_secs: f64,
-    /// Fig. 6: stale fraction of the extracted copy (paper criterion).
+    /// Fig. 6: stale fraction of the extracted copy (Eq. 10 rule).
     pub stale_fraction: f64,
-    /// Poisson-expected stale fraction (exposure-refined).
-    pub stale_fraction_expected: f64,
 }
 
 /// Configuration of the §4.3 sweep.
@@ -309,9 +307,13 @@ impl Default for UpdateSkewConfig {
     }
 }
 
-/// Figures 4–6: sweep update skew α over 0.25..=2.5.
+/// Figures 4–6: sweep update skew α over 0.25..=2.5. Each point loads
+/// the relation into a guard under the update-rate policy, seeds every
+/// tuple's true rate and reads each tuple once
+/// ([`update_skew_delays`]).
 pub fn fig456(config: &UpdateSkewConfig, alphas: &[f64]) -> (Vec<UpdateSkewRow>, String) {
     let policy = UpdateDelayPolicy::new(config.c).with_cap(config.cap_secs);
+    let guard = GuardConfig::paper_default().with_policy(GuardPolicy::UpdateRate(policy));
     let mut rows = Vec::new();
     let mut table = TableBuilder::new(
         format!(
@@ -323,25 +325,24 @@ pub fn fig456(config: &UpdateSkewConfig, alphas: &[f64]) -> (Vec<UpdateSkewRow>,
             "Fig4: Median User Delay",
             "Fig5: Adversary Delay",
             "Fig6: Stale Fraction",
-            "Stale (Poisson expected)",
         ],
     );
     for &alpha in alphas {
         let rates = UpdateRates::zipf(config.objects, alpha, config.total_update_rate, config.seed);
-        let report = extract_update_based(&rates, &policy, ExtractionOrder::Sequential);
+        let delays = update_skew_delays(&rates, guard);
+        // The adversary reads every tuple once: its total is the sum.
+        let adversary_delay_secs: f64 = delays.iter().sum();
         let row = UpdateSkewRow {
             alpha,
-            median_user_delay_secs: uniform_user_median_delay(&rates, &policy),
-            adversary_delay_secs: report.total_delay_secs,
-            stale_fraction: report.schedule.paper_stale_fraction(&rates),
-            stale_fraction_expected: report.schedule.expected_stale_fraction(&rates),
+            median_user_delay_secs: median_of(delays),
+            adversary_delay_secs,
+            stale_fraction: rates.stale_fraction(adversary_delay_secs),
         };
         table.row(&[
             format!("{alpha:.2}"),
             fmt_secs(row.median_user_delay_secs),
             fmt_secs(row.adversary_delay_secs),
             fmt_pct(row.stale_fraction),
-            fmt_pct(row.stale_fraction_expected),
         ]);
         rows.push(row);
     }
@@ -430,13 +431,18 @@ mod tests {
     fn table2_shape_matches_paper() {
         // Adversary delay grows with the cap, while the *fraction* of the
         // maximum falls (fewer tuples are capped at higher caps).
-        let (rows, rendered) = table2();
+        let cfg = CalgaryConfig {
+            objects: 1_000,
+            requests: 20_000,
+            ..CalgaryConfig::paper()
+        };
+        let (rows, rendered) = table2(&cfg);
         assert!(rendered.contains("Table 2"));
         assert_eq!(rows.len(), 4);
         for w in rows.windows(2) {
             assert!(w[1].adversary_delay_secs > w[0].adversary_delay_secs);
         }
-        let n = 12_179.0;
+        let n = cfg.objects as f64;
         let frac_low = rows[0].adversary_delay_secs / (n * rows[0].cap_secs);
         let frac_high = rows[3].adversary_delay_secs / (n * rows[3].cap_secs);
         assert!(frac_low > frac_high, "{frac_low} vs {frac_high}");
@@ -446,8 +452,8 @@ mod tests {
     #[test]
     fn fig456_shapes_match_paper() {
         let cfg = UpdateSkewConfig {
-            objects: 10_000,
-            total_update_rate: 10_000.0,
+            objects: 2_000,
+            total_update_rate: 2_000.0,
             ..Default::default()
         };
         let (rows, _) = fig456(&cfg, &[0.25, 1.0, 2.0, 2.5]);

@@ -5,7 +5,7 @@
 //! parses `--smoke`, knows where the file lives, renders JSON, evaluates
 //! gates and chooses the exit code.
 //!
-//! Schema, identical for all five files, keys in this order:
+//! Schema, identical for all six files, keys in this order:
 //!
 //! ```text
 //! bench             the bin's name: the file is BENCH_<bench>.json
@@ -330,6 +330,7 @@ mod tests {
             "cluster",
             "sidechannel",
             "writes",
+            "experiments",
         ] {
             let path = Report::with_mode(bench, false).path();
             let json = std::fs::read_to_string(&path)

@@ -28,8 +28,8 @@ pub enum FmaxMode {
     #[default]
     GlobalRequests,
     /// Decay-aware: top count over the *decayed* total; the mathematically
-    /// self-consistent relative frequency. Kept as an ablation
-    /// (`ablation_decay` bench).
+    /// self-consistent relative frequency. Its one user is the testkit's
+    /// campaign world (`testkit::campaign`).
     DecayedTotal,
     /// The (decayed) top count itself, unnormalized. Reading Eq. 1's
     /// `f_max` as "the frequency with which the most popular item is

@@ -61,7 +61,7 @@ impl GuardPolicy {
 /// §2.1 treats "a query that returns multiple tuples ... as the aggregate
 /// of multiple simple queries that return one tuple each" — i.e. the sum.
 /// The per-query max is the loophole a parallel adversary exploits (§2.4),
-/// kept here as an ablation (`ablation_charging` bench).
+/// kept as the alternative the pricing-oracle and testkit suites check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChargingModel {
     /// Sum of per-tuple delays (the paper's model).

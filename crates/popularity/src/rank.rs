@@ -8,7 +8,7 @@
 //! occupancies. Rank queries then cost `O(log B)` for `B` buckets and are
 //! exact *across* buckets, tying only within a bucket — an error bounded by
 //! the bucket's relative width, which is far below the workload noise the
-//! scheme already tolerates (see the `ablation_rank` bench).
+//! scheme already tolerates.
 
 use crate::fenwick::Fenwick;
 

@@ -221,8 +221,8 @@ impl FrequencyTracker {
     }
 
     /// Exact 1-based rank by linear scan (`O(n)`), with the same
-    /// worst-rank tie semantics as [`FrequencyTracker::rank`]; reference
-    /// for tests and the rank ablation bench.
+    /// worst-rank tie semantics as [`FrequencyTracker::rank`]; the
+    /// reference the tests compare against.
     pub fn exact_rank(&self, key: u64) -> usize {
         let Some(&mine) = self.counts.get(&key) else {
             return self.tracked() + 1;

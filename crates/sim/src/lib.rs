@@ -1,15 +1,12 @@
 //! # delayguard-sim
 //!
-//! Virtual-clock simulation of the paper's evaluation (§4):
+//! The paper's evaluation (§4) run on the shipped guard:
 //!
 //! * [`metrics`] — online mean/stdev (Welford) and exact quantiles; the
 //!   paper reports *medians* for users and totals for adversaries.
-//! * [`replay`] — replay a workload trace through the learn→rank→delay
-//!   pipeline (Tables 1–4).
-//! * [`extraction`] — full-database extraction under either policy,
-//!   producing delay totals and retrieval schedules (Figures 4–5).
-//! * [`staleness`] — expected / simulated stale fractions of an extracted
-//!   copy (Figure 6).
+//! * [`replay`] — replay a workload through
+//!   `GuardedDatabase::execute_at` and price the adversary from the final
+//!   counts (Tables 1–3), and the §4.3 update-skew setup (Figures 4–6).
 //! * [`overhead`] — the §4.4 mechanism-cost methodology (Table 5).
 //! * [`registry`] — lock-free counters/gauges shared with
 //!   `delayguard-server`'s `STATS` endpoint.
@@ -19,22 +16,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod extraction;
 pub mod guardstats;
 pub mod metrics;
 pub mod overhead;
 pub mod registry;
 pub mod replay;
 pub mod report;
-pub mod staleness;
 
-pub use extraction::{
-    extract_access_based, extract_update_based, uniform_user_median_delay, ExtractionReport,
-};
 pub use guardstats::GuardStatsPublisher;
 pub use metrics::{median_of, OnlineStats, Quantiles};
 pub use overhead::{measure_overhead, OverheadConfig, OverheadReport};
 pub use registry::{Counter, Gauge, MetricValue, Registry};
-pub use replay::{replay, replay_keys, DecayMode, ReplayConfig, ReplayResult};
+pub use replay::{replay, update_skew_delays, ReplayResult};
 pub use report::{fmt_dollars, fmt_pct, fmt_secs, TableBuilder};
-pub use staleness::ExtractionSchedule;

@@ -2,8 +2,8 @@
 //!
 //! An extraction adversary "must eventually request every element in the
 //! set". These models decide *in what order* and *with how many
-//! identities* it does so. The delay totals they incur are computed by
-//! `delayguard-sim`.
+//! identities* it does so. The delay totals they incur are priced by the
+//! guard (`GuardedDatabase::tuple_delay`).
 
 use crate::rng::Rng;
 

@@ -23,7 +23,6 @@ pub mod boxoffice;
 pub mod calgary;
 pub mod rng;
 pub mod trace;
-pub mod tracefile;
 pub mod updates;
 pub mod zipf;
 
@@ -33,6 +32,5 @@ pub use boxoffice::{BoxOffice, BoxOfficeConfig, WEEK_SECS};
 pub use calgary::CalgaryConfig;
 pub use rng::Rng;
 pub use trace::{Request, Trace};
-pub use tracefile::TraceFileError;
 pub use updates::{UpdateEvent, UpdateRates, UpdateStream};
 pub use zipf::{generalized_harmonic, power_sum, Zipf};

@@ -96,6 +96,19 @@ impl UpdateRates {
         let lambda = self.rate(item) * secs.max(0.0);
         1.0 - (-lambda).exp()
     }
+
+    /// The paper's staleness rule (Eq. 10, from which Eq. 11/12 are
+    /// derived): the share of items with `r_i > 0` and
+    /// `extraction_secs ≥ 1/r_i` — items updated at least once, on
+    /// average, while an extraction of that length runs.
+    pub fn stale_fraction(&self, extraction_secs: f64) -> f64 {
+        let stale = self
+            .rates
+            .iter()
+            .filter(|&&r| r > 0.0 && extraction_secs >= 1.0 / r)
+            .count();
+        stale as f64 / self.rates.len() as f64
+    }
 }
 
 /// An iterator of Poisson update events over the item universe.
@@ -191,6 +204,33 @@ mod tests {
         assert!(p2 >= p1);
         assert_eq!(r.stale_probability(0, 0.0), 0.0);
         assert!(r.stale_probability(0, 1e12) > 0.999);
+    }
+
+    #[test]
+    fn no_time_no_staleness() {
+        let rates = UpdateRates::uniform(100, 10.0);
+        assert_eq!(rates.stale_fraction(0.0), 0.0);
+    }
+
+    #[test]
+    fn long_exposure_means_everything_stale() {
+        let rates = UpdateRates::uniform(100, 10.0); // 0.1 upd/s each
+        assert_eq!(rates.stale_fraction(1e6), 1.0);
+        assert_eq!(rates.stale_fraction(9.99), 0.0);
+        assert_eq!(rates.stale_fraction(10.0), 1.0, "d_total = 1/r is stale");
+    }
+
+    #[test]
+    fn skew_reduces_stale_fraction_at_fixed_budget() {
+        // Paper Fig. 6: with updates concentrated on few items (high α),
+        // a smaller fraction of the database goes stale.
+        let (n, end) = (5_000u64, 1_000.0);
+        let low = UpdateRates::zipf(n, 0.25, 10.0, 3);
+        let high = UpdateRates::zipf(n, 2.5, 10.0, 3);
+        assert!(
+            low.stale_fraction(end) > high.stale_fraction(end),
+            "low skew should go staler"
+        );
     }
 
     #[test]

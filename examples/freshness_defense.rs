@@ -7,11 +7,12 @@
 //! When access patterns are uniform the popularity scheme has nothing to
 //! exploit — but update rates are rarely uniform. Charging delay inversely
 //! to a tuple's update rate guarantees (Eq. 12) that by the time an
-//! extraction finishes, a tunable fraction of the copy is obsolete.
+//! extraction finishes, a tunable fraction of the copy is obsolete. Each
+//! target is checked on a `GuardedDatabase` that has learned the rates.
 
-use delayguard::core::UpdateDelayPolicy;
-use delayguard::sim::{extract_update_based, fmt_pct, fmt_secs, uniform_user_median_delay};
-use delayguard::workload::{ExtractionOrder, UpdateRates};
+use delayguard::core::{GuardConfig, GuardPolicy, UpdateDelayPolicy};
+use delayguard::sim::{fmt_pct, fmt_secs, median_of, update_skew_delays};
+use delayguard::workload::UpdateRates;
 
 fn main() {
     let n = 50_000u64;
@@ -22,28 +23,25 @@ fn main() {
         rates.total_rate()
     );
 
-    // Pick c for a target staleness guarantee.
+    // Pick c for a target staleness guarantee, then price every tuple.
     for target in [0.25, 0.5, 0.9] {
         let policy = UpdateDelayPolicy::for_staleness(target, alpha).with_cap(10.0);
-        let report = extract_update_based(&rates, &policy, ExtractionOrder::Sequential);
-        let stale_paper = report.schedule.paper_stale_fraction(&rates);
-        let stale_expected = report.schedule.expected_stale_fraction(&rates);
-        let stale_mc = report.schedule.simulated_stale_fraction(&rates, 99);
+        let config = GuardConfig::paper_default().with_policy(GuardPolicy::UpdateRate(policy));
+        let delays = update_skew_delays(&rates, config);
+        let extraction_secs: f64 = delays.iter().sum();
         println!("target staleness {:>4}:", fmt_pct(target));
         println!("  chosen c                    : {:.4}", policy.c);
         println!(
             "  median user delay (uniform) : {}",
-            fmt_secs(uniform_user_median_delay(&rates, &policy))
+            fmt_secs(median_of(delays))
         );
         println!(
             "  extraction takes            : {}",
-            fmt_secs(report.total_delay_secs)
+            fmt_secs(extraction_secs)
         );
         println!(
-            "  stale on completion         : {} (Eq.10 criterion), {} (Poisson expected), {} (Monte-Carlo)",
-            fmt_pct(stale_paper),
-            fmt_pct(stale_expected),
-            fmt_pct(stale_mc)
+            "  stale on completion         : {} (Eq. 10)",
+            fmt_pct(rates.stale_fraction(extraction_secs))
         );
         println!(
             "  Eq. 12 prediction           : {}\n",

@@ -4,12 +4,13 @@
 //! cargo run --release --example web_directory
 //! ```
 //!
-//! Replays a year of Calgary-shaped legitimate traffic against the
-//! learn→rank→delay pipeline, then totals what a sequential extraction
-//! robot would pay with the learned statistics — the Table 2/3 setup.
+//! Replays a year of Calgary-shaped legitimate traffic through a
+//! `GuardedDatabase` — every request a point `SELECT` — then totals what
+//! a sequential extraction robot would pay with the learned statistics:
+//! the Table 2/3 setup.
 
-use delayguard::core::AccessDelayPolicy;
-use delayguard::sim::{fmt_secs, replay_keys, DecayMode, ReplayConfig};
+use delayguard::core::{AccessDelayPolicy, GuardConfig, GuardPolicy};
+use delayguard::sim::{fmt_pct, fmt_secs, replay, Quantiles};
 use delayguard::workload::CalgaryConfig;
 
 fn main() {
@@ -27,12 +28,9 @@ fn main() {
     );
 
     for cap in [1.0, 10.0, 100.0] {
-        let config = ReplayConfig {
-            policy: AccessDelayPolicy::new(1.5, 1.0).with_cap(cap),
-            decay: DecayMode::PerRequest(1.0),
-            pretrack_all: true,
-        };
-        let result = replay_keys(trace.key_stream(), trace.objects, &config, 1);
+        let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(cap);
+        let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
+        let result = replay(trace.key_stream(), trace.objects, config, 1);
         println!("cap = {cap:>5.1} s:");
         println!(
             "  median legitimate-user delay : {}",
@@ -40,12 +38,12 @@ fn main() {
         );
         println!(
             "  p99 legitimate-user delay    : {}",
-            fmt_secs(delayguard::sim::Quantiles::of(result.delays.clone()).p99())
+            fmt_secs(Quantiles::of(result.delays.clone()).p99())
         );
         println!(
             "  full-extraction delay        : {}  ({} of the N x cap maximum)",
             fmt_secs(result.adversary_total_secs),
-            delayguard::sim::fmt_pct(result.fraction_of_max()),
+            fmt_pct(result.fraction_of_max()),
         );
         let ratio = result.adversary_total_secs / result.median_user_delay_secs().max(1e-9);
         println!("  adversary / median-user      : {ratio:.2e}\n");

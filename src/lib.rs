@@ -18,8 +18,8 @@
 //!   closed-form analysis (Eq. 2–7, 11–12), the gatekeeper (§2.4), and the
 //!   [`core::GuardedDatabase`] facade.
 //! * [`workload`] — deterministic Zipf/trace/adversary generators (§4).
-//! * [`sim`] — virtual-clock replay, extraction experiments, staleness and
-//!   latency metrics (§4.1–4.4), shared metrics registry.
+//! * [`sim`] — the paper's evaluation replayed through
+//!   [`core::GuardedDatabase`] (§4.1–4.4), metrics, shared registry.
 //! * [`server`] — the network front door: framed TCP protocol, gatekeeper
 //!   admission, timer-wheel delay enforcement, load shedding, graceful
 //!   drain.

@@ -1,10 +1,10 @@
 //! Theory-versus-simulation cross-checks: the paper's closed forms
-//! (Eq. 2–7, 11–12) must agree with the simulator on matched setups.
+//! (Eq. 2–7, 11–12) must agree with the guard on matched setups.
 
 use delayguard::core::analysis;
-use delayguard::core::{AccessDelayPolicy, UpdateDelayPolicy};
+use delayguard::core::{AccessDelayPolicy, GuardConfig, GuardPolicy, UpdateDelayPolicy};
 use delayguard::popularity::FrequencyTracker;
-use delayguard::sim::{extract_update_based, median_of, replay_keys, DecayMode, ReplayConfig};
+use delayguard::sim::{median_of, replay, update_skew_delays};
 use delayguard::workload::{generalized_harmonic, ExtractionOrder, UpdateRates, Zipf};
 
 /// Build a tracker holding the *exact* Zipf counts (no sampling noise) so
@@ -63,18 +63,14 @@ fn replayed_median_tracks_analytic_median_delay() {
     let alpha = 1.5;
     let cfg = delayguard::workload::CalgaryConfig {
         objects: n,
-        requests: 400_000,
+        requests: 60_000,
         alpha,
         inter_arrival_secs: 1.0,
         seed: 4,
     };
     let policy = AccessDelayPolicy::new(alpha, 1.0).with_cap(10.0);
-    let replay_cfg = ReplayConfig {
-        policy,
-        decay: DecayMode::PerRequest(1.0),
-        pretrack_all: true,
-    };
-    let result = replay_keys(cfg.key_stream(), n, &replay_cfg, 1);
+    let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
+    let result = replay(cfg.key_stream(), n, config, 1);
     // Steady state: use the last quarter of delays.
     let tail = &result.delays[result.delays.len() * 3 / 4..];
     let measured_median = median_of(tail.to_vec());
@@ -91,13 +87,14 @@ fn replayed_median_tracks_analytic_median_delay() {
 
 #[test]
 fn staleness_simulation_matches_eq11_exact_form() {
-    let n = 20_000u64;
+    let n = 5_000u64;
     for alpha in [0.5, 1.0, 2.0] {
         let c = 0.8;
         let rates = UpdateRates::zipf(n, alpha, n as f64, 5);
         let policy = UpdateDelayPolicy::new(c).with_cap(f64::INFINITY);
-        let report = extract_update_based(&rates, &policy, ExtractionOrder::Sequential);
-        let simulated = report.schedule.paper_stale_fraction(&rates);
+        let config = GuardConfig::paper_default().with_policy(GuardPolicy::UpdateRate(policy));
+        let extraction_secs: f64 = update_skew_delays(&rates, config).iter().sum();
+        let simulated = rates.stale_fraction(extraction_secs);
         let exact = analysis::stale_fraction_exact(n, alpha, c);
         assert!(
             (simulated - exact).abs() < 0.03,

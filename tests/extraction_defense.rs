@@ -5,49 +5,56 @@
 use delayguard::core::{
     AccessDelayPolicy, ChargingModel, GuardConfig, GuardPolicy, GuardedDatabase, UpdateDelayPolicy,
 };
-use delayguard::popularity::FrequencyTracker;
-use delayguard::sim::{extract_access_based, extract_update_based};
+use delayguard::sim::{median_of, replay, update_skew_delays, ReplayResult};
 use delayguard::workload::{
-    ExtractionOrder, Rng, StorefrontObserver, SybilPlan, UpdateRates, Zipf,
+    CalgaryConfig, ExtractionOrder, Rng, StorefrontObserver, SybilPlan, UpdateRates, Zipf,
 };
 
-fn learned_tracker(objects: u64, alpha: f64, requests: usize) -> FrequencyTracker {
-    let zipf = Zipf::new(objects, alpha);
-    let mut rng = Rng::new(31);
-    let mut t = FrequencyTracker::no_decay();
-    for key in 0..objects {
-        t.ensure_tracked(key);
-    }
-    for _ in 0..requests {
-        t.record(zipf.sample(&mut rng) - 1);
-    }
-    t
+/// A guard that has learned Zipf(1.5) popularity from `requests` point
+/// reads over `objects` rows.
+fn learned_guard(objects: u64, requests: u64) -> ReplayResult {
+    let trace = CalgaryConfig {
+        objects,
+        requests,
+        alpha: 1.5,
+        inter_arrival_secs: 1.0,
+        seed: 31,
+    };
+    let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0);
+    let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
+    replay(trace.key_stream(), objects, config, 1)
+}
+
+/// Total an extraction robot pays reading every tuple once in `order`.
+fn extraction_total(guard: &ReplayResult, objects: u64, order: ExtractionOrder) -> f64 {
+    order
+        .keys(objects)
+        .into_iter()
+        .map(|k| guard.tuple_delay(k))
+        .sum()
 }
 
 #[test]
 fn extraction_order_cannot_dodge_the_total() {
     let objects = 2_000;
-    let tracker = learned_tracker(objects, 1.5, 100_000);
-    let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0);
-    let seq = extract_access_based(&tracker, &policy, objects, ExtractionOrder::Sequential);
-    let shuf = extract_access_based(&tracker, &policy, objects, ExtractionOrder::Shuffled(7));
-    assert!((seq.total_delay_secs - shuf.total_delay_secs).abs() < 1e-6);
-    assert!(seq.fraction_of_max() > 0.5);
+    let guard = learned_guard(objects, 40_000);
+    let seq = extraction_total(&guard, objects, ExtractionOrder::Sequential);
+    let shuf = extraction_total(&guard, objects, ExtractionOrder::Shuffled(7));
+    assert!((seq - shuf).abs() < 1e-6);
+    assert!(seq / guard.max_possible_secs > 0.5);
 }
 
 #[test]
 fn sybil_parallelism_bounded_by_partition_max() {
     let objects = 2_000u64;
-    let tracker = learned_tracker(objects, 1.5, 100_000);
-    let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0);
-    let serial = extract_access_based(&tracker, &policy, objects, ExtractionOrder::Sequential)
-        .total_delay_secs;
+    let guard = learned_guard(objects, 40_000);
+    let serial = extraction_total(&guard, objects, ExtractionOrder::Sequential);
     for identities in [2usize, 10, 100] {
         let plan = SybilPlan {
             identities,
             order: ExtractionOrder::Sequential,
         };
-        let wall = plan.wall_clock(objects, |k| policy.delay(&tracker, objects, k));
+        let wall = plan.wall_clock(objects, |k| guard.tuple_delay(k));
         // Parallelism divides the wall clock by ~k but never below
         // serial/k (round-robin balance) and never beats the per-tuple cap
         // structure by more than the fleet size.
@@ -144,13 +151,14 @@ fn update_rate_defense_under_uniform_access() {
     let n = 20_000u64;
     let rates = UpdateRates::zipf(n, 1.0, n as f64, 3);
     let policy = UpdateDelayPolicy::for_staleness(0.6, 1.0).with_cap(10.0);
-    let report = extract_update_based(&rates, &policy, ExtractionOrder::Sequential);
-    let stale = report.schedule.paper_stale_fraction(&rates);
+    let config = GuardConfig::paper_default().with_policy(GuardPolicy::UpdateRate(policy));
+    let delays = update_skew_delays(&rates, config);
+    let stale = rates.stale_fraction(delays.iter().sum());
     assert!(
         (stale - 0.6).abs() < 0.05,
         "staleness guarantee missed: {stale}"
     );
     // Median uniform user sees a tiny delay.
-    let med = delayguard::sim::uniform_user_median_delay(&rates, &policy);
+    let med = median_of(delays);
     assert!(med < 0.01, "median {med}");
 }
