@@ -3,15 +3,17 @@
 //! `BENCH_experiments.json` (schema: [`delayguard_bench::report`]).
 //!
 //! ```text
-//! cargo run -p delayguard-bench --release --bin experiments               # full (~6 min)
+//! cargo run -p delayguard-bench --release --bin experiments               # full (~3 min)
 //! cargo run -p delayguard-bench --release --bin experiments -- --smoke    # small shapes
 //! cargo run -p delayguard-bench --release --bin experiments -- fig1 table3
 //! ```
 //!
 //! Artifact ids: fig1, table1, table2, table3, fig2, fig3, table4, fig4,
 //! fig5, fig6 (aliases: fig456), table5, analysis. The committed file is
-//! a run of all of them. Every gate is on a deterministic virtual-clock
-//! result, so smoke enforces them all; Table 5's timings have no gate.
+//! a run of all of them. Every shape gate is on a deterministic
+//! virtual-clock result, so smoke enforces them all. The one timing gate,
+//! `execute_at`'s cost per Calgary request, binds on full runs only;
+//! Table 5's timings have no gate.
 
 use delayguard_bench::experiments::{self, UpdateSkewConfig};
 use delayguard_bench::report::{Op, Op::*, Report, Scope};
@@ -108,6 +110,16 @@ fn main() -> ExitCode {
     if want(&["table2"]) {
         let (rows, rendered) = experiments::table2(&calgary);
         println!("{rendered}");
+        let per_request = experiments::calgary_secs_per_request(&calgary);
+        report
+            .sample("execute_at_secs_per_calgary_request", per_request, "s")
+            .gate(
+                "execute_at_secs_per_calgary_request",
+                per_request,
+                Le,
+                1.5e-6,
+                Scope::FullRun,
+            );
         record_rows!(
             report,
             "table2",

@@ -12,6 +12,7 @@ use delayguard_sim::{
     OverheadConfig, TableBuilder,
 };
 use delayguard_workload::{BoxOfficeConfig, CalgaryConfig, UpdateRates, WEEK_SECS};
+use std::time::Instant;
 
 /// The paper's 10-second default cap.
 pub const DEFAULT_CAP_SECS: f64 = 10.0;
@@ -134,6 +135,25 @@ pub fn table2(cfg: &CalgaryConfig) -> (Vec<Table2Row>, String) {
         rows.push(row);
     }
     (rows, table.render())
+}
+
+/// Seconds one Calgary request costs `execute_at`: the median of three
+/// replays of `cfg` (cap 10 s) with the keys drawn up front and no
+/// delays kept, so the time is the guard's, plus loading the relation
+/// and pricing the adversary once per replay.
+pub fn calgary_secs_per_request(cfg: &CalgaryConfig) -> f64 {
+    let keys: Vec<u64> = cfg.key_stream().collect();
+    let runs = (0..3)
+        .map(|_| {
+            let guard = calgary_guard(DEFAULT_CAP_SECS, 1.0);
+            let started = Instant::now();
+            let result = replay(keys.iter().copied(), cfg.objects, guard, usize::MAX);
+            let secs = started.elapsed().as_secs_f64();
+            drop(result);
+            secs / keys.len() as f64
+        })
+        .collect();
+    median_of(runs)
 }
 
 // ---------------------------------------------------------------- Table 3

@@ -12,11 +12,9 @@
 //!
 //! Queries are multi-row range scans so per-tuple charging dominates.
 
-use delayguard_core::{
-    AccessDelayPolicy, ChargedChunk, GuardConfig, GuardPolicy, GuardedDatabase, PreparedQuery,
-};
+use delayguard_core::{AccessDelayPolicy, ChargedChunk, GuardConfig, GuardPolicy, GuardedDatabase};
 use delayguard_query::ast::Statement;
-use delayguard_query::{parse, ExecScratch, RowBuf};
+use delayguard_query::{parse, ExecScratch, PreparedSelect, RowBuf};
 use delayguard_storage::copymeter;
 use delayguard_workload::Rng;
 use std::sync::Barrier;
@@ -146,9 +144,9 @@ fn prepared_worker<'a>(
     tid: u64,
     shape: &ThroughputConfig,
 ) -> impl FnMut(u64) -> u64 + 'a {
-    let mut preps: Vec<PreparedQuery> = worker_sql(tid, shape)
+    let mut preps: Vec<PreparedSelect> = worker_sql(tid, shape)
         .iter()
-        .map(|sql| db.prepare(sql).unwrap())
+        .map(|sql| db.engine().prepare_select(sql).unwrap())
         .collect();
     let mut scratch = ExecScratch::new();
     let mut buf = RowBuf::new();

@@ -92,22 +92,12 @@ impl MergeableBucket {
         }
     }
 
-    /// This node's origin id.
-    pub fn origin(&self) -> u16 {
-        self.origin
-    }
-
     /// This node's own charge log (what replication ships to peers).
     pub fn own_log(&self) -> &[Charge] {
         self.logs
             .get(&self.origin)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Total charges known across all origins.
-    pub fn charges_known(&self) -> usize {
-        self.logs.values().map(Vec::len).sum()
     }
 
     /// Record a local charge at `now` (appended to the own-origin log;

@@ -117,11 +117,6 @@ impl Gatekeeper {
         self.origin = origin;
     }
 
-    /// This node's origin id.
-    pub fn origin(&self) -> u16 {
-        self.origin
-    }
-
     /// Register a new identity from `ip` at `now`.
     pub fn register(&mut self, ip: Ipv4, now: f64) -> RegistrationOutcome {
         let outcome = self.registrar.register(ip, now);

@@ -24,7 +24,10 @@
 //! ([`GuardedDatabase::execute_at`]) means exact price-and-record under
 //! the table's shard lock; the guard clock (`execute_with_deadline`, the
 //! `*_streaming` family) means snapshot pricing. Tuples are priced in
-//! exactly one place, [`DeadlineStream::charge_into`].
+//! exactly one place, [`DeadlineStream::charge_into`]. The two SQL-text
+//! entry points reach the core through the guard's [`StatementCache`]:
+//! a SELECT runs prepared, bound to the text's literals, and the cache
+//! is only ever `try_lock`ed.
 //!
 //! # Concurrency model
 //!
@@ -65,10 +68,10 @@ use arc_swap::ArcSwap;
 use delayguard_popularity::{DecaySchedule, FrequencyTracker, ShardedEventQueue};
 use delayguard_query::ast::Statement;
 use delayguard_query::{
-    parse, Engine, ExecScratch, PreparedSelect, RowBuf, SelectCursor, SelectOutput,
-    StatementOutput, StreamedStatement,
+    Engine, ExecScratch, Prepared, PreparedSelect, RowBuf, SelectCursor, SelectOutput,
+    StatementCache, StatementOutput, StreamedStatement,
 };
-use delayguard_storage::{Row, RowId, Value};
+use delayguard_storage::{Row, RowId};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -267,28 +270,6 @@ pub enum StreamedQuery<'s, 'c> {
     Finished(DeadlineResponse),
 }
 
-/// A SELECT parsed, planned, and name-interned once for repeated guarded
-/// execution via [`GuardedDatabase::execute_prepared_streaming`].
-pub struct PreparedQuery {
-    inner: PreparedSelect,
-    /// The table name shared with every access event this query emits,
-    /// so recording an access never copies the string.
-    table: Arc<str>,
-}
-
-impl PreparedQuery {
-    /// The table this query reads.
-    pub fn table(&self) -> &str {
-        &self.table
-    }
-
-    /// Bind the values of the query's parameters for its next executions
-    /// (see [`PreparedSelect::bind`]).
-    pub fn bind(&mut self, values: &[Value]) -> Result<()> {
-        Ok(self.inner.bind(values)?)
-    }
-}
-
 /// One chunk's worth of pricing, filled by
 /// [`DeadlineStream::charge_into`].
 #[derive(Debug, Clone, Default)]
@@ -306,7 +287,7 @@ pub struct ChargedChunk {
 /// with the caller's recycled executor scratch.
 enum Source<'a> {
     Stmt(&'a Statement),
-    Prepared(&'a mut PreparedQuery, &'a mut ExecScratch),
+    Prepared(&'a mut PreparedSelect, &'a mut ExecScratch),
 }
 
 /// Pricing state pinned when a [`DeadlineStream`] opens.
@@ -362,7 +343,7 @@ pub struct DeadlineStream<'s, 'c> {
 
 impl DeadlineStream<'_, '_> {
     /// Output column names, in projection order.
-    pub fn columns(&self) -> &[String] {
+    pub fn columns(&self) -> &Arc<[String]> {
         self.cursor.columns()
     }
 
@@ -503,22 +484,28 @@ impl DeadlineStream<'_, '_> {
     /// chunk: the materialized form the non-streaming entry points
     /// return. Owned pulls skip the clone a [`RowBuf`] drain would need.
     fn drain(mut self) -> Result<DeadlineResponse> {
-        let mut rows = Vec::new();
-        while let Some(row) = self.cursor.next_row()? {
-            rows.push(row);
-        }
         let mut charged = ChargedChunk::default();
-        self.charge_into(&rows, &mut charged);
+        let output = self.drain_into(&mut charged)?;
         Ok(DeadlineResponse {
-            output: StatementOutput::Rows(SelectOutput {
-                columns: self.columns().to_vec(),
-                rows,
-            }),
+            output,
             tuple_delays: charged.delays,
             tuple_offsets: charged.offsets,
             delay_secs: self.total_delay_secs,
             issued_at_nanos: self.issued_at_nanos,
         })
+    }
+
+    /// [`Self::drain`]'s pull and charge, pricing into `charged`.
+    fn drain_into(&mut self, charged: &mut ChargedChunk) -> Result<StatementOutput> {
+        let mut rows = Vec::new();
+        while let Some(row) = self.cursor.next_row()? {
+            rows.push(row);
+        }
+        self.charge_into(&rows, charged);
+        Ok(StatementOutput::Rows(SelectOutput {
+            columns: Arc::clone(self.columns()),
+            rows,
+        }))
     }
 }
 
@@ -577,6 +564,10 @@ pub struct GuardedDatabase {
     /// The guard's one time source: every deadline-path read goes through
     /// here, so a simulated clock makes the whole guard deterministic.
     clock: Arc<dyn Clock>,
+    /// Prepared SELECT shapes for `execute_at` and
+    /// `execute_with_deadline`, and the chunk `execute_at` prices into.
+    /// Only ever `try_lock`ed.
+    statements: Mutex<(StatementCache, ChargedChunk)>,
 }
 
 impl GuardedDatabase {
@@ -617,6 +608,7 @@ impl GuardedDatabase {
             config,
             shards,
             clock,
+            statements: Mutex::default(),
         }
     }
 
@@ -669,17 +661,65 @@ impl GuardedDatabase {
     /// against the live trackers under the table's shard lock — so
     /// simulations are deterministic whatever the snapshot bounds are.
     pub fn execute_at(&self, sql: &str, now_secs: f64) -> Result<GuardedResponse> {
-        let stmt = parse(sql)?;
-        self.run(Source::Stmt(&stmt), Some(now_secs), Self::materialize)?
-            .map(DeadlineResponse::into_response)
+        self.execute(sql, Some(now_secs), |query, charged| match query {
+            StreamedQuery::Rows(mut stream) => Ok(GuardedResponse {
+                output: stream.drain_into(charged)?,
+                delay_secs: stream.delay_secs(),
+                tuples_charged: charged.delays.len(),
+            }),
+            StreamedQuery::Finished(resp) => Ok(resp.into_response()),
+        })
     }
 
     /// Execute at guard-clock time and return enforcement deadlines
     /// instead of sleeping: servers schedule them on a timer wheel, a
     /// library caller sleeps until [`DeadlineResponse::deadline_nanos`].
     pub fn execute_with_deadline(&self, sql: &str) -> Result<DeadlineResponse> {
-        let stmt = parse(sql)?;
-        self.execute_stmt_with_deadline(&stmt)
+        self.execute(sql, None, |query, _| Self::materialize(query))
+    }
+
+    /// The SQL entry points' path into `run`: `sql` goes through the
+    /// guard's [`StatementCache`], so a SELECT runs prepared — a shape
+    /// seen before is only bound to this text's literals — and any other
+    /// statement runs as parsed, once.
+    ///
+    /// The cache is only ever `try_lock`ed. A caller that finds it busy
+    /// prepares through an empty cache of its own, which misses (parse,
+    /// plan, run once), so no statement waits on another thread's.
+    /// `finish` gets the statement and a chunk buffer recycled with the
+    /// cache.
+    fn execute<R>(
+        &self,
+        sql: &str,
+        at: Option<f64>,
+        finish: impl FnOnce(StreamedQuery<'_, '_>, &mut ChargedChunk) -> Result<R>,
+    ) -> Result<R> {
+        let mut shared = self.statements.try_lock();
+        let mut own = None;
+        let (cache, charged) = match shared.as_deref_mut() {
+            Some((cache, charged)) => (cache, charged),
+            None => {
+                let (cache, charged) = own.insert(Default::default());
+                (cache, charged)
+            }
+        };
+        match cache.prepare(&self.engine, sql).1? {
+            Prepared::Select(prep, scratch) => {
+                self.run(Source::Prepared(prep, scratch), at, |q| finish(q, charged))?
+            }
+            Prepared::Other(stmt) => {
+                // A write or DDL statement does not hold the cache.
+                drop(shared);
+                let mut charged = ChargedChunk::default();
+                self.run(Source::Stmt(&stmt), at, |q| finish(q, &mut charged))?
+            }
+        }
+    }
+
+    /// SELECT shapes the guard's SQL entry points hold prepared (at most
+    /// [`delayguard_query::STATEMENT_CACHE_CAPACITY`]).
+    pub fn cached_statements(&self) -> usize {
+        self.statements.lock().0.len()
     }
 
     /// [`Self::execute_with_deadline`] over a pre-parsed statement: a
@@ -712,40 +752,8 @@ impl GuardedDatabase {
         self.run(Source::Stmt(stmt), None, f)
     }
 
-    /// Prepare a SELECT for repeated guarded execution: parsed, planned,
-    /// and its table name interned once. Re-run it with
-    /// [`Self::execute_prepared_streaming`]; the plan revalidates (and
-    /// transparently replans) against the table's DDL version on every
-    /// execution.
-    pub fn prepare(&self, sql: &str) -> Result<PreparedQuery> {
-        self.prepare_stmt(parse(sql)?)
-    }
-
-    /// Prepare the *shape* of a SELECT: parse `sql`, lift its number and
-    /// string literals into parameters ([`Statement::lift_literals`]),
-    /// appending their values to `literals` in source order, and plan it
-    /// once for every value. Bind values with [`PreparedQuery::bind`]
-    /// before executing. `Ok(None)` if `sql` is not a SELECT.
-    pub fn prepare_shape(
-        &self,
-        sql: &str,
-        literals: &mut Vec<Value>,
-    ) -> Result<Option<PreparedQuery>> {
-        let mut stmt = parse(sql)?;
-        if !matches!(stmt, Statement::Select { .. }) {
-            return Ok(None);
-        }
-        stmt.lift_literals(literals);
-        self.prepare_stmt(stmt).map(Some)
-    }
-
-    fn prepare_stmt(&self, stmt: Statement) -> Result<PreparedQuery> {
-        let inner = self.engine.prepare(stmt)?;
-        let table: Arc<str> = Arc::from(inner.table());
-        Ok(PreparedQuery { inner, table })
-    }
-
-    /// Execute a prepared SELECT in streaming mode: the steady-state hot
+    /// Execute a prepared SELECT ([`Engine::prepare_select`], or a
+    /// [`StatementCache`] hit) in streaming mode: the steady-state hot
     /// path. Identical pricing, recording, and results to
     /// [`Self::execute_stmt_streaming`] on the same statement — but no
     /// parse, no plan, no per-query scratch: the cursor fills rows into
@@ -753,7 +761,7 @@ impl GuardedDatabase {
     /// prepared table name.
     pub fn execute_prepared_streaming<R>(
         &self,
-        prep: &mut PreparedQuery,
+        prep: &mut PreparedSelect,
         scratch: &mut ExecScratch,
         f: impl FnOnce(DeadlineStream<'_, '_>) -> R,
     ) -> Result<R> {
@@ -862,9 +870,9 @@ impl GuardedDatabase {
                     .execute_stmt_streaming(stmt, |streamed| guarded(table, streamed))?
             }
             Source::Prepared(prep, scratch) => {
-                let table = Arc::clone(&prep.table);
+                let table = Arc::clone(prep.table());
                 self.engine
-                    .execute_prepared_streaming(&mut prep.inner, scratch, |streamed| {
+                    .execute_prepared_streaming(prep, scratch, |streamed| {
                         guarded(table, streamed)
                     })?
             }
@@ -1367,6 +1375,7 @@ mod tests {
     use crate::policy::{ChargingModel, GuardPolicy};
     use crate::snapshot::SnapshotPolicy;
     use crate::update::UpdateDelayPolicy;
+    use delayguard_query::parse;
 
     fn setup(policy: GuardPolicy) -> GuardedDatabase {
         let config = GuardConfig {
@@ -1940,8 +1949,8 @@ mod tests {
         );
 
         let sql = "SELECT * FROM items WHERE id >= 4 AND id < 12";
-        let mut prep = db.prepare(sql).unwrap();
-        assert_eq!(prep.table(), "items");
+        let mut prep = db.engine().prepare_select(sql).unwrap();
+        assert_eq!(&**prep.table(), "items");
         let mut scratch = ExecScratch::new();
         let mut buf = RowBuf::new();
         let mut charged = ChargedChunk {

@@ -54,8 +54,7 @@ pub use config::GuardConfig;
 pub use error::{GuardError, Result};
 pub use gatekeeper::{Gatekeeper, GatekeeperConfig};
 pub use guarded::{
-    ChargedChunk, DeadlineResponse, DeadlineStream, GuardedDatabase, GuardedResponse,
-    PreparedQuery, StreamedQuery,
+    ChargedChunk, DeadlineResponse, DeadlineStream, GuardedDatabase, GuardedResponse, StreamedQuery,
 };
 pub use policy::{ChargingModel, GuardPolicy};
 pub use replica::{tag_remote_key, ReplicaDelta, TableDelta};

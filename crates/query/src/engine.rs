@@ -78,7 +78,9 @@ pub enum StreamedStatement<'a> {
 /// [`PreparedSelect::bind`] writes each execution's values into the
 /// plan's probe key and residual filter.
 pub struct PreparedSelect {
-    table: String,
+    /// Shared with every access event a guarded execution emits, so
+    /// recording an access never copies the name.
+    table: Arc<str>,
     projection: Projection,
     filter: Option<Expr>,
     order_by: Option<OrderBy>,
@@ -94,7 +96,7 @@ pub struct PreparedSelect {
 
 impl PreparedSelect {
     /// The table this statement reads.
-    pub fn table(&self) -> &str {
+    pub fn table(&self) -> &Arc<str> {
         &self.table
     }
 
@@ -220,7 +222,7 @@ impl Engine {
                     rows.push(pair);
                 }
                 Ok(StatementOutput::Rows(SelectOutput {
-                    columns: cursor.columns().to_vec(),
+                    columns: Arc::clone(cursor.columns()),
                     rows,
                 }))
             })?,
@@ -335,7 +337,7 @@ impl Engine {
         };
         let params = filter.as_ref().map_or(0, Expr::param_count);
         Ok(PreparedSelect {
-            table,
+            table: Arc::from(table),
             projection,
             filter,
             order_by,
@@ -378,7 +380,7 @@ impl Engine {
         f: impl FnOnce(&mut StreamedStatement<'_>) -> R,
     ) -> Result<R> {
         let table = match &select {
-            Select::Prepared(prep) => prep.table.as_str(),
+            Select::Prepared(prep) => &*prep.table,
             Select::AdHoc { table, .. } => table,
         };
         let t = self.catalog.table(table)?;

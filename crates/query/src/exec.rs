@@ -6,6 +6,7 @@ use crate::expr::{eval, eval_filter, BoundExpr};
 use crate::plan::{AccessPath, SelectPlan};
 use delayguard_storage::{Row, RowId, Table, Value};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Result of executing a SELECT: projected rows with their RowIds.
 ///
@@ -14,8 +15,8 @@ use std::ops::Bound;
 /// multi-tuple result as the aggregate of simple single-tuple queries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectOutput {
-    /// Output column names.
-    pub columns: Vec<String>,
+    /// Output column names, shared with the plan that produced them.
+    pub columns: Arc<[String]>,
     /// `(row id, projected row)` pairs in output order.
     pub rows: Vec<(RowId, Row)>,
 }
@@ -206,7 +207,7 @@ pub struct SelectCursor<'a> {
     remaining: u64,
     /// Decode target when projecting (borrowed from [`ExecScratch`]).
     scratch: &'a mut Row,
-    columns: &'a [String],
+    columns: &'a Arc<[String]>,
     table_rows: u64,
     yielded: u64,
 }
@@ -294,7 +295,7 @@ impl SelectCursor<'_> {
     }
 
     /// Output column names, in projection order.
-    pub fn columns(&self) -> &[String] {
+    pub fn columns(&self) -> &Arc<[String]> {
         self.columns
     }
 
@@ -546,7 +547,7 @@ mod tests {
     #[test]
     fn select_star_projects_all() {
         let out = select("SELECT * FROM movies WHERE id = 0");
-        assert_eq!(out.columns, vec!["id", "title", "gross"]);
+        assert_eq!(*out.columns, ["id", "title", "gross"]);
         assert_eq!(out.rows[0].1.arity(), 3);
     }
 

@@ -12,6 +12,10 @@
 //! * `UPDATE t SET col = expr, ... [WHERE ...]`
 //! * `DELETE FROM t [WHERE ...]`
 //!
+//! [`StatementCache`] keeps SELECT shapes prepared: text whose shape it
+//! has seen is only bound to its literals, never lexed, parsed or
+//! planned again.
+//!
 //! Crucially for the delay defense, [`exec::SelectOutput`] keeps the
 //! [`delayguard_storage::RowId`] of every returned tuple so the guard layer
 //! can charge per-tuple delays and maintain per-tuple popularity counts.
@@ -38,9 +42,11 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod planner;
+pub mod stmt_cache;
 pub mod token;
 
 pub use engine::{Engine, PreparedSelect, StatementOutput, StreamedStatement};
 pub use error::{QueryError, Result};
 pub use exec::{open_select, ExecScratch, RowBuf, RowStream, SelectCursor, SelectOutput};
 pub use parser::{parse, parse_expr};
+pub use stmt_cache::{Prepared, StatementCache, STATEMENT_CACHE_CAPACITY};

@@ -3,6 +3,7 @@
 use crate::expr::BoundExpr;
 use delayguard_storage::{IndexKey, Value};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// How matching rows are located.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +81,9 @@ pub struct SelectPlan {
     pub filter: Option<BoundExpr>,
     /// Output column positions (in schema order for `SELECT *`).
     pub projection: Vec<usize>,
-    /// Names matching `projection`, for result presentation.
-    pub output_names: Vec<String>,
+    /// Names matching `projection`, for result presentation; shared with
+    /// every result the plan produces.
+    pub output_names: Arc<[String]>,
     /// Sort key position and direction.
     pub order_by: Option<(usize, bool)>,
     pub limit: Option<u64>,

@@ -54,7 +54,7 @@ pub fn plan_select(
         key_params,
         filter: if exact { None } else { bound_filter },
         projection: projection_idx,
-        output_names,
+        output_names: output_names.into(),
         order_by: order,
         limit,
     })
@@ -571,7 +571,7 @@ mod tests {
         let t = table();
         let plan = plan_select(&t, &Projection::All, None, None, Some(3)).unwrap();
         assert_eq!(plan.projection, vec![0, 1, 2]);
-        assert_eq!(plan.output_names, vec!["id", "title", "gross"]);
+        assert_eq!(*plan.output_names, ["id", "title", "gross"]);
         assert_eq!(plan.limit, Some(3));
         let plan = plan_select(
             &t,

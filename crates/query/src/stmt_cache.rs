@@ -1,178 +1,172 @@
-//! The per-session statement cache: every `QUERY` frame's SELECT runs
-//! prepared.
+//! The statement cache: SQL text in, a prepared SELECT bound to that
+//! text's literals out.
 //!
 //! One scan of the SQL text ([`normalize`]) replaces each number and
 //! string literal with a placeholder tagged with its kind and collects
 //! the values in order, so `… WHERE id = 17` and `… WHERE id = 18` have
 //! one key. The first statement of a shape is parsed, its literals are
-//! lifted into parameters
-//! ([`delayguard_query::ast::Statement::lift_literals`]) and it is
+//! lifted into parameters ([`Statement::lift_literals`]) and it is
 //! planned once; every later statement of that shape only writes its
-//! values into the cached plan — no lexing, parsing or planning.
+//! values into the cached plan — no lexing, parsing or planning. Text
+//! that does not open with `SELECT` is not scanned: it is parsed once and
+//! handed back to run as it is.
 //!
-//! Caching changes nothing a client can observe. A miss parses the
-//! client's own text, so every error message is the one parsing it
-//! directly gives; errors are never cached, and the planner picks the
-//! same access path for every value a shape's parameters can take. The
-//! cache is bounded by [`STATEMENT_CACHE_CAPACITY`], a constant: a
-//! session past it evicts the shape it used least recently.
+//! Caching changes nothing a caller can observe. A miss parses the
+//! caller's own text, so every error is the one parsing it directly
+//! gives; errors are never cached, and the planner picks the same access
+//! path for every value a shape's parameters can take. The cache is
+//! bounded by [`STATEMENT_CACHE_CAPACITY`], a constant: an owner past it
+//! evicts the shape it used least recently.
+//!
+//! A cache is single-owner (`&mut self`). The guarded database keeps
+//! one for its SQL entry points and every wire session keeps its own.
 
-use crate::metrics::ServerMetrics;
-use delayguard_core::{ChargedChunk, GuardedDatabase, PreparedQuery};
-use delayguard_query::{ExecScratch, RowBuf};
+use crate::ast::Statement;
+use crate::engine::{Engine, PreparedSelect};
+use crate::error::Result;
+use crate::exec::ExecScratch;
+use crate::parser::parse;
 use delayguard_storage::Value;
 use std::collections::HashMap;
 
-/// Statement shapes one session keeps prepared.
+/// Statement shapes one cache keeps prepared.
 pub const STATEMENT_CACHE_CAPACITY: usize = 64;
 
 /// One prepared shape and the executor scratch its runs recycle.
 struct Entry {
-    query: PreparedQuery,
+    query: PreparedSelect,
     scratch: ExecScratch,
     /// [`StatementCache::uses`] at this entry's last use.
     last_used: u64,
 }
 
-/// A session's prepared shapes plus the buffers every one of its
-/// SELECTs streams through.
-pub(crate) struct StatementCache {
+/// Prepared SELECT shapes, least recently used evicted first.
+#[derive(Default)]
+pub struct StatementCache {
     entries: Vec<Entry>,
     /// Key → position in `entries`.
     index: HashMap<Box<str>, usize>,
     /// Statements prepared through this cache so far (the LRU clock).
     uses: u64,
-    /// The frame being handled: its shape and its literal values. Kept
-    /// between frames so a hit on a shape with only number literals
-    /// allocates nothing.
+    /// The statement being prepared: its shape and its literal values.
+    /// Kept between statements so a hit on a shape with only number
+    /// literals allocates nothing.
     key: String,
     values: Vec<Value>,
-    /// A statement whose literals did not lift one for one onto its
-    /// shape runs from here, once, without being cached.
-    one_shot: Option<Box<Entry>>,
-    rows: RowBuf,
-    charged: ChargedChunk,
+    /// A SELECT whose literals did not lift one for one onto its shape
+    /// runs from here, once, without being cached.
+    one_shot: Option<Entry>,
 }
 
-/// A bound statement ready to execute, and the chunk buffers its stream
-/// recycles.
-pub(crate) struct Ready<'a> {
-    pub query: &'a mut PreparedQuery,
-    pub scratch: &'a mut ExecScratch,
-    pub rows: &'a mut RowBuf,
-    pub charged: &'a mut ChargedChunk,
+/// What [`StatementCache::prepare`] made of a statement's text.
+pub enum Prepared<'a> {
+    /// A SELECT bound to the text's literals, with the scratch its runs
+    /// recycle: execute it with [`Engine::execute_prepared_streaming`].
+    Select(&'a mut PreparedSelect, &'a mut ExecScratch),
+    /// Any other statement, parsed once.
+    Other(Statement),
 }
 
 impl StatementCache {
-    pub(crate) fn new() -> StatementCache {
-        StatementCache {
-            entries: Vec::new(),
-            index: HashMap::new(),
-            uses: 0,
-            key: String::new(),
-            values: Vec::new(),
-            one_shot: None,
-            rows: RowBuf::new(),
-            charged: ChargedChunk::default(),
-        }
+    pub fn new() -> StatementCache {
+        StatementCache::default()
     }
 
     /// Shapes held prepared.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// The prepared form of the SELECT `sql`, bound to its literals,
-    /// counting the lookup as a hit or a miss. An `Err` is the message
-    /// the client gets, the same one parsing and planning `sql` directly
-    /// reports.
-    pub(crate) fn prepare(
-        &mut self,
-        db: &GuardedDatabase,
-        sql: &str,
-        metrics: &ServerMetrics,
-    ) -> Result<Ready<'_>, String> {
+    /// Whether no shape is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Prepare `sql` over `engine`: whether its shape was cached (a hit),
+    /// and what it prepared to. An `Err` is the error parsing and
+    /// planning `sql` directly reports.
+    pub fn prepare(&mut self, engine: &Engine, sql: &str) -> (bool, Result<Prepared<'_>>) {
         self.uses += 1;
-        let shaped = normalize(sql, &mut self.key, &mut self.values);
+        let shaped = leads_with_select(sql) && normalize(sql, &mut self.key, &mut self.values);
         let cached = if shaped {
             self.index.get(self.key.as_str()).copied()
         } else {
             None
         };
-        let entry = match cached {
-            Some(at) => {
-                metrics.stmt_cache_hits.inc();
-                let entry = &mut self.entries[at];
-                entry.query.bind(&self.values).map_err(|e| e.to_string())?;
-                entry
-            }
-            None => {
-                metrics.stmt_cache_misses.inc();
-                match self.prepare_new(db, sql, shaped)? {
-                    Shape::Cached(at) => &mut self.entries[at],
-                    Shape::OneShot(entry) => &mut **self.one_shot.insert(entry),
-                }
-            }
+        let prepared = match cached {
+            Some(at) => self.bind(at),
+            None => self.prepare_new(engine, sql, shaped),
         };
-        entry.last_used = self.uses;
-        Ok(Ready {
-            query: &mut entry.query,
-            scratch: &mut entry.scratch,
-            rows: &mut self.rows,
-            charged: &mut self.charged,
-        })
+        (cached.is_some(), prepared)
     }
 
-    /// Parse, lift and plan `sql` and bind its own literals
-    /// ([`GuardedDatabase::prepare_shape`]). It is cached under the
-    /// current key when `shaped` and the lifted values are exactly the
-    /// ones [`normalize`] collected.
-    fn prepare_new(
-        &mut self,
-        db: &GuardedDatabase,
-        sql: &str,
-        shaped: bool,
-    ) -> Result<Shape, String> {
+    /// Bind the cached shape at `at` to the current literals.
+    fn bind(&mut self, at: usize) -> Result<Prepared<'_>> {
+        let entry = &mut self.entries[at];
+        entry.query.bind(&self.values)?;
+        entry.last_used = self.uses;
+        Ok(Prepared::Select(&mut entry.query, &mut entry.scratch))
+    }
+
+    /// Parse `sql`; a SELECT is lifted, planned and bound to its own
+    /// literals. It is cached under the current key when `shaped` and the
+    /// lifted values are exactly the ones [`normalize`] collected.
+    fn prepare_new(&mut self, engine: &Engine, sql: &str, shaped: bool) -> Result<Prepared<'_>> {
+        let mut stmt = parse(sql)?;
+        if !matches!(stmt, Statement::Select { .. }) {
+            return Ok(Prepared::Other(stmt));
+        }
         let mut lifted = Vec::with_capacity(self.values.len());
-        let mut query = match db.prepare_shape(sql, &mut lifted) {
-            Ok(Some(query)) => query,
-            Ok(None) => return Err("QUERY frames carry SELECT statements only".to_owned()),
-            Err(e) => return Err(e.to_string()),
-        };
-        query.bind(&lifted).map_err(|e| e.to_string())?;
+        stmt.lift_literals(&mut lifted);
+        let mut query = engine.prepare(stmt)?;
+        query.bind(&lifted)?;
         let entry = Entry {
             query,
             scratch: ExecScratch::new(),
             last_used: self.uses,
         };
-        if !(shaped && lifted == self.values) {
-            return Ok(Shape::OneShot(Box::new(entry)));
-        }
+        let entry = if shaped && lifted == self.values {
+            self.insert(entry)
+        } else {
+            self.one_shot.insert(entry)
+        };
+        Ok(Prepared::Select(&mut entry.query, &mut entry.scratch))
+    }
+
+    /// Cache `entry` under the current key, evicting the least recently
+    /// used shape when full.
+    fn insert(&mut self, entry: Entry) -> &mut Entry {
         let at = if self.entries.len() < STATEMENT_CACHE_CAPACITY {
             self.entries.push(entry);
             self.entries.len() - 1
         } else {
-            let (at, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .ok_or("the statement cache has no capacity")?;
+            let at = (0..self.entries.len())
+                .min_by_key(|&at| self.entries[at].last_used)
+                .unwrap_or(0);
             self.entries[at] = entry;
             self.index.retain(|_, &mut held| held != at);
             at
         };
         self.index.insert(self.key.as_str().into(), at);
-        Ok(Shape::Cached(at))
+        &mut self.entries[at]
     }
 }
 
-/// Where [`StatementCache::prepare_new`] left a statement.
-enum Shape {
-    /// In the cache, at this position.
-    Cached(usize),
-    /// Not cacheable: run it once.
-    OneShot(Box<Entry>),
+/// Whether the first token of `sql` is the keyword `SELECT`, skipping
+/// spacing and comments as the lexer does. Only such text is scanned for
+/// a shape: the cache holds nothing else, and an `INSERT`'s literals are
+/// the bulk of its text.
+fn leads_with_select(sql: &str) -> bool {
+    let mut rest = sql.trim_start();
+    while let Some(comment) = rest.strip_prefix("--") {
+        rest = comment
+            .split_once('\n')
+            .map_or("", |(_, next)| next)
+            .trim_start();
+    }
+    rest.get(..6)
+        .is_some_and(|word| word.eq_ignore_ascii_case("SELECT"))
+        && !rest[6..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
 }
 
 /// Scan `sql` the way the lexer tokenizes it, writing its shape into
@@ -183,7 +177,7 @@ enum Shape {
 /// for. Returns false for text the shape cannot stand for: a `?` (which
 /// would read as a placeholder), an unterminated string or a number out
 /// of range. The lexer rejects all three, so such text is never cached.
-pub(crate) fn normalize(sql: &str, key: &mut String, values: &mut Vec<Value>) -> bool {
+fn normalize(sql: &str, key: &mut String, values: &mut Vec<Value>) -> bool {
     key.clear();
     values.clear();
     let bytes = sql.as_bytes();
@@ -350,6 +344,23 @@ mod tests {
         assert!(key.ends_with("3"));
         // The lexer splits `5abc` and `1e` the same way.
         assert_eq!(shape("5abc 1e 1e+").unwrap().0, "?iabc ?ie ?ie+");
+    }
+
+    #[test]
+    fn only_text_opening_with_select_is_scanned() {
+        for sql in ["SELECT 1", "  select\n*", "-- a\n -- b\nSeLeCt(", "SELECT"] {
+            assert!(leads_with_select(sql), "{sql:?}");
+        }
+        for sql in [
+            "SELECTED",
+            "SELECT_x",
+            "INSERT INTO t VALUES (1)",
+            "-- SELECT",
+            "",
+            "é",
+        ] {
+            assert!(!leads_with_select(sql), "{sql:?}");
+        }
     }
 
     #[test]

@@ -29,16 +29,15 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{Frame, RefuseReason, PROTOCOL_VERSION, ROWS_UNKNOWN};
 use crate::scheduler::{DelayScheduler, Job};
-use crate::stmt_cache::{Ready, StatementCache};
 use delayguard_core::clock::{secs_to_nanos, Clock};
 use delayguard_core::gatekeeper::{
     Admission, Gatekeeper, GatekeeperConfig, Ipv4, RefusalReason, RegistrationOutcome, UserId,
 };
 use delayguard_core::replica::ReplicaDelta;
-use delayguard_core::{ChargedChunk, DeadlineStream, GuardedDatabase, StreamedQuery};
+use delayguard_core::{ChargedChunk, DeadlineStream, GuardError, GuardedDatabase, StreamedQuery};
 use delayguard_query::ast::Statement;
 use delayguard_query::engine::StatementOutput;
-use delayguard_query::{parse, RowBuf};
+use delayguard_query::{parse, Prepared, RowBuf, StatementCache};
 use delayguard_sim::Registry;
 use delayguard_storage::{Row, RowId};
 use parking_lot::Mutex as PMutex;
@@ -129,9 +128,9 @@ impl MutationVerb {
 /// and passes it to every [`FrontDoor::handle_frame`] call.
 pub struct SessionState {
     version: AtomicU8,
-    /// Prepared SELECT shapes plus the chunk buffers this session's
-    /// queries stream through ([`crate::stmt_cache`]).
-    statements: PMutex<StatementCache>,
+    /// Prepared SELECT shapes ([`delayguard_query::stmt_cache`]) plus
+    /// the chunk buffers this session's queries stream through.
+    statements: PMutex<(StatementCache, RowBuf, ChargedChunk)>,
 }
 
 impl SessionState {
@@ -139,14 +138,14 @@ impl SessionState {
     pub fn new() -> SessionState {
         SessionState {
             version: AtomicU8::new(1),
-            statements: PMutex::new(StatementCache::new()),
+            statements: PMutex::new(Default::default()),
         }
     }
 
     /// SELECT shapes this session holds prepared (at most
     /// [`crate::STATEMENT_CACHE_CAPACITY`]).
     pub fn cached_statements(&self) -> usize {
-        self.statements.lock().len()
+        self.statements.lock().0.len()
     }
 
     /// The negotiated protocol version.
@@ -340,11 +339,6 @@ impl FrontDoor {
     /// delta, and peers key their remote stores by it.
     pub fn set_node_origin(&self, origin: u16) {
         self.gatekeeper.lock().set_origin(origin);
-    }
-
-    /// This node's cluster origin id (0 on a standalone server).
-    pub fn node_origin(&self) -> u16 {
-        self.gatekeeper.lock().origin()
     }
 
     /// Snapshot everything this node has locally originated — popularity
@@ -618,10 +612,10 @@ impl FrontDoor {
     /// verb and reserve-before-apply) and DDL has no wire surface, so any
     /// other statement is answered with an `Error` before it executes.
     ///
-    /// The SELECT runs prepared, from the session's statement cache
-    /// ([`crate::stmt_cache`]): a shape the session has seen is only
-    /// bound to this frame's literals, a new one is parsed and planned
-    /// once. Admission is charged before the SQL is looked at.
+    /// The SELECT runs prepared, from the session's own statement cache
+    /// ([`delayguard_query::stmt_cache`]): a shape the session has seen
+    /// is only bound to this frame's literals, a new one is parsed and
+    /// planned once. Admission is charged before the SQL is looked at.
     ///
     /// Results run through the streaming pipeline (`stream_select`):
     /// rows are pulled in [`GateConfig::stream_chunk_rows`]-sized chunks,
@@ -646,15 +640,21 @@ impl FrontDoor {
             return;
         }
         let trailer_framing = session.streaming();
-        let mut statements = session.statements.lock();
-        let Ready {
-            query,
-            scratch,
-            rows,
-            charged,
-        } = match statements.prepare(&self.db, sql, &self.metrics) {
-            Ok(ready) => ready,
-            Err(message) => return self.query_error(query_id, message, sink),
+        let mut cache = session.statements.lock();
+        let (statements, rows, charged) = &mut *cache;
+        let (hit, prepared) = statements.prepare(self.db.engine(), sql);
+        if hit {
+            self.metrics.stmt_cache_hits.inc();
+        } else {
+            self.metrics.stmt_cache_misses.inc();
+        }
+        let (query, scratch) = match prepared {
+            Ok(Prepared::Select(query, scratch)) => (query, scratch),
+            Ok(Prepared::Other(_)) => {
+                let message = "QUERY frames carry SELECT statements only".to_owned();
+                return self.query_error(query_id, message, sink);
+            }
+            Err(e) => return self.query_error(query_id, GuardError::from(e).to_string(), sink),
         };
         // A legacy session takes its whole result as one chunk: give it
         // buffers of its own, freed with the query, rather than grow the

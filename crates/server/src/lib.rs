@@ -9,7 +9,8 @@
 //!    (registration throttling, per-user and per-/24-subnet token
 //!    buckets keyed by the peer address),
 //! 2. each `QUERY` that passes admission executes immediately — prepared,
-//!    from the session's statement cache ([`stmt_cache`]) — but its
+//!    from the session's own statement cache
+//!    ([`delayguard_query::stmt_cache`]) — but its
 //!    tuples stream back only as their delay deadlines expire, enforced
 //!    by a single-threaded hierarchical timer wheel ([`wheel`],
 //!    [`scheduler`]) — thousands of pending delays, one thread,
@@ -30,14 +31,13 @@ pub mod metrics;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
-pub mod stmt_cache;
 pub mod wheel;
 
 pub use client::{Client, ClientError, MutateOutcome, QueryOutcome, ReceivedRow, RegisterOutcome};
+pub use delayguard_query::STATEMENT_CACHE_CAPACITY;
 pub use gate::{FrameSink, FrontDoor, GateConfig, MutationVerb, SessionControl, SessionState};
 pub use metrics::ServerMetrics;
 pub use protocol::{Frame, ProtocolError, RefuseReason, PROTOCOL_VERSION, ROWS_UNKNOWN};
 pub use scheduler::DelayScheduler;
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use stmt_cache::STATEMENT_CACHE_CAPACITY;
 pub use wheel::TimerWheel;

@@ -5,15 +5,20 @@
 //! the cost with them. This module reproduces that methodology against the
 //! embedded engine: the *baseline* runs plain SQL through
 //! [`delayguard_query::Engine`]; the *guarded* run goes through
-//! [`delayguard_core::GuardedDatabase`], which additionally maintains
-//! per-tuple counts, updates order statistics, and computes the Eq. 1
-//! delay (the delay itself is accounted, not slept — Table 5 measures
-//! mechanism cost, not the imposed wait).
+//! [`delayguard_core::GuardedDatabase::execute_at`], which additionally
+//! maintains per-tuple counts, updates order statistics, and computes the
+//! Eq. 1 delay (the delay itself is accounted, not slept — Table 5
+//! measures mechanism cost, not the imposed wait).
+//!
+//! Both arms prepare through a [`StatementCache`] — the guard through its
+//! own, the baseline through one over the bare engine — and materialize
+//! the result the same way, so the difference is only the guard's work.
 
 use crate::metrics::OnlineStats;
 use delayguard_core::{GuardConfig, GuardedDatabase};
-use delayguard_query::Engine;
+use delayguard_query::{Engine, Prepared, SelectOutput, StatementCache, StreamedStatement};
 use delayguard_workload::Rng;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of an overhead run.
@@ -93,6 +98,29 @@ fn build_engine(rows: u64) -> Engine {
     engine
 }
 
+/// The baseline arm: `sql` prepared through `statements` over the bare
+/// engine and materialized as `execute_at` materializes a SELECT.
+fn base_query(engine: &Engine, statements: &mut StatementCache, sql: &str) -> SelectOutput {
+    let Ok(Prepared::Select(prep, scratch)) = statements.prepare(engine, sql).1 else {
+        panic!("the baseline runs SELECTs: {sql}");
+    };
+    engine
+        .execute_prepared_streaming(prep, scratch, |streamed| {
+            let StreamedStatement::Rows(cursor) = streamed else {
+                unreachable!("a prepared statement is a SELECT");
+            };
+            let mut rows = Vec::new();
+            while let Some(row) = cursor.next_row().expect("row") {
+                rows.push(row);
+            }
+            SelectOutput {
+                columns: Arc::clone(cursor.columns()),
+                rows,
+            }
+        })
+        .expect("query")
+}
+
 /// Run the Table 5 methodology.
 ///
 /// Base and guarded queries are *interleaved* over the same id sequence:
@@ -102,6 +130,7 @@ pub fn measure_overhead(config: &OverheadConfig) -> OverheadReport {
     let engine = build_engine(config.rows);
     let guarded_db =
         GuardedDatabase::with_engine(build_engine(config.rows), GuardConfig::paper_default());
+    let mut statements = StatementCache::new();
     let mut rng = Rng::new(config.seed);
     let mut base = OnlineStats::new();
     let mut guarded = OnlineStats::new();
@@ -110,7 +139,7 @@ pub fn measure_overhead(config: &OverheadConfig) -> OverheadReport {
         let sql = format!("SELECT * FROM records WHERE id = {id}");
 
         let start = Instant::now();
-        let out = engine.query(&sql).expect("query");
+        let out = base_query(&engine, &mut statements, &sql);
         let dt_base = start.elapsed().as_secs_f64();
         assert_eq!(out.len(), 1, "each selection returns exactly one tuple");
 

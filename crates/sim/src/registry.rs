@@ -88,16 +88,6 @@ pub enum MetricValue {
     Gauge { value: i64, high_water: i64 },
 }
 
-impl MetricValue {
-    /// The value as an `i64` regardless of kind (counters saturate).
-    pub fn as_i64(&self) -> i64 {
-        match *self {
-            MetricValue::Counter(v) => v.min(i64::MAX as u64) as i64,
-            MetricValue::Gauge { value, .. } => value,
-        }
-    }
-}
-
 /// A named collection of counters and gauges.
 ///
 /// Cloning the registry clones a handle to the same underlying metrics.

@@ -5,7 +5,7 @@
 //! known to have room), falling back to appending a fresh page.
 
 use crate::error::{Result, StorageError};
-use crate::page::{Page, MAX_RECORD, PAGE_SIZE};
+use crate::page::{Page, MAX_RECORD};
 use crate::row::RowId;
 
 /// A growable collection of slotted pages.
@@ -40,11 +40,6 @@ impl HeapFile {
     /// Whether the heap holds no live records.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Approximate bytes of storage held (pages are fixed-size).
-    pub fn allocated_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
     }
 
     /// Insert an encoded record, returning its new RowId.

@@ -35,11 +35,6 @@ impl Row {
         self.values[idx] = value;
     }
 
-    /// Consume the row, yielding its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Mutable access to the values, for decoders that refill a row in
     /// place. Callers are responsible for keeping the arity consistent
     /// with whatever schema the row is used against.

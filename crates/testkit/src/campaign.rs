@@ -260,17 +260,6 @@ pub struct ObservationReport {
     pub min_margin_secs: f64,
 }
 
-impl ObservationReport {
-    /// Median of the charged per-query delays (the honest-user cost
-    /// statistic Eq. 3 speaks about).
-    pub fn median_charged_secs(&self) -> f64 {
-        assert!(!self.observations.is_empty());
-        let mut d: Vec<f64> = self.observations.iter().map(|o| o.charged_secs).collect();
-        d.sort_by(|a, b| a.partial_cmp(b).expect("finite delays"));
-        d[d.len() / 2]
-    }
-}
-
 /// What the rank-inference crawler recovered.
 #[derive(Debug, Clone)]
 pub struct RankInferenceReport {
@@ -576,21 +565,6 @@ impl Campaign {
     /// policy with the world seed folded into the jitter seed).
     pub fn effective_shaping(&self) -> DelayShaping {
         self.world.db().config().shaping
-    }
-
-    /// Expected shaped delay for rank `i` (the raw capped Eq. 1 price
-    /// through the quantization/noise term; raw when shaping is off).
-    pub fn analytic_shaped_delay_at_rank(&self, rank: u64) -> f64 {
-        let p = &self.params;
-        analysis::shaped_delay_at_rank(
-            p.n,
-            p.alpha,
-            p.beta,
-            self.fmax(),
-            p.cap_secs,
-            &self.effective_shaping(),
-            rank,
-        )
     }
 
     /// Eq. 4's numerator under shaping: expected total a full-sweep

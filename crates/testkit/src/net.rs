@@ -306,31 +306,6 @@ pub enum QueryOutcome {
     TimedOut,
 }
 
-impl QueryOutcome {
-    /// Rows sorted by sequence number (the logical result set,
-    /// regardless of arrival order).
-    pub fn rows_in_seq_order(&self) -> Vec<Row> {
-        match self {
-            QueryOutcome::Rows { rows, .. } => {
-                let mut sorted: Vec<_> = rows.clone();
-                sorted.sort_by_key(|(seq, _)| *seq);
-                sorted.into_iter().map(|(_, r)| r).collect()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// The refusal retry hint, if this is a refusal.
-    pub fn retry_hint(&self) -> Option<f64> {
-        match self {
-            QueryOutcome::Refused {
-                retry_after_secs, ..
-            } => Some(*retry_after_secs),
-            _ => None,
-        }
-    }
-}
-
 /// The complete outcome of one mutation as observed on the wire.
 #[derive(Debug, Clone)]
 pub enum MutationOutcome {

@@ -22,8 +22,8 @@
 //!   implementation itself. Unit-test modules are exempt.
 //! * **R3 no `unwrap`/`expect` on server paths** — the long-running
 //!   server loops (`server.rs`, `scheduler.rs`, `wheel.rs`), the
-//!   per-session statement cache every `QUERY` goes through
-//!   (`stmt_cache.rs`) and the
+//!   statement cache every `QUERY` and every guarded SQL statement goes
+//!   through (`crates/query/src/stmt_cache.rs`) and the
 //!   cluster front door's router/delta-sync path
 //!   (`crates/testkit/src/world.rs`, `crates/testkit/src/partition.rs`)
 //!   must not panic on recoverable conditions; vetted exceptions live in
@@ -48,7 +48,7 @@
 //!   files that touch every released tuple (`crates/server/src/gate.rs`,
 //!   `crates/server/src/scheduler.rs`, `crates/server/src/protocol.rs`)
 //!   and in the statement cache's literal scanner, which walks every
-//!   byte of every query (`crates/server/src/stmt_cache.rs`):
+//!   byte of every query (`crates/query/src/stmt_cache.rs`):
 //!   the zero-copy pipeline's allocation budget (two allocations per
 //!   query, measured by the bench counting allocator) only holds if the
 //!   per-row loops reuse caller-owned buffers, and one `format!` in a
@@ -233,9 +233,10 @@ fn rule_no_wall_clock(
 }
 
 /// Server-loop files where panicking calls are banned: the real server's
-/// long-running loops, plus the cluster router/delta-sync path — one
-/// malformed frame or sync message must not take the whole front door
-/// down with it.
+/// long-running loops, the statement cache every query's text goes
+/// through, plus the cluster router/delta-sync path — one malformed
+/// frame or sync message must not take the whole front door down with
+/// it.
 fn panic_free_path(rel: &str) -> bool {
     matches!(
         rel,
@@ -243,7 +244,7 @@ fn panic_free_path(rel: &str) -> bool {
             | "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/wheel.rs"
-            | "crates/server/src/stmt_cache.rs"
+            | "crates/query/src/stmt_cache.rs"
             | "crates/testkit/src/world.rs"
             | "crates/testkit/src/partition.rs"
     )
@@ -337,7 +338,7 @@ fn row_loop_alloc_path(rel: &str) -> bool {
         "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/protocol.rs"
-            | "crates/server/src/stmt_cache.rs"
+            | "crates/query/src/stmt_cache.rs"
             | "crates/testkit/src/world.rs"
     )
 }
@@ -816,7 +817,7 @@ mod tests {
 
     #[test]
     fn statement_cache_is_in_r3_and_r6_scope() {
-        let rel = "crates/server/src/stmt_cache.rs";
+        let rel = "crates/query/src/stmt_cache.rs";
         let unwrap = "fn f() { x.lock().unwrap(); }\n";
         assert_eq!(lint(rel, unwrap).len(), 1, "{rel} must be in R3 scope");
         let per_byte = "fn f(sql: &str) { for b in sql.bytes() { let v = Vec::new(); } }\n";

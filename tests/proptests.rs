@@ -353,7 +353,7 @@ fn streaming_execution_matches_materialized() {
                 assert_eq!(stream.tuples_charged() as usize, delays.len());
                 DeadlineResponse {
                     output: StatementOutput::Rows(SelectOutput {
-                        columns: stream.columns().to_vec(),
+                        columns: Arc::clone(stream.columns()),
                         rows,
                     }),
                     tuple_delays: delays,
