@@ -11,9 +11,10 @@
 //! Artifact ids: fig1, table1, table2, table3, fig2, fig3, table4, fig4,
 //! fig5, fig6 (aliases: fig456), table5, analysis. The committed file is
 //! a run of all of them. Every shape gate is on a deterministic
-//! virtual-clock result, so smoke enforces them all. The one timing gate,
-//! `execute_at`'s cost per Calgary request, binds on full runs only;
-//! Table 5's timings have no gate.
+//! virtual-clock result, so smoke enforces them all (Table 4 runs at full
+//! size in smoke too). The one timing gate, `execute_at`'s cost per
+//! Calgary request, binds on full runs only; Table 5's timings have no
+//! gate.
 
 use delayguard_bench::experiments::{self, UpdateSkewConfig};
 use delayguard_bench::report::{Op, Op::*, Report, Scope};
@@ -180,6 +181,20 @@ fn main() -> ExitCode {
             decay_rate,
             median_user_delay_secs,
             adversary_delay_secs
+        );
+        let adversary: Vec<f64> = rows.iter().map(|r| r.adversary_delay_secs).collect();
+        let medians: Vec<f64> = rows.iter().map(|r| r.median_user_delay_secs).collect();
+        gates(
+            &mut report,
+            &[
+                (
+                    "table4_adversary_non_increasing_steps",
+                    non_increasing_steps(&adversary),
+                    Le,
+                    0.0,
+                ),
+                ("table4_max_median_user_delay_secs", max(&medians), Le, 1.0),
+            ],
         );
     }
     if want(&["fig4", "fig5", "fig6", "fig456"]) {

@@ -1,15 +1,15 @@
 //! The experiment implementations behind every table and figure of the
 //! paper's §4: each returns structured rows (gated by the `experiments`
-//! binary) and a rendered table. Tables 1–3 and Figures 4–6 are priced
-//! by the shipped guard through [`delayguard_sim::replay`]; Table 4 is
-//! the one exception (see [`table4`]).
+//! binary) and a rendered table. Tables 1–4 and Figures 4–6 are priced
+//! by the shipped guard through [`delayguard_sim::replay`] and
+//! [`delayguard_sim::update_skew_delays`].
 
 use delayguard_core::analysis;
 use delayguard_core::{AccessDelayPolicy, GuardConfig, GuardPolicy, UpdateDelayPolicy};
-use delayguard_popularity::{top_k, DecaySchedule, FrequencyTracker};
+use delayguard_popularity::{top_k, FrequencyTracker};
 use delayguard_sim::{
-    fmt_dollars, fmt_pct, fmt_secs, measure_overhead, median_of, replay, update_skew_delays,
-    OverheadConfig, TableBuilder,
+    fmt_dollars, fmt_pct, fmt_secs, measure_overhead, median_of, per_request, replay,
+    update_skew_delays, OverheadConfig, TableBuilder,
 };
 use delayguard_workload::{BoxOfficeConfig, CalgaryConfig, UpdateRates, WEEK_SECS};
 use std::time::Instant;
@@ -80,7 +80,7 @@ pub fn table1(sizes: &[u64]) -> (Vec<Table1Row>, String) {
         // Stride keeps the delay sample bounded for the 60M-request run.
         let stride = (cfg.requests / 1_000_000).max(1) as usize;
         let guard = calgary_guard(DEFAULT_CAP_SECS, 1.0);
-        let result = replay(cfg.key_stream(), n, guard, stride);
+        let result = replay(per_request(cfg.key_stream()), n, guard, stride);
         let row = Table1Row {
             objects: n,
             median_user_delay_secs: result.median_user_delay_secs(),
@@ -121,7 +121,8 @@ pub fn table2(cfg: &CalgaryConfig) -> (Vec<Table2Row>, String) {
         &["Cap (sec)", "Adversary Delay", "Median User Delay"],
     );
     for cap in caps {
-        let result = replay(cfg.key_stream(), cfg.objects, calgary_guard(cap, 1.0), 1);
+        let guard = calgary_guard(cap, 1.0);
+        let result = replay(per_request(cfg.key_stream()), cfg.objects, guard, 1);
         let row = Table2Row {
             cap_secs: cap,
             adversary_delay_secs: result.adversary_total_secs,
@@ -147,7 +148,8 @@ pub fn calgary_secs_per_request(cfg: &CalgaryConfig) -> f64 {
         .map(|_| {
             let guard = calgary_guard(DEFAULT_CAP_SECS, 1.0);
             let started = Instant::now();
-            let result = replay(keys.iter().copied(), cfg.objects, guard, usize::MAX);
+            let requests = per_request(keys.iter().copied());
+            let result = replay(requests, cfg.objects, guard, usize::MAX);
             let secs = started.elapsed().as_secs_f64();
             drop(result);
             secs / keys.len() as f64
@@ -176,7 +178,7 @@ pub fn table3(cfg: &CalgaryConfig) -> (Vec<DecayRow>, String) {
     );
     for rate in rates {
         let guard = calgary_guard(DEFAULT_CAP_SECS, rate);
-        let result = replay(cfg.key_stream(), cfg.objects, guard, 1);
+        let result = replay(per_request(cfg.key_stream()), cfg.objects, guard, 1);
         let row = DecayRow {
             decay_rate: rate,
             median_user_delay_secs: result.median_user_delay_secs(),
@@ -230,13 +232,10 @@ pub fn fig2_fig3() -> (SalesRanking, SalesRanking, String) {
 
 // ---------------------------------------------------------------- Table 4
 
-/// Table 4: weekly decay-rate sweep on the box-office trace.
-///
-/// The one artifact *not* priced by the guard. The paper decays counts
-/// "at weekly boundaries", while `GuardConfig` decays per record, and a
-/// boundary tick would be a product knob only this table needs. So the
-/// trace runs through a local loop over the product's own tracker and
-/// policy: `tick_boundary` at each week, `record_static` per request.
+/// Table 4: weekly decay-rate sweep on the box-office trace, replayed
+/// through the guard with week `w`'s requests issued at t = `w`: one
+/// unit of guard time per week, so the rate decays counts "at weekly
+/// boundaries" (§4.2).
 pub fn table4() -> (Vec<DecayRow>, String) {
     let trace = BoxOfficeConfig::default().generate().trace();
     let rates = [1.0, 1.01, 1.02, 1.05, 1.10, 1.20, 1.50, 2.0, 5.0];
@@ -252,24 +251,18 @@ pub fn table4() -> (Vec<DecayRow>, String) {
         &["Decay Rate", "Median User Delay", "Adversary Delay"],
     );
     for rate in rates {
-        let mut tracker = FrequencyTracker::new(DecaySchedule::new(rate));
-        for key in 0..trace.objects {
-            tracker.ensure_tracked(key);
-        }
-        let mut next_week = WEEK_SECS;
-        let mut delays = Vec::with_capacity(trace.len());
-        for req in &trace.requests {
-            while req.time >= next_week {
-                tracker.tick_boundary();
-                next_week += WEEK_SECS;
-            }
-            delays.push(policy.delay(&tracker, trace.objects, req.key));
-            tracker.record_static(req.key);
-        }
+        let guard = GuardConfig::paper_default()
+            .with_policy(GuardPolicy::AccessRate(policy))
+            .with_access_decay(rate);
+        let weekly = trace
+            .requests
+            .iter()
+            .map(|r| ((r.time / WEEK_SECS).floor(), r.key));
+        let result = replay(weekly, trace.objects, guard, 1);
         let row = DecayRow {
             decay_rate: rate,
-            median_user_delay_secs: median_of(delays),
-            adversary_delay_secs: policy.adversary_total(&tracker, trace.objects),
+            median_user_delay_secs: result.median_user_delay_secs(),
+            adversary_delay_secs: result.adversary_total_secs,
         };
         table.row(&[
             format!("{rate:.2}"),

@@ -394,7 +394,8 @@ mod tests {
                 delayguard_popularity::DecaySchedule::new(1.01)
             });
             let keys = (case % 7) as u64 * 13;
-            for _ in 0..(case as u64 * 17) {
+            for i in 0..(case as u64 * 17) {
+                t.advance_to(i as f64);
                 t.record(next() % (keys + 1));
             }
             if case % 3 == 0 {

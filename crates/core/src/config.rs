@@ -13,10 +13,15 @@ pub struct GuardConfig {
     pub policy: GuardPolicy,
     /// How multi-tuple queries are charged.
     pub charging: ChargingModel,
-    /// Decay rate for access counts (`1.0` = no decay; paper Table 3
-    /// sweeps `1.0..=1.00002` per request).
+    /// Decay rate for access counts per unit of guard time (`1.0` = no
+    /// decay): an access `Δt` older than another weighs `rate^-Δt` of it,
+    /// however much traffic came between. Guard time is the statement's
+    /// `now_secs`: seconds on a server, the request index in Table 3's
+    /// replay (which sweeps `1.0..=1.00002` per request) and the week in
+    /// Table 4's (`1.0..=5.0` per week).
     pub access_decay_rate: f64,
-    /// Decay rate for update counts.
+    /// Decay rate for update counts, per unit of guard time like
+    /// [`GuardConfig::access_decay_rate`].
     pub update_decay_rate: f64,
     /// Bounded-staleness knobs for the snapshot pricer (every
     /// clock-driven entry point; `execute_at` is always exact).
@@ -54,7 +59,7 @@ impl GuardConfig {
         self
     }
 
-    /// Replace the access decay rate.
+    /// Replace the access decay rate (per unit of guard time).
     pub fn with_access_decay(mut self, rate: f64) -> GuardConfig {
         self.access_decay_rate = rate;
         self

@@ -46,8 +46,11 @@
 //! * A refresher — the server's background thread, or any query thread
 //!   that trips the [`crate::SnapshotPolicy`] staleness bounds (then via a
 //!   non-blocking `try_lock`, so queries never wait) — drains the queue
-//!   into the trackers *in global sequence order* (preserving the decay
-//!   inflated-increment arithmetic exactly) and publishes a new snapshot.
+//!   into the trackers *in global sequence order* and publishes a new
+//!   snapshot. Each drained event first advances its tracker's decay
+//!   clock to the event's own `now_secs` (decay is measured in guard
+//!   time, not in events), and an event that drains after a later one
+//!   never rewinds it.
 //!
 //! The virtual-time simulation path (`execute_at`) keeps exact
 //! sequential semantics: it applies pending events and then works under
@@ -135,10 +138,10 @@ fn merged_table_snapshot(
     for (&origin, state) in remote.iter() {
         if let Some(td) = state.tables.get(name) {
             for &(key, units) in &td.accesses {
-                access.record_static_weighted(tag_remote_key(origin, key), units);
+                access.record_weighted(tag_remote_key(origin, key), units);
             }
             for &(key, units) in &td.updates {
-                updates.record_static_weighted(tag_remote_key(origin, key), units);
+                updates.record_weighted(tag_remote_key(origin, key), units);
             }
             extra_rows += td.rows;
             epoch = match (epoch, td.epoch) {
@@ -426,7 +429,8 @@ impl DeadlineStream<'_, '_> {
                     let window = guard.window(self.now_secs);
                     for (rid, _) in rows {
                         let key = rid.raw();
-                        // Delay reflects popularity *before* this access.
+                        // Delay reflects popularity *before* this access,
+                        // on the decay clock of the previous record.
                         let raw = config.policy.tuple_delay(
                             &guard.access,
                             &guard.updates,
@@ -435,6 +439,7 @@ impl DeadlineStream<'_, '_> {
                             window,
                         );
                         out.delays.push(shaping.shape(raw, nonce, key));
+                        guard.access.advance_to(self.now_secs);
                         guard.access.record(key);
                     }
                     if !rows.is_empty() {
@@ -931,10 +936,17 @@ impl GuardedDatabase {
         if exact {
             self.apply_pending();
             self.with_guard(table, now, |guard| {
-                for rid in rids {
-                    match note {
-                        RowNote::Update => guard.updates.record(rid.raw()),
-                        RowNote::Insert => guard.access.ensure_tracked(rid.raw()),
+                match note {
+                    RowNote::Update => {
+                        guard.updates.advance_to(now);
+                        for rid in rids {
+                            guard.updates.record(rid.raw());
+                        }
+                    }
+                    RowNote::Insert => {
+                        for rid in rids {
+                            guard.access.ensure_tracked(rid.raw());
+                        }
                     }
                 }
                 guard.dirty = true;
@@ -1007,11 +1019,13 @@ impl GuardedDatabase {
             self.with_guard(&ev.table, ev.now_secs, |guard| {
                 match &ev.kind {
                     EventKind::Select(keys) => {
+                        guard.access.advance_to(ev.now_secs);
                         for &k in keys {
                             guard.access.record(k);
                         }
                     }
                     EventKind::Update(keys) => {
+                        guard.updates.advance_to(ev.now_secs);
                         for &k in keys {
                             guard.updates.record(k);
                         }
@@ -1179,11 +1193,11 @@ impl GuardedDatabase {
     /// This is the warm-start path (§2.3): a deployment that already
     /// knows its popularity distribution — from logs, or a simulation
     /// that would otherwise replay millions of warm-up queries — seeds
-    /// the trackers in one call. Counts are applied at the current decay
-    /// weight without advancing decay time, exactly like a flushed batch
-    /// of coalesced log entries; under no decay (rate `1.0`) the
-    /// resulting state is identical to having recorded each access
-    /// individually.
+    /// the trackers in one call. The decay clock advances to `now_secs`
+    /// and the whole batch lands at that one weight, exactly like a
+    /// flushed batch of coalesced log entries; under no decay (rate
+    /// `1.0`) the resulting state is identical to having recorded each
+    /// access individually.
     pub fn warm_accesses(&self, table: &str, counts: &[(RowId, f64)], now_secs: f64) {
         if counts.is_empty() {
             return;
@@ -1192,8 +1206,9 @@ impl GuardedDatabase {
         // Events already queued precede the warm-start batch.
         self.apply_batch(self.queue.drain());
         self.with_guard(table, now_secs, |guard| {
+            guard.access.advance_to(now_secs);
             for &(rid, units) in counts {
-                guard.access.record_static_weighted(rid.raw(), units);
+                guard.access.record_weighted(rid.raw(), units);
             }
             guard.dirty = true;
         });
@@ -1215,8 +1230,9 @@ impl GuardedDatabase {
         let _refresh = self.refresh_lock.lock();
         self.apply_batch(self.queue.drain());
         self.with_guard(table, now_secs, |guard| {
+            guard.updates.advance_to(now_secs);
             for &(rid, units) in counts {
-                guard.updates.record_static_weighted(rid.raw(), units);
+                guard.updates.record_weighted(rid.raw(), units);
             }
             guard.dirty = true;
         });

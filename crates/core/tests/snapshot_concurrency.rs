@@ -6,24 +6,29 @@
 //! 1. **No lost events**: accesses recorded by concurrent query threads
 //!    racing a snapshot refresher all land in the master trackers.
 //! 2. **Decay fidelity**: with decay enabled, the drained-in-order event
-//!    stream produces the same total decayed mass as a sequential
-//!    tracker fed the same number of records.
+//!    stream produces the same decayed mass, in total and per key, as a
+//!    sequential tracker fed the same records at the same guard times.
 //! 3. **Bounded staleness / convergence** (the acceptance criterion): a
 //!    tuple's snapshot-path delay equals the exact single-threaded value
 //!    after at most one refresh epoch.
 
 use delayguard_core::{
-    AccessDelayPolicy, GuardConfig, GuardPolicy, GuardedDatabase, SnapshotPolicy,
+    AccessDelayPolicy, Clock, GuardConfig, GuardPolicy, GuardedDatabase, ManualClock, RealClock,
+    SnapshotPolicy,
 };
 use delayguard_popularity::{DecaySchedule, FrequencyTracker};
-use delayguard_query::{parse, StatementOutput};
+use delayguard_query::{parse, Engine, StatementOutput};
 use delayguard_storage::RowId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 fn guarded(config: GuardConfig, rows: u64) -> GuardedDatabase {
-    let db = GuardedDatabase::new(config);
+    guarded_with_clock(config, rows, Arc::new(RealClock::new()))
+}
+
+fn guarded_with_clock(config: GuardConfig, rows: u64, clock: Arc<dyn Clock>) -> GuardedDatabase {
+    let db = GuardedDatabase::with_engine_and_clock(Engine::new(), config, clock);
     db.execute_at("CREATE TABLE t (id INT NOT NULL, body TEXT)", 0.0)
         .unwrap();
     db.execute_at("CREATE UNIQUE INDEX t_pk ON t (id)", 0.0)
@@ -114,53 +119,75 @@ fn concurrent_snapshot_traffic_loses_no_events() {
 #[test]
 fn concurrent_decayed_mass_matches_sequential_tracker() {
     const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 250;
-    const DECAY: f64 = 1.001;
+    const PER_PHASE: u64 = 60;
+    const PHASES: u64 = 4;
+    // Per second of guard time: strong enough that every phase's
+    // records weigh visibly less than the next phase's.
+    const DECAY: f64 = 1.5;
     let config = GuardConfig::paper_default()
         .with_policy(access_policy())
         .with_access_decay(DECAY)
         .with_snapshot_policy(SnapshotPolicy::new(32, 1e9));
-    let db = Arc::new(guarded(config, 16));
+    let clock = ManualClock::shared();
+    let db = Arc::new(guarded_with_clock(config, 16, clock.clone()));
 
-    let workers: Vec<_> = (0..THREADS)
-        .map(|tid| {
-            let db = Arc::clone(&db);
-            thread::spawn(move || {
-                let sql = format!("SELECT * FROM t WHERE id = {tid}");
-                for _ in 0..PER_THREAD {
-                    db.execute_with_deadline(&sql).unwrap();
-                }
+    // Each phase is one second of guard time: the clock stands still
+    // while the threads race, then moves on.
+    for phase in 1..=PHASES {
+        clock.advance_to_secs(phase as f64);
+        let workers: Vec<_> = (0..THREADS)
+            .map(|tid| {
+                let db = Arc::clone(&db);
+                thread::spawn(move || {
+                    let sql = format!("SELECT * FROM t WHERE id = {tid}");
+                    for _ in 0..PER_PHASE {
+                        db.execute_with_deadline(&sql).unwrap();
+                    }
+                })
             })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
     }
     db.refresh();
 
-    // Sequential reference: same pre-registered keys, same number of
-    // records. The decayed total is order-independent (every record adds
-    // the current inflated weight, whatever its key), so the concurrent
-    // tracker must agree to float tolerance.
+    // Sequential reference: same pre-registered keys, the clock advanced
+    // to each phase's time, then that phase's records. Every record of a
+    // phase carries the same weight, so neither the total nor any key's
+    // count depends on how the threads interleaved.
     let mut reference = FrequencyTracker::new(DecaySchedule::new(DECAY));
     for i in 0..16 {
         reference.ensure_tracked(rid_of(&db, i).raw());
     }
-    for i in 0..THREADS * PER_THREAD {
-        reference.record(rid_of(&db, i % THREADS).raw());
+    for phase in 1..=PHASES {
+        reference.advance_to(phase as f64);
+        for i in 0..THREADS * PER_PHASE {
+            reference.record(rid_of(&db, i % THREADS).raw());
+        }
     }
 
     let snap = db.snapshot();
     let table = snap.table("t").expect("table observed");
-    assert_eq!(table.access.events(), reference.events());
+    assert_eq!(table.access.events(), THREADS * PER_PHASE * PHASES);
+    assert_eq!(table.access.events(), reference.events(), "lost events");
     let (got, want) = (table.access.total(), reference.total());
     assert!(
-        (got - want).abs() <= want.abs() * 1e-6,
+        (got - want).abs() <= want.abs() * 1e-12,
         "decayed mass diverged: got {got}, want {want}"
     );
-    // Note: per-key counts (and hence fmax) legitimately depend on the
-    // interleaving — later records carry more decay weight — so only the
-    // order-independent aggregates are compared.
+    assert!(
+        want < 0.7 * reference.events() as f64,
+        "decay must be exercised: mass {want}"
+    );
+    for tid in 0..THREADS {
+        let key = rid_of(&db, tid).raw();
+        let (got, want) = (table.access.count(key), reference.count(key));
+        assert!(
+            (got - want).abs() <= want.abs() * 1e-12,
+            "tuple {tid}: got {got}, want {want}"
+        );
+    }
 }
 
 #[test]

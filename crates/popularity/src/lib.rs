@@ -3,7 +3,9 @@
 //! Frequency statistics for the delay defense (paper §2.3 and §4.4):
 //!
 //! * [`decay`] — exponential decay by inflated increments, with periodic
-//!   rescaling.
+//!   rescaling. Age is time on a clock the owner advances
+//!   ([`FrequencyTracker::advance_to`]), never a count of events, so the
+//!   rate is per second on a server, per request or per week in a replay.
 //! * [`tracker`] — per-key decayed counts, normalized frequencies, `f_max`,
 //!   and popularity ranks.
 //! * [`rank`] — log-bucketed order statistics over a Fenwick tree
@@ -26,7 +28,10 @@
 //! use delayguard_popularity::{DecaySchedule, FrequencyTracker};
 //!
 //! let mut t = FrequencyTracker::new(DecaySchedule::new(1.000001));
-//! for _ in 0..1000 { t.record(7); }
+//! for second in 1..=1000 {
+//!     t.advance_to(second as f64);
+//!     t.record(7);
+//! }
 //! t.record(8);
 //! assert_eq!(t.rank(7), 1);
 //! assert!(t.fmax() > 0.99);

@@ -4,8 +4,10 @@
 //! tuple carries a count of the times it was requested; the count,
 //! normalized by a global count of all requests, indicates popularity.
 //! Decay is handled by the inflated-increment technique in
-//! [`crate::decay`], and popularity *ranks* (needed by delay Eq. 1) come
-//! from the log-bucketed order statistics in [`crate::rank`].
+//! [`crate::decay`] on a clock the owner moves with
+//! [`FrequencyTracker::advance_to`] (the guard advances it to each event's
+//! time), and popularity *ranks* (needed by delay Eq. 1) come from the
+//! log-bucketed order statistics in [`crate::rank`].
 //!
 //! The same structure tracks update rates for the §3 update-rate scheme —
 //! "frequency" is just events per key.
@@ -53,44 +55,27 @@ impl FrequencyTracker {
         &self.schedule
     }
 
-    /// Record one event for `key`, advancing decay time by one event
-    /// ("the decay is applied at each request", §2.3).
+    /// Record one event for `key` at the current decay clock (see
+    /// [`FrequencyTracker::advance_to`]).
     pub fn record(&mut self, key: u64) {
         self.record_weighted(key, 1.0);
     }
 
-    /// Record an event *without* advancing decay time. Used by workloads
-    /// that apply decay only at period boundaries (the paper's box-office
-    /// experiment applies "decay factors at weekly boundaries", §4.2) via
-    /// [`FrequencyTracker::tick_boundary`].
-    pub fn record_static(&mut self, key: u64) {
-        self.apply(key, self.schedule.weight());
-        if self.schedule.needs_rescale() {
-            self.rescale();
-        }
-    }
-
-    /// Record `units` worth of events *without* advancing decay time: the
-    /// weighted form of [`FrequencyTracker::record_static`]. This is the
-    /// natural sink for coalesced counts (a warm start, a peer's
-    /// replicated delta): the whole batch lands at the current weight,
-    /// and decay advances only through explicit boundaries or live
-    /// `record` calls.
-    pub fn record_static_weighted(&mut self, key: u64, units: f64) {
+    /// Record an event worth `units` fresh accesses at the current decay
+    /// clock: a weekly sales figure in one shot, or coalesced counts (a
+    /// warm start, a peer's replicated delta) landing as one batch.
+    pub fn record_weighted(&mut self, key: u64, units: f64) {
         self.apply(key, self.schedule.weight() * units);
         self.events += extra_events(units);
-        if self.schedule.needs_rescale() {
-            self.rescale();
-        }
     }
 
-    /// Record an event worth `units` fresh accesses (e.g. a weekly sales
-    /// figure recorded in one shot).
-    pub fn record_weighted(&mut self, key: u64, units: f64) {
-        self.schedule.tick();
-        let w = self.schedule.weight() * units;
-        self.apply(key, w);
-        self.events += extra_events(units);
+    /// Move the decay clock forward to `t` (a no-op unless `t` is later
+    /// than the clock): every count recorded so far loses `g^(t - now)`
+    /// of its weight relative to events recorded from here on. Recording
+    /// never moves the clock; the owner advances it to each event's time
+    /// before recording it, so age is measured in time, not in traffic.
+    pub fn advance_to(&mut self, t: f64) {
+        self.schedule.advance_to(t);
         if self.schedule.needs_rescale() {
             self.rescale();
         }
@@ -128,16 +113,6 @@ impl FrequencyTracker {
             self.max_raw = new;
         }
         self.events += 1;
-    }
-
-    /// Advance decay time without recording an event (used by workloads
-    /// that apply decay at period boundaries, like the weekly box-office
-    /// trace, Table 4).
-    pub fn tick_boundary(&mut self) {
-        self.schedule.tick();
-        if self.schedule.needs_rescale() {
-            self.rescale();
-        }
     }
 
     /// Pre-register a key with zero count so it participates in ranks
@@ -255,7 +230,7 @@ impl FrequencyTracker {
     /// sorted by key: the deterministic wire form replication ships.
     /// Normalized counts are the decay-invariant representation — the
     /// receiver folds them back in at *its* current weight via
-    /// [`FrequencyTracker::record_static_weighted`], so two trackers at
+    /// [`FrequencyTracker::record_weighted`], so two trackers at
     /// different points in their inflated-increment/rescale cycles
     /// exchange state without either's arithmetic leaking into the other.
     pub fn export_counts(&self) -> Vec<(u64, f64)> {
@@ -350,10 +325,12 @@ mod tests {
         // With strong decay, a key hammered long ago loses to a key
         // accessed recently.
         let mut t = FrequencyTracker::new(DecaySchedule::new(1.1));
-        for _ in 0..100 {
+        for i in 1..=100 {
+            t.advance_to(i as f64);
             t.record(1);
         }
-        for _ in 0..20 {
+        for i in 101..=120 {
+            t.advance_to(i as f64);
             t.record(2);
         }
         assert!(
@@ -389,6 +366,7 @@ mod tests {
     fn rescale_preserves_normalized_state() {
         let mut t = FrequencyTracker::new(DecaySchedule::new(1.5).with_rescale_threshold(1e6));
         for i in 0..100 {
+            t.advance_to(i as f64);
             t.record(i % 7);
         }
         assert!(t.schedule().rescales() > 0, "rescale should have fired");
@@ -421,14 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn record_static_does_not_decay() {
+    fn record_does_not_advance_the_clock() {
         let mut t = FrequencyTracker::new(DecaySchedule::new(2.0));
-        t.record_static(1);
-        t.record_static(1);
-        assert_eq!(t.count(1), 2.0, "no inflation without ticks");
-        t.tick_boundary();
-        assert_eq!(t.count(1), 1.0, "boundary halves effective count");
-        t.record_static(2);
+        t.record(1);
+        t.record(1);
+        assert_eq!(t.count(1), 2.0, "no inflation without time");
+        assert_eq!(t.schedule().weight(), 1.0);
+        t.advance_to(1.0);
+        assert_eq!(t.count(1), 1.0, "one unit of time halves the count");
+        t.record(2);
         assert_eq!(t.count(2), 1.0, "new events worth 1 at current weight");
     }
 
@@ -442,14 +421,81 @@ mod tests {
     }
 
     #[test]
-    fn boundary_ticks_decay_without_events() {
+    fn advance_to_decays_without_events() {
         let mut t = FrequencyTracker::new(DecaySchedule::new(2.0));
         t.record(1);
         let before = t.count(1);
-        t.tick_boundary();
+        t.advance_to(1.0);
         let after = t.count(1);
         assert!((after - before / 2.0).abs() < 1e-12);
         assert_eq!(t.events(), 1);
+    }
+
+    #[test]
+    fn advance_to_is_monotone() {
+        let mut t = FrequencyTracker::new(DecaySchedule::new(1.5));
+        t.record(1);
+        t.advance_to(10.0);
+        let count = t.count(1);
+        for back in [10.0, 9.0, 3.5, 0.0] {
+            t.advance_to(back);
+            assert_eq!(t.count(1), count, "advance_to({back}) moved decay");
+        }
+        t.advance_to(11.0);
+        assert!(t.count(1) < count);
+    }
+
+    #[test]
+    fn k_unit_steps_equal_one_k_step() {
+        let mut stepped = FrequencyTracker::new(DecaySchedule::new(1.03));
+        let mut jumped = FrequencyTracker::new(DecaySchedule::new(1.03));
+        for tr in [&mut stepped, &mut jumped] {
+            tr.record(1);
+            tr.record(2);
+        }
+        for t in 1..=40 {
+            stepped.advance_to(t as f64);
+        }
+        jumped.advance_to(40.0);
+        for tr in [&mut stepped, &mut jumped] {
+            tr.record(2);
+        }
+        for key in [1, 2] {
+            let (a, b) = (stepped.count(key), jumped.count(key));
+            assert!((a - b).abs() <= a * 1e-12, "key {key}: {a} vs {b}");
+        }
+        assert!((stepped.total() - jumped.total()).abs() <= stepped.total() * 1e-12);
+    }
+
+    #[test]
+    fn rescale_fires_when_time_alone_advances() {
+        let mut t = FrequencyTracker::new(DecaySchedule::new(10.0).with_rescale_threshold(1e6));
+        t.record(1);
+        t.advance_to(5.0);
+        assert_eq!(t.schedule().rescales(), 0);
+        t.advance_to(6.0);
+        assert_eq!(
+            t.schedule().rescales(),
+            1,
+            "weight 1e6 reached the threshold"
+        );
+        assert_eq!(t.schedule().weight(), 1.0);
+        assert!((t.count(1) - 1e-6).abs() <= 1e-18);
+        assert!((t.total() - 1e-6).abs() <= 1e-18);
+        assert_eq!(t.rank(1), 1);
+    }
+
+    #[test]
+    fn unit_rate_keeps_weight_exactly_one() {
+        let mut t = FrequencyTracker::no_decay();
+        for i in 0..1000u64 {
+            t.advance_to(i as f64 * 3.25);
+            t.record(i % 5);
+        }
+        t.advance_to(1e12);
+        assert_eq!(t.schedule().weight(), 1.0);
+        assert_eq!(t.count(0), 200.0);
+        assert_eq!(t.total(), 1000.0);
     }
 
     #[test]
@@ -459,17 +505,16 @@ mod tests {
         // reproduces counts, frequencies and ranks.
         let mut src = FrequencyTracker::new(DecaySchedule::new(1.5).with_rescale_threshold(1e6));
         for i in 0..200u64 {
+            src.advance_to(i as f64);
             src.record(i % 11);
         }
         assert!(src.schedule().rescales() > 0);
         let exported = src.export_counts();
         let mut dst = FrequencyTracker::new(DecaySchedule::new(1.5).with_rescale_threshold(1e6));
         // Put the receiver at a different point in its own cycle first.
-        for _ in 0..17 {
-            dst.tick_boundary();
-        }
+        dst.advance_to(17.0);
         for &(k, units) in &exported {
-            dst.record_static_weighted(k, units);
+            dst.record_weighted(k, units);
         }
         for k in 0..11u64 {
             let a = src.count(k);
@@ -497,6 +542,7 @@ mod tests {
     fn rank_table_matches_rank_per_key() {
         let mut t = FrequencyTracker::new(DecaySchedule::new(1.2));
         for i in 0..500u64 {
+            t.advance_to(i as f64);
             t.record(i % 23);
         }
         t.ensure_tracked(1000);

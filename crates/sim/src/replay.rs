@@ -1,13 +1,19 @@
 //! Trace replay through the shipped guard (paper §4.1–§4.3).
 //!
 //! [`replay`] replays a request stream against a [`GuardedDatabase`]
-//! exactly as the paper replays the Calgary trace: every request is a
-//! point `SELECT` run through [`GuardedDatabase::execute_at`], charged
-//! the delay implied by the statistics learned *so far*, then recorded.
-//! At the end the adversary's extraction total is priced from the frozen
-//! final counts ("we computed the delay that would be imposed on an
-//! adversary ... by examining the access counts after the trace was
-//! replayed"), one [`GuardedDatabase::tuple_delay`] per row.
+//! exactly as the paper replays its traces: every request is a point
+//! `SELECT` run through [`GuardedDatabase::execute_at`] at its issue
+//! time, charged the delay implied by the statistics learned *so far*,
+//! then recorded. At the end the adversary's extraction total is priced
+//! from the frozen final counts ("we computed the delay that would be
+//! imposed on an adversary ... by examining the access counts after the
+//! trace was replayed"), one [`GuardedDatabase::tuple_delay`] per row.
+//!
+//! The issue times are the guard's decay clock, so they choose the
+//! paper's decay granularity with no knob of their own: [`per_request`]
+//! issues request `i` at `i + 1`, decaying "at each request" (Calgary,
+//! Tables 1–3); issuing week `w`'s requests at `w` decays "at weekly
+//! boundaries" (box office, Table 4).
 //!
 //! [`update_skew_delays`] is the §4.3 counterpart: each tuple's update
 //! count is seeded from its true rate, then every tuple is read once.
@@ -104,15 +110,24 @@ fn read(db: &GuardedDatabase, sql: &mut String, key: u64, now: f64) -> f64 {
     db.execute_at(sql, now).expect("point read").delay_secs
 }
 
-/// Replay a key stream over `objects` objects: request `i` reads its key
-/// at virtual time `i + 1`, and every `stride`-th charged delay is kept
-/// (systematic sampling keeps the median accurate while bounding memory
-/// for multi-million-request sweeps like Table 1).
+/// Issue request `i` of `keys` at virtual time `i + 1`: one unit of
+/// guard time per request, so a decay rate is per request (§2.3).
+pub fn per_request(keys: impl IntoIterator<Item = u64>) -> impl Iterator<Item = (f64, u64)> {
+    keys.into_iter()
+        .enumerate()
+        .map(|(i, key)| ((i + 1) as f64, key))
+}
+
+/// Replay `(issue_time, key)` requests over `objects` objects: each reads
+/// its key at virtual time `issue_time` (non-decreasing; the guard's
+/// decay clock), and every `stride`-th charged delay is kept (systematic
+/// sampling keeps the median accurate while bounding memory for
+/// multi-million-request sweeps like Table 1).
 ///
 /// # Panics
 /// If `stride == 0`, `config` is invalid, or a key is `>= objects`.
 pub fn replay(
-    keys: impl IntoIterator<Item = u64>,
+    requests: impl IntoIterator<Item = (f64, u64)>,
     objects: u64,
     config: GuardConfig,
     stride: usize,
@@ -120,14 +135,14 @@ pub fn replay(
     assert!(stride > 0, "stride must be positive");
     config.validate().expect("valid guard config");
     let (db, rows) = load(objects, config);
-    let keys = keys.into_iter();
-    let mut delays = Vec::with_capacity(keys.size_hint().0.div_ceil(stride));
+    let requests = requests.into_iter();
+    let mut delays = Vec::with_capacity(requests.size_hint().0.div_ceil(stride));
     let mut sql = String::new();
     let mut end_secs = 0.0;
-    for (i, key) in keys.enumerate() {
+    for (i, (now, key)) in requests.enumerate() {
         assert!(key < objects, "key {key} outside 0..{objects}");
-        end_secs = (i + 1) as f64;
-        let d = read(&db, &mut sql, key, end_secs);
+        end_secs = now;
+        let d = read(&db, &mut sql, key, now);
         if i % stride == 0 {
             delays.push(d);
         }
@@ -191,7 +206,12 @@ mod tests {
 
     fn run(config: GuardConfig, stride: usize) -> ReplayResult {
         let trace = small_trace();
-        replay(trace.key_stream(), trace.objects, config, stride)
+        replay(
+            per_request(trace.key_stream()),
+            trace.objects,
+            config,
+            stride,
+        )
     }
 
     #[test]

@@ -23,7 +23,7 @@ use delayguard_core::{
     SnapshotPolicy, UpdateDelayPolicy,
 };
 use delayguard_query::{Engine, StatementOutput};
-use delayguard_sim::replay;
+use delayguard_sim::{per_request, replay};
 use delayguard_testkit::{check_seeds, NaivePricer};
 use delayguard_workload::{CalgaryConfig, Rng, Zipf};
 use std::sync::Arc;
@@ -174,7 +174,7 @@ fn calgary_replay_matches_the_naive_model() {
     let trace = CalgaryConfig::scaled_to(500);
     let policy = GuardPolicy::AccessRate(AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0));
     let config = GuardConfig::paper_default().with_policy(policy);
-    let result = replay(trace.key_stream(), trace.objects, config, 1);
+    let result = replay(per_request(trace.key_stream()), trace.objects, config, 1);
     assert_eq!(result.delays.len(), trace.requests as usize);
     // The replay inserts every id at t = 0, then reads request i's key at
     // t = i + 1. Ranks are invariant under renaming keys, so the model

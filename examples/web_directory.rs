@@ -10,7 +10,7 @@
 //! the Table 2/3 setup.
 
 use delayguard::core::{AccessDelayPolicy, GuardConfig, GuardPolicy};
-use delayguard::sim::{fmt_pct, fmt_secs, replay, Quantiles};
+use delayguard::sim::{fmt_pct, fmt_secs, per_request, replay, Quantiles};
 use delayguard::workload::CalgaryConfig;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     for cap in [1.0, 10.0, 100.0] {
         let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(cap);
         let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
-        let result = replay(trace.key_stream(), trace.objects, config, 1);
+        let result = replay(per_request(trace.key_stream()), trace.objects, config, 1);
         println!("cap = {cap:>5.1} s:");
         println!(
             "  median legitimate-user delay : {}",

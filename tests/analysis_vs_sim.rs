@@ -4,7 +4,7 @@
 use delayguard::core::analysis;
 use delayguard::core::{AccessDelayPolicy, GuardConfig, GuardPolicy, UpdateDelayPolicy};
 use delayguard::popularity::FrequencyTracker;
-use delayguard::sim::{median_of, replay, update_skew_delays};
+use delayguard::sim::{median_of, per_request, replay, update_skew_delays};
 use delayguard::workload::{generalized_harmonic, ExtractionOrder, UpdateRates, Zipf};
 
 /// Build a tracker holding the *exact* Zipf counts (no sampling noise) so
@@ -70,7 +70,7 @@ fn replayed_median_tracks_analytic_median_delay() {
     };
     let policy = AccessDelayPolicy::new(alpha, 1.0).with_cap(10.0);
     let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
-    let result = replay(cfg.key_stream(), n, config, 1);
+    let result = replay(per_request(cfg.key_stream()), n, config, 1);
     // Steady state: use the last quarter of delays.
     let tail = &result.delays[result.delays.len() * 3 / 4..];
     let measured_median = median_of(tail.to_vec());

@@ -5,7 +5,7 @@
 use delayguard::core::{
     AccessDelayPolicy, ChargingModel, GuardConfig, GuardPolicy, GuardedDatabase, UpdateDelayPolicy,
 };
-use delayguard::sim::{median_of, replay, update_skew_delays, ReplayResult};
+use delayguard::sim::{median_of, per_request, replay, update_skew_delays, ReplayResult};
 use delayguard::workload::{
     CalgaryConfig, ExtractionOrder, Rng, StorefrontObserver, SybilPlan, UpdateRates, Zipf,
 };
@@ -22,7 +22,7 @@ fn learned_guard(objects: u64, requests: u64) -> ReplayResult {
     };
     let policy = AccessDelayPolicy::new(1.5, 1.0).with_cap(10.0);
     let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(policy));
-    replay(trace.key_stream(), objects, config, 1)
+    replay(per_request(trace.key_stream()), objects, config, 1)
 }
 
 /// Total an extraction robot pays reading every tuple once in `order`.

@@ -163,7 +163,8 @@ fn tracker_total_equals_sum_of_counts() {
         let rate = rng.range(1000, 1100) as f64 / 1000.0;
         let n = rng.range(1, 500);
         let mut t = FrequencyTracker::new(DecaySchedule::new(rate));
-        for _ in 0..n {
+        for i in 0..n {
+            t.advance_to(i as f64);
             t.record(rng.below(50));
         }
         let sum: f64 = t.iter().map(|(_, c)| c).sum();
