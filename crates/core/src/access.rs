@@ -151,23 +151,6 @@ impl AccessDelayPolicy {
                 .collect(),
         }
     }
-
-    /// Total delay an adversary pays to extract all `n` tuples with the
-    /// *learned* statistics in `tracker` (each tuple charged once).
-    /// Untracked tuples (never requested) are charged the cap, matching the
-    /// paper's method of "examining the access counts after the trace was
-    /// replayed".
-    pub fn adversary_total(&self, tracker: &FrequencyTracker, n: u64) -> f64 {
-        let fmax = self.fmax_of(tracker);
-        let mut total = 0.0;
-        let mut seen = 0u64;
-        for (key, _) in tracker.iter() {
-            total += self.delay_for_rank(n, tracker.rank(key), fmax);
-            seen += 1;
-        }
-        debug_assert!(seen <= n, "tracker holds more keys than the relation");
-        total + (n.saturating_sub(seen)) as f64 * self.cap_secs
-    }
 }
 
 /// A frozen tracker's delay inputs packed into flat, rank-ordered
@@ -295,6 +278,11 @@ impl PackedAccessDelays {
 mod tests {
     use super::*;
 
+    /// What extracting tuples `0..n` costs: each one's delay, once.
+    fn extraction_cost(p: &AccessDelayPolicy, t: &FrequencyTracker, n: u64) -> f64 {
+        (0..n).map(|key| p.delay(t, n, key)).sum()
+    }
+
     fn learned_tracker() -> FrequencyTracker {
         // Keys 0..10 with counts 2^(10-k): key 0 most popular.
         let mut t = FrequencyTracker::no_decay();
@@ -361,14 +349,14 @@ mod tests {
         let t = learned_tracker();
         let lo = AccessDelayPolicy::new(1.0, 0.5).with_cap(1e9);
         let hi = AccessDelayPolicy::new(1.0, 2.0).with_cap(1e9);
-        assert!(hi.adversary_total(&t, 1000) > lo.adversary_total(&t, 1000));
+        assert!(extraction_cost(&hi, &t, 1000) > extraction_cost(&lo, &t, 1000));
     }
 
     #[test]
     fn adversary_total_charges_unseen_at_cap() {
         let t = learned_tracker(); // 10 tracked keys
         let p = AccessDelayPolicy::new(1.0, 1.0).with_cap(10.0);
-        let total = p.adversary_total(&t, 1_000);
+        let total = extraction_cost(&p, &t, 1_000);
         // 990 unseen keys at the 10 s cap dominate.
         assert!(total >= 9_900.0);
         assert!(total <= 10_000.0 + 1.0);
@@ -481,6 +469,6 @@ mod tests {
         let t = learned_tracker();
         let p = AccessDelayPolicy::new(1.0, 1.0).with_cap(0.0);
         assert_eq!(p.delay(&t, 10, 0), 0.0);
-        assert_eq!(p.adversary_total(&t, 100), 0.0);
+        assert_eq!(extraction_cost(&p, &t, 100), 0.0);
     }
 }

@@ -56,28 +56,6 @@ pub fn median_rank_exact(n: u64, alpha: f64) -> u64 {
     n
 }
 
-/// Asymptotic class of the median rank (Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MedianRankClass {
-    /// `α < 1`: `Θ(2^(1/(α-1)) · N)` — a constant fraction of N.
-    LinearInN,
-    /// `α = 1`: `Θ(√N)`.
-    SqrtN,
-    /// `α > 1`: `Θ(log N)`.
-    LogN,
-}
-
-/// Classify the asymptotic regime of Eq. 3/4 for a given skew.
-pub fn median_rank_class(alpha: f64) -> MedianRankClass {
-    if (alpha - 1.0).abs() < 1e-9 {
-        MedianRankClass::SqrtN
-    } else if alpha < 1.0 {
-        MedianRankClass::LinearInN
-    } else {
-        MedianRankClass::LogN
-    }
-}
-
 /// Eq. 4 (and Eq. 7 with a cap): the adversary-to-median delay ratio,
 /// computed exactly for finite `n`. This is the paper's headline quantity:
 /// "orders of magnitude higher than that for legitimate user queries".
@@ -314,13 +292,6 @@ mod tests {
         // alpha < 1: a constant fraction of N.
         let m = median_rank_exact(1_000_000, 0.5);
         assert!(m > 100_000, "got {m}");
-    }
-
-    #[test]
-    fn median_rank_classes() {
-        assert_eq!(median_rank_class(0.5), MedianRankClass::LinearInN);
-        assert_eq!(median_rank_class(1.0), MedianRankClass::SqrtN);
-        assert_eq!(median_rank_class(1.5), MedianRankClass::LogN);
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl Clock for RealClock {
 ///
 /// Shared by handle (`Arc<ManualClock>`): the simulation driver advances
 /// it, and every component threaded with the [`Clock`] trait observes the
-/// jump at its next read. Monotonicity is enforced with a CAS loop so
-/// concurrent advances can never move time backwards.
+/// jump at its next read. Every advance is a single atomic `fetch_max`
+/// or `fetch_add`, so concurrent advances can never move time backwards.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     nanos: AtomicU64,

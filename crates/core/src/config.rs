@@ -77,12 +77,6 @@ impl GuardConfig {
         self
     }
 
-    /// Replace the guard shard count.
-    pub fn with_shards(mut self, shards: usize) -> GuardConfig {
-        self.shards = shards;
-        self
-    }
-
     /// Replace the delay-shaping policy.
     pub fn with_shaping(mut self, shaping: DelayShaping) -> GuardConfig {
         self.shaping = shaping;
@@ -183,9 +177,9 @@ mod tests {
         let mut c = GuardConfig::paper_default();
         c.snapshot.max_age_secs = 0.0;
         assert!(c.validate().is_err());
-        let c = GuardConfig::paper_default()
-            .with_shards(1)
-            .with_snapshot_policy(SnapshotPolicy::new(64, 0.01));
+        let mut c =
+            GuardConfig::paper_default().with_snapshot_policy(SnapshotPolicy::new(64, 0.01));
+        c.shards = 1;
         assert!(c.validate().is_ok());
         assert_eq!(c.snapshot.max_pending_events, 64);
     }

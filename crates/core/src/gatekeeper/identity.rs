@@ -43,14 +43,6 @@ impl Ipv4 {
         }
     }
 
-    /// The /16 subnet containing this address.
-    pub fn subnet16(self) -> Subnet {
-        Subnet {
-            base: [self.0[0], self.0[1], 0, 0],
-            prefix: 16,
-        }
-    }
-
     /// The subnet with an arbitrary prefix length.
     pub fn subnet(self, prefix: u8) -> Subnet {
         assert!(prefix <= 32);
@@ -136,7 +128,7 @@ mod tests {
     fn subnet16_wider_than_24() {
         let a = Ipv4::parse("10.0.1.5").unwrap();
         let c = Ipv4::parse("10.0.2.5").unwrap();
-        assert_eq!(a.subnet16(), c.subnet16());
+        assert_eq!(a.subnet(16), c.subnet(16));
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Registrar {
         }
     }
 
-    /// Whether a user id is registered.
-    pub fn is_registered(&self, user: UserId) -> bool {
-        self.users.contains_key(&user)
-    }
-
     /// The IP a user registered from.
     pub fn ip_of(&self, user: UserId) -> Option<Ipv4> {
         self.users.get(&user).copied()
@@ -107,21 +102,6 @@ impl Registrar {
     /// Total fees collected.
     pub fn fees_collected(&self) -> f64 {
         self.fees_collected
-    }
-
-    /// Lower bound on the time for an adversary starting at `now = 0` to
-    /// accumulate `k` identities (the §2.4 bound: `(k-1) · t`).
-    pub fn time_to_accumulate(&self, k: u64) -> f64 {
-        if k <= 1 {
-            0.0
-        } else {
-            (k - 1) as f64 * self.policy.min_interval_secs
-        }
-    }
-
-    /// Cost for an adversary to accumulate `k` identities in fees.
-    pub fn cost_to_accumulate(&self, k: u64) -> f64 {
-        k as f64 * self.policy.fee
     }
 }
 
@@ -162,7 +142,7 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 10);
-        assert!(r.is_registered(ids[0]));
+        assert!(r.ip_of(ids[0]).is_some());
         assert_eq!(r.ip_of(ids[0]), Some(ip()));
     }
 
@@ -172,21 +152,35 @@ mod tests {
         r.register(ip(), 0.0);
         r.register(ip(), 0.0);
         assert_eq!(r.fees_collected(), 50.0);
-        assert_eq!(r.cost_to_accumulate(100), 2500.0);
     }
 
     #[test]
     fn accumulation_bound() {
-        let r = Registrar::new(RegistrationPolicy::interval(3600.0));
-        assert_eq!(r.time_to_accumulate(0), 0.0);
-        assert_eq!(r.time_to_accumulate(1), 0.0);
-        assert_eq!(r.time_to_accumulate(11), 36_000.0);
+        // The §2.4 bound: registering as fast as the policy allows, the
+        // 11th identity lands at (11 - 1) · t.
+        let mut r = Registrar::new(RegistrationPolicy::interval(3600.0));
+        let mut at = 0.0;
+        for _ in 1..11 {
+            assert!(matches!(
+                r.register(ip(), at),
+                RegistrationOutcome::Admitted { .. }
+            ));
+            match r.register(ip(), at) {
+                RegistrationOutcome::TooSoon { retry_at } => at = retry_at,
+                other => panic!("registered twice at {at}: {other:?}"),
+            }
+        }
+        assert!(matches!(
+            r.register(ip(), at),
+            RegistrationOutcome::Admitted { .. }
+        ));
+        assert_eq!(at, 36_000.0);
     }
 
     #[test]
     fn unknown_user_not_registered() {
         let r = Registrar::new(RegistrationPolicy::interval(1.0));
-        assert!(!r.is_registered(UserId(99)));
+        assert!(r.ip_of(UserId(99)).is_none());
         assert_eq!(r.ip_of(UserId(99)), None);
     }
 }

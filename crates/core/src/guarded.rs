@@ -242,13 +242,6 @@ impl DeadlineResponse {
             .saturating_add(secs_to_nanos(self.delay_secs))
     }
 
-    /// Per-tuple guard-clock release times (nanoseconds), in row order.
-    pub fn tuple_deadline_nanos(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tuple_offsets
-            .iter()
-            .map(move |&off| self.issued_at_nanos.saturating_add(secs_to_nanos(off)))
-    }
-
     /// Collapse to the summary form used by simulations and library code.
     pub fn into_response(self) -> GuardedResponse {
         GuardedResponse {
@@ -1164,16 +1157,6 @@ impl GuardedDatabase {
         out.into_iter().collect()
     }
 
-    /// `(origin, latest folded seq)` for every remote origin — delta-sync
-    /// bookkeeping and test introspection.
-    pub fn remote_origins(&self) -> Vec<(u16, u64)> {
-        self.remote
-            .lock()
-            .iter()
-            .map(|(&origin, state)| (origin, state.seq))
-            .collect()
-    }
-
     /// Bring the snapshot up to date if any recorded or direct mutation
     /// is not yet reflected, without ever blocking on a concurrent
     /// refresher.
@@ -1283,38 +1266,10 @@ impl GuardedDatabase {
             .tuple_delay(&guard.access, &guard.updates, n, rid.raw(), window))
     }
 
-    /// The *raw* (unshaped) delay one tuple would be charged *by the
-    /// snapshot path right now*, read purely from the current snapshot
-    /// (no refresh, no locks): the pre-shaping price a concurrent query
-    /// thread would fold (see [`Self::tuple_delay`] on why raw).
-    pub fn snapshot_tuple_delay(&self, table: &str, rid: RowId, now: f64) -> Result<f64> {
-        let snap = self.snapshot.load_full();
-        let stats = match snap.table(table) {
-            Some(t) => Arc::clone(t),
-            None => empty_table_snapshot(),
-        };
-        let n = self.table_len(table)? + stats.extra_rows;
-        let window = stats.window(now);
-        Ok(self
-            .config
-            .policy
-            .tuple_delay(&stats.access, &stats.updates, n, rid.raw(), window))
-    }
-
-    /// Popularity rank of a tuple (1 = most popular), if the table has
-    /// been observed. Served from the snapshot — concurrent stats traffic
+    /// Every tracked tuple of `table` as `(key, rank)` pairs, sorted by
+    /// rank then key. Served from the snapshot — concurrent stats traffic
     /// never takes the locks queries' writers use (a stale-but-bounded
     /// answer is refreshed opportunistically, never by blocking).
-    pub fn popularity_rank(&self, table: &str, rid: RowId) -> Option<usize> {
-        self.sync_snapshot();
-        self.snapshot
-            .load_full()
-            .table(table)
-            .map(|t| t.access.rank(rid.raw()))
-    }
-
-    /// Every tracked tuple of `table` as `(key, rank)` pairs, sorted by
-    /// rank then key (snapshot-served, like [`Self::popularity_rank`]).
     ///
     /// This is the complete rank order the delay policy prices from —
     /// exactly what a timing adversary works to reconstruct — so servers
@@ -1332,7 +1287,7 @@ impl GuardedDatabase {
     }
 
     /// Number of accesses recorded against a table (snapshot-served, like
-    /// [`Self::popularity_rank`]).
+    /// [`Self::popularity_table`]).
     pub fn access_events(&self, table: &str) -> u64 {
         self.sync_snapshot();
         self.snapshot
@@ -1415,6 +1370,32 @@ mod tests {
 
     fn access_policy() -> GuardPolicy {
         GuardPolicy::AccessRate(AccessDelayPolicy::new(1.0, 1.0).with_cap(10.0))
+    }
+
+    /// Popularity rank of a tuple (1 = most popular), from the guard's
+    /// popularity table.
+    fn rank_of(db: &GuardedDatabase, table: &str, rid: RowId) -> Option<usize> {
+        db.popularity_table(table)
+            .into_iter()
+            .find(|&(key, _)| key == rid.raw())
+            .map(|(_, rank)| rank)
+    }
+
+    /// The raw delay the snapshot path would charge one tuple right now,
+    /// read from the current snapshot without refreshing it.
+    fn snapshot_price(db: &GuardedDatabase, table: &str, rid: RowId, now: f64) -> f64 {
+        let snap = db.snapshot.load_full();
+        let stats = snap
+            .table(table)
+            .map_or_else(empty_table_snapshot, Arc::clone);
+        let n = db.table_len(table).unwrap() + stats.extra_rows;
+        db.config.policy.tuple_delay(
+            &stats.access,
+            &stats.updates,
+            n,
+            rid.raw(),
+            stats.window(now),
+        )
     }
 
     #[test]
@@ -1518,7 +1499,7 @@ mod tests {
             StatementOutput::Rows(rows) => rows.rows[0].0,
             other => panic!("{other:?}"),
         };
-        assert_eq!(db.popularity_rank("items", rid), Some(1));
+        assert_eq!(rank_of(&db, "items", rid), Some(1));
     }
 
     #[test]
@@ -1548,7 +1529,11 @@ mod tests {
         // PerTupleSum streams at prefix sums; the query deadline is the sum.
         assert_eq!(r.tuple_offsets, vec![10.0, 20.0, 30.0]);
         assert_eq!(r.delay_secs, 30.0);
-        let deadlines: Vec<_> = r.tuple_deadline_nanos().collect();
+        let deadlines: Vec<_> = r
+            .tuple_offsets
+            .iter()
+            .map(|&off| r.issued_at_nanos + secs_to_nanos(off))
+            .collect();
         assert_eq!(deadlines.len(), 3);
         assert!(deadlines.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*deadlines.last().unwrap(), r.deadline_nanos());
@@ -1630,13 +1615,13 @@ mod tests {
             other => panic!("{other:?}"),
         };
         db.warm_accesses("items", &[(a, 1000.0), (b, 100.0), (c, 10.0)], 1.0);
-        assert_eq!(db.popularity_rank("items", a), Some(1));
-        assert_eq!(db.popularity_rank("items", b), Some(2));
-        assert_eq!(db.popularity_rank("items", c), Some(3));
+        assert_eq!(rank_of(&db, "items", a), Some(1));
+        assert_eq!(rank_of(&db, "items", b), Some(2));
+        assert_eq!(rank_of(&db, "items", c), Some(3));
         // The snapshot was rebuilt inside the call: the snapshot path
         // prices the warmed tuple as popular immediately.
-        let fast = db.snapshot_tuple_delay("items", a, 2.0).unwrap();
-        let cold = db.snapshot_tuple_delay("items", cold_rid, 2.0).unwrap();
+        let fast = snapshot_price(&db, "items", a, 2.0);
+        let cold = snapshot_price(&db, "items", cold_rid, 2.0);
         assert!(fast < cold, "warmed {fast} vs cold {cold}");
         assert_eq!(cold, 10.0, "unwarmed tuple still pays the cap");
     }
@@ -1883,9 +1868,13 @@ mod tests {
                     bits(&release_offsets(charging, &delays)),
                     "{charging:?} at {at:?}"
                 );
+                let combined = match charging {
+                    ChargingModel::PerTupleSum => delays.iter().sum(),
+                    ChargingModel::PerQueryMax => delays.iter().copied().fold(0.0, f64::max),
+                };
                 assert_eq!(
                     total.to_bits(),
-                    config.charging.combine(delays.iter().copied()).to_bits(),
+                    f64::to_bits(combined),
                     "{charging:?} at {at:?}: combined total"
                 );
             }
@@ -2016,7 +2005,16 @@ mod tests {
     // ---- cluster replication -------------------------------------------
 
     use crate::gatekeeper::GateDelta;
-    use crate::replica::is_remote_key;
+    use crate::replica::REMOTE_KEY_TAG;
+
+    /// `(origin, latest folded seq)` for every remote origin.
+    fn remote_origins(db: &GuardedDatabase) -> Vec<(u16, u64)> {
+        db.remote
+            .lock()
+            .iter()
+            .map(|(&origin, state)| (origin, state.seq))
+            .collect()
+    }
 
     fn replica_node(rows: u64) -> GuardedDatabase {
         let config = GuardConfig {
@@ -2066,7 +2064,7 @@ mod tests {
         let delta = delta_from(&b, 2, 1);
         assert!(a.apply_replica_delta(&delta), "first application is new");
         assert!(!a.apply_replica_delta(&delta), "same seq is a no-op");
-        assert_eq!(a.remote_origins(), vec![(2, 1)]);
+        assert_eq!(remote_origins(&a), vec![(2, 1)]);
 
         let snap = a.snapshot();
         let t = snap.table("d").expect("merged table published");
@@ -2079,11 +2077,11 @@ mod tests {
             .copied()
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .unwrap();
-        assert!(!is_remote_key(hot_key), "export keys are raw");
+        assert_eq!(hot_key & REMOTE_KEY_TAG, 0, "export keys are raw");
         assert_eq!(t.access.rank(tag_remote_key(2, hot_key)), 1);
         assert!(
             t.access.rank(tag_remote_key(2, hot_key))
-                < a.popularity_rank("d", RowId::from_raw(hot_key)).unwrap(),
+                < rank_of(&a, "d", RowId::from_raw(hot_key)).unwrap(),
             "A's local row with the same raw key is a different tuple"
         );
     }
@@ -2098,7 +2096,7 @@ mod tests {
         let even_newer = delta_from(&b, 7, 4);
         assert!(a.apply_replica_delta(&even_newer));
         assert!(!a.apply_replica_delta(&newer), "older seq discarded");
-        assert_eq!(a.remote_origins(), vec![(7, 4)]);
+        assert_eq!(remote_origins(&a), vec![(7, 4)]);
         let snap = a.snapshot();
         let t = snap.table("d").unwrap();
         // The seq-4 state (which saw both accesses) is what's folded.
@@ -2182,7 +2180,7 @@ mod tests {
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .unwrap();
         let rid = RowId::from_raw(hot_key);
-        let before = a.snapshot_tuple_delay("d", rid, 200.0).unwrap();
+        let before = snapshot_price(&a, "d", rid, 200.0);
         assert!(before < 10.0, "hot row prices below the cap");
         // A peer holding 30 rows (no traffic yet) only grows `n`.
         let delta = ReplicaDelta {
@@ -2202,7 +2200,7 @@ mod tests {
             },
         };
         assert!(a.apply_replica_delta(&delta));
-        let after = a.snapshot_tuple_delay("d", rid, 200.0).unwrap();
+        let after = snapshot_price(&a, "d", rid, 200.0);
         // d(i) = i^(α+β)/(n·fmax): same rank, same fmax, n goes 10 → 40.
         assert!(
             (after * 4.0 - before).abs() <= 1e-12 * before.max(1.0),

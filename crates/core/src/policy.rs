@@ -70,16 +70,6 @@ pub enum ChargingModel {
     PerQueryMax,
 }
 
-impl ChargingModel {
-    /// Combine per-tuple delays into the query's total delay.
-    pub fn combine(&self, per_tuple: impl Iterator<Item = f64>) -> f64 {
-        match self {
-            ChargingModel::PerTupleSum => per_tuple.sum(),
-            ChargingModel::PerQueryMax => per_tuple.fold(0.0, f64::max),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,20 +126,5 @@ mod tests {
         let d = h.tuple_delay(&a, &u, 100, 1, 10.0);
         assert_eq!(d, 10.0);
         assert_eq!(h.max_tuple_delay(), 10.0);
-    }
-
-    #[test]
-    fn charging_models() {
-        let delays = [1.0, 2.0, 3.0];
-        assert_eq!(
-            ChargingModel::PerTupleSum.combine(delays.iter().copied()),
-            6.0
-        );
-        assert_eq!(
-            ChargingModel::PerQueryMax.combine(delays.iter().copied()),
-            3.0
-        );
-        assert_eq!(ChargingModel::PerTupleSum.combine(std::iter::empty()), 0.0);
-        assert_eq!(ChargingModel::PerQueryMax.combine(std::iter::empty()), 0.0);
     }
 }

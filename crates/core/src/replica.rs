@@ -40,12 +40,6 @@ pub fn tag_remote_key(origin: u16, key: u64) -> u64 {
     REMOTE_KEY_TAG | ((origin as u64) << REMOTE_KEY_BITS) | (key & ((1 << REMOTE_KEY_BITS) - 1))
 }
 
-/// Whether a tracker key is a remote fold (tagged) rather than a local
-/// physical row.
-pub fn is_remote_key(key: u64) -> bool {
-    key & REMOTE_KEY_TAG != 0
-}
-
 /// One table's cumulative popularity state as originated by one node.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableDelta {
@@ -86,10 +80,11 @@ mod tests {
 
     #[test]
     fn remote_tagging_partitions_key_space() {
-        assert!(!is_remote_key(0));
-        assert!(!is_remote_key(123_456));
+        let is_remote = |key: u64| key & REMOTE_KEY_TAG != 0;
+        assert!(!is_remote(0));
+        assert!(!is_remote(123_456));
         let t = tag_remote_key(3, 42);
-        assert!(is_remote_key(t));
+        assert!(is_remote(t));
         // Distinct origins never collide on the same raw key.
         assert_ne!(tag_remote_key(1, 42), tag_remote_key(2, 42));
         // Distinct raw keys under one origin never collide.

@@ -145,7 +145,7 @@ fn more_shapes_than_capacity_stay_bounded_and_answer_right() {
             // The LIMIT count is part of the shape; the id is not.
             let sql = format!("SELECT id FROM t WHERE id >= {round} LIMIT {limit}");
             let out = db.execute_at(&sql, 1.0).unwrap().output;
-            assert_eq!(out.row_count(), limit, "{sql}");
+            assert_eq!(out.rows().map(|rows| rows.len()), Some(limit), "{sql}");
             assert!(db.cached_statements() <= STATEMENT_CACHE_CAPACITY);
         }
     }

@@ -55,9 +55,10 @@ impl DecaySchedule {
         DecaySchedule::new(1.0)
     }
 
-    /// Override the weight threshold that triggers rescaling (testing and
-    /// precision experiments).
-    pub fn with_rescale_threshold(mut self, threshold: f64) -> DecaySchedule {
+    /// Override the weight threshold that triggers rescaling, so tests
+    /// reach a rescale in a few steps.
+    #[cfg(test)]
+    pub(crate) fn with_rescale_threshold(mut self, threshold: f64) -> DecaySchedule {
         assert!(threshold > 1.0);
         self.rescale_threshold = threshold;
         self

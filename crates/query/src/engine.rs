@@ -31,17 +31,6 @@ pub enum StatementOutput {
 }
 
 impl StatementOutput {
-    /// Number of rows affected or returned.
-    pub fn row_count(&self) -> usize {
-        match self {
-            StatementOutput::Inserted { rids }
-            | StatementOutput::Updated { rids }
-            | StatementOutput::Deleted { rids } => rids.len(),
-            StatementOutput::Rows(out) => out.len(),
-            _ => 0,
-        }
-    }
-
     /// The SELECT output, if this was a SELECT.
     pub fn rows(&self) -> Option<&SelectOutput> {
         match self {
@@ -253,18 +242,6 @@ impl Engine {
         }
     }
 
-    /// Parse and execute one statement in streaming mode.
-    ///
-    /// See [`Engine::execute_stmt_streaming`].
-    pub fn execute_streaming<R>(
-        &self,
-        sql: &str,
-        f: impl FnOnce(&mut StreamedStatement<'_>) -> R,
-    ) -> Result<R> {
-        let stmt = parse(sql)?;
-        self.execute_stmt_streaming(&stmt, f)
-    }
-
     /// Execute a statement in streaming mode: a SELECT is handed to `f`
     /// as an open [`SelectCursor`] instead of a materialized result set.
     ///
@@ -419,17 +396,6 @@ impl Engine {
         }
         Ok(result)
     }
-
-    /// Convenience: run a SELECT and return just its output, erroring if the
-    /// statement is not a SELECT.
-    pub fn query(&self, sql: &str) -> Result<SelectOutput> {
-        match self.execute(sql)? {
-            StatementOutput::Rows(out) => Ok(out),
-            other => Err(QueryError::Semantic(format!(
-                "expected a SELECT, statement produced {other:?}"
-            ))),
-        }
-    }
 }
 
 impl Default for Engine {
@@ -457,10 +423,30 @@ mod tests {
         e
     }
 
+    /// A SELECT's output; panics on any other statement.
+    fn select(e: &Engine, sql: &str) -> SelectOutput {
+        e.execute(sql).unwrap().rows().cloned().expect("a SELECT")
+    }
+
+    /// Rows a write statement touched.
+    fn written(out: &StatementOutput) -> usize {
+        match out {
+            StatementOutput::Inserted { rids }
+            | StatementOutput::Updated { rids }
+            | StatementOutput::Deleted { rids } => rids.len(),
+            other => panic!("not a write: {other:?}"),
+        }
+    }
+
+    /// Stream one statement's output through `f`.
+    fn stream<R>(e: &Engine, sql: &str, f: impl FnOnce(&mut StreamedStatement<'_>) -> R) -> R {
+        e.execute_stmt_streaming(&parse(sql).unwrap(), f).unwrap()
+    }
+
     #[test]
     fn end_to_end_select() {
         let e = engine_with_movies();
-        let out = e.query("SELECT title FROM movies WHERE id = 2").unwrap();
+        let out = select(&e, "SELECT title FROM movies WHERE id = 2");
         assert_eq!(out.len(), 1);
         assert_eq!(
             out.rows[0].1.get(0),
@@ -474,7 +460,7 @@ mod tests {
         let out = e
             .execute("INSERT INTO movies VALUES (4, 'Signs', 228.0)")
             .unwrap();
-        assert_eq!(out.row_count(), 1);
+        assert_eq!(written(&out), 1);
         assert!(matches!(out, StatementOutput::Inserted { .. }));
     }
 
@@ -484,12 +470,12 @@ mod tests {
         let out = e
             .execute("UPDATE movies SET gross = gross + 1.0 WHERE id = 1")
             .unwrap();
-        assert_eq!(out.row_count(), 1);
-        let rows = e.query("SELECT gross FROM movies WHERE id = 1").unwrap();
+        assert_eq!(written(&out), 1);
+        let rows = select(&e, "SELECT gross FROM movies WHERE id = 1");
         assert_eq!(rows.rows[0].1.get(0), Some(&Value::Float(404.7)));
         let out = e.execute("DELETE FROM movies WHERE id = 3").unwrap();
-        assert_eq!(out.row_count(), 1);
-        assert_eq!(e.query("SELECT * FROM movies").unwrap().len(), 2);
+        assert_eq!(written(&out), 1);
+        assert_eq!(select(&e, "SELECT * FROM movies").len(), 2);
     }
 
     #[test]
@@ -516,13 +502,13 @@ mod tests {
     fn drop_table() {
         let e = engine_with_movies();
         e.execute("DROP TABLE movies").unwrap();
-        assert!(e.query("SELECT * FROM movies").is_err());
+        assert!(e.execute("SELECT * FROM movies").is_err());
     }
 
     #[test]
     fn query_rejects_non_select() {
         let e = engine_with_movies();
-        assert!(e.query("DELETE FROM movies").is_err());
+        assert!(e.execute("DELETE FROM movies").unwrap().rows().is_none());
     }
 
     #[test]
@@ -531,7 +517,7 @@ mod tests {
         let e2 = e.clone();
         e2.execute("INSERT INTO movies VALUES (5, 'Ice Age', 176.0)")
             .unwrap();
-        assert_eq!(e.query("SELECT * FROM movies").unwrap().len(), 4);
+        assert_eq!(select(&e, "SELECT * FROM movies").len(), 4);
     }
 
     #[test]
@@ -541,9 +527,7 @@ mod tests {
             .prepare_select("SELECT title FROM movies WHERE id >= 1 AND id < 3")
             .unwrap();
         let mut scratch = ExecScratch::new();
-        let adhoc = e
-            .query("SELECT title FROM movies WHERE id >= 1 AND id < 3")
-            .unwrap();
+        let adhoc = select(&e, "SELECT title FROM movies WHERE id >= 1 AND id < 3");
         for _ in 0..3 {
             let rows = e
                 .execute_prepared_streaming(&mut prep, &mut scratch, |s| {
@@ -643,7 +627,10 @@ mod tests {
 
     fn ids(rows: &[(RowId, Row)]) -> Vec<i64> {
         rows.iter()
-            .map(|(_, r)| r.get(0).unwrap().as_int().unwrap())
+            .map(|(_, r)| match r.get(0) {
+                Some(Value::Int(i)) => *i,
+                v => panic!("not an int: {v:?}"),
+            })
             .collect()
     }
 
@@ -726,11 +713,10 @@ mod tests {
         let reader = |announce: mpsc::Sender<()>, other: mpsc::Receiver<()>| {
             let e = e.clone();
             std::thread::spawn(move || {
-                e.execute_streaming("SELECT * FROM movies WHERE id >= 1", |_| {
+                stream(&e, "SELECT * FROM movies WHERE id >= 1", |_| {
                     announce.send(()).unwrap();
                     other.recv_timeout(RENDEZVOUS).is_ok()
                 })
-                .unwrap()
             })
         };
         let a = reader(a_in, b_seen);
@@ -747,27 +733,25 @@ mod tests {
         let closed = Arc::new(AtomicBool::new(false));
         let (started_tx, started) = mpsc::channel();
         let (done_tx, done) = mpsc::channel();
-        let writer = e
-            .execute_streaming("SELECT * FROM movies", |_| {
-                let (e, seen_closed) = (e.clone(), Arc::clone(&closed));
-                let writer = std::thread::spawn(move || {
-                    started_tx.send(()).unwrap();
-                    e.execute("UPDATE movies SET gross = 0.0 WHERE id = 1")
-                        .unwrap();
-                    // Whether the reader's closure had returned by the
-                    // time the UPDATE did.
-                    done_tx.send(seen_closed.load(Ordering::SeqCst)).unwrap();
-                });
-                started.recv_timeout(RENDEZVOUS).unwrap();
-                assert!(
-                    done.recv_timeout(std::time::Duration::from_millis(200))
-                        .is_err(),
-                    "the UPDATE finished while a SELECT held the table"
-                );
-                closed.store(true, Ordering::SeqCst);
-                writer
-            })
-            .unwrap();
+        let writer = stream(&e, "SELECT * FROM movies", |_| {
+            let (e, seen_closed) = (e.clone(), Arc::clone(&closed));
+            let writer = std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                e.execute("UPDATE movies SET gross = 0.0 WHERE id = 1")
+                    .unwrap();
+                // Whether the reader's closure had returned by the
+                // time the UPDATE did.
+                done_tx.send(seen_closed.load(Ordering::SeqCst)).unwrap();
+            });
+            started.recv_timeout(RENDEZVOUS).unwrap();
+            assert!(
+                done.recv_timeout(std::time::Duration::from_millis(200))
+                    .is_err(),
+                "the UPDATE finished while a SELECT held the table"
+            );
+            closed.store(true, Ordering::SeqCst);
+            writer
+        });
         assert!(done.recv_timeout(RENDEZVOUS).unwrap());
         writer.join().unwrap();
     }
@@ -787,7 +771,7 @@ mod tests {
             let e = e.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let out = e.query("SELECT * FROM movies WHERE id = 1").unwrap();
+                    let out = select(&e, "SELECT * FROM movies WHERE id = 1");
                     assert_eq!(out.len(), 1);
                 }
             }));

@@ -31,11 +31,6 @@ impl SelectOutput {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// The RowIds of every returned tuple.
-    pub fn row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.rows.iter().map(|(rid, _)| *rid)
-    }
 }
 
 /// Collect the RowIds of rows matched by `access` + `filter`.
@@ -512,7 +507,7 @@ mod tests {
     fn select(sql: &str) -> SelectOutput {
         let e = crate::Engine::new();
         e.catalog().install_table(movies()).unwrap();
-        e.query(sql).unwrap()
+        e.execute(sql).unwrap().rows().cloned().expect("a SELECT")
     }
 
     #[test]
@@ -528,7 +523,10 @@ mod tests {
         let ids: Vec<i64> = out
             .rows
             .iter()
-            .map(|(_, r)| r.get(0).unwrap().as_int().unwrap())
+            .map(|(_, r)| match r.get(0) {
+                Some(Value::Int(i)) => *i,
+                v => panic!("not an int: {v:?}"),
+            })
             .collect();
         assert_eq!(ids, vec![7, 8, 9]);
     }
@@ -539,7 +537,10 @@ mod tests {
         let ids: Vec<i64> = out
             .rows
             .iter()
-            .map(|(_, r)| r.get(0).unwrap().as_int().unwrap())
+            .map(|(_, r)| match r.get(0) {
+                Some(Value::Int(i)) => *i,
+                v => panic!("not an int: {v:?}"),
+            })
             .collect();
         assert_eq!(ids, vec![19, 18, 17]);
     }
@@ -556,10 +557,11 @@ mod tests {
         let e = crate::Engine::new();
         let t = e.catalog().install_table(movies()).unwrap();
         let before = t.read().stats().reads;
-        e.query("SELECT * FROM movies WHERE id < 5").unwrap();
+        e.execute("SELECT * FROM movies WHERE id < 5").unwrap();
         assert_eq!(t.read().stats().reads, before + 5);
         // A partly drained stream counts only the rows it pulled.
-        e.execute_streaming("SELECT * FROM movies", |s| {
+        let all = crate::parse("SELECT * FROM movies").unwrap();
+        e.execute_stmt_streaming(&all, |s| {
             let crate::StreamedStatement::Rows(cursor) = s else {
                 panic!("expected rows");
             };

@@ -27,8 +27,8 @@
 //! e.execute("CREATE TABLE t (id INT NOT NULL, name TEXT)").unwrap();
 //! e.execute("CREATE UNIQUE INDEX t_pk ON t (id)").unwrap();
 //! e.execute("INSERT INTO t VALUES (1, 'ann'), (2, 'bob')").unwrap();
-//! let out = e.query("SELECT name FROM t WHERE id = 2").unwrap();
-//! assert_eq!(out.len(), 1);
+//! let out = e.execute("SELECT name FROM t WHERE id = 2").unwrap();
+//! assert_eq!(out.rows().map(|rows| rows.len()), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,5 +48,5 @@ pub mod token;
 pub use engine::{Engine, PreparedSelect, StatementOutput, StreamedStatement};
 pub use error::{QueryError, Result};
 pub use exec::{open_select, ExecScratch, RowBuf, RowStream, SelectCursor, SelectOutput};
-pub use parser::{parse, parse_expr};
+pub use parser::parse;
 pub use stmt_cache::{Prepared, StatementCache, STATEMENT_CACHE_CAPACITY};

@@ -32,8 +32,9 @@ pub fn parse(input: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parse just an expression (used in tests and by tooling).
-pub fn parse_expr(input: &str) -> Result<Expr> {
+/// Parse just an expression, for tests that build filters directly.
+#[cfg(test)]
+pub(crate) fn parse_expr(input: &str) -> Result<Expr> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, pos: 0 };
     let e = p.expr()?;

@@ -21,11 +21,6 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
-    /// Whether this path uses an index.
-    pub fn is_indexed(&self) -> bool {
-        !matches!(self, AccessPath::FullScan)
-    }
-
     /// The probe-key value `slot` names.
     fn key_part(&mut self, slot: KeySlot) -> Option<&mut Value> {
         let key = match (self, slot) {
@@ -101,20 +96,5 @@ impl SelectPlan {
         if let Some(filter) = &mut self.filter {
             filter.bind_params(params);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn indexed_classification() {
-        assert!(!AccessPath::FullScan.is_indexed());
-        assert!(AccessPath::IndexEq {
-            columns: vec![0],
-            key: vec![]
-        }
-        .is_indexed());
     }
 }

@@ -105,14 +105,6 @@ impl QueryOutcome {
             _ => None,
         }
     }
-
-    /// The refusal reason, if refused.
-    pub fn refusal(&self) -> Option<RefuseReason> {
-        match self {
-            QueryOutcome::Refused { reason, .. } => Some(*reason),
-            _ => None,
-        }
-    }
 }
 
 /// Result of [`Client::insert`] / [`Client::update`] / [`Client::delete`].

@@ -268,13 +268,6 @@ impl DelayScheduler {
         self.join();
     }
 
-    /// Stop immediately, discarding pending delays (tests / hard stop).
-    pub fn stop_now(&self) {
-        self.shared.state.lock().unwrap().running = false;
-        self.shared.work_cv.notify_all();
-        self.join();
-    }
-
     fn join(&self) {
         if let Some(handle) = self.thread.lock().unwrap().take() {
             handle.join().expect("scheduler thread panicked");
@@ -380,7 +373,7 @@ mod tests {
                 "{ms}ms job fired early"
             );
         }
-        sched.stop_now();
+        stop_now(&sched);
     }
 
     #[test]
@@ -427,6 +420,13 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(threads_high, 1, "one scheduler thread, not one per delay");
+    }
+
+    /// Stop immediately, discarding pending delays.
+    fn stop_now(sched: &DelayScheduler) {
+        sched.shared.state.lock().unwrap().running = false;
+        sched.shared.work_cv.notify_all();
+        sched.join();
     }
 
     /// Block until the scheduler thread is parked: it has looked at the
@@ -488,12 +488,12 @@ mod tests {
         let (name, at) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(name, "early");
         assert!(at >= early, "fired early");
-        sched.stop_now();
+        stop_now(&sched);
     }
 
     #[test]
     fn drain_and_stop_return_from_an_indefinite_park() {
-        for stop in [DelayScheduler::drain, DelayScheduler::stop_now] {
+        for stop in [DelayScheduler::drain, stop_now] {
             let (_r, m) = metrics();
             let sched = DelayScheduler::start(Duration::from_millis(1), m.clone());
             wait_until_parked(&sched);

@@ -180,7 +180,16 @@ fn unregistered_and_exhausted_clients_refused_explicitly() {
     let outcome = stranger
         .query(999_999, "SELECT * FROM directory WHERE id = 1")
         .unwrap();
-    assert_eq!(outcome.refusal(), Some(RefuseReason::Unregistered));
+    assert!(
+        matches!(
+            outcome,
+            QueryOutcome::Refused {
+                reason: RefuseReason::Unregistered,
+                ..
+            }
+        ),
+        "{outcome:?}"
+    );
 
     // Registered but burst-exhausted: two queries pass, the third is
     // refused with a retry hint.

@@ -171,7 +171,13 @@ impl Rig {
 
 fn ids(answer: &Answer) -> Vec<i64> {
     match answer {
-        Answer::Rows(rows) => rows.iter().map(|r| r[0].as_int().unwrap()).collect(),
+        Answer::Rows(rows) => rows
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(i) => i,
+                ref v => panic!("not an int: {v:?}"),
+            })
+            .collect(),
         Answer::Error(e) => panic!("query failed: {e}"),
     }
 }

@@ -13,8 +13,6 @@ pub enum StorageError {
     ColumnNotFound(String),
     /// An index with this name already exists on the table.
     IndexExists(String),
-    /// No index with this name exists on the table.
-    IndexNotFound(String),
     /// The row has the wrong number of columns for the schema.
     ArityMismatch { expected: usize, actual: usize },
     /// A value's type does not match the column's declared type.
@@ -46,7 +44,6 @@ impl fmt::Display for StorageError {
             StorageError::TableNotFound(name) => write!(f, "table `{name}` not found"),
             StorageError::ColumnNotFound(name) => write!(f, "column `{name}` not found"),
             StorageError::IndexExists(name) => write!(f, "index `{name}` already exists"),
-            StorageError::IndexNotFound(name) => write!(f, "index `{name}` not found"),
             StorageError::ArityMismatch { expected, actual } => {
                 write!(
                     f,

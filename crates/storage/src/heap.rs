@@ -27,11 +27,6 @@ impl HeapFile {
         }
     }
 
-    /// Number of pages currently allocated.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.live
@@ -195,7 +190,7 @@ mod tests {
         for _ in 0..50 {
             rids.push(h.insert(&rec).unwrap());
         }
-        assert!(h.page_count() > 1, "1000-byte records must spill pages");
+        assert!(h.pages.len() > 1, "1000-byte records must spill pages");
         assert_eq!(h.len(), 50);
         for rid in &rids {
             assert_eq!(h.get(*rid), Some(&rec[..]));
@@ -210,7 +205,7 @@ mod tests {
         for _ in 0..20 {
             rids.push(h.insert(&rec).unwrap());
         }
-        let pages_before = h.page_count();
+        let pages_before = h.pages.len();
         for rid in &rids {
             assert!(h.delete(*rid));
         }
@@ -219,7 +214,7 @@ mod tests {
         for _ in 0..20 {
             h.insert(&rec).unwrap();
         }
-        assert_eq!(h.page_count(), pages_before);
+        assert_eq!(h.pages.len(), pages_before);
     }
 
     #[test]
@@ -243,7 +238,7 @@ mod tests {
         let mut h = HeapFile::new();
         let rid = h.insert(&[1u8; 100]).unwrap();
         // Fill page 0 completely.
-        while h.page_count() == 1 {
+        while h.pages.len() == 1 {
             h.insert(&[2u8; 500]).unwrap();
         }
         let n_before = h.len();

@@ -42,11 +42,6 @@ impl Row {
         &mut self.values
     }
 
-    /// Project the row onto the given column positions.
-    pub fn project(&self, indices: &[usize]) -> Row {
-        Row::new(indices.iter().map(|&i| self.values[i].clone()).collect())
-    }
-
     /// Project into an existing row, reusing its per-slot allocations.
     pub fn project_into(&self, indices: &[usize], out: &mut Row) {
         let values = &mut out.values;
@@ -137,7 +132,8 @@ mod tests {
     #[test]
     fn row_projection() {
         let r = Row::new(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-        let p = r.project(&[2, 0]);
+        let mut p = Row::new(Vec::new());
+        r.project_into(&[2, 0], &mut p);
         assert_eq!(p.values(), &[Value::Int(3), Value::Int(1)]);
     }
 

@@ -82,11 +82,6 @@ impl Schema {
         Ok(&self.columns[idx])
     }
 
-    /// Column at position `idx`, if any.
-    pub fn column_at(&self, idx: usize) -> Option<&Column> {
-        self.columns.get(idx)
-    }
-
     /// Validate that `row` conforms to this schema: arity, types, NOT NULL.
     pub fn validate(&self, row: &Row) -> Result<()> {
         if row.arity() != self.arity() {
@@ -135,8 +130,8 @@ mod tests {
         assert_eq!(s.index_of("title").unwrap(), 1);
         assert_eq!(s.column("rating").unwrap().dtype, DataType::Float);
         assert!(s.index_of("nope").is_err());
-        assert!(s.column_at(2).is_some());
-        assert!(s.column_at(3).is_none());
+        assert!(s.columns().get(2).is_some());
+        assert!(s.columns().get(3).is_none());
     }
 
     #[test]

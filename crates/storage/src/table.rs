@@ -134,26 +134,9 @@ impl Table {
         Ok(())
     }
 
-    /// Drop the named index.
-    pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        let pos = self
-            .indexes
-            .iter()
-            .position(|i| i.def().name == name)
-            .ok_or_else(|| StorageError::IndexNotFound(name.to_owned()))?;
-        self.indexes.remove(pos);
-        self.ddl_version = fresh_ddl_version();
-        Ok(())
-    }
-
     /// Find an index whose leading key columns are exactly `columns`.
     pub fn index_on(&self, columns: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|i| i.def().columns == columns)
-    }
-
-    /// Find an index by name.
-    pub fn index_named(&self, name: &str) -> Option<&Index> {
-        self.indexes.iter().find(|i| i.def().name == name)
     }
 
     /// Insert a row, updating all indexes. Rolls back on unique violations.
@@ -486,24 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_index_works() {
-        let mut t = movies();
-        t.drop_index("movies_title").unwrap();
-        assert!(t.index_named("movies_title").is_none());
-        assert!(matches!(
-            t.drop_index("movies_title"),
-            Err(StorageError::IndexNotFound(_))
-        ));
-    }
-
-    #[test]
     fn ddl_version_changes_on_index_ddl_and_recreation() {
         let mut t = movies();
         let v0 = t.ddl_version();
         t.create_index("by_gross", &["gross"], false).unwrap();
         let v1 = t.ddl_version();
         assert_ne!(v0, v1);
-        t.drop_index("by_gross").unwrap();
+        t.create_index("by_title_gross", &["title", "gross"], false)
+            .unwrap();
         let v2 = t.ddl_version();
         assert_ne!(v1, v2);
         // A freshly built table never shares a version with an old one.

@@ -118,35 +118,11 @@ impl Value {
         }
     }
 
-    /// Interpret as an integer when possible (for LIMIT, key fields, ...).
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Interpret as a float, widening integers.
     pub fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(x) => Some(*x),
             Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// Interpret as text.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Interpret as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -358,12 +334,8 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::Text("x".into()).as_int(), None);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn run(seed: u64, policy: GuardPolicy, charging: ChargingModel, exact: bool) {
         // The model's answer, from the row ids the engine reported.
         let expected = match &output {
             StatementOutput::Rows(out) => {
-                let keys: Vec<u64> = out.row_ids().map(|rid| rid.raw()).collect();
+                let keys: Vec<u64> = out.rows.iter().map(|(rid, _)| rid.raw()).collect();
                 let mut delays = Vec::with_capacity(keys.len());
                 for &key in &keys {
                     delays.push(model.price(key, *live, at));

@@ -64,52 +64,6 @@ impl SybilPlan {
     }
 }
 
-/// A storefront adversary forwards *legitimate users'* queries and caches
-/// results (§2.4). It only ever sees what legitimate users ask, so its
-/// coverage is bounded by the distinct-key footprint of the legit workload.
-#[derive(Debug, Clone)]
-pub struct StorefrontObserver {
-    seen: Vec<bool>,
-    distinct: u64,
-    forwarded: u64,
-}
-
-impl StorefrontObserver {
-    /// Observe a universe of `objects` keys.
-    pub fn new(objects: u64) -> StorefrontObserver {
-        StorefrontObserver {
-            seen: vec![false; objects as usize],
-            distinct: 0,
-            forwarded: 0,
-        }
-    }
-
-    /// The storefront forwards one user query for `key` and caches it.
-    pub fn forward(&mut self, key: u64) {
-        self.forwarded += 1;
-        let slot = &mut self.seen[key as usize];
-        if !*slot {
-            *slot = true;
-            self.distinct += 1;
-        }
-    }
-
-    /// Queries forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Distinct keys harvested so far.
-    pub fn coverage(&self) -> u64 {
-        self.distinct
-    }
-
-    /// Fraction of the universe harvested.
-    pub fn coverage_fraction(&self) -> f64 {
-        self.distinct as f64 / self.seen.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,35 +120,6 @@ mod tests {
         };
         let d = |k: u64| if k == 0 { 100.0 } else { 0.0 };
         assert_eq!(plan.wall_clock(100, d), 100.0);
-    }
-
-    #[test]
-    fn storefront_coverage_tracks_distinct_forwards() {
-        let mut s = StorefrontObserver::new(10);
-        for key in [1u64, 1, 2, 3, 3, 3] {
-            s.forward(key);
-        }
-        assert_eq!(s.forwarded(), 6);
-        assert_eq!(s.coverage(), 3);
-        assert!((s.coverage_fraction() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn storefront_skewed_workload_covers_slowly() {
-        // Under a Zipf workload most forwards hit already-cached keys, so
-        // coverage grows far slower than query volume.
-        use crate::zipf::Zipf;
-        let z = Zipf::new(1000, 1.5);
-        let mut rng = Rng::new(21);
-        let mut s = StorefrontObserver::new(1000);
-        for _ in 0..10_000 {
-            s.forward(z.sample(&mut rng) - 1);
-        }
-        assert!(
-            s.coverage_fraction() < 0.5,
-            "coverage {}",
-            s.coverage_fraction()
-        );
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   season (§4.2): 634 films, weekly-shifting skew, one request per
 //!   $100k of weekly sales.
 //! * [`updates`] — Zipf-shaped per-item update rates (§3, §4.3).
-//! * [`adversary`] — extraction orders, Sybil parallelism, storefront
-//!   observers (§2.4).
+//! * [`adversary`] — extraction orders and Sybil parallelism (§2.4).
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +24,7 @@ pub mod trace;
 pub mod updates;
 pub mod zipf;
 
-pub use adversary::{ExtractionOrder, StorefrontObserver, SybilPlan};
+pub use adversary::{ExtractionOrder, SybilPlan};
 pub use boxoffice::{BoxOffice, BoxOfficeConfig, WEEK_SECS};
 pub use calgary::CalgaryConfig;
 pub use rng::Rng;

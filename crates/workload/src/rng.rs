@@ -93,17 +93,6 @@ impl Rng {
         self.next_f64() < p
     }
 
-    /// Exponentially distributed sample with the given rate (mean `1/rate`).
-    ///
-    /// # Panics
-    /// If `rate <= 0`.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "rate must be positive");
-        // Inverse CDF; guard the log away from 0.
-        let u = 1.0 - self.next_f64(); // (0, 1]
-        -u.ln() / rate
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -167,16 +156,6 @@ mod tests {
             let x = r.range(5, 8);
             assert!((5..8).contains(&x));
         }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = Rng::new(11);
-        let rate = 4.0;
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(rate)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
     }
 
     #[test]

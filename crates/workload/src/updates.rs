@@ -33,15 +33,6 @@ impl UpdateRates {
         UpdateRates { rates, alpha }
     }
 
-    /// Uniform rates (no skew): every item updated equally often.
-    pub fn uniform(items: u64, total_rate: f64) -> UpdateRates {
-        assert!(items > 0 && total_rate > 0.0);
-        UpdateRates {
-            rates: vec![total_rate / items as f64; items as usize],
-            alpha: 0.0,
-        }
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         self.rates.len()
@@ -95,6 +86,14 @@ impl UpdateRates {
 mod tests {
     use super::*;
 
+    /// Uniform rates (no skew): every item updated equally often.
+    fn uniform(items: u64, total_rate: f64) -> UpdateRates {
+        UpdateRates {
+            rates: vec![total_rate / items as f64; items as usize],
+            alpha: 0.0,
+        }
+    }
+
     #[test]
     fn zipf_rates_sum_to_total() {
         let r = UpdateRates::zipf(1000, 1.0, 50.0, 1);
@@ -104,23 +103,14 @@ mod tests {
     }
 
     #[test]
-    fn uniform_rates_equal() {
-        let r = UpdateRates::uniform(10, 5.0);
-        for i in 0..10 {
-            assert!((r.rate(i) - 0.5).abs() < 1e-12);
-        }
-        assert!((r.rmax() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn no_time_no_staleness() {
-        let rates = UpdateRates::uniform(100, 10.0);
+        let rates = uniform(100, 10.0);
         assert_eq!(rates.stale_fraction(0.0), 0.0);
     }
 
     #[test]
     fn long_exposure_means_everything_stale() {
-        let rates = UpdateRates::uniform(100, 10.0); // 0.1 upd/s each
+        let rates = uniform(100, 10.0); // 0.1 upd/s each
         assert_eq!(rates.stale_fraction(1e6), 1.0);
         assert_eq!(rates.stale_fraction(9.99), 0.0);
         assert_eq!(rates.stale_fraction(10.0), 1.0, "d_total = 1/r is stale");

@@ -1,10 +1,12 @@
 //! Repo-invariant lints for delayguard: `cargo run -p xtask -- lint`.
 //!
 //! Walks every `.rs` file in the repository (skipping `target/` and
-//! `.git/`), runs the token-level rules in [`rules`], prints findings as
-//! `file:line: message`, and exits non-zero if any fire. CI runs this as
-//! the `lint-invariants` job; it is also fast enough (< 1 s) for a
-//! pre-commit hook.
+//! `.git/`), runs the per-file token-level rules in [`rules`] (R1–R6),
+//! then one workspace pass (R7: every `pub` item of a library crate has a
+//! caller outside tests) and a check that every allow-list entry still
+//! matches a line. Findings print as `file:line: message`, and any
+//! finding exits non-zero. CI runs this as the `lint-invariants` job; it
+//! is also fast enough (< 1 s) for a pre-commit hook.
 
 mod rules;
 mod scan;
@@ -49,21 +51,40 @@ fn repo_root() -> PathBuf {
 }
 
 /// Lint every Rust file under `root`; returns (findings, files scanned).
+/// The per-file rules run first, then the workspace pass (R7, which needs
+/// every file's callers), then the check for stale allow-list entries.
 fn lint_repo(root: &Path) -> (Vec<Finding>, usize) {
     let allow = load_allowlist(root);
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files);
-    files.sort();
-    let scanned = files.len();
+    let mut paths = Vec::new();
+    collect_rs_files(root, &mut paths);
+    paths.sort();
     let mut findings = Vec::new();
-    for f in &files {
-        findings.extend(rules::lint_path(root, f, &allow));
+    let mut files = Vec::with_capacity(paths.len());
+    for abs in &paths {
+        let rel = abs
+            .strip_prefix(root)
+            .unwrap_or(abs)
+            .to_string_lossy()
+            .replace('\\', "/");
+        match std::fs::read_to_string(abs) {
+            Ok(src) => {
+                findings.extend(rules::lint_file(&rel, &src, &allow));
+                files.push((rel, src));
+            }
+            Err(e) => findings.push(Finding {
+                file: rel,
+                line: 0,
+                message: format!("unreadable: {e}"),
+            }),
+        }
     }
-    (findings, scanned)
+    findings.extend(rules::rule_pub_needs_caller(&files, &allow));
+    findings.extend(rules::stale_allow_entries(&allow, &files));
+    (findings, paths.len())
 }
 
 fn load_allowlist(root: &Path) -> Allowlist {
-    match std::fs::read_to_string(root.join("crates/xtask/lint-allow.txt")) {
+    match std::fs::read_to_string(root.join(rules::ALLOWLIST_PATH)) {
         Ok(text) => Allowlist::parse(&text),
         Err(_) => Allowlist::empty(),
     }
@@ -94,8 +115,9 @@ mod tests {
 
     /// The lint passes on the repository itself: every `unsafe` carries a
     /// SAFETY comment, deterministic layers take time as a parameter, the
-    /// server paths' panics are vetted, and no pointer publish is
-    /// Relaxed. If this fails, fix the code (or vet the site in
+    /// server paths' panics are vetted, no pointer publish is Relaxed,
+    /// every library `pub` item has a non-test caller, and no allow-list
+    /// entry is stale. If this fails, fix the code (or vet the site in
     /// lint-allow.txt) rather than weakening the rule.
     #[test]
     fn workspace_is_clean() {

@@ -56,9 +56,33 @@
 //!   *chunk* or per *connection* (outside any loop) are fine; vetted
 //!   per-iteration sites go through `crates/xtask/lint-allow.txt`.
 //!   Unit-test modules are exempt.
+//! * **R7 a `pub` item needs a non-test caller** — every `pub
+//!   fn|struct|enum|trait|type|const|static` in the non-test code of the
+//!   library and bench crates (`crates/{storage,query,popularity,core,
+//!   workload,sim,server,bench}/src`) must be named, as a whole
+//!   identifier, somewhere in non-test code other than its own
+//!   declaration line. Non-test code is every `crates/*/src` file
+//!   (testkit and the bench bins included), `src/`, `examples/` and
+//!   `benchmark/src/`, minus `#[cfg(test)]` modules and items; `tests/`
+//!   directories, doc tests, comments, literals and `use`/`mod` lines
+//!   never count. Uses in the declaring file count, so a type named only
+//!   in its own file's signatures passes. rustc's `dead_code` cannot see
+//!   an unused `pub` item of a library; this rule finds the code only
+//!   tests reach, which is a liability, not an asset. `pub(crate)` items,
+//!   trait-impl items, fields and variants are not checked, nor are the
+//!   testkit (whose API exists for tests), xtask and `vendor/`. The rule
+//!   is word-level: an item sharing its name with a live one passes.
+//!   Vetted exceptions in `crates/xtask/lint-allow.txt` carry one of
+//!   four reasons: (a) pending ROADMAP item 2 (durable state), (b) a
+//!   reference model a test compares the product against, (c) the test
+//!   clock, or (d) at most three others, each naming the test that
+//!   cannot move onto a surviving API.
+//!
+//! The allow-list is checked too: an entry whose line no longer exists
+//! in its file is reported as stale, so deleted code takes its vetting
+//! with it.
 
-use std::collections::HashSet;
-use std::path::Path;
+use std::collections::{HashMap, HashSet};
 
 use crate::scan::{scan, test_mod_lines, Scanned};
 
@@ -76,36 +100,67 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Vetted `unwrap`/`expect` sites: `path: trimmed-source-line` entries.
+/// Where the vetted exceptions live, repo-relative.
+pub const ALLOWLIST_PATH: &str = "crates/xtask/lint-allow.txt";
+
+/// Vetted sites: `path: trimmed-source-line` entries.
 pub struct Allowlist {
-    entries: HashSet<(String, String)>,
+    /// `(line in the allow file, path, trimmed source line)`, in file
+    /// order, so a stale entry can be reported where it sits.
+    entries: Vec<(usize, String, String)>,
 }
 
 impl Allowlist {
     pub fn parse(text: &str) -> Allowlist {
-        let mut entries = HashSet::new();
-        for line in text.lines() {
+        let mut entries = Vec::new();
+        for (i, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if let Some((path, code)) = line.split_once(':') {
-                entries.insert((path.trim().to_string(), code.trim().to_string()));
+                entries.push((i + 1, path.trim().to_string(), code.trim().to_string()));
             }
         }
         Allowlist { entries }
     }
 
     pub fn empty() -> Allowlist {
-        Allowlist {
-            entries: HashSet::new(),
-        }
+        Allowlist::parse("")
     }
 
     fn permits(&self, file: &str, source_line: &str) -> bool {
+        let line = source_line.trim();
         self.entries
-            .contains(&(file.to_string(), source_line.trim().to_string()))
+            .iter()
+            .any(|(_, path, code)| path == file && code == line)
     }
+}
+
+/// Allow-list entries that vet nothing: the named file is not among
+/// `files` (repo-relative path, source), or none of its lines is the
+/// entry's line once trimmed. An entry outlives the code it vetted
+/// whenever that code is deleted or edited, and a stale entry would
+/// silently vet the line if it ever came back.
+pub fn stale_allow_entries(allow: &Allowlist, files: &[(String, String)]) -> Vec<Finding> {
+    let sources: HashMap<&str, &str> = files
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    allow
+        .entries
+        .iter()
+        .filter(|(_, path, code)| {
+            !sources
+                .get(path.as_str())
+                .is_some_and(|src| src.lines().any(|l| l.trim() == code))
+        })
+        .map(|(line, path, code)| Finding {
+            file: ALLOWLIST_PATH.to_string(),
+            line: *line,
+            message: format!("stale entry: no line of {path} reads `{code}` — delete the entry"),
+        })
+        .collect()
 }
 
 /// Run every rule over one file. `rel` is the repo-relative path with
@@ -538,21 +593,203 @@ fn rule_no_relaxed_pointer_publish(rel: &str, s: &Scanned, findings: &mut Vec<Fi
     }
 }
 
-/// Convenience for `main` and tests: lint one on-disk file.
-pub fn lint_path(root: &Path, abs: &Path, allow: &Allowlist) -> Vec<Finding> {
-    let rel = abs
-        .strip_prefix(root)
-        .unwrap_or(abs)
-        .to_string_lossy()
-        .replace('\\', "/");
-    match std::fs::read_to_string(abs) {
-        Ok(src) => lint_file(&rel, &src, allow),
-        Err(e) => vec![Finding {
-            file: rel,
-            line: 0,
-            message: format!("unreadable: {e}"),
-        }],
+/// Crates whose `pub` items R7 checks: the library and bench crates.
+/// The testkit's API exists to be called by tests, xtask is a binary,
+/// and `vendor/` shims external APIs.
+const R7_CRATES: [&str; 8] = [
+    "storage",
+    "query",
+    "popularity",
+    "core",
+    "workload",
+    "sim",
+    "server",
+    "bench",
+];
+
+fn r7_declares(rel: &str) -> bool {
+    R7_CRATES.iter().any(|c| {
+        rel.strip_prefix("crates/")
+            .and_then(|r| r.strip_prefix(c))
+            .is_some_and(|r| r.starts_with("/src/"))
+    })
+}
+
+/// Files whose non-test code can be a caller: every crate's `src/`
+/// (testkit and the bench bins included), the facade, the examples and
+/// wirebench. `tests/` directories never count.
+fn is_program_file(rel: &str) -> bool {
+    rel.starts_with("src/")
+        || rel.starts_with("examples/")
+        || rel.starts_with("benchmark/src/")
+        || (rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"))
+}
+
+/// Per-line flag: test-only code. That is the unit-test modules, plus any
+/// other item under `#[cfg(test)]`, up to its closing brace or `;`.
+fn test_only_lines(code: &[String]) -> Vec<bool> {
+    let mut test = test_mod_lines(code);
+    let mut i = 0;
+    while i < code.len() {
+        if test[i] || !code[i].contains("#[cfg(test)]") {
+            i += 1;
+            continue;
+        }
+        // The attribute holds no brace or `;`, so the item ends at the
+        // first `;` outside braces or at its closing brace.
+        let mut depth = 0i32;
+        let mut k = i;
+        'item: while k < code.len() {
+            test[k] = true;
+            for c in code[k].chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break 'item;
+                        }
+                    }
+                    ';' if depth == 0 => break 'item,
+                    _ => {}
+                }
+            }
+            k += 1;
+        }
+        i = k + 1;
     }
+    test
+}
+
+/// Per-line flag: part of a `use`, `pub use` or `mod` item, which names
+/// an item without calling it. A `use` may wrap onto later lines.
+fn import_lines(code: &[String]) -> Vec<bool> {
+    let mut import = vec![false; code.len()];
+    let mut open = false;
+    for (i, line) in code.iter().enumerate() {
+        let t = line.trim_start();
+        let t = t
+            .strip_prefix("pub(crate) ")
+            .or_else(|| t.strip_prefix("pub "))
+            .unwrap_or(t);
+        let is_mod = t.starts_with("mod ");
+        if open || is_mod || t.starts_with("use ") {
+            import[i] = true;
+            // An inline `mod name {` body is code; a `use` runs to its `;`.
+            open = !(line.contains(';') || is_mod && line.contains('{'));
+        }
+    }
+    import
+}
+
+/// The name a `pub fn|struct|enum|trait|type|const|static` line declares.
+/// `pub(crate)` and other restricted items, fields and `pub mod`/`pub use`
+/// are not declarations R7 checks.
+fn pub_decl(code: &str) -> Option<&str> {
+    let mut words = code.trim_start().strip_prefix("pub ")?.split_whitespace();
+    loop {
+        match words.next()? {
+            "fn" | "struct" | "enum" | "trait" | "type" => break,
+            "unsafe" | "async" => continue,
+            "static" => {
+                if words.clone().next() == Some("mut") {
+                    words.next();
+                }
+                break;
+            }
+            // `pub const fn` is a function; `pub const NAME` a constant.
+            "const" if matches!(words.clone().next(), Some("fn" | "unsafe" | "async")) => {}
+            "const" => break,
+            _ => return None,
+        }
+    }
+    let word = words.next()?;
+    let name = &word[..word.bytes().take_while(|&b| is_ident_byte(b)).count()];
+    (!name.is_empty()).then_some(name)
+}
+
+/// Whole identifiers in a code line.
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// R7: a `pub` item in a checked crate needs a caller in non-test code.
+/// A caller is the item's name as a whole identifier on any line of a
+/// program file (same file included) other than the declaration itself,
+/// outside test-only code and outside `use`/`mod` lines. Comments and
+/// literals are already blanked by the scanner, so doc tests never count.
+/// `files` holds (repo-relative path, source) for the whole workspace.
+pub fn rule_pub_needs_caller(files: &[(String, String)], allow: &Allowlist) -> Vec<Finding> {
+    struct Decl<'a> {
+        file: usize,
+        line: usize,
+        name: &'a str,
+    }
+    let scanned: Vec<Option<Scanned>> = files
+        .iter()
+        .map(|(rel, src)| is_program_file(rel).then(|| scan(src)))
+        .collect();
+    let mut counted = Vec::with_capacity(files.len());
+    let mut decls = Vec::new();
+    for (f, s) in scanned.iter().enumerate() {
+        let Some(s) = s else {
+            counted.push(Vec::new());
+            continue;
+        };
+        let test = test_only_lines(&s.code);
+        let import = import_lines(&s.code);
+        if r7_declares(&files[f].0) {
+            for (line, code) in s.code.iter().enumerate() {
+                if let Some(name) = pub_decl(code).filter(|_| !test[line]) {
+                    decls.push(Decl {
+                        file: f,
+                        line,
+                        name,
+                    });
+                }
+            }
+        }
+        counted.push((0..s.code.len()).map(|i| !test[i] && !import[i]).collect());
+    }
+    // name -> the (file, line) sites that mention it.
+    let mut sites: HashMap<&str, Vec<(usize, usize)>> =
+        decls.iter().map(|d| (d.name, Vec::new())).collect();
+    for (f, s) in scanned.iter().enumerate() {
+        let Some(s) = s else { continue };
+        for (line, code) in s.code.iter().enumerate() {
+            if !counted[f][line] {
+                continue;
+            }
+            for word in idents(code) {
+                if let Some(v) = sites.get_mut(word) {
+                    if v.last() != Some(&(f, line)) {
+                        v.push((f, line));
+                    }
+                }
+            }
+        }
+    }
+    let mut findings = Vec::new();
+    for d in &decls {
+        if sites[d.name].iter().any(|&at| at != (d.file, d.line)) {
+            continue;
+        }
+        let (rel, src) = &files[d.file];
+        if allow.permits(rel, src.lines().nth(d.line).unwrap_or("")) {
+            continue;
+        }
+        findings.push(Finding {
+            file: rel.clone(),
+            line: d.line + 1,
+            message: format!(
+                "`pub` item `{}` has no caller outside tests — delete it, or \
+                 vet it with a reason in crates/xtask/lint-allow.txt",
+                d.name
+            ),
+        });
+    }
+    findings
 }
 
 #[cfg(test)]
@@ -888,6 +1125,161 @@ mod tests {
                        let label = format!(\"n={}\", rows.len());\n\
                    }\n";
         assert!(lint("crates/server/src/gate.rs", src).is_empty());
+    }
+
+    /// R7 over a workspace given as (repo-relative path, source) pairs.
+    fn r7(files: &[(&str, &str)], allow: &Allowlist) -> Vec<String> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect();
+        rule_pub_needs_caller(&files, allow)
+            .iter()
+            .map(|f| f.to_string())
+            .collect()
+    }
+
+    const DECL: &str = "pub fn orphan() -> u32 {\n    7\n}\n";
+
+    #[test]
+    fn pub_fn_reached_only_from_tests_fires() {
+        let lib = format!(
+            "{DECL}#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ super::orphan(); }}\n}}\n"
+        );
+        let f = r7(
+            &[
+                ("crates/core/src/lib.rs", &lib),
+                (
+                    "crates/core/tests/it.rs",
+                    "fn t() { delayguard_core::orphan(); }\n",
+                ),
+                ("tests/e2e.rs", "fn t() { orphan(); }\n"),
+            ],
+            &Allowlist::empty(),
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("crates/core/src/lib.rs:1:"), "{f:?}");
+        assert!(f[0].contains("`orphan`"));
+        // A `#[cfg(test)]` item outside a test module does not count either.
+        let item = format!("{DECL}#[cfg(test)]\nfn helper() -> u32 {{\n    orphan()\n}}\n");
+        assert_eq!(
+            r7(&[("crates/core/src/lib.rs", &item)], &Allowlist::empty()).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn caller_in_program_code_passes() {
+        for caller in [
+            "crates/server/src/gate.rs",
+            "crates/testkit/src/world.rs",
+            "crates/bench/src/bin/writes.rs",
+            "src/lib.rs",
+            "examples/demo.rs",
+            "benchmark/src/probes.rs",
+        ] {
+            let f = r7(
+                &[
+                    ("crates/core/src/lib.rs", DECL),
+                    (
+                        caller,
+                        "fn go() -> u32 {\n    delayguard_core::orphan()\n}\n",
+                    ),
+                ],
+                &Allowlist::empty(),
+            );
+            assert!(f.is_empty(), "{caller}: {f:?}");
+        }
+        // A use later in the declaring file counts too.
+        let same_file =
+            format!("{DECL}pub struct S;\nimpl S {{\n    fn f() -> u32 {{ orphan() }}\n}}\n");
+        let f = r7(
+            &[("crates/core/src/lib.rs", &same_file)],
+            &Allowlist::empty(),
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn comments_literals_and_imports_are_not_callers() {
+        let f = r7(
+            &[
+                ("crates/core/src/lib.rs", DECL),
+                (
+                    "crates/server/src/gate.rs",
+                    "use delayguard_core::orphan;\n\
+                     pub use delayguard_core::{\n    orphan,\n};\n\
+                     // orphan() is mentioned here\n\
+                     /// Doc test:\n/// ```\n/// orphan();\n/// ```\n\
+                     fn f() -> &'static str { \"orphan()\" }\n",
+                ),
+            ],
+            &Allowlist::empty(),
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn allowlist_silences_r7() {
+        let allow = Allowlist::parse("crates/core/src/lib.rs: pub fn orphan() -> u32 {\n");
+        assert!(r7(&[("crates/core/src/lib.rs", DECL)], &allow).is_empty());
+    }
+
+    #[test]
+    fn r7_checks_only_the_library_and_bench_crates() {
+        for rel in [
+            "crates/testkit/src/world.rs",
+            "crates/xtask/src/main.rs",
+            "vendor/parking_lot/src/lib.rs",
+            "crates/core/tests/it.rs",
+            "examples/demo.rs",
+        ] {
+            assert!(r7(&[(rel, DECL)], &Allowlist::empty()).is_empty(), "{rel}");
+        }
+        for rel in [
+            "crates/storage/src/heap.rs",
+            "crates/popularity/src/tracker.rs",
+            "crates/bench/src/report.rs",
+        ] {
+            assert_eq!(r7(&[(rel, DECL)], &Allowlist::empty()).len(), 1, "{rel}");
+        }
+    }
+
+    #[test]
+    fn r7_declarations_of_every_kind() {
+        let src = "pub struct Orphan;\n\
+                   pub const fn orphan_fn() {}\n\
+                   pub(crate) fn narrowed() {}\n\
+                   pub struct Holder {\n    pub field: u32,\n}\n\
+                   pub static mut ORPHAN_STATIC: u32 = 0;\n\
+                   pub mod module;\n";
+        let f = r7(&[("crates/sim/src/lib.rs", src)], &Allowlist::empty());
+        let names: Vec<&str> = f.iter().map(|m| m.split('`').nth(3).unwrap()).collect();
+        assert_eq!(names, ["Orphan", "orphan_fn", "Holder", "ORPHAN_STATIC"]);
+    }
+
+    #[test]
+    fn stale_allow_entries_are_reported() {
+        let allow = Allowlist::parse(
+            "# a comment\n\
+             crates/a.rs: let live = 1;\n\
+             \n\
+             crates/a.rs: let gone = 2;\n\
+             crates/missing.rs: let live = 1;\n",
+        );
+        let files = vec![(
+            "crates/a.rs".to_string(),
+            "fn f() {\n    let live = 1;\n}\n".to_string(),
+        )];
+        let f: Vec<String> = stale_allow_entries(&allow, &files)
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].starts_with("crates/xtask/lint-allow.txt:4:"), "{f:?}");
+        assert!(f[0].contains("let gone = 2;"));
+        assert!(f[1].starts_with("crates/xtask/lint-allow.txt:5:"), "{f:?}");
+        assert!(f[1].contains("crates/missing.rs"));
     }
 
     #[test]

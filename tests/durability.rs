@@ -1,10 +1,15 @@
 //! Durability integration: snapshot + WAL recovery reproduces a database
 //! that crashed mid-workload.
 
-use delayguard::query::Engine;
+use delayguard::query::{Engine, SelectOutput};
 use delayguard::storage::wal::{read_log, recover, Wal, WalRecord};
 use delayguard::storage::{persist, Row, Value};
 use std::sync::Arc;
+
+/// A SELECT's output; panics on any other statement.
+fn select(e: &Engine, sql: &str) -> SelectOutput {
+    e.execute(sql).unwrap().rows().cloned().expect("a SELECT")
+}
 
 fn schema_sql() -> &'static str {
     "CREATE TABLE ledger (id INT NOT NULL, balance INT NOT NULL)"
@@ -67,10 +72,8 @@ fn snapshot_plus_wal_equals_crash_recovery() {
     let applied = recover(&catalog, &read_log(&wal_path).unwrap()).unwrap();
     assert_eq!(applied, 51);
     let recovered = Engine::with_catalog(Arc::new(catalog));
-    assert_eq!(recovered.query("SELECT * FROM ledger").unwrap().len(), 150);
-    let hit = recovered
-        .query("SELECT balance FROM ledger WHERE id = 10")
-        .unwrap();
+    assert_eq!(select(&recovered, "SELECT * FROM ledger").len(), 150);
+    let hit = select(&recovered, "SELECT balance FROM ledger WHERE id = 10");
     assert_eq!(hit.rows[0].1.get(0), Some(&Value::Int(9999)));
 
     std::fs::remove_dir_all(&dir).ok();
@@ -106,7 +109,7 @@ fn torn_wal_tail_loses_only_the_last_record() {
     assert_eq!(records.len(), 4, "intact prefix only");
     let applied = recover(engine.catalog(), &records).unwrap();
     assert_eq!(applied, 4);
-    assert_eq!(engine.query("SELECT * FROM ledger").unwrap().len(), 4);
+    assert_eq!(select(&engine, "SELECT * FROM ledger").len(), 4);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -82,7 +82,13 @@ fn sybil_fleet_pinned_by_registration_and_subnet() {
         let t = i as f64 * interval;
         users.push(must_register(&mut keeper, &format!("10.1.1.{i}"), t));
     }
-    assert_eq!(keeper.registrar().time_to_accumulate(10), 9.0 * interval);
+    // ...and no sooner: an eleventh must wait out the interval again.
+    assert_eq!(
+        keeper.register(Ipv4::parse("10.1.1.10").unwrap(), 9.5 * interval),
+        RegistrationOutcome::TooSoon {
+            retry_at: 10.0 * interval
+        }
+    );
     // All ten share one /24: their combined steady-state throughput is the
     // subnet rate (2/s), not 10x the per-user rate.
     let mut granted = 0;
@@ -127,8 +133,17 @@ fn registration_economics_match_the_analysis() {
     let t = delayguard::core::analysis::registration_interval_for(serial_cost, 0.4);
     let (k, wall) = sybil_optimum(serial_cost, t);
     assert!(wall >= 0.4 * serial_cost * 0.99);
-    let keeper = keeper(t);
-    // The registrar's accumulation bound agrees with the model's k * t.
-    let bound = keeper.registrar().time_to_accumulate(k.round() as u64);
-    assert!((bound - (k.round() - 1.0) * t).abs() < 1e-6);
+    // Registering as fast as the registrar allows, the k-th identity
+    // lands at the model's (k - 1) * t.
+    let mut keeper = keeper(t);
+    let mut at = 0.0;
+    for _ in 1..k.round() as u64 {
+        must_register(&mut keeper, "10.9.9.9", at);
+        match keeper.register(Ipv4::parse("10.9.9.9").unwrap(), at) {
+            RegistrationOutcome::TooSoon { retry_at } => at = retry_at,
+            other => panic!("registered twice at {at}: {other:?}"),
+        }
+    }
+    must_register(&mut keeper, "10.9.9.9", at);
+    assert!((at - (k.round() - 1.0) * t).abs() < 1e-6);
 }

@@ -2,9 +2,14 @@
 //! survive a save/load cycle, and a reloaded engine serves identical
 //! results.
 
-use delayguard::query::Engine;
+use delayguard::query::{Engine, SelectOutput};
 use delayguard::storage::{persist, Catalog};
 use std::sync::Arc;
+
+/// A SELECT's output; panics on any other statement.
+fn select(e: &Engine, sql: &str) -> SelectOutput {
+    e.execute(sql).unwrap().rows().cloned().expect("a SELECT")
+}
 
 fn populated_engine() -> Engine {
     let e = Engine::new();
@@ -30,23 +35,19 @@ fn populated_engine() -> Engine {
 #[test]
 fn snapshot_round_trip_preserves_query_results() {
     let e = populated_engine();
-    let before = e
-        .query("SELECT id, title FROM movies WHERE gross = 999.0")
-        .unwrap();
+    let before = select(&e, "SELECT id, title FROM movies WHERE gross = 999.0");
     let bytes = persist::snapshot_bytes(e.catalog());
     let catalog: Catalog = persist::catalog_from_bytes(&bytes).unwrap();
     let e2 = Engine::with_catalog(Arc::new(catalog));
-    let after = e2
-        .query("SELECT id, title FROM movies WHERE gross = 999.0")
-        .unwrap();
+    let after = select(&e2, "SELECT id, title FROM movies WHERE gross = 999.0");
     assert_eq!(before.rows.len(), 1);
     assert_eq!(before.rows[0].1, after.rows[0].1);
     assert_eq!(
-        e.query("SELECT * FROM movies").unwrap().len(),
-        e2.query("SELECT * FROM movies").unwrap().len()
+        select(&e, "SELECT * FROM movies").len(),
+        select(&e2, "SELECT * FROM movies").len()
     );
     // Index-backed point query still works (indexes rebuilt on load).
-    let point = e2.query("SELECT title FROM movies WHERE id = 7").unwrap();
+    let point = select(&e2, "SELECT title FROM movies WHERE id = 7");
     assert_eq!(point.len(), 1);
 }
 
@@ -60,7 +61,7 @@ fn snapshot_file_round_trip() {
     persist::save(e.catalog(), &path).unwrap();
     let loaded = persist::load(&path).unwrap();
     let e2 = Engine::with_catalog(Arc::new(loaded));
-    assert_eq!(e2.query("SELECT * FROM movies").unwrap().len(), 900);
+    assert_eq!(select(&e2, "SELECT * FROM movies").len(), 900);
 
     // Stats survive too.
     let t = e2.catalog().table("movies").unwrap();
@@ -92,5 +93,5 @@ fn reloaded_engine_accepts_new_writes() {
     assert!(e2
         .execute("INSERT INTO movies VALUES (5000, 'dup', 1.0)")
         .is_err());
-    assert_eq!(e2.query("SELECT * FROM movies").unwrap().len(), 901);
+    assert_eq!(select(&e2, "SELECT * FROM movies").len(), 901);
 }
