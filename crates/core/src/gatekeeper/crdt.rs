@@ -155,6 +155,9 @@ impl MergeableBucket {
     /// Advance the cached replay over every un-folded charge, rewinding
     /// to genesis first if any of them lands behind the frontier.
     fn sync(&mut self) {
+        if self.fold_own_tail() {
+            return;
+        }
         let mut pending = self.pending();
         if pending.is_empty() {
             return;
@@ -172,14 +175,54 @@ impl MergeableBucket {
             }
         }
         for &(at, origin, seq, amount) in &pending {
-            if at > self.last {
-                self.tokens = (self.tokens + (at - self.last) * self.rate).min(self.burst);
-                self.last = at;
-            }
-            self.tokens = (self.tokens - amount).max(0.0);
-            self.frontier = Some((at, origin, seq));
+            self.fold(at, origin, seq, amount);
             *self.replayed.entry(origin).or_insert(0) += 1;
         }
+    }
+
+    /// The steady state of local admission, folded without allocating:
+    /// when the only un-replayed charges are the own origin's, and they
+    /// lie in replay order at or after the frontier, fold them in place —
+    /// the same operations, in the same order, as the sorted replay.
+    /// Returns `false`, having folded nothing, in every other case.
+    fn fold_own_tail(&mut self) -> bool {
+        let origin = self.origin;
+        let replayed = |o: &u16| self.replayed.get(o).copied().unwrap_or(0);
+        if self
+            .logs
+            .iter()
+            .any(|(o, log)| *o != origin && replayed(o) < log.len())
+        {
+            return false;
+        }
+        let (done, len) = (replayed(&origin), self.own_log().len());
+        let tail = self.own_log()[done..].iter();
+        let keys = self
+            .frontier
+            .into_iter()
+            .chain(tail.map(|c| (c.at_secs, origin, c.seq)));
+        if !keys.is_sorted_by(|a, b| key_cmp(*a, *b).is_le()) {
+            return false;
+        }
+        for i in done..len {
+            let c = self.own_log()[i];
+            self.fold(c.at_secs, origin, c.seq, c.amount);
+        }
+        if len > done {
+            self.replayed.insert(origin, len);
+        }
+        true
+    }
+
+    /// Fold one charge into the cached replay: refill to its time, then
+    /// subtract, floored at zero (the exact `TokenBucket` arithmetic).
+    fn fold(&mut self, at: f64, origin: u16, seq: u64, amount: f64) {
+        if at > self.last {
+            self.tokens = (self.tokens + (at - self.last) * self.rate).min(self.burst);
+            self.last = at;
+        }
+        self.tokens = (self.tokens - amount).max(0.0);
+        self.frontier = Some((at, origin, seq));
     }
 
     /// Un-replayed charges in `(at, origin, seq)` replay order.
@@ -285,6 +328,47 @@ mod tests {
             let hint_p = plain.next_available(t, 1.0);
             let hint_c = crdt.next_available(t, 1.0);
             assert!((hint_p - hint_c).abs() < 1e-9, "{hint_p} vs {hint_c}");
+        }
+    }
+
+    /// Own charges read one at a time fold in place; one that lands
+    /// behind the frontier (or a remote entry pending beside them) takes
+    /// the sorted replay instead. At every read the level is that of the
+    /// whole log replayed once in `(at, origin, seq)` order, bit for bit.
+    #[test]
+    fn in_place_fold_matches_sorted_replay() {
+        let (rate, burst) = (1.0, 4.0);
+        let mut rng = X(0xf01d);
+        let mut bucket = MergeableBucket::new(rate, burst, 1);
+        let remote = random_log(&mut rng, 20, 0.0);
+        let mut all: Vec<(f64, u16, u64, f64)> = Vec::new();
+        let mut t = 0.0;
+        for i in 0..300u64 {
+            t += rng.f64();
+            // Every 17th charge is stamped in the past.
+            let at = if i % 17 == 16 { t - 1.5 } else { t };
+            let amount = 0.25 + rng.f64();
+            bucket.charge(at, amount);
+            all.push((at, 1, i + 1, amount));
+            if i == 150 {
+                bucket.merge(4, &remote);
+                all.extend(remote.iter().map(|c| (c.at_secs, 4, c.seq, c.amount)));
+            }
+            all.sort_by(|a, b| key_cmp((a.0, a.1, a.2), (b.0, b.1, b.2)));
+            let (mut tokens, mut last) = (burst, 0.0);
+            for &(at, _, _, amount) in &all {
+                if at > last {
+                    tokens = (tokens + (at - last) * rate).min(burst);
+                    last = at;
+                }
+                tokens = (tokens - amount).max(0.0);
+            }
+            let want = if t > last {
+                (tokens + (t - last) * rate).min(burst)
+            } else {
+                tokens
+            };
+            assert_eq!(bucket.available(t).to_bits(), want.to_bits(), "charge {i}");
         }
     }
 

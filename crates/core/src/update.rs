@@ -72,12 +72,15 @@ impl UpdateDelayPolicy {
     }
 
     /// Delay using *learned* update statistics: rate is estimated as the
-    /// tuple's decayed update count over the observation window.
+    /// tuple's decayed update count over the equally decayed observation
+    /// window ([`decayed_window`]), so a key updated at a constant rate
+    /// reads that rate whatever the update decay.
     pub fn delay(&self, updates: &FrequencyTracker, n: u64, key: u64, window_secs: f64) -> f64 {
         if window_secs <= 0.0 {
             return self.cap_secs;
         }
-        let rate = updates.count(key) / window_secs;
+        let window = decayed_window(window_secs, updates.schedule().rate());
+        let rate = updates.count(key) / window;
         self.delay_from_rate(n, rate)
     }
 
@@ -89,9 +92,23 @@ impl UpdateDelayPolicy {
     }
 }
 
+/// The observation window as a decayed count sees it: under decay `g`
+/// per second an update `t` seconds old weighs `g^-t`, so a key updated
+/// once a second for `window_secs` = W seconds has counted
+/// ∫₀^W g^-t dt = (1 − g^-W) / ln g updates, not W. Exactly `window_secs`
+/// at `g = 1`, where nothing decays.
+fn decayed_window(window_secs: f64, g: f64) -> f64 {
+    if g == 1.0 {
+        return window_secs;
+    }
+    let ln_g = g.ln();
+    -(-window_secs * ln_g).exp_m1() / ln_g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delayguard_popularity::DecaySchedule;
 
     #[test]
     fn hot_tuples_fast_cold_tuples_capped() {
@@ -216,5 +233,57 @@ mod tests {
         // makes the combined policy's update term provably inert.
         let off = UpdateDelayPolicy::new(0.3).with_cap(0.0);
         assert_eq!(off.delay_from_rate(1000, 2.0), 0.0);
+    }
+
+    /// A key updated at a constant rate `r` from the window's start reads
+    /// `r` back under any update decay: the decayed count is divided by
+    /// the decayed window, not the raw one (which reads 5–20× too slow at
+    /// g = 1.01 and W = 500–2000 s). Updates land every 10 ms, so the only
+    /// gap to the continuous closed form is the discretisation,
+    /// g^(dt/2) − 1 < 5e-4.
+    #[test]
+    fn constant_rate_key_reads_its_rate_under_update_decay() {
+        let (r, dt, n) = (2.0, 0.01, 1000u64);
+        let p = UpdateDelayPolicy::new(1.0).with_cap(f64::INFINITY);
+        for g in [1.001f64, 1.01, 1.1] {
+            for window in [100.0f64, 500.0, 1000.0, 2000.0] {
+                let mut updates = FrequencyTracker::new(DecaySchedule::new(g));
+                let steps = (window / dt).round() as u64;
+                for i in 0..steps {
+                    // Mid-slot stamps: each update stands for the dt
+                    // around it, worth r·dt updates.
+                    updates.advance_to((i as f64 + 0.5) * dt);
+                    updates.record_weighted(7, r * dt);
+                }
+                updates.advance_to(window);
+                let closed = r * (1.0 - g.powf(-window)) / g.ln();
+                let count = updates.count(7);
+                assert!(
+                    (count / closed - 1.0).abs() < 5e-4,
+                    "g={g} W={window}: count {count} vs closed form {closed}"
+                );
+                let want = 1.0 / (n as f64 * r);
+                let got = p.delay(&updates, n, 7, window);
+                assert!(
+                    (got / want - 1.0).abs() < 5e-4,
+                    "g={g} W={window}: delay {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    /// Without decay the window is the raw one, bit for bit.
+    #[test]
+    fn no_decay_window_is_the_raw_window() {
+        for window in [1e-9, 0.5, 100.0, 1234.5678] {
+            assert_eq!(decayed_window(window, 1.0).to_bits(), window.to_bits());
+        }
+        let mut updates = FrequencyTracker::no_decay();
+        for _ in 0..30 {
+            updates.record(3);
+        }
+        let p = UpdateDelayPolicy::new(0.7);
+        let raw = p.delay_from_rate(500, updates.count(3) / 60.0);
+        assert_eq!(p.delay(&updates, 500, 3, 60.0).to_bits(), raw.to_bits());
     }
 }

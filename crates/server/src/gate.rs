@@ -5,8 +5,9 @@
 //!
 //! A transport owns sockets (or simulated links) and per-connection
 //! queues; everything the paper actually specifies — gatekeeper
-//! admission, per-tuple delay charging, scheduling rows on the timer
-//! wheel, refusal codes and retry hints, drain accounting — lives here,
+//! admission, per-tuple delay charging, releasing rows at their
+//! deadlines (at once when already due, else on the timer wheel), refusal
+//! codes and retry hints, drain accounting — lives here,
 //! behind two small seams:
 //!
 //! * [`FrameSink`]: where response frames go. The TCP server's bounded
@@ -63,11 +64,13 @@ pub trait FrameSink: Send + Sync + 'static {
     /// boundary (with nothing from that chunk charged).
     fn try_reserve_rows(&self, n: usize) -> bool;
 
-    /// Queue everything one wheel job releases, in order: row frames
-    /// whose deadlines landed on the same scheduler tick (into slots
-    /// previously reserved with [`FrameSink::try_reserve_rows`]) and,
-    /// when the result ends on that tick, the control frames that close
-    /// it. Must never block, like [`FrameSink::push_row`]. The default
+    /// Queue one release batch, in order: the frames a `SELECT` chunk's
+    /// charge found already due (pushed on the session thread), or those
+    /// one wheel job releases at a scheduler tick. Row frames go into
+    /// slots previously reserved with [`FrameSink::try_reserve_rows`];
+    /// when the result ends in the batch, the control frames that close
+    /// it follow. Must never block,
+    /// like [`FrameSink::push_row`]. The default
     /// forwards one frame at a time; transports with a locked
     /// per-connection queue override it to take the lock (and wake the
     /// writer) once per batch.
@@ -241,9 +244,10 @@ pub struct FrontDoor {
     clock: Arc<dyn Clock>,
     /// Set first during shutdown: refuse all new work.
     draining: AtomicBool,
-    /// Query handlers between the draining check and their last
-    /// `schedule` call; shutdown waits for this to reach zero before
-    /// draining the wheel, so no delay is scheduled after the drain.
+    /// Query handlers between the draining check and their last release
+    /// (a due push or a `schedule` call); shutdown waits for this to
+    /// reach zero before draining the wheel, so no delay is scheduled
+    /// after the drain and no due frame is pushed after the flush.
     inflight_queries: AtomicUsize,
     /// Monotone sequence stamped onto exported replication deltas.
     delta_seq: AtomicU64,
@@ -604,8 +608,8 @@ impl FrontDoor {
         sink.push_control(Frame::Error { query_id, message });
     }
 
-    /// Handle a `QUERY` frame: admission, delay pricing, and scheduling
-    /// every row (and the final `DONE`) on the wheel.
+    /// Handle a `QUERY` frame: admission, delay pricing, and releasing
+    /// every row (and the final `DONE`) at its deadline.
     ///
     /// A `QUERY` frame carries a `SELECT` and nothing else: writes have
     /// their own frames (whose handler enforces the session version, the
@@ -620,8 +624,9 @@ impl FrontDoor {
     /// Results run through the streaming pipeline (`stream_select`):
     /// rows are pulled in [`GateConfig::stream_chunk_rows`]-sized chunks,
     /// each chunk reserves its send-queue slots *before* its tuples are
-    /// charged, and charged chunks land on the wheel while the executor
-    /// is still producing the next one. Version-≥2 sessions get trailer
+    /// charged, and charged chunks are released (pushed now if already
+    /// due, else filed on the wheel) while the executor is still
+    /// producing the next one. Version-≥2 sessions get trailer
     /// framing (`ROWS_BEGIN` with [`ROWS_UNKNOWN`], then a `ROWS_END`
     /// count); a legacy session is the same pipeline with one unbounded
     /// chunk, so `ROWS_BEGIN` can carry the exact count.
@@ -696,6 +701,15 @@ impl FrontDoor {
     ///    and consumes the reservation via [`FrameSink::push_row`]; if
     ///    the engine rejects the statement after the reservation, the
     ///    slot is handed back with [`FrameSink::release_rows`].
+    ///
+    /// A write is never delayed, so its deadline has always passed by the
+    /// time it is applied, yet the reply does not take the due path that
+    /// `SELECT` results take: it leaves at the next scheduler tick, where
+    /// the confirmations of a burst of writes are queued back to back and
+    /// the connection's writer sends them in one socket write. Pushed one
+    /// by one at charge time instead, they trickled out as each write
+    /// applied, and a closed-loop writer beside a busy reader varied by
+    /// tens of percent in throughput from one run to the next.
     pub fn handle_mutation<S: FrameSink>(
         &self,
         verb: MutationVerb,
@@ -788,16 +802,19 @@ impl FrontDoor {
         }
     }
 
-    /// `SELECT` delivery: pull → reserve → charge → schedule, one bounded
+    /// `SELECT` delivery: pull → reserve → charge → release, one bounded
     /// chunk at a time.
     ///
-    /// A chunk the executor could not fill is the last one, so its jobs
-    /// are filed together with the trailer (`ROWS_END`, `DONE`) at the
-    /// final deadline; the trailer joins the last row batch when they
-    /// share a tick, which makes a point query one wheel job, one sink
-    /// push and one socket write. A result that ends exactly on a chunk
-    /// boundary learns so only from the next, empty pull, and its
-    /// trailer is then one job of its own.
+    /// Each charged chunk is handed to the statement's [`Releases`],
+    /// which pushes it into the sink at once when its deadlines have
+    /// already passed (a popular tuple under a microsecond cap) and files
+    /// it on the wheel otherwise. A chunk the executor could not fill is
+    /// the last one, so the trailer (`ROWS_END`, `DONE`) is released with
+    /// it at the final deadline: a due point query is one sink push and
+    /// no wheel job, a pending one is one wheel job, one push and one
+    /// socket write. A result that ends exactly on a chunk boundary
+    /// learns so only from the next, empty pull, and its trailer is then
+    /// released on its own.
     ///
     /// Without `trailer_framing` (a version-1 session) the client expects
     /// the exact row count in `ROWS_BEGIN` and no `ROWS_END`, so the whole
@@ -815,18 +832,18 @@ impl FrontDoor {
         buf: &mut RowBuf,
         charged: &mut ChargedChunk,
     ) {
-        let retry = self.config.retry_after_secs;
         let chunk_rows = if trailer_framing {
             self.config.stream_chunk_rows.max(1)
         } else {
             usize::MAX
         };
+        let mut releases = self.releases(sink);
         let mut seq: u32 = 0;
         let mut began = false;
         loop {
             let n = match stream.next_chunk_into(chunk_rows, buf) {
                 Ok(n) => n,
-                // Mid-stream executor failure: already-scheduled rows
+                // Mid-stream executor failure: rows already released
                 // still deliver at their deadlines; the error frame
                 // tells the client the stream is truncated.
                 Err(e) => return self.query_error(query_id, e.to_string(), sink),
@@ -836,24 +853,19 @@ impl FrontDoor {
                     // Refuse BEFORE charging: the tuples of this chunk are
                     // neither delayed-priced nor recorded in the popularity
                     // ledger, so a shed query costs the requester nothing.
+                    // The drain invariant ("every charged tuple is
+                    // delivered") means the refusal trails the chunks
+                    // charged before it, at the deadline they reached.
                     self.metrics.refused_backpressure.inc();
-                    let refused = Frame::Refused {
-                        query_id,
-                        reason: RefuseReason::Overloaded,
-                        retry_after_secs: retry,
-                    };
-                    if !began {
-                        sink.push_control(refused);
-                    } else {
-                        // Earlier chunks were charged and are on the wheel;
-                        // the drain invariant ("every charged tuple is
-                        // delivered") means the refusal must trail them.
-                        let refuse_sink = Arc::clone(sink);
-                        self.scheduler.schedule(
-                            stream.deadline_nanos(),
-                            Box::new(move || refuse_sink.push_control(refused)),
-                        );
-                    }
+                    releases.control(
+                        stream.deadline_nanos(),
+                        Frame::Refused {
+                            query_id,
+                            reason: RefuseReason::Overloaded,
+                            retry_after_secs: self.config.retry_after_secs,
+                        },
+                    );
+                    releases.finish();
                     return;
                 }
                 let before_secs = stream.delay_secs();
@@ -875,7 +887,6 @@ impl FrontDoor {
                     },
                 });
             }
-            let mut releases = Releases::new(sink, self.scheduler.tick_nanos());
             seq = releases.rows(
                 query_id,
                 seq,
@@ -907,49 +918,84 @@ impl FrontDoor {
                     },
                 );
             }
-            self.scheduler.schedule_batch(releases.finish());
+            let at_charge = releases.finish();
             if last {
+                if at_charge {
+                    self.metrics.released_at_charge.inc();
+                }
                 return;
             }
         }
     }
-}
 
-/// One chunk's wheel jobs under construction. Consecutive frames whose
-/// deadlines land on the same scheduler tick are coalesced into a single
-/// job that hands the sink the whole batch at once
-/// ([`FrameSink::push_batch`] — one queue lock and one writer wakeup per
-/// tick per connection instead of one per frame), and the caller files
-/// the finished list under one wheel-lock acquisition
-/// ([`DelayScheduler::schedule_batch`]). Release times and frame order
-/// are exactly those of frame-at-a-time scheduling: a batch fires at the
-/// shared tick, and the wheel's same-tick insertion order is preserved.
-struct Releases<'a, S: FrameSink> {
-    sink: &'a Arc<S>,
-    tick_nanos: u64,
-    jobs: Vec<(u64, Job)>,
-    batch: Vec<Frame>,
-    batch_deadline: u64,
-}
-
-impl<'a, S: FrameSink> Releases<'a, S> {
-    fn new(sink: &'a Arc<S>, tick_nanos: u64) -> Self {
+    /// A new statement's [`Releases`] into `sink`.
+    fn releases<'a, S: FrameSink>(&'a self, sink: &'a Arc<S>) -> Releases<'a, S> {
         Releases {
             sink,
-            tick_nanos,
+            scheduler: &self.scheduler,
+            clock: self.clock.as_ref(),
+            now: 0,
+            on_wheel: false,
             jobs: Vec::new(),
             batch: Vec::new(),
             batch_deadline: 0,
         }
     }
+}
 
+/// One statement's releases, and the one place that decides how each
+/// frame leaves: pushed into the sink on the session thread, or filed on
+/// the timer wheel. Two rules keep the wire contract:
+///
+/// * **Never early.** A frame goes straight to the sink only once its
+///   deadline is at or before the clock; the wheel takes every deadline
+///   still ahead.
+/// * **Per-statement order.** Once any frame of the statement has gone on
+///   the wheel, every later frame goes there too, so a due frame can
+///   never overtake an earlier one whose tick has not fired yet.
+///
+/// Due frames gather into one batch however many ticks their deadlines
+/// span, and each chunk's due batch is one [`FrameSink::push_batch`]: no
+/// boxed job, no wheel lock, no scheduler wake-up. On the wheel,
+/// consecutive frames whose deadlines land on the same scheduler tick are
+/// coalesced into one job that hands the sink the whole batch at once
+/// (one queue lock and one writer wakeup per tick per connection instead
+/// of one per frame), and a chunk's jobs are filed under one wheel-lock
+/// acquisition ([`DelayScheduler::schedule_batch`]). Release times and
+/// frame order on the wheel are exactly those of frame-at-a-time
+/// scheduling: a batch fires at the shared tick, and the wheel's same-tick
+/// insertion order is preserved.
+struct Releases<'a, S: FrameSink> {
+    sink: &'a Arc<S>,
+    scheduler: &'a DelayScheduler,
+    clock: &'a dyn Clock,
+    /// The latest clock reading: a deadline at or before it has elapsed.
+    /// Read again only when a deadline lies past it.
+    now: u64,
+    /// Some frame of the statement has gone on the wheel.
+    on_wheel: bool,
+    jobs: Vec<(u64, Job)>,
+    batch: Vec<Frame>,
+    /// The latest deadline in `batch`.
+    batch_deadline: u64,
+}
+
+impl<'a, S: FrameSink> Releases<'a, S> {
     /// Release `frame` at `deadline`, after everything pushed before it.
     fn push(&mut self, deadline: u64, frame: Frame) {
-        let tick = |nanos: u64| nanos.div_ceil(self.tick_nanos);
-        if !self.batch.is_empty() && tick(deadline) != tick(self.batch_deadline) {
+        if !self.on_wheel && !self.elapsed(deadline) {
+            // The first frame still ahead of the clock: the due frames
+            // before it go out now, and it and every later frame of the
+            // statement wait on the wheel.
             self.flush();
+            self.on_wheel = true;
+        } else if self.on_wheel && !self.batch.is_empty() {
+            let tick_nanos = self.scheduler.tick_nanos();
+            if deadline.div_ceil(tick_nanos) != self.batch_deadline.div_ceil(tick_nanos) {
+                self.flush();
+            }
         }
-        if self.batch.is_empty() {
+        if self.batch.is_empty() || deadline > self.batch_deadline {
             self.batch_deadline = deadline;
         }
         self.batch.push(frame);
@@ -974,21 +1020,52 @@ impl<'a, S: FrameSink> Releases<'a, S> {
         seq
     }
 
+    /// Release a control frame at `deadline`, after every frame before it.
+    fn control(&mut self, deadline: u64, frame: Frame) {
+        self.flush();
+        self.release(deadline, move |sink| sink.push_control(frame));
+    }
+
+    /// Send what the chunk released: the due batch into the sink, the
+    /// rest onto the wheel under one lock. Returns whether every frame of
+    /// the statement so far went straight to the sink.
+    fn finish(&mut self) -> bool {
+        self.flush();
+        if !self.jobs.is_empty() {
+            self.scheduler.schedule_batch(self.jobs.drain(..));
+        }
+        !self.on_wheel
+    }
+
     fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
-        let job_sink = Arc::clone(self.sink);
         let mut frames = std::mem::take(&mut self.batch);
-        self.jobs.push((
-            self.batch_deadline,
-            Box::new(move || job_sink.push_batch(&mut frames)),
-        ));
+        self.release(self.batch_deadline, move |sink| {
+            sink.push_batch(&mut frames)
+        });
     }
 
-    fn finish(mut self) -> Vec<(u64, Job)> {
-        self.flush();
-        self.jobs
+    /// Run `deliver` against the sink at `deadline`: now, if it has
+    /// elapsed and nothing of the statement waits on the wheel, or else
+    /// as a wheel job.
+    fn release(&mut self, deadline: u64, deliver: impl FnOnce(&S) + Send + 'static) {
+        if !self.on_wheel && self.elapsed(deadline) {
+            deliver(self.sink);
+        } else {
+            self.on_wheel = true;
+            let sink = Arc::clone(self.sink);
+            self.jobs.push((deadline, Box::new(move || deliver(&sink))));
+        }
+    }
+
+    /// Whether `deadline` is at or before the clock.
+    fn elapsed(&mut self, deadline: u64) -> bool {
+        if deadline > self.now {
+            self.now = self.clock.now_nanos();
+        }
+        deadline <= self.now
     }
 }
 

@@ -50,6 +50,10 @@ pub struct ServerMetrics {
     pub scheduler_threads: Gauge,
     /// Delays currently waiting on the timer wheel.
     pub scheduler_pending: Gauge,
+    /// Statements whose every frame went straight to the sink at charge
+    /// time, because its deadline had already passed: they filed no wheel
+    /// job, so `scheduler_scheduled_total` does not count them.
+    pub released_at_charge: Counter,
     /// Delays ever scheduled on the wheel.
     pub scheduler_scheduled: Counter,
     /// Delays fired off the wheel.
@@ -92,6 +96,7 @@ impl ServerMetrics {
             stmt_cache_misses: registry.counter("server_stmt_cache_misses"),
             scheduler_threads: registry.gauge("scheduler_threads"),
             scheduler_pending: registry.gauge("scheduler_pending"),
+            released_at_charge: registry.counter("server_released_at_charge_total"),
             scheduler_scheduled: registry.counter("scheduler_scheduled_total"),
             scheduler_fired: registry.counter("scheduler_fired_total"),
             scheduler_wakeups: registry.counter("scheduler_wakeups"),

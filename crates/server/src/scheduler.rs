@@ -32,6 +32,13 @@
 //! nothing. What remains between a deadline and its frames reaching the
 //! send queue is the tick rounding (≤ one tick) plus one timed-sleep
 //! wake-up (`scheduler_fire_lateness_micros` records the worst seen).
+//! `SELECT` results pay that cost only for deadlines still ahead when
+//! they are charged: the gate pushes rows whose deadline has already
+//! passed straight into the send queue on the session thread, with no
+//! tick term and no wake-up, and files nothing here for them
+//! (`server_released_at_charge_total` counts those statements). Write
+//! confirmations are always filed here, so a burst of them leaves on
+//! one tick.
 //! The threaded mode needs a clock that runs at wall rate, since it
 //! sleeps on a condition variable for the clock-time difference.
 
