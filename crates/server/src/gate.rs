@@ -65,15 +65,17 @@ pub trait FrameSink: Send + Sync + 'static {
     fn try_reserve_rows(&self, n: usize) -> bool;
 
     /// Queue one release batch, in order: the frames a `SELECT` chunk's
-    /// charge found already due (pushed on the session thread), or those
-    /// one wheel job releases at a scheduler tick. Row frames go into
-    /// slots previously reserved with [`FrameSink::try_reserve_rows`];
-    /// when the result ends in the batch, the control frames that close
-    /// it follow. Must never block,
-    /// like [`FrameSink::push_row`]. The default
-    /// forwards one frame at a time; transports with a locked
-    /// per-connection queue override it to take the lock (and wake the
-    /// writer) once per batch.
+    /// charge found already due or a write's `MUTATED` confirmation
+    /// (pushed on the session thread), or those one wheel job releases at
+    /// a scheduler tick. Row frames go into slots previously reserved
+    /// with [`FrameSink::try_reserve_rows`]; when the result ends in the
+    /// batch, the control frames that close it follow. Must never block,
+    /// like [`FrameSink::push_row`]. The default forwards one frame at a
+    /// time; transports with a locked per-connection queue override it
+    /// to take the lock once per batch. The TCP transport wakes its
+    /// writer thread only for a batch pushed off the session thread (a
+    /// wheel release); a session's own batches wait for the session to
+    /// send them with the rest of its input burst.
     fn push_batch(&self, frames: &mut Vec<Frame>) {
         for frame in frames.drain(..) {
             if holds_row_slot(&frame) {
@@ -697,19 +699,17 @@ impl FrontDoor {
     ///    backpressure seam `SELECT` chunks use): a write whose `MUTATED`
     ///    confirmation cannot be delivered is refused `Overloaded` before
     ///    it mutates anything, never applied-but-unconfirmable.
-    /// 4. The `MUTATED` reply rides the wheel at the statement's deadline
-    ///    and consumes the reservation via [`FrameSink::push_row`]; if
-    ///    the engine rejects the statement after the reservation, the
-    ///    slot is handed back with [`FrameSink::release_rows`].
+    /// 4. The `MUTATED` reply is released at the statement's deadline
+    ///    through the same `Releases` as `SELECT` rows and consumes the
+    ///    reservation; if the engine rejects the statement after the
+    ///    reservation, the slot is handed back with
+    ///    [`FrameSink::release_rows`].
     ///
     /// A write is never delayed, so its deadline has always passed by the
-    /// time it is applied, yet the reply does not take the due path that
-    /// `SELECT` results take: it leaves at the next scheduler tick, where
-    /// the confirmations of a burst of writes are queued back to back and
-    /// the connection's writer sends them in one socket write. Pushed one
-    /// by one at charge time instead, they trickled out as each write
-    /// applied, and a closed-loop writer beside a busy reader varied by
-    /// tens of percent in throughput from one run to the next.
+    /// time it is applied and the reply goes straight into the sink on
+    /// the session thread. The TCP transport sends what a burst of input
+    /// queued in one socket write, so the confirmations of pipelined
+    /// writes still leave together without waiting for a scheduler tick.
     pub fn handle_mutation<S: FrameSink>(
         &self,
         verb: MutationVerb,
@@ -778,17 +778,16 @@ impl FrontDoor {
                 // returned; reading the catalog version here cannot
                 // deadlock, and it observes this statement's own bump.
                 let data_version = self.db.table_data_version(&table).unwrap_or(0);
-                let reply_sink = Arc::clone(sink);
-                self.scheduler.schedule(
+                let mut releases = self.releases(sink);
+                releases.push(
                     deadline,
-                    Box::new(move || {
-                        reply_sink.push_row(Frame::Mutated {
-                            query_id,
-                            rows,
-                            data_version,
-                        })
-                    }),
+                    Frame::Mutated {
+                        query_id,
+                        rows,
+                        data_version,
+                    },
                 );
+                releases.finish();
             }
             Ok(None) => {
                 sink.release_rows(1);

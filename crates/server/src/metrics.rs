@@ -50,10 +50,15 @@ pub struct ServerMetrics {
     pub scheduler_threads: Gauge,
     /// Delays currently waiting on the timer wheel.
     pub scheduler_pending: Gauge,
-    /// Statements whose every frame went straight to the sink at charge
-    /// time, because its deadline had already passed: they filed no wheel
-    /// job, so `scheduler_scheduled_total` does not count them.
+    /// `SELECT` statements whose every frame went straight to the sink at
+    /// charge time, because its deadline had already passed: they filed
+    /// no wheel job, so `scheduler_scheduled_total` does not count them.
+    /// Write confirmations, which always go that way, are not counted.
     pub released_at_charge: Counter,
+    /// Socket writes on session connections. Each carries every frame
+    /// queued when it was made (up to 64 KiB), so rows or replies
+    /// streamed per write is the coalescing the write path achieves.
+    pub socket_writes: Counter,
     /// Delays ever scheduled on the wheel.
     pub scheduler_scheduled: Counter,
     /// Delays fired off the wheel.
@@ -97,6 +102,7 @@ impl ServerMetrics {
             scheduler_threads: registry.gauge("scheduler_threads"),
             scheduler_pending: registry.gauge("scheduler_pending"),
             released_at_charge: registry.counter("server_released_at_charge_total"),
+            socket_writes: registry.counter("server_socket_writes_total"),
             scheduler_scheduled: registry.counter("scheduler_scheduled_total"),
             scheduler_fired: registry.counter("scheduler_fired_total"),
             scheduler_wakeups: registry.counter("scheduler_wakeups"),

@@ -8,18 +8,29 @@
 //!
 //! * one accept thread; connections beyond `max_sessions` are shed with
 //!   an explicit `REFUSED(Overloaded)` carrying a retry hint,
-//! * two threads per admitted session — a reader running admission and
-//!   the query engine, and a writer draining that connection's bounded
-//!   [`SendQueue`],
+//! * two threads per admitted session. The session thread reads frames,
+//!   runs admission and the query engine, and writes its own replies:
+//!   before each read that could block (its read buffer holds no whole
+//!   frame) it takes everything queued on the connection's bounded
+//!   `SendQueue` and sends it in one socket write, so a pipelined
+//!   burst of due replies leaves together. The writer thread sleeps
+//!   until a frame arrives from another thread — a wheel release while
+//!   the session is blocked in `read`, or the drain — or until a long
+//!   result leaves a quarter of the row budget waiting mid-statement,
+//!   and then writes the queue out the same way. One lock covers take,
+//!   encode and write, so frames leave in queue order whoever writes.
 //! * one [`DelayScheduler`] thread enforcing every tuple deadline in the
-//!   process on a single timer wheel.
+//!   process on a single timer wheel. Its jobs only push into queues;
+//!   they never touch a socket, so a slow client cannot stall the wheel.
 //!
-//! Backpressure: each `SELECT` must reserve queue slots for its entire
-//! result set *at admission time*; if the connection's outstanding rows
-//! would exceed `send_queue_rows`, the query is refused with
-//! `Overloaded` instead of letting scheduler jobs block on a slow
-//! client. Scheduler jobs therefore never wait: they push into
-//! pre-reserved slots and drop frames only for dead connections.
+//! Backpressure: a `SELECT` reserves queue slots chunk by chunk as the
+//! executor produces rows, and a write reserves its one `MUTATED` slot
+//! before it applies; when the connection's outstanding rows would
+//! exceed `send_queue_rows`, the statement is refused `Overloaded`
+//! instead of letting scheduler jobs block on a slow client. Scheduler
+//! jobs therefore never wait: they push into pre-reserved slots and
+//! drop frames only for dead connections. A slot comes back when a
+//! write-out takes its frame off the queue.
 //!
 //! Graceful shutdown ([`ServerHandle::shutdown`]): mark the front door
 //! draining (new queries, registrations, and connections are refused
@@ -41,14 +52,14 @@ use crate::scheduler::DelayScheduler;
 use delayguard_core::clock::{secs_to_nanos, Clock};
 use delayguard_core::gatekeeper::GatekeeperConfig;
 use delayguard_core::GuardedDatabase;
-use delayguard_sim::{GuardStatsPublisher, Registry};
+use delayguard_sim::{Counter, GuardStatsPublisher, Registry};
 use parking_lot::Mutex as PMutex;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread, ThreadId};
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -120,43 +131,38 @@ impl ServerConfig {
     }
 }
 
-// ---- bounded per-connection send queue ----------------------------------
+// ---- bounded per-connection send queue and write path --------------------
 
 struct QueueInner {
     frames: VecDeque<Frame>,
-    /// Rows admitted (reserved or queued) but not yet written to the
-    /// socket. Charged by `try_reserve_rows`, released as the writer
-    /// pops each row frame.
+    /// Rows admitted (reserved or queued) but not yet taken for the
+    /// socket. Charged by `try_reserve_rows`, handed back as a write-out
+    /// takes each slot-holding frame.
     outstanding_rows: usize,
     closed: bool,
 }
 
-/// A bounded queue of frames between a session's producer side (reader
-/// thread + scheduler jobs) and its writer thread.
+/// A bounded queue of frames between a session's producers (its session
+/// thread and scheduler jobs) and whichever thread writes it out.
 struct SendQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    /// Signalled when the queue empties (shutdown flush).
-    empty: Condvar,
+    inner: PMutex<QueueInner>,
 }
 
 impl SendQueue {
     fn new() -> SendQueue {
         SendQueue {
-            inner: Mutex::new(QueueInner {
+            inner: PMutex::new(QueueInner {
                 frames: VecDeque::new(),
                 outstanding_rows: 0,
                 closed: false,
             }),
-            ready: Condvar::new(),
-            empty: Condvar::new(),
         }
     }
 
     /// Reserve capacity for `n` rows against `cap`. All-or-nothing, so a
     /// query either streams completely or is refused up front.
     fn try_reserve_rows(&self, n: usize, cap: usize) -> bool {
-        let mut q = self.inner.lock().unwrap();
+        let mut q = self.inner.lock();
         if q.closed || q.outstanding_rows + n > cap {
             return false;
         }
@@ -164,106 +170,183 @@ impl SendQueue {
         true
     }
 
-    /// Queue frames in order under one lock acquisition and one writer
-    /// wakeup. Never blocks: `ROW` and `MUTATED` frames land in slots
-    /// reserved earlier, everything else is a control frame, which
-    /// bypasses the row cap (small, and bounded by the client's own
-    /// request rate). On a closed queue the frames are dropped and only
-    /// the slot-holding ones give their reservations back.
-    fn push(&self, frames: impl Iterator<Item = Frame>) {
-        let mut q = self.inner.lock().unwrap();
+    /// Queue frames in order under one lock acquisition and return how
+    /// many frames now wait. Never blocks: `ROW` and `MUTATED` frames
+    /// land in slots reserved earlier, everything else is a control
+    /// frame, which bypasses the row cap (small, and bounded by the
+    /// client's own request rate). On a closed queue the frames are
+    /// dropped, only the slot-holding ones give their reservations back,
+    /// and 0 is returned.
+    fn push(&self, frames: impl Iterator<Item = Frame>) -> usize {
+        let mut q = self.inner.lock();
         if q.closed {
             let slots = frames.filter(holds_row_slot).count();
             q.outstanding_rows = q.outstanding_rows.saturating_sub(slots);
-            return;
+            return 0;
         }
         q.frames.extend(frames);
-        drop(q);
-        self.ready.notify_one();
+        q.frames.len()
     }
 
     /// Hand back reserved row slots without queueing frames (the error
     /// path of a write that reserved its reply and failed to apply).
     fn release_rows(&self, n: usize) {
-        let mut q = self.inner.lock().unwrap();
+        let mut q = self.inner.lock();
         q.outstanding_rows = q.outstanding_rows.saturating_sub(n);
     }
 
-    /// Writer side: wait for the next frame; `None` once closed and empty.
-    fn pop_blocking(&self) -> Option<(Frame, bool)> {
-        let mut q = self.inner.lock().unwrap();
-        loop {
-            if let Some(frame) = q.frames.pop_front() {
-                // MUTATED replies consume a reserved slot like rows do:
-                // a write reserves its confirmation before applying.
-                if holds_row_slot(&frame) {
-                    q.outstanding_rows = q.outstanding_rows.saturating_sub(1);
-                }
-                let more = !q.frames.is_empty();
-                if !more {
-                    self.empty.notify_all();
-                }
-                return Some((frame, more));
-            }
-            if q.closed {
-                self.empty.notify_all();
-                return None;
-            }
-            q = self.ready.wait(q).unwrap();
-        }
+    /// Swap every queued frame into `out` (empty on entry), handing back
+    /// the row slots they hold. Returns whether the queue was closed, in
+    /// which case no frame will follow the ones taken.
+    fn take_all(&self, out: &mut VecDeque<Frame>) -> bool {
+        let mut q = self.inner.lock();
+        std::mem::swap(&mut q.frames, out);
+        let slots = out.iter().filter(|f| holds_row_slot(f)).count();
+        q.outstanding_rows = q.outstanding_rows.saturating_sub(slots);
+        q.closed
     }
 
-    /// Stop accepting frames; the writer drains what is queued and exits.
+    /// Stop accepting frames; what is already queued is still written.
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
-        self.ready.notify_all();
-        self.empty.notify_all();
+        self.inner.lock().closed = true;
     }
 
-    /// Wait until every queued frame has been handed to the writer,
-    /// measuring the timeout on `clock`.
-    fn wait_drained(&self, clock: &dyn Clock, timeout: Duration) -> bool {
+    /// Wait until every queued frame has been taken for the socket, or
+    /// `timeout` has passed on `clock`.
+    fn wait_drained(&self, clock: &dyn Clock, timeout: Duration) {
         let deadline = clock.now_nanos().saturating_add(timeout.as_nanos() as u64);
-        let mut q = self.inner.lock().unwrap();
-        while !q.frames.is_empty() {
-            let now = clock.now_nanos();
-            if now >= deadline {
-                return false;
-            }
-            let wait = Duration::from_nanos(deadline - now);
-            let (guard, _) = self.empty.wait_timeout(q, wait).unwrap();
-            q = guard;
+        while !self.inner.lock().frames.is_empty() && clock.now_nanos() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        true
     }
 }
 
-/// Shared per-connection state: the queue plus a stream handle the
-/// shutdown path can use to unblock the reader.
+/// A write-out sends at most this many bytes per socket write: a larger
+/// burst leaves in several, bounding the encode buffer.
+const WRITE_COALESCE_BYTES: usize = 64 * 1024;
+
+/// Shed the encode buffer's allocation after a burst leaves it larger
+/// than this (a lone oversized `STATS_REPLY` must not pin megabytes for
+/// the life of the connection).
+const WRITE_BUF_RETAIN_BYTES: usize = 256 * 1024;
+
+/// The connection's one write path. Its lock is held from taking the
+/// queue through encoding to the socket write, so frames leave in queue
+/// order whichever thread writes them.
+struct WriteState {
+    /// Reusable encode buffer: a burst of frames is laid down back to
+    /// back (no steady-state allocation, one copy per byte) and leaves in
+    /// one `write_all`.
+    buf: Vec<u8>,
+    /// The deque swapped in for the queue's on each take, so neither
+    /// side reallocates.
+    taken: VecDeque<Frame>,
+}
+
+/// Shared per-connection state: the send queue, the write path, and the
+/// stream handle both the write path and the shutdown path use.
 struct Conn {
     queue: SendQueue,
+    write: PMutex<WriteState>,
     stream: TcpStream,
     /// Row budget for this connection ([`ServerConfig::send_queue_rows`]).
     rows_cap: usize,
     /// Protocol version negotiated at `REGISTER`.
     session: SessionState,
+    /// The session thread, which writes out its own pushes before it
+    /// next blocks in `read`.
+    session_thread: OnceLock<ThreadId>,
+    /// The writer thread, unparked by pushes it has to write out.
+    writer_thread: OnceLock<Thread>,
+    /// `server_socket_writes_total`.
+    socket_writes: Counter,
     done: AtomicBool,
     /// Set once the writer has flushed its last frame; shutdown waits for
     /// this before severing the stream, so no queued frame is cut off.
     writer_done: AtomicBool,
 }
 
+impl Conn {
+    /// Queue `frames`. A push from the session thread is left for the
+    /// session to write out before its next blocking read, unless it
+    /// leaves a quarter of `rows_cap` frames waiting: then the writer
+    /// takes over, so a long result starts leaving while the session is
+    /// still executing it. Any other push (a wheel job, the drain) wakes
+    /// the writer.
+    fn push(&self, frames: impl Iterator<Item = Frame>) {
+        let waiting = self.queue.push(frames);
+        let wake_at = if self.session_thread.get() == Some(&std::thread::current().id()) {
+            (self.rows_cap / 4).max(1)
+        } else {
+            1
+        };
+        if waiting >= wake_at {
+            self.wake_writer();
+        }
+    }
+
+    fn wake_writer(&self) {
+        if let Some(writer) = self.writer_thread.get() {
+            writer.unpark();
+        }
+    }
+
+    /// Take every queued frame and send it: one socket write per
+    /// [`WRITE_COALESCE_BYTES`]. A frame that cannot be encoded, or a
+    /// failed write, closes the connection's queue: later frames are
+    /// dropped and their slots given back. Returns whether the queue was
+    /// already closed, so that nothing is left to write after this.
+    fn write_out(&self) -> bool {
+        let mut write = self.write.lock();
+        let WriteState { buf, taken } = &mut *write;
+        let closed = self.queue.take_all(taken);
+        let mut healthy = true;
+        for frame in taken.drain(..) {
+            if encode_frame_into(&frame, buf).is_err()
+                || (buf.len() >= WRITE_COALESCE_BYTES && !self.send(buf))
+            {
+                healthy = false;
+                break;
+            }
+        }
+        // What was encoded before a frame that could not be still leaves.
+        if !buf.is_empty() && !self.send(buf) {
+            healthy = false;
+        }
+        if !healthy {
+            self.close();
+        }
+        if buf.capacity() > WRITE_BUF_RETAIN_BYTES {
+            *buf = Vec::with_capacity(8 * 1024);
+        }
+        closed
+    }
+
+    fn send(&self, buf: &mut Vec<u8>) -> bool {
+        self.socket_writes.inc();
+        let sent = (&self.stream).write_all(buf).is_ok();
+        buf.clear();
+        sent
+    }
+
+    /// Stop accepting frames and let the writer send what is queued.
+    fn close(&self) {
+        self.queue.close();
+        self.wake_writer();
+    }
+}
+
 impl FrameSink for Conn {
     fn push_control(&self, frame: Frame) {
-        self.queue.push(std::iter::once(frame));
+        self.push(std::iter::once(frame));
     }
 
     fn push_row(&self, frame: Frame) {
-        self.queue.push(std::iter::once(frame));
+        self.push(std::iter::once(frame));
     }
 
     fn push_batch(&self, frames: &mut Vec<Frame>) {
-        self.queue.push(frames.drain(..));
+        self.push(frames.drain(..));
     }
 
     fn try_reserve_rows(&self, n: usize) -> bool {
@@ -415,7 +498,7 @@ impl ServerHandle {
             }
             conn.queue
                 .wait_drained(shared.clock.as_ref(), Duration::from_secs(10));
-            conn.queue.close();
+            conn.close();
         }
         for conn in &conns {
             // Wait for the writer's final flush before severing the
@@ -514,37 +597,46 @@ fn handle_accept(
 
     let conn = Arc::new(Conn {
         queue: SendQueue::new(),
+        write: PMutex::new(WriteState {
+            buf: Vec::with_capacity(8 * 1024),
+            taken: VecDeque::new(),
+        }),
         stream: stream.try_clone().expect("clone session stream"),
         rows_cap: shared.config.send_queue_rows,
         session: SessionState::new(),
+        session_thread: OnceLock::new(),
+        writer_thread: OnceLock::new(),
+        socket_writes: shared.metrics.socket_writes.clone(),
         done: AtomicBool::new(false),
         writer_done: AtomicBool::new(false),
     });
+
+    let writer_conn = Arc::clone(&conn);
+    let writer = std::thread::Builder::new()
+        .name("delayguard-writer".into())
+        .spawn(move || writer_loop(&writer_conn))
+        .expect("spawn writer thread");
+    // Before anything can push or close: a wake-up must find the writer.
+    let _ = conn.writer_thread.set(writer.thread().clone());
     {
         let mut conns = shared.conns.lock();
         conns.retain(|c| !c.done.load(Ordering::SeqCst));
         conns.push(Arc::clone(&conn));
     }
 
-    let writer_conn = Arc::clone(&conn);
-    let writer_stream = stream.try_clone().expect("clone session stream");
-    let writer = std::thread::Builder::new()
-        .name("delayguard-writer".into())
-        .spawn(move || writer_loop(writer_stream, writer_conn))
-        .expect("spawn writer thread");
-
     let reader_shared = Arc::clone(shared);
     let reader_conn = Arc::clone(&conn);
     let reader = std::thread::Builder::new()
         .name("delayguard-session".into())
         .spawn(move || {
+            let _ = reader_conn.session_thread.set(std::thread::current().id());
             session_loop(stream, peer, &reader_shared, &reader_conn);
             // Reader done: stop the writer once queued frames are out, then
             // sever the socket so the peer sees EOF. Without the shutdown the
             // clone held in `shared.conns` keeps the OS socket open and a
             // client whose session the server terminated (protocol error,
             // unexpected frame) would block forever waiting for a close.
-            reader_conn.queue.close();
+            reader_conn.close();
             let flush_deadline = reader_shared.clock.now_nanos() + secs_to_nanos(10.0);
             while !reader_conn.writer_done.load(Ordering::SeqCst)
                 && reader_shared.clock.now_nanos() < flush_deadline
@@ -562,43 +654,13 @@ fn handle_accept(
     threads.push(reader);
 }
 
-/// Keep coalescing frames in the writer's buffer until it reaches this
-/// size, then write even mid-burst, bounding writer memory.
-const WRITER_COALESCE_BYTES: usize = 64 * 1024;
-
-/// Shed the writer buffer's allocation after a burst leaves it larger
-/// than this (a lone oversized `STATS_REPLY` must not pin megabytes for
-/// the life of the connection).
-const WRITER_BUF_RETAIN_BYTES: usize = 256 * 1024;
-
-fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
-    // One reusable encode buffer per connection replaces the old
-    // `BufWriter` + per-frame body Vec: a burst of frames is laid down
-    // back-to-back (zero steady-state allocations, one copy per byte)
-    // and leaves in a single `write_all` at the queue boundary.
-    let mut buf: Vec<u8> = Vec::with_capacity(8 * 1024);
-    while let Some((frame, more)) = conn.queue.pop_blocking() {
-        if encode_frame_into(&frame, &mut buf).is_err() {
-            conn.queue.close();
-            break;
-        }
-        // Write at queue boundaries so clients see frames promptly while
-        // bursts still coalesce into large writes.
-        if !more || buf.len() >= WRITER_COALESCE_BYTES {
-            if stream.write_all(&buf).is_err() {
-                conn.queue.close();
-                break;
-            }
-            buf.clear();
-            if buf.capacity() > WRITER_BUF_RETAIN_BYTES {
-                buf = Vec::with_capacity(8 * 1024);
-            }
-        }
+/// The writer thread: write the queue out whenever another thread's push
+/// (or a session hand-off) unparks it, until a write-out finds the queue
+/// closed.
+fn writer_loop(conn: &Conn) {
+    while !conn.write_out() {
+        std::thread::park();
     }
-    if !buf.is_empty() {
-        let _ = stream.write_all(&buf);
-    }
-    let _ = stream.flush();
     conn.writer_done.store(true, Ordering::SeqCst);
 }
 
@@ -609,6 +671,14 @@ fn peer_octets(peer: SocketAddr) -> [u8; 4] {
     }
 }
 
+/// Whether `buffered` starts with a whole length-prefixed frame.
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    match buffered.split_first_chunk::<4>() {
+        Some((len, body)) => body.len() >= u32::from_le_bytes(*len) as usize,
+        None => false,
+    }
+}
+
 fn session_loop(stream: TcpStream, peer: SocketAddr, shared: &Arc<Shared>, conn: &Arc<Conn>) {
     let mut reader = BufReader::new(stream);
     let peer_ip = peer_octets(peer);
@@ -616,6 +686,12 @@ fn session_loop(stream: TcpStream, peer: SocketAddr, shared: &Arc<Shared>, conn:
     // not one per received frame.
     let mut scratch: Vec<u8> = Vec::new();
     loop {
+        // The next read can block unless a whole frame is already
+        // buffered: first send what this burst of input queued, in one
+        // write. A due reply so waits at most for the rest of its burst.
+        if !holds_whole_frame(reader.buffer()) {
+            conn.write_out();
+        }
         let frame = match read_frame_buffered(&mut reader, &mut scratch) {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean EOF
@@ -635,5 +711,70 @@ fn session_loop(stream: TcpStream, peer: SocketAddr, shared: &Arc<Shared>, conn:
             SessionControl::Continue => {}
             SessionControl::Terminate => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, MutateOutcome, QueryOutcome, RegisterOutcome};
+    use delayguard_core::access::AccessDelayPolicy;
+    use delayguard_core::config::GuardConfig;
+    use delayguard_core::gatekeeper::RegistrationPolicy;
+    use delayguard_core::policy::{ChargingModel, GuardPolicy};
+
+    /// A graceful drain over a real socket with frames in flight both
+    /// ways: a write's confirmation, due and sent by the session, and a
+    /// scan whose ten rows wait on the wheel when shutdown begins. The
+    /// drain delivers every frame, and afterwards the connection holds no
+    /// queued frame and no reserved row slot.
+    #[test]
+    fn drain_delivers_every_frame_and_gives_back_every_row_slot() {
+        let config = GuardConfig::paper_default()
+            .with_policy(GuardPolicy::AccessRate(
+                AccessDelayPolicy::new(1.5, 1.0).with_cap(0.3),
+            ))
+            .with_charging(ChargingModel::PerQueryMax);
+        let db = GuardedDatabase::new(config);
+        db.execute_at("CREATE TABLE directory (id INT NOT NULL)", 0.0)
+            .unwrap();
+        for id in 0..10 {
+            db.execute_at(&format!("INSERT INTO directory VALUES ({id})"), 0.0)
+                .unwrap();
+        }
+        let config = ServerConfig {
+            gatekeeper: GatekeeperConfig {
+                registration: RegistrationPolicy::interval(0.0),
+                ..GatekeeperConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let handle = Server::start("127.0.0.1:0", config, Arc::new(db), Registry::new()).unwrap();
+        let addr = handle.addr();
+        let client = std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let user = match c.register().unwrap() {
+                RegisterOutcome::Registered { user, .. } => user,
+                other => panic!("registration refused: {other:?}"),
+            };
+            let wrote = c
+                .update(user, "UPDATE directory SET id = 100 WHERE id = 0")
+                .unwrap();
+            (wrote, c.query(user, "SELECT * FROM directory").unwrap())
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let conns = handle.shared.conns.lock().clone();
+        handle.shutdown();
+
+        let (wrote, read) = client.join().unwrap();
+        assert!(matches!(wrote, MutateOutcome::Mutated { rows: 1, .. }));
+        match read {
+            QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 10),
+            other => panic!("expected every row through the drain, got {other:?}"),
+        }
+        assert_eq!(conns.len(), 1);
+        let q = conns[0].queue.inner.lock();
+        assert!(q.frames.is_empty());
+        assert_eq!(q.outstanding_rows, 0, "row slots still reserved");
     }
 }

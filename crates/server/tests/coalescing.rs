@@ -521,13 +521,13 @@ fn due_results_are_pushed_at_charge_with_no_wheel_job() {
 }
 
 /// A write is never delayed, so its `MUTATED` reply is due the moment
-/// the write applies — but it still rides the wheel to the next tick, so
-/// a burst of confirmations leaves together. Two writes applied half way
-/// through a 1 ms tick are two wheel jobs, nothing reaches the sink at
-/// charge time or before the tick ends, and one poll at the tick
-/// releases both, in order.
+/// the write applies and goes straight to the sink, like a due `SELECT`
+/// chunk. Two writes applied half way through a 1 ms tick are zero
+/// wheel jobs: both confirmations reach the sink at charge time, in
+/// order, and nothing is left for the tick. `released_at_charge` counts
+/// `SELECT` statements only.
 #[test]
-fn due_write_confirmations_still_ride_the_wheel() {
+fn due_write_confirmations_skip_the_wheel() {
     let rig = rig(ChargingModel::PerTupleSum, 16, 256);
     rig.clock.advance_to_nanos(10_500_000);
     let write = RecordingSink::new();
@@ -538,14 +538,11 @@ fn due_write_confirmations_still_ride_the_wheel() {
             sql: format!("UPDATE directory SET id = {} WHERE id = {id}", 100 + id),
         });
     }
-    assert_eq!(rig.metrics.scheduler_scheduled.get(), 2);
+    assert_eq!(rig.metrics.scheduler_scheduled.get(), 0, "no wheel job");
     assert_eq!(rig.metrics.released_at_charge.get(), 0);
-    assert!(write.events.lock().is_empty(), "pushed at charge time");
-    assert_eq!(rig.scheduler.poll(), 0, "released before the tick");
-
-    assert_eq!(rig.scheduler.next_deadline_nanos(), Some(11_000_000));
-    rig.clock.advance_to_nanos(11_000_000);
-    assert_eq!(rig.scheduler.poll(), 2);
+    assert_eq!(rig.scheduler.next_deadline_nanos(), None);
+    assert_eq!(rig.scheduler.poll(), 0);
+    assert_eq!(rig.clock.now_nanos(), 10_500_000, "sent at charge time");
     let sent: Vec<u32> = frames(&write.events.lock())
         .into_iter()
         .map(|f| match f {
@@ -556,6 +553,9 @@ fn due_write_confirmations_still_ride_the_wheel() {
         })
         .collect();
     assert_eq!(sent, vec![1, 2]);
+    let reserved = write.reserved.load(Ordering::SeqCst);
+    assert_eq!(reserved, 2);
+    assert_eq!(write.returned.load(Ordering::SeqCst), reserved);
 }
 
 /// A deadline still ahead at charge time — by a single nanosecond — is
@@ -627,10 +627,10 @@ fn due_chunks_follow_an_earlier_chunk_onto_the_wheel() {
 
 /// A graceful drain with frames in flight both ways: a scan whose first
 /// two rows were due when charged (pushed at once) and whose last two
-/// wait on the wheel, a write's confirmation on the wheel, and a point
-/// query still pending. The
-/// drain delivers every frame, in order, and every reserved row slot is
-/// used by a delivered frame.
+/// wait on the wheel, a write whose confirmation was due (pushed at
+/// once, no wheel job), and a point query still pending. The drain
+/// delivers every frame, in order, and every reserved row slot is used
+/// by a delivered frame.
 #[test]
 fn due_and_wheel_frames_all_deliver_through_a_drain() {
     let rig = rig(ChargingModel::PerTupleSum, 8, 256);
@@ -663,10 +663,17 @@ fn due_and_wheel_frames_all_deliver_through_a_drain() {
         3,
         "SELECT * FROM directory WHERE id = 7",
     );
+    assert!(
+        matches!(
+            &write.events.lock()[..],
+            [Event::Batch(frames)] if matches!(frames[..], [Frame::Mutated { query_id: 2, .. }])
+        ),
+        "the write's confirmation goes out at charge time"
+    );
     assert_eq!(
         rig.scheduler.pending(),
-        4,
-        "two scan ticks, the write and the point query"
+        3,
+        "two scan ticks and the point query; the write filed no wheel job"
     );
 
     rig.gate.begin_drain();

@@ -12,16 +12,21 @@
 //! real-socket smoke check.
 
 use delayguard_core::access::AccessDelayPolicy;
+use delayguard_core::clock::{Clock, RealClock};
 use delayguard_core::config::GuardConfig;
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::{ChargingModel, GuardPolicy};
-use delayguard_core::GuardedDatabase;
+use delayguard_core::{GuardedDatabase, UpdateDelayPolicy};
+use delayguard_query::Engine;
 use delayguard_server::client::{Client, MutateOutcome, QueryOutcome, RegisterOutcome};
-use delayguard_server::protocol::RefuseReason;
+use delayguard_server::protocol::{read_frame, write_frame, Frame, RefuseReason, PROTOCOL_VERSION};
 use delayguard_server::server::{Server, ServerConfig, ServerHandle};
 use delayguard_sim::{MetricValue, Registry};
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// A guarded database with `rows` directory entries and a delay cap of
 /// `cap_secs` per tuple under `charging`.
@@ -589,4 +594,403 @@ fn stats_reply_hides_rank_order_unless_opted_in() {
         }
         handle.shutdown();
     }
+}
+
+// ---- the session thread's write path ------------------------------------
+
+/// A raw v2 session registered on `addr`, for tests that pipeline frames
+/// or must not read: the stream, a buffered reader over a clone of it,
+/// and the registered user.
+fn raw_session(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>, u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let register = Frame::Register {
+        claimed_ip: [0; 4],
+        version: PROTOCOL_VERSION,
+    };
+    write_frame(&mut stream, &register).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    match next_frame(&mut reader) {
+        Frame::Registered { user, .. } => (stream, reader, user),
+        other => panic!("expected REGISTERED, got {other:?}"),
+    }
+}
+
+fn next_frame(reader: &mut BufReader<TcpStream>) -> Frame {
+    read_frame(reader)
+        .expect("frame within the read timeout")
+        .expect("frame before EOF")
+}
+
+/// The value of counter `name` in a rendered `STATS` reply.
+fn stat(rendered: &str, name: &str) -> u64 {
+    rendered
+        .lines()
+        .find_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [n, v] if n == name => v.parse().ok(),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no {name} in:\n{rendered}"))
+}
+
+/// A pipelined burst of point reads under a 1 µs cap: a reply is due by
+/// the time it is charged (all but the rare one charged within 1 µs of
+/// its start, which takes the wheel), so the session answers the burst
+/// before it next reads. Each query's frames arrive in order, the
+/// queries in the order sent, no row before its charged delay, and the
+/// whole burst in a handful of socket writes, not one per query.
+#[test]
+fn pipelined_due_point_reads_leave_in_few_socket_writes() {
+    const QUERIES: u32 = 100;
+    let db = seeded_db(QUERIES as usize, 1e-6, ChargingModel::PerQueryMax);
+    let handle = start(
+        ServerConfig {
+            gatekeeper: open_gatekeeper(),
+            ..ServerConfig::default()
+        },
+        db,
+    );
+    let (mut stream, mut reader, user) = raw_session(handle.addr());
+    let mut burst = Vec::new();
+    for query_id in 0..QUERIES {
+        let sql = format!("SELECT entry FROM directory WHERE id = {query_id}");
+        write_frame(
+            &mut burst,
+            &Frame::Query {
+                query_id,
+                user,
+                sql,
+            },
+        )
+        .unwrap();
+    }
+    let sent = Instant::now();
+    stream.write_all(&burst).unwrap();
+    // Per query: frames seen so far (ROWS_BEGIN, ROW, ROWS_END, DONE)
+    // and when its row arrived.
+    let mut seen = vec![0u8; QUERIES as usize];
+    let mut row_at = vec![Duration::ZERO; QUERIES as usize];
+    let mut begun = 0;
+    let mut done = 0;
+    while done < QUERIES {
+        let frame = next_frame(&mut reader);
+        let (query_id, step) = match &frame {
+            Frame::RowsBegin { query_id, .. } => {
+                assert_eq!(*query_id, begun, "queries answered out of order");
+                begun += 1;
+                (*query_id, 0)
+            }
+            Frame::Row {
+                query_id, seq: 0, ..
+            } => {
+                row_at[*query_id as usize] = sent.elapsed();
+                (*query_id, 1)
+            }
+            Frame::RowsEnd { query_id, rows: 1 } => (*query_id, 2),
+            Frame::Done {
+                query_id,
+                delay_secs,
+                tuples: 1,
+            } => {
+                assert!(*delay_secs <= 1e-6 + 1e-12, "cap exceeded: {delay_secs}");
+                assert!(
+                    row_at[*query_id as usize] >= Duration::from_secs_f64(*delay_secs),
+                    "query {query_id} released early"
+                );
+                done += 1;
+                (*query_id, 3)
+            }
+            other => panic!("unexpected frame {other:?}"),
+        };
+        assert_eq!(seen[query_id as usize], step, "query {query_id}: {frame:?}");
+        seen[query_id as usize] += 1;
+    }
+    write_frame(&mut stream, &Frame::Stats).unwrap();
+    let rendered = match next_frame(&mut reader) {
+        Frame::StatsReply { rendered } => rendered,
+        other => panic!("expected STATS_REPLY, got {other:?}"),
+    };
+    // One write carried REGISTERED; the burst took the rest.
+    let writes = stat(&rendered, "server_socket_writes_total");
+    assert!(
+        (2..=1 + u64::from(QUERIES) / 10).contains(&writes),
+        "{QUERIES} pipelined replies took {writes} socket writes"
+    );
+    handle.shutdown();
+}
+
+/// A reply still ahead of the clock when charged waits on the wheel,
+/// and the wheel's release must wake the connection's writer: the
+/// session itself is idle in `read`, since the client sends nothing
+/// more. `ROWS_BEGIN` is due at once and leaves before the session
+/// blocks; the row leaves at its deadline, not before.
+#[test]
+fn pending_reply_leaves_at_its_deadline_while_the_session_idles() {
+    let cap = 0.2;
+    let db = seeded_db(10, cap, ChargingModel::PerQueryMax);
+    let handle = start(
+        ServerConfig {
+            gatekeeper: open_gatekeeper(),
+            ..ServerConfig::default()
+        },
+        db,
+    );
+    let (mut stream, mut reader, user) = raw_session(handle.addr());
+    let sent = Instant::now();
+    let sql = "SELECT entry FROM directory WHERE id = 3".to_string();
+    write_frame(
+        &mut stream,
+        &Frame::Query {
+            query_id: 1,
+            user,
+            sql,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::RowsBegin { query_id: 1, .. }
+    ));
+    assert!(
+        sent.elapsed() < Duration::from_secs_f64(cap),
+        "ROWS_BEGIN waited for the row's deadline"
+    );
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::Row {
+            query_id: 1,
+            seq: 0,
+            ..
+        }
+    ));
+    let row_at = sent.elapsed();
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::RowsEnd {
+            query_id: 1,
+            rows: 1
+        }
+    ));
+    match next_frame(&mut reader) {
+        Frame::Done { delay_secs, .. } => {
+            assert!(delay_secs >= cap - 1e-9);
+            assert!(
+                row_at >= Duration::from_secs_f64(delay_secs),
+                "released early"
+            );
+        }
+        other => panic!("expected DONE, got {other:?}"),
+    }
+    assert!(
+        row_at < Duration::from_secs_f64(cap + 2.0),
+        "the wheel's release waited for the session ({row_at:?})"
+    );
+    handle.shutdown();
+}
+
+/// A scan whose first rows are due when charged and whose last rows are
+/// not: under the update-rate policy an updated tuple is charged next to
+/// nothing and a never-updated one the cap. The due prefix leaves before
+/// the session blocks in `read`, the tail leaves from the wheel at the
+/// cap, and every row keeps its `seq`, with `ROWS_END` and `DONE` last.
+#[test]
+fn due_prefix_then_wheel_tail_keeps_seq_order() {
+    let cap = 0.2;
+    let config = GuardConfig::paper_default()
+        .with_policy(GuardPolicy::UpdateRate(
+            UpdateDelayPolicy::new(1e-9).with_cap(cap),
+        ))
+        .with_charging(ChargingModel::PerQueryMax);
+    let db = GuardedDatabase::new(config);
+    db.execute_at(
+        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
+        0.0,
+    )
+    .unwrap();
+    for id in 0..8 {
+        db.execute_at(
+            &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
+            0.0,
+        )
+        .unwrap();
+    }
+    for id in 0..4 {
+        db.execute_at(
+            &format!("UPDATE directory SET entry = 'hot-{id}' WHERE id = {id}"),
+            1.0,
+        )
+        .unwrap();
+    }
+    let handle = start(
+        ServerConfig {
+            gatekeeper: open_gatekeeper(),
+            ..ServerConfig::default()
+        },
+        Arc::new(db),
+    );
+    let (mut stream, mut reader, user) = raw_session(handle.addr());
+    let sent = Instant::now();
+    let sql = "SELECT * FROM directory".to_string();
+    write_frame(
+        &mut stream,
+        &Frame::Query {
+            query_id: 5,
+            user,
+            sql,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::RowsBegin { query_id: 5, .. }
+    ));
+    for expected in 0..8u32 {
+        match next_frame(&mut reader) {
+            Frame::Row {
+                query_id: 5, seq, ..
+            } => assert_eq!(seq, expected, "rows out of order"),
+            other => panic!("expected row {expected}, got {other:?}"),
+        }
+        let at = sent.elapsed();
+        if expected < 4 {
+            assert!(
+                at < Duration::from_secs_f64(cap / 2.0),
+                "due row {expected} waited ({at:?})"
+            );
+        } else {
+            assert!(
+                at >= Duration::from_secs_f64(cap),
+                "row {expected} released early ({at:?})"
+            );
+        }
+    }
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::RowsEnd {
+            query_id: 5,
+            rows: 8
+        }
+    ));
+    assert!(matches!(
+        next_frame(&mut reader),
+        Frame::Done {
+            query_id: 5,
+            tuples: 8,
+            ..
+        }
+    ));
+    handle.shutdown();
+}
+
+/// Wall time plus a skip the test can add, so that the server's flush
+/// timeouts, which read its clock, pass without being waited out.
+#[derive(Debug)]
+struct SkippingClock {
+    real: RealClock,
+    skipped_nanos: AtomicU64,
+}
+
+impl Clock for SkippingClock {
+    fn now_nanos(&self) -> u64 {
+        self.real.now_nanos() + self.skipped_nanos.load(Ordering::SeqCst)
+    }
+
+    fn sleep_until_nanos(&self, deadline: u64) {
+        let now = self.now_nanos();
+        if deadline > now {
+            std::thread::sleep(Duration::from_nanos(deadline - now));
+        }
+    }
+}
+
+/// A client that pipelines 12 MB of results and never reads wedges its
+/// own session in a socket write, and nothing else: another client is
+/// served as usual, and `shutdown()` still returns once the stuck
+/// connection's flush timeout has passed on the server's clock.
+#[test]
+fn a_client_that_stops_reading_stalls_only_its_own_session() {
+    let clock = Arc::new(SkippingClock {
+        real: RealClock::new(),
+        skipped_nanos: AtomicU64::new(0),
+    });
+    let config = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
+        AccessDelayPolicy::new(1.5, 1.0).with_cap(0.0),
+    ));
+    let db = GuardedDatabase::with_engine_and_clock(
+        Engine::new(),
+        config,
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    );
+    db.execute_at(
+        "CREATE TABLE blobs (id INT NOT NULL, body TEXT NOT NULL)",
+        0.0,
+    )
+    .unwrap();
+    let body = "x".repeat(8000);
+    for id in 0..64 {
+        db.execute_at(&format!("INSERT INTO blobs VALUES ({id}, '{body}')"), 0.0)
+            .unwrap();
+    }
+    db.execute_at("CREATE TABLE directory (id INT NOT NULL)", 0.0)
+        .unwrap();
+    db.execute_at("INSERT INTO directory VALUES (1)", 0.0)
+        .unwrap();
+    let handle = start(
+        ServerConfig {
+            gatekeeper: open_gatekeeper(),
+            ..ServerConfig::default()
+        },
+        Arc::new(db),
+    );
+    let addr = handle.addr();
+
+    // 24 scans of 512 KB each, far more than the socket buffers hold.
+    let (mut stuck, _unread, user) = raw_session(addr);
+    let mut burst = Vec::new();
+    for query_id in 0..24 {
+        let sql = "SELECT * FROM blobs".to_string();
+        write_frame(
+            &mut burst,
+            &Frame::Query {
+                query_id,
+                user,
+                sql,
+            },
+        )
+        .unwrap();
+    }
+    stuck.write_all(&burst).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+
+    let served = Instant::now();
+    let mut other = Client::connect(addr).unwrap();
+    let other_user = register(&mut other);
+    match other
+        .query(other_user, "SELECT * FROM directory WHERE id = 1")
+        .unwrap()
+    {
+        QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        outcome => panic!("the other client was not served: {outcome:?}"),
+    }
+    assert!(served.elapsed() < Duration::from_secs(5));
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        handle.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    let waited = Instant::now();
+    while done_rx.try_recv().is_err() {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "shutdown hung on a client that stopped reading"
+        );
+        clock
+            .skipped_nanos
+            .fetch_add(1_000_000_000, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shutdown.join().unwrap();
 }
