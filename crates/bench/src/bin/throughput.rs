@@ -9,16 +9,21 @@
 //! cargo run -p delayguard-bench --release --bin throughput -- --smoke
 //! ```
 //!
+//! It also records what one snapshot refresh costs against the keys
+//! changed since the previous one (`rebuild_costs`: refresh µs and keys
+//! re-packed after k ∈ {1, 100, 10 000, n} changed keys at n ∈ {8 192,
+//! 65 536, 1 048 576}) and the popularity bytes held per tracked key.
+//!
 //! `--smoke` runs a tiny shape for CI: it checks the harness end to end
-//! and still enforces the allocation budget (allocation counts are exact,
-//! not load-dependent), but does not enforce the timing gate (qps on
-//! shared CI runners is noise; the acceptance numbers come from the full
-//! run).
+//! and still enforces the allocation budget and the re-pack bound (both
+//! are exact counts, not load-dependent), but does not enforce the timing
+//! gates (wall time on shared CI runners is noise; the acceptance numbers
+//! come from the full run).
 
 use delayguard_bench::report::{hardware_threads, Op::*, Report, Scope::*};
 use delayguard_bench::throughput::{
-    measure_hot_path, run_adhoc, run_prepared, seeded_db, snapshot_sharded_config,
-    ThroughputConfig, ThroughputSample,
+    measure_hot_path, rebuild_costs, run_adhoc, run_prepared, seeded_db, snapshot_sharded_config,
+    RebuildSample, ThroughputConfig, ThroughputSample,
 };
 use delayguard_core::GuardedDatabase;
 use std::process::ExitCode;
@@ -41,6 +46,14 @@ const SINGLE_THREAD_SPEEDUP_MIN: f64 = 3.0;
 /// Currently: one queue node for the recorded access event and one keys
 /// vector inside it. Enforced even in smoke — counts are exact.
 const ALLOCS_PER_QUERY_MAX: f64 = 2.0;
+/// Table sizes of the rebuild-cost rows.
+const REBUILD_KEYS: [u64; 3] = [8_192, 65_536, 1 << 20];
+/// Changed-key counts below `n` (`n` itself is always measured too).
+const REBUILD_CHANGED: [u64; 3] = [1, 100, 10_000];
+/// Bound on one refresh of a 1 048 576-key table after 100 keys changed,
+/// in microseconds: about five times the ~190 µs the first full run
+/// measured on a 2-vCPU host (DESIGN.md §8).
+const REFRESH_US_1M_KEYS_100_CHANGED_MAX: f64 = 1_000.0;
 
 fn main() -> ExitCode {
     let mut report = Report::new("throughput");
@@ -81,6 +94,61 @@ fn main() -> ExitCode {
     let meters = measure_hot_path(&db, &shape, &alloc_count::count);
     let speedup = prepared_1t_qps / PRE_PR_SINGLE_THREAD_QPS;
     let allocs = meters.allocs_per_query;
+    let reps = if report.smoke() { 3 } else { 7 };
+    let mut rebuilds: Vec<RebuildSample> = Vec::new();
+    let mut bytes = Vec::new();
+    for n in REBUILD_KEYS {
+        let changed: Vec<u64> = REBUILD_CHANGED
+            .iter()
+            .copied()
+            .filter(|&k| k < n)
+            .chain([n])
+            .collect();
+        let (samples, per_key) = rebuild_costs(n, &changed, reps);
+        for s in &samples {
+            eprintln!(
+                "  refresh, {:>7} keys, {:>7} changed: {:>10.1} us, {:>7} keys re-packed (bound {})",
+                s.keys, s.changed, s.refresh_us, s.keys_repacked, s.repack_bound
+            );
+        }
+        rebuilds.extend(samples);
+        bytes.push(per_key);
+    }
+    report.rows(
+        "rebuild_costs",
+        [
+            "keys",
+            "changed",
+            "refresh_us",
+            "keys_repacked",
+            "repack_bound",
+        ],
+        rebuilds.iter().map(|s| {
+            [
+                s.keys as f64,
+                s.changed as f64,
+                s.refresh_us,
+                s.keys_repacked as f64,
+                s.repack_bound as f64,
+            ]
+        }),
+    );
+    report.rows(
+        "popularity_bytes_per_key",
+        ["keys", "tracker", "packed"],
+        bytes
+            .iter()
+            .map(|b| [b.keys as f64, b.tracker_per_key, b.packed_per_key]),
+    );
+    let over_bound = rebuilds
+        .iter()
+        .map(|s| s.keys_repacked as f64 - s.repack_bound as f64)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let refresh_1m_100 = rebuilds
+        .iter()
+        .find(|s| s.keys == 1 << 20 && s.changed == 100)
+        .map_or(f64::NAN, |s| s.refresh_us);
+
     report
         .sample("allocs_per_query", allocs, "1/query")
         .sample("bytes_copied_per_row", meters.bytes_copied_per_row, "B/row")
@@ -91,6 +159,20 @@ fn main() -> ExitCode {
             speedup,
             Ge,
             SINGLE_THREAD_SPEEDUP_MIN,
+            FullRun,
+        )
+        .gate(
+            "rebuild_keys_repacked_over_bound",
+            over_bound,
+            Le,
+            0.0,
+            Always,
+        )
+        .gate(
+            "refresh_us_1m_keys_100_changed",
+            refresh_1m_100,
+            Le,
+            REFRESH_US_1M_KEYS_100_CHANGED_MAX,
             FullRun,
         )
         .finish()

@@ -289,6 +289,96 @@ pub fn measure_hot_path(
     }
 }
 
+/// The cost of one snapshot refresh after `changed` of `keys` tracked
+/// keys changed.
+#[derive(Debug, Clone, Copy)]
+pub struct RebuildSample {
+    /// Tracked keys in the table.
+    pub keys: u64,
+    /// Keys written since the previous refresh: a contiguous run that
+    /// starts on a chunk boundary.
+    pub changed: u64,
+    /// Median refresh duration over the repetitions, in microseconds.
+    pub refresh_us: f64,
+    /// Most keys one refresh re-packed, over the repetitions.
+    pub keys_repacked: u64,
+    /// `changed` rounded up to whole chunks: what a refresh may re-pack.
+    pub repack_bound: u64,
+}
+
+/// Popularity state held per tracked key, once `keys` are tracked.
+#[derive(Debug, Clone, Copy)]
+pub struct PopularityBytes {
+    /// Tracked keys in the table.
+    pub keys: u64,
+    /// The access tracker's heap bytes per key (chunks, directory, rank
+    /// index).
+    pub tracker_per_key: f64,
+    /// The packed delay table's heap bytes per key.
+    pub packed_per_key: f64,
+}
+
+fn row_id(key: u64) -> delayguard_storage::RowId {
+    delayguard_storage::RowId::new((key >> 16) as u32, key as u16)
+}
+
+/// Refresh cost against keys changed, on a guard tracking `keys` dense
+/// keys under the access-rate policy: for each `k` in `changed`, `reps`
+/// times, write `k` keys through `warm_accesses` (which refreshes) and
+/// read the refresh's duration and keys re-packed from
+/// `snapshot_stats`.
+pub fn rebuild_costs(
+    keys: u64,
+    changed: &[u64],
+    reps: usize,
+) -> (Vec<RebuildSample>, PopularityBytes) {
+    use delayguard_popularity::chunks::CHUNK_KEYS;
+    let db = GuardedDatabase::new(snapshot_sharded_config());
+    // Skewed but deterministic counts, so ranks spread over many buckets.
+    let seed: Vec<_> = (0..keys)
+        .map(|k| (row_id(k), (1 + k.wrapping_mul(0x9E37_79B1) % 1024) as f64))
+        .collect();
+    db.warm_accesses("t", &seed, 0.0);
+    let bytes = {
+        let snap = db.snapshot();
+        let table = snap.table("t").expect("warmed table is published");
+        let packed = table.packed_access.as_ref().expect("access-rate pack");
+        PopularityBytes {
+            keys,
+            tracker_per_key: table.access.heap_bytes() as f64 / keys as f64,
+            packed_per_key: packed.heap_bytes() as f64 / keys as f64,
+        }
+    };
+    drop(seed);
+    let chunk = CHUNK_KEYS as u64;
+    let samples = changed
+        .iter()
+        .map(|&k| {
+            let mut micros = Vec::with_capacity(reps);
+            let mut repacked = 0;
+            for rep in 0..reps as u64 {
+                // A different aligned run each time, so no repetition
+                // re-writes chunks the previous one just wrote.
+                let lo = (rep * 7919 * chunk) % keys / chunk * chunk;
+                let batch: Vec<_> = (0..k).map(|i| (row_id((lo + i) % keys), 1.0)).collect();
+                db.warm_accesses("t", &batch, 0.0);
+                let stats = db.snapshot_stats();
+                micros.push(stats.last_rebuild_secs * 1e6);
+                repacked = repacked.max(stats.last_keys_repacked);
+            }
+            micros.sort_by(f64::total_cmp);
+            RebuildSample {
+                keys,
+                changed: k,
+                refresh_us: micros[micros.len() / 2],
+                keys_repacked: repacked,
+                repack_bound: k.div_ceil(chunk) * chunk,
+            }
+        })
+        .collect();
+    (samples, bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

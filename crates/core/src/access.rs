@@ -15,8 +15,18 @@
 //! Start-up transients (§2.3) fall out naturally: before any counts exist
 //! `f_max = 0`, every rank is "last", and all delays sit at the cap; as the
 //! distribution is learned, delays of popular items collapse toward zero.
+//!
+//! Snapshot pricing reads a [`PackedAccessDelays`]: each tracked key's
+//! rank bucket, stored per tracker chunk, and one `rank^(α+β)` per
+//! occupied bucket. Every key in a bucket shares its rank, so a refresh
+//! recomputes that per-bucket table in O(B) from the rank index and
+//! re-reads buckets only for the chunks the tracker wrote since the
+//! previous pack; untouched chunks are shared with it.
 
-use delayguard_popularity::FrequencyTracker;
+use delayguard_popularity::chunks::{split_key, KeyChunks};
+use delayguard_popularity::rank::bucket_of;
+use delayguard_popularity::{CountChunk, FrequencyTracker};
+use std::sync::Arc;
 
 /// How `f_max` is estimated from learned counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,10 +116,11 @@ impl AccessDelayPolicy {
     /// keys it has observed, but the relation has `n` tuples.
     pub fn delay(&self, tracker: &FrequencyTracker, n: u64, key: u64) -> f64 {
         let fmax = self.fmax_of(tracker);
-        let rank = if tracker.contains(key) {
-            tracker.rank(key)
-        } else {
-            n as usize
+        // A tracked key ranks at most `tracked()`; an untracked one one
+        // past it.
+        let rank = match tracker.rank(key) {
+            r if r > tracker.tracked() => n as usize,
+            r => r,
         };
         self.delay_for_rank(n, rank, fmax)
     }
@@ -128,34 +139,99 @@ impl AccessDelayPolicy {
         (m.ceil() as u64).clamp(1, n)
     }
 
-    /// Flatten a frozen tracker into a [`PackedAccessDelays`] table for
-    /// this policy: sorted keys plus each key's precomputed delay
-    /// numerator `rank^(α+β)`, with `f_max` evaluated once. Pricing a
-    /// tuple from the packed table is a binary search and one division —
-    /// no hash probes, no `powf`, no tracker access — and is bit-identical
-    /// to [`AccessDelayPolicy::delay`] against the same frozen tracker
-    /// because every floating-point operation has the same shape and
-    /// inputs (`powf` at pack time over the same rank, the same
-    /// `n·f_max` product, the same `min` against the cap).
-    pub fn pack(&self, tracker: &FrequencyTracker) -> PackedAccessDelays {
+    /// Pack a frozen tracker into a [`PackedAccessDelays`] table for this
+    /// policy: each tracked key's rank bucket plus `rank^(α+β)` per
+    /// occupied bucket, with `f_max` evaluated once. Pricing a tuple from
+    /// the pack is a chunk lookup, a table read and one division — no
+    /// `powf`, no tracker access — and is bit-identical to
+    /// [`AccessDelayPolicy::delay`] against the same frozen tracker:
+    /// every key in a bucket has the bucket's rank, the numerator is the
+    /// same `powf` of that rank, and the same `n·f_max` product and `min`
+    /// against the cap follow.
+    ///
+    /// `previous`, a pack of an earlier state of the same tracker, lends
+    /// its buckets for every chunk the tracker still shares with it
+    /// (chunk pointers equal, so no count in it changed); only the other
+    /// chunks are read. A rescale writes every chunk, so it re-packs all.
+    pub fn pack(
+        &self,
+        tracker: &FrequencyTracker,
+        previous: Option<&PackedAccessDelays>,
+    ) -> PackedAccessDelays {
         let exponent = self.alpha + self.beta;
-        let mut pairs: Vec<(u64, usize)> = tracker.rank_table().collect();
-        pairs.sort_unstable_by_key(|&(key, _)| key);
+        let previous = previous.filter(|p| p.matches(self));
+        let mut chunks = KeyChunks::new();
+        let mut repacked = 0;
+        let mut reuse = previous.map(|p| p.chunks.iter().peekable());
+        for (id, source) in tracker.chunks() {
+            let kept = reuse.as_mut().and_then(|old| {
+                while old.next_if(|&(old_id, _)| old_id < id).is_some() {}
+                old.next_if(|(old_id, c)| *old_id == id && Arc::ptr_eq(&c.source, source))
+            });
+            let packed = match kept {
+                Some((_, c)) => c.clone(),
+                None => {
+                    repacked += source.len();
+                    PackedChunk::read(source)
+                }
+            };
+            chunks.push(id, packed);
+        }
+        let mut numer = Vec::new();
+        for (bucket, rank) in tracker.rank_index().bucket_ranks() {
+            if numer.is_empty() {
+                // The most popular bucket comes first and sizes the
+                // table; buckets no key occupies are never read.
+                numer = vec![f64::NAN; bucket + 1];
+            }
+            numer[bucket] = (rank as f64).powf(exponent);
+        }
         PackedAccessDelays {
             policy: *self,
             fmax: self.fmax_of(tracker),
-            keys: pairs.iter().map(|&(key, _)| key).collect(),
-            numer: pairs
-                .iter()
-                .map(|&(_, rank)| (rank as f64).powf(exponent))
-                .collect(),
+            keys: tracker.tracked(),
+            repacked,
+            chunks,
+            numer,
         }
     }
 }
 
-/// A frozen tracker's delay inputs packed into flat, rank-ordered
-/// arrays: the cache-friendly form of [`AccessDelayPolicy::delay`] for
-/// the snapshot pricing hot path.
+/// Bucket slot of a key the tracker does not hold.
+const UNTRACKED: u16 = u16::MAX;
+
+/// One tracker chunk's keys, reduced to their rank buckets.
+#[derive(Debug, Clone)]
+struct PackedChunk {
+    /// The tracker chunk these buckets were read from: while the tracker
+    /// still holds this very chunk, the buckets are current.
+    source: Arc<CountChunk>,
+    /// Rank bucket per slot the source stores, [`UNTRACKED`] where no
+    /// key is tracked.
+    buckets: Arc<[u16]>,
+}
+
+impl PackedChunk {
+    fn read(source: &Arc<CountChunk>) -> PackedChunk {
+        let mut buckets = vec![UNTRACKED; source.slots()];
+        for (slot, raw) in source.iter() {
+            buckets[slot] = bucket_of(raw) as u16;
+        }
+        PackedChunk {
+            source: Arc::clone(source),
+            buckets: buckets.into(),
+        }
+    }
+
+    /// The bucket of the key in `slot`.
+    #[inline]
+    fn bucket(&self, slot: usize) -> u16 {
+        self.buckets.get(slot).copied().unwrap_or(UNTRACKED)
+    }
+}
+
+/// A frozen tracker's delay inputs packed for the snapshot pricing hot
+/// path: the cache-friendly form of [`AccessDelayPolicy::delay`].
 ///
 /// Built once per snapshot by [`AccessDelayPolicy::pack`]; priced
 /// per-stream by first fixing the relation-size scalars
@@ -169,9 +245,14 @@ pub struct PackedAccessDelays {
     policy: AccessDelayPolicy,
     /// `f_max` evaluated against the frozen tracker at pack time.
     fmax: f64,
-    /// Every tracked key, sorted ascending for binary search.
-    keys: Vec<u64>,
-    /// `rank^(α+β)` for the key at the same position in `keys`.
+    /// Tracked keys at pack time.
+    keys: usize,
+    /// Keys whose buckets this pack read (the rest came from the
+    /// previous pack).
+    repacked: usize,
+    /// Rank buckets per tracker chunk, in key order.
+    chunks: KeyChunks<PackedChunk>,
+    /// `rank^(α+β)` per rank bucket, up to the most popular occupied one.
     numer: Vec<f64>,
 }
 
@@ -205,12 +286,18 @@ impl PackedAccessDelays {
 
     /// Number of packed keys.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys
     }
 
     /// Whether the pack holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.keys == 0
+    }
+
+    /// Keys whose buckets this pack read from the tracker; every other
+    /// key's came from the previous pack.
+    pub fn repacked_keys(&self) -> usize {
+        self.repacked
     }
 
     /// Fix the per-stream scalars for a relation of `n` rows.
@@ -222,6 +309,14 @@ impl PackedAccessDelays {
         }
     }
 
+    #[inline]
+    fn numer(&self, s: &PackedScalars, chunk: &PackedChunk, slot: usize) -> f64 {
+        match chunk.bucket(slot) {
+            UNTRACKED => s.untracked_numer,
+            b => self.numer[b as usize],
+        }
+    }
+
     /// The capped Eq. 5 delay for `key`: bit-identical to
     /// [`AccessDelayPolicy::delay`] on the tracker this pack froze, with
     /// `n` as passed to [`PackedAccessDelays::scalars`].
@@ -230,47 +325,51 @@ impl PackedAccessDelays {
         let raw = if s.degenerate {
             f64::INFINITY
         } else {
-            let numer = match self.keys.binary_search(&key) {
-                Ok(i) => self.numer[i],
-                Err(_) => s.untracked_numer,
+            let numer = match self.chunks.get(key) {
+                Some((chunk, slot)) => self.numer(s, chunk, slot),
+                None => s.untracked_numer,
             };
             numer / s.nf
         };
         raw.min(self.policy.cap_secs)
     }
 
-    /// [`PackedAccessDelays::delay`] with a position hint for sequential
-    /// workloads. Rows pulled by an index range scan arrive in key order,
-    /// so each lookup usually lands right where the previous one left
-    /// off; checking that slot (and the miss-side insertion point) before
-    /// falling back to binary search makes pricing a scanned chunk O(1)
-    /// per tuple instead of O(log keys). Returns bit-identical delays to
-    /// [`PackedAccessDelays::delay`] for every key and any hint value.
+    /// [`PackedAccessDelays::delay`] with a chunk-position hint for
+    /// sequential workloads. Rows pulled by an index range scan arrive
+    /// in key order, so each lookup usually lands in the chunk the
+    /// previous one used; checking that chunk before searching makes
+    /// pricing a scanned chunk O(1) per tuple. Returns bit-identical
+    /// delays to [`PackedAccessDelays::delay`] for every key and any
+    /// hint value.
     #[inline]
     pub fn delay_seq(&self, s: &PackedScalars, key: u64, hint: &mut usize) -> f64 {
         if s.degenerate {
             return f64::INFINITY.min(self.policy.cap_secs);
         }
-        let i = *hint;
-        let numer = if i < self.keys.len() && self.keys[i] == key {
-            *hint = i + 1;
-            self.numer[i]
-        } else if i < self.keys.len() && self.keys[i] > key && (i == 0 || self.keys[i - 1] < key) {
-            // `key` falls in the gap just before the hint: untracked.
-            s.untracked_numer
-        } else {
-            match self.keys.binary_search(&key) {
-                Ok(j) => {
-                    *hint = j + 1;
-                    self.numer[j]
-                }
-                Err(j) => {
-                    *hint = j;
-                    s.untracked_numer
-                }
+        let (id, slot) = split_key(key);
+        let numer = match self.chunks.find_from(id, *hint) {
+            Ok(i) => {
+                *hint = i;
+                self.numer(s, self.chunks.at(i), slot)
+            }
+            Err(i) => {
+                *hint = i;
+                s.untracked_numer
             }
         };
         (numer / s.nf).min(self.policy.cap_secs)
+    }
+
+    /// Heap bytes this pack holds: the bucket table, the chunk directory
+    /// and the chunks' buckets (buckets shared with another pack count
+    /// in full for both).
+    pub fn heap_bytes(&self) -> usize {
+        let buckets: usize = self
+            .chunks
+            .iter()
+            .map(|(_, c)| c.buckets.len() * std::mem::size_of::<u16>())
+            .sum();
+        self.numer.capacity() * std::mem::size_of::<f64>() + self.chunks.directory_bytes() + buckets
     }
 }
 
@@ -398,7 +497,7 @@ mod tests {
             let p = AccessDelayPolicy::new(0.8, 1.2)
                 .with_fmax_mode(mode)
                 .with_cap(cap);
-            let packed = p.pack(&t);
+            let packed = p.pack(&t, None);
             assert!(packed.matches(&p));
             assert!(!packed.matches(&AccessDelayPolicy { beta: 1.3, ..p }));
             for n in [0u64, 1, t.tracked() as u64 + 5, 10_000] {
@@ -438,7 +537,7 @@ mod tests {
             }
             let cap = [0.0, 10.0, f64::INFINITY][case as usize % 3];
             let p = AccessDelayPolicy::new(1.5, 1.0).with_cap(cap);
-            let packed = p.pack(&t);
+            let packed = p.pack(&t, None);
             for n in [0u64, 1, 500] {
                 let s = packed.scalars(n);
                 // Sequential ascending sweep, the intended usage.

@@ -125,11 +125,17 @@ struct RemoteState {
 /// origin order. Full-state replace upstream plus this fixed fold order
 /// makes the result independent of delta arrival order — the same set of
 /// per-origin states always rebuilds bit-identically.
+///
+/// The trackers are cloned by sharing their chunks, and the packed
+/// access table re-reads only the chunks that differ from `previous`'s
+/// (the table's last published snapshot): the local chunks written since
+/// then, and every remote-tagged chunk, which the fold builds anew.
 fn merged_table_snapshot(
     guard: &TableGuard,
     name: &str,
     remote: &BTreeMap<u16, RemoteState>,
     policy: &GuardPolicy,
+    previous: Option<&TableSnapshot>,
 ) -> TableSnapshot {
     let mut access = guard.access.clone();
     let mut updates = guard.updates.clone();
@@ -151,10 +157,12 @@ fn merged_table_snapshot(
         }
     }
     // Pure access-rate pricing depends only on the frozen tracker, so it
-    // can be flattened once per rebuild; update-rate and hybrid delays
+    // can be packed once per rebuild; update-rate and hybrid delays
     // depend on the per-query window and keep the generic tracker walk.
     let packed_access = match policy {
-        GuardPolicy::AccessRate(p) => Some(p.pack(&access)),
+        GuardPolicy::AccessRate(p) => {
+            Some(p.pack(&access, previous.and_then(|t| t.packed_access.as_ref())))
+        }
         _ => None,
     };
     TableSnapshot {
@@ -544,6 +552,10 @@ pub struct GuardedDatabase {
     mutations: AtomicU64,
     rebuilds: AtomicU64,
     events_applied: AtomicU64,
+    /// Guard-clock duration of the last snapshot rebuild.
+    last_rebuild_nanos: AtomicU64,
+    /// Keys whose packed delays the last rebuild re-read.
+    last_keys_repacked: AtomicU64,
     /// Latest cumulative delta per remote origin (cluster replication).
     /// Locked only on the delta-sync path and during snapshot rebuilds —
     /// never by query threads.
@@ -599,6 +611,8 @@ impl GuardedDatabase {
             mutations: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             events_applied: AtomicU64::new(0),
+            last_rebuild_nanos: AtomicU64::new(0),
+            last_keys_repacked: AtomicU64::new(0),
             remote: Mutex::new(BTreeMap::new()),
             remote_version: AtomicU64::new(0),
             remote_applied: AtomicU64::new(0),
@@ -1040,6 +1054,8 @@ impl GuardedDatabase {
 
     /// Drain + apply + rebuild. Caller must hold `refresh_lock`.
     fn refresh_inner(&self) {
+        let started = self.clock.now_nanos();
+        let mut repacked = 0usize;
         self.apply_batch(self.queue.drain());
         let seen = self.mutations.load(Ordering::Acquire);
         let remote_ver = self.remote_version.load(Ordering::Acquire);
@@ -1066,15 +1082,18 @@ impl GuardedDatabase {
             for (name, guard) in guards.iter_mut() {
                 let has_remote = remote.values().any(|s| s.tables.contains_key(name));
                 if guard.dirty || !tables.contains_key(name) || (remote_changed && has_remote) {
-                    tables.insert(
-                        name.clone(),
-                        Arc::new(merged_table_snapshot(
-                            guard,
-                            name,
-                            &remote,
-                            &self.config.policy,
-                        )),
+                    let table = merged_table_snapshot(
+                        guard,
+                        name,
+                        &remote,
+                        &self.config.policy,
+                        tables.get(name).map(|t| &**t),
                     );
+                    repacked += table
+                        .packed_access
+                        .as_ref()
+                        .map_or(0, |p| p.repacked_keys());
+                    tables.insert(name.clone(), Arc::new(table));
                     guard.dirty = false;
                 }
             }
@@ -1089,6 +1108,12 @@ impl GuardedDatabase {
             shaping: self.config.shaping,
         }));
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.last_rebuild_nanos.store(
+            self.clock.now_nanos().saturating_sub(started),
+            Ordering::Relaxed,
+        );
+        self.last_keys_repacked
+            .store(repacked as u64, Ordering::Relaxed);
     }
 
     // ---- cluster replication --------------------------------------------
@@ -1243,6 +1268,8 @@ impl GuardedDatabase {
             pending_events: self.queue.pending(),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
             events_applied: self.events_applied.load(Ordering::Relaxed),
+            last_rebuild_secs: nanos_to_secs(self.last_rebuild_nanos.load(Ordering::Relaxed)),
+            last_keys_repacked: self.last_keys_repacked.load(Ordering::Relaxed),
         }
     }
 

@@ -12,6 +12,16 @@
 //! the [`SnapshotPolicy`] bounds) periodically drains the queue into the
 //! authoritative per-table trackers and publishes a fresh snapshot.
 //!
+//! A rebuild costs what changed, not the whole table. Each tracker keeps
+//! its counts in key-ordered chunks held by `Arc`, so a snapshot's
+//! trackers share every chunk with the live ones and a record copies
+//! only the chunk it writes. The packed access table re-reads rank
+//! buckets only for chunks whose pointer moved since the previous
+//! snapshot, plus one O(B) per-bucket table; a decay rescale writes
+//! every chunk and so re-packs them all.
+//! [`SnapshotStats::last_keys_repacked`] and
+//! [`SnapshotStats::last_rebuild_secs`] report what the last rebuild did.
+//!
 //! Staleness is bounded, not zero — and that is *safe* for the defense:
 //! every tuple starts at the delay cap (§2.3's start-up transient), and a
 //! stale snapshot only under-reports popularity, which over-charges
@@ -66,7 +76,8 @@ impl Default for SnapshotPolicy {
 /// One table's frozen guard statistics.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
-    /// Access-frequency tracker as of the snapshot.
+    /// Access-frequency tracker as of the snapshot (its chunks shared
+    /// with the live tracker until either side writes them).
     pub access: FrequencyTracker,
     /// Update-frequency tracker as of the snapshot.
     pub updates: FrequencyTracker,
@@ -76,11 +87,13 @@ pub struct TableSnapshot {
     /// deltas); pricing adds this to the local cardinality so `n` in
     /// Eq. 1 is the global table size. Zero on a single node.
     pub extra_rows: u64,
-    /// The access tracker flattened into a rank-indexed delay table at
-    /// snapshot build time, when the guard runs a pure access-rate
-    /// policy: the hot path prices from this with one binary search per
-    /// tuple instead of hash probes and a `powf`. `None` when the policy
-    /// is window-dependent (update-rate, hybrid) or the snapshot
+    /// The access tracker packed into per-key rank buckets and a
+    /// per-bucket delay numerator at snapshot build time, when the guard
+    /// runs a pure access-rate policy: the hot path prices from this with
+    /// one chunk lookup and one table read per tuple instead of rank
+    /// queries and a `powf`. Chunks the tracker did not write since the
+    /// previous snapshot keep that snapshot's buckets. `None` when the
+    /// policy is window-dependent (update-rate, hybrid) or the snapshot
     /// predates any traffic; pricing then falls back to the trackers.
     /// Delays from the pack are bit-identical to the tracker walk.
     pub packed_access: Option<PackedAccessDelays>,
@@ -115,8 +128,9 @@ pub fn empty_table_snapshot() -> Arc<TableSnapshot> {
 
 /// An immutable view of every table's guard statistics, swapped in
 /// atomically by the refresher. Unchanged tables share their
-/// [`TableSnapshot`] `Arc` across generations, so rebuild cost is
-/// proportional to what actually changed.
+/// [`TableSnapshot`] `Arc` across generations, and a changed table shares
+/// every tracker chunk it did not write, so rebuild cost is proportional
+/// to what actually changed.
 #[derive(Debug)]
 pub struct PolicySnapshot {
     /// Per-table frozen statistics.
@@ -179,6 +193,12 @@ pub struct SnapshotStats {
     pub rebuilds: u64,
     /// Events drained from the queue into the trackers since start.
     pub events_applied: u64,
+    /// Guard-clock duration of the last rebuild (drain, apply, publish),
+    /// in seconds.
+    pub last_rebuild_secs: f64,
+    /// Keys whose packed delays the last rebuild re-read: the tracked
+    /// keys of every chunk written since the previous snapshot.
+    pub last_keys_repacked: u64,
 }
 
 #[cfg(test)]

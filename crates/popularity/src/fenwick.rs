@@ -1,12 +1,14 @@
 //! Fenwick tree (binary indexed tree) over bucket counts.
 //!
-//! Supports point add/remove and prefix/suffix sums in `O(log n)`; backs the
-//! approximate order-statistics structure in [`crate::rank`].
+//! Supports point adds, moves between buckets and prefix/suffix sums in
+//! `O(log n)`; backs the approximate order-statistics structure in
+//! [`crate::rank`].
 
-/// A Fenwick tree holding non-negative integer counts per bucket.
+/// A Fenwick tree holding non-negative integer counts per bucket. Nodes
+/// are `u32`, so the counts may total at most `u32::MAX`.
 #[derive(Debug, Clone)]
 pub struct Fenwick {
-    tree: Vec<u64>,
+    tree: Vec<u32>,
     len: usize,
     total: u64,
 }
@@ -37,27 +39,42 @@ impl Fenwick {
     }
 
     /// Add `delta` to bucket `i` (0-based).
-    pub fn add(&mut self, i: usize, delta: u64) {
+    pub fn add(&mut self, i: usize, delta: u32) {
         assert!(i < self.len, "bucket {i} out of range {}", self.len);
         let mut idx = i + 1;
         while idx <= self.len {
             self.tree[idx] += delta;
             idx += idx & idx.wrapping_neg();
         }
-        self.total += delta;
+        self.total += delta as u64;
     }
 
-    /// Subtract `delta` from bucket `i`. Panics in debug builds if the
-    /// bucket would go negative (callers must pair adds and removes).
-    pub fn sub(&mut self, i: usize, delta: u64) {
-        debug_assert!(self.bucket(i) >= delta, "bucket {i} underflow");
-        assert!(i < self.len, "bucket {i} out of range {}", self.len);
-        let mut idx = i + 1;
-        while idx <= self.len {
-            self.tree[idx] -= delta;
-            idx += idx & idx.wrapping_neg();
+    /// Move `delta` from bucket `from` to bucket `to` (callers must only
+    /// move what the bucket holds). The two update
+    /// paths climb toward the root; from the first node they share, the
+    /// add and the subtract cancel, so the walk stops there.
+    pub fn shift(&mut self, from: usize, to: usize, delta: u32) {
+        assert!(
+            from < self.len && to < self.len,
+            "bucket {from} or {to} out of range {}",
+            self.len
+        );
+        let (mut i, mut j) = (from + 1, to + 1);
+        while i != j {
+            if i < j {
+                if i > self.len {
+                    break;
+                }
+                self.tree[i] -= delta;
+                i += i & i.wrapping_neg();
+            } else {
+                if j > self.len {
+                    break;
+                }
+                self.tree[j] += delta;
+                j += j & j.wrapping_neg();
+            }
         }
-        self.total -= delta;
     }
 
     /// Sum of buckets `0..=i`.
@@ -65,7 +82,7 @@ impl Fenwick {
         let mut idx = (i + 1).min(self.len);
         let mut sum = 0;
         while idx > 0 {
-            sum += self.tree[idx];
+            sum += self.tree[idx] as u64;
             idx -= idx & idx.wrapping_neg();
         }
         sum
@@ -118,13 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_bucket() {
+    fn shift_and_bucket() {
         let mut f = Fenwick::new(4);
         f.add(2, 3);
-        f.sub(2, 1);
+        f.shift(2, 0, 1);
         assert_eq!(f.bucket(2), 2);
         assert_eq!(f.bucket(1), 0);
-        assert_eq!(f.total(), 2);
+        assert_eq!(f.bucket(0), 1);
+        assert_eq!(f.total(), 3);
     }
 
     #[test]
@@ -137,6 +155,36 @@ mod tests {
     }
 
     #[test]
+    fn shift_matches_a_plain_vector() {
+        let mut x: u64 = 0x2545f4914f6cdd1d;
+        for len in [1usize, 2, 7, 64, 100, 8192] {
+            let mut f = Fenwick::new(len);
+            let mut model = vec![3u64; len];
+            for i in 0..len {
+                f.add(i, 3);
+            }
+            for _ in 0..500 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let from = (x % len as u64) as usize;
+                let to = ((x >> 20) % len as u64) as usize;
+                if model[from] == 0 {
+                    continue;
+                }
+                f.shift(from, to, 1);
+                model[from] -= 1;
+                model[to] += 1;
+            }
+            for i in 0..len {
+                let want: u64 = model[..=i].iter().sum();
+                assert_eq!(f.prefix(i), want, "len {len} prefix({i})");
+            }
+            assert_eq!(f.total(), 3 * len as u64);
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn out_of_range_panics() {
         let mut f = Fenwick::new(4);
@@ -145,8 +193,8 @@ mod tests {
 
     #[test]
     fn matches_naive_model() {
-        // Deterministic pseudo-random sequence of adds/subs, cross-checked
-        // against a plain vector.
+        // Deterministic pseudo-random sequence of adds and shifts,
+        // cross-checked against a plain vector.
         let mut f = Fenwick::new(64);
         let mut model = vec![0u64; 64];
         let mut x: u64 = 0x9E3779B97F4A7C15;
@@ -159,8 +207,10 @@ mod tests {
                 f.add(i, 1);
                 model[i] += 1;
             } else {
-                f.sub(i, 1);
+                let to = ((x >> 32) % 64) as usize;
+                f.shift(i, to, 1);
                 model[i] -= 1;
+                model[to] += 1;
             }
         }
         for i in 0..64 {

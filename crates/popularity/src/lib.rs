@@ -7,7 +7,8 @@
 //!   ([`FrequencyTracker::advance_to`]), never a count of events, so the
 //!   rate is per second on a server, per request or per week in a replay.
 //! * [`tracker`] — per-key decayed counts, normalized frequencies, `f_max`,
-//!   and popularity ranks.
+//!   and popularity ranks, stored in key-ordered chunks ([`chunks`]) that
+//!   clones share until one side writes.
 //! * [`rank`] — log-bucketed order statistics over a Fenwick tree
 //!   ([`fenwick`]) giving `O(log B)` approximate ranks.
 //! * [`topk`] — top-k extraction for the paper's distribution figures.
@@ -42,6 +43,7 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod chunks;
 pub mod decay;
 pub mod fenwick;
 pub mod rank;
@@ -56,4 +58,4 @@ pub use fenwick::Fenwick;
 pub use rank::RankIndex;
 pub use shardqueue::ShardedEventQueue;
 pub use topk::top_k;
-pub use tracker::FrequencyTracker;
+pub use tracker::{CountChunk, FrequencyTracker};

@@ -9,19 +9,119 @@
 //! time), and popularity *ranks* (needed by delay Eq. 1) come from the
 //! log-bucketed order statistics in [`crate::rank`].
 //!
+//! Counts live in key order, in [`CountChunk`]s of up to
+//! [`CHUNK_KEYS`](crate::chunks::CHUNK_KEYS) consecutive keys held by
+//! `Arc` ([`crate::chunks`]): about 8 bytes per tracked key when keys are
+//! dense, as a table's `RowId`s are within each page (keys scattered
+//! over the whole `u64` space would cost up to a chunk each; every
+//! caller keys by row id or by dense object id). Cloning a tracker
+//! copies one pointer per chunk and shares the chunks; a later record
+//! copies the one chunk it writes if a clone still holds it. A published
+//! snapshot therefore shares every chunk the live tracker has not
+//! touched since, and anything derived per chunk (the guard's packed
+//! delay table) can tell a touched chunk from an untouched one by
+//! pointer ([`Arc::ptr_eq`]).
+//!
 //! The same structure tracks update rates for the §3 update-rate scheme —
 //! "frequency" is just events per key.
 
+use crate::chunks::{split_key, KeyChunks, CHUNK_BITS, CHUNK_KEYS};
 use crate::decay::DecaySchedule;
-use crate::rank::RankIndex;
-use std::collections::HashMap;
+use crate::rank::{bucket_of, RankIndex};
+use std::sync::Arc;
+
+/// Raw counts of one run of [`CHUNK_KEYS`] consecutive keys.
+///
+/// Storage runs only up to the highest tracked slot: a `RowId` packs a
+/// page number above a 16-bit slot, so a table of wide rows uses a few
+/// low slots of each page's chunk and pays for those alone.
+#[derive(Debug, Clone)]
+pub struct CountChunk {
+    /// Bit `slot` set: the key in that slot is tracked.
+    tracked: [u64; CHUNK_KEYS / 64],
+    /// Raw (inflated) count per slot, up to the highest tracked one;
+    /// zero where untracked.
+    raw: Vec<f64>,
+}
+
+impl CountChunk {
+    fn empty() -> CountChunk {
+        CountChunk {
+            tracked: [0; CHUNK_KEYS / 64],
+            raw: Vec::new(),
+        }
+    }
+
+    /// The raw count in `slot`, if that key is tracked.
+    #[inline]
+    pub fn raw(&self, slot: usize) -> Option<f64> {
+        if self.tracked[slot / 64] >> (slot % 64) & 1 == 1 {
+            Some(self.raw[slot])
+        } else {
+            None
+        }
+    }
+
+    /// Track the key in `slot` with raw count `raw`.
+    #[inline]
+    fn set(&mut self, slot: usize, raw: f64) {
+        if slot >= self.raw.len() {
+            self.raw.resize(slot + 1, 0.0);
+        }
+        self.raw[slot] = raw;
+        self.tracked[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// One past the highest slot this chunk stores.
+    pub fn slots(&self) -> usize {
+        self.raw.len()
+    }
+
+    /// `(slot, raw count)` for every tracked key, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.tracked
+            .iter()
+            .enumerate()
+            .flat_map(move |(word, &bits)| {
+                let mut bits = bits;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let slot = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some((slot, self.raw[slot]))
+                })
+            })
+    }
+
+    /// Number of tracked keys.
+    pub fn len(&self) -> usize {
+        self.tracked.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether no key is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.tracked.iter().all(|&w| w == 0)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<CountChunk>() + self.raw.capacity() * std::mem::size_of::<f64>()
+    }
+}
 
 /// Tracks decayed event frequencies per `u64` key (RowIds, object ids).
 #[derive(Debug, Clone)]
 pub struct FrequencyTracker {
-    counts: HashMap<u64, f64>,
+    chunks: KeyChunks<Arc<CountChunk>>,
+    /// Position of the chunk the last record wrote: a scan's keys arrive
+    /// in order, so the next record usually lands in the same chunk.
+    cursor: usize,
+    /// Number of tracked keys.
+    tracked: usize,
     schedule: DecaySchedule,
-    rank: RankIndex,
+    /// Shared with clones until the next record, like the chunks.
+    rank: Arc<RankIndex>,
     /// Sum of all raw (inflated) counts.
     total_raw: f64,
     /// Largest raw count over all keys (raw counts only grow between
@@ -35,9 +135,11 @@ impl FrequencyTracker {
     /// A tracker with the given decay schedule.
     pub fn new(schedule: DecaySchedule) -> FrequencyTracker {
         FrequencyTracker {
-            counts: HashMap::new(),
+            chunks: KeyChunks::new(),
+            cursor: 0,
+            tracked: 0,
             schedule,
-            rank: RankIndex::new(),
+            rank: Arc::new(RankIndex::new()),
             total_raw: 0.0,
             max_raw: 0.0,
             events: 0,
@@ -81,6 +183,28 @@ impl FrequencyTracker {
         }
     }
 
+    /// The chunk holding `key`, writable (copied first if a clone still
+    /// shares it), created empty if no tracked key falls in it yet.
+    fn chunk_mut(&mut self, key: u64) -> (&mut CountChunk, usize) {
+        let (id, slot) = split_key(key);
+        let i = match self.chunks.find_from(id, self.cursor) {
+            Ok(i) => i,
+            Err(i) => {
+                self.chunks.insert(i, id, Arc::new(CountChunk::empty()));
+                i
+            }
+        };
+        self.cursor = i;
+        (Arc::make_mut(self.chunks.at_mut(i)), slot)
+    }
+
+    /// The raw count of `key`, if tracked.
+    fn raw(&self, key: u64) -> Option<f64> {
+        self.chunks
+            .get(key)
+            .and_then(|(chunk, slot)| chunk.raw(slot))
+    }
+
     /// Add a raw (already inflated) increment to a key's counter.
     ///
     /// Bumps `events` by one; weighted entry points add the remaining
@@ -91,23 +215,20 @@ impl FrequencyTracker {
     /// warm-started popularity) would dwarf the request count and push
     /// the "relative" frequency far above 1.
     fn apply(&mut self, key: u64, w: f64) {
-        use std::collections::hash_map::Entry;
-        let new = match self.counts.entry(key) {
-            Entry::Occupied(mut e) => {
-                // Already rank-indexed (possibly at count 0 via
-                // `ensure_tracked`): move, don't re-insert.
-                let old = *e.get();
-                *e.get_mut() += w;
-                let new = *e.get();
-                self.rank.update(old, new);
-                new
+        let (chunk, slot) = self.chunk_mut(key);
+        let old = chunk.raw(slot);
+        let new = old.map_or(w, |old| old + w);
+        chunk.set(slot, new);
+        let rank = Arc::make_mut(&mut self.rank);
+        match old {
+            // Already rank-indexed (possibly at count 0 via
+            // `ensure_tracked`): move, don't re-insert.
+            Some(old) => rank.shift(bucket_of(old), bucket_of(new)),
+            None => {
+                rank.insert(bucket_of(new));
+                self.tracked += 1;
             }
-            Entry::Vacant(e) => {
-                e.insert(w);
-                self.rank.insert(w);
-                w
-            }
-        };
+        }
         self.total_raw += w;
         if new > self.max_raw {
             self.max_raw = new;
@@ -119,20 +240,23 @@ impl FrequencyTracker {
     /// ("we assume all items are equally unpopular with frequencies of
     /// zero", §2.3). Zero-count keys rank below every key with events.
     pub fn ensure_tracked(&mut self, key: u64) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.counts.entry(key) {
-            e.insert(0.0);
-            self.rank.insert(0.0);
+        if self.contains(key) {
+            return;
         }
+        let (chunk, slot) = self.chunk_mut(key);
+        chunk.set(slot, 0.0);
+        Arc::make_mut(&mut self.rank).insert(bucket_of(0.0));
+        self.tracked += 1;
     }
 
     /// Whether `key` has ever been seen (recorded or pre-registered).
     pub fn contains(&self, key: u64) -> bool {
-        self.counts.contains_key(&key)
+        self.raw(key).is_some()
     }
 
     /// Number of distinct keys tracked (including zero-count keys).
     pub fn tracked(&self) -> usize {
-        self.counts.len()
+        self.tracked
     }
 
     /// Total events recorded.
@@ -143,8 +267,7 @@ impl FrequencyTracker {
     /// Decay-normalized count for `key`, in units of "equivalent fresh
     /// accesses". Unknown keys count as zero.
     pub fn count(&self, key: u64) -> f64 {
-        self.schedule
-            .normalize(self.counts.get(&key).copied().unwrap_or(0.0))
+        self.schedule.normalize(self.raw(key).unwrap_or(0.0))
     }
 
     /// Decay-normalized total of all counts.
@@ -180,8 +303,8 @@ impl FrequencyTracker {
     /// Approximate 1-based popularity rank of `key` among tracked keys
     /// (1 = most popular). Keys never seen rank after every tracked key.
     pub fn rank(&self, key: u64) -> usize {
-        match self.counts.get(&key) {
-            Some(&raw) => self.rank.rank(raw),
+        match self.raw(key) {
+            Some(raw) => self.rank.rank(raw),
             None => self.tracked() + 1,
         }
     }
@@ -190,31 +313,48 @@ impl FrequencyTracker {
     /// worst-rank tie semantics as [`FrequencyTracker::rank`]; the
     /// reference the tests compare against.
     pub fn exact_rank(&self, key: u64) -> usize {
-        let Some(&mine) = self.counts.get(&key) else {
+        let Some(mine) = self.raw(key) else {
             return self.tracked() + 1;
         };
-        let greater = self.counts.values().filter(|&&c| c > mine).count();
-        let tied = self.counts.values().filter(|&&c| c == mine).count();
+        let greater = self.raws().filter(|&(_, c)| c > mine).count();
+        let tied = self.raws().filter(|&(_, c)| c == mine).count();
         greater + tied.max(1)
     }
 
-    /// Iterate `(key, approximate 1-based rank)` pairs for every tracked
-    /// key, in arbitrary order. Each rank is exactly what
-    /// [`FrequencyTracker::rank`] would return for that key right now, so
-    /// a frozen tracker can be flattened into a rank table once and
-    /// probed without touching the hash map again (the snapshot pricing
-    /// fast path).
-    pub fn rank_table(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.counts
-            .iter()
-            .map(|(&k, &raw)| (k, self.rank.rank(raw)))
+    /// `(key, raw count)` for every tracked key, in key order.
+    fn raws(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.chunks.iter().flat_map(|(id, chunk)| {
+            chunk
+                .iter()
+                .map(move |(slot, raw)| (id << CHUNK_BITS | slot as u64, raw))
+        })
     }
 
-    /// Iterate `(key, decay-normalized count)` pairs in arbitrary order.
+    /// `(chunk id, chunk)` for every chunk, in key order: the chunk with
+    /// id `c` holds keys `c << CHUNK_BITS ..`. A chunk is a new `Arc`
+    /// whenever a record has written it since it was last shared, so a
+    /// table derived per chunk is rebuilt only where the pointer moved.
+    pub fn chunks(&self) -> impl Iterator<Item = (u64, &Arc<CountChunk>)> + '_ {
+        self.chunks.iter()
+    }
+
+    /// The rank index over every tracked key's raw count (the bucket of
+    /// a raw count is [`bucket_of`]).
+    pub fn rank_index(&self) -> &RankIndex {
+        &self.rank
+    }
+
+    /// Iterate `(key, approximate 1-based rank)` pairs for every tracked
+    /// key, in key order. Each rank is exactly what
+    /// [`FrequencyTracker::rank`] would return for that key right now.
+    pub fn rank_table(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.raws().map(|(k, raw)| (k, self.rank.rank(raw)))
+    }
+
+    /// Iterate `(key, decay-normalized count)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.counts
-            .iter()
-            .map(|(&k, &raw)| (k, self.schedule.normalize(raw)))
+        self.raws()
+            .map(|(k, raw)| (k, self.schedule.normalize(raw)))
     }
 
     /// Snapshot the tracker as `(key, decay-normalized count)` pairs
@@ -225,21 +365,33 @@ impl FrequencyTracker {
     /// different points in their inflated-increment/rescale cycles
     /// exchange state without either's arithmetic leaking into the other.
     pub fn export_counts(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self.iter().collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.iter().collect()
+    }
+
+    /// Heap bytes this tracker holds: its chunks, their directory and the
+    /// rank index (chunks shared with a clone count in full for both).
+    pub fn heap_bytes(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(|(_, c)| c.heap_bytes()).sum();
+        chunks + self.chunks.directory_bytes() + self.rank.heap_bytes()
     }
 
     /// Divide every stored quantity by the accumulated inflation factor and
     /// rebuild the rank index. Called automatically when the schedule
-    /// signals overflow risk.
+    /// signals overflow risk. Every chunk is written, so every chunk is
+    /// new afterwards.
     fn rescale(&mut self) {
         let f = self.schedule.take_rescale_factor();
         debug_assert!(f > 1.0);
-        self.rank.clear();
-        for v in self.counts.values_mut() {
-            *v /= f;
-            self.rank.insert(*v);
+        let rank = Arc::make_mut(&mut self.rank);
+        rank.clear();
+        for chunk in self.chunks.items_mut() {
+            let chunk = Arc::make_mut(chunk);
+            for v in chunk.raw.iter_mut() {
+                *v /= f;
+            }
+            for (_, raw) in chunk.iter() {
+                rank.insert(bucket_of(raw));
+            }
         }
         self.total_raw /= f;
         self.max_raw /= f;
@@ -264,7 +416,7 @@ mod tests {
         if t.total_raw <= 0.0 {
             return 0.0;
         }
-        t.counts.get(&key).copied().unwrap_or(0.0) / t.total_raw
+        t.raw(key).unwrap_or(0.0) / t.total_raw
     }
 
     #[test]
@@ -551,6 +703,35 @@ mod tests {
         for (key, rank) in table {
             assert_eq!(rank, t.rank(key), "key {key}");
         }
+    }
+
+    #[test]
+    fn clones_share_chunks_until_written() {
+        let mut t = FrequencyTracker::new(DecaySchedule::new(10.0).with_rescale_threshold(1e6));
+        for key in 0..1000u64 {
+            t.record(key);
+        }
+        let frozen = t.clone();
+        let moved = |a: &FrequencyTracker, b: &FrequencyTracker| -> Vec<u64> {
+            a.chunks()
+                .zip(b.chunks())
+                .filter(|((_, x), (_, y))| !Arc::ptr_eq(x, y))
+                .map(|((id, _), _)| id)
+                .collect()
+        };
+        assert!(moved(&t, &frozen).is_empty());
+        t.record(300);
+        t.ensure_tracked(301);
+        assert_eq!(moved(&t, &frozen), vec![1], "only chunk 1 was written");
+        assert_eq!(frozen.count(300), 1.0);
+        assert_eq!(t.count(300), 2.0);
+        t.advance_to(6.0);
+        assert_eq!(t.schedule().rescales(), 1);
+        assert_eq!(
+            moved(&t, &frozen),
+            vec![0, 1, 2, 3],
+            "a rescale writes every chunk"
+        );
     }
 
     #[test]

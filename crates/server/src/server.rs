@@ -213,13 +213,16 @@ impl SendQueue {
 
     /// Wait until every queued frame has been taken for the socket, or
     /// `timeout` has passed on `clock`.
-    fn wait_drained(&self, clock: &dyn Clock, timeout: Duration) {
-        let deadline = clock.now_nanos().saturating_add(timeout.as_nanos() as u64);
+    fn wait_drained(&self, clock: &dyn Clock, deadline: u64) {
         while !self.inner.lock().frames.is_empty() && clock.now_nanos() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
+
+/// How long shutdown waits, on the server's clock, first for every send
+/// queue to drain and then for every writer's final flush.
+const SHUTDOWN_FLUSH_NANOS: u64 = 10_000_000_000;
 
 /// A write-out sends at most this many bytes per socket write: a larger
 /// burst leaves in several, bounding the encode buffer.
@@ -490,23 +493,29 @@ impl ServerHandle {
             let _ = t.join();
         }
         shared.gate.db().refresh();
-        // 4. Flush and close every send queue, then unblock readers.
+        // 4. Flush and close every send queue, then unblock readers. All
+        //    connections share one flush deadline and then one writer
+        //    deadline, so any number of clients that stopped reading
+        //    delay shutdown by at most twice the flush timeout.
         let conns: Vec<Arc<Conn>> = shared.conns.lock().drain(..).collect();
+        let clock = shared.clock.as_ref();
+        let deadline = clock.now_nanos().saturating_add(SHUTDOWN_FLUSH_NANOS);
         for conn in &conns {
             if conn.done.load(Ordering::SeqCst) {
                 continue;
             }
-            conn.queue
-                .wait_drained(shared.clock.as_ref(), Duration::from_secs(10));
+            conn.queue.wait_drained(clock, deadline);
             conn.close();
         }
+        // Wait for the writers' final flushes before severing the
+        // streams, so clients receive every drained frame.
+        let deadline = clock.now_nanos().saturating_add(SHUTDOWN_FLUSH_NANOS);
+        while clock.now_nanos() < deadline
+            && conns.iter().any(|c| !c.writer_done.load(Ordering::SeqCst))
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         for conn in &conns {
-            // Wait for the writer's final flush before severing the
-            // stream, so clients receive every drained frame.
-            let deadline = shared.clock.now_nanos() + secs_to_nanos(10.0);
-            while !conn.writer_done.load(Ordering::SeqCst) && shared.clock.now_nanos() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         // 5. Stop accepting and join everything. The accept thread is

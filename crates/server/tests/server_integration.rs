@@ -905,12 +905,9 @@ impl Clock for SkippingClock {
     }
 }
 
-/// A client that pipelines 12 MB of results and never reads wedges its
-/// own session in a socket write, and nothing else: another client is
-/// served as usual, and `shutdown()` still returns once the stuck
-/// connection's flush timeout has passed on the server's clock.
-#[test]
-fn a_client_that_stops_reading_stalls_only_its_own_session() {
+/// A server on a [`SkippingClock`] holding 64 rows of 8 KB in `blobs`
+/// and one row in `directory`, pricing everything at zero delay.
+fn blob_server() -> (Arc<SkippingClock>, ServerHandle) {
     let clock = Arc::new(SkippingClock {
         real: RealClock::new(),
         skipped_nanos: AtomicU64::new(0),
@@ -944,10 +941,14 @@ fn a_client_that_stops_reading_stalls_only_its_own_session() {
         },
         Arc::new(db),
     );
-    let addr = handle.addr();
+    (clock, handle)
+}
 
-    // 24 scans of 512 KB each, far more than the socket buffers hold.
-    let (mut stuck, _unread, user) = raw_session(addr);
+/// Open a session that pipelines 24 scans of 512 KB each, far more than
+/// the socket buffers hold, and never reads a reply. The returned
+/// streams keep the connection open.
+fn stop_reading(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let (mut stuck, unread, user) = raw_session(addr);
     let mut burst = Vec::new();
     for query_id in 0..24 {
         let sql = "SELECT * FROM blobs".to_string();
@@ -962,6 +963,41 @@ fn a_client_that_stops_reading_stalls_only_its_own_session() {
         .unwrap();
     }
     stuck.write_all(&burst).unwrap();
+    (stuck, unread)
+}
+
+/// Shut `handle` down while skipping its clock 100 ms every 10 ms of
+/// real time; returns the clock time skipped before shutdown returned.
+/// Each of shutdown's timed waits overshoots its deadline by at most one
+/// step.
+fn shutdown_skipping(clock: &SkippingClock, handle: ServerHandle) -> Duration {
+    let (done_tx, done_rx) = mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        handle.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    let waited = Instant::now();
+    while done_rx.try_recv().is_err() {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "shutdown hung on a client that stopped reading"
+        );
+        clock.skipped_nanos.fetch_add(100_000_000, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shutdown.join().unwrap();
+    Duration::from_nanos(clock.skipped_nanos.load(Ordering::SeqCst))
+}
+
+/// A client that pipelines 12 MB of results and never reads wedges its
+/// own session in a socket write, and nothing else: another client is
+/// served as usual, and `shutdown()` still returns once the stuck
+/// connection's flush timeout has passed on the server's clock.
+#[test]
+fn a_client_that_stops_reading_stalls_only_its_own_session() {
+    let (clock, handle) = blob_server();
+    let addr = handle.addr();
+    let _stuck = stop_reading(addr);
     std::thread::sleep(Duration::from_millis(200));
 
     let served = Instant::now();
@@ -975,22 +1011,22 @@ fn a_client_that_stops_reading_stalls_only_its_own_session() {
         outcome => panic!("the other client was not served: {outcome:?}"),
     }
     assert!(served.elapsed() < Duration::from_secs(5));
+    shutdown_skipping(&clock, handle);
+}
 
-    let (done_tx, done_rx) = mpsc::channel();
-    let shutdown = std::thread::spawn(move || {
-        handle.shutdown();
-        done_tx.send(()).unwrap();
-    });
-    let waited = Instant::now();
-    while done_rx.try_recv().is_err() {
-        assert!(
-            waited.elapsed() < Duration::from_secs(30),
-            "shutdown hung on a client that stopped reading"
-        );
-        clock
-            .skipped_nanos
-            .fetch_add(1_000_000_000, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    shutdown.join().unwrap();
+/// Shutdown waits once for every connection, not once per connection:
+/// with three clients that stopped reading, it returns after one shared
+/// flush timeout plus one shared writer timeout (10 s each) of server
+/// clock time, not after both timeouts per client.
+#[test]
+fn shutdown_waits_once_for_every_stuck_client() {
+    let (clock, handle) = blob_server();
+    let addr = handle.addr();
+    let _stuck: Vec<_> = (0..3).map(|_| stop_reading(addr)).collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let skipped = shutdown_skipping(&clock, handle);
+    assert!(
+        skipped <= Duration::from_secs(21),
+        "shutdown took {skipped:?} of server clock time for three stuck clients"
+    );
 }

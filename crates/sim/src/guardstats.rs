@@ -3,7 +3,8 @@
 //! The guard's lock-free read path trades exactness for bounded
 //! staleness, so operators need to *see* the bound being honored: how old
 //! the current [`delayguard_core::PolicySnapshot`] is, how many recorded
-//! accesses are waiting to be folded in, and how often rebuilds run. The
+//! accesses are waiting to be folded in, how often rebuilds run, and what
+//! the last one cost (its duration and the keys it re-packed). The
 //! server's refresher thread calls [`GuardStatsPublisher::publish`] once
 //! per epoch; simulations can call it ad hoc around experiment phases.
 
@@ -24,6 +25,10 @@ pub struct GuardStatsPublisher {
     pub rebuilds: Counter,
     /// Events drained into the trackers since the guard started.
     pub events_applied: Counter,
+    /// Duration of the last snapshot rebuild, in whole microseconds.
+    pub rebuild_micros: Gauge,
+    /// Keys whose packed delays the last snapshot rebuild re-read.
+    pub keys_repacked: Gauge,
 }
 
 impl GuardStatsPublisher {
@@ -35,6 +40,8 @@ impl GuardStatsPublisher {
             pending_events: registry.gauge("guard_pending_events"),
             rebuilds: registry.counter("guard_snapshot_rebuilds_total"),
             events_applied: registry.counter("guard_events_applied_total"),
+            rebuild_micros: registry.gauge("guard_snapshot_rebuild_micros"),
+            keys_repacked: registry.gauge("guard_snapshot_keys_repacked"),
         }
     }
 
@@ -53,6 +60,10 @@ impl GuardStatsPublisher {
             .set(stats.version.min(i64::MAX as u64) as i64);
         self.pending_events
             .set(stats.pending_events.min(i64::MAX as usize) as i64);
+        self.rebuild_micros
+            .set((stats.last_rebuild_secs.max(0.0) * 1e6).round() as i64);
+        self.keys_repacked
+            .set(stats.last_keys_repacked.min(i64::MAX as u64) as i64);
         // Counters are monotone; republish only the delta since last time.
         let applied = self.events_applied.get();
         if stats.events_applied > applied {
@@ -96,6 +107,23 @@ mod tests {
             registry.value("guard_events_applied_total"),
             Some(MetricValue::Counter(n)) if n == stats.events_applied
         ));
+        // The refresh re-read the one chunk holding both rows.
+        assert_eq!(stats.last_keys_repacked, 2);
+        let gauge = |name| match registry.value(name) {
+            Some(MetricValue::Gauge { value, .. }) => value,
+            other => panic!("{name}: unexpected {other:?}"),
+        };
+        assert_eq!(gauge("guard_snapshot_keys_repacked"), 2);
+        assert_eq!(
+            gauge("guard_snapshot_rebuild_micros"),
+            (stats.last_rebuild_secs * 1e6).round() as i64
+        );
+
+        // A refresh with nothing written re-reads nothing.
+        db.refresh();
+        let idle = pub1.publish(&db);
+        assert_eq!(idle.last_keys_repacked, 0);
+        assert_eq!(gauge("guard_snapshot_keys_repacked"), 0);
     }
 
     #[test]
