@@ -544,6 +544,10 @@ pub struct GuardedDatabase {
     queue: ShardedEventQueue<AccessEvent>,
     /// The immutable read view, atomically replaced by the refresher.
     snapshot: ArcSwap<PolicySnapshot>,
+    /// `built_at_secs` of the published snapshot, as `f64` bits, stored
+    /// when it is published: the staleness check reads the age here
+    /// without pinning the snapshot.
+    snapshot_built_at: AtomicU64,
     /// Serializes drain/apply/rebuild. Query threads only ever `try_lock`
     /// it, so the hot path never blocks here.
     refresh_lock: Mutex<()>,
@@ -607,6 +611,8 @@ impl GuardedDatabase {
             engine,
             queue: ShardedEventQueue::new(shard_count),
             snapshot: ArcSwap::from_pointee(PolicySnapshot::empty()),
+            // 0.0 s, the empty snapshot's build time.
+            snapshot_built_at: AtomicU64::new(0),
             refresh_lock: Mutex::new(()),
             mutations: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
@@ -984,8 +990,8 @@ impl GuardedDatabase {
         if pending >= self.config.snapshot.max_pending_events {
             return true;
         }
-        let snap = self.snapshot.load_full();
-        self.now_secs() - snap.built_at_secs >= self.config.snapshot.max_age_secs
+        let built_at = f64::from_bits(self.snapshot_built_at.load(Ordering::Relaxed));
+        self.now_secs() - built_at >= self.config.snapshot.max_age_secs
     }
 
     /// Opportunistic refresh: rebuild only if stale, and only if no other
@@ -1100,13 +1106,16 @@ impl GuardedDatabase {
         }
         drop(remote);
         self.remote_applied.store(remote_ver, Ordering::Release);
+        let built_at_secs = self.now_secs();
         self.snapshot.store(Arc::new(PolicySnapshot {
             tables,
             version: old.version + 1,
-            built_at_secs: self.now_secs(),
+            built_at_secs,
             mutations_seen: seen,
             shaping: self.config.shaping,
         }));
+        self.snapshot_built_at
+            .store(built_at_secs.to_bits(), Ordering::Relaxed);
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.last_rebuild_nanos.store(
             self.clock.now_nanos().saturating_sub(started),

@@ -12,7 +12,11 @@
 //!
 //! * [`FrameSink`]: where response frames go. The TCP server's bounded
 //!   `SendQueue` implements it; the testkit's in-memory connection does
-//!   too. `try_reserve_rows` is the backpressure seam: a `SELECT`
+//!   too. Replies are encoded where they are released: each release
+//!   batch reaches the sink as one [`Frame::Encoded`] run of wire bytes,
+//!   laid down from the executor's borrowed rows, which holds `rows`
+//!   reserved slots and which the TCP writer only copies to the socket.
+//!   `try_reserve_rows` is the backpressure seam: a `SELECT`
 //!   reserves send-queue slots chunk by chunk as the executor produces
 //!   rows ([`GateConfig::stream_chunk_rows`]) and is refused
 //!   `Overloaded` the moment a chunk does not fit — *before* that
@@ -28,7 +32,10 @@
 //! properties of the code the real server runs — not of a model of it.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{Frame, RefuseReason, PROTOCOL_VERSION, ROWS_UNKNOWN};
+use crate::protocol::{
+    encode_frame_into, encode_row_into, encode_rows_begin_into, row_frame_len, Frame, RefuseReason,
+    PROTOCOL_VERSION, ROWS_UNKNOWN,
+};
 use crate::scheduler::{DelayScheduler, Job};
 use delayguard_core::clock::{secs_to_nanos, Clock};
 use delayguard_core::gatekeeper::{
@@ -49,12 +56,12 @@ use std::sync::Arc;
 /// bounded per-connection send queue and by the testkit's simulated
 /// connection.
 pub trait FrameSink: Send + Sync + 'static {
-    /// Queue a control frame (registration, refusal, begin/done, stats,
-    /// error). Control frames bypass the row budget; they are small and
-    /// bounded by the client's own request rate.
+    /// Queue a control frame (registration, refusal, stats, error).
+    /// Control frames bypass the row budget; they are small and bounded
+    /// by the client's own request rate.
     fn push_control(&self, frame: Frame);
 
-    /// Queue a row frame into a slot previously reserved with
+    /// Queue a frame that fills slots previously reserved with
     /// [`FrameSink::try_reserve_rows`]. Must never block: scheduler jobs
     /// call this on the wheel thread.
     fn push_row(&self, frame: Frame);
@@ -64,25 +71,22 @@ pub trait FrameSink: Send + Sync + 'static {
     /// boundary (with nothing from that chunk charged).
     fn try_reserve_rows(&self, n: usize) -> bool;
 
-    /// Queue one release batch, in order: the frames a `SELECT` chunk's
-    /// charge found already due or a write's `MUTATED` confirmation
-    /// (pushed on the session thread), or those one wheel job releases at
-    /// a scheduler tick. Row frames go into slots previously reserved
-    /// with [`FrameSink::try_reserve_rows`]; when the result ends in the
-    /// batch, the control frames that close it follow. Must never block,
-    /// like [`FrameSink::push_row`]. The default forwards one frame at a
-    /// time; transports with a locked per-connection queue override it
-    /// to take the lock once per batch. The TCP transport wakes its
-    /// writer thread only for a batch pushed off the session thread (a
-    /// wheel release); a session's own batches wait for the session to
-    /// send them with the rest of its input burst.
+    /// Queue several frames in order; must never block, like
+    /// [`FrameSink::push_row`]. The default forwards them one at a time.
+    ///
+    /// The front door encodes replies where it releases them, so each
+    /// release batch — what a `SELECT` chunk's charge found already due,
+    /// a write's `MUTATED`, or what one wheel job releases at a tick — is
+    /// already one [`Frame::Encoded`] run of wire bytes, pushed alone. A
+    /// run holds `rows` of the slots reserved with
+    /// [`FrameSink::try_reserve_rows`] (one per `ROW` and `MUTATED`) and
+    /// arrives through [`FrameSink::push_row`], or through
+    /// [`FrameSink::push_control`] when it holds none. A transport writes
+    /// a run by copying its bytes; a sink that inspects frames expands it
+    /// with [`Frame::expand_into`].
     fn push_batch(&self, frames: &mut Vec<Frame>) {
         for frame in frames.drain(..) {
-            if holds_row_slot(&frame) {
-                self.push_row(frame);
-            } else {
-                self.push_control(frame);
-            }
+            push_frame(self, frame);
         }
     }
 
@@ -94,12 +98,27 @@ pub trait FrameSink: Send + Sync + 'static {
     fn release_rows(&self, _n: usize) {}
 }
 
-/// Whether `frame` occupies a send-queue slot reserved with
-/// [`FrameSink::try_reserve_rows`]: result rows, and the `MUTATED`
-/// confirmation a write reserves before it applies. Every other frame
+/// Push `frame` into `sink`: as a row push when it fills reserved row
+/// slots, else as a control push.
+fn push_frame<S: FrameSink + ?Sized>(sink: &S, frame: Frame) {
+    if row_slots(&frame) > 0 {
+        sink.push_row(frame);
+    } else {
+        sink.push_control(frame);
+    }
+}
+
+/// How many send-queue slots reserved with
+/// [`FrameSink::try_reserve_rows`] `frame` fills: one for a result row
+/// and for the `MUTATED` confirmation a write reserves before it
+/// applies, a run's `rows`, and none for every other frame, which
 /// bypasses the row budget.
-pub(crate) fn holds_row_slot(frame: &Frame) -> bool {
-    matches!(frame, Frame::Row { .. } | Frame::Mutated { .. })
+pub(crate) fn row_slots(frame: &Frame) -> usize {
+    match frame {
+        Frame::Row { .. } | Frame::Mutated { .. } => 1,
+        Frame::Encoded { rows, .. } => *rows,
+        _ => 0,
+    }
 }
 
 /// Which write verb a mutation frame carried. The opcode is the
@@ -781,7 +800,7 @@ impl FrontDoor {
                 let mut releases = self.releases(sink);
                 releases.push(
                     deadline,
-                    Frame::Mutated {
+                    &Frame::Mutated {
                         query_id,
                         rows,
                         data_version,
@@ -876,15 +895,12 @@ impl FrontDoor {
             }
             if !began {
                 began = true;
-                sink.push_control(Frame::RowsBegin {
-                    query_id,
-                    columns: stream.columns().to_vec(),
-                    rows: if trailer_framing {
-                        ROWS_UNKNOWN
-                    } else {
-                        n as u32
-                    },
-                });
+                let rows = if trailer_framing {
+                    ROWS_UNKNOWN
+                } else {
+                    n as u32
+                };
+                releases.begin(query_id, stream.columns(), rows);
             }
             seq = releases.rows(
                 query_id,
@@ -902,7 +918,7 @@ impl FrontDoor {
                 if trailer_framing {
                     releases.push(
                         done_at,
-                        Frame::RowsEnd {
+                        &Frame::RowsEnd {
                             query_id,
                             rows: seq,
                         },
@@ -910,7 +926,7 @@ impl FrontDoor {
                 }
                 releases.push(
                     done_at,
-                    Frame::Done {
+                    &Frame::Done {
                         query_id,
                         delay_secs: stream.delay_secs(),
                         tuples: seq,
@@ -934,9 +950,11 @@ impl FrontDoor {
             scheduler: &self.scheduler,
             clock: self.clock.as_ref(),
             now: 0,
+            by_tick: false,
             on_wheel: false,
             jobs: Vec::new(),
-            batch: Vec::new(),
+            bytes: Vec::new(),
+            slots: 0,
             batch_deadline: 0,
         }
     }
@@ -953,14 +971,24 @@ impl FrontDoor {
 ///   the wheel, every later frame goes there too, so a due frame can
 ///   never overtake an earlier one whose tick has not fired yet.
 ///
+/// Frames are encoded as they are released: each batch is laid down as
+/// wire bytes, straight from the executor's borrowed rows and the
+/// stream's borrowed column names, and reaches the sink as one
+/// [`Frame::Encoded`] run, sized up front for the rows that join it. The
+/// release path allocates per batch, never per row or per column, and
+/// the writer only copies bytes.
+///
 /// Due frames gather into one batch however many ticks their deadlines
-/// span, and each chunk's due batch is one [`FrameSink::push_batch`]: no
-/// boxed job, no wheel lock, no scheduler wake-up. On the wheel,
-/// consecutive frames whose deadlines land on the same scheduler tick are
-/// coalesced into one job that hands the sink the whole batch at once
-/// (one queue lock and one writer wakeup per tick per connection instead
-/// of one per frame), and a chunk's jobs are filed under one wheel-lock
-/// acquisition ([`DelayScheduler::schedule_batch`]). Release times and
+/// span, and each chunk's due batch is one push: no boxed job, no wheel
+/// lock, no scheduler wake-up. From the first frame still ahead of the
+/// clock on, consecutive frames whose deadlines land on the same
+/// scheduler tick form one batch. Each is pushed as it is completed if
+/// its deadline has passed by then and nothing of the statement waits on
+/// the wheel (the clock is read as late as it can be), and is otherwise
+/// one job that hands the sink the whole batch at once (one queue lock
+/// and one writer wakeup per tick per connection instead of one per
+/// frame); a chunk's jobs are filed under one wheel-lock acquisition
+/// ([`DelayScheduler::schedule_batch`]). Release times and
 /// frame order on the wheel are exactly those of frame-at-a-time
 /// scheduling: a batch fires at the shared tick, and the wheel's same-tick
 /// insertion order is preserved.
@@ -971,33 +999,43 @@ struct Releases<'a, S: FrameSink> {
     /// The latest clock reading: a deadline at or before it has elapsed.
     /// Read again only when a deadline lies past it.
     now: u64,
+    /// Batches follow scheduler ticks: some frame of the statement was
+    /// still ahead of the clock when it was laid down.
+    by_tick: bool,
     /// Some frame of the statement has gone on the wheel.
     on_wheel: bool,
     jobs: Vec<(u64, Job)>,
-    batch: Vec<Frame>,
-    /// The latest deadline in `batch`.
+    /// The batch being built: whole wire frames, back to back.
+    bytes: Vec<u8>,
+    /// Row slots the frames in `bytes` fill.
+    slots: usize,
+    /// The latest deadline in the batch.
     batch_deadline: u64,
 }
 
+/// Bytes a result's closing `ROWS_END` (13) and `DONE` (21) frames take,
+/// length prefixes included; a write's `MUTATED` (21) fits too.
+const TRAILER_BYTES: usize = 34;
+
 impl<'a, S: FrameSink> Releases<'a, S> {
-    /// Release `frame` at `deadline`, after everything pushed before it.
-    fn push(&mut self, deadline: u64, frame: Frame) {
-        if !self.on_wheel && !self.elapsed(deadline) {
-            // The first frame still ahead of the clock: the due frames
-            // before it go out now, and it and every later frame of the
-            // statement wait on the wheel.
-            self.flush();
-            self.on_wheel = true;
-        } else if self.on_wheel && !self.batch.is_empty() {
-            let tick_nanos = self.scheduler.tick_nanos();
-            if deadline.div_ceil(tick_nanos) != self.batch_deadline.div_ceil(tick_nanos) {
-                self.flush();
-            }
+    /// Release `ROWS_BEGIN` now: it waits for no deadline, so it leads
+    /// the first due batch, or leaves alone ahead of rows on the wheel.
+    fn begin(&mut self, query_id: u32, columns: &[String], rows: u32) {
+        let start = self.bytes.len();
+        encode_rows_begin_into(query_id, columns, rows, &mut self.bytes);
+        self.settle(start, 0, 0, |_| 0);
+    }
+
+    /// Release `frame` (a trailer or a `MUTATED` confirmation) at
+    /// `deadline`, after everything pushed before it.
+    fn push(&mut self, deadline: u64, frame: &Frame) {
+        self.next_tick(deadline);
+        self.bytes.reserve(TRAILER_BYTES);
+        let start = self.bytes.len();
+        // A few fixed-size fields: always far below the frame limit.
+        if encode_frame_into(frame, &mut self.bytes).is_ok() {
+            self.settle(start, deadline, row_slots(frame), |_| TRAILER_BYTES);
         }
-        if self.batch.is_empty() || deadline > self.batch_deadline {
-            self.batch_deadline = deadline;
-        }
-        self.batch.push(frame);
     }
 
     /// Release each row at its charged offset from `issued_at_nanos`,
@@ -1010,13 +1048,94 @@ impl<'a, S: FrameSink> Releases<'a, S> {
         rows: &[(RowId, Row)],
         offsets: &[f64],
     ) -> u32 {
-        for ((_rid, row), &offset) in rows.iter().zip(offsets) {
-            let deadline = issued_at_nanos.saturating_add(secs_to_nanos(offset));
-            let row = row.clone();
-            self.push(deadline, Frame::Row { query_id, seq, row });
+        let deadline_of = |offset: f64| issued_at_nanos.saturating_add(secs_to_nanos(offset));
+        for (i, ((_rid, row), &offset)) in rows.iter().zip(offsets).enumerate() {
+            let deadline = deadline_of(offset);
+            self.next_tick(deadline);
+            // Size each batch once, when it starts: while the statement
+            // is due, for every row of the chunk; once batches follow
+            // ticks, for the rows on this one's tick. A trailer fits
+            // after them.
+            if i == 0 && !self.by_tick {
+                let chunk: usize = rows.iter().map(|(_, r)| row_frame_len(r)).sum();
+                self.bytes.reserve(chunk + TRAILER_BYTES);
+            } else if self.bytes.is_empty() {
+                let tick = self.tick_bytes(deadline, &rows[i..], &offsets[i..], deadline_of);
+                self.bytes.reserve(tick + TRAILER_BYTES);
+            }
+            let start = self.bytes.len();
+            encode_row_into(query_id, seq, row, &mut self.bytes);
+            self.settle(start, deadline, 1, |releases| {
+                let rest = (&rows[i + 1..], &offsets[i + 1..]);
+                releases.tick_bytes(deadline, rest.0, rest.1, deadline_of) + TRAILER_BYTES
+            });
             seq += 1;
         }
         seq
+    }
+
+    /// Once batches follow ticks, a frame released on a later tick than
+    /// the batch's releases the batch and starts the next.
+    fn next_tick(&mut self, deadline: u64) {
+        if self.by_tick && !self.bytes.is_empty() && !self.same_tick(deadline, self.batch_deadline)
+        {
+            self.flush();
+        }
+    }
+
+    /// Settle the frame just laid down at `bytes[start..]`, released at
+    /// `deadline` and filling `slots` row slots. Until batches follow
+    /// ticks, the frame stays in the one due batch if the clock has
+    /// reached its deadline (read only now, with the frame encoded). If
+    /// it has not, the frames before it go out now, and it starts the
+    /// first per-tick batch, with `room` bytes for the frames that will
+    /// join it.
+    fn settle(
+        &mut self,
+        start: usize,
+        deadline: u64,
+        slots: usize,
+        room: impl FnOnce(&mut Self) -> usize,
+    ) {
+        let starts_batch = if !self.by_tick && !self.elapsed(deadline) {
+            if start > 0 {
+                let mut frame = Vec::with_capacity(self.bytes.len() - start + room(self));
+                frame.extend_from_slice(&self.bytes[start..]);
+                self.bytes.truncate(start);
+                self.flush();
+                self.bytes = frame;
+            }
+            self.by_tick = true;
+            true
+        } else {
+            start == 0
+        };
+        if starts_batch || deadline > self.batch_deadline {
+            self.batch_deadline = deadline;
+        }
+        self.slots += slots;
+    }
+
+    /// Whether deadlines `a` and `b` land on the same scheduler tick.
+    fn same_tick(&self, a: u64, b: u64) -> bool {
+        let tick_nanos = self.scheduler.tick_nanos();
+        a.div_ceil(tick_nanos) == b.div_ceil(tick_nanos)
+    }
+
+    /// Encoded bytes of the leading `rows` whose deadlines land on the
+    /// tick of `deadline`.
+    fn tick_bytes(
+        &self,
+        deadline: u64,
+        rows: &[(RowId, Row)],
+        offsets: &[f64],
+        deadline_of: impl Fn(f64) -> u64,
+    ) -> usize {
+        rows.iter()
+            .zip(offsets)
+            .take_while(|&(_, &offset)| self.same_tick(deadline_of(offset), deadline))
+            .map(|((_, row), _)| row_frame_len(row))
+            .sum()
     }
 
     /// Release a control frame at `deadline`, after every frame before it.
@@ -1036,14 +1155,16 @@ impl<'a, S: FrameSink> Releases<'a, S> {
         !self.on_wheel
     }
 
+    /// Release the batch as one run.
     fn flush(&mut self) {
-        if self.batch.is_empty() {
+        if self.bytes.is_empty() {
             return;
         }
-        let mut frames = std::mem::take(&mut self.batch);
-        self.release(self.batch_deadline, move |sink| {
-            sink.push_batch(&mut frames)
-        });
+        let run = Frame::Encoded {
+            rows: std::mem::take(&mut self.slots),
+            bytes: std::mem::take(&mut self.bytes),
+        };
+        self.release(self.batch_deadline, move |sink| push_frame(sink, run));
     }
 
     /// Run `deliver` against the sink at `deadline`: now, if it has

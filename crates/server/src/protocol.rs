@@ -33,7 +33,7 @@
 
 use delayguard_core::gatekeeper::{Charge, GateDelta, SubnetCharges};
 use delayguard_core::replica::{ReplicaDelta, TableDelta};
-use delayguard_storage::codec::{decode_row, encode_row};
+use delayguard_storage::codec::{decode_row, encode_row, encoded_row_len};
 use delayguard_storage::Row;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -170,6 +170,14 @@ pub enum Frame {
     /// Acknowledges the highest `seq` folded from `origin`, so the sender
     /// can skip unchanged re-sends.
     DeltaAck { origin: u16, seq: u64 },
+    /// A run of reply frames already laid down as wire bytes, back to
+    /// back, length prefixes included: one release batch of a statement,
+    /// encoded where the front door released it. `rows` counts the
+    /// reserved send-queue slots its frames fill (one per `ROW` and
+    /// `MUTATED`). Encoding a run copies its bytes; decoding never
+    /// produces one, and [`Frame::expand_into`] recovers the frames it
+    /// holds.
+    Encoded { rows: usize, bytes: Vec<u8> },
 }
 
 mod opcode {
@@ -238,6 +246,25 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+fn put_rows_begin(out: &mut Vec<u8>, query_id: u32, columns: &[String], rows: u32) {
+    out.push(opcode::ROWS_BEGIN);
+    put_u32(out, query_id);
+    out.extend_from_slice(&(columns.len() as u16).to_le_bytes());
+    for c in columns {
+        put_str(out, c);
+    }
+    put_u32(out, rows);
+}
+
+fn put_row(out: &mut Vec<u8>, query_id: u32, seq: u32, row: &Row) {
+    out.push(opcode::ROW);
+    put_u32(out, query_id);
+    put_u32(out, seq);
+    // Serialize the row straight into the frame buffer: no temporary
+    // per-row Vec, no second copy.
+    encode_row(row, out);
 }
 
 fn put_counts(out: &mut Vec<u8>, counts: &[(u64, f64)]) {
@@ -528,24 +555,8 @@ impl Frame {
                 query_id,
                 columns,
                 rows,
-            } => {
-                out.push(opcode::ROWS_BEGIN);
-                put_u32(out, *query_id);
-                out.extend_from_slice(&(columns.len() as u16).to_le_bytes());
-                for c in columns {
-                    put_str(out, c);
-                }
-                put_u32(out, *rows);
-            }
-            Frame::Row { query_id, seq, row } => {
-                out.push(opcode::ROW);
-                put_u32(out, *query_id);
-                put_u32(out, *seq);
-                // Serialize the row straight into the frame buffer; the
-                // old `extend_from_slice(&row_bytes(row))` built a
-                // temporary Vec per row and copied it again.
-                encode_row(row, out);
-            }
+            } => put_rows_begin(out, *query_id, columns, *rows),
+            Frame::Row { query_id, seq, row } => put_row(out, *query_id, *seq, row),
             Frame::RowsEnd { query_id, rows } => {
                 out.push(opcode::ROWS_END);
                 put_u32(out, *query_id);
@@ -589,6 +600,26 @@ impl Frame {
                 out.extend_from_slice(&origin.to_le_bytes());
                 put_u64(out, *seq);
             }
+            Frame::Encoded { .. } => {
+                unreachable!("a run is whole frames, copied by encode_frame_into")
+            }
+        }
+    }
+
+    /// Append the frames `self` stands for onto `out`: the frames a
+    /// [`Frame::Encoded`] run holds, decoded in order, or else `self`.
+    /// For sinks that inspect what the front door releases (the
+    /// simulated link, test recorders): they see one frame per row.
+    pub fn expand_into(self, out: &mut Vec<Frame>) {
+        let Frame::Encoded { bytes, .. } = self else {
+            out.push(self);
+            return;
+        };
+        let mut rest = &bytes[..];
+        while let Some((len, tail)) = rest.split_first_chunk::<4>() {
+            let (body, next) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            out.push(Frame::decode_body(body).expect("a run holds only frames its encoder wrote"));
+            rest = next;
         }
     }
 
@@ -703,25 +734,59 @@ impl Frame {
     }
 }
 
-/// Append one complete wire frame (`len: u32 LE | opcode | payload`)
-/// onto `out`.
-///
-/// The 4-byte length prefix is reserved up front and patched after the
-/// body is encoded, so the frame is laid down in a single pass with no
-/// intermediate body buffer. Appends (rather than clears) so a writer
-/// can coalesce a burst of frames into one buffer and one syscall; on an
-/// oversized frame `out` is rolled back to its prior length.
-pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+/// Lay one frame down at the end of `out`: a 4-byte length prefix,
+/// patched once `body` has appended the opcode and payload, so the frame
+/// is written in a single pass with no intermediate body buffer. Returns
+/// the body length.
+fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    frame.encode_body_into(out);
+    body(out);
     let body_len = out.len() - start - 4;
+    out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    body_len
+}
+
+/// Append one complete wire frame (`len: u32 LE | opcode | payload`)
+/// onto `out`; a [`Frame::Encoded`] run is copied as it stands.
+///
+/// Appends (rather than clears) so a writer can coalesce a burst of
+/// frames into one buffer and one syscall; on an oversized frame `out`
+/// is rolled back to its prior length.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    if let Frame::Encoded { bytes, .. } = frame {
+        out.extend_from_slice(bytes);
+        return Ok(());
+    }
+    let start = out.len();
+    let body_len = framed(out, |out| frame.encode_body_into(out));
     if body_len > MAX_FRAME {
         out.truncate(start);
         return Err(ProtocolError::Oversized(body_len));
     }
-    out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
     Ok(())
+}
+
+/// Bytes [`encode_row_into`] appends for `row`.
+pub fn row_frame_len(row: &Row) -> usize {
+    // Length prefix, opcode, query id, seq, then the row codec.
+    4 + 1 + 4 + 4 + encoded_row_len(row)
+}
+
+/// Append a `ROW` frame for a borrowed row onto `out`: the bytes
+/// [`encode_frame_into`] lays down for the same [`Frame::Row`], without
+/// building one. A stored row fits a page, far below [`MAX_FRAME`].
+pub fn encode_row_into(query_id: u32, seq: u32, row: &Row, out: &mut Vec<u8>) {
+    framed(out, |out| put_row(out, query_id, seq, row));
+}
+
+/// Append a `ROWS_BEGIN` frame for borrowed column names onto `out`
+/// (reserving its exact size): the bytes [`encode_frame_into`] lays down
+/// for the same [`Frame::RowsBegin`].
+pub fn encode_rows_begin_into(query_id: u32, columns: &[String], rows: u32, out: &mut Vec<u8>) {
+    let names: usize = columns.iter().map(|c| 4 + c.len()).sum();
+    out.reserve(4 + 1 + 4 + 2 + names + 4);
+    framed(out, |out| put_rows_begin(out, query_id, columns, rows));
 }
 
 /// Write one frame to `w` (length prefix + body), without flushing,

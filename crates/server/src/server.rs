@@ -17,8 +17,11 @@
 //!   until a frame arrives from another thread — a wheel release while
 //!   the session is blocked in `read`, or the drain — or until a long
 //!   result leaves a quarter of the row budget waiting mid-statement,
-//!   and then writes the queue out the same way. One lock covers take,
-//!   encode and write, so frames leave in queue order whoever writes.
+//!   and then writes the queue out the same way. Replies are encoded
+//!   where the front door releases them: a release batch is queued as
+//!   one [`Frame::Encoded`] run of wire bytes holding `rows` row slots,
+//!   and writing it out copies those bytes. One lock covers take, copy
+//!   and write, so frames leave in queue order whoever writes.
 //! * one [`DelayScheduler`] thread enforcing every tuple deadline in the
 //!   process on a single timer wheel. Its jobs only push into queues;
 //!   they never touch a socket, so a slow client cannot stall the wheel.
@@ -29,8 +32,9 @@
 //! exceed `send_queue_rows`, the statement is refused `Overloaded`
 //! instead of letting scheduler jobs block on a slow client. Scheduler
 //! jobs therefore never wait: they push into pre-reserved slots and
-//! drop frames only for dead connections. A slot comes back when a
-//! write-out takes its frame off the queue.
+//! drop frames only for dead connections. The queue counts slots in
+//! rows, not frames: a slot comes back when a write-out takes the run
+//! (or `MUTATED`) that fills it off the queue.
 //!
 //! Graceful shutdown ([`ServerHandle::shutdown`]): mark the front door
 //! draining (new queries, registrations, and connections are refused
@@ -43,7 +47,7 @@
 //! gatekeeper timestamps, guard deadlines, and wheel ticks share one
 //! epoch. Socket-flush timeouts read the same clock.
 
-use crate::gate::{holds_row_slot, FrameSink, FrontDoor, GateConfig, SessionControl, SessionState};
+use crate::gate::{row_slots, FrameSink, FrontDoor, GateConfig, SessionControl, SessionState};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     encode_frame_into, read_frame_buffered, write_frame, Frame, ProtocolError, RefuseReason,
@@ -137,8 +141,10 @@ struct QueueInner {
     frames: VecDeque<Frame>,
     /// Rows admitted (reserved or queued) but not yet taken for the
     /// socket. Charged by `try_reserve_rows`, handed back as a write-out
-    /// takes each slot-holding frame.
+    /// takes the frames that fill the slots.
     outstanding_rows: usize,
+    /// The row slots the queued frames fill.
+    queued_rows: usize,
     closed: bool,
 }
 
@@ -154,6 +160,7 @@ impl SendQueue {
             inner: PMutex::new(QueueInner {
                 frames: VecDeque::new(),
                 outstanding_rows: 0,
+                queued_rows: 0,
                 closed: false,
             }),
         }
@@ -170,22 +177,22 @@ impl SendQueue {
         true
     }
 
-    /// Queue frames in order under one lock acquisition and return how
-    /// many frames now wait. Never blocks: `ROW` and `MUTATED` frames
-    /// land in slots reserved earlier, everything else is a control
-    /// frame, which bypasses the row cap (small, and bounded by the
-    /// client's own request rate). On a closed queue the frames are
-    /// dropped, only the slot-holding ones give their reservations back,
-    /// and 0 is returned.
-    fn push(&self, frames: impl Iterator<Item = Frame>) -> usize {
+    /// Queue `frame` and return how many row slots the queued frames now
+    /// fill. Never blocks: a run's rows and a `MUTATED` land in slots
+    /// reserved earlier, and any other frame is a control frame, which
+    /// bypasses the row cap (small, and bounded by the client's own
+    /// request rate). On a closed queue the frame is dropped, the slots
+    /// it fills are given back, and `None` is returned.
+    fn push(&self, frame: Frame) -> Option<usize> {
+        let slots = row_slots(&frame);
         let mut q = self.inner.lock();
         if q.closed {
-            let slots = frames.filter(holds_row_slot).count();
             q.outstanding_rows = q.outstanding_rows.saturating_sub(slots);
-            return 0;
+            return None;
         }
-        q.frames.extend(frames);
-        q.frames.len()
+        q.queued_rows += slots;
+        q.frames.push_back(frame);
+        Some(q.queued_rows)
     }
 
     /// Hand back reserved row slots without queueing frames (the error
@@ -201,8 +208,8 @@ impl SendQueue {
     fn take_all(&self, out: &mut VecDeque<Frame>) -> bool {
         let mut q = self.inner.lock();
         std::mem::swap(&mut q.frames, out);
-        let slots = out.iter().filter(|f| holds_row_slot(f)).count();
-        q.outstanding_rows = q.outstanding_rows.saturating_sub(slots);
+        q.outstanding_rows = q.outstanding_rows.saturating_sub(q.queued_rows);
+        q.queued_rows = 0;
         q.closed
     }
 
@@ -237,9 +244,9 @@ const WRITE_BUF_RETAIN_BYTES: usize = 256 * 1024;
 /// queue through encoding to the socket write, so frames leave in queue
 /// order whichever thread writes them.
 struct WriteState {
-    /// Reusable encode buffer: a burst of frames is laid down back to
-    /// back (no steady-state allocation, one copy per byte) and leaves in
-    /// one `write_all`.
+    /// Reusable write buffer: a burst of runs and control frames is
+    /// laid down back to back (no steady-state allocation, one copy per
+    /// byte) and leaves in one `write_all`.
     buf: Vec<u8>,
     /// The deque swapped in for the queue's on each take, so neither
     /// side reallocates.
@@ -270,20 +277,18 @@ struct Conn {
 }
 
 impl Conn {
-    /// Queue `frames`. A push from the session thread is left for the
+    /// Queue `frame`. A push from the session thread is left for the
     /// session to write out before its next blocking read, unless it
-    /// leaves a quarter of `rows_cap` frames waiting: then the writer
-    /// takes over, so a long result starts leaving while the session is
-    /// still executing it. Any other push (a wheel job, the drain) wakes
-    /// the writer.
-    fn push(&self, frames: impl Iterator<Item = Frame>) {
-        let waiting = self.queue.push(frames);
-        let wake_at = if self.session_thread.get() == Some(&std::thread::current().id()) {
-            (self.rows_cap / 4).max(1)
-        } else {
-            1
+    /// leaves a quarter of `rows_cap` rows waiting: then the writer takes
+    /// over, so a long result starts leaving while the session is still
+    /// executing it. Any other push (a wheel job, the drain) wakes the
+    /// writer.
+    fn push(&self, frame: Frame) {
+        let Some(rows_waiting) = self.queue.push(frame) else {
+            return;
         };
-        if waiting >= wake_at {
+        let from_session = self.session_thread.get() == Some(&std::thread::current().id());
+        if !from_session || rows_waiting >= (self.rows_cap / 4).max(1) {
             self.wake_writer();
         }
     }
@@ -341,15 +346,11 @@ impl Conn {
 
 impl FrameSink for Conn {
     fn push_control(&self, frame: Frame) {
-        self.push(std::iter::once(frame));
+        self.push(frame);
     }
 
     fn push_row(&self, frame: Frame) {
-        self.push(std::iter::once(frame));
-    }
-
-    fn push_batch(&self, frames: &mut Vec<Frame>) {
-        self.push(frames.drain(..));
+        self.push(frame);
     }
 
     fn try_reserve_rows(&self, n: usize) -> bool {

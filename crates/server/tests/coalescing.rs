@@ -2,14 +2,16 @@
 //!
 //! The gate groups consecutive frames whose deadlines land on the same
 //! scheduler tick into one job, and that job hands the whole batch to the
-//! sink in a single `push_batch` call — one queue lock and one writer
-//! wakeup per tick per connection instead of one per frame. The trailer
-//! (`ROWS_END`, `DONE`) rides in the last row batch when it shares that
-//! batch's tick, so a result released at one deadline is one job and one
-//! send. These tests pin that contract against a recording sink: one
-//! batch when deadlines coincide, per-deadline delivery in sequence order
-//! when they do not, and every charged row delivered when a stream is
-//! cut short.
+//! sink in a single push, encoded as one run — one queue lock and one
+//! writer wakeup per tick per connection instead of one per frame. The trailer (`ROWS_END`, `DONE`) rides in the last row batch
+//! when it shares that batch's tick, so a result released at one deadline
+//! is one job and one send. `ROWS_BEGIN` waits for no deadline: it leads
+//! the first batch when that is due, and otherwise leaves alone at issue
+//! time, ahead of the rows on the wheel. These tests pin that contract
+//! against a recording sink that expands each run into the frames it
+//! holds: one batch when deadlines coincide, per-deadline delivery in
+//! sequence order when they do not, and every charged row delivered when
+//! a stream is cut short.
 //!
 //! The `due_*` tests pin the due path: frames whose deadlines have
 //! already passed when the statement is charged go straight into the
@@ -31,9 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the sink observed, in arrival order. Every `push_batch` call is
-/// one `Batch` entry — a per-frame fallback would show up as many
-/// single-frame batches.
+/// What the sink observed, in arrival order. Every run pushed is one
+/// `Batch` entry holding the frames it encodes — a per-frame fallback
+/// would show up as many single-frame batches.
 #[derive(Debug)]
 enum Event {
     Control(Frame),
@@ -98,15 +100,28 @@ impl RecordingSink {
 
 impl FrameSink for RecordingSink {
     fn push_control(&self, frame: Frame) {
-        self.record(Event::Control(frame));
+        match frame {
+            Frame::Encoded { .. } => self.push_row(frame),
+            frame => self.record(Event::Control(frame)),
+        }
     }
 
     fn push_row(&self, frame: Frame) {
-        self.record(Event::Batch(vec![frame]));
-    }
-
-    fn push_batch(&self, frames: &mut Vec<Frame>) {
-        self.record(Event::Batch(std::mem::take(frames)));
+        let slots = match &frame {
+            Frame::Encoded { rows, .. } => *rows,
+            _ => 1,
+        };
+        let mut frames = Vec::new();
+        frame.expand_into(&mut frames);
+        let filled = frames
+            .iter()
+            .filter(|f| matches!(f, Frame::Row { .. } | Frame::Mutated { .. }))
+            .count();
+        assert_eq!(
+            slots, filled,
+            "a run's `rows` counts the slots its frames fill"
+        );
+        self.record(Event::Batch(frames));
     }
 
     fn try_reserve_rows(&self, n: usize) -> bool {
@@ -229,14 +244,27 @@ fn drain_wheel(rig: &Rig) {
     }
 }
 
-fn batches(events: &[Event]) -> Vec<&Vec<Frame>> {
+/// The row batches `events` carries: every batch with a leading
+/// `ROWS_BEGIN` taken off, and a batch that held only that left out.
+fn batches(events: &[Event]) -> Vec<&[Frame]> {
     events
         .iter()
         .filter_map(|e| match e {
-            Event::Batch(frames) => Some(frames),
+            Event::Batch(frames) => match &frames[..] {
+                [Frame::RowsBegin { .. }, rest @ ..] => (!rest.is_empty()).then_some(rest),
+                all => Some(all),
+            },
             Event::Control(_) => None,
         })
         .collect()
+}
+
+/// What follows `ROWS_BEGIN` of `query_id` at the head of `frames`.
+fn after_begin(query_id: u32, frames: &[Frame]) -> &[Frame] {
+    match frames.split_first() {
+        Some((Frame::RowsBegin { query_id: q, .. }, rest)) if *q == query_id => rest,
+        _ => panic!("expected ROWS_BEGIN of query {query_id} first, got {frames:?}"),
+    }
 }
 
 /// The row sequence numbers in `frames`, which must all be rows of
@@ -287,7 +315,8 @@ fn same_tick_result_is_one_job_and_one_send() {
 
     let events = std::mem::take(&mut *sink.events.lock());
     match &events[..] {
-        [Event::Control(Frame::RowsBegin { query_id: 7, .. }), Event::Batch(frames)] => {
+        [Event::Batch(begin), Event::Batch(frames)] => {
+            assert!(after_begin(7, begin).is_empty());
             let rows = strip_trailer(7, 16, frames);
             assert_eq!(row_seqs(7, rows), (0..16).collect::<Vec<u32>>());
         }
@@ -296,9 +325,11 @@ fn same_tick_result_is_one_job_and_one_send() {
 }
 
 /// A point query — the case the one-job shape exists for — and an empty
-/// result, whose trailer has no row batch to join. Each is one send. The
-/// point query's 10 s deadline is still ahead, so it is one wheel job;
-/// the empty result costs nothing, is due at once and files no job.
+/// result, whose trailer has no row batch to join. Each result is one
+/// send. The point query's 10 s deadline is still ahead, so it is one
+/// wheel job, after its `ROWS_BEGIN` left alone; the empty result costs
+/// nothing, is due at once and files no job, and its `ROWS_BEGIN` leads
+/// the same send.
 #[test]
 fn point_and_empty_results_are_one_send_each() {
     let rig = rig(ChargingModel::PerTupleSum, 16, 256);
@@ -312,12 +343,17 @@ fn point_and_empty_results_are_one_send_each() {
         assert_eq!(rig.metrics.scheduler_scheduled.get() - before, jobs);
         drain_wheel(&rig);
         let events = std::mem::take(&mut *sink.events.lock());
-        match &events[..] {
-            [Event::Control(Frame::RowsBegin { .. }), Event::Batch(frames)] => {
-                assert_eq!(strip_trailer(query_id, rows, frames).len(), rows as usize);
+        assert_eq!(events.len() as u64, 1 + jobs);
+        let frames = match &events[..] {
+            [Event::Batch(begin), Event::Batch(frames)]
+                if after_begin(query_id, begin).is_empty() =>
+            {
+                &frames[..]
             }
+            [Event::Batch(frames)] => after_begin(query_id, frames),
             other => panic!("expected RowsBegin then one batch, got {other:?}"),
-        }
+        };
+        assert_eq!(strip_trailer(query_id, rows, frames).len(), rows as usize);
     }
 }
 
@@ -353,7 +389,7 @@ fn distinct_tick_rows_keep_deadline_order() {
         assert_eq!(sent.len() as u32, row + 1);
         let last = *sent.last().unwrap();
         let rows = if row < 7 {
-            &last[..]
+            last
         } else {
             strip_trailer(9, 8, last)
         };
@@ -417,11 +453,12 @@ fn mid_stream_refusal_trails_every_charged_row() {
     drain_wheel(&rig);
     let events = sink.events.lock();
     match &events[..] {
-        [Event::Control(Frame::RowsBegin { query_id: 3, .. }), Event::Batch(first), Event::Batch(second), Event::Control(Frame::Refused {
+        [Event::Batch(begin), Event::Batch(first), Event::Batch(second), Event::Control(Frame::Refused {
             query_id: 3,
             reason: RefuseReason::Overloaded,
             ..
         })] => {
+            assert!(after_begin(3, begin).is_empty());
             assert_eq!(row_seqs(3, first), vec![0, 1, 2, 3]);
             assert_eq!(row_seqs(3, second), vec![4, 5, 6, 7]);
         }
@@ -441,8 +478,8 @@ fn executor_error_still_delivers_every_charged_row() {
     let sql = "SELECT * FROM directory WHERE 60 / (6 - id) > 0";
     issue(&rig, &sink, [10, 0, 0, 1], 4, sql);
     match &sink.events.lock()[..] {
-        [Event::Control(Frame::RowsBegin { query_id: 4, .. }), Event::Control(Frame::Error { query_id: 4, .. })] =>
-            {}
+        [Event::Batch(begin), Event::Control(Frame::Error { query_id: 4, .. })]
+            if after_begin(4, begin).is_empty() => {}
         other => panic!("expected RowsBegin then Error at issue time, got {other:?}"),
     }
     drain_wheel(&rig);
@@ -511,11 +548,11 @@ fn due_results_are_pushed_at_charge_with_no_wheel_job() {
     for (query_id, sink, rows) in [(1u32, &point, 1u32), (2, &scan, 4)] {
         let events = sink.events.lock();
         match &events[..] {
-            [Event::Control(Frame::RowsBegin { .. }), Event::Batch(frames)] => {
-                let body = strip_trailer(query_id, rows, frames);
+            [Event::Batch(frames)] => {
+                let body = strip_trailer(query_id, rows, after_begin(query_id, frames));
                 assert_eq!(row_seqs(query_id, body), (0..rows).collect::<Vec<u32>>());
             }
-            other => panic!("expected RowsBegin then one batch, got {other:?}"),
+            other => panic!("expected RowsBegin leading one batch, got {other:?}"),
         }
     }
 }
@@ -583,7 +620,8 @@ fn due_pending_result_is_one_wheel_job_released_at_its_deadline() {
     assert_eq!(rig.scheduler.poll(), 1);
     let events = sink.events.lock();
     match &events[..] {
-        [Event::Control(Frame::RowsBegin { .. }), Event::Batch(frames)] => {
+        [Event::Batch(begin), Event::Batch(frames)] => {
+            assert!(after_begin(1, begin).is_empty());
             assert_eq!(row_seqs(1, strip_trailer(1, 1, frames)), vec![0]);
         }
         other => panic!("expected RowsBegin then one batch, got {other:?}"),
@@ -644,8 +682,12 @@ fn due_and_wheel_frames_all_deliver_through_a_drain() {
         "SELECT * FROM directory WHERE id < 4",
     );
     match &scan.events.lock()[..] {
-        [Event::Control(Frame::RowsBegin { .. }), Event::Batch(due)] => {
-            assert_eq!(row_seqs(1, due), vec![0, 1], "the due prefix goes out now");
+        [Event::Batch(due)] => {
+            assert_eq!(
+                row_seqs(1, after_begin(1, due)),
+                vec![0, 1],
+                "the due prefix goes out now"
+            );
         }
         other => panic!("expected RowsBegin then the due rows, got {other:?}"),
     }
@@ -689,7 +731,7 @@ fn due_and_wheel_frames_all_deliver_through_a_drain() {
             let body = if i + 1 == sent.len() {
                 strip_trailer(1, 4, frames)
             } else {
-                &frames[..]
+                frames
             };
             row_seqs(1, body)
         })
@@ -702,7 +744,8 @@ fn due_and_wheel_frames_all_deliver_through_a_drain() {
     ));
     let pointed = point.events.lock();
     match &pointed[..] {
-        [Event::Control(Frame::RowsBegin { .. }), Event::Batch(frames)] => {
+        [Event::Batch(begin), Event::Batch(frames)] => {
+            assert!(after_begin(3, begin).is_empty());
             assert_eq!(row_seqs(3, strip_trailer(3, 1, frames)), vec![0]);
         }
         other => panic!("expected the point query's batch, got {other:?}"),

@@ -1,8 +1,10 @@
 //! Property tests for the zero-copy frame codec: random frames of every
 //! type must round-trip exactly, the coalesced append-into-one-buffer
 //! encode must be byte-identical to the old one-write-per-frame path,
-//! legacy (v1) REGISTER framing must keep decoding, and the MAX_FRAME
-//! boundary must be exact on both the encode and decode side.
+//! legacy (v1) REGISTER framing must keep decoding, the MAX_FRAME
+//! boundary must be exact on both the encode and decode side, and a run
+//! of reply frames encoded from borrowed rows must be byte-identical to
+//! encoding the same frames one at a time.
 //!
 //! Deterministic harness (no external property-testing crate in this
 //! offline build): a splitmix64 generator drives 128 cases per property
@@ -11,8 +13,9 @@
 use delayguard_core::gatekeeper::{Charge, GateDelta, SubnetCharges};
 use delayguard_core::replica::{ReplicaDelta, TableDelta};
 use delayguard_server::protocol::{
-    encode_frame_into, read_frame, read_frame_buffered, write_frame, write_frame_buffered, Frame,
-    ProtocolError, RefuseReason, MAX_FRAME, PROTOCOL_VERSION,
+    encode_frame_into, encode_row_into, encode_rows_begin_into, read_frame, read_frame_buffered,
+    row_frame_len, write_frame, write_frame_buffered, Frame, ProtocolError, RefuseReason,
+    MAX_FRAME, PROTOCOL_VERSION, ROWS_UNKNOWN,
 };
 use delayguard_storage::{Row, Value};
 
@@ -268,6 +271,86 @@ fn random_frames_round_trip_through_every_encode_path() {
         assert!(read_frame_buffered(&mut slice, &mut read_scratch)
             .unwrap()
             .is_none());
+    });
+}
+
+/// A result value: NULL, Int, Float or Text, the text empty, short or
+/// several KB long.
+fn arb_result_value(rng: &mut Rng) -> Value {
+    match rng.below(4) {
+        0 => Value::Null,
+        1 => Value::Int(rng.next() as i64),
+        2 => Value::Float(rng.f64()),
+        _ => Value::Text(match rng.below(4) {
+            0 => String::new(),
+            1 => arb_string(rng, 6000),
+            _ => arb_string(rng, 24),
+        }),
+    }
+}
+
+/// What the front door releases, encoded as runs from borrowed rows and
+/// column names, must be the bytes of the frames the run stands for,
+/// encoded one at a time; the run must expand back to exactly those
+/// frames, and encoding the run copies its bytes.
+#[test]
+fn runs_encode_like_their_frames() {
+    cases(0x5EED, |rng| {
+        let query_id = rng.next() as u32;
+        let columns: Vec<String> = (0..rng.below(5)).map(|_| arb_string(rng, 12)).collect();
+        let announced = if rng.below(2) == 0 {
+            ROWS_UNKNOWN
+        } else {
+            rng.next() as u32
+        };
+        let mut run = Vec::new();
+        encode_rows_begin_into(query_id, &columns, announced, &mut run);
+        let mut frames = vec![Frame::RowsBegin {
+            query_id,
+            columns,
+            rows: announced,
+        }];
+        let rows = rng.below(40) as u32;
+        for seq in 0..rows {
+            let row = Row::new((0..rng.below(6)).map(|_| arb_result_value(rng)).collect());
+            let before = run.len();
+            encode_row_into(query_id, seq, &row, &mut run);
+            assert_eq!(run.len() - before, row_frame_len(&row));
+            frames.push(Frame::Row { query_id, seq, row });
+        }
+        for closing in [
+            Frame::RowsEnd { query_id, rows },
+            Frame::Done {
+                query_id,
+                delay_secs: rng.f64(),
+                tuples: rows,
+            },
+            Frame::Mutated {
+                query_id,
+                rows,
+                data_version: rng.next(),
+            },
+        ] {
+            encode_frame_into(&closing, &mut run).unwrap();
+            frames.push(closing);
+        }
+
+        let mut one_at_a_time = Vec::new();
+        for f in &frames {
+            encode_frame_into(f, &mut one_at_a_time).unwrap();
+        }
+        assert_eq!(run, one_at_a_time, "a run is its frames, back to back");
+
+        let run = Frame::Encoded {
+            rows: rows as usize + 1,
+            bytes: run,
+        };
+        let mut copied = vec![0xAB];
+        encode_frame_into(&run, &mut copied).unwrap();
+        assert_eq!(copied[1..], one_at_a_time[..], "encoding a run copies it");
+        let mut expanded = Vec::new();
+        run.expand_into(&mut expanded);
+        assert_eq!(expanded, frames);
     });
 }
 

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Keeps every frame; grants every reservation.
+/// Keeps every frame, runs expanded; grants every reservation.
 #[derive(Default)]
 struct Recorder {
     frames: Mutex<Vec<Frame>>,
@@ -28,11 +28,11 @@ struct Recorder {
 
 impl FrameSink for Recorder {
     fn push_control(&self, frame: Frame) {
-        self.frames.lock().push(frame);
+        frame.expand_into(&mut self.frames.lock());
     }
 
     fn push_row(&self, frame: Frame) {
-        self.frames.lock().push(frame);
+        frame.expand_into(&mut self.frames.lock());
     }
 
     fn try_reserve_rows(&self, _n: usize) -> bool {

@@ -68,6 +68,22 @@ pub fn encode_row(row: &Row, out: &mut Vec<u8>) {
     copymeter::add(out.len() - start);
 }
 
+/// Bytes [`encode_row`] appends for `row`, without encoding it.
+pub fn encoded_row_len(row: &Row) -> usize {
+    let values: usize = row
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Bool(_) => 2,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Text(s) => 5 + s.len(),
+            Value::Bytes(b) => 5 + b.len(),
+        })
+        .sum();
+    2 + values
+}
+
 /// Encode a row into a fresh buffer.
 pub fn row_bytes(row: &Row) -> Vec<u8> {
     // Rough pre-size: tag+8 bytes per value plus header.
@@ -300,6 +316,7 @@ mod tests {
 
     fn round_trip(row: Row) {
         let buf = row_bytes(&row);
+        assert_eq!(encoded_row_len(&row), buf.len());
         let back = decode_row(&buf).unwrap();
         assert_eq!(row, back);
     }

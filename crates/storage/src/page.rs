@@ -15,6 +15,11 @@
 //! contiguous free gap. Deleting a record tombstones its slot (offset = 0);
 //! dead slots are reused by later inserts, and [`Page::compact`] reclaims
 //! dead cell space by sliding live cells to the end of the page.
+//!
+//! The count of dead slots and the dead cell bytes they still record are
+//! kept beside the page, outside its 8 KiB image, and rebuilt when an
+//! image is loaded: an insert into a page with no dead slot reads no slot
+//! entry at all, and only a page with one scans for the lowest.
 
 use crate::error::{Result, StorageError};
 use bytes::BytesMut;
@@ -31,6 +36,10 @@ pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 /// A single slotted page.
 pub struct Page {
     buf: BytesMut,
+    /// Dead slots in the directory.
+    dead_slots: usize,
+    /// Cell bytes the dead slots still record (reclaimed by compaction).
+    dead_bytes: usize,
 }
 
 impl Page {
@@ -40,7 +49,11 @@ impl Page {
         write_u16(&mut buf, 0, 0); // num_slots
         write_u16(&mut buf, 2, HEADER as u16); // free_start
         write_u16(&mut buf, 4, PAGE_SIZE as u16); // free_end; PAGE_SIZE==8192 fits u16
-        Page { buf }
+        Page {
+            buf,
+            dead_slots: 0,
+            dead_bytes: 0,
+        }
     }
 
     /// Rebuild a page from its raw bytes (used by snapshot loading).
@@ -51,10 +64,19 @@ impl Page {
                 raw.len()
             )));
         }
-        let page = Page {
+        let mut page = Page {
             buf: BytesMut::from(raw),
+            dead_slots: 0,
+            dead_bytes: 0,
         };
         page.check()?;
+        for s in 0..page.num_slots() {
+            let (off, len) = page.slot_entry(s);
+            if off == 0 {
+                page.dead_slots += 1;
+                page.dead_bytes += len;
+            }
+        }
         Ok(page)
     }
 
@@ -96,7 +118,21 @@ impl Page {
         )
     }
 
+    /// Rewrite the entry of an existing slot, keeping the dead counts.
     fn set_slot_entry(&mut self, slot: usize, offset: usize, len: usize) {
+        let (old_offset, old_len) = self.slot_entry(slot);
+        if old_offset == 0 {
+            self.dead_slots -= 1;
+            self.dead_bytes -= old_len;
+        }
+        if offset == 0 {
+            self.dead_slots += 1;
+            self.dead_bytes += len;
+        }
+        self.write_slot_entry(slot, offset, len);
+    }
+
+    fn write_slot_entry(&mut self, slot: usize, offset: usize, len: usize) {
         let base = HEADER + slot * SLOT;
         write_u16(&mut self.buf, base, offset as u16);
         write_u16(&mut self.buf, base + 2, len as u16);
@@ -109,21 +145,12 @@ impl Page {
 
     /// Free bytes recoverable by compaction (dead cells) plus the gap.
     pub fn total_free(&self) -> usize {
-        let mut dead = 0;
-        for s in 0..self.num_slots() {
-            let (off, len) = self.slot_entry(s);
-            if off == 0 {
-                dead += len;
-            }
-        }
-        self.contiguous_free() + dead
+        self.contiguous_free() + self.dead_bytes
     }
 
     /// Number of live records.
     pub fn live_count(&self) -> usize {
-        (0..self.num_slots())
-            .filter(|&s| self.slot_entry(s).0 != 0)
-            .count()
+        self.num_slots() - self.dead_slots
     }
 
     /// Whether a record of `len` bytes can be inserted (possibly after
@@ -132,20 +159,21 @@ impl Page {
         if len > MAX_RECORD {
             return false;
         }
-        let slot_cost = if self.first_dead_slot().is_some() {
-            0
-        } else {
-            SLOT
-        };
+        let slot_cost = if self.dead_slots > 0 { 0 } else { SLOT };
         self.total_free() >= len + slot_cost
     }
 
+    /// The lowest dead slot; scans the directory only when there is one.
     fn first_dead_slot(&self) -> Option<usize> {
+        if self.dead_slots == 0 {
+            return None;
+        }
         (0..self.num_slots()).find(|&s| self.slot_entry(s).0 == 0)
     }
 
-    /// Insert a record, returning its slot index, or `None` if it cannot fit
-    /// even after compaction.
+    /// Insert a record into the lowest dead slot, else a new one,
+    /// returning its slot index, or `None` if it cannot fit even after
+    /// compaction.
     pub fn insert(&mut self, record: &[u8]) -> Option<u16> {
         if !self.can_fit(record.len()) {
             return None;
@@ -160,15 +188,19 @@ impl Page {
         self.buf[new_end..new_end + record.len()].copy_from_slice(record);
         self.set_free_end(new_end);
         let slot = match reuse {
-            Some(s) => s,
+            Some(s) => {
+                self.set_slot_entry(s, new_end, record.len());
+                s
+            }
             None => {
                 let s = self.num_slots();
                 self.set_num_slots(s + 1);
                 self.set_free_start(self.free_start() + SLOT);
+                // The gap held these bytes: there is no old entry to count.
+                self.write_slot_entry(s, new_end, record.len());
                 s
             }
         };
-        self.set_slot_entry(slot, new_end, record.len());
         Some(slot as u16)
     }
 
@@ -447,6 +479,69 @@ mod tests {
         raw[0] = 0xFF; // absurd slot count
         raw[1] = 0xFF;
         assert!(Page::from_bytes(&raw).is_err());
+    }
+
+    /// Dead slots, dead bytes and the lowest dead slot, by scanning the
+    /// directory.
+    fn scan(p: &Page) -> (usize, usize, Option<usize>) {
+        let dead: Vec<(usize, usize)> = (0..p.num_slots())
+            .map(|s| (s, p.slot_entry(s)))
+            .filter(|&(_, (off, _))| off == 0)
+            .map(|(s, (_, len))| (s, len))
+            .collect();
+        let bytes = dead.iter().map(|&(_, len)| len).sum();
+        (dead.len(), bytes, dead.first().map(|&(s, _)| s))
+    }
+
+    /// Random inserts, deletes, updates and compactions: the counts kept
+    /// beside the page always equal a fresh scan, `can_fit` answers as
+    /// the scan would, an insert takes the slot a scan picks (the lowest
+    /// dead one, else a new one), and a reloaded image counts the same.
+    #[test]
+    fn cached_dead_counts_match_a_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut p = Page::new();
+        for step in 0..20_000 {
+            let slots = p.num_slots().max(1);
+            match next(10) {
+                0..=3 => {
+                    let len = next(700);
+                    let (dead, dead_bytes, lowest) = scan(&p);
+                    let fits = len <= MAX_RECORD
+                        && p.contiguous_free() + dead_bytes
+                            >= len + if dead > 0 { 0 } else { SLOT };
+                    assert_eq!(p.can_fit(len), fits, "step {step}");
+                    let want = lowest.unwrap_or(p.num_slots());
+                    let got = p.insert(&vec![step as u8; len]);
+                    assert_eq!(got, fits.then_some(want as u16), "step {step}");
+                }
+                4..=6 => {
+                    p.delete(next(slots) as u16);
+                }
+                7 | 8 => {
+                    let len = next(900);
+                    p.update(next(slots) as u16, &vec![1; len]);
+                }
+                _ => p.compact(),
+            }
+            let (dead, dead_bytes, _) = scan(&p);
+            assert_eq!(
+                (p.dead_slots, p.dead_bytes),
+                (dead, dead_bytes),
+                "step {step}"
+            );
+            assert_eq!(p.live_count(), p.num_slots() - dead);
+            if step % 1000 == 0 {
+                let q = Page::from_bytes(p.as_bytes()).unwrap();
+                assert_eq!((q.dead_slots, q.dead_bytes), (dead, dead_bytes));
+            }
+        }
     }
 
     #[test]

@@ -113,8 +113,10 @@ impl Default for SimConfig {
 
 /// The mesh's [`FrameSink`]: the front door pushes response frames here
 /// (scheduler jobs included); the world drains them onto the simulated
-/// wire. Row accounting mirrors the TCP server's bounded send queue:
-/// reservations are all-or-nothing and released as rows leave.
+/// wire. A run of encoded frames is expanded as it arrives, so the wire
+/// carries, and faults, one frame per row. Row accounting mirrors the
+/// TCP server's bounded send queue: reservations are all-or-nothing and
+/// released as rows leave.
 struct SimSink {
     inner: Mutex<SinkInner>,
 }
@@ -151,11 +153,11 @@ impl SimSink {
 
 impl FrameSink for SimSink {
     fn push_control(&self, frame: Frame) {
-        self.inner.lock().queue.push(frame);
+        frame.expand_into(&mut self.inner.lock().queue);
     }
 
     fn push_row(&self, frame: Frame) {
-        self.inner.lock().queue.push(frame);
+        frame.expand_into(&mut self.inner.lock().queue);
     }
 
     fn try_reserve_rows(&self, n: usize) -> bool {

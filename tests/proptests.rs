@@ -545,7 +545,7 @@ fn cached_statements_answer_like_fresh_ones() {
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
-    /// Every frame with the virtual time it was pushed at.
+    /// Every frame, runs expanded, with the virtual time it was pushed at.
     struct Sink {
         clock: Arc<ManualClock>,
         frames: Mutex<Vec<(u64, Frame)>>,
@@ -554,7 +554,10 @@ fn cached_statements_answer_like_fresh_ones() {
     impl FrameSink for Sink {
         fn push_control(&self, frame: Frame) {
             let at = self.clock.now_nanos();
-            self.frames.lock().unwrap().push((at, frame));
+            let mut frames = Vec::new();
+            frame.expand_into(&mut frames);
+            let mut sent = self.frames.lock().unwrap();
+            sent.extend(frames.into_iter().map(|f| (at, f)));
         }
 
         fn push_row(&self, frame: Frame) {
