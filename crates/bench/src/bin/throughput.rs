@@ -12,7 +12,9 @@
 //! It also records what one snapshot refresh costs against the keys
 //! changed since the previous one (`rebuild_costs`: refresh µs and keys
 //! re-packed after k ∈ {1, 100, 10 000, n} changed keys at n ∈ {8 192,
-//! 65 536, 1 048 576}) and the popularity bytes held per tracked key.
+//! 65 536, 1 048 576}) and the popularity bytes held per tracked key,
+//! and due point queries through the server's front door, one session
+//! against two on one guard (`front_door_sessions`).
 //!
 //! `--smoke` runs a tiny shape for CI: it checks the harness end to end
 //! and still enforces the allocation budget and the re-pack bound (both
@@ -22,8 +24,9 @@
 
 use delayguard_bench::report::{hardware_threads, Op::*, Report, Scope::*};
 use delayguard_bench::throughput::{
-    measure_hot_path, rebuild_costs, run_adhoc, run_prepared, seeded_db, snapshot_sharded_config,
-    RebuildSample, ThroughputConfig, ThroughputSample,
+    front_door_sessions, measure_hot_path, rebuild_costs, run_adhoc, run_prepared, seeded_db,
+    snapshot_sharded_config, RebuildSample, SessionsConfig, SessionsSample, ThroughputConfig,
+    ThroughputSample, SESSIONS_REFRESH_MS,
 };
 use delayguard_core::GuardedDatabase;
 use std::process::ExitCode;
@@ -43,8 +46,10 @@ const PRE_PR_SINGLE_THREAD_QPS: f64 = 51_798.19;
 /// it is enforced on every full run.
 const SINGLE_THREAD_SPEEDUP_MIN: f64 = 3.0;
 /// Steady-state allocations per query through the prepared pipeline.
-/// Currently: one queue node for the recorded access event and one keys
-/// vector inside it. Enforced even in smoke — counts are exact.
+/// Currently, for these multi-row range scans: one queue node for the
+/// recorded access event and one key vector inside it (a one-row chunk
+/// carries its key inline and allocates only the node). Enforced even in
+/// smoke — counts are exact.
 const ALLOCS_PER_QUERY_MAX: f64 = 2.0;
 /// Table sizes of the rebuild-cost rows.
 const REBUILD_KEYS: [u64; 3] = [8_192, 65_536, 1 << 20];
@@ -87,6 +92,48 @@ fn main() -> ExitCode {
         &shape,
         run_prepared,
     );
+
+    // Due point queries through the front door: one session, then two
+    // on one guard, each point the median of `reps` runs by aggregate q/s.
+    let sessions_shape = if report.smoke() {
+        SessionsConfig::smoke()
+    } else {
+        SessionsConfig::default()
+    };
+    eprintln!(
+        "-- front_door_sessions: {} rows, {} queries/session, refresher every {} ms --",
+        sessions_shape.rows, sessions_shape.queries_per_session, SESSIONS_REFRESH_MS
+    );
+    let sessions: Vec<SessionsSample> = [1, 2]
+        .map(|n| {
+            let reps = if report.smoke() { 1 } else { 5 };
+            let mut runs: Vec<SessionsSample> = (0..reps)
+                .map(|_| front_door_sessions(n, &sessions_shape))
+                .collect();
+            runs.sort_by(|a, b| a.aggregate_qps.total_cmp(&b.aggregate_qps));
+            let s = runs[runs.len() / 2];
+            eprintln!(
+                "  {n} session(s): {:>7.0} ns/query each, {:>9.0} q/s together",
+                s.ns_per_query, s.aggregate_qps
+            );
+            s
+        })
+        .into();
+    report.param("sessions_rows", sessions_shape.rows as f64);
+    report.param(
+        "sessions_queries_per_session",
+        sessions_shape.queries_per_session as f64,
+    );
+    report.param("sessions_refresh_ms", SESSIONS_REFRESH_MS as f64);
+    report.rows(
+        "front_door_sessions",
+        ["sessions", "ns_per_query", "aggregate_qps"],
+        sessions
+            .iter()
+            .map(|s| [s.sessions as f64, s.ns_per_query, s.aggregate_qps]),
+    );
+    let two_over_one = sessions[1].aggregate_qps / sessions[0].aggregate_qps;
+    report.sample("front_door_two_sessions_over_one", two_over_one, "x");
 
     // Steady-state allocation and copy accounting on the measuring
     // thread, via the counting global allocator this binary installs.
@@ -174,8 +221,19 @@ fn main() -> ExitCode {
             Le,
             REFRESH_US_1M_KEYS_100_CHANGED_MAX,
             FullRun,
-        )
-        .finish()
+        );
+    // Two sessions on one guard must get at least as much done as one;
+    // on a single hardware thread they can only take turns.
+    if hardware_threads() >= 2 {
+        report.gate(
+            "front_door_two_sessions_over_one",
+            two_over_one,
+            Ge,
+            1.0,
+            FullRun,
+        );
+    }
+    report.finish()
 }
 
 /// Run `path` at each thread count — over a freshly seeded database per

@@ -11,15 +11,28 @@
 //!   recycled buffers by `execute_prepared_streaming`.
 //!
 //! Queries are multi-row range scans so per-tuple charging dominates.
+//!
+//! [`front_door_sessions`] measures the served read path instead: due
+//! point queries through the server's front door, one session against
+//! two sessions on one guard.
 
-use delayguard_core::{AccessDelayPolicy, ChargedChunk, GuardConfig, GuardPolicy, GuardedDatabase};
+use delayguard_core::gatekeeper::RegistrationPolicy;
+use delayguard_core::{
+    AccessDelayPolicy, ChargedChunk, GatekeeperConfig, GuardConfig, GuardPolicy, GuardedDatabase,
+};
 use delayguard_query::ast::Statement;
 use delayguard_query::{parse, ExecScratch, PreparedSelect, RowBuf};
+use delayguard_server::{
+    DelayScheduler, Frame, FrameSink, FrontDoor, GateConfig, ServerMetrics, SessionState,
+    PROTOCOL_VERSION,
+};
+use delayguard_sim::Registry;
 use delayguard_storage::copymeter;
 use delayguard_workload::Rng;
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Workload shape shared by every measurement.
 #[derive(Debug, Clone, Copy)]
@@ -289,6 +302,170 @@ pub fn measure_hot_path(
     }
 }
 
+/// Shape of the `front_door_sessions` rows: due point `SELECT`s through
+/// [`FrontDoor::handle_frame`].
+#[derive(Debug, Clone, Copy)]
+pub struct SessionsConfig {
+    /// Table size; each query reads one uniformly drawn id.
+    pub rows: u64,
+    /// Queries each session issues in the measured phase.
+    pub queries_per_session: u64,
+}
+
+/// Interval of the `front_door_sessions` refresher thread, in
+/// milliseconds: the server's default snapshot refresh interval.
+pub const SESSIONS_REFRESH_MS: u64 = 20;
+
+impl Default for SessionsConfig {
+    fn default() -> SessionsConfig {
+        SessionsConfig {
+            rows: 8192,
+            queries_per_session: 200_000,
+        }
+    }
+}
+
+impl SessionsConfig {
+    /// A fast variant for CI smoke runs.
+    pub fn smoke() -> SessionsConfig {
+        SessionsConfig {
+            rows: 1024,
+            queries_per_session: 2_000,
+        }
+    }
+}
+
+/// One measured `front_door_sessions` point.
+#[derive(Debug, Clone, Copy)]
+pub struct SessionsSample {
+    /// Sessions issuing queries concurrently against one guard.
+    pub sessions: usize,
+    /// Mean wall time one session spends per query, in nanoseconds.
+    pub ns_per_query: f64,
+    /// Queries per second, summed over the sessions.
+    pub aggregate_qps: f64,
+}
+
+/// Grants every reservation and drops every frame, keeping the identity
+/// `REGISTER` handed out.
+#[derive(Default)]
+struct DroppingSink {
+    user: AtomicU64,
+}
+
+impl FrameSink for DroppingSink {
+    fn push_control(&self, frame: Frame) {
+        if let Frame::Registered { user, .. } = frame {
+            self.user.store(user, Ordering::Relaxed);
+        }
+    }
+
+    fn push_row(&self, _frame: Frame) {}
+
+    fn try_reserve_rows(&self, _n: usize) -> bool {
+        true
+    }
+}
+
+/// `sessions` sessions, each with its own identity (a `REGISTER` from its
+/// own /24), issue due point `SELECT`s through
+/// [`FrontDoor::handle_frame`] into dropping sinks, all against one
+/// guard, while a refresher thread refreshes it every
+/// [`SESSIONS_REFRESH_MS`]. The cap is zero, so every reply is due at
+/// charge time and nothing waits on the (manual, never polled) wheel:
+/// what is measured is the per-query CPU of admission, the prepared
+/// read, pricing and encoding, and what sessions on one guard cost each
+/// other. Frames are built before the clock starts.
+pub fn front_door_sessions(sessions: usize, shape: &SessionsConfig) -> SessionsSample {
+    let guard = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
+        AccessDelayPolicy::new(1.5, 1.0).with_cap(0.0),
+    ));
+    let table = ThroughputConfig {
+        rows: shape.rows,
+        rows_per_query: 1,
+        queries_per_thread: 0,
+        warmup_queries: 0,
+    };
+    let db = Arc::new(seeded_db(guard, &table));
+    let clock = db.clock();
+    let registry = Registry::new();
+    let metrics = ServerMetrics::new(&registry);
+    let scheduler = DelayScheduler::manual(
+        Duration::from_millis(1),
+        metrics.clone(),
+        Arc::clone(&clock),
+    );
+    let config = GateConfig {
+        gatekeeper: GatekeeperConfig {
+            registration: RegistrationPolicy::interval(0.0),
+            per_user_rate: 1e12,
+            per_user_burst: 1e12,
+            per_subnet_rate: 1e12,
+            per_subnet_burst: 1e12,
+            ..GatekeeperConfig::default()
+        },
+        ..GateConfig::default()
+    };
+    let gate = FrontDoor::new(config, Arc::clone(&db), scheduler, clock, metrics, registry);
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(sessions + 1);
+    let (started, busy_nanos) = thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                thread::sleep(Duration::from_millis(SESSIONS_REFRESH_MS));
+                db.refresh();
+            }
+        });
+        let workers: Vec<_> = (0..sessions as u8)
+            .map(|sid| {
+                let (gate, barrier) = (&gate, &barrier);
+                s.spawn(move || {
+                    let peer = [10, 0, sid, 1];
+                    let sink = Arc::new(DroppingSink::default());
+                    let session = SessionState::new();
+                    let register = Frame::Register {
+                        claimed_ip: [0; 4],
+                        version: PROTOCOL_VERSION,
+                    };
+                    gate.handle_frame(register, peer, &session, &sink);
+                    let user = sink.user.load(Ordering::Relaxed);
+                    let mut rng = Rng::new(0xf00d + u64::from(sid));
+                    let frames: Vec<Frame> = (0..shape.queries_per_session)
+                        .map(|q| Frame::Query {
+                            query_id: q as u32,
+                            user,
+                            sql: format!("SELECT * FROM t WHERE id = {}", rng.below(shape.rows)),
+                        })
+                        .collect();
+                    barrier.wait();
+                    let began = Instant::now();
+                    for frame in frames {
+                        gate.handle_frame(frame, peer, &session, &sink);
+                    }
+                    began.elapsed().as_nanos() as f64
+                })
+            })
+            .collect();
+        barrier.wait();
+        let started = Instant::now();
+        let busy: f64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        (elapsed, busy)
+    });
+    let queries = sessions as u64 * shape.queries_per_session;
+    assert_eq!(
+        gate.metrics().queries_admitted.get(),
+        queries,
+        "every query was admitted"
+    );
+    SessionsSample {
+        sessions,
+        ns_per_query: busy_nanos / queries as f64,
+        aggregate_qps: queries as f64 / started.as_secs_f64().max(1e-9),
+    }
+}
+
 /// The cost of one snapshot refresh after `changed` of `keys` tracked
 /// keys changed.
 #[derive(Debug, Clone, Copy)]
@@ -431,6 +608,19 @@ mod tests {
             meters.bytes_copied_per_row > 0.0,
             "rows decode through the copymeter"
         );
+    }
+
+    #[test]
+    fn front_door_sessions_admit_and_time_every_query() {
+        let shape = SessionsConfig {
+            rows: 64,
+            queries_per_session: 200,
+        };
+        for sessions in [1, 2] {
+            let sample = front_door_sessions(sessions, &shape);
+            assert_eq!(sample.sessions, sessions);
+            assert!(sample.ns_per_query > 0.0 && sample.aggregate_qps > 0.0);
+        }
     }
 
     #[test]

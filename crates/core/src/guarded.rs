@@ -175,8 +175,8 @@ fn merged_table_snapshot(
 }
 
 /// One recorded guard mutation, queued by the snapshot path and applied
-/// by the refresher. A whole statement's keys ride in one event so the
-/// queue sees one push per query, not one per row.
+/// by the refresher. A whole chunk's keys ride in one event so the queue
+/// sees one push per chunk, not one per row.
 struct AccessEvent {
     table: Arc<str>,
     now_secs: f64,
@@ -184,6 +184,10 @@ struct AccessEvent {
 }
 
 enum EventKind {
+    /// The one row a single-tuple SELECT chunk returned (a point read):
+    /// recorded like `Select` of that key, with no key vector for the
+    /// refresher to free.
+    SelectOne(u64),
     /// Rows returned by a SELECT: record accesses.
     Select(Vec<u64>),
     /// Rows touched by an UPDATE: record update events.
@@ -193,8 +197,21 @@ enum EventKind {
 }
 
 impl EventKind {
+    /// The access record of a charged SELECT chunk's rows, or `None` for
+    /// an empty chunk.
+    fn select(rows: &[(RowId, Row)]) -> Option<EventKind> {
+        match rows {
+            [] => None,
+            [(rid, _)] => Some(EventKind::SelectOne(rid.raw())),
+            _ => Some(EventKind::Select(
+                rows.iter().map(|(rid, _)| rid.raw()).collect(),
+            )),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
+            EventKind::SelectOne(_) => 1,
             EventKind::Select(keys) | EventKind::Update(keys) | EventKind::Insert(keys) => {
                 keys.len()
             }
@@ -369,8 +386,10 @@ impl DeadlineStream<'_, '_> {
     /// record its accesses in the popularity ledger, folding the delays
     /// into the running charging model. This is the only place a query's
     /// tuples are priced. On the snapshot pricer the only allocation is
-    /// the access event itself (one queue node and one key vector per
-    /// chunk — the record the refresher folds into the trackers).
+    /// the access event, the record the refresher folds into the
+    /// trackers: one queue node per chunk, which holds a single-tuple
+    /// chunk's key inline (a point read allocates nothing else) and a
+    /// longer chunk's keys in one vector.
     pub fn charge_into(&mut self, rows: &[(RowId, Row)], out: &mut ChargedChunk) {
         out.delays.clear();
         out.offsets.clear();
@@ -386,7 +405,6 @@ impl DeadlineStream<'_, '_> {
                 window,
                 fast,
             } => {
-                let mut keys = Vec::with_capacity(rows.len());
                 match (fast, stats.packed_access.as_ref()) {
                     (Some(scalars), Some(packed)) => {
                         // Chunks from range scans arrive in key order, so
@@ -396,7 +414,6 @@ impl DeadlineStream<'_, '_> {
                             let key = rid.raw();
                             let raw = packed.delay_seq(scalars, key, &mut hint);
                             out.delays.push(shaping.shape(raw, nonce, key));
-                            keys.push(key);
                         }
                     }
                     _ => {
@@ -410,15 +427,14 @@ impl DeadlineStream<'_, '_> {
                                 *window,
                             );
                             out.delays.push(shaping.shape(raw, nonce, key));
-                            keys.push(key);
                         }
                     }
                 }
-                if !keys.is_empty() {
+                if let Some(kind) = EventKind::select(rows) {
                     self.db.queue.push(AccessEvent {
                         table: Arc::clone(&self.table),
                         now_secs: self.now_secs,
-                        kind: EventKind::Select(keys),
+                        kind,
                     });
                 }
             }
@@ -1031,6 +1047,10 @@ impl GuardedDatabase {
             applied += ev.kind.len() as u64;
             self.with_guard(&ev.table, ev.now_secs, |guard| {
                 match &ev.kind {
+                    EventKind::SelectOne(k) => {
+                        guard.access.advance_to(ev.now_secs);
+                        guard.access.record(*k);
+                    }
                     EventKind::Select(keys) => {
                         guard.access.advance_to(ev.now_secs);
                         for &k in keys {

@@ -8,8 +8,9 @@ use crate::exec::{
 use crate::parser::parse;
 use crate::plan::SelectPlan;
 use crate::planner::{plan_locate, plan_select};
-use delayguard_storage::{Catalog, Column, Row, RowId, Schema, Value};
-use std::sync::Arc;
+use delayguard_storage::{Catalog, Column, Row, RowId, Schema, TableRef, Value};
+use std::ptr;
+use std::sync::{Arc, Weak};
 
 /// The outcome of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,9 +55,15 @@ pub enum StreamedStatement<'a> {
 
 /// A SELECT parsed, bound, and planned once, for repeated execution.
 ///
-/// The cached plan is validated against the table's DDL version on every
-/// execution: one u64 compare in the common case, a transparent replan
-/// when an index was created or dropped or the table was rebuilt. Row
+/// The statement keeps the handle of the table it reads, so an execution
+/// takes no catalog lock and writes no shared reference count: it locks
+/// the table it already holds. A handle whose table was dropped (or one
+/// kept from another engine's catalog) is replaced by a fresh lookup of
+/// the name, which fails as an ad-hoc statement would once the table is
+/// gone. The cached plan is validated against the table's DDL version on
+/// every execution: one u64 compare in the common case, a transparent
+/// replan when an index was created or dropped or the table was rebuilt
+/// or replaced. Row
 /// writes never make it stale — a plan holds no row ids, and every
 /// execution probes its index afresh. Together with [`ExecScratch`],
 /// repeated execution of a prepared statement is allocation-free on
@@ -70,6 +77,9 @@ pub struct PreparedSelect {
     /// Shared with every access event a guarded execution emits, so
     /// recording an access never copies the name.
     table: Arc<str>,
+    /// The table `table` named when last looked up, in `catalog`.
+    source: TableRef,
+    catalog: Weak<Catalog>,
     projection: Projection,
     filter: Option<Expr>,
     order_by: Option<OrderBy>,
@@ -306,15 +316,17 @@ impl Engine {
                 "only SELECT statements can be prepared".into(),
             ));
         };
+        let source = self.catalog.table(&table)?;
         let (plan, ddl_version) = {
-            let t = self.catalog.table(&table)?;
-            let t = t.read();
+            let t = source.read();
             let plan = plan_select(&t, &projection, filter.as_ref(), order_by.as_ref(), limit)?;
             (plan, t.ddl_version())
         };
         let params = filter.as_ref().map_or(0, Expr::param_count);
         Ok(PreparedSelect {
             table: Arc::from(table),
+            source,
+            catalog: Arc::downgrade(&self.catalog),
             projection,
             filter,
             order_by,
@@ -356,15 +368,17 @@ impl Engine {
         scratch: &mut ExecScratch,
         f: impl FnOnce(&mut StreamedStatement<'_>) -> R,
     ) -> Result<R> {
-        let table = match &select {
-            Select::Prepared(prep) => &*prep.table,
-            Select::AdHoc { table, .. } => table,
-        };
-        let t = self.catalog.table(table)?;
-        let t = t.read();
+        let looked_up;
         let adhoc;
-        let plan = match select {
+        let (t, plan) = match select {
             Select::Prepared(prep) => {
+                let mut t = prep.source.read();
+                if t.is_dropped() || !ptr::eq(prep.catalog.as_ptr(), Arc::as_ptr(&self.catalog)) {
+                    drop(t);
+                    prep.source = self.catalog.table(&prep.table)?;
+                    prep.catalog = Arc::downgrade(&self.catalog);
+                    t = prep.source.read();
+                }
                 if t.ddl_version() != prep.ddl_version {
                     prep.plan = plan_select(
                         &t,
@@ -376,17 +390,19 @@ impl Engine {
                     prep.plan.bind_params(&prep.params);
                     prep.ddl_version = t.ddl_version();
                 }
-                &prep.plan
+                (t, &prep.plan)
             }
             Select::AdHoc {
+                table,
                 projection,
                 filter,
                 order_by,
                 limit,
-                ..
             } => {
+                looked_up = self.catalog.table(table)?;
+                let t = looked_up.read();
                 adhoc = plan_select(&t, projection, filter, order_by, limit)?;
-                &adhoc
+                (t, &adhoc)
             }
         };
         let mut streamed = StreamedStatement::Rows(open_select(&t, plan, scratch)?);
@@ -611,6 +627,46 @@ mod tests {
             .execute_prepared_streaming(&mut prep, &mut scratch, collect)
             .unwrap();
         assert!(gone.is_empty());
+    }
+
+    #[test]
+    fn prepared_select_reads_the_table_its_name_leads_to_now() {
+        let e = engine_with_movies();
+        let mut prep = e
+            .prepare_select("SELECT title FROM movies WHERE id = 1")
+            .unwrap();
+        let mut scratch = ExecScratch::new();
+        let mut titles = |e: &Engine| {
+            e.execute_prepared_streaming(&mut prep, &mut scratch, collect)
+                .map(|rows| {
+                    rows.iter()
+                        .map(|(_, r)| r.values()[0].clone())
+                        .collect::<Vec<_>>()
+                })
+        };
+        let title = |t: &str| vec![Value::Text(t.into())];
+        assert_eq!(titles(&e).unwrap(), title("Spider-Man"));
+        // Dropped: the error an ad-hoc statement gets; created again: the
+        // new table's rows.
+        e.execute("DROP TABLE movies").unwrap();
+        let adhoc = e.execute("SELECT title FROM movies WHERE id = 1");
+        assert_eq!(
+            titles(&e).unwrap_err().to_string(),
+            adhoc.unwrap_err().to_string()
+        );
+        let create = "CREATE TABLE movies (id INT NOT NULL, title TEXT NOT NULL, gross FLOAT)";
+        e.execute(create).unwrap();
+        e.execute("INSERT INTO movies VALUES (1, 'Remade', 2.0)")
+            .unwrap();
+        assert_eq!(titles(&e).unwrap(), title("Remade"));
+        // Another engine's catalog: its own `movies`, then back.
+        let other = Engine::new();
+        other.execute(create).unwrap();
+        other
+            .execute("INSERT INTO movies VALUES (1, 'Elsewhere', 1.0)")
+            .unwrap();
+        assert_eq!(titles(&other).unwrap(), title("Elsewhere"));
+        assert_eq!(titles(&e).unwrap(), title("Remade"));
     }
 
     /// Pull every row of a streamed SELECT.

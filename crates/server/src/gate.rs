@@ -33,8 +33,8 @@
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    encode_frame_into, encode_row_into, encode_rows_begin_into, row_frame_len, Frame, RefuseReason,
-    PROTOCOL_VERSION, ROWS_UNKNOWN,
+    encode_frame_into, encode_row_into, encode_rows_begin_into, row_frame_len,
+    rows_begin_frame_len, Frame, RefuseReason, PROTOCOL_VERSION, ROWS_UNKNOWN,
 };
 use crate::scheduler::{DelayScheduler, Job};
 use delayguard_core::clock::{secs_to_nanos, Clock};
@@ -900,7 +900,7 @@ impl FrontDoor {
                 } else {
                     n as u32
                 };
-                releases.begin(query_id, stream.columns(), rows);
+                releases.begin(query_id, stream.columns(), rows, buf.rows());
             }
             seq = releases.rows(
                 query_id,
@@ -1017,20 +1017,32 @@ struct Releases<'a, S: FrameSink> {
 /// length prefixes included; a write's `MUTATED` (21) fits too.
 const TRAILER_BYTES: usize = 34;
 
+/// Bytes the `ROW` frames of `rows` take.
+fn rows_len(rows: &[(RowId, Row)]) -> usize {
+    rows.iter().map(|(_, r)| row_frame_len(r)).sum()
+}
+
 impl<'a, S: FrameSink> Releases<'a, S> {
     /// Release `ROWS_BEGIN` now: it waits for no deadline, so it leads
     /// the first due batch, or leaves alone ahead of rows on the wheel.
-    fn begin(&mut self, query_id: u32, columns: &[String], rows: u32) {
+    /// The batch is sized once, here, for the begin, the `first` chunk's
+    /// rows and a trailer: a due result is one allocation.
+    fn begin(&mut self, query_id: u32, columns: &[String], rows: u32, first: &[(RowId, Row)]) {
         let start = self.bytes.len();
+        self.bytes
+            .reserve(rows_begin_frame_len(columns) + rows_len(first) + TRAILER_BYTES);
         encode_rows_begin_into(query_id, columns, rows, &mut self.bytes);
         self.settle(start, 0, 0, |_| 0);
     }
 
     /// Release `frame` (a trailer or a `MUTATED` confirmation) at
-    /// `deadline`, after everything pushed before it.
+    /// `deadline`, after everything pushed before it. A batch already
+    /// begun was sized with room for it.
     fn push(&mut self, deadline: u64, frame: &Frame) {
         self.next_tick(deadline);
-        self.bytes.reserve(TRAILER_BYTES);
+        if self.bytes.is_empty() {
+            self.bytes.reserve(TRAILER_BYTES);
+        }
         let start = self.bytes.len();
         // A few fixed-size fields: always far below the frame limit.
         if encode_frame_into(frame, &mut self.bytes).is_ok() {
@@ -1052,16 +1064,17 @@ impl<'a, S: FrameSink> Releases<'a, S> {
         for (i, ((_rid, row), &offset)) in rows.iter().zip(offsets).enumerate() {
             let deadline = deadline_of(offset);
             self.next_tick(deadline);
-            // Size each batch once, when it starts: while the statement
-            // is due, for every row of the chunk; once batches follow
-            // ticks, for the rows on this one's tick. A trailer fits
-            // after them.
-            if i == 0 && !self.by_tick {
-                let chunk: usize = rows.iter().map(|(_, r)| row_frame_len(r)).sum();
-                self.bytes.reserve(chunk + TRAILER_BYTES);
-            } else if self.bytes.is_empty() {
-                let tick = self.tick_bytes(deadline, &rows[i..], &offsets[i..], deadline_of);
-                self.bytes.reserve(tick + TRAILER_BYTES);
+            // Size each batch once, when it starts (`begin` sized the
+            // first): while the statement is due, for every row of the
+            // chunk; once batches follow ticks, for the rows on this
+            // one's tick. A trailer fits after them.
+            if self.bytes.is_empty() {
+                let room = if self.by_tick {
+                    self.tick_bytes(deadline, &rows[i..], &offsets[i..], deadline_of)
+                } else {
+                    rows_len(rows)
+                };
+                self.bytes.reserve(room + TRAILER_BYTES);
             }
             let start = self.bytes.len();
             encode_row_into(query_id, seq, row, &mut self.bytes);

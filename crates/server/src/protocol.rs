@@ -780,12 +780,18 @@ pub fn encode_row_into(query_id: u32, seq: u32, row: &Row, out: &mut Vec<u8>) {
     framed(out, |out| put_row(out, query_id, seq, row));
 }
 
+/// Exact wire size of a `ROWS_BEGIN` frame for `columns`.
+pub(crate) fn rows_begin_frame_len(columns: &[String]) -> usize {
+    // Length prefix, opcode, query id, column count, the names, rows.
+    let names: usize = columns.iter().map(|c| 4 + c.len()).sum();
+    4 + 1 + 4 + 2 + names + 4
+}
+
 /// Append a `ROWS_BEGIN` frame for borrowed column names onto `out`
 /// (reserving its exact size): the bytes [`encode_frame_into`] lays down
 /// for the same [`Frame::RowsBegin`].
 pub fn encode_rows_begin_into(query_id: u32, columns: &[String], rows: u32, out: &mut Vec<u8>) {
-    let names: usize = columns.iter().map(|c| 4 + c.len()).sum();
-    out.reserve(4 + 1 + 4 + 2 + names + 4);
+    out.reserve(rows_begin_frame_len(columns));
     framed(out, |out| put_rows_begin(out, query_id, columns, rows));
 }
 

@@ -10,6 +10,10 @@
 //! delivered by polling it. Each must allocate less than once per 32
 //! released rows. Cloning each row into its own frame costs at least two
 //! allocations per row (the value vector and the text body).
+//!
+//! A due point `SELECT` is held to two allocations: the queue node of
+//! its access event, which carries the one key inline, and its one reply
+//! run, sized once for `ROWS_BEGIN`, the row and the trailer.
 
 #[path = "../../bench/src/alloc_count.rs"]
 mod alloc_count;
@@ -193,5 +197,55 @@ fn wheel_rows_allocate_per_batch_not_per_row() {
     assert!(
         rig.gate.metrics().scheduler_scheduled.get() > scheduled,
         "the rows waited on the wheel"
+    );
+}
+
+/// Point queries measured after the warm-up.
+const POINT_QUERIES: usize = 2048;
+
+#[test]
+fn a_due_point_select_allocates_at_most_twice() {
+    let guard = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
+        AccessDelayPolicy::new(1.5, 1.0).with_cap(0.0),
+    ));
+    let rig = rig(guard);
+    let db = rig.gate.db();
+    db.execute_at("CREATE UNIQUE INDEX t_pk ON t (id)", 0.0)
+        .unwrap();
+    let point = |query_id: usize| Frame::Query {
+        query_id: query_id as u32,
+        user: rig.user,
+        sql: format!("SELECT * FROM t WHERE id = {}", query_id * 7 % ROWS),
+    };
+    let run = |frames: Vec<Frame>| {
+        for frame in frames {
+            rig.gate
+                .handle_frame(frame, [10, 0, 0, 1], &rig.session, &rig.sink);
+        }
+    };
+    // Warm-up: the shape prepared, the session's buffers grown, every
+    // key tracked; then an empty queue, so no refresh falls in the span.
+    run((0..ROWS).map(point).collect());
+    db.refresh();
+    let frames: Vec<Frame> = (ROWS..ROWS + POINT_QUERIES).map(point).collect();
+    let delivered = rig.sink.rows.load(Ordering::Relaxed);
+    let before = alloc_count::count();
+    run(frames);
+    let allocs = alloc_count::count() - before;
+    assert_eq!(
+        rig.sink.rows.load(Ordering::Relaxed) - delivered,
+        POINT_QUERIES,
+        "one row per point query"
+    );
+    assert_eq!(rig.scheduler.pending(), 0, "every reply was due");
+    eprintln!("due point SELECT: {allocs} allocations for {POINT_QUERIES} queries");
+    // Admission appends each query's charge to the gatekeeper's user and
+    // subnet logs, which are never trimmed: both logs hold `ROWS` charges
+    // when the span starts, so each doubles its capacity once inside it.
+    // Those two reallocations are the logs' growth, not the point path's.
+    let log_growth = 2;
+    assert!(
+        allocs <= 2 * POINT_QUERIES as u64 + log_growth,
+        "{allocs} allocations for {POINT_QUERIES} point queries"
     );
 }

@@ -275,6 +275,42 @@ fn a_table_rebuilt_between_frames_replans_the_cached_shape() {
 }
 
 #[test]
+fn a_table_dropped_and_created_again_answers_from_the_new_table() {
+    let mut rig = rig(20);
+    let sql = |id: i64| format!("SELECT name FROM t WHERE id = {id}");
+    let name = |s: &str| Answer::Rows(vec![vec![Value::Text(s.into())]]);
+    assert_eq!(rig.query(&sql(3)), name("n3"));
+    // The cached shape keeps the table it read. The same name, schema and
+    // plan now lead to another table with other rows, so only the drop
+    // tells the two apart.
+    rig.db.execute_at("DROP TABLE t", 0.0).unwrap();
+    rig.db
+        .execute_at("CREATE TABLE t (id INT NOT NULL, name TEXT NOT NULL)", 0.0)
+        .unwrap();
+    rig.db
+        .execute_at("INSERT INTO t VALUES (3, 'fresh-3'), (4, 'fresh-4')", 0.0)
+        .unwrap();
+    assert_eq!(rig.query(&sql(3)), name("fresh-3"));
+    assert_eq!(rig.query(&sql(4)), name("fresh-4"));
+    assert_eq!(rig.query(&sql(5)), Answer::Rows(vec![]));
+    assert_eq!(rig.counter("server_stmt_cache_misses"), 1, "one shape");
+    // A drop alone: the cached shape errors as a fresh statement does,
+    // every time, and answers again once the name is back.
+    rig.db.execute_at("DROP TABLE t", 0.0).unwrap();
+    let direct = rig.db.execute_at(&sql(3), 0.0).unwrap_err().to_string();
+    for _ in 0..2 {
+        assert_eq!(rig.query(&sql(3)), Answer::Error(direct.clone()));
+    }
+    rig.db
+        .execute_at("CREATE TABLE t (id INT NOT NULL, name TEXT NOT NULL)", 0.0)
+        .unwrap();
+    rig.db
+        .execute_at("INSERT INTO t VALUES (3, 'third-3')", 0.0)
+        .unwrap();
+    assert_eq!(rig.query(&sql(3)), name("third-3"));
+}
+
+#[test]
 fn errors_read_exactly_as_a_direct_parse_reports_them() {
     let mut rig = rig(5);
     for sql in [

@@ -60,13 +60,17 @@ impl Catalog {
             .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
     }
 
-    /// Drop a table. Fails if absent.
+    /// Drop a table. Fails if absent. The table is marked dropped (under
+    /// its write lock, once the catalog lock is released), so a handle
+    /// kept past the drop can tell that its name no longer leads to it.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut tables = self.tables.write();
-        tables
+        let table = self
+            .tables
+            .write()
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
+            .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))?;
+        table.write().mark_dropped();
+        Ok(())
     }
 
     /// Names of all tables, sorted.
@@ -116,9 +120,12 @@ mod tests {
         assert!(c.table("t").is_ok());
         assert_eq!(c.table_names(), vec!["t".to_string()]);
         assert_eq!(c.len(), 1);
+        let kept = c.table("t").unwrap();
+        assert!(!kept.read().is_dropped());
         c.drop_table("t").unwrap();
         assert!(c.table("t").is_err());
         assert!(c.is_empty());
+        assert!(kept.read().is_dropped(), "a kept handle sees the drop");
     }
 
     #[test]

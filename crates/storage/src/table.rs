@@ -35,6 +35,9 @@ pub struct Table {
     reads: AtomicU64,
     ddl_version: u64,
     data_version: u64,
+    /// Set when the catalog drops the table: a handle kept past the drop
+    /// (a prepared statement's) learns from it to look the name up again.
+    dropped: bool,
 }
 
 impl Table {
@@ -49,6 +52,7 @@ impl Table {
             reads: AtomicU64::new(0),
             ddl_version: fresh_ddl_version(),
             data_version: 0,
+            dropped: false,
         }
     }
 
@@ -97,6 +101,18 @@ impl Table {
     /// equality means "the plan I cached is still valid for this table".
     pub fn ddl_version(&self) -> u64 {
         self.ddl_version
+    }
+
+    /// Whether the catalog has dropped this table. A dropped table keeps
+    /// its rows for whoever still holds it, but its name may already
+    /// belong to another table.
+    pub fn is_dropped(&self) -> bool {
+        self.dropped
+    }
+
+    /// Mark the table dropped from its catalog.
+    pub(crate) fn mark_dropped(&mut self) {
+        self.dropped = true;
     }
 
     /// A counter bumped by every committed row mutation (insert, update,
@@ -318,6 +334,7 @@ impl Table {
             stats,
             ddl_version: fresh_ddl_version(),
             data_version: 0,
+            dropped: false,
         };
         for def in index_defs {
             let mut index = Index::new(def);
