@@ -14,7 +14,8 @@
 //! re-packed after k ∈ {1, 100, 10 000, n} changed keys at n ∈ {8 192,
 //! 65 536, 1 048 576}) and the popularity bytes held per tracked key,
 //! and due point queries through the server's front door, one session
-//! against two on one guard (`front_door_sessions`).
+//! against two on one guard, from two /24s and from one
+//! (`front_door_sessions`).
 //!
 //! `--smoke` runs a tiny shape for CI: it checks the harness end to end
 //! and still enforces the allocation budget and the re-pack bound (both
@@ -94,7 +95,10 @@ fn main() -> ExitCode {
     );
 
     // Due point queries through the front door: one session, then two
-    // on one guard, each point the median of `reps` runs by aggregate q/s.
+    // on one guard from their own /24s, then two from one /24 (sharing
+    // its subnet bucket). The three shapes take turns, `reps` rounds, so
+    // a slow phase of the host falls on all of them; each point is the
+    // median of its runs by aggregate q/s.
     let sessions_shape = if report.smoke() {
         SessionsConfig::smoke()
     } else {
@@ -104,21 +108,31 @@ fn main() -> ExitCode {
         "-- front_door_sessions: {} rows, {} queries/session, refresher every {} ms --",
         sessions_shape.rows, sessions_shape.queries_per_session, SESSIONS_REFRESH_MS
     );
-    let sessions: Vec<SessionsSample> = [1, 2]
-        .map(|n| {
-            let reps = if report.smoke() { 1 } else { 5 };
-            let mut runs: Vec<SessionsSample> = (0..reps)
-                .map(|_| front_door_sessions(n, &sessions_shape))
-                .collect();
+    let shapes = [(1, false), (2, false), (2, true)];
+    let reps = if report.smoke() { 1 } else { 5 };
+    let mut runs: Vec<Vec<SessionsSample>> = vec![Vec::new(); shapes.len()];
+    for _ in 0..reps {
+        for (runs, &(n, shared_subnet)) in runs.iter_mut().zip(&shapes) {
+            runs.push(front_door_sessions(n, shared_subnet, &sessions_shape));
+        }
+    }
+    let sessions: Vec<SessionsSample> = runs
+        .into_iter()
+        .map(|mut runs| {
             runs.sort_by(|a, b| a.aggregate_qps.total_cmp(&b.aggregate_qps));
             let s = runs[runs.len() / 2];
+            let subnets = if s.shared_subnet {
+                "one /24"
+            } else {
+                "own /24s"
+            };
             eprintln!(
-                "  {n} session(s): {:>7.0} ns/query each, {:>9.0} q/s together",
-                s.ns_per_query, s.aggregate_qps
+                "  {} session(s), {subnets}: {:>7.0} ns/query each, {:>9.0} q/s together",
+                s.sessions, s.ns_per_query, s.aggregate_qps
             );
             s
         })
-        .into();
+        .collect();
     report.param("sessions_rows", sessions_shape.rows as f64);
     report.param(
         "sessions_queries_per_session",
@@ -127,13 +141,20 @@ fn main() -> ExitCode {
     report.param("sessions_refresh_ms", SESSIONS_REFRESH_MS as f64);
     report.rows(
         "front_door_sessions",
-        ["sessions", "ns_per_query", "aggregate_qps"],
-        sessions
-            .iter()
-            .map(|s| [s.sessions as f64, s.ns_per_query, s.aggregate_qps]),
+        ["sessions", "shared_subnet", "ns_per_query", "aggregate_qps"],
+        sessions.iter().map(|s| {
+            let shared = f64::from(u8::from(s.shared_subnet));
+            [s.sessions as f64, shared, s.ns_per_query, s.aggregate_qps]
+        }),
     );
     let two_over_one = sessions[1].aggregate_qps / sessions[0].aggregate_qps;
     report.sample("front_door_two_sessions_over_one", two_over_one, "x");
+    let one_subnet_over_one = sessions[2].aggregate_qps / sessions[0].aggregate_qps;
+    report.sample(
+        "front_door_two_sessions_one_subnet_over_one",
+        one_subnet_over_one,
+        "x",
+    );
 
     // Steady-state allocation and copy accounting on the measuring
     // thread, via the counting global allocator this binary installs.
@@ -222,16 +243,25 @@ fn main() -> ExitCode {
             REFRESH_US_1M_KEYS_100_CHANGED_MAX,
             FullRun,
         );
-    // Two sessions on one guard must get at least as much done as one;
-    // on a single hardware thread they can only take turns.
+    // Two sessions on one guard must get at least as much done as one,
+    // also when their identities share one /24's bucket; on a single
+    // hardware thread they can only take turns.
     if hardware_threads() >= 2 {
-        report.gate(
-            "front_door_two_sessions_over_one",
-            two_over_one,
-            Ge,
-            1.0,
-            FullRun,
-        );
+        report
+            .gate(
+                "front_door_two_sessions_over_one",
+                two_over_one,
+                Ge,
+                1.0,
+                FullRun,
+            )
+            .gate(
+                "front_door_two_sessions_one_subnet_over_one",
+                one_subnet_over_one,
+                Ge,
+                1.0,
+                FullRun,
+            );
     }
     report.finish()
 }

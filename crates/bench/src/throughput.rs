@@ -340,6 +340,9 @@ impl SessionsConfig {
 pub struct SessionsSample {
     /// Sessions issuing queries concurrently against one guard.
     pub sessions: usize,
+    /// Whether every session's identity registered from one /24, so
+    /// every admission charges one shared subnet bucket.
+    pub shared_subnet: bool,
     /// Mean wall time one session spends per query, in nanoseconds.
     pub ns_per_query: f64,
     /// Queries per second, summed over the sessions.
@@ -368,7 +371,8 @@ impl FrameSink for DroppingSink {
 }
 
 /// `sessions` sessions, each with its own identity (a `REGISTER` from its
-/// own /24), issue due point `SELECT`s through
+/// own /24, or with `shared_subnet` all from one /24, as wirebench's
+/// loopback clients are), issue due point `SELECT`s through
 /// [`FrontDoor::handle_frame`] into dropping sinks, all against one
 /// guard, while a refresher thread refreshes it every
 /// [`SESSIONS_REFRESH_MS`]. The cap is zero, so every reply is due at
@@ -376,7 +380,11 @@ impl FrameSink for DroppingSink {
 /// what is measured is the per-query CPU of admission, the prepared
 /// read, pricing and encoding, and what sessions on one guard cost each
 /// other. Frames are built before the clock starts.
-pub fn front_door_sessions(sessions: usize, shape: &SessionsConfig) -> SessionsSample {
+pub fn front_door_sessions(
+    sessions: usize,
+    shared_subnet: bool,
+    shape: &SessionsConfig,
+) -> SessionsSample {
     let guard = GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
         AccessDelayPolicy::new(1.5, 1.0).with_cap(0.0),
     ));
@@ -420,7 +428,11 @@ pub fn front_door_sessions(sessions: usize, shape: &SessionsConfig) -> SessionsS
             .map(|sid| {
                 let (gate, barrier) = (&gate, &barrier);
                 s.spawn(move || {
-                    let peer = [10, 0, sid, 1];
+                    let peer = if shared_subnet {
+                        [10, 0, 0, 1 + sid]
+                    } else {
+                        [10, 0, sid, 1]
+                    };
                     let sink = Arc::new(DroppingSink::default());
                     let session = SessionState::new();
                     let register = Frame::Register {
@@ -461,6 +473,7 @@ pub fn front_door_sessions(sessions: usize, shape: &SessionsConfig) -> SessionsS
     );
     SessionsSample {
         sessions,
+        shared_subnet,
         ns_per_query: busy_nanos / queries as f64,
         aggregate_qps: queries as f64 / started.as_secs_f64().max(1e-9),
     }
@@ -616,9 +629,10 @@ mod tests {
             rows: 64,
             queries_per_session: 200,
         };
-        for sessions in [1, 2] {
-            let sample = front_door_sessions(sessions, &shape);
+        for (sessions, shared_subnet) in [(1, false), (2, false), (2, true)] {
+            let sample = front_door_sessions(sessions, shared_subnet, &shape);
             assert_eq!(sample.sessions, sessions);
+            assert_eq!(sample.shared_subnet, shared_subnet);
             assert!(sample.ns_per_query > 0.0 && sample.aggregate_qps > 0.0);
         }
     }

@@ -27,10 +27,14 @@
 //!
 //! Replay is incremental: a cached `(tokens, last)` frontier advances as
 //! charges are folded in order, so steady-state local admission is O(1).
-//! Only a merge that introduces charges *behind* the frontier (a delta
-//! from a lagging peer) rewinds to genesis and replays the merged log —
-//! rare, bounded by log length, and what keeps the result independent of
-//! delta arrival order.
+//! The bucket keeps its own origin's log and replay position as plain
+//! fields and other origins' logs in a side map, read only after a merge
+//! added entries to one of them: an own charge levied in order folds in
+//! place, with no map walk and no allocation. A merge that introduces
+//! charges *behind* the frontier (a delta from a lagging peer) rewinds to
+//! genesis and replays the merged log in sorted order — rare, bounded by
+//! log length, and what keeps the result independent of delta arrival
+//! order.
 
 use std::collections::BTreeMap;
 
@@ -48,6 +52,14 @@ pub struct Charge {
     pub amount: f64,
 }
 
+/// Another origin's append-only charge log, as merged so far.
+#[derive(Debug, Clone, Default)]
+struct RemoteLog {
+    log: Vec<Charge>,
+    /// How many entries of `log` the cache has replayed.
+    replayed: usize,
+}
+
 /// A token bucket whose state is a mergeable set of per-origin charge
 /// logs. See the module docs for the convergence argument.
 #[derive(Debug, Clone)]
@@ -55,10 +67,15 @@ pub struct MergeableBucket {
     rate: f64,
     burst: f64,
     origin: u16,
-    /// Per-origin append-only charge logs (own origin included).
-    logs: BTreeMap<u16, Vec<Charge>>,
-    /// How many entries of each origin's log the cache has replayed.
-    replayed: BTreeMap<u16, usize>,
+    /// This node's own append-only charge log.
+    own: Vec<Charge>,
+    /// How many entries of `own` the cache has replayed.
+    own_replayed: usize,
+    /// Every other origin's log, by origin.
+    remote: BTreeMap<u16, RemoteLog>,
+    /// Some remote log holds entries the cache has not replayed (a merge
+    /// added them since the last sorted replay).
+    remote_pending: bool,
     /// Cached replay state: the exact `TokenBucket` fields after folding
     /// every replayed charge in `(at, origin, seq)` order.
     tokens: f64,
@@ -70,6 +87,15 @@ pub struct MergeableBucket {
 
 fn key_cmp(a: (f64, u16, u64), b: (f64, u16, u64)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+/// Append the entries of `entries` that extend `log` by `seq`.
+fn extend_log(log: &mut Vec<Charge>, entries: &[Charge]) {
+    for c in entries {
+        if c.seq == log.len() as u64 + 1 {
+            log.push(*c);
+        }
+    }
 }
 
 impl MergeableBucket {
@@ -84,8 +110,10 @@ impl MergeableBucket {
             rate,
             burst,
             origin,
-            logs: BTreeMap::new(),
-            replayed: BTreeMap::new(),
+            own: Vec::new(),
+            own_replayed: 0,
+            remote: BTreeMap::new(),
+            remote_pending: false,
             tokens: burst,
             last: 0.0,
             frontier: None,
@@ -94,18 +122,14 @@ impl MergeableBucket {
 
     /// This node's own charge log (what replication ships to peers).
     pub fn own_log(&self) -> &[Charge] {
-        self.logs
-            .get(&self.origin)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        &self.own
     }
 
     /// Record a local charge at `now` (appended to the own-origin log;
     /// folded into the cached level on the next read).
     pub fn charge(&mut self, now: f64, amount: f64) {
-        let log = self.logs.entry(self.origin).or_default();
-        let seq = log.len() as u64 + 1;
-        log.push(Charge {
+        let seq = self.own.len() as u64 + 1;
+        self.own.push(Charge {
             seq,
             at_secs: now,
             amount,
@@ -114,14 +138,17 @@ impl MergeableBucket {
 
     /// Fold another origin's log in. Entries already known (by `seq`) are
     /// skipped, so merging is idempotent; since each origin's log is
-    /// cumulative and append-only, merge order cannot matter.
+    /// cumulative and append-only, merge order cannot matter. Entries
+    /// under this bucket's own origin extend the own log.
     pub fn merge(&mut self, origin: u16, entries: &[Charge]) {
-        let log = self.logs.entry(origin).or_default();
-        for c in entries {
-            if c.seq == log.len() as u64 + 1 {
-                log.push(*c);
-            }
+        if origin == self.origin {
+            extend_log(&mut self.own, entries);
+            return;
         }
+        let remote = self.remote.entry(origin).or_default();
+        let known = remote.log.len();
+        extend_log(&mut remote.log, entries);
+        self.remote_pending |= remote.log.len() > known;
     }
 
     /// Tokens available at `now` under the merged charge history.
@@ -155,7 +182,7 @@ impl MergeableBucket {
     /// Advance the cached replay over every un-folded charge, rewinding
     /// to genesis first if any of them lands behind the frontier.
     fn sync(&mut self) {
-        if self.fold_own_tail() {
+        if !self.remote_pending && self.fold_own_tail() {
             return;
         }
         let mut pending = self.pending();
@@ -170,47 +197,43 @@ impl MergeableBucket {
                 self.tokens = self.burst;
                 self.last = 0.0;
                 self.frontier = None;
-                self.replayed.clear();
+                self.own_replayed = 0;
+                self.remote.values_mut().for_each(|r| r.replayed = 0);
                 pending = self.pending();
             }
         }
         for &(at, origin, seq, amount) in &pending {
             self.fold(at, origin, seq, amount);
-            *self.replayed.entry(origin).or_insert(0) += 1;
         }
+        // Everything pending was folded: every log is replayed in full.
+        self.own_replayed = self.own.len();
+        self.remote
+            .values_mut()
+            .for_each(|r| r.replayed = r.log.len());
+        self.remote_pending = false;
     }
 
-    /// The steady state of local admission, folded without allocating:
-    /// when the only un-replayed charges are the own origin's, and they
-    /// lie in replay order at or after the frontier, fold them in place —
-    /// the same operations, in the same order, as the sorted replay.
-    /// Returns `false`, having folded nothing, in every other case.
+    /// The steady state of local admission, folded without allocating or
+    /// touching the remote logs (the caller has checked none has entries
+    /// pending): when the own log's un-replayed tail lies in replay order
+    /// at or after the frontier, fold it in place — the same operations,
+    /// in the same order, as the sorted replay. Returns `false`, having
+    /// folded nothing, otherwise.
     fn fold_own_tail(&mut self) -> bool {
         let origin = self.origin;
-        let replayed = |o: &u16| self.replayed.get(o).copied().unwrap_or(0);
-        if self
-            .logs
-            .iter()
-            .any(|(o, log)| *o != origin && replayed(o) < log.len())
-        {
-            return false;
-        }
-        let (done, len) = (replayed(&origin), self.own_log().len());
-        let tail = self.own_log()[done..].iter();
+        let tail = &self.own[self.own_replayed..];
         let keys = self
             .frontier
             .into_iter()
-            .chain(tail.map(|c| (c.at_secs, origin, c.seq)));
+            .chain(tail.iter().map(|c| (c.at_secs, origin, c.seq)));
         if !keys.is_sorted_by(|a, b| key_cmp(*a, *b).is_le()) {
             return false;
         }
-        for i in done..len {
-            let c = self.own_log()[i];
+        for i in self.own_replayed..self.own.len() {
+            let c = self.own[i];
             self.fold(c.at_secs, origin, c.seq, c.amount);
         }
-        if len > done {
-            self.replayed.insert(origin, len);
-        }
+        self.own_replayed = self.own.len();
         true
     }
 
@@ -227,13 +250,17 @@ impl MergeableBucket {
 
     /// Un-replayed charges in `(at, origin, seq)` replay order.
     fn pending(&self) -> Vec<(f64, u16, u64, f64)> {
-        let mut out = Vec::new();
-        for (&origin, log) in &self.logs {
-            let done = self.replayed.get(&origin).copied().unwrap_or(0);
-            for c in &log[done..] {
-                out.push((c.at_secs, origin, c.seq, c.amount));
-            }
-        }
+        let own = self.own[self.own_replayed..]
+            .iter()
+            .map(|c| (self.origin, c));
+        let remote = self
+            .remote
+            .iter()
+            .flat_map(|(&origin, r)| r.log[r.replayed..].iter().map(move |c| (origin, c)));
+        let mut out: Vec<(f64, u16, u64, f64)> = own
+            .chain(remote)
+            .map(|(origin, c)| (c.at_secs, origin, c.seq, c.amount))
+            .collect();
         out.sort_by(|a, b| key_cmp((a.0, a.1, a.2), (b.0, b.1, b.2)));
         out
     }
@@ -300,7 +327,9 @@ mod tests {
     /// Observable state: merged log shape plus the level probed at a few
     /// times after every known charge.
     fn observe(b: &mut MergeableBucket) -> Vec<(u16, usize)> {
-        let shape: Vec<(u16, usize)> = b.logs.iter().map(|(&o, l)| (o, l.len())).collect();
+        let mut shape: Vec<(u16, usize)> =
+            b.remote.iter().map(|(&o, r)| (o, r.log.len())).collect();
+        shape.push((b.origin, b.own.len()));
         shape
     }
 
@@ -331,44 +360,136 @@ mod tests {
         }
     }
 
-    /// Own charges read one at a time fold in place; one that lands
-    /// behind the frontier (or a remote entry pending beside them) takes
-    /// the sorted replay instead. At every read the level is that of the
-    /// whole log replayed once in `(at, origin, seq)` order, bit for bit.
+    /// `(available(now), next_available(now, 1.0))` of a bucket that
+    /// replays `charges` once, from genesis, in `(at, origin, seq)`
+    /// order: the definition the cached replay must reproduce.
+    fn replayed(rate: f64, burst: f64, charges: &[(f64, u16, u64, f64)], now: f64) -> (f64, f64) {
+        let mut sorted = charges.to_vec();
+        sorted.sort_by(|a, b| key_cmp((a.0, a.1, a.2), (b.0, b.1, b.2)));
+        let (mut tokens, mut last) = (burst, 0.0);
+        for &(at, _, _, amount) in &sorted {
+            if at > last {
+                tokens = (tokens + (at - last) * rate).min(burst);
+                last = at;
+            }
+            tokens = (tokens - amount).max(0.0);
+        }
+        let level = if now > last {
+            (tokens + (now - last) * rate).min(burst)
+        } else {
+            tokens
+        };
+        let next = if level + EPS >= 1.0 {
+            now
+        } else {
+            now + (1.0 - level) / rate
+        };
+        (level, next)
+    }
+
+    /// The own log in a plain field and remote logs in a side map, against
+    /// the definition. Over a random mix of own charges (some stamped in
+    /// the past), remote deliveries (cumulative prefixes, stale repeats and
+    /// slices that skip ahead) and echoes of the own log merged under the
+    /// own origin, with reads between some steps and not others: at every
+    /// read `available` and `next_available` equal the whole merged log
+    /// replayed once in `(at, origin, seq)` order, bit for bit, and
+    /// `own_log` holds exactly the charges levied, in order.
     #[test]
-    fn in_place_fold_matches_sorted_replay() {
-        let (rate, burst) = (1.0, 4.0);
-        let mut rng = X(0xf01d);
-        let mut bucket = MergeableBucket::new(rate, burst, 1);
-        let remote = random_log(&mut rng, 20, 0.0);
-        let mut all: Vec<(f64, u16, u64, f64)> = Vec::new();
-        let mut t = 0.0;
-        for i in 0..300u64 {
-            t += rng.f64();
-            // Every 17th charge is stamped in the past.
-            let at = if i % 17 == 16 { t - 1.5 } else { t };
-            let amount = 0.25 + rng.f64();
-            bucket.charge(at, amount);
-            all.push((at, 1, i + 1, amount));
-            if i == 150 {
-                bucket.merge(4, &remote);
-                all.extend(remote.iter().map(|c| (c.at_secs, 4, c.seq, c.amount)));
-            }
-            all.sort_by(|a, b| key_cmp((a.0, a.1, a.2), (b.0, b.1, b.2)));
-            let (mut tokens, mut last) = (burst, 0.0);
-            for &(at, _, _, amount) in &all {
-                if at > last {
-                    tokens = (tokens + (at - last) * rate).min(burst);
-                    last = at;
+    fn bucket_layout_matches_whole_log_replay() {
+        for seed in 1..=48u64 {
+            let mut rng = X(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let (rate, burst) = (0.5 + rng.f64() * 2.0, 1.0 + rng.f64() * 5.0);
+            let own = (seed % 3) as u16 * 2;
+            let mut bucket = MergeableBucket::new(rate, burst, own);
+            // Quarter-second times, so charges of different origins (and
+            // of one origin) often share an instant.
+            let quarter = |rng: &mut X| (rng.next() % 3) as f64 * 0.25;
+            let remotes: Vec<(u16, Vec<Charge>)> = [1u16, 3, 5]
+                .iter()
+                .map(|&origin| {
+                    let mut t = quarter(&mut rng) * 4.0;
+                    let log = (1..=30u64)
+                        .map(|seq| {
+                            t += quarter(&mut rng);
+                            let amount = 0.25 + rng.f64() * 1.5;
+                            Charge {
+                                seq,
+                                at_secs: t,
+                                amount,
+                            }
+                        })
+                        .collect();
+                    (origin, log)
+                })
+                .collect();
+            let mut delivered = vec![0usize; remotes.len()];
+            let mut levied: Vec<Charge> = Vec::new();
+            let mut t = 0.0;
+            for step in 0..300 {
+                t += quarter(&mut rng);
+                match rng.next() % 8 {
+                    0..=3 => {
+                        let amount = 0.25 + rng.f64() * 1.5;
+                        bucket.charge(t, amount);
+                        levied.push(Charge {
+                            seq: levied.len() as u64 + 1,
+                            at_secs: t,
+                            amount,
+                        });
+                    }
+                    4 => {
+                        let at = (t - quarter(&mut rng) * 4.0).max(0.0);
+                        bucket.charge(at, 1.0);
+                        levied.push(Charge {
+                            seq: levied.len() as u64 + 1,
+                            at_secs: at,
+                            amount: 1.0,
+                        });
+                    }
+                    5 | 6 => {
+                        let r = (rng.next() % remotes.len() as u64) as usize;
+                        let (origin, log) = &remotes[r];
+                        let end = (rng.next() % (log.len() as u64 + 1)) as usize;
+                        let start = (rng.next() % (end as u64 + 1)) as usize;
+                        bucket.merge(*origin, &log[start..end]);
+                        if start <= delivered[r] {
+                            delivered[r] = delivered[r].max(end);
+                        }
+                    }
+                    _ => {
+                        let n = (rng.next() % (levied.len() as u64 + 1)) as usize;
+                        bucket.merge(own, &levied[..n]);
+                    }
                 }
-                tokens = (tokens - amount).max(0.0);
+                assert_eq!(bucket.own_log(), &levied[..], "seed {seed} step {step}");
+                if rng.next().is_multiple_of(3) {
+                    continue;
+                }
+                let mut all: Vec<(f64, u16, u64, f64)> = levied
+                    .iter()
+                    .map(|c| (c.at_secs, own, c.seq, c.amount))
+                    .collect();
+                for ((origin, log), &n) in remotes.iter().zip(&delivered) {
+                    all.extend(
+                        log[..n]
+                            .iter()
+                            .map(|c| (c.at_secs, *origin, c.seq, c.amount)),
+                    );
+                }
+                let now = t + quarter(&mut rng);
+                let (level, next) = replayed(rate, burst, &all, now);
+                assert_eq!(
+                    bucket.available(now).to_bits(),
+                    level.to_bits(),
+                    "seed {seed} step {step}: level"
+                );
+                assert_eq!(
+                    bucket.next_available(now, 1.0).to_bits(),
+                    next.to_bits(),
+                    "seed {seed} step {step}: next"
+                );
             }
-            let want = if t > last {
-                (tokens + (t - last) * rate).min(burst)
-            } else {
-                tokens
-            };
-            assert_eq!(bucket.available(t).to_bits(), want.to_bits(), "charge {i}");
         }
     }
 

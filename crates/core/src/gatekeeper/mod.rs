@@ -79,6 +79,10 @@ pub enum Admission {
 struct UserState {
     bucket: MergeableBucket,
     queries: u64,
+    /// The /24 the identity registered from here; `None` for an identity
+    /// known only from a peer's charges, which this node refuses as
+    /// unregistered.
+    subnet: Option<Subnet>,
 }
 
 /// The gatekeeper itself.
@@ -126,49 +130,52 @@ impl Gatekeeper {
                 self.config.per_user_burst,
                 self.origin,
             );
-            self.users.insert(user, UserState { bucket, queries: 0 });
+            self.users.insert(
+                user,
+                UserState {
+                    bucket,
+                    queries: 0,
+                    subnet: Some(ip.subnet24()),
+                },
+            );
         }
         outcome
     }
 
     /// Decide whether `user`'s query at `now` may proceed, charging the
-    /// relevant budgets on success.
+    /// relevant budgets on success. One lookup per bucket: the identity's
+    /// own entry says whether it registered here and from which /24.
     pub fn admit(&mut self, user: UserId, now: f64) -> Admission {
-        let Some(ip) = self.registrar.ip_of(user) else {
+        let Some((state, subnet_bucket)) = self.registered(user) else {
             return Admission::Refused(RefusalReason::Unregistered);
         };
-        let subnet = ip.subnet24();
         // Check both budgets before charging either, so a refusal leaves
         // no residue.
-        let user_ok = {
-            let state = self
-                .users
-                .get_mut(&user)
-                .expect("registered user has state");
-            state.bucket.available(now) >= 1.0 - 1e-9
-        };
+        let user_ok = state.bucket.available(now) >= 1.0 - 1e-9;
         if !user_ok {
             return Admission::Refused(RefusalReason::UserRateExceeded);
         }
-        let origin = self.origin;
-        let subnet_bucket = self.subnets.entry(subnet).or_insert_with(|| {
-            MergeableBucket::new(
-                self.config.per_subnet_rate,
-                self.config.per_subnet_burst,
-                origin,
-            )
-        });
         if subnet_bucket.available(now) < 1.0 - 1e-9 {
             return Admission::Refused(RefusalReason::SubnetRateExceeded);
         }
         subnet_bucket.charge(now, 1.0);
-        let state = self
-            .users
-            .get_mut(&user)
-            .expect("registered user has state");
         state.bucket.charge(now, 1.0);
         state.queries += 1;
         Admission::Granted
+    }
+
+    /// A locally registered identity's state and its /24's bucket
+    /// (created on first use), or `None` if `user` did not register here.
+    fn registered(&mut self, user: UserId) -> Option<(&mut UserState, &mut MergeableBucket)> {
+        let state = self.users.get_mut(&user)?;
+        let subnet = state.subnet?;
+        // The entry's /24 is the registrar's, read without its lookup.
+        debug_assert_eq!(self.registrar.ip_of(user).map(Ipv4::subnet24), Some(subnet));
+        let (config, origin) = (&self.config, self.origin);
+        let bucket = self.subnets.entry(subnet).or_insert_with(|| {
+            MergeableBucket::new(config.per_subnet_rate, config.per_subnet_burst, origin)
+        });
+        Some((state, bucket))
     }
 
     /// Earliest time at which a query from `user` could be admitted —
@@ -182,26 +189,9 @@ impl Gatekeeper {
     /// time is admitted (absent interleaved traffic draining the subnet
     /// budget), and one that retries any earlier is refused again.
     pub fn retry_at(&mut self, user: UserId, now: f64) -> Option<f64> {
-        let ip = self.registrar.ip_of(user)?;
-        let subnet = ip.subnet24();
-        let user_at = self
-            .users
-            .get_mut(&user)
-            .expect("registered user has state")
-            .bucket
-            .next_available(now, 1.0);
-        let origin = self.origin;
-        let subnet_at = self
-            .subnets
-            .entry(subnet)
-            .or_insert_with(|| {
-                MergeableBucket::new(
-                    self.config.per_subnet_rate,
-                    self.config.per_subnet_burst,
-                    origin,
-                )
-            })
-            .next_available(now, 1.0);
+        let (state, subnet_bucket) = self.registered(user)?;
+        let user_at = state.bucket.next_available(now, 1.0);
+        let subnet_at = subnet_bucket.next_available(now, 1.0);
         Some(user_at.max(subnet_at))
     }
 
@@ -283,6 +273,7 @@ impl Gatekeeper {
                         origin,
                     ),
                     queries: 0,
+                    subnet: None,
                 });
             state.bucket.merge(delta.origin, log);
         }
@@ -548,6 +539,83 @@ mod tests {
         ba.merge_gate_delta(&da); // idempotent re-merge
         ba.merge_gate_delta(&db);
         assert_eq!(probe(&mut ab), probe(&mut ba));
+    }
+
+    /// `export_gate_delta` ships exactly the charges this node levied —
+    /// one per admitted query, against the identity and against its /24,
+    /// at the admission time, numbered from 1 — and none of the charges
+    /// merged in from a peer or refused.
+    #[test]
+    fn export_gate_delta_holds_exactly_the_charges_levied() {
+        let config = GatekeeperConfig {
+            per_user_rate: 2.0,
+            per_user_burst: 3.0,
+            per_subnet_rate: 3.0,
+            per_subnet_burst: 4.0,
+            registration: RegistrationPolicy::interval(0.0),
+            storefront_query_threshold: 0,
+        };
+        let mut local = Gatekeeper::new(config);
+        local.set_origin(3);
+        let mut peer = Gatekeeper::new(config);
+        peer.set_origin(5);
+        let ips = ["10.0.0.1", "10.0.0.2", "10.0.1.1"];
+        let users: Vec<UserId> = ips
+            .iter()
+            .map(|ip| {
+                let u = register(&mut local, ip, 0.0);
+                assert_eq!(register(&mut peer, ip, 0.0), u);
+                u
+            })
+            .collect();
+        let mut user_logs: HashMap<u64, Vec<Charge>> = HashMap::new();
+        let mut subnet_logs: HashMap<[u8; 4], Vec<Charge>> = HashMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut t = 1.0;
+        for q in 0..400 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t += (x % 4) as f64 * 0.125;
+            let i = (x >> 8) as usize % users.len();
+            if x & (1 << 20) != 0 {
+                peer.admit(users[i], t);
+                local.merge_gate_delta(&peer.export_gate_delta());
+                peer.merge_gate_delta(&local.export_gate_delta());
+            }
+            if local.admit(users[i], t) == Admission::Granted {
+                let base = Ipv4::parse(ips[i]).unwrap().subnet24().base();
+                for log in [
+                    user_logs.entry(users[i].0).or_default(),
+                    subnet_logs.entry(base).or_default(),
+                ] {
+                    log.push(Charge {
+                        seq: log.len() as u64 + 1,
+                        at_secs: t,
+                        amount: 1.0,
+                    });
+                }
+            }
+            let delta = local.export_gate_delta();
+            assert_eq!(delta.origin, 3);
+            let mut want_users: Vec<(u64, Vec<Charge>)> =
+                user_logs.iter().map(|(&u, l)| (u, l.clone())).collect();
+            want_users.sort_by_key(|(u, _)| *u);
+            assert_eq!(delta.users, want_users, "query {q}");
+            let mut want_subnets: Vec<([u8; 4], Vec<Charge>)> =
+                subnet_logs.iter().map(|(&b, l)| (b, l.clone())).collect();
+            want_subnets.sort_by_key(|(b, _)| *b);
+            let got: Vec<([u8; 4], Vec<Charge>)> = delta
+                .subnets
+                .iter()
+                .map(|s| {
+                    assert_eq!(s.prefix, 24);
+                    (s.base, s.log.clone())
+                })
+                .collect();
+            assert_eq!(got, want_subnets, "query {q}");
+        }
+        assert!(user_logs.values().map(Vec::len).sum::<usize>() > 50);
     }
 
     #[test]

@@ -50,7 +50,11 @@
 //!   snapshot. Each drained event first advances its tracker's decay
 //!   clock to the event's own `now_secs` (decay is measured in guard
 //!   time, not in events), and an event that drains after a later one
-//!   never rewinds it.
+//!   never rewinds it. The drained batch is folded a table at a time,
+//!   under one shard lock per table, through
+//!   [`FrequencyTracker::fold_batch`]: per event the same arithmetic in
+//!   the same order, at a constant cost per key and at most one rank
+//!   prefix-sum rebuild per tracker per batch.
 //!
 //! The virtual-time simulation path (`execute_at`) keeps exact
 //! sequential semantics: it applies pending events and then works under
@@ -68,7 +72,7 @@ use crate::policy::{ChargingModel, GuardPolicy};
 use crate::replica::{tag_remote_key, ReplicaDelta, TableDelta};
 use crate::snapshot::{empty_table_snapshot, PolicySnapshot, SnapshotStats, TableSnapshot};
 use arc_swap::ArcSwap;
-use delayguard_popularity::{DecaySchedule, FrequencyTracker, ShardedEventQueue};
+use delayguard_popularity::{BatchStep, DecaySchedule, FrequencyTracker, ShardedEventQueue};
 use delayguard_query::ast::Statement;
 use delayguard_query::{
     Engine, ExecScratch, Prepared, PreparedSelect, RowBuf, SelectCursor, SelectOutput,
@@ -572,6 +576,8 @@ pub struct GuardedDatabase {
     mutations: AtomicU64,
     rebuilds: AtomicU64,
     events_applied: AtomicU64,
+    /// Rank-index prefix-sum rebuilds made by `apply_batch`'s folds.
+    rank_rebuilds: AtomicU64,
     /// Guard-clock duration of the last snapshot rebuild.
     last_rebuild_nanos: AtomicU64,
     /// Keys whose packed delays the last rebuild re-read.
@@ -633,6 +639,7 @@ impl GuardedDatabase {
             mutations: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             events_applied: AtomicU64::new(0),
+            rank_rebuilds: AtomicU64::new(0),
             last_rebuild_nanos: AtomicU64::new(0),
             last_keys_repacked: AtomicU64::new(0),
             remote: Mutex::new(BTreeMap::new()),
@@ -948,10 +955,12 @@ impl GuardedDatabase {
     /// touch.
     fn with_guard<R>(&self, table: &str, now: f64, f: impl FnOnce(&mut TableGuard) -> R) -> R {
         let mut guards = self.shard(table).lock();
-        if !guards.contains_key(table) {
-            guards.insert(table.to_owned(), TableGuard::new(&self.config));
-        }
-        let guard = guards.get_mut(table).expect("guard inserted above");
+        let guard = match guards.get_mut(table) {
+            Some(guard) => guard,
+            None => guards
+                .entry(table.to_owned())
+                .or_insert_with(|| TableGuard::new(&self.config)),
+        };
         guard.epoch.get_or_insert(now);
         f(guard)
     }
@@ -1041,37 +1050,54 @@ impl GuardedDatabase {
 
     /// Apply a drained batch, in global sequence order, to the master
     /// trackers. Caller must hold `refresh_lock`.
+    ///
+    /// Tables share no tracker state, so each table's events are folded
+    /// together, in their sequence order, under one shard lock: its
+    /// access tracker takes every SELECT and INSERT event in one
+    /// [`FrequencyTracker::fold_batch`] and its update tracker every
+    /// UPDATE event in another — per event, the same `advance_to` and
+    /// `record`/`ensure_tracked` as one at a time, and each rank index's
+    /// prefix sums rebuilt at most once per batch.
     fn apply_batch(&self, batch: Vec<(u64, AccessEvent)>) {
         let mut applied = 0u64;
-        for (_seq, ev) in batch {
+        let mut tables: Vec<(&str, Vec<&AccessEvent>)> = Vec::new();
+        let mut slots: HashMap<&str, usize> = HashMap::new();
+        let mut run: Option<(&Arc<str>, usize)> = None;
+        for (_seq, ev) in &batch {
             applied += ev.kind.len() as u64;
-            self.with_guard(&ev.table, ev.now_secs, |guard| {
-                match &ev.kind {
+            let slot = match run {
+                Some((table, slot)) if *table == ev.table => slot,
+                _ => *slots.entry(&ev.table).or_insert_with(|| {
+                    // Most batches are one table's: size its list once.
+                    let cap = if tables.is_empty() { batch.len() } else { 0 };
+                    tables.push((&ev.table, Vec::with_capacity(cap)));
+                    tables.len() - 1
+                }),
+            };
+            run = Some((&ev.table, slot));
+            tables[slot].1.push(ev);
+        }
+        let mut rebuilt = 0u64;
+        for (table, events) in &tables {
+            self.with_guard(table, events[0].now_secs, |guard| {
+                let accesses = events.iter().filter_map(|ev| match &ev.kind {
                     EventKind::SelectOne(k) => {
-                        guard.access.advance_to(ev.now_secs);
-                        guard.access.record(*k);
+                        Some(BatchStep::Record(ev.now_secs, std::slice::from_ref(k)))
                     }
-                    EventKind::Select(keys) => {
-                        guard.access.advance_to(ev.now_secs);
-                        for &k in keys {
-                            guard.access.record(k);
-                        }
-                    }
-                    EventKind::Update(keys) => {
-                        guard.updates.advance_to(ev.now_secs);
-                        for &k in keys {
-                            guard.updates.record(k);
-                        }
-                    }
-                    EventKind::Insert(keys) => {
-                        for &k in keys {
-                            guard.access.ensure_tracked(k);
-                        }
-                    }
-                }
+                    EventKind::Select(keys) => Some(BatchStep::Record(ev.now_secs, keys)),
+                    EventKind::Insert(keys) => Some(BatchStep::Track(keys)),
+                    EventKind::Update(_) => None,
+                });
+                let updates = events.iter().filter_map(|ev| match &ev.kind {
+                    EventKind::Update(keys) => Some(BatchStep::Record(ev.now_secs, keys)),
+                    _ => None,
+                });
+                rebuilt += u64::from(guard.access.fold_batch(accesses));
+                rebuilt += u64::from(guard.updates.fold_batch(updates));
                 guard.dirty = true;
             });
         }
+        self.rank_rebuilds.fetch_add(rebuilt, Ordering::Relaxed);
         if applied > 0 {
             self.events_applied.fetch_add(applied, Ordering::Relaxed);
             self.mutations.fetch_add(applied, Ordering::Release);
@@ -1297,6 +1323,7 @@ impl GuardedDatabase {
             pending_events: self.queue.pending(),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
             events_applied: self.events_applied.load(Ordering::Relaxed),
+            rank_rebuilds: self.rank_rebuilds.load(Ordering::Relaxed),
             last_rebuild_secs: nanos_to_secs(self.last_rebuild_nanos.load(Ordering::Relaxed)),
             last_keys_repacked: self.last_keys_repacked.load(Ordering::Relaxed),
         }
@@ -1452,6 +1479,83 @@ mod tests {
             rid.raw(),
             stats.window(now),
         )
+    }
+
+    /// A drained batch that interleaves two tables' SELECT, INSERT and
+    /// UPDATE events folds each tracker as the events one at a time
+    /// would, bit for bit, and rebuilds each of the four rank indexes'
+    /// prefix sums once, not once per run of events.
+    #[test]
+    fn interleaved_batch_rebuilds_each_rank_index_once() {
+        let config = GuardConfig {
+            update_decay_rate: 1.02,
+            ..GuardConfig::paper_default().with_access_decay(1.01)
+        };
+        let db = GuardedDatabase::new(config);
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from("a"), Arc::from("b"));
+        let mut reference: HashMap<&str, TableGuard> = HashMap::new();
+        for (i, run) in (0..1600u64).step_by(100).enumerate() {
+            let now = 1.0 + i as f64 * 0.5;
+            for table in [&a, &b] {
+                let keys: Vec<u64> = (run..run + 100).collect();
+                let kinds = [
+                    EventKind::Select(keys.clone()),
+                    EventKind::SelectOne(run / 2),
+                    EventKind::Insert(vec![run + 5000, run / 3]),
+                    EventKind::Update(keys.clone()),
+                ];
+                for kind in kinds {
+                    let guard = reference
+                        .entry(&**table)
+                        .or_insert_with(|| TableGuard::new(&config));
+                    match &kind {
+                        EventKind::SelectOne(k) => {
+                            guard.access.advance_to(now);
+                            guard.access.record(*k);
+                        }
+                        EventKind::Select(keys) => {
+                            guard.access.advance_to(now);
+                            keys.iter().for_each(|&k| guard.access.record(k));
+                        }
+                        EventKind::Update(keys) => {
+                            guard.updates.advance_to(now);
+                            keys.iter().for_each(|&k| guard.updates.record(k));
+                        }
+                        EventKind::Insert(keys) => {
+                            keys.iter().for_each(|&k| guard.access.ensure_tracked(k));
+                        }
+                    }
+                    db.queue.push(AccessEvent {
+                        table: Arc::clone(table),
+                        now_secs: now,
+                        kind,
+                    });
+                }
+            }
+        }
+        db.refresh();
+        let stats = db.snapshot_stats();
+        assert_eq!(stats.events_applied, 2 * 16 * (100 + 1 + 2 + 100));
+        assert_eq!(stats.rank_rebuilds, 4, "one per tracker");
+        for (name, want) in &reference {
+            db.with_guard(name, 0.0, |guard| {
+                for (got, want) in [
+                    (&guard.access, &want.access),
+                    (&guard.updates, &want.updates),
+                ] {
+                    assert_eq!(got.events(), want.events(), "table {name}");
+                    assert_eq!(got.total().to_bits(), want.total().to_bits());
+                    assert_eq!(got.fmax_global().to_bits(), want.fmax_global().to_bits());
+                    let got_ranks: Vec<(u64, usize)> = got.rank_table().collect();
+                    let want_ranks: Vec<(u64, usize)> = want.rank_table().collect();
+                    assert_eq!(got_ranks, want_ranks, "table {name}");
+                    let counts = |t: &FrequencyTracker| -> Vec<u64> {
+                        t.iter().map(|(_, c)| c.to_bits()).collect()
+                    };
+                    assert_eq!(counts(got), counts(want), "table {name}");
+                }
+            });
+        }
     }
 
     #[test]

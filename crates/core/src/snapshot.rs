@@ -193,6 +193,10 @@ pub struct SnapshotStats {
     pub rebuilds: u64,
     /// Events drained from the queue into the trackers since start.
     pub events_applied: u64,
+    /// Times a drained batch rebuilt a tracker's rank prefix sums (at
+    /// most once per tracker per batch; a small batch moves them in
+    /// place instead).
+    pub rank_rebuilds: u64,
     /// Guard-clock duration of the last rebuild (drain, apply, publish),
     /// in seconds.
     pub last_rebuild_secs: f64,

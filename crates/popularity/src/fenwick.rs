@@ -99,6 +99,23 @@ impl Fenwick {
         self.prefix(i) - lo
     }
 
+    /// Set every bucket to `counts[i]` in `O(n)`: the tree `add` would
+    /// build one count at a time, node for node.
+    ///
+    /// # Panics
+    /// If `counts` does not hold one count per bucket.
+    pub fn rebuild(&mut self, counts: &[u32]) {
+        assert_eq!(counts.len(), self.len, "one count per bucket");
+        self.tree[1..].copy_from_slice(counts);
+        for i in 1..=self.len {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= self.len {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+        self.total = counts.iter().map(|&c| u64::from(c)).sum();
+    }
+
     /// Reset all buckets to zero, keeping capacity.
     pub fn clear(&mut self) {
         self.tree.iter_mut().for_each(|v| *v = 0);
@@ -181,6 +198,28 @@ mod tests {
                 assert_eq!(f.prefix(i), want, "len {len} prefix({i})");
             }
             assert_eq!(f.total(), 3 * len as u64);
+        }
+    }
+
+    #[test]
+    fn rebuild_builds_the_tree_adds_build() {
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        for len in [1usize, 2, 5, 64, 100, 8192] {
+            let mut added = Fenwick::new(len);
+            let mut counts = vec![0u32; len];
+            for _ in 0..3 * len {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let i = (x % len as u64) as usize;
+                added.add(i, 1);
+                counts[i] += 1;
+            }
+            let mut rebuilt = Fenwick::new(len);
+            rebuilt.add(len - 1, 9);
+            rebuilt.rebuild(&counts);
+            assert_eq!(rebuilt.tree, added.tree, "len {len}");
+            assert_eq!(rebuilt.total(), added.total());
         }
     }
 

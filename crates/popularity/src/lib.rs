@@ -58,4 +58,4 @@ pub use fenwick::Fenwick;
 pub use rank::RankIndex;
 pub use shardqueue::ShardedEventQueue;
 pub use topk::top_k;
-pub use tracker::{CountChunk, FrequencyTracker};
+pub use tracker::{BatchStep, CountChunk, FrequencyTracker};

@@ -101,6 +101,27 @@ impl RankIndex {
         }
     }
 
+    /// [`RankIndex::insert`] in the per-bucket counts only: rank queries
+    /// read stale sums until [`RankIndex::settle`].
+    pub(crate) fn insert_occupancy(&mut self, b: usize) {
+        self.occupancy[b] += 1;
+    }
+
+    /// [`RankIndex::shift`] in the per-bucket counts only: rank queries
+    /// read stale sums until [`RankIndex::settle`].
+    pub(crate) fn shift_occupancy(&mut self, from: usize, to: usize) {
+        debug_assert!(self.occupancy[from] > 0, "bucket {from} underflow");
+        self.occupancy[from] -= 1;
+        self.occupancy[to] += 1;
+    }
+
+    /// Rebuild the prefix sums from the per-bucket counts, in
+    /// `O(NUM_BUCKETS)`: the same tree the moves would have built one at
+    /// a time.
+    pub(crate) fn settle(&mut self) {
+        self.buckets.rebuild(&self.occupancy);
+    }
+
     /// 1-based rank of an entry in bucket `b`: the number of entries in
     /// strictly greater buckets plus the number of entries tied in the
     /// same bucket (including the entry itself). Ties therefore share the
@@ -240,6 +261,26 @@ mod tests {
         assert_eq!(r.rank(400.0), 1);
         assert_eq!(r.rank(2.0), 2);
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn settled_occupancy_ranks_like_moves() {
+        let counts = [0.0, 1.0, 1.0, 3.0, 7.5, 40.0, 1e6];
+        let mut moved = RankIndex::new();
+        let mut settled = RankIndex::new();
+        settled.insert(bucket_of(5.0));
+        settled.clear();
+        for &c in &counts {
+            moved.insert(bucket_of(c));
+            settled.insert_occupancy(bucket_of(c));
+        }
+        moved.shift(bucket_of(1.0), bucket_of(2e6));
+        settled.shift_occupancy(bucket_of(1.0), bucket_of(2e6));
+        settled.settle();
+        assert_eq!(settled.len(), moved.len());
+        for c in [0.0, 1.0, 3.0, 7.5, 40.0, 1e6, 2e6, 5.0] {
+            assert_eq!(settled.rank(c), moved.rank(c), "count {c}");
+        }
     }
 
     #[test]

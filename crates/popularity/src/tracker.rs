@@ -27,8 +27,13 @@
 
 use crate::chunks::{split_key, KeyChunks, CHUNK_BITS, CHUNK_KEYS};
 use crate::decay::DecaySchedule;
-use crate::rank::{bucket_of, RankIndex};
+use crate::rank::{bucket_of, RankIndex, NUM_BUCKETS};
 use std::sync::Arc;
+
+/// Rank moves a batch fold applies to the rank index's prefix sums one
+/// at a time. Past this many it moves only per-bucket counts and rebuilds
+/// the sums once at the end, which costs about as much as this many moves.
+const EAGER_RANK_MOVES: usize = NUM_BUCKETS / 8;
 
 /// Raw counts of one run of [`CHUNK_KEYS`] consecutive keys.
 ///
@@ -110,6 +115,155 @@ impl CountChunk {
     }
 }
 
+/// One step of [`FrequencyTracker::fold_batch`].
+#[derive(Debug, Clone, Copy)]
+pub enum BatchStep<'k> {
+    /// [`FrequencyTracker::advance_to`] the time, then
+    /// [`FrequencyTracker::record`] each key in order.
+    Record(f64, &'k [u64]),
+    /// [`FrequencyTracker::ensure_tracked`] each key in order.
+    Track(&'k [u64]),
+}
+
+/// A batch step taken apart into single operations: a clock move, or
+/// one key to record (`record`) or to track at zero (`!record`).
+#[derive(Clone, Copy)]
+enum Op {
+    Advance(f64),
+    Key { key: u64, record: bool },
+}
+
+impl<'k> BatchStep<'k> {
+    fn ops(self) -> impl Iterator<Item = Op> + 'k {
+        let (at, keys, record) = match self {
+            BatchStep::Record(t, keys) => (Some(t), keys, true),
+            BatchStep::Track(keys) => (None, keys, false),
+        };
+        let keys = keys.iter().map(move |&key| Op::Key { key, record });
+        at.map(Op::Advance).into_iter().chain(keys)
+    }
+}
+
+/// The running state of one [`FrequencyTracker::fold_batch`]: the rank
+/// index, made writable once, and the tracker's totals.
+struct Fold<'a> {
+    rank: &'a mut RankIndex,
+    /// Moves still applied to the prefix sums as they happen.
+    eager_left: usize,
+    /// Whether the prefix sums lag the per-bucket counts.
+    stale: bool,
+    tracked: usize,
+    total_raw: f64,
+    max_raw: f64,
+    events: u64,
+}
+
+impl Fold<'_> {
+    fn insert(&mut self, b: usize) {
+        if self.eager_left > 0 {
+            self.eager_left -= 1;
+            self.rank.insert(b);
+        } else {
+            self.rank.insert_occupancy(b);
+            self.stale = true;
+        }
+    }
+
+    fn shift(&mut self, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        if self.eager_left > 0 {
+            self.eager_left -= 1;
+            self.rank.shift(from, to);
+        } else {
+            self.rank.shift_occupancy(from, to);
+            self.stale = true;
+        }
+    }
+
+    /// `record` (worth `w` raw) or `ensure_tracked` of the key in `slot`
+    /// of `chunk`: [`FrequencyTracker::apply`]'s arithmetic, in its order.
+    #[inline]
+    fn apply(&mut self, chunk: &mut CountChunk, slot: usize, record: bool, w: f64) {
+        let old = chunk.raw(slot);
+        if !record {
+            if old.is_none() {
+                chunk.set(slot, 0.0);
+                self.insert(bucket_of(0.0));
+                self.tracked += 1;
+            }
+            return;
+        }
+        let new = old.map_or(w, |old| old + w);
+        chunk.set(slot, new);
+        match old {
+            Some(old) => self.shift(bucket_of(old), bucket_of(new)),
+            None => {
+                self.insert(bucket_of(new));
+                self.tracked += 1;
+            }
+        }
+        self.total_raw += w;
+        if new > self.max_raw {
+            self.max_raw = new;
+        }
+        self.events += 1;
+    }
+
+    /// [`FrequencyTracker::rescale`], leaving the prefix sums to the
+    /// fold's one rebuild at the end.
+    fn rescale(&mut self, chunks: &mut KeyChunks<Arc<CountChunk>>, schedule: &mut DecaySchedule) {
+        let f = schedule.take_rescale_factor();
+        rescale_chunks(chunks, f, self.rank);
+        self.total_raw /= f;
+        self.max_raw /= f;
+        self.eager_left = 0;
+        self.stale = true;
+    }
+}
+
+/// Chunk `id`, writable (copied first if a clone still shares it),
+/// created empty if no tracked key falls in it yet; `cursor` is the
+/// position tried first and is left at the chunk's.
+fn open_chunk<'c>(
+    chunks: &'c mut KeyChunks<Arc<CountChunk>>,
+    cursor: &mut usize,
+    id: u64,
+) -> &'c mut CountChunk {
+    let i = match chunks.find_from(id, *cursor) {
+        Ok(i) => i,
+        Err(i) => {
+            chunks.insert(i, id, Arc::new(CountChunk::empty()));
+            i
+        }
+    };
+    *cursor = i;
+    Arc::make_mut(chunks.at_mut(i))
+}
+
+/// The raw count of `key` in `chunks`, if tracked.
+fn raw_in(chunks: &KeyChunks<Arc<CountChunk>>, key: u64) -> Option<f64> {
+    chunks.get(key).and_then(|(chunk, slot)| chunk.raw(slot))
+}
+
+/// Divide every raw count by `f` and refill `rank`'s per-bucket counts
+/// from the results (its prefix sums are stale until settled). Every
+/// chunk is written, so every chunk is new afterwards.
+fn rescale_chunks(chunks: &mut KeyChunks<Arc<CountChunk>>, f: f64, rank: &mut RankIndex) {
+    debug_assert!(f > 1.0);
+    rank.clear();
+    for chunk in chunks.items_mut() {
+        let chunk = Arc::make_mut(chunk);
+        for v in chunk.raw.iter_mut() {
+            *v /= f;
+        }
+        for (_, raw) in chunk.iter() {
+            rank.insert_occupancy(bucket_of(raw));
+        }
+    }
+}
+
 /// Tracks decayed event frequencies per `u64` key (RowIds, object ids).
 #[derive(Debug, Clone)]
 pub struct FrequencyTracker {
@@ -183,26 +337,75 @@ impl FrequencyTracker {
         }
     }
 
+    /// Fold a batch of steps: exactly [`FrequencyTracker::advance_to`] +
+    /// [`FrequencyTracker::record`] for each [`BatchStep::Record`] and
+    /// [`FrequencyTracker::ensure_tracked`] for each
+    /// [`BatchStep::Track`], in order — the same arithmetic in the same
+    /// order, so every count, total and rank ends bit-equal — at a
+    /// constant cost per key. The rank index is made writable once per
+    /// batch and a chunk once per run of a step's keys that fall in it;
+    /// past the first [`EAGER_RANK_MOVES`] rank moves a key moves only
+    /// its bucket's count, and the prefix sums are rebuilt once at the
+    /// end. Returns whether they were.
+    pub fn fold_batch<'k>(&mut self, steps: impl IntoIterator<Item = BatchStep<'k>>) -> bool {
+        let mut ops = steps.into_iter().flat_map(BatchStep::ops).peekable();
+        if ops.peek().is_none() {
+            return false;
+        }
+        let mut fold = Fold {
+            rank: Arc::make_mut(&mut self.rank),
+            eager_left: EAGER_RANK_MOVES,
+            stale: false,
+            tracked: self.tracked,
+            total_raw: self.total_raw,
+            max_raw: self.max_raw,
+            events: self.events,
+        };
+        let mut w = self.schedule.weight();
+        while let Some(op) = ops.next() {
+            let (key, record) = match op {
+                Op::Advance(t) => {
+                    self.schedule.advance_to(t);
+                    if self.schedule.needs_rescale() {
+                        fold.rescale(&mut self.chunks, &mut self.schedule);
+                    }
+                    w = self.schedule.weight();
+                    continue;
+                }
+                // An already tracked key writes nothing: leave its chunk
+                // shared.
+                Op::Key { key, record: false } if raw_in(&self.chunks, key).is_some() => continue,
+                Op::Key { key, record } => (key, record),
+            };
+            let (id, slot) = split_key(key);
+            let chunk = open_chunk(&mut self.chunks, &mut self.cursor, id);
+            fold.apply(chunk, slot, record, w);
+            // Keep writing this chunk while the step's keys stay in it.
+            let same_chunk = |op: &Op| matches!(*op, Op::Key { key, .. } if split_key(key).0 == id);
+            while let Some(Op::Key { key, record }) = ops.next_if(same_chunk) {
+                fold.apply(chunk, split_key(key).1, record, w);
+            }
+        }
+        self.tracked = fold.tracked;
+        self.total_raw = fold.total_raw;
+        self.max_raw = fold.max_raw;
+        self.events = fold.events;
+        if fold.stale {
+            fold.rank.settle();
+        }
+        fold.stale
+    }
+
     /// The chunk holding `key`, writable (copied first if a clone still
     /// shares it), created empty if no tracked key falls in it yet.
     fn chunk_mut(&mut self, key: u64) -> (&mut CountChunk, usize) {
         let (id, slot) = split_key(key);
-        let i = match self.chunks.find_from(id, self.cursor) {
-            Ok(i) => i,
-            Err(i) => {
-                self.chunks.insert(i, id, Arc::new(CountChunk::empty()));
-                i
-            }
-        };
-        self.cursor = i;
-        (Arc::make_mut(self.chunks.at_mut(i)), slot)
+        (open_chunk(&mut self.chunks, &mut self.cursor, id), slot)
     }
 
     /// The raw count of `key`, if tracked.
     fn raw(&self, key: u64) -> Option<f64> {
-        self.chunks
-            .get(key)
-            .and_then(|(chunk, slot)| chunk.raw(slot))
+        raw_in(&self.chunks, key)
     }
 
     /// Add a raw (already inflated) increment to a key's counter.
@@ -381,18 +584,9 @@ impl FrequencyTracker {
     /// new afterwards.
     fn rescale(&mut self) {
         let f = self.schedule.take_rescale_factor();
-        debug_assert!(f > 1.0);
         let rank = Arc::make_mut(&mut self.rank);
-        rank.clear();
-        for chunk in self.chunks.items_mut() {
-            let chunk = Arc::make_mut(chunk);
-            for v in chunk.raw.iter_mut() {
-                *v /= f;
-            }
-            for (_, raw) in chunk.iter() {
-                rank.insert(bucket_of(raw));
-            }
-        }
+        rescale_chunks(&mut self.chunks, f, rank);
+        rank.settle();
         self.total_raw /= f;
         self.max_raw /= f;
     }
@@ -732,6 +926,154 @@ mod tests {
             vec![0, 1, 2, 3],
             "a rescale writes every chunk"
         );
+    }
+
+    /// Everything a reader of a tracker can see, as bits.
+    fn observed(t: &FrequencyTracker, keys: &[u64]) -> Vec<u64> {
+        let mut out = vec![
+            t.total().to_bits(),
+            t.fmax().to_bits(),
+            t.fmax_global().to_bits(),
+            t.max_count().to_bits(),
+            t.events(),
+            t.tracked() as u64,
+            t.schedule().rescales(),
+            t.schedule().weight().to_bits(),
+            t.rank_index().len() as u64,
+        ];
+        for &k in keys {
+            out.push(t.count(k).to_bits());
+            out.push(t.rank(k) as u64);
+        }
+        out.extend(
+            t.rank_index()
+                .bucket_ranks()
+                .flat_map(|(b, r)| [b as u64, r as u64]),
+        );
+        out
+    }
+
+    /// Raw counts of every chunk, by chunk id (a deep copy).
+    fn chunk_contents(t: &FrequencyTracker) -> Vec<(u64, Vec<(usize, u64)>)> {
+        t.chunks()
+            .map(|(id, c)| (id, c.iter().map(|(s, r)| (s, r.to_bits())).collect()))
+            .collect()
+    }
+
+    /// Ids of the chunks `now` holds that `then` does not share.
+    fn moved(now: &FrequencyTracker, then: &FrequencyTracker) -> Vec<u64> {
+        now.chunks()
+            .filter(|(id, c)| {
+                !then
+                    .chunks()
+                    .any(|(tid, tc)| tid == *id && Arc::ptr_eq(c, tc))
+            })
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// `fold_batch` against `advance_to` + `record` / `ensure_tracked`
+    /// one step at a time, bit for bit: counts, ranks, `fmax`,
+    /// `fmax_global`, totals, events and rescales after every batch, at
+    /// decay 1.0, 1.001 and 1.05 with rescales inside batches, batches
+    /// above and below the eager-move bound, keys in scan runs, at random
+    /// and in new chunks between old ones, events out of time order, and
+    /// snapshot clones between batches: a clone's chunks keep their
+    /// contents, and a batch writes exactly the chunks the one-at-a-time
+    /// steps write.
+    #[test]
+    fn fold_batch_matches_advance_and_record() {
+        for (rate, dt) in [(1.0, 1.0), (1.001, 40.0), (1.05, 2.0)] {
+            let schedule = DecaySchedule::new(rate).with_rescale_threshold(1e3);
+            let mut stepped = FrequencyTracker::new(schedule.clone());
+            let mut folded = FrequencyTracker::new(schedule);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut probe: Vec<u64> = vec![7, 1 << 30];
+            let mut t = 0.0;
+            let mut rescaled_inside = 0;
+            for batch in 0..60 {
+                // Owned steps: (time, keys, record?)
+                let len = if batch % 4 == 0 { 200 } else { 1 + next() % 12 };
+                let mut steps: Vec<(f64, Vec<u64>, bool)> = Vec::new();
+                for _ in 0..len {
+                    t += (next() % 1000) as f64 / 1000.0 * dt;
+                    let at = if next() % 9 == 0 { t - dt } else { t };
+                    let keys: Vec<u64> = match next() % 6 {
+                        0 => {
+                            let start = next() % 3000;
+                            (start..start + 1 + next() % 300).collect()
+                        }
+                        1 => (0..1 + next() % 4).map(|_| (next() % 64) << 12).collect(),
+                        2 => vec![(1 << 30) | (next() % 700)],
+                        _ => (0..1 + next() % 3).map(|_| next() % 3000).collect(),
+                    };
+                    probe.extend(keys.iter().take(2));
+                    steps.push((at, keys, next() % 7 != 0));
+                }
+                let rescales = folded.schedule().rescales();
+                let (frozen_stepped, frozen) = (stepped.clone(), folded.clone());
+                let frozen_contents = chunk_contents(&frozen);
+                let frozen_seen = observed(&frozen, &probe);
+                for (at, keys, record) in &steps {
+                    if *record {
+                        stepped.advance_to(*at);
+                        keys.iter().for_each(|&k| stepped.record(k));
+                    } else {
+                        keys.iter().for_each(|&k| stepped.ensure_tracked(k));
+                    }
+                }
+                folded.fold_batch(steps.iter().map(|(at, keys, record)| {
+                    if *record {
+                        BatchStep::Record(*at, keys)
+                    } else {
+                        BatchStep::Track(keys)
+                    }
+                }));
+                if folded.schedule().rescales() > rescales && steps.len() > 1 {
+                    rescaled_inside += 1;
+                }
+                let what = format!("rate {rate} batch {batch}");
+                assert_eq!(
+                    observed(&folded, &probe),
+                    observed(&stepped, &probe),
+                    "{what}"
+                );
+                assert_eq!(chunk_contents(&folded), chunk_contents(&stepped), "{what}");
+                assert_eq!(chunk_contents(&frozen), frozen_contents, "{what}: clone");
+                assert_eq!(observed(&frozen, &probe), frozen_seen, "{what}: clone");
+                assert_eq!(
+                    moved(&folded, &frozen),
+                    moved(&stepped, &frozen_stepped),
+                    "{what}: chunks written"
+                );
+            }
+            if rate > 1.0 {
+                assert!(
+                    rescaled_inside > 0,
+                    "rate {rate}: no rescale inside a batch"
+                );
+            }
+        }
+    }
+
+    /// A batch with more rank moves than the eager bound rebuilds the
+    /// prefix sums once, at its end; a small one moves them in place.
+    #[test]
+    fn fold_batch_rebuilds_rank_sums_once_past_the_eager_bound() {
+        let mut t = FrequencyTracker::no_decay();
+        let few: Vec<u64> = (0..10).collect();
+        assert!(!t.fold_batch([BatchStep::Record(1.0, &few)]));
+        let many: Vec<u64> = (0..EAGER_RANK_MOVES as u64 + 1).collect();
+        assert!(t.fold_batch([BatchStep::Record(2.0, &many), BatchStep::Record(3.0, &few)]));
+        assert!(!t.fold_batch(std::iter::empty()));
+        assert_eq!(t.rank(0), 10);
+        assert_eq!(t.rank(11), t.tracked());
     }
 
     #[test]
