@@ -30,7 +30,7 @@ thread_local! {
 /// #[global_allocator]
 /// static GLOBAL: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
 /// ```
-pub struct CountingAllocator;
+pub(crate) struct CountingAllocator;
 
 // SAFETY: a transparent wrapper over `System` — every allocator
 // contract (layout validity, pointer provenance, size bounds) is

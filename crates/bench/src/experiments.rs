@@ -15,7 +15,7 @@ use delayguard_workload::{BoxOfficeConfig, CalgaryConfig, UpdateRates, WEEK_SECS
 use std::time::Instant;
 
 /// The paper's 10-second default cap.
-pub const DEFAULT_CAP_SECS: f64 = 10.0;
+pub(crate) const DEFAULT_CAP_SECS: f64 = 10.0;
 
 /// The Calgary guard: access-rate delays with α matching the trace's
 /// observed skew (≈1.5) and β = 1.0 (the tuning knob).

@@ -80,7 +80,7 @@ impl AccessDelayPolicy {
     }
 
     /// The `f_max` estimate this policy reads from a tracker.
-    pub fn fmax_of(&self, tracker: &FrequencyTracker) -> f64 {
+    pub(crate) fn fmax_of(&self, tracker: &FrequencyTracker) -> f64 {
         match self.fmax_mode {
             FmaxMode::GlobalRequests => tracker.fmax_global(),
             FmaxMode::DecayedTotal => tracker.fmax(),
@@ -98,7 +98,7 @@ impl AccessDelayPolicy {
 
     /// The uncapped Eq. 1 delay for popularity rank `rank` in a relation of
     /// `n` tuples whose most popular tuple has relative frequency `fmax`.
-    pub fn raw_delay(&self, n: u64, rank: usize, fmax: f64) -> f64 {
+    pub(crate) fn raw_delay(&self, n: u64, rank: usize, fmax: f64) -> f64 {
         if n == 0 || fmax <= 0.0 {
             return f64::INFINITY; // nothing learned yet: treat as most obscure
         }
@@ -106,7 +106,7 @@ impl AccessDelayPolicy {
     }
 
     /// The capped delay for a rank (Eq. 5).
-    pub fn delay_for_rank(&self, n: u64, rank: usize, fmax: f64) -> f64 {
+    pub(crate) fn delay_for_rank(&self, n: u64, rank: usize, fmax: f64) -> f64 {
         self.raw_delay(n, rank, fmax).min(self.cap_secs)
     }
 
@@ -126,8 +126,10 @@ impl AccessDelayPolicy {
     }
 
     /// The cap rank `M` (Eq. 5): the smallest rank whose uncapped delay
-    /// meets the cap. Ranks `>= M` are all charged `cap_secs`.
-    pub fn cap_rank(&self, n: u64, fmax: f64) -> u64 {
+    /// meets the cap. Ranks `>= M` are all charged `cap_secs`. The
+    /// closed form the tests check the capped delays against.
+    #[cfg(test)]
+    fn cap_rank(&self, n: u64, fmax: f64) -> u64 {
         if fmax <= 0.0 || n == 0 {
             return 1; // everything capped during start-up
         }

@@ -21,7 +21,7 @@ pub fn adversary_total(n: u64, alpha: f64, beta: f64, fmax: f64) -> f64 {
 }
 
 /// Eq. 5 inverted: the cap rank `M` at which delay reaches `dmax`.
-pub fn cap_rank(n: u64, alpha: f64, beta: f64, fmax: f64, dmax: f64) -> u64 {
+pub(crate) fn cap_rank(n: u64, alpha: f64, beta: f64, fmax: f64, dmax: f64) -> u64 {
     assert!(n > 0 && fmax > 0.0 && dmax >= 0.0);
     let exponent = alpha + beta;
     if exponent <= 0.0 {
@@ -172,7 +172,7 @@ pub fn replication_lag_slack(warm_events: f64, event_rate: f64, lag_secs: f64) -
 /// The raw capped delay is rounded up to its geometric bucket edge and
 /// the uniform jitter averages to `1 + jitter_frac/2` of the edge. With
 /// shaping disabled this is exactly the raw capped Eq. 1 value.
-pub fn shaped_delay_at_rank(
+pub(crate) fn shaped_delay_at_rank(
     n: u64,
     alpha: f64,
     beta: f64,
@@ -186,7 +186,7 @@ pub fn shaped_delay_at_rank(
 
 /// Eq. 4's numerator re-derived with the quantization/noise term: the
 /// expected total delay a crawler of all `n` tuples is charged under
-/// shaping. Direct summation of [`shaped_delay_at_rank`] — quantization
+/// shaping. Direct summation of `shaped_delay_at_rank` — quantization
 /// rounds up, so this is ≥ [`adversary_total_capped`], never below.
 pub fn shaped_adversary_total(
     n: u64,

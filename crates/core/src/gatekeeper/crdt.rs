@@ -14,7 +14,7 @@
 //!
 //! The admission *level* is a pure function of the merged logs: replay
 //! every charge in global `(time, origin, seq)` order through the exact
-//! [`TokenBucket`](super::token_bucket::TokenBucket) arithmetic
+//! token-bucket arithmetic
 //! (refill-then-subtract, floored at zero). Because clamped subtraction
 //! of positive amounts is order-independent at equal times and refill
 //! composes path-independently, the replayed level equals what a single
@@ -63,7 +63,7 @@ struct RemoteLog {
 /// A token bucket whose state is a mergeable set of per-origin charge
 /// logs. See the module docs for the convergence argument.
 #[derive(Debug, Clone)]
-pub struct MergeableBucket {
+pub(crate) struct MergeableBucket {
     rate: f64,
     burst: f64,
     origin: u16,
@@ -121,13 +121,13 @@ impl MergeableBucket {
     }
 
     /// This node's own charge log (what replication ships to peers).
-    pub fn own_log(&self) -> &[Charge] {
+    pub(crate) fn own_log(&self) -> &[Charge] {
         &self.own
     }
 
     /// Record a local charge at `now` (appended to the own-origin log;
     /// folded into the cached level on the next read).
-    pub fn charge(&mut self, now: f64, amount: f64) {
+    pub(crate) fn charge(&mut self, now: f64, amount: f64) {
         let seq = self.own.len() as u64 + 1;
         self.own.push(Charge {
             seq,
@@ -140,7 +140,7 @@ impl MergeableBucket {
     /// skipped, so merging is idempotent; since each origin's log is
     /// cumulative and append-only, merge order cannot matter. Entries
     /// under this bucket's own origin extend the own log.
-    pub fn merge(&mut self, origin: u16, entries: &[Charge]) {
+    pub(crate) fn merge(&mut self, origin: u16, entries: &[Charge]) {
         if origin == self.origin {
             extend_log(&mut self.own, entries);
             return;
@@ -152,13 +152,13 @@ impl MergeableBucket {
     }
 
     /// Tokens available at `now` under the merged charge history.
-    pub fn available(&mut self, now: f64) -> f64 {
+    pub(crate) fn available(&mut self, now: f64) -> f64 {
         self.sync();
         self.peek(now)
     }
 
     /// Earliest time at which `n` tokens will be available (≥ `now`).
-    pub fn next_available(&mut self, now: f64, n: f64) -> f64 {
+    pub(crate) fn next_available(&mut self, now: f64, n: f64) -> f64 {
         self.sync();
         let t = self.peek(now);
         if t + EPS >= n {

@@ -36,7 +36,7 @@ impl Ipv4 {
     }
 
     /// The /24 subnet containing this address.
-    pub fn subnet24(self) -> Subnet {
+    pub(crate) fn subnet24(self) -> Subnet {
         Subnet {
             base: [self.0[0], self.0[1], self.0[2], 0],
             prefix: 24,
@@ -44,7 +44,7 @@ impl Ipv4 {
     }
 
     /// The subnet with an arbitrary prefix length.
-    pub fn subnet(self, prefix: u8) -> Subnet {
+    pub(crate) fn subnet(self, prefix: u8) -> Subnet {
         assert!(prefix <= 32);
         let raw = u32::from_be_bytes(self.0);
         let mask = if prefix == 0 {
@@ -67,17 +67,12 @@ impl fmt::Display for Ipv4 {
 
 /// A subnet: the aggregation unit for rate limiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Subnet {
+pub(crate) struct Subnet {
     base: [u8; 4],
     prefix: u8,
 }
 
 impl Subnet {
-    /// Whether `ip` belongs to this subnet.
-    pub fn contains(&self, ip: Ipv4) -> bool {
-        ip.subnet(self.prefix).base == self.base
-    }
-
     /// Prefix length.
     pub fn prefix(&self) -> u8 {
         self.prefix
@@ -132,17 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn contains() {
-        let net = Ipv4::parse("172.16.4.0").unwrap().subnet24();
-        assert!(net.contains(Ipv4::parse("172.16.4.77").unwrap()));
-        assert!(!net.contains(Ipv4::parse("172.16.5.77").unwrap()));
-    }
-
-    #[test]
     fn arbitrary_prefixes() {
         let ip = Ipv4::parse("255.255.255.255").unwrap();
         assert_eq!(ip.subnet(0).to_string(), "0.0.0.0/0");
         assert_eq!(ip.subnet(32).to_string(), "255.255.255.255/32");
-        assert!(ip.subnet(0).contains(Ipv4::parse("1.2.3.4").unwrap()));
+        assert_eq!(ip.subnet(0), Ipv4::parse("1.2.3.4").unwrap().subnet(0));
     }
 }

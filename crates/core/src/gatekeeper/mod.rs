@@ -14,14 +14,17 @@
 pub mod crdt;
 pub mod identity;
 pub mod registration;
-pub mod token_bucket;
+#[cfg(test)]
+mod token_bucket;
 
-pub use crdt::{Charge, GateDelta, MergeableBucket, SubnetCharges};
-pub use identity::{Ipv4, Subnet, UserId};
+pub use crdt::{Charge, GateDelta, SubnetCharges};
+pub use identity::{Ipv4, UserId};
 pub use registration::{Registrar, RegistrationOutcome, RegistrationPolicy};
-pub use token_bucket::TokenBucket;
 
 use std::collections::HashMap;
+
+use crdt::MergeableBucket;
+use identity::Subnet;
 
 /// Gatekeeper configuration.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +90,7 @@ struct UserState {
 
 /// The gatekeeper itself.
 ///
-/// Budgets are [`MergeableBucket`] charge-log CRDTs: a standalone
+/// Budgets are `MergeableBucket` charge-log CRDTs: a standalone
 /// deployment never notices (single-origin replay is the plain token
 /// bucket), while cluster nodes exchange [`GateDelta`]s so per-identity
 /// and per-/24 throttling holds against the *global* traffic an identity

@@ -27,15 +27,6 @@ impl RegistrationPolicy {
             fee: 0.0,
         }
     }
-
-    /// Fee-only policy.
-    pub fn fee(fee: f64) -> RegistrationPolicy {
-        assert!(fee >= 0.0);
-        RegistrationPolicy {
-            min_interval_secs: 0.0,
-            fee,
-        }
-    }
 }
 
 /// Outcome of a registration attempt.
@@ -55,7 +46,6 @@ pub struct Registrar {
     last_registration: Option<f64>,
     /// Registered users and the IP they registered from.
     users: HashMap<UserId, Ipv4>,
-    fees_collected: f64,
 }
 
 impl Registrar {
@@ -66,7 +56,6 @@ impl Registrar {
             next_id: 1,
             last_registration: None,
             users: HashMap::new(),
-            fees_collected: 0.0,
         }
     }
 
@@ -82,7 +71,6 @@ impl Registrar {
         self.next_id += 1;
         self.last_registration = Some(now);
         self.users.insert(user, ip);
-        self.fees_collected += self.policy.fee;
         RegistrationOutcome::Admitted {
             user,
             fee_charged: self.policy.fee,
@@ -90,18 +78,13 @@ impl Registrar {
     }
 
     /// The IP a user registered from.
-    pub fn ip_of(&self, user: UserId) -> Option<Ipv4> {
+    pub(crate) fn ip_of(&self, user: UserId) -> Option<Ipv4> {
         self.users.get(&user).copied()
     }
 
     /// Number of registered users.
     pub fn count(&self) -> usize {
         self.users.len()
-    }
-
-    /// Total fees collected.
-    pub fn fees_collected(&self) -> f64 {
-        self.fees_collected
     }
 }
 
@@ -144,14 +127,6 @@ mod tests {
         assert_eq!(ids.len(), 10);
         assert!(r.ip_of(ids[0]).is_some());
         assert_eq!(r.ip_of(ids[0]), Some(ip()));
-    }
-
-    #[test]
-    fn fees_accumulate() {
-        let mut r = Registrar::new(RegistrationPolicy::fee(25.0));
-        r.register(ip(), 0.0);
-        r.register(ip(), 0.0);
-        assert_eq!(r.fees_collected(), 50.0);
     }
 
     #[test]

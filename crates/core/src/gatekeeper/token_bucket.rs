@@ -1,9 +1,9 @@
-//! Token-bucket rate limiter with virtual-time semantics.
+//! The plain token bucket, with virtual-time semantics: the reference
+//! model `MergeableBucket`'s tests replay against (test builds only).
 //!
-//! Used per-identity ("a simple imposition of a limit on queries from a
-//! single user") and per-subnet (aggregated limits, §2.4). Time is passed
-//! in explicitly so the limiter works identically under the simulator's
-//! virtual clock and under wall clocks.
+//! A bucket per identity ("a simple imposition of a limit on queries from
+//! a single user") and per subnet (aggregated limits, §2.4). Time is
+//! passed in explicitly, as the product's buckets take it.
 
 /// Tolerance for floating-point refill accumulation: without it, a bucket
 /// refilled in many small steps systematically lands just below whole
@@ -12,7 +12,7 @@ const EPS: f64 = 1e-9;
 
 /// A classic token bucket: capacity `burst`, refilled at `rate` tokens/sec.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate: f64,
     burst: f64,
     tokens: f64,
@@ -24,7 +24,7 @@ impl TokenBucket {
     ///
     /// # Panics
     /// If `rate` or `burst` is not positive and finite.
-    pub fn new(rate: f64, burst: f64) -> TokenBucket {
+    pub(crate) fn new(rate: f64, burst: f64) -> TokenBucket {
         assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
         assert!(burst > 0.0 && burst.is_finite(), "burst must be positive");
         TokenBucket {
@@ -43,12 +43,12 @@ impl TokenBucket {
     }
 
     /// Try to take one token at time `now`. Returns true on success.
-    pub fn try_take(&mut self, now: f64) -> bool {
+    pub(crate) fn try_take(&mut self, now: f64) -> bool {
         self.take_n(now, 1.0)
     }
 
     /// Try to take `n` tokens at time `now`.
-    pub fn take_n(&mut self, now: f64, n: f64) -> bool {
+    pub(crate) fn take_n(&mut self, now: f64, n: f64) -> bool {
         self.refill(now);
         if self.tokens + EPS >= n {
             self.tokens = (self.tokens - n).max(0.0);
@@ -59,13 +59,13 @@ impl TokenBucket {
     }
 
     /// Tokens currently available at time `now` (refills as a side effect).
-    pub fn available(&mut self, now: f64) -> f64 {
+    pub(crate) fn available(&mut self, now: f64) -> f64 {
         self.refill(now);
         self.tokens
     }
 
     /// Earliest time at which `n` tokens will be available (≥ `now`).
-    pub fn next_available(&mut self, now: f64, n: f64) -> f64 {
+    pub(crate) fn next_available(&mut self, now: f64, n: f64) -> f64 {
         self.refill(now);
         if self.tokens + EPS >= n {
             now

@@ -272,7 +272,7 @@ impl DeadlineResponse {
     }
 
     /// Collapse to the summary form used by simulations and library code.
-    pub fn into_response(self) -> GuardedResponse {
+    pub(crate) fn into_response(self) -> GuardedResponse {
         GuardedResponse {
             output: self.output,
             delay_secs: self.delay_secs,

@@ -48,7 +48,7 @@ pub mod shaping;
 pub mod snapshot;
 pub mod update;
 
-pub use access::{AccessDelayPolicy, PackedAccessDelays, PackedScalars};
+pub use access::{AccessDelayPolicy, PackedAccessDelays};
 pub use clock::{Clock, ManualClock, RealClock};
 pub use config::GuardConfig;
 pub use error::{GuardError, Result};
@@ -57,7 +57,7 @@ pub use guarded::{
     ChargedChunk, DeadlineResponse, DeadlineStream, GuardedDatabase, GuardedResponse, StreamedQuery,
 };
 pub use policy::{ChargingModel, GuardPolicy};
-pub use replica::{tag_remote_key, ReplicaDelta, TableDelta};
+pub use replica::{ReplicaDelta, TableDelta};
 pub use shaping::DelayShaping;
 pub use snapshot::{PolicySnapshot, SnapshotPolicy, SnapshotStats, TableSnapshot};
 pub use update::UpdateDelayPolicy;

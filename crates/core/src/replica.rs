@@ -22,11 +22,11 @@ use crate::gatekeeper::GateDelta;
 
 /// Bit marking a tracker key as remote-originated (top bit of the key
 /// space; local `RowId`s are small sequential integers nowhere near it).
-pub const REMOTE_KEY_TAG: u64 = 1 << 63;
+pub(crate) const REMOTE_KEY_TAG: u64 = 1 << 63;
 
 /// Bits of per-origin key space under the tag (origin occupies the 16
 /// bits below the tag bit).
-pub const REMOTE_KEY_BITS: u32 = 47;
+pub(crate) const REMOTE_KEY_BITS: u32 = 47;
 
 /// Namespace a remote origin's row key into the local tracker key space.
 ///
@@ -36,7 +36,7 @@ pub const REMOTE_KEY_BITS: u32 = 47;
 /// low 47 bits of `k`. Local rows keep their raw keys, so the pricing
 /// lookup for a locally served tuple needs no translation, while remote
 /// rows still occupy rank slots in the merged distribution.
-pub fn tag_remote_key(origin: u16, key: u64) -> u64 {
+pub(crate) fn tag_remote_key(origin: u16, key: u64) -> u64 {
     REMOTE_KEY_TAG | ((origin as u64) << REMOTE_KEY_BITS) | (key & ((1 << REMOTE_KEY_BITS) - 1))
 }
 

@@ -150,7 +150,7 @@ impl DelayShaping {
 
     /// The jitter draw `u ∈ [0, 1)` for `(seed, nonce, key)` —
     /// splitmix64-finalized so every input bit diffuses.
-    pub fn jitter_u(&self, nonce: u64, key: u64) -> f64 {
+    pub(crate) fn jitter_u(&self, nonce: u64, key: u64) -> f64 {
         let mut h = self
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)

@@ -113,7 +113,7 @@ impl TableSnapshot {
 /// The never-observed table: empty trackers, no epoch. Delay math on it
 /// yields the start-up transient (everything at the cap), exactly like a
 /// freshly inserted live guard.
-pub fn empty_table_snapshot() -> Arc<TableSnapshot> {
+pub(crate) fn empty_table_snapshot() -> Arc<TableSnapshot> {
     static EMPTY: OnceLock<Arc<TableSnapshot>> = OnceLock::new();
     Arc::clone(EMPTY.get_or_init(|| {
         Arc::new(TableSnapshot {

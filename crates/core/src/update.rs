@@ -63,8 +63,10 @@ impl UpdateDelayPolicy {
     }
 
     /// Analytic Eq. 9 form: delay for the tuple at update-rank `i` when
-    /// rates are Zipf(α) with maximum rate `rmax`.
-    pub fn delay_for_rank(&self, n: u64, rank: u64, alpha: f64, rmax: f64) -> f64 {
+    /// rates are Zipf(α) with maximum rate `rmax`. The closed form the
+    /// tests check the learned-rate delay against.
+    #[cfg(test)]
+    fn delay_for_rank(&self, n: u64, rank: u64, alpha: f64, rmax: f64) -> f64 {
         if n == 0 || rmax <= 0.0 {
             return self.cap_secs;
         }

@@ -11,7 +11,7 @@
 //! chunk by interpolation, not searching.
 
 /// log2 of [`CHUNK_KEYS`].
-pub const CHUNK_BITS: u32 = 8;
+pub(crate) const CHUNK_BITS: u32 = 8;
 /// Keys per chunk: a chunk holds keys `id << CHUNK_BITS ..` up to the
 /// next multiple of this.
 pub const CHUNK_KEYS: usize = 1 << CHUNK_BITS;
@@ -93,7 +93,7 @@ impl<T> KeyChunks<T> {
 
     /// The chunk at position `i`, mutably.
     #[inline]
-    pub fn at_mut(&mut self, i: usize) -> &mut T {
+    pub(crate) fn at_mut(&mut self, i: usize) -> &mut T {
         &mut self.items[i]
     }
 
@@ -119,7 +119,7 @@ impl<T> KeyChunks<T> {
     }
 
     /// Every chunk, mutably, in ascending id order.
-    pub fn items_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+    pub(crate) fn items_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
         self.items.iter_mut()
     }
 

@@ -70,7 +70,7 @@ impl DecaySchedule {
     }
 
     /// Current increment weight `g^now` (relative to the last rescale).
-    pub fn weight(&self) -> f64 {
+    pub(crate) fn weight(&self) -> f64 {
         self.weight
     }
 
@@ -101,13 +101,13 @@ impl DecaySchedule {
 
     /// Whether counters sharing this schedule must be rescaled now to
     /// avoid precision loss / overflow.
-    pub fn needs_rescale(&self) -> bool {
+    pub(crate) fn needs_rescale(&self) -> bool {
         self.weight >= self.rescale_threshold
     }
 
     /// Consume the accumulated weight for a rescale: returns the factor by
     /// which all counters must be divided, and resets the weight to 1.
-    pub fn take_rescale_factor(&mut self) -> f64 {
+    pub(crate) fn take_rescale_factor(&mut self) -> f64 {
         let f = self.weight;
         self.weight = 1.0;
         self.rescales += 1;

@@ -7,7 +7,7 @@
 /// A Fenwick tree holding non-negative integer counts per bucket. Nodes
 /// are `u32`, so the counts may total at most `u32::MAX`.
 #[derive(Debug, Clone)]
-pub struct Fenwick {
+pub(crate) struct Fenwick {
     tree: Vec<u32>,
     len: usize,
     total: u64,
@@ -26,11 +26,6 @@ impl Fenwick {
     /// Number of buckets.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the tree has zero buckets.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Sum of all buckets.
@@ -53,7 +48,7 @@ impl Fenwick {
     /// move what the bucket holds). The two update
     /// paths climb toward the root; from the first node they share, the
     /// add and the subtract cancel, so the walk stops there.
-    pub fn shift(&mut self, from: usize, to: usize, delta: u32) {
+    pub(crate) fn shift(&mut self, from: usize, to: usize, delta: u32) {
         assert!(
             from < self.len && to < self.len,
             "bucket {from} or {to} out of range {}",
@@ -89,14 +84,8 @@ impl Fenwick {
     }
 
     /// Sum of buckets strictly greater than `i`.
-    pub fn suffix_above(&self, i: usize) -> u64 {
+    pub(crate) fn suffix_above(&self, i: usize) -> u64 {
         self.total - self.prefix(i)
-    }
-
-    /// Value of a single bucket.
-    pub fn bucket(&self, i: usize) -> u64 {
-        let lo = if i == 0 { 0 } else { self.prefix(i - 1) };
-        self.prefix(i) - lo
     }
 
     /// Set every bucket to `counts[i]` in `O(n)`: the tree `add` would
@@ -104,7 +93,7 @@ impl Fenwick {
     ///
     /// # Panics
     /// If `counts` does not hold one count per bucket.
-    pub fn rebuild(&mut self, counts: &[u32]) {
+    pub(crate) fn rebuild(&mut self, counts: &[u32]) {
         assert_eq!(counts.len(), self.len, "one count per bucket");
         self.tree[1..].copy_from_slice(counts);
         for i in 1..=self.len {
@@ -126,6 +115,12 @@ impl Fenwick {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Value of a single bucket, from two prefix sums.
+    fn bucket(f: &Fenwick, i: usize) -> u64 {
+        let lo = if i == 0 { 0 } else { f.prefix(i - 1) };
+        f.prefix(i) - lo
+    }
 
     #[test]
     fn add_and_prefix() {
@@ -156,9 +151,9 @@ mod tests {
         let mut f = Fenwick::new(4);
         f.add(2, 3);
         f.shift(2, 0, 1);
-        assert_eq!(f.bucket(2), 2);
-        assert_eq!(f.bucket(1), 0);
-        assert_eq!(f.bucket(0), 1);
+        assert_eq!(bucket(&f, 2), 2);
+        assert_eq!(bucket(&f, 1), 0);
+        assert_eq!(bucket(&f, 0), 1);
         assert_eq!(f.total(), 3);
     }
 
@@ -255,7 +250,7 @@ mod tests {
         for i in 0..64 {
             let want: u64 = model[..=i].iter().sum();
             assert_eq!(f.prefix(i), want, "prefix({i})");
-            assert_eq!(f.bucket(i), model[i], "bucket({i})");
+            assert_eq!(bucket(&f, i), model[i], "bucket({i})");
         }
         assert_eq!(f.total(), model.iter().sum::<u64>());
     }

@@ -54,7 +54,6 @@ pub mod topk;
 pub mod tracker;
 
 pub use decay::DecaySchedule;
-pub use fenwick::Fenwick;
 pub use rank::RankIndex;
 pub use shardqueue::ShardedEventQueue;
 pub use topk::top_k;

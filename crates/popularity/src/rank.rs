@@ -4,7 +4,7 @@
 //! Maintaining exact ranks under every count change costs `O(log n)` with a
 //! balanced tree keyed by count — but counts are floats that all change
 //! meaning under decay, so instead we bucket counts logarithmically
-//! (resolution ≈ 1.6% per bucket) and keep a [`Fenwick`] tree of bucket
+//! (resolution ≈ 1.6% per bucket) and keep a `Fenwick` tree of bucket
 //! occupancies. Rank queries then cost `O(log B)` for `B` buckets and are
 //! exact *across* buckets, tying only within a bucket — an error bounded by
 //! the bucket's relative width, which is far below the workload noise the
@@ -18,7 +18,7 @@ const RESOLUTION: f64 = 64.0;
 /// Bucket index offset so tiny counts stay in range.
 const OFFSET: i64 = 2048;
 /// Total bucket count: covers counts from ~e^-32 to ~e^96 (≈ 1e41).
-pub const NUM_BUCKETS: usize = 8192;
+pub(crate) const NUM_BUCKETS: usize = 8192;
 /// Whole counts below this map through a precomputed table (no `ln`).
 const WHOLE_COUNTS: usize = 1 << 14;
 
@@ -92,7 +92,7 @@ impl RankIndex {
     }
 
     /// Move an entry from bucket `from` to bucket `to` (no-op if equal).
-    pub fn shift(&mut self, from: usize, to: usize) {
+    pub(crate) fn shift(&mut self, from: usize, to: usize) {
         if from != to {
             debug_assert!(self.occupancy[from] > 0, "bucket {from} underflow");
             self.buckets.shift(from, to, 1);
@@ -129,19 +129,19 @@ impl RankIndex {
     /// defense, since Eq. 1 delays grow with rank and under-ranking a tied
     /// group would under-charge the adversary for every tuple in it. For
     /// an empty bucket, this is `1 +` the greater count.
-    pub fn rank_of_bucket(&self, b: usize) -> usize {
+    pub(crate) fn rank_of_bucket(&self, b: usize) -> usize {
         let above = self.buckets.suffix_above(b) as usize;
         above + (self.occupancy[b] as usize).max(1)
     }
 
-    /// [`RankIndex::rank_of_bucket`] for an entry with this count.
+    /// `RankIndex::rank_of_bucket` for an entry with this count.
     pub fn rank(&self, count: f64) -> usize {
         self.rank_of_bucket(bucket_of(count))
     }
 
     /// `(bucket, rank)` for every occupied bucket, most popular first,
     /// in one O(B) pass: each rank equals
-    /// [`RankIndex::rank_of_bucket`] for that bucket.
+    /// `RankIndex::rank_of_bucket` for that bucket.
     pub fn bucket_ranks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let mut above = 0usize;
         (0..NUM_BUCKETS).rev().filter_map(move |b| {

@@ -89,7 +89,7 @@ impl<T> ShardedEventQueue<T> {
     /// are compared by wrapping distance from the drain watermark, not by
     /// raw value), and this constructor exists so tests can actually
     /// exercise that boundary without pushing 2⁶⁴ events first.
-    pub fn with_initial_seq(shards: usize, first_seq: u64) -> ShardedEventQueue<T> {
+    pub(crate) fn with_initial_seq(shards: usize, first_seq: u64) -> ShardedEventQueue<T> {
         let n = shards.max(1).next_power_of_two();
         let shards = (0..n)
             .map(|_| AtomicPtr::new(ptr::null_mut()))

@@ -28,14 +28,14 @@ pub use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 /// closure, then spawn order) — deterministic per schedule, which is what
 /// makes shard assignment, and therefore the whole execution, replayable.
 #[cfg(all(feature = "model", delayguard_model))]
-pub fn thread_index() -> usize {
+pub(crate) fn thread_index() -> usize {
     loom_lite::thread::index()
 }
 
 /// A small per-thread integer used to stripe threads across shards,
 /// assigned round-robin the first time each OS thread asks.
 #[cfg(not(all(feature = "model", delayguard_model)))]
-pub fn thread_index() -> usize {
+pub(crate) fn thread_index() -> usize {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -70,7 +70,7 @@ impl Statement {
     /// same shape. `TRUE`/`FALSE`/`NULL` and the `LIMIT` count stay part
     /// of the shape: the planner treats `NULL` specially, and a count is
     /// not an expression. Other statements are left as they are.
-    pub fn lift_literals(&mut self, out: &mut Vec<Value>) {
+    pub(crate) fn lift_literals(&mut self, out: &mut Vec<Value>) {
         if let Statement::Select {
             filter: Some(filter),
             ..
@@ -87,7 +87,7 @@ pub enum Expr {
     /// A literal value.
     Literal(Value),
     /// Positional parameter `n`: a literal lifted out of the statement by
-    /// [`Statement::lift_literals`], bound before each execution.
+    /// `Statement::lift_literals`, bound before each execution.
     Param(usize),
     /// A column reference.
     Column(String),
@@ -103,7 +103,7 @@ pub enum Expr {
 
 impl Expr {
     /// Convenience constructor for binary nodes.
-    pub fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
+    pub(crate) fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
         Expr::Binary {
             op,
             left: Box::new(left),
@@ -120,7 +120,7 @@ impl Expr {
         )
     }
 
-    /// See [`Statement::lift_literals`]. Operands are visited left to
+    /// See `Statement::lift_literals`. Operands are visited left to
     /// right, which is the order their tokens appear in the source.
     fn lift_literals(&mut self, out: &mut Vec<Value>) {
         match self {
@@ -169,7 +169,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether this operator is a comparison yielding a boolean.
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq

@@ -70,7 +70,7 @@ pub enum StreamedStatement<'a> {
 /// index access paths.
 ///
 /// A statement whose literals were lifted into parameters
-/// ([`Statement::lift_literals`]) is planned once for every value:
+/// (`Statement::lift_literals`) is planned once for every value:
 /// [`PreparedSelect::bind`] writes each execution's values into the
 /// plan's probe key and residual filter.
 pub struct PreparedSelect {
@@ -301,7 +301,7 @@ impl Engine {
     }
 
     /// Prepare a parsed SELECT, which may carry parameters
-    /// ([`Statement::lift_literals`]); bind them with
+    /// (`Statement::lift_literals`); bind them with
     /// [`PreparedSelect::bind`] before executing.
     pub fn prepare(&self, stmt: Statement) -> Result<PreparedSelect> {
         let Statement::Select {

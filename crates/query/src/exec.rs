@@ -34,7 +34,7 @@ impl SelectOutput {
 }
 
 /// Collect the RowIds of rows matched by `access` + `filter`.
-pub fn locate(
+pub(crate) fn locate(
     table: &Table,
     access: &AccessPath,
     filter: Option<&BoundExpr>,
@@ -88,15 +88,6 @@ fn passes(filter: Option<&BoundExpr>, row: &Row) -> Result<bool> {
         Some(f) => eval_filter(f, row),
         None => Ok(true),
     }
-}
-
-/// A Volcano-style pull stream of `(row id, row)` pairs.
-///
-/// [`SelectCursor`] is the one implementation; the trait survives so
-/// callers that only need pull semantics stay decoupled from the cursor.
-pub trait RowStream {
-    /// Pull the next `(row id, row)` pair, or `None` at end of stream.
-    fn next_row(&mut self) -> Result<Option<(RowId, Row)>>;
 }
 
 /// Reusable executor scratch: the buffers a cursor borrows instead of
@@ -210,7 +201,7 @@ pub struct SelectCursor<'a> {
 impl SelectCursor<'_> {
     /// Pull the next projected row into `out` (reusing its allocations),
     /// returning its RowId, or `None` at end of stream.
-    pub fn next_row_into(&mut self, out: &mut Row) -> Result<Option<RowId>> {
+    pub(crate) fn next_row_into(&mut self, out: &mut Row) -> Result<Option<RowId>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -300,14 +291,8 @@ impl SelectCursor<'_> {
     }
 
     /// Rows yielded so far.
-    pub fn rows_yielded(&self) -> u64 {
+    pub(crate) fn rows_yielded(&self) -> u64 {
         self.yielded
-    }
-}
-
-impl RowStream for SelectCursor<'_> {
-    fn next_row(&mut self) -> Result<Option<(RowId, Row)>> {
-        SelectCursor::next_row(self)
     }
 }
 
@@ -317,7 +302,7 @@ impl RowStream for SelectCursor<'_> {
 /// `scratch.rids`, and per-row decoding reuses either the caller's row
 /// (identity projection) or `scratch.row`. Only full scans (one lazy
 /// iterator, still allocation-free here) and ORDER BY (spill) differ.
-pub fn open_select<'a>(
+pub(crate) fn open_select<'a>(
     table: &'a Table,
     plan: &'a SelectPlan,
     scratch: &'a mut ExecScratch,
@@ -406,7 +391,7 @@ pub fn open_select<'a>(
 ///
 /// Assignment expressions are evaluated against the *old* row (SQL
 /// semantics), so `SET a = a + 1, b = a` uses the original `a` for both.
-pub fn run_update(
+pub(crate) fn run_update(
     table: &mut Table,
     access: &AccessPath,
     filter: Option<&BoundExpr>,
@@ -427,7 +412,7 @@ pub fn run_update(
 }
 
 /// Delete located rows, returning their RowIds.
-pub fn run_delete(
+pub(crate) fn run_delete(
     table: &mut Table,
     access: &AccessPath,
     filter: Option<&BoundExpr>,
@@ -441,7 +426,7 @@ pub fn run_delete(
 
 /// Evaluate an INSERT value expression, which must be constant (no column
 /// references).
-pub fn const_eval(expr: &Expr) -> Result<Value> {
+pub(crate) fn const_eval(expr: &Expr) -> Result<Value> {
     let bound = to_const_bound(expr)?;
     let empty = Row::new(Vec::new());
     eval(&bound, &empty)

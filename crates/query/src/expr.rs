@@ -14,7 +14,7 @@ use std::cmp::Ordering;
 pub enum BoundExpr {
     Literal(Value),
     /// Parameter `n` and the value currently bound to it
-    /// ([`BoundExpr::bind_params`] writes it; `NULL` until then).
+    /// (`BoundExpr::bind_params` writes it; `NULL` until then).
     Param(usize, Value),
     Column(usize),
     Unary {
@@ -48,7 +48,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
 
 impl BoundExpr {
     /// Write `params[n]` into every `Param(n, _)` slot of this tree.
-    pub fn bind_params(&mut self, params: &[Value]) {
+    pub(crate) fn bind_params(&mut self, params: &[Value]) {
         match self {
             BoundExpr::Param(i, v) => v.clone_from(&params[*i]),
             BoundExpr::Literal(_) | BoundExpr::Column(_) => {}
@@ -65,7 +65,7 @@ impl BoundExpr {
 ///
 /// SQL semantics: any comparison or arithmetic with a NULL operand yields
 /// NULL; `AND`/`OR` use Kleene three-valued logic.
-pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
+pub(crate) fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
     match expr {
         BoundExpr::Literal(v) | BoundExpr::Param(_, v) => Ok(v.clone()),
         BoundExpr::Column(idx) => Ok(row.get(*idx).cloned().unwrap_or(Value::Null)),
@@ -117,7 +117,7 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
 }
 
 /// Evaluate a filter: NULL and FALSE both reject the row.
-pub fn eval_filter(expr: &BoundExpr, row: &Row) -> Result<bool> {
+pub(crate) fn eval_filter(expr: &BoundExpr, row: &Row) -> Result<bool> {
     match eval(expr, row)? {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),

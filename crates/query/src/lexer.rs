@@ -4,7 +4,7 @@ use crate::error::{QueryError, Result};
 use crate::token::{Keyword, Token, TokenKind};
 
 /// Tokenize `input` into a vector ending with an `Eof` token.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

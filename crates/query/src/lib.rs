@@ -47,6 +47,6 @@ pub mod token;
 
 pub use engine::{Engine, PreparedSelect, StatementOutput, StreamedStatement};
 pub use error::{QueryError, Result};
-pub use exec::{open_select, ExecScratch, RowBuf, RowStream, SelectCursor, SelectOutput};
+pub use exec::{ExecScratch, RowBuf, SelectCursor, SelectOutput};
 pub use parser::parse;
 pub use stmt_cache::{Prepared, StatementCache, STATEMENT_CACHE_CAPACITY};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 /// How matching rows are located.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AccessPath {
+pub(crate) enum AccessPath {
     /// Scan every live row.
     FullScan,
     /// Exact-match lookup on an index over `columns`.
@@ -46,7 +46,7 @@ fn bound_key(b: &mut Bound<IndexKey>) -> Option<&mut IndexKey> {
 
 /// A part of an access path's probe key that a parameter supplies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySlot {
+pub(crate) enum KeySlot {
     /// Component `i` of an [`AccessPath::IndexEq`] key.
     Eq(usize),
     /// The lower bound of an [`AccessPath::IndexRange`].
@@ -68,7 +68,7 @@ pub enum KeySlot {
 /// [`BoundExpr::Param`] nodes name the slots that
 /// [`SelectPlan::bind_params`] fills in before each execution.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectPlan {
+pub(crate) struct SelectPlan {
     pub access: AccessPath,
     /// `(probe-key part, parameter index)` for every key part a
     /// parameter supplies.
@@ -87,7 +87,7 @@ pub struct SelectPlan {
 impl SelectPlan {
     /// Write `params` into the probe key and the residual filter.
     /// `params` must cover every parameter index the plan names.
-    pub fn bind_params(&mut self, params: &[Value]) {
+    pub(crate) fn bind_params(&mut self, params: &[Value]) {
         for &(slot, i) in &self.key_params {
             if let Some(part) = self.access.key_part(slot) {
                 part.clone_from(&params[i]);

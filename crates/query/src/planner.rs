@@ -3,9 +3,9 @@
 //! Strategy: split the WHERE clause into top-level conjuncts. If some
 //! conjunct is `col = literal` and an index exists whose key is exactly
 //! `[col]` (or all columns of a composite index are equality-constrained),
-//! use an [`AccessPath::IndexEq`]. Otherwise, if range conjuncts
+//! use an `AccessPath::IndexEq`. Otherwise, if range conjuncts
 //! (`<`, `<=`, `>`, `>=`) constrain a single-column index, use an
-//! [`AccessPath::IndexRange`]. Otherwise fall back to a full scan.
+//! `AccessPath::IndexRange`. Otherwise fall back to a full scan.
 //!
 //! The WHERE clause is kept as a residual filter unless the chosen access
 //! path provably returns *exactly* the satisfying rows — every top-level
@@ -31,7 +31,7 @@ use delayguard_storage::{IndexDef, Schema, Table, Value};
 use std::ops::Bound;
 
 /// Build a plan for a SELECT's pieces against a table.
-pub fn plan_select(
+pub(crate) fn plan_select(
     table: &Table,
     projection: &Projection,
     filter: Option<&Expr>,
@@ -360,7 +360,7 @@ fn tighter_hi<'a>(a: Bound<Operand<'a>>, b: Bound<Operand<'a>>) -> Option<Bound<
 }
 
 /// Plan the row-location phase shared by UPDATE and DELETE.
-pub fn plan_locate(
+pub(crate) fn plan_locate(
     table: &Table,
     filter: Option<&Expr>,
 ) -> Result<(AccessPath, Option<BoundExpr>)> {

@@ -5,7 +5,7 @@
 //! string literal with a placeholder tagged with its kind and collects
 //! the values in order, so `… WHERE id = 17` and `… WHERE id = 18` have
 //! one key. The first statement of a shape is parsed, its literals are
-//! lifted into parameters ([`Statement::lift_literals`]) and it is
+//! lifted into parameters (`Statement::lift_literals`) and it is
 //! planned once; every later statement of that shape only writes its
 //! values into the cached plan — no lexing, parsing or planning. Text
 //! that does not open with `SELECT` is not scanned: it is parsed once and

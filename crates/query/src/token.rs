@@ -4,7 +4,7 @@ use std::fmt;
 
 /// SQL keywords recognized by the dialect (case-insensitive in source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keyword {
+pub(crate) enum Keyword {
     Select,
     From,
     Where,
@@ -77,7 +77,7 @@ impl Keyword {
 
 /// A lexical token with its source offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     /// Byte offset of the token start in the input.
     pub offset: usize,
@@ -85,7 +85,7 @@ pub struct Token {
 
 /// Token payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     Keyword(Keyword),
     Ident(String),
     Int(i64),

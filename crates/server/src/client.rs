@@ -147,7 +147,10 @@ impl Client {
     /// Connect, stamping arrivals and elapsed times on `clock` (lets
     /// tests compare client-observed times against a server sharing the
     /// same clock).
-    pub fn connect_with_clock(addr: SocketAddr, clock: Arc<dyn Clock>) -> std::io::Result<Client> {
+    pub(crate) fn connect_with_clock(
+        addr: SocketAddr,
+        clock: Arc<dyn Clock>,
+    ) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
@@ -184,7 +187,7 @@ impl Client {
     /// Register claiming `ip` (honored only by servers configured with
     /// `trust_client_ip`; `[0;4]` falls back to the peer address).
     /// Negotiates the current protocol version (trailer framing).
-    pub fn register_as(&mut self, ip: [u8; 4]) -> Result<RegisterOutcome, ClientError> {
+    pub(crate) fn register_as(&mut self, ip: [u8; 4]) -> Result<RegisterOutcome, ClientError> {
         self.send(&Frame::Register {
             claimed_ip: ip,
             version: PROTOCOL_VERSION,

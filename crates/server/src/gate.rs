@@ -64,15 +64,6 @@ pub trait FrameSink: Send + Sync + 'static {
     /// Queue a frame that fills slots previously reserved with
     /// [`FrameSink::try_reserve_rows`]. Must never block: scheduler jobs
     /// call this on the wheel thread.
-    fn push_row(&self, frame: Frame);
-
-    /// Reserve capacity for `n` row frames, all-or-nothing, so a chunk
-    /// either streams completely or the query is refused at the chunk
-    /// boundary (with nothing from that chunk charged).
-    fn try_reserve_rows(&self, n: usize) -> bool;
-
-    /// Queue several frames in order; must never block, like
-    /// [`FrameSink::push_row`]. The default forwards them one at a time.
     ///
     /// The front door encodes replies where it releases them, so each
     /// release batch — what a `SELECT` chunk's charge found already due,
@@ -80,15 +71,15 @@ pub trait FrameSink: Send + Sync + 'static {
     /// already one [`Frame::Encoded`] run of wire bytes, pushed alone. A
     /// run holds `rows` of the slots reserved with
     /// [`FrameSink::try_reserve_rows`] (one per `ROW` and `MUTATED`) and
-    /// arrives through [`FrameSink::push_row`], or through
-    /// [`FrameSink::push_control`] when it holds none. A transport writes
-    /// a run by copying its bytes; a sink that inspects frames expands it
-    /// with [`Frame::expand_into`].
-    fn push_batch(&self, frames: &mut Vec<Frame>) {
-        for frame in frames.drain(..) {
-            push_frame(self, frame);
-        }
-    }
+    /// arrives here, or through [`FrameSink::push_control`] when it holds
+    /// none. A transport writes a run by copying its bytes; a sink that
+    /// inspects frames expands it with [`Frame::expand_into`].
+    fn push_row(&self, frame: Frame);
+
+    /// Reserve capacity for `n` row frames, all-or-nothing, so a chunk
+    /// either streams completely or the query is refused at the chunk
+    /// boundary (with nothing from that chunk charged).
+    fn try_reserve_rows(&self, n: usize) -> bool;
 
     /// Return `n` row slots reserved with [`FrameSink::try_reserve_rows`]
     /// without sending anything — the error path of a write that reserved
@@ -385,7 +376,7 @@ impl FrontDoor {
     /// (commutative, idempotent), popularity state replaces-if-newer in
     /// the guard's remote store and republishes merged snapshots.
     /// Returns whether the popularity half was new.
-    pub fn apply_delta(&self, delta: &ReplicaDelta) -> bool {
+    pub(crate) fn apply_delta(&self, delta: &ReplicaDelta) -> bool {
         // The gate merge is unconditionally safe: charge-log entries are
         // append-only and keyed by (origin, seq), so replaying an old
         // delta merges nothing.
@@ -435,13 +426,13 @@ impl FrontDoor {
     }
 
     /// Whether the front door is refusing new work.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
     /// Handlers that passed the draining check but have not finished
     /// scheduling yet. Shutdown waits for zero before draining the wheel.
-    pub fn inflight_queries(&self) -> usize {
+    pub(crate) fn inflight_queries(&self) -> usize {
         self.inflight_queries.load(Ordering::SeqCst)
     }
 
@@ -517,7 +508,12 @@ impl FrontDoor {
     }
 
     /// Handle a `REGISTER` frame.
-    pub fn handle_register(&self, claimed_ip: [u8; 4], peer_ip: [u8; 4], sink: &dyn FrameSink) {
+    pub(crate) fn handle_register(
+        &self,
+        claimed_ip: [u8; 4],
+        peer_ip: [u8; 4],
+        sink: &dyn FrameSink,
+    ) {
         let retry = self.config.retry_after_secs;
         if self.draining() {
             self.metrics.refused_shutdown.inc();
@@ -1203,7 +1199,7 @@ impl<'a, S: FrameSink> Releases<'a, S> {
 }
 
 /// Map a gatekeeper refusal onto its wire code.
-pub fn wire_reason(reason: RefusalReason) -> RefuseReason {
+pub(crate) fn wire_reason(reason: RefusalReason) -> RefuseReason {
     match reason {
         RefusalReason::Unregistered => RefuseReason::Unregistered,
         RefusalReason::UserRateExceeded => RefuseReason::UserRate,

@@ -181,23 +181,23 @@ pub enum Frame {
 }
 
 mod opcode {
-    pub const REGISTER: u8 = 0x01;
-    pub const QUERY: u8 = 0x02;
-    pub const STATS: u8 = 0x03;
+    pub(crate) const REGISTER: u8 = 0x01;
+    pub(crate) const QUERY: u8 = 0x02;
+    pub(crate) const STATS: u8 = 0x03;
     pub const INSERT: u8 = 0x04;
-    pub const UPDATE: u8 = 0x05;
-    pub const DELETE: u8 = 0x06;
-    pub const REGISTERED: u8 = 0x10;
-    pub const REFUSED: u8 = 0x11;
-    pub const ROWS_BEGIN: u8 = 0x12;
-    pub const ROW: u8 = 0x13;
-    pub const DONE: u8 = 0x14;
-    pub const STATS_REPLY: u8 = 0x15;
-    pub const ERROR: u8 = 0x16;
-    pub const ROWS_END: u8 = 0x17;
-    pub const MUTATED: u8 = 0x18;
-    pub const DELTA: u8 = 0x20;
-    pub const DELTA_ACK: u8 = 0x21;
+    pub(crate) const UPDATE: u8 = 0x05;
+    pub(crate) const DELETE: u8 = 0x06;
+    pub(crate) const REGISTERED: u8 = 0x10;
+    pub(crate) const REFUSED: u8 = 0x11;
+    pub(crate) const ROWS_BEGIN: u8 = 0x12;
+    pub(crate) const ROW: u8 = 0x13;
+    pub(crate) const DONE: u8 = 0x14;
+    pub(crate) const STATS_REPLY: u8 = 0x15;
+    pub(crate) const ERROR: u8 = 0x16;
+    pub(crate) const ROWS_END: u8 = 0x17;
+    pub(crate) const MUTATED: u8 = 0x18;
+    pub(crate) const DELTA: u8 = 0x20;
+    pub(crate) const DELTA_ACK: u8 = 0x21;
 }
 
 /// Protocol-level failures (distinct from transport `io::Error`).

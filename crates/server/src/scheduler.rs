@@ -167,7 +167,7 @@ impl DelayScheduler {
     /// batch's order among equal deadlines. The streaming gate files a
     /// whole chunk's releases this way instead of taking the wheel lock
     /// per row.
-    pub fn schedule_batch(&self, jobs: impl IntoIterator<Item = (u64, Job)>) {
+    pub(crate) fn schedule_batch(&self, jobs: impl IntoIterator<Item = (u64, Job)>) {
         let mut st = self.shared.state.lock().unwrap();
         let mut n = 0u64;
         let mut earliest = u64::MAX;
@@ -201,7 +201,7 @@ impl DelayScheduler {
     /// Nanoseconds per wheel tick. Deadlines within the same tick fire in
     /// one batch; the gate uses this to coalesce same-tick row releases
     /// into a single job.
-    pub fn tick_nanos(&self) -> u64 {
+    pub(crate) fn tick_nanos(&self) -> u64 {
         self.shared.tick_nanos
     }
 

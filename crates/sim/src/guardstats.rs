@@ -53,7 +53,7 @@ impl GuardStatsPublisher {
     }
 
     /// Publish an already-sampled [`SnapshotStats`].
-    pub fn publish_stats(&self, stats: &SnapshotStats) {
+    pub(crate) fn publish_stats(&self, stats: &SnapshotStats) {
         self.snapshot_age_micros
             .set((stats.age_secs.max(0.0) * 1e6).round() as i64);
         self.snapshot_version

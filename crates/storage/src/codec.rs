@@ -30,7 +30,7 @@ const TAG_TEXT: u8 = 4;
 const TAG_BYTES: u8 = 5;
 
 /// Append the encoding of `value` to `out`.
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
@@ -93,7 +93,7 @@ pub fn row_bytes(row: &Row) -> Vec<u8> {
 }
 
 /// A bounds-checked reader over an encoded byte slice.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -107,11 +107,6 @@ impl<'a> Reader<'a> {
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Current offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -209,7 +204,7 @@ impl<'a> Reader<'a> {
 
     /// Decode a single value into an existing slot, reusing the slot's
     /// heap allocations (Text/Bytes capacity) when the variants line up.
-    pub fn value_into(&mut self, slot: &mut Value) -> Result<()> {
+    pub(crate) fn value_into(&mut self, slot: &mut Value) -> Result<()> {
         let tag = self.u8()?;
         match tag {
             TAG_NULL => *slot = Value::Null,
@@ -250,7 +245,7 @@ impl<'a> Reader<'a> {
 
     /// Decode a row into an existing [`Row`], reusing its per-slot
     /// allocations. On error the row's contents are unspecified.
-    pub fn row_into(&mut self, row: &mut Row) -> Result<()> {
+    pub(crate) fn row_into(&mut self, row: &mut Row) -> Result<()> {
         let start = self.pos;
         let arity = self.u16()? as usize;
         let values = row.values_mut();
@@ -277,7 +272,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn encode_string(s: &str, out: &mut Vec<u8>) {
+pub(crate) fn encode_string(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }

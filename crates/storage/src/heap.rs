@@ -131,12 +131,12 @@ impl HeapFile {
     }
 
     /// Access raw pages for snapshotting.
-    pub fn pages(&self) -> &[Page] {
+    pub(crate) fn pages(&self) -> &[Page] {
         &self.pages
     }
 
     /// Rebuild a heap from snapshot pages.
-    pub fn from_pages(pages: Vec<Page>) -> HeapFile {
+    pub(crate) fn from_pages(pages: Vec<Page>) -> HeapFile {
         let live = pages.iter().map(|p| p.live_count()).sum();
         HeapFile {
             pages,

@@ -58,7 +58,7 @@ impl Index {
     }
 
     /// Extract this index's key from a full row.
-    pub fn key_of(&self, row: &Row) -> IndexKey {
+    pub(crate) fn key_of(&self, row: &Row) -> IndexKey {
         self.def
             .columns
             .iter()
@@ -102,7 +102,7 @@ impl Index {
     }
 
     /// RowIds exactly matching `key`.
-    pub fn lookup(&self, key: &IndexKey) -> &[RowId] {
+    pub(crate) fn lookup(&self, key: &IndexKey) -> &[RowId] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
@@ -139,11 +139,6 @@ impl Index {
         self.map
             .iter()
             .flat_map(|(k, v)| v.iter().map(move |&rid| (k, rid)))
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -194,7 +189,7 @@ mod tests {
         i.insert(k(5), RowId::new(1, 1)).unwrap();
         i.remove(&k(5), RowId::new(1, 1));
         assert!(!i.contains(&k(5)));
-        assert_eq!(i.distinct_keys(), 0);
+        assert_eq!(i.map.len(), 0);
         assert!(i.is_empty());
     }
 

@@ -54,7 +54,6 @@ pub use error::{Result, StorageError};
 pub use index::{Index, IndexDef, IndexKey};
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
-pub use stats::TableStats;
 pub use table::Table;
 pub use value::{DataType, Value};
 pub use wal::{Wal, WalRecord};

@@ -13,7 +13,7 @@
 //! The slot directory grows forward from the header; cell bodies grow
 //! backward from the end of the page. `free_start..free_end` is the
 //! contiguous free gap. Deleting a record tombstones its slot (offset = 0);
-//! dead slots are reused by later inserts, and [`Page::compact`] reclaims
+//! dead slots are reused by later inserts, and `Page::compact` reclaims
 //! dead cell space by sliding live cells to the end of the page.
 //!
 //! The count of dead slots and the dead cell bytes they still record are
@@ -25,7 +25,7 @@ use crate::error::{Result, StorageError};
 use bytes::BytesMut;
 
 /// Size of every page in bytes.
-pub const PAGE_SIZE: usize = 8192;
+pub(crate) const PAGE_SIZE: usize = 8192;
 /// Page header size: num_slots, free_start, free_end.
 const HEADER: usize = 6;
 /// Size of one slot directory entry.
@@ -86,7 +86,7 @@ impl Page {
     }
 
     /// Number of slot entries ever allocated (live or dead).
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         read_u16(&self.buf, 0) as usize
     }
 
@@ -139,12 +139,12 @@ impl Page {
     }
 
     /// Contiguous free bytes between the slot directory and the cell area.
-    pub fn contiguous_free(&self) -> usize {
+    pub(crate) fn contiguous_free(&self) -> usize {
         self.free_end() - self.free_start()
     }
 
     /// Free bytes recoverable by compaction (dead cells) plus the gap.
-    pub fn total_free(&self) -> usize {
+    pub(crate) fn total_free(&self) -> usize {
         self.contiguous_free() + self.dead_bytes
     }
 
@@ -155,7 +155,7 @@ impl Page {
 
     /// Whether a record of `len` bytes can be inserted (possibly after
     /// compaction).
-    pub fn can_fit(&self, len: usize) -> bool {
+    pub(crate) fn can_fit(&self, len: usize) -> bool {
         if len > MAX_RECORD {
             return false;
         }
@@ -273,7 +273,7 @@ impl Page {
     }
 
     /// Slide live cells to the end of the page, coalescing free space.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         let n = self.num_slots();
         // Collect live cells (slot, offset, len), sorted by offset descending
         // so we can repack from the page end without overlap.

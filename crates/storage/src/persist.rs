@@ -37,7 +37,7 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"DGSNAP01";
 
 /// Compute the IEEE CRC32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     // Standard table-driven implementation (polynomial 0xEDB88320).
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {

@@ -14,33 +14,3 @@ pub struct TableStats {
     /// Point reads served (get by RowId).
     pub reads: u64,
 }
-
-impl TableStats {
-    /// Total write operations.
-    pub fn writes(&self) -> u64 {
-        self.inserts + self.updates + self.deletes
-    }
-
-    /// Total operations of any kind.
-    pub fn total(&self) -> u64 {
-        self.writes() + self.reads
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn totals() {
-        let s = TableStats {
-            inserts: 2,
-            updates: 3,
-            deletes: 1,
-            reads: 10,
-        };
-        assert_eq!(s.writes(), 6);
-        assert_eq!(s.total(), 16);
-        assert_eq!(TableStats::default().total(), 0);
-    }
-}

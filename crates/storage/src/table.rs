@@ -151,7 +151,7 @@ impl Table {
     }
 
     /// Find an index whose leading key columns are exactly `columns`.
-    pub fn index_on(&self, columns: &[usize]) -> Option<&Index> {
+    pub(crate) fn index_on(&self, columns: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|i| i.def().columns == columns)
     }
 

@@ -69,7 +69,7 @@ pub enum Value {
 impl Value {
     /// The runtime type of this value, or `None` for `Null` (which is a
     /// member of every type).
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Bool(_) => Some(DataType::Bool),
@@ -104,7 +104,7 @@ impl Value {
 
     /// Clone into an existing slot, reusing the slot's heap capacity
     /// when both sides are the same variable-width variant.
-    pub fn clone_into_slot(&self, slot: &mut Value) {
+    pub(crate) fn clone_into_slot(&self, slot: &mut Value) {
         match (self, slot) {
             (Value::Text(s), Value::Text(dst)) => {
                 dst.clear();

@@ -54,7 +54,7 @@
 //!
 //! Replication safety rests on the core seams the multi-node world
 //! composes: the origin-tagged remote key space
-//! ([`delayguard_core::replica::tag_remote_key`]), replace-if-newer
+//! (`delayguard_core::replica::tag_remote_key`), replace-if-newer
 //! delta application (order-independent, bit-exact under decay), and
 //! the gatekeeper's mergeable charge-log CRDTs.
 

@@ -109,18 +109,8 @@ impl BoxOffice {
         &self.sales[week as usize]
     }
 
-    /// Number of weeks.
-    pub fn weeks(&self) -> u32 {
-        self.config.weeks
-    }
-
-    /// Number of films.
-    pub fn films(&self) -> u64 {
-        self.config.films
-    }
-
     /// Total annual sales per film.
-    pub fn annual_totals(&self) -> Vec<f64> {
+    pub(crate) fn annual_totals(&self) -> Vec<f64> {
         let films = self.config.films as usize;
         let mut totals = vec![0.0; films];
         for week in &self.sales {
@@ -192,8 +182,8 @@ mod tests {
     #[test]
     fn dimensions() {
         let s = season();
-        assert_eq!(s.films(), 634);
-        assert_eq!(s.weeks(), 52);
+        assert_eq!(s.week(0).len(), 634);
+        assert_eq!(s.sales.len(), 52);
     }
 
     #[test]
@@ -225,7 +215,7 @@ mod tests {
         let s = season();
         // Find a film released early with strong opening.
         let top = s.top_annual(1)[0].0 as usize;
-        let mut sales_curve: Vec<f64> = (0..s.weeks())
+        let mut sales_curve: Vec<f64> = (0..s.config.weeks)
             .map(|w| s.week(w)[top])
             .filter(|&x| x > 0.0)
             .collect();
@@ -243,7 +233,7 @@ mod tests {
     fn trace_matches_sales_volume() {
         let s = season();
         let t = s.trace();
-        let expected: u64 = (0..s.weeks())
+        let expected: u64 = (0..s.config.weeks)
             .map(|w| {
                 s.week(w)
                     .iter()

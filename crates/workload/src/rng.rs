@@ -8,7 +8,7 @@
 
 /// SplitMix64 step; used for seeding and as a standalone mixer.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -51,7 +51,7 @@ impl Rng {
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -102,7 +102,7 @@ impl Rng {
     }
 
     /// A random permutation of `0..n`.
-    pub fn permutation(&mut self, n: usize) -> Vec<u64> {
+    pub(crate) fn permutation(&mut self, n: usize) -> Vec<u64> {
         let mut v: Vec<u64> = (0..n as u64).collect();
         self.shuffle(&mut v);
         v

@@ -38,20 +38,6 @@ impl Trace {
         self.requests.is_empty()
     }
 
-    /// Count of distinct keys actually requested.
-    pub fn distinct_keys(&self) -> usize {
-        let mut seen = vec![false; self.objects as usize];
-        let mut n = 0;
-        for r in &self.requests {
-            let k = r.key as usize;
-            if !seen[k] {
-                seen[k] = true;
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Per-key request counts (index = key).
     pub fn counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.objects as usize];
@@ -95,7 +81,7 @@ mod tests {
     fn counts_and_distinct() {
         let t = demo();
         assert_eq!(t.len(), 4);
-        assert_eq!(t.distinct_keys(), 2);
+        assert_eq!(t.rank_table().len(), 2);
         assert_eq!(t.counts(), vec![1, 3, 0, 0]);
     }
 
@@ -109,7 +95,7 @@ mod tests {
     fn empty_trace() {
         let t = Trace::new(vec![], 10);
         assert!(t.is_empty());
-        assert_eq!(t.distinct_keys(), 0);
+        assert_eq!(t.rank_table().len(), 0);
         assert!(t.rank_table().is_empty());
     }
 }

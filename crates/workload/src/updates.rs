@@ -58,11 +58,6 @@ impl UpdateRates {
         &self.rates
     }
 
-    /// The highest per-item rate (`r_max` in Eq. 9).
-    pub fn rmax(&self) -> f64 {
-        self.rates.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Sum of all rates.
     pub fn total_rate(&self) -> f64 {
         self.rates.iter().sum()
@@ -99,7 +94,8 @@ mod tests {
         let r = UpdateRates::zipf(1000, 1.0, 50.0, 1);
         assert!((r.total_rate() - 50.0).abs() < 1e-9);
         assert_eq!(r.len(), 1000);
-        assert!(r.rmax() > 50.0 / 1000.0, "max above uniform share");
+        let rmax = r.rates().iter().copied().fold(0.0, f64::max);
+        assert!(rmax > 50.0 / 1000.0, "max above uniform share");
     }
 
     #[test]

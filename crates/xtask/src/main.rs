@@ -3,8 +3,8 @@
 //! Walks every `.rs` file in the repository (skipping `target/` and
 //! `.git/`), runs the per-file token-level rules in [`rules`] (R1–R6),
 //! then one workspace pass (R7: every `pub` item of a library crate has a
-//! caller outside tests) and a check that every allow-list entry still
-//! matches a line. Findings print as `file:line: message`, and any
+//! caller outside tests, and another crate names it) and a check that
+//! every allow-list entry still matches a line. Findings print as `file:line: message`, and any
 //! finding exits non-zero. CI runs this as the `lint-invariants` job; it
 //! is also fast enough (< 1 s) for a pre-commit hook.
 

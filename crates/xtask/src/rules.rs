@@ -70,13 +70,18 @@
 //!   an unused `pub` item of a library; this rule finds the code only
 //!   tests reach, which is a liability, not an asset. `pub(crate)` items,
 //!   trait-impl items, fields and variants are not checked, nor are the
-//!   testkit (whose API exists for tests), xtask and `vendor/`. The rule
-//!   is word-level: an item sharing its name with a live one passes.
-//!   Vetted exceptions in `crates/xtask/lint-allow.txt` carry one of
-//!   four reasons: (a) pending ROADMAP item 2 (durable state), (b) a
-//!   reference model a test compares the product against, (c) the test
-//!   clock, or (d) at most three others, each naming the test that
-//!   cannot move onto a surviving API.
+//!   testkit (whose API exists for tests), xtask and `vendor/`. Vetted
+//!   exceptions in `crates/xtask/lint-allow.txt` carry one of four
+//!   reasons: (a) pending ROADMAP item 2 (durable state), (b) a reference
+//!   model a test compares the product against, (c) the test clock, or
+//!   (d) at most three others, each naming the test that cannot move
+//!   onto a surviving API.
+//!
+//!   An item with a caller that no other crate names (a `tests/` file, a
+//!   doc test and each bench bin count as other crates) is told to narrow
+//!   to `pub(crate)`, unless a `pub` signature of its own crate exposes
+//!   it; rustc's `dead_code` then judges it exactly. Both checks are
+//!   word-level: an item sharing its name with a live one passes.
 //!
 //! The allow-list is checked too: an entry whose line no longer exists
 //! in its file is reported as stale, so deleted code takes its vetting
@@ -682,30 +687,32 @@ fn import_lines(code: &[String]) -> Vec<bool> {
     import
 }
 
-/// The name a `pub fn|struct|enum|trait|type|const|static` line declares.
-/// `pub(crate)` and other restricted items, fields and `pub mod`/`pub use`
-/// are not declarations R7 checks.
-fn pub_decl(code: &str) -> Option<&str> {
+/// The name a `pub fn|struct|enum|trait|type|const|static` line declares,
+/// and whether it is a type (a name a signature can expose). `pub(crate)`
+/// and other restricted items, fields and `pub mod`/`pub use` are not
+/// declarations R7 checks.
+fn pub_decl(code: &str) -> Option<(&str, bool)> {
     let mut words = code.trim_start().strip_prefix("pub ")?.split_whitespace();
-    loop {
+    let is_type = loop {
         match words.next()? {
-            "fn" | "struct" | "enum" | "trait" | "type" => break,
+            "struct" | "enum" | "trait" | "type" => break true,
+            "fn" => break false,
             "unsafe" | "async" => continue,
             "static" => {
                 if words.clone().next() == Some("mut") {
                     words.next();
                 }
-                break;
+                break false;
             }
             // `pub const fn` is a function; `pub const NAME` a constant.
             "const" if matches!(words.clone().next(), Some("fn" | "unsafe" | "async")) => {}
-            "const" => break,
+            "const" => break false,
             _ => return None,
         }
-    }
+    };
     let word = words.next()?;
     let name = &word[..word.bytes().take_while(|&b| is_ident_byte(b)).count()];
-    (!name.is_empty()).then_some(name)
+    (!name.is_empty()).then_some((name, is_type))
 }
 
 /// Whole identifiers in a code line.
@@ -714,53 +721,209 @@ fn idents(line: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
-/// R7: a `pub` item in a checked crate needs a caller in non-test code.
+/// The crate a file compiles into: a library's `src/` is one crate, each
+/// bench bin is its own, and any other file (a `tests/` file, an example,
+/// the facade, wirebench) is outside every library it names.
+fn crate_of(rel: &str) -> &str {
+    let parts: Vec<&str> = rel.split('/').collect();
+    let keep = match parts.as_slice() {
+        ["crates", _, "src", "bin", _, ..] => 5,
+        ["crates", _, "src", ..] => 3,
+        _ => parts.len(),
+    };
+    &rel[..parts[..keep].iter().map(|p| p.len() + 1).sum::<usize>() - 1]
+}
+
+/// Per-line flag: code of a doc test (a fenced block with no info string
+/// or `rust`), which compiles as a crate of its own.
+fn doc_test_lines(comments: &[String]) -> Vec<bool> {
+    // Inside a fence: whether its block compiles.
+    let mut fence: Option<bool> = None;
+    comments
+        .iter()
+        .map(|c| {
+            let text = c.trim_start_matches(['/', '!', '*']).trim();
+            let Some(info) = text.strip_prefix("```") else {
+                return fence == Some(true);
+            };
+            fence = match fence {
+                None => Some(matches!(info.trim(), "" | "rust")),
+                Some(_) => None,
+            };
+            false
+        })
+        .collect()
+}
+
+/// What a `{` opens, for [`signature_lines`].
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// A module: its `pub` items are its API.
+    Module,
+    /// `impl … T` or `struct T`: its `pub` methods or fields are API if
+    /// `T` is.
+    Members(&'a str),
+    /// `enum T` or `trait T`: every line of the body is API if `T` is.
+    Whole(&'a str),
+    /// A body: nothing inside is API.
+    Private,
+}
+
+/// The type of an `impl` line (`impl<..> [Trait for] Type<..> {`), as its
+/// last path segment.
+fn impl_self_type(item: &str) -> &str {
+    // The generics end where the angle brackets after `impl` balance.
+    let mut depth = 0;
+    let start = item
+        .char_indices()
+        .skip(4)
+        .find(|&(_, c)| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            depth == 0
+        })
+        .map_or(item.len(), |(i, _)| i + 1);
+    let ty = item[start..].rsplit(" for ").next().unwrap_or("");
+    let ty = ty.trim_start().trim_start_matches(['&', '*']);
+    let path = &ty[..ty
+        .bytes()
+        .take_while(|&b| is_ident_byte(b) || b == b':')
+        .count()];
+    path.rsplit("::").next().unwrap_or(path)
+}
+
+/// Per-line: the owner of the `pub` signature the line belongs to (the
+/// enclosing type, or "" in a module), for the lines of a `pub` item's
+/// header up to its `{` or `;`, a `pub` field, and the body of an `enum`
+/// or `trait`. A type named on such a line is exposed by its crate's API
+/// while the owner is `pub`. Over-approximate on purpose: a module or
+/// impl scope counts whether or not its path is reachable from outside.
+fn signature_lines(code: &[String]) -> Vec<Option<&str>> {
+    let mut out = vec![None; code.len()];
+    let mut stack: Vec<Scope> = Vec::new();
+    let mut header: Option<&str> = None;
+    for (i, line) in code.iter().enumerate() {
+        let t = line.trim_start();
+        let is_pub = t.starts_with("pub ");
+        let item = t
+            .strip_prefix("pub ")
+            .or_else(|| t.strip_prefix("pub(")?.split_once(") ").map(|p| p.1))
+            .unwrap_or(t);
+        let item = item.strip_prefix("unsafe ").unwrap_or(item);
+        let mut words = item.split_whitespace();
+        let keyword = words.next().unwrap_or("");
+        let name = words.next().map_or("", |w| {
+            &w[..w.bytes().take_while(|&b| is_ident_byte(b)).count()]
+        });
+        let owner = match stack.last().copied().unwrap_or(Scope::Module) {
+            Scope::Module => Some(""),
+            Scope::Members(n) => Some(n),
+            Scope::Whole(n) => {
+                out[i] = Some(n);
+                None
+            }
+            Scope::Private => None,
+        };
+        if header.is_some() {
+            out[i] = header;
+        } else if let Some(o) = owner.filter(|_| is_pub && !matches!(keyword, "use" | "mod")) {
+            out[i] = Some(o);
+            // A field is one line; an item's header runs to `{` or `;`.
+            header = (!keyword.ends_with(':')).then_some(o);
+        }
+        let mut pending = match keyword {
+            "mod" => Some(Scope::Module),
+            "struct" => Some(Scope::Members(name)),
+            "enum" | "trait" => Some(Scope::Whole(name)),
+            k if k == "impl" || k.starts_with("impl<") => {
+                Some(Scope::Members(impl_self_type(item)))
+            }
+            _ => None,
+        };
+        // Braces inside an enum body outside a method hold a variant's
+        // fields, which are as public as the enum.
+        let nested = match stack.last() {
+            Some(&Scope::Whole(n)) if keyword != "fn" => Scope::Whole(n),
+            _ => Scope::Private,
+        };
+        for c in line.chars() {
+            match c {
+                '{' => {
+                    stack.push(pending.take().unwrap_or(nested));
+                    header = None;
+                }
+                '}' => {
+                    stack.pop();
+                }
+                ';' => {
+                    pending = None;
+                    header = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// R7: a `pub` item in a checked crate needs a caller in non-test code,
+/// and a crate other than its own that names it.
+///
 /// A caller is the item's name as a whole identifier on any line of a
 /// program file (same file included) other than the declaration itself,
 /// outside test-only code and outside `use`/`mod` lines. Comments and
 /// literals are already blanked by the scanner, so doc tests never count.
+///
+/// An item that has a caller but that no other crate names (any code
+/// line of any file compiled into another crate, `tests/` and doc tests
+/// included), and that no `pub` signature of its own crate exposes, is
+/// told to narrow to `pub(crate)`: rustc's `dead_code` then sees it.
 /// `files` holds (repo-relative path, source) for the whole workspace.
 pub fn rule_pub_needs_caller(files: &[(String, String)], allow: &Allowlist) -> Vec<Finding> {
     struct Decl<'a> {
         file: usize,
         line: usize,
         name: &'a str,
+        is_type: bool,
     }
-    let scanned: Vec<Option<Scanned>> = files
-        .iter()
-        .map(|(rel, src)| is_program_file(rel).then(|| scan(src)))
-        .collect();
+    let scanned: Vec<Scanned> = files.iter().map(|(_, src)| scan(src)).collect();
     let mut counted = Vec::with_capacity(files.len());
+    let mut exposing = Vec::with_capacity(files.len());
     let mut decls = Vec::new();
     for (f, s) in scanned.iter().enumerate() {
-        let Some(s) = s else {
-            counted.push(Vec::new());
-            continue;
-        };
+        let rel = &files[f].0;
         let test = test_only_lines(&s.code);
         let import = import_lines(&s.code);
-        if r7_declares(&files[f].0) {
+        let program = is_program_file(rel);
+        let mut api = Vec::new();
+        if r7_declares(rel) {
+            api = signature_lines(&s.code);
             for (line, code) in s.code.iter().enumerate() {
-                if let Some(name) = pub_decl(code).filter(|_| !test[line]) {
+                if test[line] {
+                    api[line] = None;
+                } else if let Some((name, is_type)) = pub_decl(code) {
                     decls.push(Decl {
                         file: f,
                         line,
                         name,
+                        is_type,
                     });
                 }
             }
         }
-        counted.push((0..s.code.len()).map(|i| !test[i] && !import[i]).collect());
+        counted.push(
+            (0..s.code.len())
+                .map(|i| program && !test[i] && !import[i])
+                .collect::<Vec<_>>(),
+        );
+        exposing.push(api);
     }
-    // name -> the (file, line) sites that mention it.
+    // name -> the (file, line) sites that mention it, in any file; and
+    // the names a doc test mentions.
     let mut sites: HashMap<&str, Vec<(usize, usize)>> =
         decls.iter().map(|d| (d.name, Vec::new())).collect();
+    let mut in_doc_tests = HashSet::new();
     for (f, s) in scanned.iter().enumerate() {
-        let Some(s) = s else { continue };
         for (line, code) in s.code.iter().enumerate() {
-            if !counted[f][line] {
-                continue;
-            }
             for word in idents(code) {
                 if let Some(v) = sites.get_mut(word) {
                     if v.last() != Some(&(f, line)) {
@@ -769,12 +932,42 @@ pub fn rule_pub_needs_caller(files: &[(String, String)], allow: &Allowlist) -> V
                 }
             }
         }
+        for (line, doc) in s.comments.iter().zip(doc_test_lines(&s.comments)) {
+            if doc {
+                in_doc_tests.extend(idents(line).filter(|w| sites.contains_key(w)));
+            }
+        }
     }
+    // The `pub` items of each crate: an impl's `pub` methods expose
+    // their types only while the impl's type is one of these.
+    let public: HashSet<(&str, &str)> = decls
+        .iter()
+        .map(|d| (crate_of(&files[d.file].0), d.name))
+        .collect();
     let mut findings = Vec::new();
     for d in &decls {
-        if sites[d.name].iter().any(|&at| at != (d.file, d.line)) {
+        let own = crate_of(&files[d.file].0);
+        let mut others = sites[d.name]
+            .iter()
+            .copied()
+            .filter(|&at| at != (d.file, d.line));
+        let message = if !others.clone().any(|(f, l)| counted[f][l]) {
+            "has no caller outside tests — delete it, or vet it with a reason \
+             in crates/xtask/lint-allow.txt"
+        } else if !in_doc_tests.contains(d.name)
+            && !others.any(|(f, l)| {
+                crate_of(&files[f].0) != own
+                    || d.is_type
+                        && exposing[f].get(l).copied().flatten().is_some_and(|o| {
+                            o != d.name && (o.is_empty() || public.contains(&(own, o)))
+                        })
+            })
+        {
+            "is named only inside its own crate — narrow it to `pub(crate)`; \
+             rustc judges the rest"
+        } else {
             continue;
-        }
+        };
         let (rel, src) = &files[d.file];
         if allow.permits(rel, src.lines().nth(d.line).unwrap_or("")) {
             continue;
@@ -782,11 +975,7 @@ pub fn rule_pub_needs_caller(files: &[(String, String)], allow: &Allowlist) -> V
         findings.push(Finding {
             file: rel.clone(),
             line: d.line + 1,
-            message: format!(
-                "`pub` item `{}` has no caller outside tests — delete it, or \
-                 vet it with a reason in crates/xtask/lint-allow.txt",
-                d.name
-            ),
+            message: format!("`pub` item `{}` {message}", d.name),
         });
     }
     findings
@@ -1140,6 +1329,8 @@ mod tests {
     }
 
     const DECL: &str = "pub fn orphan() -> u32 {\n    7\n}\n";
+    const NARROW: &str = "narrow it to `pub(crate)`";
+    const NO_CALLER: &str = "has no caller outside tests";
 
     #[test]
     fn pub_fn_reached_only_from_tests_fires() {
@@ -1190,14 +1381,16 @@ mod tests {
             );
             assert!(f.is_empty(), "{caller}: {f:?}");
         }
-        // A use later in the declaring file counts too.
+        // A use later in the declaring file counts as a caller too; with
+        // no other crate naming them, both items are told to narrow.
         let same_file =
             format!("{DECL}pub struct S;\nimpl S {{\n    fn f() -> u32 {{ orphan() }}\n}}\n");
         let f = r7(
             &[("crates/core/src/lib.rs", &same_file)],
             &Allowlist::empty(),
         );
-        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|m| m.contains(NARROW)), "{f:?}");
     }
 
     #[test]
@@ -1256,6 +1449,155 @@ mod tests {
         let f = r7(&[("crates/sim/src/lib.rs", src)], &Allowlist::empty());
         let names: Vec<&str> = f.iter().map(|m| m.split('`').nth(3).unwrap()).collect();
         assert_eq!(names, ["Orphan", "orphan_fn", "Holder", "ORPHAN_STATIC"]);
+    }
+
+    /// `DECL` plus a caller in another file of the core crate.
+    fn core_with_own_caller() -> Vec<(&'static str, &'static str)> {
+        vec![
+            ("crates/core/src/lib.rs", DECL),
+            (
+                "crates/core/src/guarded.rs",
+                "fn go() -> u32 {\n    orphan()\n}\n",
+            ),
+        ]
+    }
+
+    #[test]
+    fn r7_item_named_only_in_its_own_crate_is_told_to_narrow() {
+        let f = r7(&core_with_own_caller(), &Allowlist::empty());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("crates/core/src/lib.rs:1:"), "{f:?}");
+        assert!(f[0].contains("`orphan`") && f[0].contains(NARROW), "{f:?}");
+        // A bench bin is a crate of its own: its `pub` items used only
+        // inside it narrow too.
+        let bin = format!("{DECL}fn main() {{\n    orphan();\n}}\n");
+        let f = r7(
+            &[("crates/bench/src/bin/writes.rs", &bin)],
+            &Allowlist::empty(),
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].contains(NARROW), "{f:?}");
+    }
+
+    #[test]
+    fn r7_item_named_in_another_crate_stays_pub() {
+        for (other, src) in [
+            (
+                "crates/server/src/gate.rs",
+                "use delayguard_core::orphan;\n",
+            ),
+            (
+                "crates/testkit/src/world.rs",
+                "fn f() {\n    orphan();\n}\n",
+            ),
+            (
+                "crates/sim/src/replay.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { orphan(); }\n}\n",
+            ),
+            ("examples/demo.rs", "fn main() {\n    orphan();\n}\n"),
+            ("benchmark/src/probes.rs", "fn p() {\n    orphan();\n}\n"),
+            (
+                "crates/storage/src/lib.rs",
+                "//! ```\n//! delayguard_core::orphan();\n//! ```\n",
+            ),
+        ] {
+            let mut files = core_with_own_caller();
+            files.push((other, src));
+            assert!(r7(&files, &Allowlist::empty()).is_empty(), "{other}");
+        }
+        // A bench bin names the bench library's items from outside it.
+        let f = r7(
+            &[
+                ("crates/bench/src/report.rs", DECL),
+                (
+                    "crates/bench/src/bin/writes.rs",
+                    "fn main() { orphan(); }\n",
+                ),
+            ],
+            &Allowlist::empty(),
+        );
+        assert!(f.is_empty(), "{f:?}");
+        // Comments and literals in another crate, and doc blocks that are
+        // not compiled, do not count.
+        let mut files = core_with_own_caller();
+        files.push((
+            "crates/server/src/gate.rs",
+            "// orphan()\n/// ```text\n/// orphan()\n/// ```\nconst S: &str = \"orphan\";\n",
+        ));
+        assert_eq!(r7(&files, &Allowlist::empty()).len(), 1);
+    }
+
+    #[test]
+    fn r7_item_named_only_in_tests_passes_narrow_but_not_no_caller() {
+        let test_file = ("crates/core/tests/it.rs", "fn t() { orphan(); }\n");
+        // With a caller in its own crate, a `tests/` file keeps it `pub`.
+        let mut files = core_with_own_caller();
+        files.push(test_file);
+        assert!(r7(&files, &Allowlist::empty()).is_empty());
+        // With no caller but the test, the no-caller finding still fires.
+        for test in [test_file, ("tests/e2e.rs", "fn t() { orphan(); }\n")] {
+            let f = r7(
+                &[("crates/core/src/lib.rs", DECL), test],
+                &Allowlist::empty(),
+            );
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert!(f[0].contains(NO_CALLER), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn r7_type_in_its_crates_pub_signature_stays_pub() {
+        let caller = (
+            "crates/server/src/gate.rs",
+            "fn go() {\n    make(build(0));\n}\n",
+        );
+        for lib in [
+            // A module-level `pub fn`, its header spanning lines.
+            "pub struct Shown;\npub fn build(\n    n: u32,\n) -> Shown {\n    Shown\n}\n\
+             fn make(_: Shown) {}\n",
+            // A `pub` method of a `pub` type, and a `pub` field.
+            "pub struct Shown;\npub struct Holder {\n    pub held: Shown,\n}\n\
+             impl Holder {\n    pub fn build(_: u32) -> Shown {\n        Shown\n    }\n}\n\
+             fn make(_: Shown) {}\n",
+            // A variant's field of a `pub enum`.
+            "pub struct Shown;\npub enum Holder {\n    Held {\n        it: Shown,\n    },\n}\n\
+             fn make(_: Shown) {}\nfn build(_: u32) -> Holder {\n    Holder::Held { it: Shown }\n}\n",
+        ] {
+            let f = r7(
+                &[("crates/core/src/lib.rs", lib), caller],
+                &Allowlist::empty(),
+            );
+            assert!(f.iter().all(|m| !m.contains("`Shown`")), "{lib}: {f:?}");
+        }
+        // Not exposed: a signature of a narrowed fn, of a method of a
+        // narrowed type, or of the type's own methods.
+        for lib in [
+            "pub struct Shown;\npub(crate) fn build(_: u32) -> Shown {\n    Shown\n}\n\
+             fn make(_: Shown) {}\n",
+            "pub struct Shown;\npub(crate) struct Hidden;\n\
+             impl Hidden {\n    pub fn build(_: u32) -> Shown {\n        Shown\n    }\n}\n\
+             fn make(_: Shown) {}\n",
+            "pub struct Shown;\nimpl Shown {\n    pub fn build(_: u32) -> Shown {\n        Shown\n    }\n}\n\
+             fn make(_: Shown) {}\n",
+        ] {
+            let f = r7(
+                &[("crates/core/src/lib.rs", lib), caller],
+                &Allowlist::empty(),
+            );
+            let shown: Vec<_> = f.iter().filter(|m| m.contains("`Shown`")).collect();
+            assert_eq!(shown.len(), 1, "{lib}: {f:?}");
+            assert!(shown[0].contains(NARROW), "{lib}: {f:?}");
+        }
+    }
+
+    #[test]
+    fn r7_never_checks_a_pub_crate_item() {
+        let src = "pub(crate) fn inner() -> u32 {\n    7\n}\n\
+                   pub(crate) struct Inner;\n\
+                   pub(super) fn up() {}\n\
+                   fn user() -> u32 {\n    up();\n    let _ = Inner;\n    inner()\n}\n";
+        let f = r7(&[("crates/core/src/lib.rs", src)], &Allowlist::empty());
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -131,9 +131,13 @@ pub fn scan(src: &str) -> Scanned {
                 }
             }
             State::Str => {
-                if c == '\\' {
+                if c == '\\' && chars.get(i + 1) != Some(&'\n') {
                     code_line.push_str("  ");
                     i += 2;
+                } else if c == '\\' {
+                    // A line continuation: the newline still ends the line.
+                    code_line.push(' ');
+                    i += 1;
                 } else if c == '"' {
                     state = State::Code;
                     code_line.push('"');
@@ -296,6 +300,13 @@ mod tests {
         let s = scan("let x = \"a\\\"unsafe\"; unsafe {}\n");
         let code = &s.code[0];
         assert_eq!(code.matches("unsafe").count(), 1, "{code:?}");
+    }
+
+    #[test]
+    fn string_continuation_keeps_line_numbers() {
+        let s = scan("let x = \"a \\\n    b\";\nunsafe {}\n");
+        assert_eq!(s.code.len(), 3);
+        assert!(s.code[2].contains("unsafe"), "{:?}", s.code);
     }
 
     #[test]
