@@ -1,7 +1,7 @@
 //! The experiment implementations behind every table and figure of the
 //! paper's §4: each returns structured rows (gated by the `experiments`
 //! binary) and a rendered table. Tables 1–4 and Figures 4–6 are priced
-//! by the shipped guard through [`delayguard_sim::replay`] and
+//! by the shipped guard through [`delayguard_sim::replay()`] and
 //! [`delayguard_sim::update_skew_delays`].
 
 use delayguard_core::analysis;

@@ -35,7 +35,7 @@
 //! **write-behind count path** so concurrent queries never contend on a
 //! global lock:
 //!
-//! * The authoritative per-table [`TableGuard`]s live in hash-sharded
+//! * The authoritative per-table `TableGuard`s live in hash-sharded
 //!   mutexes ([`GuardConfig::shards`]); only the refresher and the exact
 //!   virtual-time path touch them.
 //! * The clock-driven path (`execute_with_deadline` and the streaming
@@ -75,8 +75,8 @@ use arc_swap::ArcSwap;
 use delayguard_popularity::{BatchStep, DecaySchedule, FrequencyTracker, ShardedEventQueue};
 use delayguard_query::ast::Statement;
 use delayguard_query::{
-    Engine, ExecScratch, Prepared, PreparedSelect, RowBuf, SelectCursor, SelectOutput,
-    StatementCache, StatementOutput, StreamedStatement,
+    Engine, ExecScratch, Prepared, PreparedSelect, PreparedWrite, RowBuf, SelectCursor,
+    SelectOutput, StatementCache, StatementKind, StatementOutput, StreamedStatement,
 };
 use delayguard_storage::{Row, RowId};
 use parking_lot::Mutex;
@@ -187,17 +187,22 @@ struct AccessEvent {
     kind: EventKind,
 }
 
-enum EventKind {
-    /// The one row a single-tuple SELECT chunk returned (a point read):
-    /// recorded like `Select` of that key, with no key vector for the
-    /// refresher to free.
-    SelectOne(u64),
+/// What a statement records of the rows it read or wrote.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RowNote {
     /// Rows returned by a SELECT: record accesses.
-    Select(Vec<u64>),
-    /// Rows touched by an UPDATE: record update events.
-    Update(Vec<u64>),
+    Select,
+    /// Rows an UPDATE or DELETE touched: record update events.
+    Update,
     /// Rows inserted: pre-register at zero popularity (§2.3).
-    Insert(Vec<u64>),
+    Insert,
+}
+
+enum EventKind {
+    /// One row (a point read, or a one-row write), recorded like `Many`
+    /// of that key, with no key vector for the refresher to free.
+    One(RowNote, u64),
+    Many(RowNote, Vec<u64>),
 }
 
 impl EventKind {
@@ -206,19 +211,32 @@ impl EventKind {
     fn select(rows: &[(RowId, Row)]) -> Option<EventKind> {
         match rows {
             [] => None,
-            [(rid, _)] => Some(EventKind::SelectOne(rid.raw())),
-            _ => Some(EventKind::Select(
+            [(rid, _)] => Some(EventKind::One(RowNote::Select, rid.raw())),
+            _ => Some(EventKind::Many(
+                RowNote::Select,
                 rows.iter().map(|(rid, _)| rid.raw()).collect(),
             )),
         }
     }
 
-    fn len(&self) -> usize {
+    /// The record of the rows a write touched (at least one).
+    fn write(note: RowNote, rids: &[RowId]) -> EventKind {
+        match rids {
+            [rid] => EventKind::One(note, rid.raw()),
+            _ => EventKind::Many(note, rids.iter().map(|r| r.raw()).collect()),
+        }
+    }
+
+    fn note(&self) -> RowNote {
         match self {
-            EventKind::SelectOne(_) => 1,
-            EventKind::Select(keys) | EventKind::Update(keys) | EventKind::Insert(keys) => {
-                keys.len()
-            }
+            EventKind::One(note, _) | EventKind::Many(note, _) => *note,
+        }
+    }
+
+    fn keys(&self) -> &[u64] {
+        match self {
+            EventKind::One(_, key) => std::slice::from_ref(key),
+            EventKind::Many(_, keys) => keys,
         }
     }
 }
@@ -261,6 +279,9 @@ pub struct DeadlineResponse {
     /// Guard-clock time when the statement was executed, in nanoseconds;
     /// all offsets are relative to this.
     pub issued_at_nanos: u64,
+    /// A write's table's data version as its own commit left it (what a
+    /// `MUTATED` reply reports); 0 for a statement that wrote no table.
+    pub data_version: u64,
 }
 
 impl DeadlineResponse {
@@ -308,11 +329,12 @@ pub struct ChargedChunk {
     pub offsets: Vec<f64>,
 }
 
-/// What the core executes: an ad-hoc statement, or a prepared SELECT
-/// with the caller's recycled executor scratch.
+/// What the core executes: an ad-hoc statement, a prepared SELECT with
+/// the caller's recycled executor scratch, or a prepared write.
 enum Source<'a> {
     Stmt(&'a Statement),
     Prepared(&'a mut PreparedSelect, &'a mut ExecScratch),
+    Write(&'a mut PreparedWrite),
 }
 
 /// Pricing state pinned when a [`DeadlineStream`] opens.
@@ -518,6 +540,7 @@ impl DeadlineStream<'_, '_> {
             tuple_offsets: charged.offsets,
             delay_secs: self.total_delay_secs,
             issued_at_nanos: self.issued_at_nanos,
+            data_version: 0,
         })
     }
 
@@ -600,7 +623,7 @@ pub struct GuardedDatabase {
     /// The guard's one time source: every deadline-path read goes through
     /// here, so a simulated clock makes the whole guard deterministic.
     clock: Arc<dyn Clock>,
-    /// Prepared SELECT shapes for `execute_at` and
+    /// Prepared SELECT and write shapes for `execute_at` and
     /// `execute_with_deadline`, and the chunk `execute_at` prices into.
     /// Only ever `try_lock`ed.
     statements: Mutex<(StatementCache, ChargedChunk)>,
@@ -720,9 +743,9 @@ impl GuardedDatabase {
     }
 
     /// The SQL entry points' path into `run`: `sql` goes through the
-    /// guard's [`StatementCache`], so a SELECT runs prepared — a shape
-    /// seen before is only bound to this text's literals — and any other
-    /// statement runs as parsed, once.
+    /// guard's [`StatementCache`], so a SELECT, INSERT, UPDATE or DELETE
+    /// runs prepared — a shape seen before is only bound to this text's
+    /// literals — and DDL runs as parsed, once.
     ///
     /// The cache is only ever `try_lock`ed. A caller that finds it busy
     /// prepares through an empty cache of its own, which misses (parse,
@@ -735,6 +758,7 @@ impl GuardedDatabase {
         at: Option<f64>,
         finish: impl FnOnce(StreamedQuery<'_, '_>, &mut ChargedChunk) -> Result<R>,
     ) -> Result<R> {
+        let kind = StatementKind::of(sql).unwrap_or(StatementKind::Select);
         let mut shared = self.statements.try_lock();
         let mut own = None;
         let (cache, charged) = match shared.as_deref_mut() {
@@ -744,12 +768,13 @@ impl GuardedDatabase {
                 (cache, charged)
             }
         };
-        match cache.prepare(&self.engine, sql).1? {
+        match cache.prepare(&self.engine, sql, kind).1? {
             Prepared::Select(prep, scratch) => {
                 self.run(Source::Prepared(prep, scratch), at, |q| finish(q, charged))?
             }
+            Prepared::Write(prep) => self.run(Source::Write(prep), at, |q| finish(q, charged))?,
             Prepared::Other(stmt) => {
-                // A write or DDL statement does not hold the cache.
+                // A DDL statement does not hold the cache.
                 drop(shared);
                 let mut charged = ChargedChunk::default();
                 self.run(Source::Stmt(&stmt), at, |q| finish(q, &mut charged))?
@@ -757,7 +782,7 @@ impl GuardedDatabase {
         }
     }
 
-    /// SELECT shapes the guard's SQL entry points hold prepared (at most
+    /// Shapes the guard's SQL entry points hold prepared (at most
     /// [`delayguard_query::STATEMENT_CACHE_CAPACITY`]).
     pub fn cached_statements(&self) -> usize {
         self.statements.lock().0.len()
@@ -812,6 +837,14 @@ impl GuardedDatabase {
         })
     }
 
+    /// Execute a prepared write ([`Engine::prepare_write`], or a
+    /// [`StatementCache`] hit). A write is never delayed, so it comes back
+    /// finished, its `data_version` the table's as its own commit left
+    /// it.
+    pub fn execute_prepared_write(&self, prep: &mut PreparedWrite) -> Result<DeadlineResponse> {
+        self.run(Source::Write(prep), None, Self::materialize)?
+    }
+
     /// The materialized form of a guarded statement: drain an open
     /// stream as one chunk, pass a finished statement through.
     fn materialize(query: StreamedQuery<'_, '_>) -> Result<DeadlineResponse> {
@@ -854,68 +887,94 @@ impl GuardedDatabase {
         };
         let exact = at.is_some();
         let nonce = self.next_shaping_nonce();
-        let guarded = |table: Arc<str>, streamed: &mut StreamedStatement<'_>| match streamed {
-            StreamedStatement::Rows(cursor) => {
-                // The policy's `n` comes from the cursor, not
-                // `Self::table_len`: the engine already holds the table's
-                // read lock, and a nested read can deadlock queued behind
-                // a writer waiting for that lock. A SELECT never changes
-                // cardinality, so the open-time capture equals the
-                // materialized value.
-                let mut n = cursor.table_rows();
-                let pricing = if exact {
-                    StreamPricing::Exact
-                } else {
-                    self.pin_snapshot(&table, now_secs, &mut n)
-                };
-                f(StreamedQuery::Rows(DeadlineStream {
-                    db: self,
-                    cursor,
-                    table,
-                    n,
-                    now_secs,
-                    issued_at_nanos,
-                    pricing,
-                    nonce,
-                    total_delay_secs: 0.0,
-                    tuples_charged: 0,
-                }))
+        // An ad-hoc write is the prepared one, run once. Only the
+        // `&Statement` entry points send one, so it is cloned to prepare.
+        let mut adhoc;
+        let source = match source {
+            Source::Stmt(
+                stmt @ (Statement::Insert { .. }
+                | Statement::Update { .. }
+                | Statement::Delete { .. }),
+            ) => {
+                adhoc = self.engine.prepare_write(stmt.clone())?;
+                Source::Write(&mut adhoc)
             }
-            StreamedStatement::Finished(out) => {
-                let output = std::mem::replace(out, StatementOutput::TableCreated);
-                match &output {
-                    StatementOutput::Inserted { rids } => {
-                        self.note_rows(&table, rids, now_secs, exact, RowNote::Insert)
-                    }
-                    // A delete changes the tuple's value (to "gone") — for
-                    // the §3 staleness guarantee it is an update event
-                    // like any other.
-                    StatementOutput::Updated { rids } | StatementOutput::Deleted { rids } => {
-                        self.note_rows(&table, rids, now_secs, exact, RowNote::Update)
-                    }
-                    _ => {}
-                }
-                f(StreamedQuery::Finished(DeadlineResponse {
-                    output,
-                    tuple_delays: Vec::new(),
-                    tuple_offsets: Vec::new(),
-                    delay_secs: 0.0,
-                    issued_at_nanos,
-                }))
-            }
+            source => source,
         };
+        // `data_version` is a write's, as its own commit left it.
+        let guarded =
+            |table: Arc<str>, streamed: &mut StreamedStatement<'_>, data_version| match streamed {
+                StreamedStatement::Rows(cursor) => {
+                    // The policy's `n` comes from the cursor, not
+                    // `Self::table_len`: the engine already holds the table's
+                    // read lock, and a nested read can deadlock queued behind
+                    // a writer waiting for that lock. A SELECT never changes
+                    // cardinality, so the open-time capture equals the
+                    // materialized value.
+                    let mut n = cursor.table_rows();
+                    let pricing = if exact {
+                        StreamPricing::Exact
+                    } else {
+                        self.pin_snapshot(&table, now_secs, &mut n)
+                    };
+                    f(StreamedQuery::Rows(DeadlineStream {
+                        db: self,
+                        cursor,
+                        table,
+                        n,
+                        now_secs,
+                        issued_at_nanos,
+                        pricing,
+                        nonce,
+                        total_delay_secs: 0.0,
+                        tuples_charged: 0,
+                    }))
+                }
+                StreamedStatement::Finished(out) => {
+                    let output = std::mem::replace(out, StatementOutput::TableCreated);
+                    match &output {
+                        StatementOutput::Inserted { rids } => {
+                            self.note_rows(&table, rids, now_secs, exact, RowNote::Insert)
+                        }
+                        // A delete changes the tuple's value (to "gone") — for
+                        // the §3 staleness guarantee it is an update event
+                        // like any other.
+                        StatementOutput::Updated { rids } | StatementOutput::Deleted { rids } => {
+                            self.note_rows(&table, rids, now_secs, exact, RowNote::Update)
+                        }
+                        _ => {}
+                    }
+                    f(StreamedQuery::Finished(DeadlineResponse {
+                        output,
+                        tuple_delays: Vec::new(),
+                        tuple_offsets: Vec::new(),
+                        delay_secs: 0.0,
+                        issued_at_nanos,
+                        data_version,
+                    }))
+                }
+            };
         let result = match source {
             Source::Stmt(stmt) => {
                 let table = Arc::from(statement_table(stmt));
                 self.engine
-                    .execute_stmt_streaming(stmt, |streamed| guarded(table, streamed))?
+                    .execute_stmt_streaming(stmt, |streamed| guarded(table, streamed, 0))?
             }
             Source::Prepared(prep, scratch) => {
                 let table = Arc::clone(prep.table());
                 self.engine
                     .execute_prepared_streaming(prep, scratch, |streamed| {
-                        guarded(table, streamed)
+                        guarded(table, streamed, 0)
                     })?
+            }
+            Source::Write(prep) => {
+                let (output, data_version) = self.engine.execute_write(prep)?;
+                let table = Arc::clone(prep.table());
+                guarded(
+                    table,
+                    &mut StreamedStatement::Finished(output),
+                    data_version,
+                )
             }
         };
         if !exact {
@@ -986,20 +1045,17 @@ impl GuardedDatabase {
                             guard.access.ensure_tracked(rid.raw());
                         }
                     }
+                    RowNote::Select => unreachable!("a read is recorded when it is charged"),
                 }
                 guard.dirty = true;
                 self.mutations
                     .fetch_add(rids.len() as u64, Ordering::Release);
             });
         } else {
-            let keys: Vec<u64> = rids.iter().map(|r| r.raw()).collect();
             self.queue.push(AccessEvent {
                 table: Arc::clone(table),
                 now_secs: now,
-                kind: match note {
-                    RowNote::Update => EventKind::Update(keys),
-                    RowNote::Insert => EventKind::Insert(keys),
-                },
+                kind: EventKind::write(note, rids),
             });
         }
     }
@@ -1064,7 +1120,7 @@ impl GuardedDatabase {
         let mut slots: HashMap<&str, usize> = HashMap::new();
         let mut run: Option<(&Arc<str>, usize)> = None;
         for (_seq, ev) in &batch {
-            applied += ev.kind.len() as u64;
+            applied += ev.kind.keys().len() as u64;
             let slot = match run {
                 Some((table, slot)) if *table == ev.table => slot,
                 _ => *slots.entry(&ev.table).or_insert_with(|| {
@@ -1080,16 +1136,13 @@ impl GuardedDatabase {
         let mut rebuilt = 0u64;
         for (table, events) in &tables {
             self.with_guard(table, events[0].now_secs, |guard| {
-                let accesses = events.iter().filter_map(|ev| match &ev.kind {
-                    EventKind::SelectOne(k) => {
-                        Some(BatchStep::Record(ev.now_secs, std::slice::from_ref(k)))
-                    }
-                    EventKind::Select(keys) => Some(BatchStep::Record(ev.now_secs, keys)),
-                    EventKind::Insert(keys) => Some(BatchStep::Track(keys)),
-                    EventKind::Update(_) => None,
+                let accesses = events.iter().filter_map(|ev| match ev.kind.note() {
+                    RowNote::Select => Some(BatchStep::Record(ev.now_secs, ev.kind.keys())),
+                    RowNote::Insert => Some(BatchStep::Track(ev.kind.keys())),
+                    RowNote::Update => None,
                 });
-                let updates = events.iter().filter_map(|ev| match &ev.kind {
-                    EventKind::Update(keys) => Some(BatchStep::Record(ev.now_secs, keys)),
+                let updates = events.iter().filter_map(|ev| match ev.kind.note() {
+                    RowNote::Update => Some(BatchStep::Record(ev.now_secs, ev.kind.keys())),
                     _ => None,
                 });
                 rebuilt += u64::from(guard.access.fold_batch(accesses));
@@ -1392,22 +1445,6 @@ impl GuardedDatabase {
         let len = t.read().len() as u64;
         Ok(len)
     }
-
-    /// The table's current data version (bumped by every committed row
-    /// mutation) — what the `MUTATED` protocol reply reports so clients
-    /// can order their view of the data.
-    pub fn table_data_version(&self, table: &str) -> Result<u64> {
-        let t = self.engine.catalog().table(table)?;
-        let version = t.read().data_version();
-        Ok(version)
-    }
-}
-
-/// What a non-SELECT statement records.
-#[derive(Clone, Copy)]
-enum RowNote {
-    Update,
-    Insert,
 }
 
 /// The table a statement touches.
@@ -1482,9 +1519,10 @@ mod tests {
     }
 
     /// A drained batch that interleaves two tables' SELECT, INSERT and
-    /// UPDATE events folds each tracker as the events one at a time
-    /// would, bit for bit, and rebuilds each of the four rank indexes'
-    /// prefix sums once, not once per run of events.
+    /// UPDATE events, of one key inline and of many, folds each tracker
+    /// as the events one at a time would, bit for bit, and rebuilds each
+    /// of the four rank indexes' prefix sums once, not once per run of
+    /// events.
     #[test]
     fn interleaved_batch_rebuilds_each_rank_index_once() {
         let config = GuardConfig {
@@ -1499,30 +1537,30 @@ mod tests {
             for table in [&a, &b] {
                 let keys: Vec<u64> = (run..run + 100).collect();
                 let kinds = [
-                    EventKind::Select(keys.clone()),
-                    EventKind::SelectOne(run / 2),
-                    EventKind::Insert(vec![run + 5000, run / 3]),
-                    EventKind::Update(keys.clone()),
+                    EventKind::Many(RowNote::Select, keys.clone()),
+                    EventKind::One(RowNote::Select, run / 2),
+                    EventKind::Many(RowNote::Insert, vec![run + 5000, run / 3]),
+                    EventKind::One(RowNote::Insert, run + 9000),
+                    EventKind::Many(RowNote::Update, keys.clone()),
+                    EventKind::One(RowNote::Update, run / 5),
                 ];
                 for kind in kinds {
                     let guard = reference
                         .entry(&**table)
                         .or_insert_with(|| TableGuard::new(&config));
-                    match &kind {
-                        EventKind::SelectOne(k) => {
+                    match kind.note() {
+                        RowNote::Select => {
                             guard.access.advance_to(now);
-                            guard.access.record(*k);
+                            kind.keys().iter().for_each(|&k| guard.access.record(k));
                         }
-                        EventKind::Select(keys) => {
-                            guard.access.advance_to(now);
-                            keys.iter().for_each(|&k| guard.access.record(k));
-                        }
-                        EventKind::Update(keys) => {
+                        RowNote::Update => {
                             guard.updates.advance_to(now);
-                            keys.iter().for_each(|&k| guard.updates.record(k));
+                            kind.keys().iter().for_each(|&k| guard.updates.record(k));
                         }
-                        EventKind::Insert(keys) => {
-                            keys.iter().for_each(|&k| guard.access.ensure_tracked(k));
+                        RowNote::Insert => {
+                            kind.keys()
+                                .iter()
+                                .for_each(|&k| guard.access.ensure_tracked(k));
                         }
                     }
                     db.queue.push(AccessEvent {
@@ -1535,7 +1573,7 @@ mod tests {
         }
         db.refresh();
         let stats = db.snapshot_stats();
-        assert_eq!(stats.events_applied, 2 * 16 * (100 + 1 + 2 + 100));
+        assert_eq!(stats.events_applied, 2 * 16 * (100 + 1 + 2 + 1 + 100 + 1));
         assert_eq!(stats.rank_rebuilds, 4, "one per tracker");
         for (name, want) in &reference {
             db.with_guard(name, 0.0, |guard| {
@@ -1838,21 +1876,30 @@ mod tests {
     #[test]
     fn table_data_version_reflects_mutations() {
         let db = setup(GuardPolicy::None);
-        let v0 = db.table_data_version("items").unwrap();
+        let version = || {
+            let items = db.engine().catalog().table("items").unwrap();
+            let version = items.read().data_version();
+            version
+        };
+        let v0 = version();
         db.execute_at("UPDATE items SET body = 'x' WHERE id = 1", 1.0)
             .unwrap();
-        assert_eq!(db.table_data_version("items").unwrap(), v0 + 1);
+        assert_eq!(version(), v0 + 1);
         db.execute_at("DELETE FROM items WHERE id = 2", 2.0)
             .unwrap();
-        assert_eq!(db.table_data_version("items").unwrap(), v0 + 2);
+        assert_eq!(version(), v0 + 2);
         db.execute_at("SELECT * FROM items WHERE id = 3", 3.0)
             .unwrap();
-        assert_eq!(
-            db.table_data_version("items").unwrap(),
-            v0 + 2,
-            "reads are free"
-        );
-        assert!(db.table_data_version("missing").is_err());
+        assert_eq!(version(), v0 + 2, "reads are free");
+        // A write's response carries the version its commit left.
+        let write =
+            db.execute_stmt_with_deadline(&parse("DELETE FROM items WHERE id = 4").unwrap());
+        assert_eq!(write.unwrap().data_version, v0 + 3);
+        let read = db.execute_with_deadline("SELECT * FROM items WHERE id = 5");
+        assert_eq!(read.unwrap().data_version, 0, "a read writes no table");
+        assert!(db
+            .execute_at("UPDATE missing SET body = 'x' WHERE id = 1", 4.0)
+            .is_err());
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl UpdateDelayPolicy {
 
     /// Delay using *learned* update statistics: rate is estimated as the
     /// tuple's decayed update count over the equally decayed observation
-    /// window ([`decayed_window`]), so a key updated at a constant rate
+    /// window (`decayed_window`), so a key updated at a constant rate
     /// reads that rate whatever the update decay.
     pub fn delay(&self, updates: &FrequencyTracker, n: u64, key: u64, window_secs: f64) -> f64 {
         if window_secs <= 0.0 {

@@ -25,7 +25,7 @@ const WHOLE_COUNTS: usize = 1 << 14;
 /// Map a raw count to its bucket.
 ///
 /// Whole counts — every count without decay — read a table that
-/// [`bucket_by_ln`] filled once, so the answer is the same bits either
+/// `bucket_by_ln` filled once, so the answer is the same bits either
 /// way and a record pays no logarithm.
 #[inline]
 pub fn bucket_of(count: f64) -> usize {

@@ -10,7 +10,7 @@
 //! log-bucketed order statistics in [`crate::rank`].
 //!
 //! Counts live in key order, in [`CountChunk`]s of up to
-//! [`CHUNK_KEYS`](crate::chunks::CHUNK_KEYS) consecutive keys held by
+//! [`CHUNK_KEYS`] consecutive keys held by
 //! `Arc` ([`crate::chunks`]): about 8 bytes per tracked key when keys are
 //! dense, as a table's `RowId`s are within each page (keys scattered
 //! over the whole `u64` space would cost up to a chunk each; every
@@ -344,7 +344,7 @@ impl FrequencyTracker {
     /// order, so every count, total and rank ends bit-equal — at a
     /// constant cost per key. The rank index is made writable once per
     /// batch and a chunk once per run of a step's keys that fall in it;
-    /// past the first [`EAGER_RANK_MOVES`] rank moves a key moves only
+    /// past the first `EAGER_RANK_MOVES` rank moves a key moves only
     /// its bucket's count, and the prefix sums are rebuilt once at the
     /// end. Returns whether they were.
     pub fn fold_batch<'k>(&mut self, steps: impl IntoIterator<Item = BatchStep<'k>>) -> bool {

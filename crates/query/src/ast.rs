@@ -64,19 +64,34 @@ pub struct OrderBy {
 }
 
 impl Statement {
-    /// Replace every number and string literal of a SELECT's WHERE
-    /// clause with [`Expr::Param`], appending the values to `out` in
-    /// source order, so one prepared plan serves every statement of the
-    /// same shape. `TRUE`/`FALSE`/`NULL` and the `LIMIT` count stay part
-    /// of the shape: the planner treats `NULL` specially, and a count is
-    /// not an expression. Other statements are left as they are.
+    /// Replace every number and string literal of a `WHERE` clause, an
+    /// INSERT's `VALUES` and an UPDATE's `SET` with [`Expr::Param`],
+    /// appending the values to `out` in source order, so
+    /// one prepared plan serves every statement of the same shape.
+    /// `TRUE`/`FALSE`/`NULL` and the `LIMIT` count stay part of the shape:
+    /// the planner treats `NULL` specially, and a count is not an
+    /// expression. DDL is left as it is.
     pub(crate) fn lift_literals(&mut self, out: &mut Vec<Value>) {
-        if let Statement::Select {
-            filter: Some(filter),
-            ..
-        } = self
-        {
-            filter.lift_literals(out);
+        match self {
+            Statement::Select { filter, .. } | Statement::Delete { filter, .. } => {
+                filter.iter_mut().for_each(|f| f.lift_literals(out));
+            }
+            Statement::Insert { rows, .. } => {
+                rows.iter_mut().flatten().for_each(|e| e.lift_literals(out));
+            }
+            Statement::Update {
+                assignments,
+                filter,
+                ..
+            } => {
+                for (_, e) in assignments.iter_mut() {
+                    e.lift_literals(out);
+                }
+                filter.iter_mut().for_each(|f| f.lift_literals(out));
+            }
+            Statement::CreateTable { .. }
+            | Statement::CreateIndex { .. }
+            | Statement::DropTable { .. } => {}
         }
     }
 }

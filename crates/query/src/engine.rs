@@ -3,12 +3,12 @@
 use crate::ast::{Expr, OrderBy, Projection, Statement};
 use crate::error::{QueryError, Result};
 use crate::exec::{
-    const_eval, open_select, run_delete, run_update, ExecScratch, SelectCursor, SelectOutput,
+    open_select, run_delete, run_insert, run_update, ExecScratch, SelectCursor, SelectOutput,
 };
 use crate::parser::parse;
-use crate::plan::SelectPlan;
-use crate::planner::{plan_locate, plan_select};
-use delayguard_storage::{Catalog, Column, Row, RowId, Schema, TableRef, Value};
+use crate::plan::{SelectPlan, WritePlan};
+use crate::planner::{plan_select, plan_write};
+use delayguard_storage::{Catalog, Column, RowId, Schema, TableRef, Value};
 use std::ptr;
 use std::sync::{Arc, Weak};
 
@@ -103,20 +103,114 @@ impl PreparedSelect {
     /// execution until the next `bind`. A parameter stands where a
     /// non-`NULL` literal stood, so `NULL` is refused.
     pub fn bind(&mut self, values: &[Value]) -> Result<()> {
-        if values.len() != self.params.len() {
-            return Err(QueryError::Semantic(format!(
-                "statement takes {} parameter value(s), {} given",
-                self.params.len(),
-                values.len()
-            )));
-        }
-        if values.iter().any(Value::is_null) {
-            return Err(QueryError::Semantic(
-                "a parameter value cannot be NULL".into(),
-            ));
-        }
-        self.params.clone_from_slice(values);
+        bind_values(&mut self.params, values)?;
         self.plan.bind_params(&self.params);
+        self.bound = true;
+        Ok(())
+    }
+}
+
+/// Copy `values` over a statement's parameters, refusing a wrong count
+/// and `NULL`: a parameter stands where a non-`NULL` literal stood.
+fn bind_values(params: &mut [Value], values: &[Value]) -> Result<()> {
+    if values.len() != params.len() {
+        return Err(QueryError::Semantic(format!(
+            "statement takes {} parameter value(s), {} given",
+            params.len(),
+            values.len()
+        )));
+    }
+    if values.iter().any(Value::is_null) {
+        return Err(QueryError::Semantic(
+            "a parameter value cannot be NULL".into(),
+        ));
+    }
+    params.clone_from_slice(values);
+    Ok(())
+}
+
+/// The verb of a write statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MutationVerb {
+    Insert,
+    Update,
+    Delete,
+}
+
+impl MutationVerb {
+    /// The SQL keyword.
+    pub fn name(self) -> &'static str {
+        match self {
+            MutationVerb::Insert => "INSERT",
+            MutationVerb::Update => "UPDATE",
+            MutationVerb::Delete => "DELETE",
+        }
+    }
+}
+
+/// The parts of a parsed write that its plan is made from.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum WriteStatement {
+    /// `VALUES` rows.
+    Insert(Vec<Vec<Expr>>),
+    /// `SET` assignments and the `WHERE` clause.
+    Update(Vec<(String, Expr)>, Option<Expr>),
+    /// The `WHERE` clause.
+    Delete(Option<Expr>),
+}
+
+/// An INSERT, UPDATE or DELETE parsed once, for repeated execution.
+///
+/// It keeps what a [`PreparedSelect`] keeps: the handle of the table it
+/// writes, replaced by a fresh lookup once that table is dropped (or
+/// when run over another engine's catalog); a plan validated against the
+/// table's DDL version on every run, and made again when it moved; and
+/// the values bound to its lifted parameters, written into the plan by
+/// [`PreparedWrite::bind`]. Each run takes the table's write lock only
+/// to check that version, locate its rows and apply the write.
+///
+/// It is planned on its first run, under that lock, so every error past
+/// parsing (a missing table, an unknown column, a column named in
+/// `VALUES`) is reported where an ad-hoc write reports it, on every run.
+pub struct PreparedWrite {
+    /// Shared with every update event a guarded execution emits.
+    table: Arc<str>,
+    statement: WriteStatement,
+    /// The table `table` named when last looked up, in `catalog`; `None`
+    /// before the first run.
+    source: Option<TableRef>,
+    catalog: Weak<Catalog>,
+    /// `None` until the first run plans it.
+    plan: Option<WritePlan>,
+    ddl_version: u64,
+    /// As [`PreparedSelect`]'s: kept so a replanned write can be bound
+    /// again.
+    params: Vec<Value>,
+    bound: bool,
+}
+
+impl PreparedWrite {
+    /// The table this statement writes.
+    pub fn table(&self) -> &Arc<str> {
+        &self.table
+    }
+
+    /// Which write this is.
+    pub fn verb(&self) -> MutationVerb {
+        match self.statement {
+            WriteStatement::Insert(_) => MutationVerb::Insert,
+            WriteStatement::Update(..) => MutationVerb::Update,
+            WriteStatement::Delete(_) => MutationVerb::Delete,
+        }
+    }
+
+    /// Bind `values` to the statement's parameters, in order, as
+    /// [`PreparedSelect::bind`] does.
+    pub fn bind(&mut self, values: &[Value]) -> Result<()> {
+        bind_values(&mut self.params, values)?;
+        if let Some(plan) = &mut self.plan {
+            plan.bind_params(&self.params);
+        }
         self.bound = true;
         Ok(())
     }
@@ -164,8 +258,14 @@ impl Engine {
 
     /// Parse and execute one SQL statement.
     pub fn execute(&self, sql: &str) -> Result<StatementOutput> {
-        let stmt = parse(sql)?;
-        self.execute_stmt(&stmt)
+        match parse(sql)? {
+            stmt @ (Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. }) => {
+                Ok(self.execute_write(&mut self.prepare_write(stmt)?)?.0)
+            }
+            stmt => self.execute_stmt(&stmt),
+        }
     }
 
     /// Execute a pre-parsed statement (hot paths can cache the parse).
@@ -199,19 +299,6 @@ impl Engine {
                 self.catalog.drop_table(name)?;
                 Ok(StatementOutput::TableDropped)
             }
-            Statement::Insert { table, rows } => {
-                let t = self.catalog.table(table)?;
-                let mut t = t.write();
-                let mut rids = Vec::with_capacity(rows.len());
-                for exprs in rows {
-                    let mut values = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        values.push(const_eval(e)?);
-                    }
-                    rids.push(t.insert(Row::new(values))?);
-                }
-                Ok(StatementOutput::Inserted { rids })
-            }
             Statement::Select { .. } => self.execute_stmt_streaming(stmt, |streamed| {
                 let StreamedStatement::Rows(cursor) = streamed else {
                     unreachable!("a SELECT opens a row stream");
@@ -225,29 +312,12 @@ impl Engine {
                     rows,
                 }))
             })?,
-            Statement::Update {
-                table,
-                assignments,
-                filter,
-            } => {
-                let t = self.catalog.table(table)?;
-                let mut t = t.write();
-                let (access, bound_filter) = plan_locate(&t, filter.as_ref())?;
-                let schema = t.schema().clone();
-                let mut bound_assignments = Vec::with_capacity(assignments.len());
-                for (col, e) in assignments {
-                    let idx = schema.index_of(col)?;
-                    bound_assignments.push((idx, crate::expr::bind(e, &schema)?));
-                }
-                let rids = run_update(&mut t, &access, bound_filter.as_ref(), &bound_assignments)?;
-                Ok(StatementOutput::Updated { rids })
-            }
-            Statement::Delete { table, filter } => {
-                let t = self.catalog.table(table)?;
-                let mut t = t.write();
-                let (access, bound_filter) = plan_locate(&t, filter.as_ref())?;
-                let rids = run_delete(&mut t, &access, bound_filter.as_ref())?;
-                Ok(StatementOutput::Deleted { rids })
+            // A write is prepared and run once: write planning and
+            // binding live in `execute_write` alone. The borrow forces
+            // the clone; `Engine::execute` moves its own parse instead.
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                let mut prep = self.prepare_write(stmt.clone())?;
+                Ok(self.execute_write(&mut prep)?.0)
             }
         }
     }
@@ -338,6 +408,86 @@ impl Engine {
         })
     }
 
+    /// Prepare a parsed INSERT, UPDATE or DELETE, which may carry
+    /// parameters (`Statement::lift_literals`; bind them with
+    /// [`PreparedWrite::bind`]). It is planned on its first run.
+    pub fn prepare_write(&self, stmt: Statement) -> Result<PreparedWrite> {
+        let (table, statement) = match stmt {
+            Statement::Insert { table, rows } => (table, WriteStatement::Insert(rows)),
+            Statement::Update {
+                table,
+                assignments,
+                filter,
+            } => (table, WriteStatement::Update(assignments, filter)),
+            Statement::Delete { table, filter } => (table, WriteStatement::Delete(filter)),
+            _ => {
+                return Err(QueryError::Semantic(
+                    "only INSERT, UPDATE and DELETE statements can be prepared as writes".into(),
+                ))
+            }
+        };
+        let params = statement.param_count();
+        Ok(PreparedWrite {
+            table: Arc::from(table),
+            statement,
+            source: None,
+            catalog: Weak::new(),
+            plan: None,
+            ddl_version: 0,
+            params: vec![Value::Null; params],
+            bound: params == 0,
+        })
+    }
+
+    /// Run a prepared write: its output, and the table's data version as
+    /// this write's own commit left it.
+    ///
+    /// The write lock is held to check the plan against the table's DDL
+    /// version (planning again when it moved), locate the rows and apply
+    /// the write, and no longer.
+    pub fn execute_write(&self, prep: &mut PreparedWrite) -> Result<(StatementOutput, u64)> {
+        if !prep.bound {
+            return Err(QueryError::Semantic(
+                "statement parameters are not bound".into(),
+            ));
+        }
+        let same_catalog = ptr::eq(prep.catalog.as_ptr(), Arc::as_ptr(&self.catalog));
+        let source = match prep.source.take().filter(|_| same_catalog) {
+            Some(source) => prep.source.insert(source),
+            None => {
+                prep.catalog = Arc::downgrade(&self.catalog);
+                prep.source.insert(self.catalog.table(&prep.table)?)
+            }
+        };
+        let mut t = source.write();
+        if t.is_dropped() {
+            drop(t);
+            let source = prep.source.insert(self.catalog.table(&prep.table)?);
+            t = source.write();
+        }
+        let plan = match &mut prep.plan {
+            Some(plan) if t.ddl_version() == prep.ddl_version => plan,
+            slot => {
+                let plan = slot.insert(plan_write(&t, &prep.statement)?);
+                plan.bind_params(&prep.params);
+                prep.ddl_version = t.ddl_version();
+                plan
+            }
+        };
+        let output = match plan {
+            WritePlan::Insert(rows) => StatementOutput::Inserted {
+                rids: run_insert(&mut t, rows)?,
+            },
+            WritePlan::Update(locate, assignments) => StatementOutput::Updated {
+                rids: run_update(&mut t, locate, assignments)?,
+            },
+            WritePlan::Delete(locate) => StatementOutput::Deleted {
+                rids: run_delete(&mut t, locate)?,
+            },
+        };
+        Ok((output, t.data_version()))
+    }
+
     /// Execute a prepared SELECT in streaming mode.
     ///
     /// Locking and charging are as described on
@@ -414,6 +564,26 @@ impl Engine {
     }
 }
 
+impl WriteStatement {
+    /// One more than the highest parameter index in the statement.
+    fn param_count(&self) -> usize {
+        let (exprs, filter): (Vec<&Expr>, _) = match self {
+            WriteStatement::Insert(rows) => (rows.iter().flatten().collect(), None),
+            WriteStatement::Update(assignments, filter) => (
+                assignments.iter().map(|(_, e)| e).collect(),
+                filter.as_ref(),
+            ),
+            WriteStatement::Delete(filter) => (Vec::new(), filter.as_ref()),
+        };
+        exprs
+            .into_iter()
+            .chain(filter)
+            .map(Expr::param_count)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 impl Default for Engine {
     fn default() -> Self {
         Engine::new()
@@ -423,7 +593,7 @@ impl Default for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delayguard_storage::Value;
+    use delayguard_storage::{Row, Value};
 
     fn engine_with_movies() -> Engine {
         let e = Engine::new();
@@ -753,6 +923,122 @@ mod tests {
         ));
         assert!(prep.bind(&[]).is_err(), "wrong arity");
         assert!(prep.bind(&[Value::Null]).is_err(), "NULL is not a literal");
+    }
+
+    /// `sql` parsed, its literals lifted, prepared as a write and bound
+    /// to its own literals, as the statement cache prepares it.
+    fn prepared_write(e: &Engine, sql: &str) -> PreparedWrite {
+        let mut stmt = parse(sql).unwrap();
+        let mut values = Vec::new();
+        stmt.lift_literals(&mut values);
+        let mut prep = e.prepare_write(stmt).unwrap();
+        prep.bind(&values).unwrap();
+        prep
+    }
+
+    #[test]
+    fn a_write_reports_the_data_version_of_its_own_commit() {
+        let e = engine_with_movies();
+        let version = || e.catalog().table("movies").unwrap().read().data_version();
+        let v0 = version();
+        let mut insert = prepared_write(&e, "INSERT INTO movies VALUES (4, 'Signs', 228.0)");
+        let mut update = prepared_write(&e, "UPDATE movies SET gross = 1.0 WHERE id >= 2");
+        let mut miss = prepared_write(&e, "DELETE FROM movies WHERE id = 99");
+        // Each run's version is the table's right after its commit, and
+        // stays the one it returned whatever commits after it.
+        let (_, inserted) = e.execute_write(&mut insert).unwrap();
+        assert_eq!(inserted, v0 + 1);
+        let (out, updated) = e.execute_write(&mut update).unwrap();
+        assert_eq!(written(&out), 3);
+        assert_eq!(updated, v0 + 4, "one bump per row written");
+        assert_eq!(e.execute_write(&mut miss).unwrap().1, v0 + 4);
+        assert_eq!(inserted, v0 + 1);
+        assert_eq!(version(), v0 + 4);
+        // A write that fails commits nothing and reports no version.
+        assert!(e.execute_write(&mut insert).is_err(), "unique violation");
+        assert_eq!(version(), v0 + 4);
+    }
+
+    #[test]
+    fn a_prepared_write_binds_each_run_and_replans_after_ddl() {
+        let e = engine_with_movies();
+        let mut prep = prepared_write(&e, "UPDATE movies SET title = 'x' WHERE title = 'y'");
+        assert_eq!(prep.verb(), MutationVerb::Update);
+        assert!(prep.plan.is_none(), "planned on its first run");
+        let run = |prep: &mut PreparedWrite, values: &[Value]| {
+            prep.bind(values).unwrap();
+            written(&e.execute_write(prep).unwrap().0)
+        };
+        let text = |s: &str| Value::Text(s.into());
+        assert_eq!(run(&mut prep, &[text("Retitled"), text("Two Towers")]), 1);
+        assert_eq!(run(&mut prep, &[text("Again"), text("Retitled")]), 1);
+        e.execute("CREATE INDEX movies_title ON movies (title)")
+            .unwrap();
+        assert_eq!(run(&mut prep, &[text("Thrice"), text("Again")]), 1);
+        assert!(matches!(
+            prep.plan,
+            Some(WritePlan::Update(ref locate, _))
+                if matches!(locate.access, crate::plan::AccessPath::IndexEq { .. })
+        ));
+        assert_eq!(
+            select(&e, "SELECT id FROM movies WHERE title = 'Thrice'").len(),
+            1
+        );
+        assert!(prep.bind(&[]).is_err(), "wrong arity");
+        assert!(
+            prep.bind(&[Value::Null, text("a")]).is_err(),
+            "NULL is not a literal"
+        );
+    }
+
+    #[test]
+    fn a_prepared_write_errors_where_an_adhoc_one_does_on_every_run() {
+        let e = engine_with_movies();
+        for sql in [
+            "UPDATE movies SET nope = 1 WHERE id = 1",
+            "UPDATE missing SET gross = 1.0 WHERE id = 1",
+            "INSERT INTO movies VALUES (7, title, 1.0)",
+            "INSERT INTO movies VALUES (8, NULL, 1.0)",
+            "INSERT INTO movies VALUES ('nine', 'Nine', 1.0)",
+            "DELETE FROM movies WHERE nope = 1",
+        ] {
+            let adhoc = e.execute(sql).unwrap_err().to_string();
+            let mut prep = prepared_write(&e, sql);
+            for _ in 0..2 {
+                let err = e.execute_write(&mut prep).unwrap_err();
+                assert_eq!(err.to_string(), adhoc, "{sql}");
+            }
+        }
+        assert!(e
+            .prepare_write(parse("SELECT * FROM movies").unwrap())
+            .is_err());
+        let mut stmt = parse("DELETE FROM movies WHERE id = 1").unwrap();
+        stmt.lift_literals(&mut Vec::new());
+        let mut unbound = e.prepare_write(stmt).unwrap();
+        assert!(e.execute_write(&mut unbound).is_err(), "unbound parameters");
+    }
+
+    #[test]
+    fn a_prepared_write_writes_the_table_its_name_leads_to_now() {
+        let e = engine_with_movies();
+        let mut prep = prepared_write(&e, "INSERT INTO movies VALUES (7, 'Seven', 7.0)");
+        let create = "CREATE TABLE movies (id INT NOT NULL, title TEXT NOT NULL, gross FLOAT)";
+        let count = |e: &Engine| select(e, "SELECT * FROM movies").len();
+        assert_eq!(written(&e.execute_write(&mut prep).unwrap().0), 1);
+        assert_eq!(count(&e), 4);
+        e.execute("DROP TABLE movies").unwrap();
+        let adhoc = e.execute("INSERT INTO movies VALUES (7, 'Seven', 7.0)");
+        assert_eq!(
+            e.execute_write(&mut prep).unwrap_err().to_string(),
+            adhoc.unwrap_err().to_string()
+        );
+        e.execute(create).unwrap();
+        assert_eq!(written(&e.execute_write(&mut prep).unwrap().0), 1);
+        assert_eq!(count(&e), 1);
+        let other = Engine::new();
+        other.execute(create).unwrap();
+        assert_eq!(written(&other.execute_write(&mut prep).unwrap().0), 1);
+        assert_eq!((count(&other), count(&e)), (1, 1));
     }
 
     const RENDEZVOUS: std::time::Duration = std::time::Duration::from_secs(10);

@@ -1,9 +1,8 @@
 //! Plan execution against a single table.
 
-use crate::ast::{Expr, UnaryOp};
 use crate::error::{QueryError, Result};
 use crate::expr::{eval, eval_filter, BoundExpr};
-use crate::plan::{AccessPath, SelectPlan};
+use crate::plan::{AccessPath, LocatePlan, SelectPlan};
 use delayguard_storage::{Row, RowId, Table, Value};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -33,44 +32,36 @@ impl SelectOutput {
     }
 }
 
-/// Collect the RowIds of rows matched by `access` + `filter`.
-pub(crate) fn locate(
-    table: &Table,
-    access: &AccessPath,
-    filter: Option<&BoundExpr>,
-) -> Result<Vec<RowId>> {
-    let mut out = Vec::new();
-    match access {
+/// Collect the RowIds of the rows `plan` locates.
+fn locate(table: &Table, plan: &LocatePlan) -> Result<Vec<RowId>> {
+    let filter = plan.filter.as_ref();
+    let candidates = match &plan.access {
         AccessPath::FullScan => {
+            let mut out = Vec::new();
             for item in table.scan() {
                 let (rid, row) = item?;
                 if passes(filter, &row)? {
                     out.push(rid);
                 }
             }
+            return Ok(out);
         }
-        AccessPath::IndexEq { columns, key } => {
-            let rids = table
-                .index_lookup(columns, key)
-                .ok_or_else(|| QueryError::Semantic("planned index disappeared".into()))?;
-            for rid in rids {
-                let row = table.peek(rid)?;
-                if passes(filter, &row)? {
-                    out.push(rid);
-                }
-            }
-        }
+        AccessPath::IndexEq { columns, key } => table.index_lookup(columns, key),
         AccessPath::IndexRange { columns, lo, hi } => {
-            let rids = table
-                .index_range(columns, as_ref_bound(lo), as_ref_bound(hi))
-                .ok_or_else(|| QueryError::Semantic("planned index disappeared".into()))?;
-            for rid in rids {
-                let row = table.peek(rid)?;
-                if passes(filter, &row)? {
-                    out.push(rid);
-                }
+            table.index_range(columns, as_ref_bound(lo), as_ref_bound(hi))
+        }
+    };
+    let mut out =
+        candidates.ok_or_else(|| QueryError::Semantic("planned index disappeared".into()))?;
+    if let Some(filter) = filter {
+        let mut kept = 0;
+        for at in 0..out.len() {
+            if eval_filter(filter, &table.peek(out[at])?)? {
+                out[kept] = out[at];
+                kept += 1;
             }
         }
+        out.truncate(kept);
     }
     Ok(out)
 }
@@ -174,7 +165,7 @@ enum Src<'a> {
 
 /// An open SELECT pipeline: pull projected rows one at a time.
 ///
-/// The pipeline is linear by construction (source → filter → [sort] →
+/// The pipeline is linear by construction (source → filter → \[sort\] →
 /// limit → project), so instead of a tree of boxed operators the cursor
 /// holds each stage inline: no allocation at open (for index paths) and
 /// no virtual dispatch per row. `SortOp`'s role survives as the `Sorted`
@@ -387,77 +378,62 @@ pub(crate) fn open_select<'a>(
     })
 }
 
+/// Insert each row of `VALUES`, in order, returning their RowIds.
+pub(crate) fn run_insert(table: &mut Table, rows: &[Vec<BoundExpr>]) -> Result<Vec<RowId>> {
+    let empty = Row::new(Vec::new());
+    let mut rids = Vec::with_capacity(rows.len());
+    for exprs in rows {
+        let values = exprs
+            .iter()
+            .map(|e| eval(e, &empty))
+            .collect::<Result<_>>()?;
+        rids.push(table.insert(Row::new(values))?);
+    }
+    Ok(rids)
+}
+
 /// Apply UPDATE assignments to located rows.
 ///
 /// Assignment expressions are evaluated against the *old* row (SQL
 /// semantics), so `SET a = a + 1, b = a` uses the original `a` for both.
 pub(crate) fn run_update(
     table: &mut Table,
-    access: &AccessPath,
-    filter: Option<&BoundExpr>,
+    plan: &LocatePlan,
     assignments: &[(usize, BoundExpr)],
 ) -> Result<Vec<RowId>> {
-    let rids = locate(table, access, filter)?;
-    let mut out = Vec::with_capacity(rids.len());
-    for rid in rids {
-        let old = table.peek(rid)?;
-        let mut new = old.clone();
-        for (col, e) in assignments {
-            new.set(*col, eval(e, &old)?);
-        }
-        let new_rid = table.update(rid, new)?;
-        out.push(new_rid);
-    }
-    Ok(out)
-}
-
-/// Delete located rows, returning their RowIds.
-pub(crate) fn run_delete(
-    table: &mut Table,
-    access: &AccessPath,
-    filter: Option<&BoundExpr>,
-) -> Result<Vec<RowId>> {
-    let rids = locate(table, access, filter)?;
-    for rid in &rids {
-        table.delete(*rid)?;
+    let mut rids = locate(table, plan)?;
+    for rid in &mut rids {
+        *rid = table.update_with(*rid, |old| {
+            // Assigned columns start as NULL rather than as copies of
+            // their old values.
+            let mut new: Vec<Value> = old
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(col, v)| {
+                    if assignments.iter().any(|(c, _)| *c == col) {
+                        Value::Null
+                    } else {
+                        v.clone()
+                    }
+                })
+                .collect();
+            for (col, e) in assignments {
+                new[*col] = eval(e, old)?;
+            }
+            Ok::<_, QueryError>(Row::new(new))
+        })?;
     }
     Ok(rids)
 }
 
-/// Evaluate an INSERT value expression, which must be constant (no column
-/// references).
-pub(crate) fn const_eval(expr: &Expr) -> Result<Value> {
-    let bound = to_const_bound(expr)?;
-    let empty = Row::new(Vec::new());
-    eval(&bound, &empty)
-}
-
-fn to_const_bound(expr: &Expr) -> Result<BoundExpr> {
-    Ok(match expr {
-        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-        Expr::Param(i) => {
-            return Err(QueryError::Semantic(format!(
-                "parameter {i} not allowed in VALUES"
-            )))
-        }
-        Expr::Column(name) => {
-            return Err(QueryError::Semantic(format!(
-                "column reference `{name}` not allowed in VALUES"
-            )))
-        }
-        Expr::Unary { op, expr } => BoundExpr::Unary {
-            op: match op {
-                UnaryOp::Not => UnaryOp::Not,
-                UnaryOp::Neg => UnaryOp::Neg,
-            },
-            expr: Box::new(to_const_bound(expr)?),
-        },
-        Expr::Binary { op, left, right } => BoundExpr::Binary {
-            op: *op,
-            left: Box::new(to_const_bound(left)?),
-            right: Box::new(to_const_bound(right)?),
-        },
-    })
+/// Delete located rows, returning their RowIds.
+pub(crate) fn run_delete(table: &mut Table, plan: &LocatePlan) -> Result<Vec<RowId>> {
+    let rids = locate(table, plan)?;
+    for rid in &rids {
+        table.delete(*rid)?;
+    }
+    Ok(rids)
 }
 
 #[cfg(test)]
@@ -561,13 +537,12 @@ mod tests {
     fn update_uses_old_row_values() {
         let mut t = movies();
         let filter = parse_expr("id = 3").unwrap();
-        let (access, bound) = plan_locate(&t, Some(&filter)).unwrap();
+        let plan = plan_locate(&t, Some(&filter)).unwrap();
         let schema = t.schema().clone();
         let gross_col = schema.index_of("gross").unwrap();
         // SET gross = gross + 1, then id stays keyed correctly.
         let assign_expr = crate::expr::bind(&parse_expr("gross + 1.0").unwrap(), &schema).unwrap();
-        let rids =
-            run_update(&mut t, &access, bound.as_ref(), &[(gross_col, assign_expr)]).unwrap();
+        let rids = run_update(&mut t, &plan, &[(gross_col, assign_expr)]).unwrap();
         assert_eq!(rids.len(), 1);
         assert_eq!(
             t.peek(rids[0]).unwrap().get(gross_col),
@@ -579,10 +554,19 @@ mod tests {
     fn delete_removes_rows() {
         let mut t = movies();
         let filter = parse_expr("id >= 15").unwrap();
-        let (access, bound) = plan_locate(&t, Some(&filter)).unwrap();
-        let rids = run_delete(&mut t, &access, bound.as_ref()).unwrap();
+        let plan = plan_locate(&t, Some(&filter)).unwrap();
+        let rids = run_delete(&mut t, &plan).unwrap();
         assert_eq!(rids.len(), 5);
         assert_eq!(t.len(), 15);
+    }
+
+    /// Evaluate an INSERT value as an INSERT plans and runs it.
+    fn const_eval(e: &crate::ast::Expr) -> Result<Value> {
+        let insert = crate::engine::WriteStatement::Insert(vec![vec![e.clone()]]);
+        match crate::planner::plan_write(&movies(), &insert)? {
+            crate::plan::WritePlan::Insert(rows) => eval(&rows[0][0], &Row::new(Vec::new())),
+            other => panic!("an INSERT planned as {other:?}"),
+        }
     }
 
     #[test]

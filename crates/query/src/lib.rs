@@ -12,9 +12,9 @@
 //! * `UPDATE t SET col = expr, ... [WHERE ...]`
 //! * `DELETE FROM t [WHERE ...]`
 //!
-//! [`StatementCache`] keeps SELECT shapes prepared: text whose shape it
-//! has seen is only bound to its literals, never lexed, parsed or
-//! planned again.
+//! [`StatementCache`] keeps SELECT, INSERT, UPDATE and DELETE shapes
+//! prepared: text whose shape it has seen is only bound to its literals,
+//! never lexed, parsed or planned again.
 //!
 //! Crucially for the delay defense, [`exec::SelectOutput`] keeps the
 //! [`delayguard_storage::RowId`] of every returned tuple so the guard layer
@@ -45,8 +45,10 @@ pub mod planner;
 pub mod stmt_cache;
 pub mod token;
 
-pub use engine::{Engine, PreparedSelect, StatementOutput, StreamedStatement};
+pub use engine::{
+    Engine, MutationVerb, PreparedSelect, PreparedWrite, StatementOutput, StreamedStatement,
+};
 pub use error::{QueryError, Result};
 pub use exec::{ExecScratch, RowBuf, SelectCursor, SelectOutput};
 pub use parser::parse;
-pub use stmt_cache::{Prepared, StatementCache, STATEMENT_CACHE_CAPACITY};
+pub use stmt_cache::{Prepared, StatementCache, StatementKind, STATEMENT_CACHE_CAPACITY};

@@ -1,4 +1,4 @@
-//! Physical plans for SELECT (and the row-location phase of UPDATE/DELETE).
+//! Physical plans for SELECT, INSERT, UPDATE and DELETE.
 
 use crate::expr::BoundExpr;
 use delayguard_storage::{IndexKey, Value};
@@ -21,6 +21,16 @@ pub(crate) enum AccessPath {
 }
 
 impl AccessPath {
+    /// Write the value of each `(slot, parameter)` in `key_params` into
+    /// that probe-key part.
+    fn bind_key_params(&mut self, key_params: &[(KeySlot, usize)], params: &[Value]) {
+        for &(slot, i) in key_params {
+            if let Some(part) = self.key_part(slot) {
+                part.clone_from(&params[i]);
+            }
+        }
+    }
+
     /// The probe-key value `slot` names.
     fn key_part(&mut self, slot: KeySlot) -> Option<&mut Value> {
         let key = match (self, slot) {
@@ -88,12 +98,58 @@ impl SelectPlan {
     /// Write `params` into the probe key and the residual filter.
     /// `params` must cover every parameter index the plan names.
     pub(crate) fn bind_params(&mut self, params: &[Value]) {
-        for &(slot, i) in &self.key_params {
-            if let Some(part) = self.access.key_part(slot) {
-                part.clone_from(&params[i]);
-            }
-        }
+        self.access.bind_key_params(&self.key_params, params);
         if let Some(filter) = &mut self.filter {
+            filter.bind_params(params);
+        }
+    }
+}
+
+/// The row-location phase of an UPDATE or DELETE: a [`SelectPlan`]'s
+/// access path, probe-key parameters and residual filter, with nothing
+/// to project, sort or limit.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LocatePlan {
+    pub access: AccessPath,
+    pub key_params: Vec<(KeySlot, usize)>,
+    pub filter: Option<BoundExpr>,
+}
+
+/// A planned INSERT, UPDATE or DELETE. Its expressions are bound to
+/// column positions; their [`BoundExpr::Param`] slots and the locate
+/// plan's probe key take each execution's values from
+/// [`WritePlan::bind_params`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum WritePlan {
+    /// Each row's `VALUES`, as constant expressions.
+    Insert(Vec<Vec<BoundExpr>>),
+    /// The rows to change, and `(column position, new value)` for each
+    /// assignment, evaluated against the old row.
+    Update(LocatePlan, Vec<(usize, BoundExpr)>),
+    Delete(LocatePlan),
+}
+
+impl WritePlan {
+    /// Write `params` into every expression and probe key of the plan.
+    /// `params` must cover every parameter index the plan names.
+    pub(crate) fn bind_params(&mut self, params: &[Value]) {
+        let locate = match self {
+            WritePlan::Insert(rows) => {
+                rows.iter_mut()
+                    .flatten()
+                    .for_each(|e| e.bind_params(params));
+                return;
+            }
+            WritePlan::Update(locate, assignments) => {
+                for (_, e) in assignments.iter_mut() {
+                    e.bind_params(params);
+                }
+                locate
+            }
+            WritePlan::Delete(locate) => locate,
+        };
+        locate.access.bind_key_params(&locate.key_params, params);
+        if let Some(filter) = &mut locate.filter {
             filter.bind_params(params);
         }
     }

@@ -24,9 +24,10 @@
 //! to apply the other.
 
 use crate::ast::{BinOp, Expr, OrderBy, Projection};
+use crate::engine::WriteStatement;
 use crate::error::{QueryError, Result};
 use crate::expr::{bind, BoundExpr};
-use crate::plan::{AccessPath, KeySlot, SelectPlan};
+use crate::plan::{AccessPath, KeySlot, LocatePlan, SelectPlan, WritePlan};
 use delayguard_storage::{IndexDef, Schema, Table, Value};
 use std::ops::Bound;
 
@@ -360,14 +361,64 @@ fn tighter_hi<'a>(a: Bound<Operand<'a>>, b: Bound<Operand<'a>>) -> Option<Bound<
 }
 
 /// Plan the row-location phase shared by UPDATE and DELETE.
-pub(crate) fn plan_locate(
-    table: &Table,
-    filter: Option<&Expr>,
-) -> Result<(AccessPath, Option<BoundExpr>)> {
+pub(crate) fn plan_locate(table: &Table, filter: Option<&Expr>) -> Result<LocatePlan> {
     let schema = table.schema();
     let bound = filter.map(|f| bind(f, schema)).transpose()?;
-    let Choice { access, exact, .. } = choose(schema, &table.index_defs(), filter);
-    Ok((access, if exact { None } else { bound }))
+    let Choice {
+        access,
+        exact,
+        key_params,
+    } = choose(schema, &table.index_defs(), filter);
+    Ok(LocatePlan {
+        access,
+        key_params,
+        filter: if exact { None } else { bound },
+    })
+}
+
+/// Plan a write against a table: locate an UPDATE's or DELETE's rows and
+/// bind every expression to the table's columns. An INSERT's values must
+/// be constant, so they bind to no column.
+pub(crate) fn plan_write(table: &Table, write: &WriteStatement) -> Result<WritePlan> {
+    Ok(match write {
+        WriteStatement::Insert(rows) => WritePlan::Insert(
+            rows.iter()
+                .map(|row| row.iter().map(bind_constant).collect())
+                .collect::<Result<_>>()?,
+        ),
+        WriteStatement::Update(assignments, filter) => {
+            let locate = plan_locate(table, filter.as_ref())?;
+            let schema = table.schema();
+            let assignments = assignments
+                .iter()
+                .map(|(column, e)| Ok((schema.index_of(column)?, bind(e, schema)?)))
+                .collect::<Result<_>>()?;
+            WritePlan::Update(locate, assignments)
+        }
+        WriteStatement::Delete(filter) => WritePlan::Delete(plan_locate(table, filter.as_ref())?),
+    })
+}
+
+/// Bind an INSERT value, which must be constant (no column references).
+fn bind_constant(expr: &Expr) -> Result<BoundExpr> {
+    Ok(match expr {
+        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+        Expr::Param(i) => BoundExpr::Param(*i, Value::Null),
+        Expr::Column(name) => {
+            return Err(QueryError::Semantic(format!(
+                "column reference `{name}` not allowed in VALUES"
+            )))
+        }
+        Expr::Unary { op, expr } => BoundExpr::Unary {
+            op: *op,
+            expr: Box::new(bind_constant(expr)?),
+        },
+        Expr::Binary { op, left, right } => BoundExpr::Binary {
+            op: *op,
+            left: Box::new(bind_constant(left)?),
+            right: Box::new(bind_constant(right)?),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,19 @@
-//! The statement cache: SQL text in, a prepared SELECT bound to that
-//! text's literals out.
+//! The statement cache: SQL text in, a prepared SELECT, INSERT, UPDATE
+//! or DELETE bound to that text's literals out.
 //!
-//! One scan of the SQL text ([`normalize`]) replaces each number and
+//! One scan of the SQL text (`normalize`) replaces each number and
 //! string literal with a placeholder tagged with its kind and collects
 //! the values in order, so `… WHERE id = 17` and `… WHERE id = 18` have
 //! one key. The first statement of a shape is parsed, its literals are
 //! lifted into parameters (`Statement::lift_literals`) and it is
-//! planned once; every later statement of that shape only writes its
-//! values into the cached plan — no lexing, parsing or planning. Text
-//! that does not open with `SELECT` is not scanned: it is parsed once and
-//! handed back to run as it is.
+//! prepared once (a SELECT is planned then, a write on its first run);
+//! every later statement of that shape only writes its values into the
+//! cached statement — no lexing, parsing or planning. Each call names the
+//! [`StatementKind`] it runs: text of another kind, and DDL, is not
+//! scanned, but parsed once and handed back to run as it is. An INSERT
+//! of more than one row is prepared and run once, never cached: its
+//! literals are the bulk of its text, and a loader's batches of varying
+//! size would each hold a shape as long as the batch.
 //!
 //! Caching changes nothing a caller can observe. A miss parses the
 //! caller's own text, so every error is the one parsing it directly
@@ -19,10 +23,10 @@
 //! evicts the shape it used least recently.
 //!
 //! A cache is single-owner (`&mut self`). The guarded database keeps
-//! one for its SQL entry points and every wire session keeps its own.
+//! one for its SQL entry points, and every wire session keeps its own.
 
 use crate::ast::Statement;
-use crate::engine::{Engine, PreparedSelect};
+use crate::engine::{Engine, PreparedSelect, PreparedWrite};
 use crate::error::Result;
 use crate::exec::ExecScratch;
 use crate::parser::parse;
@@ -32,15 +36,29 @@ use std::collections::HashMap;
 /// Statement shapes one cache keeps prepared.
 pub const STATEMENT_CACHE_CAPACITY: usize = 64;
 
-/// One prepared shape and the executor scratch its runs recycle.
+/// One prepared shape.
 struct Entry {
-    query: PreparedSelect,
-    scratch: ExecScratch,
+    shape: Shape,
     /// [`StatementCache::uses`] at this entry's last use.
     last_used: u64,
 }
 
-/// Prepared SELECT shapes, least recently used evicted first.
+enum Shape {
+    /// A SELECT and the executor scratch its runs recycle.
+    Select(PreparedSelect, ExecScratch),
+    Write(PreparedWrite),
+}
+
+impl Shape {
+    fn prepared(&mut self) -> Prepared<'_> {
+        match self {
+            Shape::Select(query, scratch) => Prepared::Select(query, scratch),
+            Shape::Write(write) => Prepared::Write(write),
+        }
+    }
+}
+
+/// Prepared statement shapes, least recently used evicted first.
 #[derive(Default)]
 pub struct StatementCache {
     entries: Vec<Entry>,
@@ -53,9 +71,56 @@ pub struct StatementCache {
     /// literals allocates nothing.
     key: String,
     values: Vec<Value>,
-    /// A SELECT whose literals did not lift one for one onto its shape
-    /// runs from here, once, without being cached.
+    /// A statement whose literals did not lift one for one onto its
+    /// shape, or a multi-row INSERT, runs from here, once, without being
+    /// cached; the next `prepare` frees it.
     one_shot: Option<Entry>,
+}
+
+/// The statements a [`StatementCache::prepare`] call prepares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatementKind {
+    Select,
+    /// INSERT, UPDATE and DELETE.
+    Write,
+}
+
+impl StatementKind {
+    /// The kind of statement `sql` is, read from its first token as the
+    /// lexer reads it (skipping spacing and comments); `None` for DDL and
+    /// for text that opens with no statement keyword.
+    pub fn of(sql: &str) -> Option<StatementKind> {
+        let mut rest = sql.trim_start();
+        while let Some(comment) = rest.strip_prefix("--") {
+            rest = comment
+                .split_once('\n')
+                .map_or("", |(_, next)| next)
+                .trim_start();
+        }
+        let bytes = rest.as_bytes();
+        let end = bytes
+            .iter()
+            .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+            .unwrap_or(bytes.len());
+        let is = |keyword: &[u8]| bytes[..end].eq_ignore_ascii_case(keyword);
+        if is(b"SELECT") {
+            Some(StatementKind::Select)
+        } else if is(b"INSERT") || is(b"UPDATE") || is(b"DELETE") {
+            Some(StatementKind::Write)
+        } else {
+            None
+        }
+    }
+
+    fn of_statement(stmt: &Statement) -> Option<StatementKind> {
+        match stmt {
+            Statement::Select { .. } => Some(StatementKind::Select),
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                Some(StatementKind::Write)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// What [`StatementCache::prepare`] made of a statement's text.
@@ -63,7 +128,11 @@ pub enum Prepared<'a> {
     /// A SELECT bound to the text's literals, with the scratch its runs
     /// recycle: execute it with [`Engine::execute_prepared_streaming`].
     Select(&'a mut PreparedSelect, &'a mut ExecScratch),
-    /// Any other statement, parsed once.
+    /// An INSERT, UPDATE or DELETE bound to the text's literals: execute
+    /// it with [`Engine::execute_write`].
+    Write(&'a mut PreparedWrite),
+    /// A statement not of the kind asked for (DDL, whatever was asked),
+    /// parsed once.
     Other(Statement),
 }
 
@@ -82,12 +151,21 @@ impl StatementCache {
         self.entries.is_empty()
     }
 
-    /// Prepare `sql` over `engine`: whether its shape was cached (a hit),
-    /// and what it prepared to. An `Err` is the error parsing and
-    /// planning `sql` directly reports.
-    pub fn prepare(&mut self, engine: &Engine, sql: &str) -> (bool, Result<Prepared<'_>>) {
+    /// Prepare `sql` over `engine` if it is a statement of `kind`: whether
+    /// its shape was cached (a hit), and what it prepared to. Text of
+    /// another kind is parsed and handed back as [`Prepared::Other`]. An
+    /// `Err` is the error parsing `sql` (and, for a SELECT, planning it)
+    /// directly reports.
+    pub fn prepare(
+        &mut self,
+        engine: &Engine,
+        sql: &str,
+        kind: StatementKind,
+    ) -> (bool, Result<Prepared<'_>>) {
         self.uses += 1;
-        let shaped = leads_with_select(sql) && normalize(sql, &mut self.key, &mut self.values);
+        self.one_shot = None;
+        let shaped =
+            StatementKind::of(sql) == Some(kind) && normalize(sql, &mut self.key, &mut self.values);
         let cached = if shaped {
             self.index.get(self.key.as_str()).copied()
         } else {
@@ -95,7 +173,7 @@ impl StatementCache {
         };
         let prepared = match cached {
             Some(at) => self.bind(at),
-            None => self.prepare_new(engine, sql, shaped),
+            None => self.prepare_new(engine, sql, kind, shaped),
         };
         (cached.is_some(), prepared)
     }
@@ -103,26 +181,49 @@ impl StatementCache {
     /// Bind the cached shape at `at` to the current literals.
     fn bind(&mut self, at: usize) -> Result<Prepared<'_>> {
         let entry = &mut self.entries[at];
-        entry.query.bind(&self.values)?;
         entry.last_used = self.uses;
-        Ok(Prepared::Select(&mut entry.query, &mut entry.scratch))
+        match &mut entry.shape {
+            Shape::Select(query, _) => query.bind(&self.values)?,
+            Shape::Write(write) => write.bind(&self.values)?,
+        }
+        Ok(entry.shape.prepared())
     }
 
-    /// Parse `sql`; a SELECT is lifted, planned and bound to its own
-    /// literals. It is cached under the current key when `shaped` and the
-    /// lifted values are exactly the ones [`normalize`] collected.
-    fn prepare_new(&mut self, engine: &Engine, sql: &str, shaped: bool) -> Result<Prepared<'_>> {
+    /// Parse `sql`; a statement of `kind` is prepared and, when
+    /// `shaped`, lifted and bound to its own literals. It is cached under
+    /// the current key when `shaped` and the lifted values are exactly
+    /// the ones [`normalize`] collected.
+    fn prepare_new(
+        &mut self,
+        engine: &Engine,
+        sql: &str,
+        kind: StatementKind,
+        shaped: bool,
+    ) -> Result<Prepared<'_>> {
         let mut stmt = parse(sql)?;
-        if !matches!(stmt, Statement::Select { .. }) {
+        if StatementKind::of_statement(&stmt) != Some(kind) {
             return Ok(Prepared::Other(stmt));
         }
-        let mut lifted = Vec::with_capacity(self.values.len());
-        stmt.lift_literals(&mut lifted);
-        let mut query = engine.prepare(stmt)?;
-        query.bind(&lifted)?;
+        // Text that cannot be cached keeps its literals in place.
+        let mut lifted = Vec::new();
+        if shaped {
+            lifted.reserve(self.values.len());
+            stmt.lift_literals(&mut lifted);
+        }
+        let shape = match kind {
+            StatementKind::Select => {
+                let mut query = engine.prepare(stmt)?;
+                query.bind(&lifted)?;
+                Shape::Select(query, ExecScratch::new())
+            }
+            StatementKind::Write => {
+                let mut write = engine.prepare_write(stmt)?;
+                write.bind(&lifted)?;
+                Shape::Write(write)
+            }
+        };
         let entry = Entry {
-            query,
-            scratch: ExecScratch::new(),
+            shape,
             last_used: self.uses,
         };
         let entry = if shaped && lifted == self.values {
@@ -130,7 +231,7 @@ impl StatementCache {
         } else {
             self.one_shot.insert(entry)
         };
-        Ok(Prepared::Select(&mut entry.query, &mut entry.scratch))
+        Ok(entry.shape.prepared())
     }
 
     /// Cache `entry` under the current key, evicting the least recently
@@ -152,23 +253,6 @@ impl StatementCache {
     }
 }
 
-/// Whether the first token of `sql` is the keyword `SELECT`, skipping
-/// spacing and comments as the lexer does. Only such text is scanned for
-/// a shape: the cache holds nothing else, and an `INSERT`'s literals are
-/// the bulk of its text.
-fn leads_with_select(sql: &str) -> bool {
-    let mut rest = sql.trim_start();
-    while let Some(comment) = rest.strip_prefix("--") {
-        rest = comment
-            .split_once('\n')
-            .map_or("", |(_, next)| next)
-            .trim_start();
-    }
-    rest.get(..6)
-        .is_some_and(|word| word.eq_ignore_ascii_case("SELECT"))
-        && !rest[6..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
-}
-
 /// Scan `sql` the way the lexer tokenizes it, writing its shape into
 /// `key` — the text with each number and string literal replaced by a
 /// placeholder tagged with its kind (`?i`, `?f`, `?s`) — and the
@@ -177,12 +261,17 @@ fn leads_with_select(sql: &str) -> bool {
 /// for. Returns false for text the shape cannot stand for: a `?` (which
 /// would read as a placeholder), an unterminated string or a number out
 /// of range. The lexer rejects all three, so such text is never cached.
+/// Returns false, too, at the second row of a multi-row INSERT (a comma
+/// outside parentheses after `VALUES`), which is not cached either.
 fn normalize(sql: &str, key: &mut String, values: &mut Vec<Value>) -> bool {
     key.clear();
     values.clear();
     let bytes = sql.as_bytes();
     // Whether the last token was the `LIMIT` keyword.
     let mut after_limit = false;
+    // Whether `VALUES` was seen, and the parentheses open at this point.
+    let mut after_values = false;
+    let mut depth = 0usize;
     let mut i = 0;
     while i < bytes.len() {
         let start = i;
@@ -230,6 +319,7 @@ fn normalize(sql: &str, key: &mut String, values: &mut Vec<Value>) -> bool {
                 let word = &sql[start..i];
                 key.push_str(word);
                 after_limit = word.eq_ignore_ascii_case("LIMIT");
+                after_values |= word.eq_ignore_ascii_case("VALUES");
                 continue;
             }
             b if b.is_ascii_whitespace() => {
@@ -243,6 +333,12 @@ fn normalize(sql: &str, key: &mut String, values: &mut Vec<Value>) -> bool {
                 let Some(ch) = sql[start..].chars().next() else {
                     return false;
                 };
+                match ch {
+                    '(' => depth += 1,
+                    ')' => depth = depth.saturating_sub(1),
+                    ',' if after_values && depth == 0 => return false,
+                    _ => {}
+                }
                 key.push(ch);
                 i += ch.len_utf8();
             }
@@ -347,19 +443,37 @@ mod tests {
     }
 
     #[test]
-    fn only_text_opening_with_select_is_scanned() {
+    fn the_first_keyword_names_the_kind() {
         for sql in ["SELECT 1", "  select\n*", "-- a\n -- b\nSeLeCt(", "SELECT"] {
-            assert!(leads_with_select(sql), "{sql:?}");
+            assert_eq!(
+                StatementKind::of(sql),
+                Some(StatementKind::Select),
+                "{sql:?}"
+            );
+        }
+        for sql in [
+            "INSERT INTO t VALUES (1)",
+            "update t",
+            "-- x\nDELETE(",
+            "Delete",
+        ] {
+            assert_eq!(
+                StatementKind::of(sql),
+                Some(StatementKind::Write),
+                "{sql:?}"
+            );
         }
         for sql in [
             "SELECTED",
             "SELECT_x",
-            "INSERT INTO t VALUES (1)",
+            "UPDATES",
+            "CREATE TABLE t (id INT)",
+            "DROP TABLE t",
             "-- SELECT",
             "",
             "é",
         ] {
-            assert!(!leads_with_select(sql), "{sql:?}");
+            assert_eq!(StatementKind::of(sql), None, "{sql:?}");
         }
     }
 
@@ -370,5 +484,39 @@ mod tests {
         assert!(shape("SELECT * FROM t WHERE id = 99999999999999999999").is_none());
         // Other stray characters are copied; parsing reports them.
         assert_eq!(shape("SELECT @ é").unwrap().0, "SELECT @ é");
+    }
+
+    #[test]
+    fn one_insert_row_is_shaped_and_a_batch_is_not() {
+        let (key, values) = shape("INSERT INTO t VALUES (1, 'a, b', (2))").unwrap();
+        assert_eq!(key, "INSERT INTO t VALUES (?i, ?s, (?i))");
+        assert_eq!(values.len(), 3);
+        assert!(shape("INSERT INTO t VALUES (1, 'a'), (2, 'b')").is_none());
+        assert!(shape("INSERT INTO t VALUES (1),(2)").is_none());
+
+        let engine = Engine::new();
+        engine
+            .execute("CREATE TABLE t (id INT NOT NULL, name TEXT)")
+            .unwrap();
+        let mut cache = StatementCache::new();
+        for sql in [
+            "INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+            "INSERT INTO t VALUES (3, 'c'), (4, 'd')",
+        ] {
+            let (hit, prepared) = cache.prepare(&engine, sql, StatementKind::Write);
+            assert!(!hit);
+            let Ok(Prepared::Write(write)) = prepared else {
+                panic!("a write prepares as one: {sql}");
+            };
+            let (out, _) = engine.execute_write(write).unwrap();
+            assert!(matches!(out, crate::StatementOutput::Inserted { rids } if rids.len() == 2));
+        }
+        assert!(cache.is_empty(), "a batch holds no shape");
+        let one_row = "INSERT INTO t VALUES (5, 'e')";
+        assert!(cache
+            .prepare(&engine, one_row, StatementKind::Write)
+            .1
+            .is_ok());
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -21,7 +21,7 @@
 //!   rows ([`GateConfig::stream_chunk_rows`]) and is refused
 //!   `Overloaded` the moment a chunk does not fit — *before* that
 //!   chunk's tuples are charged to the popularity ledger.
-//! * [`Clock`][delayguard_core::clock::Clock]: the front door never
+//! * [`Clock`]: the front door never
 //!   reads the wall directly; gatekeeper timestamps and scheduler
 //!   deadlines come from the injected clock, so the same admission code
 //!   is exact under simulation.
@@ -42,10 +42,9 @@ use delayguard_core::gatekeeper::{
     Admission, Gatekeeper, GatekeeperConfig, Ipv4, RefusalReason, RegistrationOutcome, UserId,
 };
 use delayguard_core::replica::ReplicaDelta;
-use delayguard_core::{ChargedChunk, DeadlineStream, GuardError, GuardedDatabase, StreamedQuery};
-use delayguard_query::ast::Statement;
+use delayguard_core::{ChargedChunk, DeadlineStream, GuardError, GuardedDatabase};
 use delayguard_query::engine::StatementOutput;
-use delayguard_query::{parse, Prepared, RowBuf, StatementCache};
+use delayguard_query::{Prepared, RowBuf, StatementCache, StatementKind};
 use delayguard_sim::Registry;
 use delayguard_storage::{Row, RowId};
 use parking_lot::Mutex as PMutex;
@@ -114,27 +113,13 @@ pub(crate) fn row_slots(frame: &Frame) -> usize {
 
 /// Which write verb a mutation frame carried. The opcode is the
 /// client's *claim*; [`FrontDoor::handle_mutation`] checks it against
-/// the parsed statement so a `DELETE` can never ride in on an `INSERT`
-/// frame's semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationVerb {
-    Insert,
-    Update,
-    Delete,
-}
-
-impl MutationVerb {
-    fn name(self) -> &'static str {
-        match self {
-            MutationVerb::Insert => "INSERT",
-            MutationVerb::Update => "UPDATE",
-            MutationVerb::Delete => "DELETE",
-        }
-    }
-}
+/// the prepared statement's own verb so a `DELETE` can never ride in on
+/// an `INSERT` frame's semantics.
+pub use delayguard_query::MutationVerb;
 
 /// Per-connection state: the protocol version negotiated at
-/// `REGISTER`, and the statement cache every `QUERY` runs through.
+/// `REGISTER`, and the statement cache every `QUERY` and write frame
+/// runs through.
 ///
 /// A connection starts at version 1 (legacy count-up-front framing) and
 /// is upgraded when its `REGISTER` frame carries a version byte; the
@@ -143,7 +128,7 @@ impl MutationVerb {
 /// and passes it to every [`FrontDoor::handle_frame`] call.
 pub struct SessionState {
     version: AtomicU8,
-    /// Prepared SELECT shapes ([`delayguard_query::stmt_cache`]) plus
+    /// Prepared statement shapes ([`delayguard_query::stmt_cache`]) plus
     /// the chunk buffers this session's queries stream through.
     statements: PMutex<(StatementCache, RowBuf, ChargedChunk)>,
 }
@@ -157,7 +142,7 @@ impl SessionState {
         }
     }
 
-    /// SELECT shapes this session holds prepared (at most
+    /// Statement shapes this session holds prepared (at most
     /// [`crate::STATEMENT_CACHE_CAPACITY`]).
     pub fn cached_statements(&self) -> usize {
         self.statements.lock().0.len()
@@ -664,15 +649,11 @@ impl FrontDoor {
         let trailer_framing = session.streaming();
         let mut cache = session.statements.lock();
         let (statements, rows, charged) = &mut *cache;
-        let (hit, prepared) = statements.prepare(self.db.engine(), sql);
-        if hit {
-            self.metrics.stmt_cache_hits.inc();
-        } else {
-            self.metrics.stmt_cache_misses.inc();
-        }
+        let (hit, prepared) = statements.prepare(self.db.engine(), sql, StatementKind::Select);
+        self.count_lookup(hit);
         let (query, scratch) = match prepared {
             Ok(Prepared::Select(query, scratch)) => (query, scratch),
-            Ok(Prepared::Other(_)) => {
+            Ok(_) => {
                 let message = "QUERY frames carry SELECT statements only".to_owned();
                 return self.query_error(query_id, message, sink);
             }
@@ -701,22 +682,31 @@ impl FrontDoor {
     /// Handle a write frame (`INSERT`/`UPDATE`/`DELETE`): admission,
     /// verb check, reserve-before-apply, and a single `MUTATED` reply.
     ///
+    /// The write runs prepared, from the session's statement cache, as a
+    /// `QUERY` frame's SELECT does: a shape the session has seen is only
+    /// bound to this frame's literals, a new one is parsed once and
+    /// planned on its first run.
+    ///
     /// The order of checks is deliberate:
     ///
     /// 1. v1 sessions are refused with [`RefuseReason::WritesUnsupported`]
     ///    — they never negotiated the mutation surface, and guessing at
     ///    framing an old client cannot parse is worse than an explicit
     ///    code.
-    /// 2. The SQL is parsed and checked against the frame's verb *before*
-    ///    anything is reserved, so malformed writes have no release path.
-    /// 3. One reply slot is reserved in the send queue before the
+    /// 2. Admission is charged.
+    /// 3. The SQL is prepared (a parse error of the frame's own text is
+    ///    reported here) and its verb checked against the frame's
+    ///    *before* anything is reserved, so malformed writes have no
+    ///    release path.
+    /// 4. One reply slot is reserved in the send queue before the
     ///    statement is applied ([`FrameSink::try_reserve_rows`], the same
     ///    backpressure seam `SELECT` chunks use): a write whose `MUTATED`
     ///    confirmation cannot be delivered is refused `Overloaded` before
     ///    it mutates anything, never applied-but-unconfirmable.
-    /// 4. The `MUTATED` reply is released at the statement's deadline
-    ///    through the same `Releases` as `SELECT` rows and consumes the
-    ///    reservation; if the engine rejects the statement after the
+    /// 5. The `MUTATED` reply carries the table's data version as this
+    ///    write's own commit left it, and is released at the statement's
+    ///    deadline through the same `Releases` as `SELECT` rows, consuming
+    ///    the reservation; if the engine rejects the statement after the
     ///    reservation, the slot is handed back with
     ///    [`FrameSink::release_rows`].
     ///
@@ -748,18 +738,16 @@ impl FrontDoor {
         if !self.admitted(query_id, user, sink) {
             return;
         }
-        let stmt = match parse(sql) {
-            Ok(stmt) => stmt,
-            Err(e) => return self.query_error(query_id, e.to_string(), sink),
-        };
-        let table = match (&stmt, verb) {
-            (Statement::Insert { table, .. }, MutationVerb::Insert)
-            | (Statement::Update { table, .. }, MutationVerb::Update)
-            | (Statement::Delete { table, .. }, MutationVerb::Delete) => table.clone(),
-            _ => {
+        let mut cache = session.statements.lock();
+        let (hit, prepared) = cache.0.prepare(self.db.engine(), sql, StatementKind::Write);
+        self.count_lookup(hit);
+        let write = match prepared {
+            Ok(Prepared::Write(write)) if write.verb() == verb => write,
+            Ok(_) => {
                 let message = format!("statement does not match {} frame", verb.name());
                 return self.query_error(query_id, message, sink);
             }
+            Err(e) => return self.query_error(query_id, e.to_string(), sink),
         };
         if !sink.try_reserve_rows(1) {
             // Refuse BEFORE applying: a write we could not confirm is a
@@ -772,47 +760,39 @@ impl FrontDoor {
             });
             return;
         }
-        let result = self.db.execute_stmt_streaming(&stmt, |query| match query {
-            StreamedQuery::Finished(resp) => {
+        match self.db.execute_prepared_write(write) {
+            Ok(resp) => {
                 self.metrics.queries_admitted.inc();
                 let rows = match &resp.output {
-                    StatementOutput::Inserted { rids } => rids.len() as u32,
-                    StatementOutput::Updated { rids } => rids.len() as u32,
-                    StatementOutput::Deleted { rids } => rids.len() as u32,
+                    StatementOutput::Inserted { rids }
+                    | StatementOutput::Updated { rids }
+                    | StatementOutput::Deleted { rids } => rids.len() as u32,
                     _ => 0,
                 };
-                Some((rows, resp.deadline_nanos()))
-            }
-            // Unreachable after the verb check; tolerated defensively so
-            // a planner change cannot panic the wheel thread.
-            StreamedQuery::Rows(_) => None,
-        });
-        match result {
-            Ok(Some((rows, deadline))) => {
-                // The engine released its table lock when the closure
-                // returned; reading the catalog version here cannot
-                // deadlock, and it observes this statement's own bump.
-                let data_version = self.db.table_data_version(&table).unwrap_or(0);
                 let mut releases = self.releases(sink);
                 releases.push(
-                    deadline,
+                    resp.deadline_nanos(),
                     &Frame::Mutated {
                         query_id,
                         rows,
-                        data_version,
+                        data_version: resp.data_version,
                     },
                 );
                 releases.finish();
-            }
-            Ok(None) => {
-                sink.release_rows(1);
-                let message = format!("{} frame produced a row stream", verb.name());
-                self.query_error(query_id, message, sink);
             }
             Err(e) => {
                 sink.release_rows(1);
                 self.query_error(query_id, e.to_string(), sink);
             }
+        }
+    }
+
+    /// Count one wire statement-cache lookup.
+    fn count_lookup(&self, hit: bool) {
+        if hit {
+            self.metrics.stmt_cache_hits.inc();
+        } else {
+            self.metrics.stmt_cache_misses.inc();
         }
     }
 

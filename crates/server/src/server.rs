@@ -3,7 +3,7 @@
 //!
 //! All protocol *policy* — gatekeeper admission, delay pricing, deadline
 //! scheduling, refusal codes — lives in the transport-agnostic
-//! [`FrontDoor`](crate::gate::FrontDoor); this module owns the sockets
+//! [`FrontDoor`]; this module owns the sockets
 //! and threads that carry it:
 //!
 //! * one accept thread; connections beyond `max_sessions` are shed with

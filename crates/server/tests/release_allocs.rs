@@ -22,6 +22,7 @@ use delayguard_core::access::AccessDelayPolicy;
 use delayguard_core::clock::{Clock, ManualClock};
 use delayguard_core::gatekeeper::RegistrationPolicy;
 use delayguard_core::policy::GuardPolicy;
+use delayguard_core::update::UpdateDelayPolicy;
 use delayguard_core::{ChargingModel, GatekeeperConfig, GuardConfig, GuardedDatabase};
 use delayguard_query::Engine;
 use delayguard_server::gate::{FrameSink, FrontDoor, GateConfig, SessionState};
@@ -247,5 +248,73 @@ fn a_due_point_select_allocates_at_most_twice() {
     assert!(
         allocs <= 2 * POINT_QUERIES as u64 + log_growth,
         "{allocs} allocations for {POINT_QUERIES} point queries"
+    );
+}
+
+/// UPDATEs measured after the warm-up.
+const UPDATES: usize = 2048;
+
+/// A due `UPDATE` frame runs prepared from the session's statement
+/// cache: a hit binds the frame's literals into the cached plan, the
+/// run locates and rewrites the row, and the one-row update event
+/// carries its key inline. Held to `PER_WRITE` = 6 allocations: the text
+/// literal the shape scan lifts, the located row ids (returned as the
+/// statement's output), the rewritten row's value vector and its new
+/// text, the event's queue node and the reply run. Before writes ran
+/// prepared (each frame parsed, planned, its table's schema cloned, the
+/// row decoded twice and re-encoded into a fresh buffer) this test read
+/// 57.0 allocations per write.
+#[test]
+fn a_due_prepared_update_allocates_at_most_k() {
+    const PER_WRITE: u64 = 6;
+    let policy = |cap| {
+        GuardPolicy::Hybrid(
+            AccessDelayPolicy::new(1.5, 1.0).with_cap(cap),
+            UpdateDelayPolicy::new(1.0).with_cap(cap),
+        )
+    };
+    let rig = rig(GuardConfig::paper_default().with_policy(policy(0.0)));
+    let db = rig.gate.db();
+    db.execute_at("CREATE UNIQUE INDEX t_pk ON t (id)", 0.0)
+        .unwrap();
+    let update = |query_id: usize| Frame::Update {
+        query_id: query_id as u32,
+        user: rig.user,
+        sql: format!(
+            "UPDATE t SET body = 'row body number {query_id:05}' WHERE id = {}",
+            query_id * 7 % ROWS
+        ),
+    };
+    let run = |frames: Vec<Frame>| {
+        for frame in frames {
+            rig.gate
+                .handle_frame(frame, [10, 0, 0, 1], &rig.session, &rig.sink);
+        }
+    };
+    // Warm-up: the shape cached and planned, the session's buffers grown,
+    // every row rewritten at the width the measured bodies have (so each
+    // later one fits its slot; a row that outgrows its slot moves, and
+    // its index entry with it); then an empty queue, so no refresh falls
+    // in the span.
+    run((0..ROWS).map(update).collect());
+    db.refresh();
+    let frames: Vec<Frame> = (ROWS..ROWS + UPDATES).map(update).collect();
+    let writes = rig.gate.metrics().queries_admitted.get();
+    let before = alloc_count::count();
+    run(frames);
+    let allocs = alloc_count::count() - before;
+    assert_eq!(
+        rig.gate.metrics().queries_admitted.get() - writes,
+        UPDATES as u64,
+        "every UPDATE applied"
+    );
+    assert_eq!(rig.scheduler.pending(), 0, "every reply was due");
+    eprintln!("due prepared UPDATE: {allocs} allocations for {UPDATES} writes");
+    // As for the point SELECT: the gatekeeper's two charge logs each
+    // double their capacity once inside the span.
+    let log_growth = 2;
+    assert!(
+        allocs <= PER_WRITE * UPDATES as u64 + log_growth,
+        "{allocs} allocations for {UPDATES} UPDATEs"
     );
 }

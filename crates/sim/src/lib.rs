@@ -4,7 +4,7 @@
 //!
 //! * [`metrics`] — online mean/stdev (Welford) and exact quantiles; the
 //!   paper reports *medians* for users and totals for adversaries.
-//! * [`replay`] — replay a workload through
+//! * [`replay`](mod@replay) — replay a workload through
 //!   `GuardedDatabase::execute_at` at each request's issue time and price
 //!   the adversary from the final counts (Tables 1–4), and the §4.3
 //!   update-skew setup (Figures 4–6).

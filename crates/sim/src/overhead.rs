@@ -16,7 +16,9 @@
 
 use crate::metrics::OnlineStats;
 use delayguard_core::{GuardConfig, GuardedDatabase};
-use delayguard_query::{Engine, Prepared, SelectOutput, StatementCache, StreamedStatement};
+use delayguard_query::{
+    Engine, Prepared, SelectOutput, StatementCache, StatementKind, StreamedStatement,
+};
 use delayguard_workload::Rng;
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,7 +103,9 @@ fn build_engine(rows: u64) -> Engine {
 /// The baseline arm: `sql` prepared through `statements` over the bare
 /// engine and materialized as `execute_at` materializes a SELECT.
 fn base_query(engine: &Engine, statements: &mut StatementCache, sql: &str) -> SelectOutput {
-    let Ok(Prepared::Select(prep, scratch)) = statements.prepare(engine, sql).1 else {
+    let Ok(Prepared::Select(prep, scratch)) =
+        statements.prepare(engine, sql, StatementKind::Select).1
+    else {
         panic!("the baseline runs SELECTs: {sql}");
     };
     engine

@@ -84,14 +84,6 @@ pub fn encoded_row_len(row: &Row) -> usize {
     2 + values
 }
 
-/// Encode a row into a fresh buffer.
-pub fn row_bytes(row: &Row) -> Vec<u8> {
-    // Rough pre-size: tag+8 bytes per value plus header.
-    let mut out = Vec::with_capacity(2 + row.arity() * 9);
-    encode_row(row, &mut out);
-    out
-}
-
 /// A bounds-checked reader over an encoded byte slice.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
@@ -308,6 +300,13 @@ pub fn decode_row_into(buf: &[u8], row: &mut Row) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encode a row into a fresh buffer.
+    fn row_bytes(row: &Row) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_row(row, &mut out);
+        out
+    }
 
     fn round_trip(row: Row) {
         let buf = row_bytes(&row);

@@ -1,6 +1,6 @@
 //! Tables: schema + heap + indexes, kept mutually consistent.
 
-use crate::codec::{decode_row, decode_row_into, row_bytes};
+use crate::codec::{decode_row, decode_row_into, encode_row};
 use crate::error::{Result, StorageError};
 use crate::heap::HeapFile;
 use crate::index::{Index, IndexDef, IndexKey};
@@ -38,6 +38,10 @@ pub struct Table {
     /// Set when the catalog drops the table: a handle kept past the drop
     /// (a prepared statement's) learns from it to look the name up again.
     dropped: bool,
+    /// Recycled by every update: the old row decoded, the new one
+    /// encoded.
+    old_row: Row,
+    record: Vec<u8>,
 }
 
 impl Table {
@@ -53,6 +57,8 @@ impl Table {
             ddl_version: fresh_ddl_version(),
             data_version: 0,
             dropped: false,
+            old_row: Row::default(),
+            record: Vec::new(),
         }
     }
 
@@ -170,7 +176,9 @@ impl Table {
                 }
             }
         }
-        let rid = self.heap.insert(&row_bytes(&row))?;
+        self.record.clear();
+        encode_row(&row, &mut self.record);
+        let rid = self.heap.insert(&self.record)?;
         for index in &mut self.indexes {
             let key = index.key_of(&row);
             index
@@ -215,13 +223,43 @@ impl Table {
     /// Replace the row at `rid` with `new_row`, keeping indexes consistent.
     /// Returns the (possibly relocated) RowId.
     pub fn update(&mut self, rid: RowId, new_row: Row) -> Result<RowId> {
-        self.schema.validate(&new_row)?;
-        let old_row = self.peek(rid)?;
-        // Unique pre-check: the new key may collide with some *other* row.
+        self.update_with(rid, |_| Ok(new_row))
+    }
+
+    /// Replace the row at `rid` with what `f` makes of it, keeping
+    /// indexes consistent: the stored row is decoded once, into a buffer
+    /// the table recycles, and `f` sees it as stored. Returns the
+    /// (possibly relocated) RowId.
+    pub fn update_with<E: From<StorageError>>(
+        &mut self,
+        rid: RowId,
+        f: impl FnOnce(&Row) -> std::result::Result<Row, E>,
+    ) -> std::result::Result<RowId, E> {
+        let mut old_row = std::mem::take(&mut self.old_row);
+        let replaced = self
+            .peek_into(rid, &mut old_row)
+            .map_err(E::from)
+            .and_then(|()| f(&old_row))
+            .and_then(|new_row| Ok(self.replace(rid, &old_row, &new_row)?));
+        self.old_row = old_row;
+        replaced
+    }
+
+    /// Write `new_row` over `old_row`, stored at `rid`.
+    fn replace(&mut self, rid: RowId, old_row: &Row, new_row: &Row) -> Result<RowId> {
+        self.schema.validate(new_row)?;
+        let key_moved = |index: &Index| {
+            index
+                .def()
+                .columns
+                .iter()
+                .any(|&c| old_row.get(c) != new_row.get(c))
+        };
+        // Unique pre-check: a new key may collide with some *other* row. A
+        // kept key cannot: a unique key leads to this row alone.
         for index in &self.indexes {
-            if index.def().unique {
-                let new_key = index.key_of(&new_row);
-                let existing = index.lookup(&new_key);
+            if index.def().unique && key_moved(index) {
+                let existing = index.lookup(&index.key_of(new_row));
                 if existing.iter().any(|&r| r != rid) {
                     return Err(StorageError::UniqueViolation {
                         index: index.def().name.clone(),
@@ -229,14 +267,15 @@ impl Table {
                 }
             }
         }
-        let new_rid = self.heap.update(rid, &row_bytes(&new_row))?;
+        self.record.clear();
+        encode_row(new_row, &mut self.record);
+        let new_rid = self.heap.update(rid, &self.record)?;
         for index in &mut self.indexes {
-            let old_key = index.key_of(&old_row);
-            let new_key = index.key_of(&new_row);
-            if old_key != new_key || rid != new_rid {
+            if key_moved(index) || rid != new_rid {
+                let old_key = index.key_of(old_row);
                 index.remove(&old_key, rid);
                 index
-                    .insert(new_key, new_rid)
+                    .insert(index.key_of(new_row), new_rid)
                     .expect("uniqueness was pre-checked; insert cannot fail");
             }
         }
@@ -335,6 +374,8 @@ impl Table {
             ddl_version: fresh_ddl_version(),
             data_version: 0,
             dropped: false,
+            old_row: Row::default(),
+            record: Vec::new(),
         };
         for def in index_defs {
             let mut index = Index::new(def);

@@ -56,7 +56,7 @@ impl fmt::Display for DataType {
 }
 
 /// A single scalar value stored in a row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     Null,
     Bool(bool),
@@ -64,6 +64,28 @@ pub enum Value {
     Float(f64),
     Text(String),
     Bytes(Vec<u8>),
+}
+
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(x) => Value::Float(*x),
+            Value::Text(s) => Value::Text(s.clone()),
+            Value::Bytes(b) => Value::Bytes(b.clone()),
+        }
+    }
+
+    /// Reuses `self`'s heap capacity when both are the same
+    /// variable-width variant, so binding a statement's text parameter
+    /// over the last one allocates nothing.
+    #[inline]
+    fn clone_from(&mut self, source: &Value) {
+        source.clone_into_slot(self);
+    }
 }
 
 impl Value {

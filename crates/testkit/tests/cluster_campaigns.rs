@@ -20,6 +20,7 @@
 
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::shaping::DelayShaping;
+use delayguard_core::GuardedDatabase;
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::Frame;
 use delayguard_sim::MetricValue;
@@ -55,6 +56,13 @@ fn wide_open() -> GatekeeperConfig {
         registration: RegistrationPolicy::interval(0.0),
         storefront_query_threshold: 0,
     }
+}
+
+/// The `directory` table's data version on `db`.
+fn directory_version(db: &GuardedDatabase) -> u64 {
+    let directory = db.engine().catalog().table("directory").unwrap();
+    let version = directory.read().data_version();
+    version
 }
 
 fn counter(world: &SimWorld, node: usize, name: &str) -> u64 {
@@ -430,11 +438,11 @@ fn writes_route_to_owners_and_ride_delta_sync() {
         assert_eq!(rows, 1);
         assert_eq!(
             data_version,
-            world.node_db(0).table_data_version("directory").unwrap(),
+            directory_version(&world.node_db(0)),
             "MUTATED must report the owner's post-write data version"
         );
         assert_eq!(data_version, 5, "four seed inserts plus this one");
-        assert_eq!(world.node_db(1).table_data_version("directory").unwrap(), 4);
+        assert_eq!(directory_version(&world.node_db(1)), 4);
 
         // UPDATE id 1 and DELETE id 3 → node 1; node 0 stays untouched.
         for (qid, verb, sql) in [
@@ -453,8 +461,8 @@ fn writes_route_to_owners_and_ride_delta_sync() {
                 net::run_mutation(&mut link, qid, user, verb, sql, 600.0).expect("link alive");
             assert_eq!(out.rows(), Some(1), "{sql}: {out:?}");
         }
-        assert_eq!(world.node_db(0).table_data_version("directory").unwrap(), 5);
-        assert_eq!(world.node_db(1).table_data_version("directory").unwrap(), 6);
+        assert_eq!(directory_version(&world.node_db(0)), 5);
+        assert_eq!(directory_version(&world.node_db(1)), 6);
 
         // The update aggregate that will gossip: the update and the
         // delete each count one update event (inserts only ensure the

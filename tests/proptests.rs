@@ -8,7 +8,7 @@
 
 use delayguard::popularity::{DecaySchedule, FrequencyTracker};
 use delayguard::query::parse;
-use delayguard::storage::codec::{decode_row, row_bytes};
+use delayguard::storage::codec::{decode_row, encode_row};
 use delayguard::storage::page::{Page, MAX_RECORD};
 use delayguard::storage::{Row, Value};
 use delayguard::workload::{Rng, Zipf};
@@ -66,7 +66,8 @@ fn arb_row(rng: &mut Rng) -> Row {
 fn codec_round_trips_any_row() {
     cases(0xC0DEC, |rng| {
         let row = arb_row(rng);
-        let bytes = row_bytes(&row);
+        let mut bytes = Vec::new();
+        encode_row(&row, &mut bytes);
         let back = decode_row(&bytes).unwrap();
         // NaN-safe comparison via the total order on Value.
         assert_eq!(row.arity(), back.arity());
@@ -361,6 +362,8 @@ fn streaming_execution_matches_materialized() {
                     tuple_offsets: offsets,
                     delay_secs: stream.delay_secs(),
                     issued_at_nanos: stream.issued_at_nanos(),
+                    // A SELECT writes no table.
+                    data_version: 0,
                 }
             }
             StreamedQuery::Finished(resp) => resp,
@@ -525,30 +528,24 @@ fn streaming_execution_matches_materialized() {
 
 // ---- the wire's statement cache -----------------------------------------
 
-/// A SELECT served from a session's statement cache answers exactly what
-/// the same text parsed and planned afresh answers. Two identical worlds
-/// on the virtual clock get the same generated SELECTs: world A through
-/// one session (its cache warms up, later queries only bind), world B
-/// through a fresh session per query (every query parsed and planned).
-/// Every frame — rows with their `seq`, `ROWS_END`, `DONE` with its
-/// delay — and the virtual time it was released at must be equal, and
-/// the rows must be the ones the engine returns for the literal text.
-#[test]
-fn cached_statements_answer_like_fresh_ones() {
+/// A front door over a guarded database on the virtual clock, with a sink
+/// that keeps every frame: the rig of the statement-cache differentials.
+mod wire {
     use delayguard::core::gatekeeper::RegistrationPolicy;
     use delayguard::core::{Clock, GatekeeperConfig, GuardConfig, GuardedDatabase, ManualClock};
     use delayguard::query::Engine;
     use delayguard::server::{
-        DelayScheduler, Frame, FrameSink, FrontDoor, GateConfig, ServerMetrics, SessionState,
+        DelayScheduler, Frame, FrameSink, FrontDoor, GateConfig, MutationVerb, ServerMetrics,
+        SessionState,
     };
     use delayguard::sim::Registry;
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     /// Every frame, runs expanded, with the virtual time it was pushed at.
-    struct Sink {
+    pub struct Sink {
         clock: Arc<ManualClock>,
-        frames: Mutex<Vec<(u64, Frame)>>,
+        pub frames: Mutex<Vec<(u64, Frame)>>,
     }
 
     impl FrameSink for Sink {
@@ -569,10 +566,10 @@ fn cached_statements_answer_like_fresh_ones() {
         }
     }
 
-    struct World {
-        clock: Arc<ManualClock>,
+    pub struct World {
+        pub clock: Arc<ManualClock>,
         scheduler: Arc<DelayScheduler>,
-        gate: FrontDoor,
+        pub gate: FrontDoor,
         sink: Arc<Sink>,
         registry: Registry,
         user: u64,
@@ -581,7 +578,7 @@ fn cached_statements_answer_like_fresh_ones() {
     const PEER: [u8; 4] = [10, 1, 2, 3];
 
     impl World {
-        fn new(setup: &[String]) -> World {
+        pub fn new(setup: &[String]) -> World {
             let clock = ManualClock::shared();
             let dyn_clock: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
             let db = Arc::new(GuardedDatabase::with_engine_and_clock(
@@ -633,7 +630,7 @@ fn cached_statements_answer_like_fresh_ones() {
         }
 
         /// Negotiate v2 framing on `session`; returns the new identity.
-        fn register(&self, session: &SessionState) -> u64 {
+        pub fn register(&self, session: &SessionState) -> u64 {
             let register = Frame::Register {
                 claimed_ip: [0; 4],
                 version: 2,
@@ -645,7 +642,7 @@ fn cached_statements_answer_like_fresh_ones() {
             }
         }
 
-        fn counter(&self, name: &str) -> u64 {
+        pub fn counter(&self, name: &str) -> u64 {
             match self.registry.value(name) {
                 Some(delayguard::sim::MetricValue::Counter(n)) => n,
                 other => panic!("{name}: {other:?}"),
@@ -653,12 +650,47 @@ fn cached_statements_answer_like_fresh_ones() {
         }
 
         /// Issue `sql` on `session` and release everything it scheduled.
-        fn query(&self, query_id: u32, sql: &str, session: &SessionState) -> Vec<(u64, Frame)> {
+        pub fn query(&self, query_id: u32, sql: &str, session: &SessionState) -> Vec<(u64, Frame)> {
             let frame = Frame::Query {
                 query_id,
                 user: self.user,
                 sql: sql.to_owned(),
             };
+            self.send(frame, session)
+        }
+
+        /// Send `sql` in a write frame of `verb` on `session`.
+        pub fn write(
+            &self,
+            verb: MutationVerb,
+            query_id: u32,
+            sql: &str,
+            session: &SessionState,
+        ) -> Vec<(u64, Frame)> {
+            let (user, sql) = (self.user, sql.to_owned());
+            let frame = match verb {
+                MutationVerb::Insert => Frame::Insert {
+                    query_id,
+                    user,
+                    sql,
+                },
+                MutationVerb::Update => Frame::Update {
+                    query_id,
+                    user,
+                    sql,
+                },
+                MutationVerb::Delete => Frame::Delete {
+                    query_id,
+                    user,
+                    sql,
+                },
+            };
+            self.send(frame, session)
+        }
+
+        /// Hand `frame` to the front door and release everything it
+        /// scheduled.
+        fn send(&self, frame: Frame, session: &SessionState) -> Vec<(u64, Frame)> {
             self.gate.handle_frame(frame, PEER, session, &self.sink);
             while let Some(at) = self.scheduler.next_deadline_nanos() {
                 self.clock.advance_to_nanos(at);
@@ -667,6 +699,21 @@ fn cached_statements_answer_like_fresh_ones() {
             std::mem::take(&mut *self.sink.frames.lock().unwrap())
         }
     }
+}
+
+/// A SELECT served from a session's statement cache answers exactly what
+/// the same text parsed and planned afresh answers. Two identical worlds
+/// on the virtual clock get the same generated SELECTs: world A through
+/// one session (its cache warms up, later queries only bind), world B
+/// through a fresh session per query (every query parsed and planned).
+/// Every frame — rows with their `seq`, `ROWS_END`, `DONE` with its
+/// delay — and the virtual time it was released at must be equal, and
+/// the rows must be the ones the engine returns for the literal text.
+#[test]
+fn cached_statements_answer_like_fresh_ones() {
+    use delayguard::query::Engine;
+    use delayguard::server::{Frame, SessionState};
+    use wire::World;
 
     let mut hits = 0;
     cases(0x5E5510C, |rng| {
@@ -767,4 +814,183 @@ fn cached_statements_answer_like_fresh_ones() {
         hits > CASES * 2,
         "the cached world bound only {hits} statements"
     );
+}
+
+/// A write served from a session's statement cache does exactly what the
+/// same text parsed afresh does. Two identical worlds on the virtual clock
+/// get the same generated traffic — INSERT, UPDATE and DELETE frames with
+/// SELECTs between them, among them writes that fail (a unique violation,
+/// a type mismatch, `NULL` into `NOT NULL`, an UPDATE in a DELETE frame),
+/// an index created mid-run and the table dropped and created again:
+/// world A through one session (later writes only bind), world B through a
+/// fresh session per statement (every one parsed). Every frame must be
+/// equal — `MUTATED` rows and data version, `Error` text, `Refused`
+/// reason — and so must the final table and the snapshot's access and
+/// update counts.
+#[test]
+fn cached_writes_answer_like_fresh_ones() {
+    use delayguard::server::{Frame, MutationVerb, SessionState};
+    use wire::World;
+
+    const TABLE: [&str; 2] = [
+        "CREATE TABLE t (id INT NOT NULL, grp INT, score FLOAT NOT NULL, note TEXT NOT NULL)",
+        "CREATE UNIQUE INDEX t_pk ON t (id)",
+    ];
+    let (mut hits, mut mutated, mut errors) = (0, 0, 0);
+    cases(0x3717E5, |rng| {
+        let n = rng.range(4, 24) as i64;
+        let mut setup: Vec<String> = TABLE.iter().map(|s| s.to_string()).collect();
+        for i in 0..n {
+            setup.push(format!(
+                "INSERT INTO t VALUES ({i}, {}, {:.1}, 'n-{i}')",
+                i % 3,
+                i as f64 * 0.5
+            ));
+        }
+        let (cached, fresh) = (World::new(&setup), World::new(&setup));
+        let session = SessionState::new();
+        cached.register(&session);
+        // DDL lands in both worlds alike, between two frames.
+        let ddl = |sql: &str| {
+            let run = |w: &World| {
+                w.gate
+                    .db()
+                    .execute_with_deadline(sql)
+                    .map(|r| r.output)
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(run(&cached), run(&fresh), "{sql}");
+        };
+        let frames = rng.range(12, 32) as u32;
+        let index_at = rng.range(1, frames as u64) as u32;
+        let rebuild_at = rng.range(1, frames as u64) as u32;
+        let id = |rng: &mut Rng| rng.range(0, n as u64 + 6) as i64 - 2;
+        let score = |rng: &mut Rng| format!("{:.1}", rng.f64_range(-5.0, 20.0));
+        for query_id in 1..=frames {
+            if query_id == index_at {
+                ddl("CREATE INDEX t_grp ON t (grp)");
+            }
+            if query_id == rebuild_at {
+                ddl("DROP TABLE t");
+                TABLE.iter().for_each(|sql| ddl(sql));
+            }
+            let (verb, sql) = match rng.below(12) {
+                0 => (
+                    Some(MutationVerb::Insert),
+                    format!(
+                        "INSERT INTO t VALUES ({}, {}, {}, 'i-{query_id}')",
+                        id(rng),
+                        rng.below(3),
+                        score(rng)
+                    ),
+                ),
+                1 => (
+                    Some(MutationVerb::Insert),
+                    format!(
+                        "INSERT INTO t VALUES ({}, NULL, {}, 'a'), ({}, 2, -{}, 'b')",
+                        id(rng),
+                        score(rng),
+                        id(rng),
+                        score(rng)
+                    ),
+                ),
+                2 => (
+                    Some(MutationVerb::Insert),
+                    format!("INSERT INTO t VALUES ({}, 1, NULL, 'x')", id(rng)),
+                ),
+                3 => (
+                    Some(MutationVerb::Update),
+                    format!(
+                        "UPDATE t SET note = 'u-{query_id}', score = score + {} WHERE id = {}",
+                        score(rng),
+                        id(rng)
+                    ),
+                ),
+                4 => (
+                    Some(MutationVerb::Update),
+                    format!(
+                        "UPDATE t SET grp = {} WHERE id >= {} AND id < {}",
+                        rng.below(4),
+                        id(rng),
+                        id(rng)
+                    ),
+                ),
+                5 => (
+                    Some(MutationVerb::Update),
+                    format!("UPDATE t SET score = 'high' WHERE id = {}", id(rng)),
+                ),
+                6 => (
+                    Some(MutationVerb::Update),
+                    format!("UPDATE t SET id = {} WHERE id = {}", id(rng), id(rng)),
+                ),
+                7 => (
+                    Some(MutationVerb::Delete),
+                    format!("DELETE FROM t WHERE id = {}", id(rng)),
+                ),
+                8 => (
+                    Some(MutationVerb::Delete),
+                    format!("UPDATE t SET grp = 1 WHERE id = {}", id(rng)),
+                ),
+                9 => (
+                    Some(MutationVerb::Update),
+                    format!(
+                        "UPDATE t SET note = 'g-{query_id}' WHERE grp = {}",
+                        rng.below(4)
+                    ),
+                ),
+                10 => (None, format!("SELECT * FROM t WHERE id = {}", id(rng))),
+                _ => (
+                    None,
+                    format!("SELECT id, note FROM t WHERE grp = {}", rng.below(4)),
+                ),
+            };
+            let dt = rng.below(2_000_000_000);
+            cached.clock.advance_nanos(dt);
+            fresh.clock.advance_nanos(dt);
+            let send = |w: &World, session: &SessionState| match verb {
+                Some(verb) => w.write(verb, query_id, &sql, session),
+                None => w.query(query_id, &sql, session),
+            };
+            let a = send(&cached, &session);
+            let one_off = SessionState::new();
+            fresh.register(&one_off);
+            let b = send(&fresh, &one_off);
+            assert_eq!(a, b, "frame {query_id}: {sql}");
+            for (_, frame) in &a {
+                match frame {
+                    Frame::Mutated { .. } => mutated += 1,
+                    Frame::Error { .. } => errors += 1,
+                    _ => {}
+                }
+            }
+        }
+        // What each world holds, read past the guard so nothing is
+        // recorded, and what its refreshed snapshot counted.
+        let table = |w: &World| w.gate.db().engine().execute("SELECT * FROM t").unwrap();
+        assert_eq!(table(&cached), table(&fresh), "final table");
+        let counts = |w: &World| {
+            let db = w.gate.db();
+            db.refresh();
+            let snapshot = db.snapshot();
+            let t = snapshot.table("t").expect("traffic on t");
+            let bits = |tracker: &FrequencyTracker| -> Vec<(u64, u64)> {
+                tracker.iter().map(|(k, c)| (k, c.to_bits())).collect()
+            };
+            (
+                bits(&t.access),
+                bits(&t.updates),
+                t.access.events(),
+                t.updates.events(),
+            )
+        };
+        assert_eq!(counts(&cached), counts(&fresh), "snapshot counts");
+        hits += cached.counter("server_stmt_cache_hits");
+        assert_eq!(fresh.counter("server_stmt_cache_hits"), 0);
+    });
+    assert!(
+        hits > CASES * 4,
+        "the cached world bound only {hits} statements"
+    );
+    assert!(mutated > CASES * 4, "only {mutated} writes applied");
+    assert!(errors > CASES, "only {errors} writes failed");
 }
