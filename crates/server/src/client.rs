@@ -6,8 +6,7 @@
 //! is timestamped on receipt so callers can verify delay enforcement.
 
 use crate::protocol::{
-    read_frame_buffered, write_frame_buffered, Frame, ProtocolError, RefuseReason,
-    PROTOCOL_VERSION, ROWS_UNKNOWN,
+    read_frame_buffered, write_frame_buffered, Frame, ProtocolError, RefuseReason, PROTOCOL_VERSION,
 };
 use delayguard_core::clock::{Clock, RealClock};
 use delayguard_storage::Row;
@@ -117,7 +116,7 @@ pub enum MutateOutcome {
         data_version: u64,
         elapsed: Duration,
     },
-    /// The gatekeeper (or load shedding, or a v1 session) refused it.
+    /// The gatekeeper (or load shedding) refused it.
     Refused {
         reason: RefuseReason,
         retry_after_secs: f64,
@@ -186,7 +185,7 @@ impl Client {
 
     /// Register claiming `ip` (honored only by servers configured with
     /// `trust_client_ip`; `[0;4]` falls back to the peer address).
-    /// Negotiates the current protocol version (trailer framing).
+    /// Registers at the current protocol version.
     pub(crate) fn register_as(&mut self, ip: [u8; 4]) -> Result<RegisterOutcome, ClientError> {
         self.send(&Frame::Register {
             claimed_ip: ip,
@@ -221,7 +220,7 @@ impl Client {
             sql: sql.to_string(),
         })?;
         // First frame decides the shape of the exchange.
-        let (columns, expected) = match self.recv()? {
+        let columns = match self.recv()? {
             Frame::Refused {
                 query_id: qid,
                 reason,
@@ -250,17 +249,11 @@ impl Client {
             Frame::RowsBegin {
                 query_id: qid,
                 columns,
-                rows,
-            } if qid == query_id => (columns, rows),
+                ..
+            } if qid == query_id => columns,
             other => return Err(ClientError::Unexpected(other)),
         };
-        // ROWS_UNKNOWN means trailer framing: the count arrives in
-        // ROWS_END, so don't trust the sentinel as an allocation hint.
-        let mut rows = Vec::with_capacity(if expected == ROWS_UNKNOWN {
-            0
-        } else {
-            expected as usize
-        });
+        let mut rows = Vec::new();
         loop {
             match self.recv()? {
                 Frame::Row {
@@ -302,29 +295,7 @@ impl Client {
         }
     }
 
-    /// Register speaking protocol version 1 (legacy count-up-front
-    /// framing) — for exercising the v1 compatibility surface, which
-    /// includes being refused writes with `WritesUnsupported`.
-    pub fn register_v1(&mut self) -> Result<RegisterOutcome, ClientError> {
-        self.send(&Frame::Register {
-            claimed_ip: [0, 0, 0, 0],
-            version: 1,
-        })?;
-        match self.recv()? {
-            Frame::Registered { user, fee } => Ok(RegisterOutcome::Registered { user, fee }),
-            Frame::Refused {
-                reason,
-                retry_after_secs,
-                ..
-            } => Ok(RegisterOutcome::Refused {
-                reason,
-                retry_after_secs,
-            }),
-            other => Err(ClientError::Unexpected(other)),
-        }
-    }
-
-    /// Run an `INSERT` as `user` through the v2 write verb, blocking
+    /// Run an `INSERT` as `user` through its write verb, blocking
     /// until the `MUTATED` confirmation (or refusal/error) arrives.
     pub fn insert(&mut self, user: u64, sql: &str) -> Result<MutateOutcome, ClientError> {
         let query_id = self.next_query_id;
@@ -339,7 +310,7 @@ impl Client {
         )
     }
 
-    /// Run an `UPDATE` as `user` through the v2 write verb.
+    /// Run an `UPDATE` as `user` through its write verb.
     pub fn update(&mut self, user: u64, sql: &str) -> Result<MutateOutcome, ClientError> {
         let query_id = self.next_query_id;
         self.next_query_id += 1;
@@ -353,7 +324,7 @@ impl Client {
         )
     }
 
-    /// Run a `DELETE` as `user` through the v2 write verb.
+    /// Run a `DELETE` as `user` through its write verb.
     pub fn delete(&mut self, user: u64, sql: &str) -> Result<MutateOutcome, ClientError> {
         let query_id = self.next_query_id;
         self.next_query_id += 1;

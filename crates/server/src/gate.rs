@@ -48,7 +48,7 @@ use delayguard_query::{Prepared, RowBuf, StatementCache, StatementKind};
 use delayguard_sim::Registry;
 use delayguard_storage::{Row, RowId};
 use parking_lot::Mutex as PMutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Where a session's response frames go. Implemented by the TCP server's
@@ -117,27 +117,19 @@ pub(crate) fn row_slots(frame: &Frame) -> usize {
 /// an `INSERT` frame's semantics.
 pub use delayguard_query::MutationVerb;
 
-/// Per-connection state: the protocol version negotiated at
-/// `REGISTER`, and the statement cache every `QUERY` and write frame
-/// runs through.
-///
-/// A connection starts at version 1 (legacy count-up-front framing) and
-/// is upgraded when its `REGISTER` frame carries a version byte; the
-/// effective version is the minimum of the client's and
-/// [`PROTOCOL_VERSION`]. The transport owns one of these per connection
+/// Per-connection state: the statement cache every `QUERY` and write
+/// frame runs through. The transport owns one of these per connection
 /// and passes it to every [`FrontDoor::handle_frame`] call.
 pub struct SessionState {
-    version: AtomicU8,
     /// Prepared statement shapes ([`delayguard_query::stmt_cache`]) plus
     /// the chunk buffers this session's queries stream through.
     statements: PMutex<(StatementCache, RowBuf, ChargedChunk)>,
 }
 
 impl SessionState {
-    /// A fresh connection: legacy framing until `REGISTER` negotiates up.
+    /// A fresh connection, with an empty statement cache.
     pub fn new() -> SessionState {
         SessionState {
-            version: AtomicU8::new(1),
             statements: PMutex::new(Default::default()),
         }
     }
@@ -146,21 +138,6 @@ impl SessionState {
     /// [`crate::STATEMENT_CACHE_CAPACITY`]).
     pub fn cached_statements(&self) -> usize {
         self.statements.lock().0.len()
-    }
-
-    /// The negotiated protocol version.
-    pub fn version(&self) -> u8 {
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// Whether `SELECT` results use `ROWS_END`-trailer framing.
-    pub fn streaming(&self) -> bool {
-        self.version() >= 2
-    }
-
-    fn negotiate(&self, client_version: u8) {
-        self.version
-            .store(client_version.clamp(1, PROTOCOL_VERSION), Ordering::Relaxed);
     }
 }
 
@@ -173,7 +150,6 @@ impl Default for SessionState {
 impl std::fmt::Debug for SessionState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionState")
-            .field("version", &self.version())
             .field("cached_statements", &self.cached_statements())
             .finish()
     }
@@ -425,7 +401,7 @@ impl FrontDoor {
 
     /// Handle one decoded client frame. `peer_ip` is the transport's
     /// authoritative view of the peer (IPv4 octets); `session` is the
-    /// connection's negotiated protocol state.
+    /// connection's own state.
     pub fn handle_frame<S: FrameSink>(
         &self,
         frame: Frame,
@@ -438,8 +414,7 @@ impl FrontDoor {
                 claimed_ip,
                 version,
             } => {
-                session.negotiate(version);
-                self.handle_register(claimed_ip, peer_ip, sink.as_ref());
+                self.handle_register(claimed_ip, version, peer_ip, sink.as_ref());
                 SessionControl::Continue
             }
             Frame::Query {
@@ -493,12 +468,28 @@ impl FrontDoor {
     }
 
     /// Handle a `REGISTER` frame.
+    ///
+    /// A client below [`PROTOCOL_VERSION`] (the 4-byte payload decodes as
+    /// version 1) is refused [`RefuseReason::VersionUnsupported`] before
+    /// the gatekeeper is touched: no identity, no fee, no registration
+    /// interval used up. The connection stays open, so the client may
+    /// register again at the current version.
     pub(crate) fn handle_register(
         &self,
         claimed_ip: [u8; 4],
+        version: u8,
         peer_ip: [u8; 4],
         sink: &dyn FrameSink,
     ) {
+        if version < PROTOCOL_VERSION {
+            self.metrics.registrations_refused.inc();
+            sink.push_control(Frame::Refused {
+                query_id: 0,
+                reason: RefuseReason::VersionUnsupported,
+                retry_after_secs: 0.0,
+            });
+            return;
+        }
         let retry = self.config.retry_after_secs;
         if self.draining() {
             self.metrics.refused_shutdown.inc();
@@ -614,8 +605,8 @@ impl FrontDoor {
     /// every row (and the final `DONE`) at its deadline.
     ///
     /// A `QUERY` frame carries a `SELECT` and nothing else: writes have
-    /// their own frames (whose handler enforces the session version, the
-    /// verb and reserve-before-apply) and DDL has no wire surface, so any
+    /// their own frames (whose handler enforces the verb and
+    /// reserve-before-apply) and DDL has no wire surface, so any
     /// other statement is answered with an `Error` before it executes.
     ///
     /// The SELECT runs prepared, from the session's own statement cache
@@ -628,10 +619,8 @@ impl FrontDoor {
     /// each chunk reserves its send-queue slots *before* its tuples are
     /// charged, and charged chunks are released (pushed now if already
     /// due, else filed on the wheel) while the executor is still
-    /// producing the next one. Version-≥2 sessions get trailer
-    /// framing (`ROWS_BEGIN` with [`ROWS_UNKNOWN`], then a `ROWS_END`
-    /// count); a legacy session is the same pipeline with one unbounded
-    /// chunk, so `ROWS_BEGIN` can carry the exact count.
+    /// producing the next one. The reply is framed as `ROWS_BEGIN` with
+    /// [`ROWS_UNKNOWN`], the rows, then a `ROWS_END` count and `DONE`.
     pub fn handle_query<S: FrameSink>(
         &self,
         query_id: u32,
@@ -646,7 +635,6 @@ impl FrontDoor {
         if !self.admitted(query_id, user, sink) {
             return;
         }
-        let trailer_framing = session.streaming();
         let mut cache = session.statements.lock();
         let (statements, rows, charged) = &mut *cache;
         let (hit, prepared) = statements.prepare(self.db.engine(), sql, StatementKind::Select);
@@ -659,20 +647,11 @@ impl FrontDoor {
             }
             Err(e) => return self.query_error(query_id, GuardError::from(e).to_string(), sink),
         };
-        // A legacy session takes its whole result as one chunk: give it
-        // buffers of its own, freed with the query, rather than grow the
-        // session's to the largest result it ever read.
-        let mut legacy = (RowBuf::new(), ChargedChunk::default());
-        let (rows, charged) = if trailer_framing {
-            (rows, charged)
-        } else {
-            (&mut legacy.0, &mut legacy.1)
-        };
         let result = self
             .db
             .execute_prepared_streaming(query, scratch, |mut stream| {
                 self.metrics.queries_admitted.inc();
-                self.stream_select(query_id, &mut stream, trailer_framing, sink, rows, charged);
+                self.stream_select(query_id, &mut stream, sink, rows, charged);
             });
         if let Err(e) = result {
             self.query_error(query_id, e.to_string(), sink);
@@ -689,21 +668,17 @@ impl FrontDoor {
     ///
     /// The order of checks is deliberate:
     ///
-    /// 1. v1 sessions are refused with [`RefuseReason::WritesUnsupported`]
-    ///    — they never negotiated the mutation surface, and guessing at
-    ///    framing an old client cannot parse is worse than an explicit
-    ///    code.
-    /// 2. Admission is charged.
-    /// 3. The SQL is prepared (a parse error of the frame's own text is
+    /// 1. Admission is charged.
+    /// 2. The SQL is prepared (a parse error of the frame's own text is
     ///    reported here) and its verb checked against the frame's
     ///    *before* anything is reserved, so malformed writes have no
     ///    release path.
-    /// 4. One reply slot is reserved in the send queue before the
+    /// 3. One reply slot is reserved in the send queue before the
     ///    statement is applied ([`FrameSink::try_reserve_rows`], the same
     ///    backpressure seam `SELECT` chunks use): a write whose `MUTATED`
     ///    confirmation cannot be delivered is refused `Overloaded` before
     ///    it mutates anything, never applied-but-unconfirmable.
-    /// 5. The `MUTATED` reply carries the table's data version as this
+    /// 4. The `MUTATED` reply carries the table's data version as this
     ///    write's own commit left it, and is released at the statement's
     ///    deadline through the same `Releases` as `SELECT` rows, consuming
     ///    the reservation; if the engine rejects the statement after the
@@ -727,14 +702,6 @@ impl FrontDoor {
         let Some(_inflight) = self.begin_statement(query_id, sink) else {
             return;
         };
-        if session.version() < 2 {
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::WritesUnsupported,
-                retry_after_secs: 0.0,
-            });
-            return;
-        }
         if !self.admitted(query_id, user, sink) {
             return;
         }
@@ -810,27 +777,17 @@ impl FrontDoor {
     /// learns so only from the next, empty pull, and its trailer is then
     /// released on its own.
     ///
-    /// Without `trailer_framing` (a version-1 session) the client expects
-    /// the exact row count in `ROWS_BEGIN` and no `ROWS_END`, so the whole
-    /// result is the one, unbounded chunk: it reserves all-or-nothing and
-    /// is only charged if it fits.
-    ///
     /// The executor decodes into `buf` and pricing fills `charged`: the
     /// session's buffers, recycled across chunks and queries.
     fn stream_select<S: FrameSink>(
         &self,
         query_id: u32,
         stream: &mut DeadlineStream<'_, '_>,
-        trailer_framing: bool,
         sink: &Arc<S>,
         buf: &mut RowBuf,
         charged: &mut ChargedChunk,
     ) {
-        let chunk_rows = if trailer_framing {
-            self.config.stream_chunk_rows.max(1)
-        } else {
-            usize::MAX
-        };
+        let chunk_rows = self.config.stream_chunk_rows.max(1);
         let mut releases = self.releases(sink);
         let mut seq: u32 = 0;
         let mut began = false;
@@ -871,12 +828,7 @@ impl FrontDoor {
             }
             if !began {
                 began = true;
-                let rows = if trailer_framing {
-                    ROWS_UNKNOWN
-                } else {
-                    n as u32
-                };
-                releases.begin(query_id, stream.columns(), rows, buf.rows());
+                releases.begin(query_id, stream.columns(), ROWS_UNKNOWN, buf.rows());
             }
             seq = releases.rows(
                 query_id,
@@ -891,15 +843,13 @@ impl FrontDoor {
                 // Pushed after every row, so ROWS_END follows the last row
                 // and DONE comes last of all, same tick or not.
                 let done_at = stream.deadline_nanos();
-                if trailer_framing {
-                    releases.push(
-                        done_at,
-                        &Frame::RowsEnd {
-                            query_id,
-                            rows: seq,
-                        },
-                    );
-                }
+                releases.push(
+                    done_at,
+                    &Frame::RowsEnd {
+                        query_id,
+                        rows: seq,
+                    },
+                );
                 releases.push(
                     done_at,
                     &Frame::Done {

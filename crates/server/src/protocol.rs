@@ -2,30 +2,18 @@
 //!
 //! Every frame is `len: u32 LE | opcode: u8 | payload`, where `len`
 //! counts the opcode byte plus payload. Six request verbs (`REGISTER`,
-//! `QUERY`, `STATS`, and the v2-only write verbs `INSERT`/`UPDATE`/
-//! `DELETE`) and eight response frames; `SELECT` results stream as
-//! `ROWS_BEGIN`, then one `ROW` per tuple *as its delay deadline
-//! expires*, then `DONE`. A successful write answers with a single
-//! `MUTATED` frame carrying the affected row count and the table's new
-//! data version. Responses carry the originating `query_id` so a client
-//! may pipeline queries on one connection.
+//! `QUERY`, `STATS`, and the write verbs `INSERT`/`UPDATE`/`DELETE`) and
+//! eight response frames; `SELECT` results stream as `ROWS_BEGIN` (with
+//! the [`ROWS_UNKNOWN`] sentinel), then one `ROW` per tuple *as its
+//! delay deadline expires*, then a `ROWS_END` trailer with the count and
+//! `DONE`. A successful write answers with a single `MUTATED` frame
+//! carrying the affected row count and the table's new data version.
+//! Responses carry the originating `query_id` so a client may pipeline
+//! queries on one connection.
 //!
-//! # Versioning
-//!
-//! The protocol version is negotiated at `REGISTER`: a v1 client sends
-//! the original 4-byte payload (just the claimed ip) and gets
-//! count-up-front framing, where `ROWS_BEGIN.rows` is the exact result
-//! size. A client that appends a version byte ≥ 2 opts into trailer
-//! framing: the server executes streaming, `ROWS_BEGIN.rows` is the
-//! [`ROWS_UNKNOWN`] sentinel, and a `ROWS_END` trailer carries the real
-//! count once the executor finishes. Old servers reject the 5-byte
-//! register payload outright (trailing bytes), so a v2 client is never
-//! silently mis-framed.
-//!
-//! The write verbs ride the same negotiation: a session that registered
-//! as v1 never negotiated the mutation surface, so the server answers
-//! its write frames with `REFUSED(WritesUnsupported)` instead of
-//! guessing at framing the client cannot parse.
+//! `REGISTER` carries the client's protocol version; a server refuses
+//! any version below [`PROTOCOL_VERSION`] with
+//! [`RefuseReason::VersionUnsupported`].
 //!
 //! Row payloads reuse the storage engine's row codec
 //! ([`delayguard_storage::codec`]), so the server adds no second
@@ -41,15 +29,12 @@ use std::io::{self, Read, Write};
 /// Largest accepted frame body (opcode + payload).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Current frame-level protocol version, sent with `REGISTER`.
-///
-/// Version 2 negotiates `ROWS_END`-trailer framing for `SELECT` results
-/// (see the module docs); version 1 is the legacy count-up-front framing.
+/// Current frame-level protocol version, sent with `REGISTER`: the
+/// lowest a server accepts.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Sentinel for [`Frame::RowsBegin::rows`] on version-≥2 sessions: the
-/// result is streaming and the total count arrives in the
-/// [`Frame::RowsEnd`] trailer instead.
+/// Sentinel for [`Frame::RowsBegin::rows`]: the result is streaming and
+/// the total count arrives in the [`Frame::RowsEnd`] trailer instead.
 pub const ROWS_UNKNOWN: u32 = u32::MAX;
 
 /// Why the server refused a request (wire codes are stable).
@@ -67,9 +52,9 @@ pub enum RefuseReason {
     Overloaded = 5,
     /// The server is draining for shutdown.
     ShuttingDown = 6,
-    /// The session registered as protocol v1, which never negotiated the
-    /// mutation frames; re-register with version ≥ 2 to write.
-    WritesUnsupported = 7,
+    /// `REGISTER` asked for a protocol version below
+    /// [`PROTOCOL_VERSION`]; register again at the current version.
+    VersionUnsupported = 7,
 }
 
 impl RefuseReason {
@@ -81,7 +66,7 @@ impl RefuseReason {
             4 => RefuseReason::RegistrationTooSoon,
             5 => RefuseReason::Overloaded,
             6 => RefuseReason::ShuttingDown,
-            7 => RefuseReason::WritesUnsupported,
+            7 => RefuseReason::VersionUnsupported,
             _ => return None,
         })
     }
@@ -94,7 +79,8 @@ pub enum Frame {
     /// is configured to trust it (proxy / test deployments); `[0;4]`
     /// means "use the connection's peer address". `version` is the
     /// highest protocol version the client speaks: decoded as 1 when the
-    /// payload carries no version byte (legacy 4-byte form).
+    /// payload carries no version byte (the original 4-byte form), which
+    /// the server refuses.
     Register { claimed_ip: [u8; 4], version: u8 },
     /// Execute SQL as `user`; responses echo `query_id`.
     Query {
@@ -102,7 +88,7 @@ pub enum Frame {
         user: u64,
         sql: String,
     },
-    /// Execute an `INSERT` statement as `user` (v2+ sessions only).
+    /// Execute an `INSERT` statement as `user`.
     /// The payload mirrors [`Frame::Query`]; the verb is in the opcode
     /// so the gate can refuse writes before parsing any SQL.
     Insert {
@@ -110,13 +96,13 @@ pub enum Frame {
         user: u64,
         sql: String,
     },
-    /// Execute an `UPDATE` statement as `user` (v2+ sessions only).
+    /// Execute an `UPDATE` statement as `user`.
     Update {
         query_id: u32,
         user: u64,
         sql: String,
     },
-    /// Execute a `DELETE` statement as `user` (v2+ sessions only).
+    /// Execute a `DELETE` statement as `user`.
     Delete {
         query_id: u32,
         user: u64,
@@ -133,9 +119,9 @@ pub enum Frame {
         reason: RefuseReason,
         retry_after_secs: f64,
     },
-    /// A `SELECT` started streaming: column names and total row count.
-    /// On version-≥2 sessions `rows` is [`ROWS_UNKNOWN`] and the count
-    /// arrives in the [`Frame::RowsEnd`] trailer.
+    /// A `SELECT` started streaming: column names, and `rows` =
+    /// [`ROWS_UNKNOWN`]; the count arrives in the [`Frame::RowsEnd`]
+    /// trailer.
     RowsBegin {
         query_id: u32,
         columns: Vec<String>,
@@ -143,8 +129,7 @@ pub enum Frame {
     },
     /// One tuple, released at its delay deadline.
     Row { query_id: u32, seq: u32, row: Row },
-    /// Trailer on version-≥2 sessions: the executor finished and `rows`
-    /// is the total row count. Sent after the last `ROW`, before `DONE`.
+    /// Trailer: the executor finished and `rows` is the total row count. Sent after the last `ROW`, before `DONE`.
     RowsEnd { query_id: u32, rows: u32 },
     /// The statement completed; `delay_secs` is the total charged.
     Done {
@@ -630,8 +615,8 @@ impl Frame {
         let frame = match op {
             opcode::REGISTER => {
                 let claimed_ip: [u8; 4] = c.take(4)?.try_into().unwrap();
-                // Legacy (v1) clients send only the ip; the version byte
-                // was appended in v2.
+                // The original (v1) payload is only the ip; the version
+                // byte was appended in v2. It decodes, so it can be refused.
                 let version = if c.remaining() > 0 { c.u8()? } else { 1 };
                 Frame::Register {
                     claimed_ip,
@@ -928,7 +913,7 @@ mod tests {
         });
         round_trip(Frame::Refused {
             query_id: 6,
-            reason: RefuseReason::WritesUnsupported,
+            reason: RefuseReason::VersionUnsupported,
             retry_after_secs: 0.0,
         });
         round_trip(Frame::StatsReply {

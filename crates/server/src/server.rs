@@ -261,7 +261,7 @@ struct Conn {
     stream: TcpStream,
     /// Row budget for this connection ([`ServerConfig::send_queue_rows`]).
     rows_cap: usize,
-    /// Protocol version negotiated at `REGISTER`.
+    /// The connection's statement cache.
     session: SessionState,
     /// The session thread, which writes out its own pushes before it
     /// next blocks in `read`.

@@ -2,22 +2,32 @@
 //! type must round-trip exactly, the coalesced append-into-one-buffer
 //! encode must be byte-identical to the old one-write-per-frame path,
 //! legacy (v1) REGISTER framing must keep decoding, the MAX_FRAME
-//! boundary must be exact on both the encode and decode side, and a run
+//! boundary must be exact on both the encode and decode side, a run
 //! of reply frames encoded from borrowed rows must be byte-identical to
-//! encoding the same frames one at a time.
+//! encoding the same frames one at a time, and hostile bytes must panic
+//! neither the decoder nor the front door they decode into.
 //!
 //! Deterministic harness (no external property-testing crate in this
 //! offline build): a splitmix64 generator drives 128 cases per property
 //! from fixed seeds, so failures reproduce exactly.
 
-use delayguard_core::gatekeeper::{Charge, GateDelta, SubnetCharges};
+use delayguard_core::clock::{Clock, ManualClock};
+use delayguard_core::gatekeeper::{Charge, GateDelta, RegistrationPolicy, SubnetCharges};
 use delayguard_core::replica::{ReplicaDelta, TableDelta};
+use delayguard_core::{GatekeeperConfig, GuardConfig, GuardedDatabase};
+use delayguard_query::Engine;
+use delayguard_server::gate::{FrameSink, FrontDoor, GateConfig, SessionState};
+use delayguard_server::metrics::ServerMetrics;
 use delayguard_server::protocol::{
     encode_frame_into, encode_row_into, encode_rows_begin_into, read_frame, read_frame_buffered,
     row_frame_len, write_frame, write_frame_buffered, Frame, ProtocolError, RefuseReason,
     MAX_FRAME, PROTOCOL_VERSION, ROWS_UNKNOWN,
 };
+use delayguard_server::scheduler::DelayScheduler;
+use delayguard_sim::Registry;
 use delayguard_storage::{Row, Value};
+use std::sync::Arc;
+use std::time::Duration;
 
 const CASES: u64 = 128;
 
@@ -168,7 +178,7 @@ fn arb_frame(rng: &mut Rng) -> Frame {
                 RefuseReason::RegistrationTooSoon,
                 RefuseReason::Overloaded,
                 RefuseReason::ShuttingDown,
-                RefuseReason::WritesUnsupported,
+                RefuseReason::VersionUnsupported,
             ][rng.below(7) as usize],
             retry_after_secs: rng.f64().abs(),
         },
@@ -433,4 +443,256 @@ fn max_frame_boundary_is_exact_on_encode_and_decode() {
         Err(ProtocolError::Oversized(n)) => assert_eq!(n, MAX_FRAME + 1),
         other => panic!("expected Oversized, got {other:?}"),
     }
+}
+
+/// Grants every reservation and records every frame.
+#[derive(Default)]
+struct RecordingSink {
+    frames: std::sync::Mutex<Vec<Frame>>,
+}
+
+impl FrameSink for RecordingSink {
+    fn push_control(&self, frame: Frame) {
+        self.frames.lock().unwrap().push(frame);
+    }
+
+    fn push_row(&self, frame: Frame) {
+        self.frames.lock().unwrap().push(frame);
+    }
+
+    fn try_reserve_rows(&self, _n: usize) -> bool {
+        true
+    }
+}
+
+/// Wire bytes of one frame whose body is `body`: the length prefix says
+/// `len`, true or not.
+fn framed_as(len: u32, body: &[u8]) -> Vec<u8> {
+    let mut wire = len.to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// Bodies whose one string field (`sql`, `message`, a column name, a
+/// `STATS` reply) holds `bytes`, which are not UTF-8.
+fn invalid_utf8_bodies(rng: &mut Rng) -> Vec<Vec<u8>> {
+    let bad: &[u8] = [
+        &[0xFF][..],
+        &[0xC3, 0x28],
+        &[b'a', 0xE2, 0x82],
+        &[0xF0, 0x9F],
+    ][rng.below(4) as usize];
+    let string = |body: &mut Vec<u8>| {
+        body.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+        body.extend_from_slice(bad);
+    };
+    let mut bodies = Vec::new();
+    for op in [0x02, 0x04, 0x05, 0x06] {
+        // QUERY, INSERT, UPDATE, DELETE: query id, user, sql.
+        let mut body = vec![op];
+        body.extend_from_slice(&(rng.next() as u32).to_le_bytes());
+        body.extend_from_slice(&rng.next().to_le_bytes());
+        string(&mut body);
+        bodies.push(body);
+    }
+    // ERROR: query id, message.
+    let mut body = vec![0x16];
+    body.extend_from_slice(&(rng.next() as u32).to_le_bytes());
+    string(&mut body);
+    bodies.push(body);
+    // ROWS_BEGIN: query id, one column name, rows.
+    let mut body = vec![0x12];
+    body.extend_from_slice(&(rng.next() as u32).to_le_bytes());
+    body.extend_from_slice(&1u16.to_le_bytes());
+    string(&mut body);
+    body.extend_from_slice(&ROWS_UNKNOWN.to_le_bytes());
+    bodies.push(body);
+    // STATS_REPLY: the rendering.
+    let mut body = vec![0x15];
+    string(&mut body);
+    bodies.push(body);
+    bodies
+}
+
+/// A front door over a one-table database on a manual clock, with an open
+/// gatekeeper, and one user registered at the current version.
+fn fuzz_gate() -> (FrontDoor, u64) {
+    let clock: Arc<dyn Clock> = ManualClock::shared();
+    let db = Arc::new(GuardedDatabase::with_engine_and_clock(
+        Engine::new(),
+        GuardConfig::paper_default(),
+        Arc::clone(&clock),
+    ));
+    db.execute_at("CREATE TABLE t (id INT NOT NULL, body TEXT)", 0.0)
+        .unwrap();
+    db.execute_at("INSERT INTO t VALUES (1, 'one'), (2, 'two')", 0.0)
+        .unwrap();
+    let registry = Registry::new();
+    let metrics = ServerMetrics::new(&registry);
+    let scheduler = DelayScheduler::manual(
+        Duration::from_millis(1),
+        metrics.clone(),
+        Arc::clone(&clock),
+    );
+    let config = GateConfig {
+        gatekeeper: GatekeeperConfig {
+            registration: RegistrationPolicy::interval(0.0),
+            per_user_rate: 1e9,
+            per_user_burst: 1e9,
+            per_subnet_rate: 1e9,
+            per_subnet_burst: 1e9,
+            ..GatekeeperConfig::default()
+        },
+        ..GateConfig::default()
+    };
+    let gate = FrontDoor::new(config, db, scheduler, clock, metrics, registry);
+    let sink = Arc::new(RecordingSink::default());
+    let register = Frame::Register {
+        claimed_ip: [0; 4],
+        version: PROTOCOL_VERSION,
+    };
+    gate.handle_frame(register, [10, 0, 0, 1], &SessionState::new(), &sink);
+    let user = match sink.frames.lock().unwrap().pop() {
+        Some(Frame::Registered { user, .. }) => user,
+        reply => panic!("REGISTER: {reply:?}"),
+    };
+    (gate, user)
+}
+
+/// Hostile bytes: every prefix of every random frame's encoding, each
+/// byte flipped, length prefixes that lie (up to [`MAX_FRAME`] and past
+/// it), string fields that are not UTF-8, and `REGISTER` payloads of 4
+/// and 5 bytes at versions 0, 1, 2 and 255. Decoding never panics, and a
+/// truncated frame decodes to an error or to a clean end of stream.
+/// Every client frame that does decode then goes through a front door,
+/// which never panics either, and answers every `REGISTER` below the
+/// current version with `Refused(VersionUnsupported)`.
+#[test]
+fn hostile_bytes_never_panic_the_decoder_or_the_front_door() {
+    let (gate, user) = fuzz_gate();
+    let session = SessionState::new();
+    let sink = Arc::new(RecordingSink::default());
+    let mut registers_refused = 0;
+    let mut feed = |frame: Frame| {
+        let old_register = match frame {
+            Frame::Register { version, .. } => version < PROTOCOL_VERSION,
+            Frame::Query { .. }
+            | Frame::Insert { .. }
+            | Frame::Update { .. }
+            | Frame::Delete { .. }
+            | Frame::Stats => false,
+            _ => return,
+        };
+        sink.frames.lock().unwrap().clear();
+        gate.handle_frame(frame, [10, 0, 0, 2], &session, &sink);
+        if old_register {
+            let replies = sink.frames.lock().unwrap();
+            assert!(
+                matches!(
+                    replies[..],
+                    [Frame::Refused {
+                        query_id: 0,
+                        reason: RefuseReason::VersionUnsupported,
+                        ..
+                    }]
+                ),
+                "pre-v2 REGISTER answered {replies:?}"
+            );
+            registers_refused += 1;
+        }
+    };
+    let decode = |wire: &[u8]| read_frame(&mut &wire[..]);
+
+    cases(0xF022, |rng| {
+        // Statements that run, besides the random ones that do not parse.
+        let mut frames = vec![arb_frame(rng), arb_frame(rng)];
+        frames.push(match rng.below(3) {
+            0 => Frame::Query {
+                query_id: rng.next() as u32,
+                user,
+                sql: format!("SELECT * FROM t WHERE id = {}", rng.below(3)),
+            },
+            1 => Frame::Insert {
+                query_id: rng.next() as u32,
+                user,
+                sql: format!("INSERT INTO t VALUES ({}, 'x')", rng.below(9)),
+            },
+            _ => Frame::Update {
+                query_id: rng.next() as u32,
+                user,
+                sql: format!("UPDATE t SET body = 'y' WHERE id = {}", rng.below(3)),
+            },
+        });
+        for frame in frames {
+            let mut wire = Vec::new();
+            encode_frame_into(&frame, &mut wire).unwrap();
+            for end in 0..wire.len() {
+                let truncated = decode(&wire[..end]);
+                assert!(
+                    !matches!(truncated, Ok(Some(_))),
+                    "{end} of {} bytes of {frame:?} decoded as {truncated:?}",
+                    wire.len()
+                );
+            }
+            // A flip in the length prefix is one of the lies below.
+            for at in 4..wire.len() {
+                let mut flipped = wire.clone();
+                flipped[at] ^= 1 << rng.below(8);
+                if let Ok(Some(frame)) = decode(&flipped) {
+                    feed(frame);
+                }
+            }
+            let body = &wire[4..];
+            let true_len = body.len() as u32;
+            let mut lies = vec![0, 1, true_len - 1, true_len + 1];
+            lies.push(true_len ^ 1 << rng.below(16));
+            // Lies up to MAX_FRAME stage a body that large before they
+            // fail: a few cases carry them, so the test stays quick.
+            if rng.below(16) == 0 {
+                lies.push(rng.below(MAX_FRAME as u64 + 1) as u32);
+                lies.extend([MAX_FRAME as u32, MAX_FRAME as u32 + 1, u32::MAX]);
+            }
+            for lie in lies.into_iter().filter(|&lie| lie != true_len) {
+                if let Ok(Some(frame)) = decode(&framed_as(lie, body)) {
+                    feed(frame);
+                }
+            }
+            feed(frame);
+        }
+        for body in invalid_utf8_bodies(rng) {
+            let wire = framed_as(body.len() as u32, &body);
+            assert!(
+                matches!(decode(&wire), Err(ProtocolError::Malformed(_))),
+                "non-UTF-8 string in opcode {:#x} decoded",
+                body[0]
+            );
+        }
+        let ip = [rng.below(256) as u8, 0, 0, rng.below(256) as u8];
+        let mut four_byte = vec![0x01];
+        four_byte.extend_from_slice(&ip);
+        let register = decode(&framed_as(5, &four_byte)).unwrap().unwrap();
+        assert_eq!(
+            register,
+            Frame::Register {
+                claimed_ip: ip,
+                version: 1
+            }
+        );
+        feed(register);
+        for version in [0, 1, 2, 255] {
+            let mut five_byte = four_byte.clone();
+            five_byte.push(version);
+            let register = decode(&framed_as(6, &five_byte)).unwrap().unwrap();
+            assert_eq!(
+                register,
+                Frame::Register {
+                    claimed_ip: ip,
+                    version
+                }
+            );
+            feed(register);
+        }
+    });
+    // Three of the five REGISTER forms per case are below v2.
+    assert!(registers_refused >= 3 * CASES);
 }

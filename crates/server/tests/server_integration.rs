@@ -475,29 +475,22 @@ fn writes_flow_through_the_front_door_end_to_end() {
         other => panic!("verb mismatch: {other:?}"),
     }
 
-    // A v1 session never negotiated the write surface: explicit refusal
-    // code, connection stays usable for reads.
-    let mut legacy = Client::connect(addr).unwrap();
-    let legacy_user = match legacy.register_v1().unwrap() {
-        RegisterOutcome::Registered { user, .. } => user,
-        other => panic!("v1 register: {other:?}"),
+    // A client below v2 is refused at REGISTER; the same connection then
+    // registers at v2 and its writes commit.
+    let (mut stream, mut reader, user) = refused_below_v2_then_registered(addr);
+    let insert = Frame::Insert {
+        query_id: 7,
+        user,
+        sql: "INSERT INTO directory VALUES (101, 'x')".into(),
     };
-    match legacy
-        .insert(legacy_user, "INSERT INTO directory VALUES (101, 'x')")
-        .unwrap()
-    {
-        MutateOutcome::Refused {
-            reason: RefuseReason::WritesUnsupported,
+    write_frame(&mut stream, &insert).unwrap();
+    match next_frame(&mut reader) {
+        Frame::Mutated {
+            query_id: 7,
+            rows: 1,
             ..
         } => {}
-        other => panic!("v1 write: {other:?}"),
-    }
-    match legacy
-        .query(legacy_user, "SELECT entry FROM directory WHERE id = 1")
-        .unwrap()
-    {
-        QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 1),
-        other => panic!("v1 read after refused write: {other:?}"),
+        other => panic!("write after re-register: {other:?}"),
     }
     handle.shutdown();
 }
@@ -509,8 +502,8 @@ fn writes_flow_through_the_front_door_end_to_end() {
 /// appears behind the explicit opt-in knob (an operator-facing surface).
 /// A `QUERY` frame is the read surface: a write or DDL statement riding
 /// in on one must be answered with an `Error` before anything executes —
-/// otherwise it bypasses the v1 `WritesUnsupported` refusal, the verb
-/// check and reserve-before-apply that the mutation frames enforce.
+/// otherwise it bypasses the verb check and reserve-before-apply that the
+/// mutation frames enforce.
 #[test]
 fn query_frames_refuse_writes_and_ddl() {
     let db = seeded_db(10, 0.0, ChargingModel::PerQueryMax);
@@ -526,40 +519,61 @@ fn query_frames_refuse_writes_and_ddl() {
     )
     .expect("server starts");
     let version = directory_version(&db);
-    for legacy in [true, false] {
-        let mut c = Client::connect(handle.addr()).unwrap();
-        let registered = if legacy {
-            c.register_v1()
-        } else {
-            c.register()
-        };
-        let user = match registered.expect("register exchange") {
-            RegisterOutcome::Registered { user, .. } => user,
-            other => panic!("registration refused: {other:?}"),
-        };
-        for sql in ["DELETE FROM directory WHERE id = 1", "DROP TABLE directory"] {
-            match c.query(user, sql).unwrap() {
-                QueryOutcome::Failed { message } => {
-                    assert!(message.contains("SELECT"), "{sql}: {message}")
-                }
-                other => panic!("legacy={legacy}: {sql} was not refused: {other:?}"),
+    // A client below v2 is refused at REGISTER, so only a v2 session
+    // ever sends a QUERY frame.
+    drop(refused_below_v2_then_registered(handle.addr()));
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let user = register(&mut c);
+    for sql in ["DELETE FROM directory WHERE id = 1", "DROP TABLE directory"] {
+        match c.query(user, sql).unwrap() {
+            QueryOutcome::Failed { message } => {
+                assert!(message.contains("SELECT"), "{sql}: {message}")
             }
+            other => panic!("{sql} was not refused: {other:?}"),
         }
-        // The row and the table survive, untouched, and the connection
-        // is still good for reads.
-        match c
-            .query(user, "SELECT entry FROM directory WHERE id = 1")
-            .unwrap()
-        {
-            QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 1),
-            other => panic!("legacy={legacy}: select after refusals: {other:?}"),
-        }
-        assert_eq!(directory_version(&db), version);
     }
+    // The row and the table survive, untouched, and the connection is
+    // still good for reads.
+    match c
+        .query(user, "SELECT entry FROM directory WHERE id = 1")
+        .unwrap()
+    {
+        QueryOutcome::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        other => panic!("select after refusals: {other:?}"),
+    }
+    assert_eq!(directory_version(&db), version);
     assert!(matches!(
         registry.value("server_query_errors"),
-        Some(MetricValue::Counter(4))
+        Some(MetricValue::Counter(2))
     ));
+    handle.shutdown();
+}
+
+/// A refused pre-v2 `REGISTER` uses up no registration interval: under a
+/// one-hour interval the v2 `REGISTER` that follows it is admitted at
+/// once, and the next one is refused `RegistrationTooSoon`.
+#[test]
+fn pre_v2_register_uses_no_registration_interval() {
+    let db = seeded_db(1, 0.0, ChargingModel::PerQueryMax);
+    let handle = start(
+        ServerConfig {
+            gatekeeper: GatekeeperConfig {
+                registration: RegistrationPolicy::interval(3600.0),
+                ..open_gatekeeper()
+            },
+            ..ServerConfig::default()
+        },
+        db,
+    );
+    drop(refused_below_v2_then_registered(handle.addr()));
+    let mut c = Client::connect(handle.addr()).unwrap();
+    match c.register().unwrap() {
+        RegisterOutcome::Refused {
+            reason: RefuseReason::RegistrationTooSoon,
+            ..
+        } => {}
+        other => panic!("second v2 register within the interval: {other:?}"),
+    }
     handle.shutdown();
 }
 
@@ -623,6 +637,62 @@ fn raw_session(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>, u64) {
         Frame::Registered { user, .. } => (stream, reader, user),
         other => panic!("expected REGISTERED, got {other:?}"),
     }
+}
+
+/// Send `payload` as one `REGISTER` body, without the encoder, so the
+/// original 4-byte form (no version byte) can be sent.
+fn send_register_payload(stream: &mut TcpStream, payload: &[u8]) {
+    let len = 1 + payload.len() as u32;
+    let mut bytes = len.to_le_bytes().to_vec();
+    bytes.push(0x01);
+    bytes.extend_from_slice(payload);
+    stream.write_all(&bytes).unwrap();
+}
+
+/// On one raw connection to `addr`: a 4-byte `REGISTER` and a 5-byte one
+/// at version 1 are each refused `VersionUnsupported` with query id 0
+/// and create no user; a v2 `REGISTER` that follows is admitted. Returns
+/// the connection and the admitted user.
+fn refused_below_v2_then_registered(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>, u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let stats = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+        write_frame(stream, &Frame::Stats).unwrap();
+        match next_frame(reader) {
+            Frame::StatsReply { rendered } => (
+                stat(&rendered, "server_users_registered"),
+                stat(&rendered, "server_registrations_refused"),
+            ),
+            other => panic!("expected STATS_REPLY, got {other:?}"),
+        }
+    };
+    let (users, refused) = stats(&mut stream, &mut reader);
+    for payload in [&[0u8, 0, 0, 0][..], &[0, 0, 0, 0, 1]] {
+        send_register_payload(&mut stream, payload);
+        match next_frame(&mut reader) {
+            Frame::Refused {
+                query_id: 0,
+                reason: RefuseReason::VersionUnsupported,
+                ..
+            } => {}
+            other => panic!("{}-byte REGISTER: {other:?}", payload.len()),
+        }
+    }
+    assert_eq!(stats(&mut stream, &mut reader), (users, refused + 2));
+    let register = Frame::Register {
+        claimed_ip: [0; 4],
+        version: PROTOCOL_VERSION,
+    };
+    write_frame(&mut stream, &register).unwrap();
+    let user = match next_frame(&mut reader) {
+        Frame::Registered { user, .. } => user,
+        other => panic!("v2 REGISTER after refusals: {other:?}"),
+    };
+    assert_eq!(stats(&mut stream, &mut reader), (users + 1, refused + 2));
+    (stream, reader, user)
 }
 
 fn next_frame(reader: &mut BufReader<TcpStream>) -> Frame {

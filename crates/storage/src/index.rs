@@ -101,6 +101,33 @@ impl Index {
         true
     }
 
+    /// Move `row`'s entry from `from` to `to`, for a row the heap moved
+    /// with its key unchanged: the row id is swapped inside the key's
+    /// postings list, which stays sorted. No key is built when the key's
+    /// columns lie side by side in the row (a one-column index always).
+    pub(crate) fn relocate(&mut self, row: &Row, from: RowId, to: RowId) {
+        let cols = &self.def.columns;
+        let adjacent = cols.iter().enumerate().all(|(i, &c)| c == cols[0] + i);
+        let built;
+        let key = match cols.first() {
+            Some(&first) if adjacent && first + cols.len() <= row.arity() => {
+                &row.values()[first..first + cols.len()]
+            }
+            _ => {
+                built = self.key_of(row);
+                &built[..]
+            }
+        };
+        let Some(postings) = self.map.get_mut(key) else {
+            return;
+        };
+        if let Ok(pos) = postings.binary_search(&from) {
+            postings.remove(pos);
+            let at = postings.binary_search(&to).unwrap_or_else(|at| at);
+            postings.insert(at, to);
+        }
+    }
+
     /// RowIds exactly matching `key`.
     pub(crate) fn lookup(&self, key: &IndexKey) -> &[RowId] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])

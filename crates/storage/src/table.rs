@@ -271,12 +271,14 @@ impl Table {
         encode_row(new_row, &mut self.record);
         let new_rid = self.heap.update(rid, &self.record)?;
         for index in &mut self.indexes {
-            if key_moved(index) || rid != new_rid {
+            if key_moved(index) {
                 let old_key = index.key_of(old_row);
                 index.remove(&old_key, rid);
                 index
                     .insert(index.key_of(new_row), new_rid)
                     .expect("uniqueness was pre-checked; insert cannot fail");
+            } else if rid != new_rid {
+                index.relocate(old_row, rid, new_rid);
             }
         }
         self.stats.updates += 1;
@@ -618,5 +620,49 @@ mod tests {
             .index_range(&[id_col], Bound::Included(&lo), Bound::Excluded(&hi))
             .unwrap();
         assert_eq!(rids.len(), 3);
+    }
+
+    /// A row that outgrows its slot moves, and every index whose key did
+    /// not change swaps the row id in place: lookups find the new rid,
+    /// postings stay sorted, and no entry is added or lost.
+    #[test]
+    fn a_moved_row_keeps_its_index_keys() {
+        let schema = Schema::new(vec![
+            Column::not_null("name", DataType::Text),
+            Column::not_null("tag", DataType::Text),
+            Column::new("body", DataType::Text),
+        ])
+        .unwrap();
+        let mut t = Table::new("notes", schema);
+        t.create_index("notes_name", &["name"], true).unwrap();
+        t.create_index("notes_tag", &["tag"], false).unwrap();
+        let note = |i: usize, body: usize| {
+            Row::new(vec![
+                Value::Text(format!("n{i:02}")),
+                Value::Text("shared".into()),
+                Value::Text("x".repeat(body)),
+            ])
+        };
+        // Three pages of rows under one tag; then room on the middle page,
+        // so the moved row lands between rows that stay put.
+        let rids: Vec<RowId> = (0..60).map(|i| t.insert(note(i, 300)).unwrap()).collect();
+        assert!(rids.iter().any(|r| r.page() == 2));
+        for &rid in rids.iter().filter(|r| r.page() == 1).take(10) {
+            t.delete(rid).unwrap();
+        }
+        let len: Vec<usize> = t.indexes.iter().map(Index::len).collect();
+        let from = rids[0];
+        let to = t.update(from, note(0, 2000)).unwrap();
+        assert_eq!(to.page(), 1, "the row moved to the middle page");
+        assert_eq!(t.indexes.iter().map(Index::len).collect::<Vec<_>>(), len);
+        let name = vec![Value::Text("n00".into())];
+        assert_eq!(t.index_lookup(&[0], &name).unwrap(), vec![to]);
+        let tag = t
+            .index_lookup(&[1], &vec![Value::Text("shared".into())])
+            .unwrap();
+        assert!(tag.windows(2).all(|w| w[0] < w[1]), "postings sorted");
+        assert!(tag.contains(&to) && !tag.contains(&from));
+        assert!(tag.iter().any(|&r| r > to) && tag.iter().any(|&r| r < to));
+        assert_eq!(t.get(to).unwrap(), note(0, 2000));
     }
 }

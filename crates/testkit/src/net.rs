@@ -281,7 +281,8 @@ pub enum QueryOutcome {
     Rows {
         /// Column names from `ROWS_BEGIN`.
         columns: Vec<String>,
-        /// Row count announced by `ROWS_BEGIN`.
+        /// Row count from the `ROWS_END` trailer (`ROWS_UNKNOWN`, as
+        /// `ROWS_BEGIN` announced it, if no trailer arrived).
         announced: u32,
         /// `(seq, row)` in *arrival* order (reordering faults show here).
         rows: Vec<(u32, Row)>,
@@ -319,8 +320,7 @@ pub enum MutationOutcome {
         sent_at_secs: f64,
         done_at_secs: f64,
     },
-    /// The server refused the mutation (admission, backpressure, or a
-    /// v1 session hitting `WritesUnsupported`).
+    /// The server refused the mutation (admission or backpressure).
     Refused {
         reason: RefuseReason,
         retry_after_secs: f64,
@@ -341,27 +341,16 @@ impl MutationOutcome {
     }
 }
 
-/// Send one `REGISTER` (negotiating the current protocol version) and
-/// wait for the verdict.
+/// Send one `REGISTER` (at the current protocol version) and wait for
+/// the verdict.
 pub fn register_once(
     link: &mut dyn NetLink,
     claimed_ip: [u8; 4],
     timeout_secs: f64,
 ) -> Result<Result<u64, f64>, LinkError> {
-    register_once_with_version(link, claimed_ip, PROTOCOL_VERSION, timeout_secs)
-}
-
-/// [`register_once`] pinning an explicit protocol version — version 1
-/// keeps legacy count-up-front framing for compatibility tests.
-pub fn register_once_with_version(
-    link: &mut dyn NetLink,
-    claimed_ip: [u8; 4],
-    version: u8,
-    timeout_secs: f64,
-) -> Result<Result<u64, f64>, LinkError> {
     link.send(&Frame::Register {
         claimed_ip,
-        version,
+        version: PROTOCOL_VERSION,
     })?;
     let deadline = link.now_secs() + timeout_secs;
     loop {

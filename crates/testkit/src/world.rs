@@ -267,8 +267,8 @@ struct Conn {
     /// nodes its frames land on, and each node's scheduler pushes
     /// delayed rows into its own sink.
     sinks: Vec<Arc<SimSink>>,
-    /// Protocol version negotiated at `REGISTER` (same state the TCP
-    /// server keeps per connection).
+    /// The connection's statement cache (same state the TCP server
+    /// keeps per connection).
     session: Arc<SessionState>,
     inbox: VecDeque<Arrival>,
     /// FIFO floors per direction: a new frame never arrives before one
